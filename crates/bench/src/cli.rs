@@ -1,42 +1,31 @@
-//! Command-line entry points: the unified `decima-exp` runner and the
-//! thin per-figure wrappers.
+//! Command-line entry point: the unified `decima-exp` runner.
 //!
 //! ```text
 //! decima-exp --list
 //! decima-exp --scenario fig09a
 //! decima-exp --scenario fig09a --set execs=30 --seeds 0..40 --threads 8 --json
 //! ```
-//!
-//! Each former figure binary is `artifact_main("<name>")`: it accepts
-//! the same `--set`/`--seeds`/`--threads` flags plus the legacy
-//! per-binary style (`--execs 30 --runs 5`), fetches its scenario from
-//! the registry, and runs it through the shared runner.
 
 use crate::registry::ScenarioRegistry;
 use crate::runner::{run_scenario, run_training, RunOptions, Scenario, TrainOptions};
 use crate::Args;
 
-/// Flags consumed by the runner itself; everything else is treated as a
-/// scenario override.
-const RESERVED: &[&str] = &[
-    "scenario",
-    "list",
-    "json",
-    "threads",
-    "seeds",
-    "help",
-    "bench",
-    "quick",
-    "check",
-    "bench-out",
-    "train",
-    "recipe",
-    "checkpoint-dir",
-    "checkpoint-every",
-    "resume",
-    "train-log",
-    "no-fast-infer",
-];
+/// Scenario-mode flags that take a value.
+const SCENARIO_VALUED: &[&str] = &["scenario", "set", "seeds", "threads"];
+/// Scenario-mode flags that stand alone.
+const SCENARIO_BARE: &[&str] = &["json", "no-fast-infer"];
+
+/// Scenario mode accepts exactly its documented flags; a misspelt one
+/// must not silently run the default configuration.
+fn check_scenario_flags(args: &Args) -> Result<(), String> {
+    match args.first_unknown(SCENARIO_VALUED, SCENARIO_BARE) {
+        None => Ok(()),
+        Some(arg) => Err(match arg.strip_prefix("--") {
+            Some(key) => format!("unknown flag '{arg}' (did you mean --set {key}=…?)"),
+            None => format!("unexpected argument '{arg}'"),
+        }),
+    }
+}
 
 fn usage() {
     println!("decima-exp — unified experiment runner for the Decima reproduction");
@@ -101,16 +90,12 @@ fn list(reg: &ScenarioRegistry) {
     println!("\nRun one with: decima-exp --scenario <name>");
 }
 
-/// Applies CLI arguments (both `--set k=v` and legacy `--key value`
-/// overrides) to a scenario fetched from the registry, returning the
-/// run options alongside.
+/// Applies CLI arguments (`--set k=v` overrides, `--seeds`,
+/// `--threads`, `--json`) to a scenario fetched from the registry,
+/// returning the run options alongside.
 fn configure(sc: &Scenario, args: &Args) -> Result<(Scenario, RunOptions), String> {
     let mut sc = sc.clone();
-    for (key, value) in args
-        .legacy_overrides(RESERVED)
-        .into_iter()
-        .chain(args.sets()?)
-    {
+    for (key, value) in args.sets()? {
         sc.spec.set(&key, &value)?;
     }
     if let Some(range) = args.value("seeds") {
@@ -196,25 +181,11 @@ pub fn exp_main() {
         usage();
         std::process::exit(2);
     };
-    if let Err(e) = run(&name, &args) {
+    if let Err(e) = check_scenario_flags(&args) {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(2);
     }
-}
-
-/// Entry point of a thin per-figure wrapper binary: runs `name` with
-/// the process arguments as overrides.
-pub fn artifact_main(name: &str) {
-    let args = Args::new();
-    if args.has("help") {
-        println!("wrapper for `decima-exp --scenario {name}`\n");
-        usage();
-        return;
-    }
-    if args.has("no-fast-infer") {
-        decima_policy::set_fast_infer(false);
-    }
-    if let Err(e) = run(name, &args) {
+    if let Err(e) = run(&name, &args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -243,24 +214,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_overrides_fold_into_sets() {
-        let args = argv(&[
-            "--execs",
-            "30",
-            "--tpch-only",
-            "--threads",
-            "4",
+    fn scenario_flags_are_checked_against_the_documented_set() {
+        let ok = argv(&[
+            "--scenario",
+            "fig09a",
             "--set",
             "jobs=5",
+            "--seeds",
+            "0..4",
+            "--threads",
+            "4",
             "--json",
+            "--no-fast-infer",
         ]);
-        let pairs = args.legacy_overrides(RESERVED);
+        assert_eq!(check_scenario_flags(&ok), Ok(()));
         assert_eq!(
-            pairs,
-            vec![
-                ("execs".to_string(), "30".to_string()),
-                ("tpch-only".to_string(), "true".to_string()),
-            ]
+            check_scenario_flags(&argv(&["--scenario", "fig09a", "--thread", "4"])),
+            Err("unknown flag '--thread' (did you mean --set thread=…?)".to_string())
+        );
+        // The old per-binary override style is no longer a second syntax.
+        assert!(check_scenario_flags(&argv(&["--scenario", "fig09a", "--execs", "30"])).is_err());
+        assert_eq!(
+            check_scenario_flags(&argv(&["--scenario", "fig09a", "--json", "yes"])),
+            Err("unexpected argument 'yes'".to_string())
         );
     }
 
@@ -269,8 +245,8 @@ mod tests {
         let reg = ScenarioRegistry::standard();
         let sc = reg.get("fig09a").unwrap();
         let args = argv(&[
-            "--execs",
-            "30",
+            "--set",
+            "execs=30",
             "--set",
             "iters=2",
             "--seeds",
@@ -292,10 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_runs_flag_reshapes_seed_plan() {
+    fn runs_override_reshapes_seed_plan() {
         let reg = ScenarioRegistry::standard();
         let sc = reg.get("fig09a").unwrap();
-        let (sc, _) = configure(sc, &argv(&["--runs", "5"])).unwrap();
+        let (sc, _) = configure(sc, &argv(&["--set", "runs=5"])).unwrap();
         assert_eq!(sc.spec.seeds.count, 5);
         assert_eq!(sc.spec.seeds.start, 1000);
     }
@@ -305,7 +281,7 @@ mod tests {
         let reg = ScenarioRegistry::standard();
         let sc = reg.get("fig09a").unwrap();
         assert!(configure(sc, &argv(&["--seeds", "bad"])).is_err());
-        assert!(configure(sc, &argv(&["--execs", "abc"])).is_err());
+        assert!(configure(sc, &argv(&["--set", "execs=abc"])).is_err());
         assert!(configure(sc, &argv(&["--threads", "x"])).is_err());
     }
 }

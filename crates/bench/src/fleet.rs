@@ -16,10 +16,10 @@
 //!   the front-end's *estimated* shard loads (a deterministic drain
 //!   model over routed work, not live simulator state), mirroring real
 //!   cluster managers that balance on delayed, coarse signals.
-//! * **Execution.** Shard episodes run on a [`ShardPool`] of persistent
-//!   worker threads (the actor-pool pattern from `decima-rl`): results
-//!   carry their slot index and are re-sorted, so fleet output is
-//!   bit-identical to a sequential run regardless of `--threads`.
+//! * **Execution.** Shard episodes run on a [`ShardPool`] — one
+//!   [`ordered_map`] call per batch: results come back in slot order,
+//!   so fleet output is bit-identical to a sequential run regardless of
+//!   `--threads`.
 //! * **Aggregation.** Per-shard [`EpisodeResult`]s reduce to a
 //!   [`FleetResult`]: total decisions, completed jobs, pooled tail JCT
 //!   across shards, and per-shard routed-work imbalance. Everything in
@@ -30,12 +30,11 @@
 use crate::factory::{make_scheduler, TrainedPolicy};
 use crate::json::Json;
 use crate::scenario::SchedulerSpec;
+use decima_core::par::ordered_map;
 use decima_core::{ClusterSpec, JobSpec, Summary};
 use decima_sim::{EpisodeResult, MemCounters, SimConfig, Simulator};
 use decima_workload::renumber;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Per-shard seed salt (the 64-bit golden ratio, as in splitmix64).
 /// Shard `s` perturbs the base seed by `s` multiples of it, so distinct
@@ -208,144 +207,40 @@ pub struct ShardRun {
     pub trained: Option<Arc<TrainedPolicy>>,
 }
 
-enum ShardOutput {
-    Done {
-        slot: usize,
-        shard: usize,
-        routed: u64,
-        result: Box<EpisodeResult>,
-    },
-    /// A shard body panicked; the coordinator re-panics with the
-    /// payload so a dead worker can't hang the fleet.
-    Panicked(String),
-}
-
-fn run_shard(slot: usize, run: ShardRun) -> ShardOutput {
-    let executors = run.cluster.total_executors();
-    let sched = make_scheduler(&run.sched, executors, run.trained.as_deref());
-    let routed = run.jobs.len() as u64;
-    let result = Simulator::new(run.cluster, run.jobs, run.cfg).run(sched);
-    ShardOutput::Done {
-        slot,
-        shard: run.shard,
-        routed,
-        result: Box::new(result),
-    }
-}
-
-/// A pool of persistent worker threads that executes shard episodes —
-/// the serving-side counterpart of `decima-rl`'s actor pool. Workers
-/// live as long as the pool (one pool serves a whole sweep); dropping
-/// it closes the task channel and joins every thread.
+/// The width at which shard episodes run in parallel. One pool value
+/// serves a whole sweep; it holds no threads between batches.
 ///
-/// Determinism: tasks carry their slot index and results are re-sorted
-/// by it, so the output is bit-identical to a sequential run no matter
-/// how many workers execute it.
+/// Determinism: each episode is a pure function of its [`ShardRun`]
+/// and results come back in slot order, so the output is bit-identical
+/// to a sequential run no matter how many workers execute it.
 pub struct ShardPool {
-    tx: Option<Sender<(usize, ShardRun)>>,
-    rx: Receiver<ShardOutput>,
-    workers: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl ShardPool {
-    /// Spawns `workers` persistent threads (at least one).
+    /// A pool that runs up to `workers` episodes at once (at least one).
     pub fn new(workers: usize) -> Self {
-        let (tx, task_rx) = channel::<(usize, ShardRun)>();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let (out_tx, rx) = channel::<ShardOutput>();
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let task_rx = Arc::clone(&task_rx);
-                let out_tx = out_tx.clone();
-                std::thread::spawn(move || loop {
-                    // Hold the lock only while claiming the next task;
-                    // execution happens outside it.
-                    let claimed = match task_rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => return, // a sibling panicked mid-claim
-                    };
-                    let Ok((slot, run)) = claimed else {
-                        return; // pool dropped
-                    };
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_shard(slot, run)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        ShardOutput::Panicked(msg)
-                    });
-                    if out_tx.send(out).is_err() {
-                        return;
-                    }
-                })
-            })
-            .collect();
         ShardPool {
-            tx: Some(tx),
-            rx,
-            workers,
+            workers: workers.max(1),
         }
     }
 
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// Runs a batch of shard episodes, returning
-    /// `(shard, routed_jobs, result)` in submission (slot) order.
+    /// `(shard, routed_jobs, result)` in submission (slot) order. A
+    /// panicking episode re-raises here once the whole batch has run.
     pub fn run(&self, runs: Vec<ShardRun>) -> Vec<(usize, u64, EpisodeResult)> {
-        let n = runs.len();
-        let Some(tx) = self.tx.as_ref() else {
-            unreachable!("task channel lives until drop");
-        };
-        for (slot, run) in runs.into_iter().enumerate() {
-            if tx.send((slot, run)).is_err() {
-                panic!("shard-pool workers died before accepting the batch");
-            }
-        }
-        // Drain the FULL batch before re-raising any panic, so a caller
-        // that catches the unwind can reuse the pool without leftovers.
-        let mut out: Vec<ShardOutput> = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.rx.recv() {
-                Ok(o) => out.push(o),
-                Err(_) => panic!("shard-pool worker exited mid-batch"),
-            }
-        }
-        if let Some(ShardOutput::Panicked(msg)) =
-            out.iter().find(|o| matches!(o, ShardOutput::Panicked(_)))
-        {
-            panic!("fleet shard panicked: {msg}");
-        }
-        out.sort_by_key(|o| match o {
-            ShardOutput::Done { slot, .. } => *slot,
-            ShardOutput::Panicked(_) => unreachable!("panics re-raised above"),
-        });
-        out.into_iter()
-            .map(|o| match o {
-                ShardOutput::Done {
-                    shard,
-                    routed,
-                    result,
-                    ..
-                } => (shard, routed, *result),
-                ShardOutput::Panicked(_) => unreachable!("panics re-raised above"),
-            })
-            .collect()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // closes the channel; workers drain and exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        ordered_map(self.workers, runs, |run| {
+            let executors = run.cluster.total_executors();
+            let sched = make_scheduler(&run.sched, executors, run.trained.as_deref());
+            let routed = run.jobs.len() as u64;
+            let result = Simulator::new(run.cluster, run.jobs, run.cfg).run(sched);
+            (run.shard, routed, result)
+        })
     }
 }
 

@@ -18,9 +18,8 @@
 //!   `out/<scenario>.json` result document.
 //!
 //! The `decima-exp` binary is the front door
-//! (`cargo run -p decima-bench --bin decima-exp -- --list`); the
-//! per-figure binaries in `src/bin/` are thin wrappers that fetch their
-//! scenario from the registry and call the same runner. Criterion
+//! (`cargo run -p decima-bench --bin decima-exp -- --list`): every paper
+//! artifact runs as `decima-exp --scenario <name>`. Criterion
 //! micro-benchmarks live in `benches/`.
 
 pub mod cli;
@@ -34,7 +33,7 @@ pub mod runner;
 pub mod scenario;
 pub mod scenarios;
 
-pub use cli::{artifact_main, exp_main};
+pub use cli::exp_main;
 pub use factory::{build_trainer, make_scheduler, scheduler_spec_by_name, TrainedPolicy};
 pub use registry::ScenarioRegistry;
 pub use runner::{par_map, run_scenario, run_training, RunOptions, Scenario, TrainOptions};
@@ -237,41 +236,18 @@ impl Args {
         Ok(out)
     }
 
-    /// Every `--key [value]` pair that is not a reserved runner flag —
-    /// the legacy per-binary override style (`--execs 30 --runs 5`),
-    /// folded into the same key=value stream as `--set`. A flag followed
-    /// by another flag (or nothing) maps to `key=true`.
-    pub fn legacy_overrides(&self, reserved: &[&str]) -> Vec<(String, String)> {
-        let mut out = Vec::new();
+    /// The first argument that is neither one of the `valued` flags
+    /// (with the value that follows it) nor one of the `bare` flags.
+    pub fn first_unknown(&self, valued: &[&str], bare: &[&str]) -> Option<&str> {
         let mut i = 0;
-        while i < self.raw.len() {
-            let arg = &self.raw[i];
-            if let Some(key) = arg.strip_prefix("--") {
-                if key == "set" {
-                    i += 2;
-                    continue;
-                }
-                if reserved.contains(&key) {
-                    // Reserved flags may consume a value.
-                    let takes_value = self.raw.get(i + 1).is_some_and(|v| !v.starts_with("--"));
-                    i += if takes_value { 2 } else { 1 };
-                    continue;
-                }
-                match self.raw.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        out.push((key.to_string(), v.clone()));
-                        i += 2;
-                    }
-                    _ => {
-                        out.push((key.to_string(), "true".to_string()));
-                        i += 1;
-                    }
-                }
-            } else {
-                i += 1;
+        while let Some(arg) = self.raw.get(i) {
+            match arg.strip_prefix("--") {
+                Some(key) if valued.contains(&key) => i += 2,
+                Some(key) if bare.contains(&key) => i += 1,
+                _ => return Some(arg),
             }
         }
-        out
+        None
     }
 }
 

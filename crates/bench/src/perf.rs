@@ -174,50 +174,26 @@ fn peak_rss_kb() -> u64 {
     0
 }
 
-/// Measures per-iteration training wall-clock on a pinned tiny recipe,
-/// through both gradient paths: the trajectory-driven learner and the
-/// legacy replay-by-resimulation pass (`TrainConfig::legacy_replay`).
-/// The two runs take identical decisions at identical seeds, so their
-/// ratio isolates exactly the cost of the second simulation.
+/// Measures per-iteration training wall-clock on a pinned tiny recipe.
 fn run_train_component(quick: bool) -> Json {
     let iters = if quick { 2 } else { 5 };
-    let measure = |legacy: bool| -> (f64, u64) {
-        let mut trainer = build_trainer(&TrainSpec::standard(iters, 11), 15);
-        trainer.cfg.legacy_replay = legacy;
-        let env = SpecEnv::new(WorkloadSpec::tpch_batch(10, 15));
-        let mut decisions = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let s = trainer.train_iteration(&env);
-            decisions += (s.mean_actions * trainer.cfg.num_rollouts as f64).round() as u64;
-        }
-        (t0.elapsed().as_secs_f64(), decisions)
-    };
-    let (wall, decisions) = measure(false);
-    let (wall_legacy, decisions_legacy) = measure(true);
-    assert_eq!(
-        decisions, decisions_legacy,
-        "the two gradient paths must take identical decisions"
-    );
-    let per_iter = wall / iters as f64;
-    let per_iter_legacy = wall_legacy / iters as f64;
+    let mut trainer = build_trainer(&TrainSpec::standard(iters, 11), 15);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(10, 15));
+    let mut decisions = 0u64;
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        let s = trainer.train_iteration(&env);
+        decisions += (s.mean_actions * trainer.cfg.num_rollouts as f64).round() as u64;
+    }
+    let per_iter = t0.elapsed().as_secs_f64() / iters as f64;
     println!(
-        "  {:<24} {iters:>4} iteration(s) {:>8} decisions  {:>10.3}s/iter (legacy replay: {:>7.3}s/iter, {:.2}x)",
-        "train_iteration",
-        decisions,
-        per_iter,
-        per_iter_legacy,
-        per_iter_legacy / per_iter.max(1e-12),
+        "  {:<24} {iters:>4} iteration(s) {:>8} decisions  {:>10.3}s/iter",
+        "train_iteration", decisions, per_iter,
     );
     Json::obj([
         ("iters", Json::Num(iters as f64)),
         ("decisions", Json::Num(decisions as f64)),
         ("secs_per_iter", Json::Num(per_iter)),
-        ("secs_per_iter_legacy_replay", Json::Num(per_iter_legacy)),
-        (
-            "legacy_over_trajectory",
-            Json::Num(per_iter_legacy / per_iter.max(1e-12)),
-        ),
     ])
 }
 

@@ -3,8 +3,7 @@
 //! [`run_scenario`] executes any registered scenario: the generic
 //! declarative path ([`run_comparison`]) tunes baselines, trains Decima
 //! entries, evaluates the whole lineup over the seed plan **in
-//! parallel** (scoped threads, deterministic per-seed results, stable
-//! ordering), prints the familiar terminal report, and writes both the
+//! parallel** (deterministic per-seed results, stable ordering), prints the familiar terminal report, and writes both the
 //! CSV and the structured JSON; custom scenarios plug in a run function
 //! for figure-specific analyses and inherit the same reporting.
 
@@ -13,6 +12,7 @@ use crate::report::{write_json, ScenarioReport, SeriesReport};
 use crate::scenario::{ReportKind, ScenarioSpec, SchedulerSpec};
 use crate::{print_comparison, run_episode, train_with_progress, write_csv};
 use decima_baselines::tune_alpha;
+use decima_core::par::ordered_map;
 use decima_rl::SpecEnv;
 use decima_sim::EpisodeResult;
 use std::time::Instant;
@@ -83,35 +83,16 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
     report
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning results in input order. Each item is processed exactly
-/// once; with deterministic `f` the output is identical to a sequential
-/// map (this is what keeps parallel seed loops reproducible).
+/// Maps `f` over `items` on up to `threads` threads, returning results
+/// in input order ([`ordered_map`] over borrowed items). With
+/// deterministic `f` the output is identical to a sequential map (this
+/// is what keeps parallel seed loops reproducible).
 pub fn par_map<I: Sync, T: Send>(
     items: &[I],
     threads: usize,
     f: impl Fn(&I) -> T + Sync,
 ) -> Vec<T> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, item) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("worker filled slot"))
-        .collect()
+    ordered_map(threads, items.iter().collect(), f)
 }
 
 /// The evaluation environment a comparison spec describes.

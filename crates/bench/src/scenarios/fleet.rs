@@ -21,8 +21,8 @@
 //!   and shared across shards).
 //!
 //! Determinism: `out/fleet.csv` and the `cells` JSON are bit-identical
-//! for a fixed spec regardless of `--threads` — shard episodes run on a
-//! persistent worker pool and results are re-sorted before aggregation
+//! for a fixed spec regardless of `--threads` — shard episodes run in
+//! parallel but results come back in slot order before aggregation
 //! (see docs/FLEET.md for the contract and its wall-clock exclusion).
 //!
 //! [`Simulator`]: decima_sim::Simulator

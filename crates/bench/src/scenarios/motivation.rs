@@ -58,7 +58,7 @@ pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     );
     let ps: Vec<usize> = (1..=max_p).filter(|p| *p <= 10 || p % 5 == 0).collect();
     // Each grid point is an independent single-job episode — sweep them
-    // on the worker pool.
+    // in parallel.
     let grid: Vec<[f64; 3]> = par_map(&ps, opts.threads, |&p| {
         [
             runtime(cases[0].0, cases[0].1, p),

@@ -1,41 +1,43 @@
-//! Guards the contract between the binary wrappers and the registry:
-//! every `src/bin/fig*`/`table*` artifact must have a registered
-//! scenario, and every registered scenario's runner prerequisites must
-//! hold.
+//! Guards the contract between the registry and its documentation —
+//! the "Experiment index" table of `docs/ARCHITECTURE.md` lists exactly
+//! the registered scenarios — and every registered scenario's runner
+//! prerequisites.
 
 use decima_bench::registry::ScenarioRegistry;
 use decima_bench::runner::RunKind;
 use decima_bench::scenario::SchedulerSpec;
+use std::collections::BTreeSet;
 use std::path::Path;
 
-/// The scenario name a wrapper binary runs: its file stem up to the
-/// first `_` (`fig09a_batched` → `fig09a`, `table2_generalization` →
-/// `table2`).
-fn scenario_of(stem: &str) -> String {
-    stem.split('_').next().unwrap_or(stem).to_string()
+/// The first cell of every data row of the "Experiment index" table.
+fn documented_scenarios() -> BTreeSet<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/ARCHITECTURE.md");
+    let text = std::fs::read_to_string(&path).expect("docs/ARCHITECTURE.md is readable");
+    text.lines()
+        .skip_while(|l| !l.starts_with("## Experiment index"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| l.strip_prefix("| `")?.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect()
 }
 
 #[test]
-fn every_figure_binary_has_a_registered_scenario() {
-    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+fn experiment_index_lists_exactly_the_registered_scenarios() {
     let reg = ScenarioRegistry::standard();
-    let mut checked = 0;
-    for entry in std::fs::read_dir(&bin_dir).expect("src/bin exists") {
-        let path = entry.expect("dir entry").path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if !(stem.starts_with("fig") || stem.starts_with("table")) {
-            continue;
-        }
-        let name = scenario_of(stem);
-        assert!(
-            reg.get(&name).is_some(),
-            "binary '{stem}' has no registered scenario '{name}'"
-        );
-        checked += 1;
-    }
-    assert!(checked >= 19, "only {checked} figure/table binaries found");
+    let registered: BTreeSet<String> = reg.names().iter().map(|n| n.to_string()).collect();
+    let documented = documented_scenarios();
+    assert!(!documented.is_empty(), "Experiment index table not found");
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered scenarios without an Experiment index row: {undocumented:?}"
+    );
+    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        unregistered.is_empty(),
+        "Experiment index rows naming no registered scenario: {unregistered:?}"
+    );
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! Algorithms for Data Processing Clusters* (Mao et al., SIGCOMM 2019):
 //! strongly-typed identifiers, simulation time, validated DAG topologies,
 //! job/stage specifications, cluster (executor-class) specifications,
-//! Gantt-chart recording, and summary statistics.
+//! Gantt-chart recording, summary statistics, and the workspace's one
+//! thread-starting primitive ([`par::ordered_map`]).
 //!
 //! This crate is dependency-light and deterministic; all stochastic
 //! behaviour lives in `decima-workload` (generation) and `decima-sim`
@@ -19,6 +20,7 @@ pub mod gantt;
 pub mod ids;
 pub mod job;
 pub mod metrics;
+pub mod par;
 pub mod time;
 
 pub use cluster::{ClusterSpec, ExecutorClass};

@@ -376,7 +376,6 @@ impl Trainer {
             c.normalize_advantages as u8
         );
         let _ = writeln!(out, "cfg.seed {}", c.seed);
-        let _ = writeln!(out, "cfg.legacy_replay {}", c.legacy_replay as u8);
 
         // Workload echo (standalone training runs): lets --resume refuse
         // mismatched workload flags. Optional for compatibility with
@@ -502,7 +501,6 @@ impl Trainer {
             reward_scale: head.parse("cfg.reward_scale")?,
             normalize_advantages: head.parse_bool("cfg.normalize_advantages")?,
             seed: head.parse("cfg.seed")?,
-            legacy_replay: head.parse_bool("cfg.legacy_replay")?,
         };
 
         // Rebuild the parameter layout from the architecture (parameter

@@ -4,18 +4,12 @@
 //!
 //! The gradient pass consumes [`Trajectory`] records directly — the
 //! stored observations are re-scored by the policy with no simulator in
-//! the loop. The pre-trajectory design (replaying every episode through a
-//! second simulation) survives as [`legacy_replay_grads`], enabled by the
-//! test-only [`crate::TrainConfig::legacy_replay`] flag, so equivalence
-//! of the two paths stays provable (see `crates/rl/tests/`).
+//! the loop. Its equivalence to replaying every episode through a second
+//! simulation is proved per rollout in `crates/rl/tests/equivalence.rs`.
 
 use crate::baseline::{returns_to_go, time_aligned_baselines, MovingAvg, ReturnSeries};
-use crate::env::EnvFactory;
 use crate::trainer::TrainConfig;
 use crate::trajectory::Trajectory;
-use decima_nn::ParamStore;
-use decima_policy::{DecimaAgent, DecimaPolicy};
-use decima_sim::Simulator;
 
 /// Scales raw episode rewards and, under the differential (average
 /// reward, Appendix B) formulation, subtracts the moving-average reward
@@ -92,42 +86,6 @@ pub fn advantages(
         }
     }
     advantages
-}
-
-/// The pre-trajectory gradient pass, kept only so tests can prove the
-/// trajectory-driven path bit-identical: re-simulates every episode with
-/// a replay agent that feeds back the recorded choices while the tape
-/// accumulates gradients.
-pub fn legacy_replay_grads(
-    env: &dyn EnvFactory,
-    trajs: &[Trajectory],
-    advantages: Vec<Vec<f64>>,
-    beta: f64,
-    tau: Option<f64>,
-    policy: &DecimaPolicy,
-    store: &ParamStore,
-) -> Vec<ParamStore> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = trajs
-            .iter()
-            .zip(advantages)
-            .map(|(t, adv)| {
-                let seq_seed = t.seq_seed;
-                let choices = t.choices.clone();
-                scope.spawn(move || {
-                    let (cluster, jobs, mut sim_cfg) = env.build(seq_seed);
-                    if let Some(t) = tau {
-                        sim_cfg.time_limit = Some(sim_cfg.time_limit.map_or(t, |l| l.min(t)));
-                    }
-                    let mut agent =
-                        DecimaAgent::replayer(policy.clone(), store.clone(), choices, adv, beta);
-                    let _ = Simulator::new(cluster, jobs, sim_cfg).run(&mut agent);
-                    agent.store
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
 }
 
 #[cfg(test)]

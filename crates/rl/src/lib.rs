@@ -2,10 +2,9 @@
 //! # decima-rl
 //!
 //! Reinforcement-learning infrastructure for Decima (§5.3, Appendices B
-//! and C), organized as a trajectory-based actor/learner architecture:
+//! and C), organized as a trajectory-based actor/learner architecture
+//! (parallel batches run on `decima_core::par::ordered_map`):
 //!
-//! * [`actor`] — a persistent worker pool fed over channels that rolls
-//!   out the current policy and returns [`Trajectory`] records;
 //! * [`trajectory`] — the self-contained per-rollout record
 //!   (per-decision observations, action choices, rewards, entropy);
 //! * [`learner`] — differential rewards, input-dependent time-aligned
@@ -20,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod actor;
 pub mod baseline;
 pub mod checkpoint;
 pub mod env;
@@ -28,7 +26,6 @@ pub mod learner;
 pub mod trainer;
 pub mod trajectory;
 
-pub use actor::ActorPool;
 pub use baseline::{returns_to_go, time_aligned_baselines, MovingAvg, ReturnSeries};
 pub use checkpoint::{WorkloadEcho, CHECKPOINT_HEADER, CHECKPOINT_VERSION};
 pub use env::{AlibabaEnv, EnvFactory, SpecEnv, TpchEnv, SIM_SEED_SALT};

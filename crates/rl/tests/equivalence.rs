@@ -1,20 +1,16 @@
-//! Equivalence of the trajectory-driven gradient pass with the legacy
-//! replay-by-resimulation pass, over randomized tiny workloads.
+//! Equivalence of the trajectory-driven gradient pass with a
+//! replay-by-resimulation reference, over randomized tiny workloads:
+//! the gradient accumulated from a trajectory's stored observations
+//! equals the gradient from replaying the episode through a second
+//! simulation ([`DecimaAgent::replayer`]), bit for bit, for every
+//! parameter tensor.
 //!
-//! Two layers of proof:
-//!
-//! * **Per-rollout, field-for-field** — the gradient accumulated from a
-//!   trajectory's stored observations equals the gradient from replaying
-//!   the episode through a second simulation, bit for bit, for every
-//!   parameter tensor.
-//! * **Whole iterations** — a trainer using the trajectory path and one
-//!   using the legacy path (behind the test-only
-//!   `TrainConfig::legacy_replay` flag) produce identical `IterStats`
-//!   and identical post-step parameters.
+//! Whole iterations are pinned by the frozen golden in
+//! `trainer::tests::two_iterations_match_the_frozen_golden`.
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
-use decima_rl::{learner, EnvFactory, TpchEnv, TrainConfig, Trainer, Trajectory};
+use decima_rl::{EnvFactory, TpchEnv, Trajectory};
 use decima_sim::Simulator;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -92,53 +88,13 @@ proptest! {
             advantages.clone(),
             beta,
         );
-        let legacy = learner::legacy_replay_grads(
-            &env,
-            std::slice::from_ref(&traj),
-            vec![advantages],
-            beta,
-            None,
-            &policy,
-            &store,
-        );
+        // The reference: re-simulate the episode with an agent that
+        // feeds back the recorded choices while the tape accumulates.
+        let (cluster, jobs, cfg) = env.build(seq_seed);
+        let mut replay =
+            DecimaAgent::replayer(policy.clone(), store.clone(), traj.choices, advantages, beta);
+        let _ = Simulator::new(cluster, jobs, cfg).run(&mut replay);
         prop_assert!(from_obs.grad_norm() > 0.0, "gradient must be nonzero");
-        assert_grads_bit_equal(&legacy[0], &from_obs, "rollout");
-    }
-
-    /// Full iterations through the two gradient paths produce identical
-    /// statistics and identical parameters.
-    #[test]
-    fn iterations_match_across_gradient_paths(
-        seed in 0u64..10_000,
-        n_jobs in 2usize..4,
-        execs in 4usize..7,
-        rollouts in 2usize..4,
-        shared_seq_bit in 0u8..2,
-    ) {
-        let shared_seq = shared_seq_bit == 1;
-        let env = TpchEnv::batch(n_jobs, execs);
-        let mk = |legacy_replay: bool| {
-            let (policy, store) = tiny_policy(execs, seed);
-            Trainer::new(policy, store, TrainConfig {
-                num_rollouts: rollouts,
-                seed,
-                input_dependent_baseline: shared_seq,
-                legacy_replay,
-                ..TrainConfig::default()
-            })
-        };
-        let mut new_path = mk(false);
-        let mut old_path = mk(true);
-        for _ in 0..2 {
-            let sa = new_path.train_iteration(&env);
-            let sb = old_path.train_iteration(&env);
-            prop_assert_eq!(sa, sb, "IterStats diverged");
-        }
-        for i in 0..new_path.store.len() {
-            let (va, vb) = (new_path.store.value(i).data(), old_path.store.value(i).data());
-            for (x, y) in va.iter().zip(vb) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "param {} diverged", i);
-            }
-        }
+        assert_grads_bit_equal(&replay.store, &from_obs, "rollout");
     }
 }

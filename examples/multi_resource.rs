@@ -57,5 +57,5 @@ fn main() {
     ] {
         println!("  {name:<22} avg JCT {jct:.1}s");
     }
-    println!("\nTrain Decima on this setting with the fig11_multires bench binary.");
+    println!("\nTrain Decima on this setting with `decima-exp --scenario fig11`.");
 }
