@@ -13,18 +13,86 @@ use crate::Args;
 /// Scenario-mode flags that take a value.
 const SCENARIO_VALUED: &[&str] = &["scenario", "set", "seeds", "threads"];
 /// Scenario-mode flags that stand alone.
-const SCENARIO_BARE: &[&str] = &["json", "no-fast-infer"];
+const SCENARIO_BARE: &[&str] = &["json"];
 
-/// Scenario mode accepts exactly its documented flags; a misspelt one
-/// must not silently run the default configuration.
-fn check_scenario_flags(args: &Args) -> Result<(), String> {
-    match args.first_unknown(SCENARIO_VALUED, SCENARIO_BARE) {
+/// `--train` flags that take a value.
+const TRAIN_VALUED: &[&str] = &[
+    "recipe",
+    "iters",
+    "jobs",
+    "execs",
+    "iat",
+    "seed",
+    "checkpoint-dir",
+    "checkpoint-every",
+    "train-log",
+    "churn",
+    "outage",
+    "fail",
+    "retries",
+    "straggle",
+    "straggle-factor",
+];
+/// `--train` flags that stand alone.
+const TRAIN_BARE: &[&str] = &["train", "resume"];
+
+/// A mode accepts exactly its documented flags; a misspelt one must
+/// not silently run the default configuration.
+fn check_flags(
+    args: &Args,
+    valued: &[&str],
+    bare: &[&str],
+    hint: impl Fn(&str) -> String,
+) -> Result<(), String> {
+    match args.first_unknown(valued, bare) {
         None => Ok(()),
         Some(arg) => Err(match arg.strip_prefix("--") {
-            Some(key) => format!("unknown flag '{arg}' (did you mean --set {key}=…?)"),
+            Some(key) => format!("unknown flag '{arg}' ({})", hint(key)),
             None => format!("unexpected argument '{arg}'"),
         }),
     }
+}
+
+fn check_scenario_flags(args: &Args) -> Result<(), String> {
+    check_flags(args, SCENARIO_VALUED, SCENARIO_BARE, |key| {
+        format!("did you mean --set {key}=…?")
+    })
+}
+
+/// `--train` mode: exactly its documented flags, and every numeric
+/// value must parse — a typo must not silently train the defaults.
+fn train_options(args: &Args) -> Result<TrainOptions, String> {
+    check_flags(args, TRAIN_VALUED, TRAIN_BARE, |_| {
+        "not a --train flag, see --help".to_string()
+    })?;
+    let d = TrainOptions::default();
+    let off = d.dynamics;
+    Ok(TrainOptions {
+        recipe: args.value("recipe").unwrap_or("standard").to_string(),
+        iters: args.parsed("iters")?.unwrap_or(d.iters),
+        jobs: args.parsed("jobs")?.unwrap_or(d.jobs),
+        execs: args.parsed("execs")?.unwrap_or(d.execs),
+        iat: args.parsed("iat")?,
+        seed: args.parsed("seed")?.unwrap_or(d.seed),
+        checkpoint_dir: args
+            .value("checkpoint-dir")
+            .map_or(d.checkpoint_dir, std::path::PathBuf::from),
+        checkpoint_every: args
+            .parsed("checkpoint-every")?
+            .unwrap_or(d.checkpoint_every),
+        resume: args.has("resume"),
+        log_path: args.value("train-log").map(std::path::PathBuf::from),
+        dynamics: decima_sim::DynamicsSpec {
+            churn_iat: args.parsed("churn")?.unwrap_or(off.churn_iat),
+            outage_mean: args.parsed("outage")?.unwrap_or(off.outage_mean),
+            fail_prob: args.parsed("fail")?.unwrap_or(off.fail_prob),
+            max_retries: args.parsed("retries")?.unwrap_or(off.max_retries),
+            straggler_prob: args.parsed("straggle")?.unwrap_or(off.straggler_prob),
+            straggler_factor: args
+                .parsed("straggle-factor")?
+                .unwrap_or(off.straggler_factor),
+        },
+    })
 }
 
 fn usage() {
@@ -34,13 +102,12 @@ fn usage() {
     println!("  decima-exp --list");
     println!("  decima-exp --scenario <name> [--set key=value]... [--seeds a..b]");
     println!("             [--threads N] [--json]");
-    println!("  decima-exp --bench [--quick] [--check <baseline.json>]");
-    println!("             [--bench-out <path>]");
     println!("  decima-exp --train [--recipe standard|stream|tuned] [--iters N]");
     println!("             [--jobs J] [--execs E] [--iat S] [--seed K]");
     println!("             [--checkpoint-dir DIR] [--checkpoint-every N]");
     println!("             [--resume] [--train-log PATH]");
-    println!("             [--churn S] [--fail P] [--straggle P]");
+    println!("             [--churn S] [--outage S] [--fail P] [--retries N]");
+    println!("             [--straggle P] [--straggle-factor F]");
     println!();
     println!("FLAGS:");
     println!("  --list            list registered scenarios and exit");
@@ -49,10 +116,6 @@ fn usage() {
     println!("  --seeds A..B      evaluation seed range (or a bare count)");
     println!("  --threads N       worker threads (default: available parallelism)");
     println!("  --json            also print the structured JSON result to stdout");
-    println!("  --bench           run the pinned hot-path benchmark (docs/PERF.md)");
-    println!("  --quick           one episode per bench component (CI smoke)");
-    println!("  --check PATH      fail if decisions/sec regresses >30% vs PATH");
-    println!("  --bench-out PATH  where --bench writes its result (BENCH_sim.json)");
     println!("  --train           run a standalone checkpointed training run");
     println!("  --recipe NAME     training recipe: standard | stream | tuned");
     println!("  --checkpoint-dir DIR   where checkpoint.txt lives (out/checkpoints)");
@@ -60,12 +123,11 @@ fn usage() {
     println!("  --resume          continue bit-exactly from DIR/checkpoint.txt");
     println!("                    (refuses mismatched --jobs/--execs/--iat)");
     println!("  --train-log PATH  JSONL log path (out/train_<recipe>.jsonl)");
-    println!("  --no-fast-infer   evaluate trained policies on the exact f64");
-    println!("                    tape path instead of the f32 fast path");
-    println!("                    (docs/PERF.md; env: DECIMA_NO_FAST_INFER)");
     println!("  --churn S         train under executor churn (mean secs between");
-    println!("                    outages); --fail P / --straggle P likewise set");
-    println!("                    task-failure / straggler probabilities");
+    println!("                    outages, each lasting --outage S on average);");
+    println!("                    --fail P / --straggle P likewise set task-failure");
+    println!("                    (at most --retries N) / straggler probabilities");
+    println!("                    (slowdown --straggle-factor F)");
     println!();
     println!("Cluster dynamics (docs/ROBUSTNESS.md): every scenario accepts");
     println!("  --set churn=S --set fail=P --set straggle=P (plus outage=S,");
@@ -76,6 +138,8 @@ fn usage() {
     println!("training: DIR/checkpoint.txt + one JSONL record per iteration.");
     println!("Evaluate a saved model in any scenario lineup with");
     println!("  --set checkpoint=PATH (train once, reuse everywhere).");
+    println!("Throughput and memory are measured by the repo benchmark");
+    println!("  (benchmark/README.md, BENCHMARK.json), not by this binary.");
 }
 
 fn list(reg: &ScenarioRegistry) {
@@ -129,48 +193,15 @@ pub fn exp_main() {
         usage();
         return;
     }
-    if args.has("no-fast-infer") {
-        decima_policy::set_fast_infer(false);
-    }
     if args.has("list") {
         list(&ScenarioRegistry::standard());
         return;
     }
-    if args.has("bench") {
-        let out = args.value("bench-out").unwrap_or("BENCH_sim.json");
-        if let Err(e) = crate::perf::bench_main(args.has("quick"), args.value("check"), out) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     if args.has("train") {
-        let defaults = TrainOptions::default();
-        let opts = TrainOptions {
-            recipe: args.value("recipe").unwrap_or("standard").to_string(),
-            iters: args.get("iters", defaults.iters),
-            jobs: args.get("jobs", defaults.jobs),
-            execs: args.get("execs", defaults.execs),
-            iat: args.value("iat").and_then(|v| v.parse().ok()),
-            seed: args.get("seed", defaults.seed),
-            checkpoint_dir: args
-                .value("checkpoint-dir")
-                .map(std::path::PathBuf::from)
-                .unwrap_or(defaults.checkpoint_dir),
-            checkpoint_every: args.get("checkpoint-every", defaults.checkpoint_every),
-            resume: args.has("resume"),
-            log_path: args.value("train-log").map(std::path::PathBuf::from),
-            dynamics: {
-                let mut d = decima_sim::DynamicsSpec::off();
-                d.churn_iat = args.get("churn", d.churn_iat);
-                d.outage_mean = args.get("outage", d.outage_mean);
-                d.fail_prob = args.get("fail", d.fail_prob);
-                d.max_retries = args.get("retries", d.max_retries);
-                d.straggler_prob = args.get("straggle", d.straggler_prob);
-                d.straggler_factor = args.get("straggle-factor", d.straggler_factor);
-                d
-            },
-        };
+        let opts = train_options(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
         if let Err(e) = run_training(&opts) {
             eprintln!("error: {e}");
             std::process::exit(1);
@@ -225,7 +256,6 @@ mod tests {
             "--threads",
             "4",
             "--json",
-            "--no-fast-infer",
         ]);
         assert_eq!(check_scenario_flags(&ok), Ok(()));
         assert_eq!(
@@ -238,6 +268,49 @@ mod tests {
             check_scenario_flags(&argv(&["--scenario", "fig09a", "--json", "yes"])),
             Err("unexpected argument 'yes'".to_string())
         );
+        // Removed flags are unknown like any other.
+        for flag in ["--no-fast-infer", "--bench", "--quick"] {
+            let err = check_scenario_flags(&argv(&["--scenario", "fig09a", flag])).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn train_flags_are_checked_and_numbers_must_parse() {
+        let line = "--train --iters 2 --jobs 4 --execs 5 --iat 40 --fail 0.1 --retries 3 --resume";
+        let ok = train_options(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap();
+        assert_eq!((ok.iters, ok.jobs, ok.execs), (2, 4, 5));
+        assert_eq!(ok.iat, Some(40.0));
+        assert_eq!((ok.dynamics.fail_prob, ok.dynamics.max_retries), (0.1, 3));
+        assert!(ok.resume);
+        let defaults = train_options(&argv(&["--train"])).unwrap();
+        assert_eq!(defaults.iters, TrainOptions::default().iters);
+        assert_eq!(defaults.iat, None);
+
+        let cases: &[(&[&str], &str)] = &[
+            (&["--iters", "ten"], "--iters needs a number, got 'ten'"),
+            (&["--iat", "4O"], "--iat needs a number, got '4O'"),
+            (&["--churn", "often"], "--churn needs a number, got 'often'"),
+            (&["--jobs"], "--jobs needs a value"),
+            (
+                &["--iter", "5"],
+                "unknown flag '--iter' (not a --train flag, see --help)",
+            ),
+            (
+                &["--threads", "4"],
+                "unknown flag '--threads' (not a --train flag, see --help)",
+            ),
+            (&["extra"], "unexpected argument 'extra'"),
+        ];
+        for (extra, want) in cases {
+            let mut parts = vec!["--train"];
+            parts.extend_from_slice(extra);
+            assert_eq!(
+                train_options(&argv(&parts)).err().as_deref(),
+                Some(*want),
+                "{extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -45,29 +45,25 @@ impl TrainedPolicy {
         Ok(TrainedPolicy::of(&trainer))
     }
 
-    /// A fresh greedy evaluation agent over this snapshot. Uses the
-    /// tape-free `f32` fast path when the process-wide default allows
-    /// it (see `decima_policy::fast_infer_enabled`; the CLI's
-    /// `--no-fast-infer` flag and the `DECIMA_NO_FAST_INFER` env var
-    /// select the exact `f64` tape path instead).
+    /// A fresh greedy evaluation agent over this snapshot, on the
+    /// tape-free `f32` lane wherever `InferSession::try_new` covers the
+    /// policy configuration (no GNN, a one-hot limit head and
+    /// multi-class clusters stay on the exact `f64` tape).
     pub fn greedy_agent(&self) -> DecimaAgent {
-        if decima_policy::fast_infer_enabled() {
-            self.greedy_agent_fast()
-        } else {
-            self.greedy_agent_tape()
-        }
+        DecimaAgent::greedy_fast(self.policy.clone(), self.store.clone())
     }
 
-    /// A greedy agent pinned to the exact `f64` tape path, regardless
-    /// of the process-wide fast-inference default.
+    /// [`Self::greedy_agent`] under the name the repo benchmark and the
+    /// differential suites pair with [`Self::greedy_agent_tape`].
+    pub fn greedy_agent_fast(&self) -> DecimaAgent {
+        self.greedy_agent()
+    }
+
+    /// A greedy agent pinned to the exact `f64` tape lane: the training
+    /// path, kept as the reference the differential suites compare the
+    /// `f32` lane against.
     pub fn greedy_agent_tape(&self) -> DecimaAgent {
         DecimaAgent::greedy(self.policy.clone(), self.store.clone())
-    }
-
-    /// A greedy agent pinned to the `f32` fast path (falls back to the
-    /// tape internally only for unsupported policy configurations).
-    pub fn greedy_agent_fast(&self) -> DecimaAgent {
-        DecimaAgent::greedy_fast(self.policy.clone(), self.store.clone())
     }
 }
 

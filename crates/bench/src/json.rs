@@ -68,11 +68,6 @@ impl Json {
         }
     }
 
-    /// The value as a `usize` (must be a non-negative integer).
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
     /// The value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -499,7 +494,6 @@ mod tests {
     fn accessors() {
         let v = Json::parse(r#"{"a": 1, "b": [true, "x"], "c": 2.5}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_usize(), Some(1));
         assert_eq!(v.get("c").unwrap().as_f64(), Some(2.5));
         assert_eq!(v.get("c").unwrap().as_u64(), None);
         let arr = v.get("b").unwrap().as_arr().unwrap();

@@ -19,14 +19,13 @@
 //!
 //! The `decima-exp` binary is the front door
 //! (`cargo run -p decima-bench --bin decima-exp -- --list`): every paper
-//! artifact runs as `decima-exp --scenario <name>`. Criterion
-//! micro-benchmarks live in `benches/`.
+//! artifact runs as `decima-exp --scenario <name>`. Throughput and
+//! memory are measured by the separate `benchmark/` package.
 
 pub mod cli;
 pub mod factory;
 pub mod fleet;
 pub mod json;
-pub mod perf;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -175,7 +174,7 @@ pub fn eval_mean_jct(trainer: &Trainer, env: &dyn EnvFactory, seeds: &[u64]) -> 
     }
 }
 
-/// Minimal `--flag value` argument parser: `Args::new().get("iters", 100)`.
+/// Minimal `--flag value` argument parser: `Args::new().parsed::<usize>("iters")`.
 pub struct Args {
     raw: Vec<String>,
 }
@@ -191,11 +190,17 @@ impl Args {
         Args { raw }
     }
 
-    /// The value after `--name`, parsed, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value after `--name`, parsed; `Ok(None)` when the flag is
+    /// absent, an error when its value is missing or malformed.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.value(name) {
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("--{name} needs a number, got '{v}'")),
+            None if self.has(name) => Err(format!("--{name} needs a value")),
+            None => Ok(None),
+        }
     }
 
     /// The raw string value after `--name`.

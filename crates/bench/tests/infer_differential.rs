@@ -126,7 +126,7 @@ impl Scheduler for DiffScheduler {
         }
 
         // The authoritative action comes from the tape agent, so the
-        // episode stream is identical to a plain `--no-fast-infer` run
+        // episode stream is identical to a plain tape-lane run
         // regardless of any disagreement.
         let action = self.tape.decide(obs);
         if let Some(a) = &action {

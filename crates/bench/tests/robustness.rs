@@ -106,7 +106,7 @@ fn perturbed_episodes_validate_incremental_observations() {
 }
 
 /// Deterministic 2-iteration trained snapshot on the robust cluster
-/// size (the same warm-up recipe as the bench `agent_infer` component).
+/// size (the same warm-up recipe as `tests/golden.rs`).
 fn warmed_snapshot() -> TrainedPolicy {
     let mut trainer = build_trainer(&TrainSpec::standard(2, 11), 8);
     let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 8));

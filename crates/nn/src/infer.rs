@@ -13,8 +13,8 @@
 //! arithmetic diverges from the `f64` reference in the last bits, which
 //! the differential suites (`crates/nn/tests/infer_diff.rs` and up the
 //! stack) bound at 1e-4 relative error on outputs. Anything that needs
-//! bit-exactness — sampling, replay, checkpoint evaluation under
-//! `--no-fast-infer` — stays on the tape.
+//! bit-exactness — sampling, replay, the reference side of the
+//! differential suites — stays on the tape.
 
 use crate::mlp::{Activation, Mlp};
 use crate::store::ParamStore;

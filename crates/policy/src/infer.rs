@@ -19,41 +19,13 @@
 //!   actually uses are supported; [`InferSession::try_new`] returns
 //!   `None` for everything else (no GNN, one-hot limit head,
 //!   multi-class clusters) and the agent silently stays on the tape.
-//!
-//! Whether trained-policy evaluation defaults to this path is a
-//! process-wide switch ([`set_fast_infer`] / [`fast_infer_enabled`]),
-//! exposed on the CLI as `--no-fast-infer`.
+//!   That return value is the only selection between the two lanes:
+//!   there is no flag, environment variable or global to set.
 
 use crate::policy::{Candidate, DecimaPolicy, ParallelismMode};
 use decima_gnn::{GraphCache, GraphInput, InferEncoder};
 use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use decima_sim::Observation;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = unresolved, 1 = fast path on, 2 = fast path off.
-static FAST_INFER: AtomicU8 = AtomicU8::new(0);
-
-/// Whether trained-policy evaluation should use the tape-free `f32`
-/// fast path. Defaults to on; the `DECIMA_NO_FAST_INFER` environment
-/// variable (any value) or [`set_fast_infer`]`(false)` — wired to the
-/// CLI's `--no-fast-infer` flag — selects the exact `f64` tape path.
-pub fn fast_infer_enabled() -> bool {
-    match FAST_INFER.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("DECIMA_NO_FAST_INFER").is_none();
-            FAST_INFER.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Overrides the process-wide fast-inference default (see
-/// [`fast_infer_enabled`]).
-pub fn set_fast_infer(enabled: bool) {
-    FAST_INFER.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// One greedy decision produced by the fast path.
 #[derive(Clone, Copy, Debug)]
@@ -268,13 +240,5 @@ mod tests {
     fn softmax_entropy_of_uniform_is_log_n() {
         let h = softmax_entropy(&[0.5; 8]);
         assert!((h - (8f64).ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fast_infer_switch_round_trips() {
-        set_fast_infer(false);
-        assert!(!fast_infer_enabled());
-        set_fast_infer(true);
-        assert!(fast_infer_enabled());
     }
 }

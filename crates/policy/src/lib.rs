@@ -15,7 +15,7 @@ pub mod policy;
 pub mod replay;
 
 pub use agent::{ActionChoice, DecimaAgent};
-pub use infer::{fast_infer_enabled, set_fast_infer, FastDecision, InferSession};
+pub use infer::{FastDecision, InferSession};
 pub use policy::{
     argmax_logp, sample_from_logp, Candidate, ClassForward, DecimaPolicy, LimitForward,
     ParallelismMode, PolicyConfig, PolicyForward,

@@ -167,8 +167,8 @@ fn check_golden_tol(file: &str, summaries: &[(String, Summary)], tol: f64) {
 }
 
 /// Deterministic 2-iteration trained snapshot: the same warm-up the
-/// `agent_infer` bench component and the bench differential harness
-/// use, so every trained-policy pin in the repo evaluates one model.
+/// bench differential harness uses, so every trained-policy pin in the
+/// repo evaluates one model.
 fn warmed_snapshot() -> decima_bench::TrainedPolicy {
     use decima::rl::SpecEnv;
     use decima::workload::WorkloadSpec;
@@ -211,9 +211,9 @@ fn decima_ckpt_jcts(
 
 /// The trained-checkpoint entry of the fig09a lineup, pinned under the
 /// f32 fast path — plus the exactness guarantees around it: the fast
-/// path and the `--no-fast-infer` tape path produce bit-identical
-/// scheduling results (so the tape numbers of earlier PRs are
-/// untouched), and the mode switch actually routes between them.
+/// path and the f64 tape path produce bit-identical scheduling results
+/// (so the tape numbers of earlier PRs are untouched), and
+/// `greedy_agent()` is the fast path.
 #[test]
 fn decima_ckpt_fig09a_matches_golden_and_paths_agree() {
     let snapshot = warmed_snapshot();
@@ -230,11 +230,8 @@ fn decima_ckpt_fig09a_matches_golden_and_paths_agree() {
         );
     }
 
-    // The mode switch routes greedy_agent() between the two paths; the
-    // default (no flag, no env var) is the fast path.
-    decima::policy::set_fast_infer(false);
-    assert!(!snapshot.greedy_agent().uses_fast_infer());
-    decima::policy::set_fast_infer(true);
+    // Evaluation agents take the f32 lane; nothing selects it but the
+    // policy configuration.
     assert!(snapshot.greedy_agent().uses_fast_infer());
 
     // Default wiring through the scenario factory must reproduce the
@@ -274,4 +271,36 @@ fn robust_summary_matches_golden() {
     let summaries = robust_summaries();
     assert_eq!(summaries.len(), 4, "robust heuristic lineup drifted");
     check_golden("robust_summary.json", &summaries);
+}
+
+/// The pinned workload mix: SJF-CP at three cluster sizes plus an
+/// untrained greedy Decima agent, dynamics and drift off. Any change to
+/// what the engine hands a scheduler, or to how many times it asks,
+/// moves these two counts.
+#[test]
+fn pinned_mix_makes_36152_decisions_over_97337_events() {
+    use decima::rl::{EnvFactory as _, SpecEnv};
+    use decima::workload::WorkloadSpec;
+    use decima_bench::{make_scheduler, scheduler_spec_by_name};
+
+    // (jobs, executors, seeds, scheduler)
+    let mix = [
+        (10, 15, 7..27, "sjf-cp"),
+        (30, 40, 7..17, "sjf-cp"),
+        (100, 80, 7..12, "sjf-cp"),
+        (10, 15, 7..17, "decima-untrained"),
+    ];
+    let (mut decisions, mut events) = (0, 0);
+    for (jobs, execs, seeds, sched) in mix {
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(jobs, execs));
+        let sched = scheduler_spec_by_name(sched).expect("a factory name");
+        for seed in seeds {
+            let (cluster, jobs, cfg) = env.build(seed);
+            let r = decima::sim::Simulator::new(cluster, jobs, cfg)
+                .run(make_scheduler(&sched, execs, None));
+            decisions += r.actions.len();
+            events += r.num_events;
+        }
+    }
+    assert_eq!((decisions, events), (36152, 97337));
 }
