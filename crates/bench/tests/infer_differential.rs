@@ -6,8 +6,13 @@
 //! The harness then asserts the fast path's contract on realistic
 //! trained-policy inputs (not just random weights):
 //!
-//! * node log-probabilities within 1e-4 relative error of the tape, and
-//! * greedy action agreement ≥ 99.9% over the corpus.
+//! * node log-probabilities within 1e-4 relative error of the tape,
+//! * greedy action agreement ≥ 99.9% over the corpus, and
+//! * the session's per-job encoder memos change nothing: a **cold**
+//!   session packed for that one observation returns bit-identical
+//!   node scores and the same decision as the warm one that has seen
+//!   the whole corpus so far (it is never reset, episode starts
+//!   included).
 //!
 //! The observed worst case is logged and snapshotted to
 //! `tests/golden/infer_differential.json`; refresh the snapshot with
@@ -102,6 +107,36 @@ impl Scheduler for DiffScheduler {
             .session
             .decide_greedy(&self.policy, obs, &mut self.fast_cache);
         let fast_logp = log_softmax(self.session.node_scores());
+
+        // The same observation through a session with no memos.
+        let mut cold = InferSession::try_new(&self.policy, &self.store)
+            .expect("trained policy supports the fast path");
+        let cold_fd = cold.decide_greedy(&self.policy, obs, &mut GraphCache::default());
+        let bits = |scores: &[f32]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(self.session.node_scores()),
+            bits(cold.node_scores()),
+            "seed {} decision {}: memoised scores differ from a cold session's",
+            self.seed,
+            self.decision
+        );
+        assert_eq!(
+            (
+                fd.cand.job_idx,
+                fd.cand.stage,
+                fd.limit,
+                fd.entropy.to_bits()
+            ),
+            (
+                cold_fd.cand.job_idx,
+                cold_fd.cand.stage,
+                cold_fd.limit,
+                cold_fd.entropy.to_bits()
+            ),
+            "seed {} decision {}: memoised decision differs from a cold session's",
+            self.seed,
+            self.decision
+        );
 
         // Reference logits: an independent tape forward over the same
         // observation (the driving agent does its own internally but

@@ -170,7 +170,7 @@ impl GnnEncoder {
                 let prev = tape.concat_rows(&blocks);
                 let gathered = tape.gather_rows(prev, plan.child_rows.clone());
                 let fmsg = self.f_node.forward(tape, store, gathered);
-                let seg_in = tape.input(plan.seg.clone());
+                let seg_in = tape.input(plan.seg().clone());
                 let summed = tape.matmul(seg_in, fmsg);
                 let aggregated = if self.cfg.two_level {
                     self.g_node.forward(tape, store, summed)
@@ -192,7 +192,7 @@ impl GnnEncoder {
 
         // Job summaries: y_i = g2(Σ_{v ∈ G_i} f2(e_v)).
         let fj = self.f_job.forward(tape, store, nodes);
-        let sj = tape.input(s.job_seg.clone());
+        let sj = tape.input(s.job_seg().clone());
         let job_sum = tape.matmul(sj, fj);
         let jobs = if self.cfg.two_level {
             self.g_job.forward(tape, store, job_sum)

@@ -118,8 +118,9 @@ pub const GRAPH_CACHE_CAP: usize = 8;
 /// 1. **Departed-job eviction** — jobs arrive exactly once, so an
 ///    entry whose key references a spec absent from the current
 ///    observation can never match again; it is dropped on the next
-///    lookup. (The simulator keeps retired specs' `Arc`s alive for the
-///    episode, so a stale pointer can never alias a new job.)
+///    lookup that sees a different live set. (An entry's structure
+///    holds its jobs' spec `Arc`s, so while the entry lives a pointer
+///    in its key cannot alias a new job.)
 /// 2. **LRU cap** — at most `cap` entries survive (default
 ///    [`GRAPH_CACHE_CAP`]), most-recently-used first.
 ///
@@ -179,7 +180,8 @@ impl GraphCache {
 
     /// The structure for `obs`'s active jobs, rebuilt only when this
     /// exact job set has not been seen recently. Entries referencing
-    /// jobs that have left the system are evicted on every call.
+    /// jobs that have left the system are evicted whenever the live set
+    /// differs from the last call's.
     pub fn structure_for(&mut self, obs: &Observation) -> Arc<GraphStructure> {
         let mut key = std::mem::take(&mut self.scratch_key);
         key.clear();
@@ -189,13 +191,22 @@ impl GraphCache {
                 .map(|j| (Arc::as_ptr(&j.spec) as usize, j.nodes.len())),
         );
 
+        // Same live set as the last call: nothing can have departed
+        // since, so there is nothing to evict or reorder.
+        if let Some((front, structure)) = self.entries.first() {
+            if *front == key {
+                let structure = Arc::clone(structure);
+                self.scratch_key = key;
+                return structure;
+            }
+        }
+
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             // Hit: move to front so the cap evicts least-recently-used.
             let hit = self.entries.remove(pos);
             self.entries.insert(0, hit);
         } else {
-            let dags: Vec<_> = obs.jobs.iter().map(|j| &j.spec.dag).collect();
-            let built = Arc::new(GraphStructure::new(&dags));
+            let built = Arc::new(GraphStructure::for_specs(obs.jobs.iter().map(|j| &j.spec)));
             self.entries.insert(0, (key.clone(), built));
         }
 

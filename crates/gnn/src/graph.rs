@@ -2,17 +2,25 @@
 //! job's DAG, ready for bottom-up message passing.
 //!
 //! The expensive part of a batch — child lists in global indices, the
-//! depth-levelled evaluation plan, and the constant 0/1 segment matrices
-//! (child → parent, node → job) — depends only on the DAG *shapes*,
-//! which never change mid-episode. It is therefore factored into
-//! [`GraphStructure`], shared behind an `Arc` and cached across the
-//! thousands of decisions of an episode (see `GraphCache` in
-//! `features.rs`); a [`GraphInput`] is that structure plus the per-decision
-//! feature matrix.
+//! depth-levelled evaluation plan with its per-parent child counts —
+//! depends only on the DAG *shapes*, which never change mid-episode. It
+//! is therefore factored into [`GraphStructure`], shared behind an `Arc`
+//! and cached across the thousands of decisions of an episode (see
+//! `GraphCache` in `features.rs`); a [`GraphInput`] is that structure
+//! plus the per-decision feature matrix.
+//!
+//! Two things ride along for one lane each. The constant 0/1 segment
+//! matrices (child → parent, node → job) are read by the `f64` tape
+//! only, so they are built on first use ([`LevelPlan::seg`],
+//! [`GraphStructure::job_seg`]) and a structure that only ever serves
+//! the `f32` lane never pays for them. And a structure built from job
+//! specs ([`GraphStructure::for_specs`]) holds each job's
+//! `Arc<JobSpec>`: that is the job identity `InferEncoder` keys its
+//! per-job memos on.
 
-use decima_core::DagTopology;
+use decima_core::{DagTopology, JobSpec};
 use decima_nn::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One job's topology inside a [`GraphStructure`] batch.
 #[derive(Clone, Debug)]
@@ -25,6 +33,12 @@ pub struct JobGraph {
     pub children: Vec<Vec<usize>>,
     /// `level[v]`: hop distance to the farthest leaf (leaves = 0).
     pub level: Vec<u32>,
+    /// The job this topology belongs to, when the structure was built
+    /// from specs. Holding the `Arc` keeps the allocation alive, so a
+    /// pointer comparison against it can never match a later job that
+    /// reuses the address. `None` for a structure built from bare DAGs,
+    /// whose jobs are nobody outside that structure.
+    pub spec: Option<Arc<JobSpec>>,
 }
 
 /// The precomputed evaluation plan for one depth level of the bottom-up
@@ -37,9 +51,30 @@ pub struct LevelPlan {
     /// the concatenation of all previously-computed level blocks. Empty
     /// when the whole level is leaves.
     pub child_rows: Vec<usize>,
+    /// `child_counts[i]` = number of children of `nodes[i]`: the
+    /// segment lengths of the per-parent message sums over
+    /// `child_rows`.
+    pub child_counts: Vec<u32>,
+    seg: OnceLock<Tensor>,
+}
+
+impl LevelPlan {
     /// `[nodes.len(), child_rows.len()]` 0/1 segment-sum matrix
-    /// aggregating child messages per parent.
-    pub seg: Tensor,
+    /// aggregating child messages per parent (tape lane; built on first
+    /// use from `child_counts`).
+    pub fn seg(&self) -> &Tensor {
+        self.seg.get_or_init(|| {
+            let mut seg = Tensor::zeros(self.nodes.len(), self.child_rows.len());
+            let mut col = 0usize;
+            for (i, &cnt) in self.child_counts.iter().enumerate() {
+                for _ in 0..cnt {
+                    seg.set(i, col, 1.0);
+                    col += 1;
+                }
+            }
+            seg
+        })
+    }
 }
 
 /// The static (per-episode) structure of a batch of job DAGs: everything
@@ -55,18 +90,31 @@ pub struct GraphStructure {
     /// `perm[v]` = row of global node `v` in the concatenation of the
     /// level blocks (restores original node order after the sweep).
     pub perm: Vec<usize>,
-    /// `[num_jobs, num_nodes]` 0/1 node → job segment-sum matrix.
-    pub job_seg: Tensor,
+    job_seg: OnceLock<Tensor>,
 }
 
 impl GraphStructure {
-    /// Precomputes the batch structure for the given DAGs.
+    /// Precomputes the batch structure for the given DAGs. The jobs
+    /// carry no identity (see [`JobGraph::spec`]).
     pub fn new(dags: &[&DagTopology]) -> Self {
-        let total: usize = dags.iter().map(|d| d.len()).sum();
-        let mut jobs = Vec::with_capacity(dags.len());
+        Self::build(dags.iter().map(|&dag| (dag, None)))
+    }
+
+    /// Precomputes the batch structure for the given jobs' DAGs, each
+    /// job keeping its spec as its identity.
+    pub fn for_specs<'a>(specs: impl IntoIterator<Item = &'a Arc<JobSpec>>) -> Self {
+        Self::build(
+            specs
+                .into_iter()
+                .map(|spec| (&spec.dag, Some(Arc::clone(spec)))),
+        )
+    }
+
+    fn build<'a>(dags: impl Iterator<Item = (&'a DagTopology, Option<Arc<JobSpec>>)>) -> Self {
+        let mut jobs = Vec::with_capacity(dags.size_hint().0);
         let mut max_level = 0u32;
         let mut offset = 0usize;
-        for dag in dags {
+        for (dag, spec) in dags {
             let children = (0..dag.len())
                 .map(|v| {
                     dag.children(v)
@@ -82,9 +130,11 @@ impl GraphStructure {
                 num_nodes: dag.len(),
                 children,
                 level,
+                spec,
             });
             offset += dag.len();
         }
+        let total = offset;
 
         let mut level_nodes = vec![
             Vec::new();
@@ -101,8 +151,8 @@ impl GraphStructure {
         }
 
         // Flat global child lists, then the row numbering of the
-        // level-block concatenation and one segment matrix per level over
-        // the rows of its children.
+        // level-block concatenation and each level's child rows, grouped
+        // per parent.
         let mut children_global: Vec<&[usize]> = Vec::with_capacity(total);
         for j in &jobs {
             for v in 0..j.num_nodes {
@@ -114,13 +164,12 @@ impl GraphStructure {
         let mut levels = Vec::with_capacity(level_nodes.len());
         for nodes in level_nodes {
             debug_assert!(!nodes.is_empty(), "levels are dense");
-            let nv = nodes.len();
             let total_children: usize = nodes.iter().map(|&v| children_global[v].len()).sum();
             let mut child_rows = Vec::with_capacity(total_children);
-            let mut seg = Tensor::zeros(nv, total_children);
-            for (i, &v) in nodes.iter().enumerate() {
+            let mut child_counts = Vec::with_capacity(nodes.len());
+            for &v in &nodes {
+                child_counts.push(children_global[v].len() as u32);
                 for &c in children_global[v] {
-                    seg.set(i, child_rows.len(), 1.0);
                     debug_assert_ne!(perm[c], usize::MAX, "child computed before parent");
                     child_rows.push(perm[c]);
                 }
@@ -132,15 +181,9 @@ impl GraphStructure {
             levels.push(LevelPlan {
                 nodes,
                 child_rows,
-                seg,
+                child_counts,
+                seg: OnceLock::new(),
             });
-        }
-
-        let mut job_seg = Tensor::zeros(jobs.len(), total);
-        for (ji, job) in jobs.iter().enumerate() {
-            for v in job.node_offset..job.node_offset + job.num_nodes {
-                job_seg.set(ji, v, 1.0);
-            }
         }
 
         GraphStructure {
@@ -148,8 +191,22 @@ impl GraphStructure {
             levels,
             num_nodes: total,
             perm,
-            job_seg,
+            job_seg: OnceLock::new(),
         }
+    }
+
+    /// `[num_jobs, num_nodes]` 0/1 node → job segment-sum matrix (tape
+    /// lane; built on first use).
+    pub fn job_seg(&self) -> &Tensor {
+        self.job_seg.get_or_init(|| {
+            let mut job_seg = Tensor::zeros(self.jobs.len(), self.num_nodes);
+            for (ji, job) in self.jobs.iter().enumerate() {
+                for v in job.node_offset..job.node_offset + job.num_nodes {
+                    job_seg.set(ji, v, 1.0);
+                }
+            }
+            job_seg
+        })
     }
 
     /// Number of jobs in the batch.
@@ -263,9 +320,11 @@ mod tests {
         // children's rows in the block concatenation.
         assert!(s.levels[0].child_rows.is_empty());
         assert_eq!(s.levels[1].child_rows, vec![0, 1]); // rows of nodes 2, 4
-        assert_eq!(s.levels[1].seg.shape(), (2, 2));
-        assert_eq!(s.levels[1].seg.get(0, 0), 1.0);
-        assert_eq!(s.levels[1].seg.get(1, 1), 1.0);
+        assert_eq!(s.levels[1].child_counts, vec![1, 1]);
+        assert_eq!(s.levels[1].seg().shape(), (2, 2));
+        assert_eq!(s.levels[1].seg().get(0, 0), 1.0);
+        assert_eq!(s.levels[1].seg().get(1, 1), 1.0);
+        assert_eq!(s.levels[1].seg().get(0, 1), 0.0);
         // Children in global indices.
         assert_eq!(g.children_of(0), &[1]);
         assert_eq!(g.children_of(3), &[4]);
@@ -273,10 +332,12 @@ mod tests {
         // Features copied.
         assert_eq!(g.features.get(3, 0), 2.0);
         // Job segment matrix sums each job's nodes.
-        assert_eq!(s.job_seg.shape(), (2, 5));
-        assert_eq!(s.job_seg.get(0, 0), 1.0);
-        assert_eq!(s.job_seg.get(1, 3), 1.0);
-        assert_eq!(s.job_seg.get(1, 0), 0.0);
+        assert_eq!(s.job_seg().shape(), (2, 5));
+        assert_eq!(s.job_seg().get(0, 0), 1.0);
+        assert_eq!(s.job_seg().get(1, 3), 1.0);
+        assert_eq!(s.job_seg().get(1, 0), 0.0);
+        // Bare DAGs carry no job identity.
+        assert!(s.jobs.iter().all(|j| j.spec.is_none()));
     }
 
     #[test]

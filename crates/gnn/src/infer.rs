@@ -1,61 +1,154 @@
-//! Tape-free `f32` encoder forward for inference.
+//! Tape-free `f32` encoder forward for inference, memoised per job.
 //!
 //! [`InferEncoder`] is the evaluation-only twin of
 //! [`GnnEncoder::forward`]: the seven MLPs are packed once into
 //! contiguous `f32` matrices ([`decima_nn::F32Mlp`]), the bottom-up
 //! sweep runs over flat reusable buffers instead of tape nodes, and the
 //! 0/1 segment matmuls of the tape path become direct per-parent
-//! segment sums driven by child counts. Graph-shape bookkeeping (which
-//! rows each level's parents sum over) is derived once per
-//! `GraphStructure` and cached alongside an `Arc` of that structure, so
-//! the identity comparison can never confuse two structures that reuse
-//! a heap address.
+//! segment sums driven by child counts.
 //!
-//! The output is numerically *exact-enough*, not bit-identical: the
-//! differential suite (`crates/gnn/tests/infer_diff.rs`) bounds the
-//! divergence from the `f64` tape forward at 1e-4 relative error.
+//! Messages never cross jobs (§5.1): a node embedding depends only on
+//! its own job's DAG and feature rows, the job summary `y_i` only on
+//! that job's node embeddings, and the global summary `z` is the single
+//! cross-job term. So the encoder keeps, for every job of the structure
+//! it last ran on, the `f32` feature block it computed from, the job's
+//! node embeddings, `y_i` and `f_glob(y_i)` — one **memo** per live job
+//! — and a forward recomputes `prep → level sweep → f_job/g_job →
+//! f_glob`, batched, over the nodes of the jobs whose block changed
+//! (bitwise) since, then re-sums `z` over all the `f_glob` rows in job
+//! order. A cold encoder, or a decision where a global feature moved, is
+//! the same code with every job dirty.
+//!
+//! That is exact: every [`F32Mlp`] kernel computes an output row from
+//! that input row and the weights alone, in a fixed `k` order, and the
+//! per-parent, per-job and global sums keep their order, so a row has
+//! the same bits whether it was computed in this call, in an earlier
+//! one, or in a batch of different height (`tests/infer_diff.rs` drives
+//! a warm encoder against a cold one through random edit scripts).
+//!
+//! Memos live in the row layout of one `GraphStructure`, held by `Arc`
+//! by the encoder. When the live job set changes, the memos of
+//! jobs present in both structures are carried over; a job is
+//! recognised by the `Arc<JobSpec>` its [`JobGraph`]
+//! holds, compared by pointer while the old structure — and through it
+//! the old spec — is still alive, so a freed address cannot alias.
+//! Everything else is dropped, which bounds the memo count by the live
+//! job count. A structure built from bare DAGs has no job identity: its
+//! memos serve that structure `Arc` and die with it.
+//!
+//! Against the `f64` tape the output is numerically *exact-enough*, not
+//! bit-identical: the differential suite bounds the divergence at 1e-4
+//! relative error.
 
 use crate::encoder::GnnEncoder;
-use crate::graph::{GraphInput, GraphStructure};
+use crate::graph::{GraphInput, GraphStructure, JobGraph};
+use decima_core::JobSpec;
 use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use std::sync::Arc;
+
+/// One level of an [`InferPlan`]: the children each of the level's
+/// nodes sums over, as global node indices (the structure's
+/// `child_rows` number rows of the tape path's level-block
+/// concatenation, which this lane never materialises).
+struct PlanLevel {
+    /// `children[child_off[i]..child_off[i + 1]]` are the children of
+    /// the level's `i`-th node.
+    child_off: Vec<u32>,
+    /// Global node index of every child message consumed at this level,
+    /// grouped per parent in parent order. Empty when the level is all
+    /// leaves.
+    children: Vec<u32>,
+}
 
 /// Per-structure evaluation order, derived once and reused across every
 /// decision that shares the `GraphStructure`.
 struct InferPlan {
-    /// The structure this plan was built for; holding the `Arc` keeps
-    /// the allocation alive so the pointer identity check in
-    /// [`InferEncoder::forward`] is sound.
+    /// The structure this plan — and the memo layout — was built for.
+    /// Holding the `Arc` keeps the allocation alive, so the pointer
+    /// identity check in [`InferEncoder::forward`] is sound, and keeps
+    /// every job's `Arc<JobSpec>` alive for [`InferEncoder::rebase`].
     structure: Arc<GraphStructure>,
-    /// `level_counts[l][i]` = number of children of the `i`-th node of
-    /// level `l` — the segment lengths of the per-parent message sums
-    /// (the tape path encodes the same information as a 0/1 matrix).
-    level_counts: Vec<Vec<u32>>,
+    /// Job index of every global node.
+    node_job: Vec<u32>,
+    levels: Vec<PlanLevel>,
 }
 
 impl InferPlan {
     fn new(structure: Arc<GraphStructure>) -> Self {
-        let mut child_count = vec![0u32; structure.num_nodes];
-        for job in &structure.jobs {
-            for (local, children) in job.children.iter().enumerate() {
-                child_count[job.node_offset + local] = children.len() as u32;
+        let mut node_job = Vec::with_capacity(structure.num_nodes);
+        let mut children_of: Vec<&[usize]> = Vec::with_capacity(structure.num_nodes);
+        for (ji, job) in structure.jobs.iter().enumerate() {
+            for children in &job.children {
+                node_job.push(ji as u32);
+                children_of.push(children);
             }
         }
-        let level_counts = structure
+        let levels = structure
             .levels
             .iter()
-            .map(|plan| plan.nodes.iter().map(|&v| child_count[v]).collect())
+            .map(|level| {
+                let mut child_off = Vec::with_capacity(level.nodes.len() + 1);
+                let mut children = Vec::with_capacity(level.child_rows.len());
+                child_off.push(0);
+                for &v in &level.nodes {
+                    children.extend(children_of[v].iter().map(|&c| c as u32));
+                    child_off.push(children.len() as u32);
+                }
+                PlanLevel {
+                    child_off,
+                    children,
+                }
+            })
             .collect();
         InferPlan {
             structure,
-            level_counts,
+            node_job,
+            levels,
         }
+    }
+
+    /// The plan of an encoder that holds no memo.
+    fn empty() -> Self {
+        InferPlan::new(Arc::new(GraphStructure::new(&[])))
     }
 }
 
+/// The per-job results of the last forwards, flat in the row layout of
+/// the plan's structure: job `i`'s memo is its node range in `feat` and
+/// `nodes` plus row `i` of `jobs` and `fglob`.
+#[derive(Default)]
+struct Memo {
+    /// `[n, feat_dim]` feature block each job was last computed from.
+    feat: Vec<f32>,
+    /// `[n, d]` node embeddings `e_v`.
+    nodes: Vec<f32>,
+    /// `[jobs, d]` job summaries `y_i`.
+    jobs: Vec<f32>,
+    /// `[jobs, d]` rows `f_glob(y_i)`, the terms of the global sum.
+    fglob: Vec<f32>,
+}
+
+/// Position in `old` of the job whose spec is `spec`, searching from
+/// `*cursor` round (observation order is stable, so the next survivor
+/// is almost always the first one looked at).
+fn position_of(old: &[JobGraph], spec: &Arc<JobSpec>, cursor: &mut usize) -> Option<usize> {
+    let n = old.len();
+    let found = (0..n).map(|k| (*cursor + k) % n).find(|&i| {
+        old[i]
+            .spec
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, spec))
+    })?;
+    *cursor = found + 1;
+    Some(found)
+}
+
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// The packed, tape-free encoder. Owns every buffer the forward pass
-/// needs; after the first few decisions of an episode nothing here
-/// allocates.
+/// needs; between changes of the live job set nothing here allocates.
 pub struct InferEncoder {
     d: usize,
     feat_dim: usize,
@@ -70,19 +163,34 @@ pub struct InferEncoder {
     /// `g_node(0)` — constant for fixed weights, so the leaf broadcast
     /// of the tape path collapses to one precomputed row.
     g_zero: Vec<f32>,
-    plan: Option<InferPlan>,
+    plan: InferPlan,
+    memo: Memo,
+    /// `admitted[i]`: the last [`rebase`](Self::rebase) found no memo
+    /// for job `i`. Read only by the forward that rebased, which
+    /// computes those jobs whatever their features.
+    admitted: Vec<bool>,
+    /// Target of a rebase, swapped with `memo`.
+    spare: Memo,
+    /// The incoming features as `f32`, swapped with `memo.feat`.
+    fresh: Vec<f32>,
+    /// Job indices recomputed by this forward, ascending.
+    dirty: Vec<u32>,
+    /// Per job: whether it is in `dirty`, and if so its node offset in
+    /// the compact (dirty jobs only) row numbering.
+    compact_off: Vec<Option<u32>>,
+    /// The level's dirty nodes: (position in the level's node list,
+    /// compact row).
+    picked: Vec<(u32, u32)>,
     scratch: F32Scratch,
-    feat: Vec<f32>,
+    xin: Vec<f32>,
     p: Vec<f32>,
-    swept: Vec<f32>,
     gathered: Vec<f32>,
     fmsg: Vec<f32>,
     summed: Vec<f32>,
     agg: Vec<f32>,
-    nodes: Vec<f32>,
     fj: Vec<f32>,
     jsum: Vec<f32>,
-    jobs: Vec<f32>,
+    y: Vec<f32>,
     fg: Vec<f32>,
     gsum: Vec<f32>,
     glob: Vec<f32>,
@@ -118,19 +226,24 @@ impl InferEncoder {
             f_glob,
             g_glob,
             g_zero,
-            plan: None,
+            plan: InferPlan::empty(),
+            memo: Memo::default(),
+            admitted: Vec::new(),
+            spare: Memo::default(),
+            fresh: Vec::new(),
+            dirty: Vec::new(),
+            compact_off: Vec::new(),
+            picked: Vec::new(),
             scratch,
-            feat: Vec::new(),
+            xin: Vec::new(),
             p: Vec::new(),
-            swept: Vec::new(),
             gathered: Vec::new(),
             fmsg: Vec::new(),
             summed: Vec::new(),
             agg: Vec::new(),
-            nodes: Vec::new(),
             fj: Vec::new(),
             jsum: Vec::new(),
-            jobs: Vec::new(),
+            y: Vec::new(),
             fg: Vec::new(),
             gsum: Vec::new(),
             glob: Vec::new(),
@@ -142,146 +255,115 @@ impl InferEncoder {
         self.d
     }
 
+    /// Number of per-job memos held: the job count of the structure the
+    /// last [`forward`](Self::forward) ran on.
+    pub fn memo_len(&self) -> usize {
+        self.plan.structure.num_jobs()
+    }
+
+    /// Drops every memo (and the structure and job specs they hold).
+    /// Never needed for correctness; keeps an idle encoder from pinning
+    /// the last episode's jobs.
+    pub fn clear_memos(&mut self) {
+        self.plan = InferPlan::empty();
+    }
+
+    /// Moves the memos into `structure`'s row layout: jobs present in
+    /// both structures (same `Arc<JobSpec>`) keep theirs, every other
+    /// job of `structure` is marked admitted, and the memos of departed
+    /// jobs are dropped with the old plan.
+    fn rebase(&mut self, structure: &Arc<GraphStructure>) {
+        let (d, fd) = (self.d, self.feat_dim);
+        let plan = InferPlan::new(Arc::clone(structure));
+        let nj = structure.num_jobs();
+        let next = &mut self.spare;
+        for (buf, len) in [
+            (&mut next.feat, structure.num_nodes * fd),
+            (&mut next.nodes, structure.num_nodes * d),
+            (&mut next.jobs, nj * d),
+            (&mut next.fglob, nj * d),
+        ] {
+            buf.clear();
+            buf.resize(len, 0.0);
+        }
+        let old = &self.plan.structure.jobs;
+        self.admitted.clear();
+        let mut cursor = 0usize;
+        for (ji, job) in structure.jobs.iter().enumerate() {
+            let from = job
+                .spec
+                .as_ref()
+                .and_then(|spec| position_of(old, spec, &mut cursor));
+            self.admitted.push(from.is_none());
+            let Some(oi) = from else { continue };
+            let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
+            debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
+            next.feat[dst * fd..(dst + n) * fd]
+                .copy_from_slice(&self.memo.feat[src * fd..(src + n) * fd]);
+            next.nodes[dst * d..(dst + n) * d]
+                .copy_from_slice(&self.memo.nodes[src * d..(src + n) * d]);
+            next.jobs[ji * d..(ji + 1) * d].copy_from_slice(&self.memo.jobs[oi * d..(oi + 1) * d]);
+            next.fglob[ji * d..(ji + 1) * d]
+                .copy_from_slice(&self.memo.fglob[oi * d..(oi + 1) * d]);
+        }
+        std::mem::swap(&mut self.memo, &mut self.spare);
+        self.plan = plan;
+    }
+
     /// Runs the encoder over `g`, filling the node/job/global embedding
     /// buffers (read them with [`node_row`](Self::node_row) /
     /// [`job_row`](Self::job_row) / [`global_row`](Self::global_row)).
+    /// Only the jobs whose feature block differs from the one their
+    /// memo was computed from are recomputed (module docs).
     pub fn forward(&mut self, g: &GraphInput) {
-        let s = &g.structure;
-        let n = s.num_nodes;
-        let d = self.d;
+        let n = g.structure.num_nodes;
+        let (d, fd) = (self.d, self.feat_dim);
         assert!(n > 0, "encoder needs at least one node");
-        assert_eq!(g.features.cols(), self.feat_dim, "feature dim");
+        assert_eq!(g.features.cols(), fd, "feature dim");
 
-        let plan_current = self
-            .plan
-            .as_ref()
-            .is_some_and(|p| Arc::ptr_eq(&p.structure, &g.structure));
-        if !plan_current {
-            self.plan = Some(InferPlan::new(Arc::clone(&g.structure)));
+        let rebased = !Arc::ptr_eq(&self.plan.structure, &g.structure);
+        if rebased {
+            self.rebase(&g.structure);
         }
+        let s: &GraphStructure = &self.plan.structure;
 
-        // Feature projection p_v for every node at once.
-        self.feat.clear();
-        self.feat
+        // Which jobs to recompute: no memo, or the block moved.
+        self.fresh.clear();
+        self.fresh
             .extend(g.features.data().iter().map(|&v| v as f32));
-        self.prep
-            .forward(n, &self.feat, &mut self.scratch, &mut self.p);
-
-        // Bottom-up sweep; level blocks land contiguously in `swept`
-        // (the same row layout the tape path's concat produces, so
-        // `child_rows` and `perm` index it directly). Pre-sized once so
-        // level blocks are written with straight-line slice stores.
-        self.swept.clear();
-        self.swept.resize(n * d, 0.0);
-        let mut filled = 0usize;
-        let plan = self.plan.as_ref().unwrap();
-        for (li, level) in s.levels.iter().enumerate() {
-            let nv = level.nodes.len();
-            if level.child_rows.is_empty() {
-                // All leaves: e = g(0) + p (or just p single-level).
-                for &v in &level.nodes {
-                    let prow = &self.p[v * d..(v + 1) * d];
-                    let dst = &mut self.swept[filled..filled + d];
-                    if self.two_level {
-                        for ((o, gz), pv) in dst.iter_mut().zip(&self.g_zero).zip(prow) {
-                            *o = gz + pv;
-                        }
-                    } else {
-                        dst.copy_from_slice(prow);
-                    }
-                    filled += d;
-                }
+        self.dirty.clear();
+        self.compact_off.clear();
+        self.xin.clear();
+        let mut m = 0usize;
+        for (ji, job) in s.jobs.iter().enumerate() {
+            let block = job.node_offset * fd..(job.node_offset + job.num_nodes) * fd;
+            let fresh = &self.fresh[block.clone()];
+            let admitted = rebased && self.admitted[ji];
+            if !admitted && bits_equal(fresh, &self.memo.feat[block]) {
+                self.compact_off.push(None);
                 continue;
             }
-
-            // Gather child embeddings from the rows already swept.
-            let nc = level.child_rows.len();
-            self.gathered.clear();
-            for &cr in &level.child_rows {
-                let row = &self.swept[cr * d..(cr + 1) * d];
-                self.gathered.extend_from_slice(row);
-            }
-            self.f_node
-                .forward(nc, &self.gathered, &mut self.scratch, &mut self.fmsg);
-
-            // Per-parent segment sums (child_rows are grouped per
-            // parent, in parent order — same invariant the 0/1 segment
-            // matrix of the tape path encodes).
-            self.summed.clear();
-            self.summed.resize(nv * d, 0.0);
-            let counts = &plan.level_counts[li];
-            let mut off = 0usize;
-            for (i, &cnt) in counts.iter().enumerate() {
-                let drow = i * d;
-                for c in 0..cnt as usize {
-                    let srow = (off + c) * d;
-                    for j in 0..d {
-                        self.summed[drow + j] += self.fmsg[srow + j];
-                    }
-                }
-                off += cnt as usize;
-            }
-            debug_assert_eq!(off, nc, "child segments must cover the gather");
-
-            if self.two_level {
-                self.g_node
-                    .forward(nv, &self.summed, &mut self.scratch, &mut self.agg);
-            } else {
-                self.agg.clear();
-                self.agg.extend_from_slice(&self.summed);
-            }
-            for (i, &v) in level.nodes.iter().enumerate() {
-                let arow = &self.agg[i * d..(i + 1) * d];
-                let prow = &self.p[v * d..(v + 1) * d];
-                let dst = &mut self.swept[filled..filled + d];
-                for ((o, av), pv) in dst.iter_mut().zip(arow).zip(prow) {
-                    *o = av + pv;
-                }
-                filled += d;
-            }
+            self.dirty.push(ji as u32);
+            self.compact_off.push(Some(m as u32));
+            self.xin.extend_from_slice(fresh);
+            m += job.num_nodes;
         }
-        debug_assert_eq!(filled, n * d);
-
-        // Restore original node order: perm[v] = swept row of node v.
-        self.nodes.clear();
-        for &row in &s.perm {
-            let src = &self.swept[row * d..(row + 1) * d];
-            self.nodes.extend_from_slice(src);
+        std::mem::swap(&mut self.fresh, &mut self.memo.feat);
+        if self.dirty.is_empty() && !rebased {
+            return;
         }
 
-        // Job summaries: y_i = g2(Σ_{v ∈ G_i} f2(e_v)); node ranges per
-        // job are contiguous in original order.
-        let nj = s.jobs.len();
-        self.f_job
-            .forward(n, &self.nodes, &mut self.scratch, &mut self.fj);
-        self.jsum.clear();
-        self.jsum.resize(nj * d, 0.0);
-        for (ji, job) in s.jobs.iter().enumerate() {
-            let drow = ji * d;
-            for v in job.node_offset..job.node_offset + job.num_nodes {
-                let srow = v * d;
-                for j in 0..d {
-                    self.jsum[drow + j] += self.fj[srow + j];
-                }
-            }
-        }
-        if self.two_level {
-            self.g_job
-                .forward(nj, &self.jsum, &mut self.scratch, &mut self.jobs);
-        } else {
-            self.jobs.clear();
-            self.jobs.extend_from_slice(&self.jsum);
+        if !self.dirty.is_empty() {
+            self.recompute_dirty(m);
         }
 
-        // Global summary: z = g3(Σ_i f3(y_i)).
-        self.f_glob
-            .forward(nj, &self.jobs, &mut self.scratch, &mut self.fg);
+        // Global summary: z = g3(Σ_i f3(y_i)) over every job's cached
+        // f3 row, in job order.
         self.gsum.clear();
         self.gsum.resize(d, 0.0);
-        for ji in 0..nj {
-            let srow = ji * d;
-            for j in 0..d {
-                self.gsum[j] += self.fg[srow + j];
+        for row in self.memo.fglob.chunks_exact(d) {
+            for (acc, v) in self.gsum.iter_mut().zip(row) {
+                *acc += v;
             }
         }
         if self.two_level {
@@ -293,15 +375,140 @@ impl InferEncoder {
         }
     }
 
+    /// `prep → level sweep → f_job/g_job → f_glob` over the `m` nodes of
+    /// the jobs in `self.dirty`, whose feature rows are packed in
+    /// `self.xin`; results land in the jobs' memos.
+    fn recompute_dirty(&mut self, m: usize) {
+        let d = self.d;
+        let plan = &self.plan;
+        let s: &GraphStructure = &plan.structure;
+        // Row of global node `v` (of a dirty job) in the compact
+        // numbering `xin` and `p` use.
+        let compact_off = &self.compact_off;
+        let compact = |v: usize| -> Option<usize> {
+            let ji = plan.node_job[v] as usize;
+            compact_off[ji].map(|off| off as usize + v - s.jobs[ji].node_offset)
+        };
+
+        // Feature projection p_v.
+        self.prep
+            .forward(m, &self.xin, &mut self.scratch, &mut self.p);
+
+        // Bottom-up sweep, one batch per level over the dirty nodes;
+        // embeddings are written in place, in original node order, and
+        // a level's children lie in levels already written.
+        let nodes = &mut self.memo.nodes;
+        for (level, pl) in s.levels.iter().zip(&plan.levels) {
+            self.picked.clear();
+            self.gathered.clear();
+            for (i, &v) in level.nodes.iter().enumerate() {
+                let Some(row) = compact(v) else { continue };
+                self.picked.push((i as u32, row as u32));
+                for &c in &pl.children[pl.child_off[i] as usize..pl.child_off[i + 1] as usize] {
+                    let c = c as usize;
+                    self.gathered.extend_from_slice(&nodes[c * d..(c + 1) * d]);
+                }
+            }
+            let nv = self.picked.len();
+            let leaves = pl.children.is_empty();
+            if !leaves && nv > 0 {
+                let nc = self.gathered.len() / d;
+                self.f_node
+                    .forward(nc, &self.gathered, &mut self.scratch, &mut self.fmsg);
+                // Per-parent segment sums (children are grouped per
+                // parent, in parent order — the invariant the 0/1
+                // segment matrix of the tape path encodes).
+                self.summed.clear();
+                self.summed.resize(nv * d, 0.0);
+                let mut srow = 0usize;
+                for (k, &(i, _)) in self.picked.iter().enumerate() {
+                    let cnt = (pl.child_off[i as usize + 1] - pl.child_off[i as usize]) as usize;
+                    let acc = &mut self.summed[k * d..(k + 1) * d];
+                    for msg in self.fmsg[srow * d..(srow + cnt) * d].chunks_exact(d) {
+                        for (a, v) in acc.iter_mut().zip(msg) {
+                            *a += v;
+                        }
+                    }
+                    srow += cnt;
+                }
+                debug_assert_eq!(srow, nc, "child segments must cover the gather");
+                if self.two_level {
+                    self.g_node
+                        .forward(nv, &self.summed, &mut self.scratch, &mut self.agg);
+                } else {
+                    std::mem::swap(&mut self.agg, &mut self.summed);
+                }
+            }
+            // e_v = g(Σ f(e_c)) + p_v; for a leaf the message is the
+            // zero vector, so g(0) + p_v (or just p_v single-level).
+            for (k, &(i, row)) in self.picked.iter().enumerate() {
+                let (v, row) = (level.nodes[i as usize], row as usize);
+                let prow = &self.p[row * d..(row + 1) * d];
+                let dst = &mut nodes[v * d..(v + 1) * d];
+                if !leaves {
+                    let arow = &self.agg[k * d..(k + 1) * d];
+                    for ((o, av), pv) in dst.iter_mut().zip(arow).zip(prow) {
+                        *o = av + pv;
+                    }
+                } else if self.two_level {
+                    for ((o, gz), pv) in dst.iter_mut().zip(&self.g_zero).zip(prow) {
+                        *o = gz + pv;
+                    }
+                } else {
+                    dst.copy_from_slice(prow);
+                }
+            }
+        }
+
+        // Job summaries: y_i = g2(Σ_{v ∈ G_i} f2(e_v)); a job's nodes
+        // are contiguous in original order.
+        let nd = self.dirty.len();
+        self.xin.clear();
+        for &ji in &self.dirty {
+            let job = &s.jobs[ji as usize];
+            self.xin.extend_from_slice(
+                &nodes[job.node_offset * d..(job.node_offset + job.num_nodes) * d],
+            );
+        }
+        self.f_job
+            .forward(m, &self.xin, &mut self.scratch, &mut self.fj);
+        self.jsum.clear();
+        self.jsum.resize(nd * d, 0.0);
+        let mut srow = 0usize;
+        for (k, &ji) in self.dirty.iter().enumerate() {
+            let cnt = s.jobs[ji as usize].num_nodes;
+            let acc = &mut self.jsum[k * d..(k + 1) * d];
+            for row in self.fj[srow * d..(srow + cnt) * d].chunks_exact(d) {
+                for (a, v) in acc.iter_mut().zip(row) {
+                    *a += v;
+                }
+            }
+            srow += cnt;
+        }
+        if self.two_level {
+            self.g_job
+                .forward(nd, &self.jsum, &mut self.scratch, &mut self.y);
+        } else {
+            std::mem::swap(&mut self.y, &mut self.jsum);
+        }
+        self.f_glob
+            .forward(nd, &self.y, &mut self.scratch, &mut self.fg);
+        for (k, &ji) in self.dirty.iter().enumerate() {
+            let ji = ji as usize;
+            self.memo.jobs[ji * d..(ji + 1) * d].copy_from_slice(&self.y[k * d..(k + 1) * d]);
+            self.memo.fglob[ji * d..(ji + 1) * d].copy_from_slice(&self.fg[k * d..(k + 1) * d]);
+        }
+    }
+
     /// Embedding row of node `v` (original node order) from the last
     /// [`forward`](Self::forward).
     pub fn node_row(&self, v: usize) -> &[f32] {
-        &self.nodes[v * self.d..(v + 1) * self.d]
+        &self.memo.nodes[v * self.d..(v + 1) * self.d]
     }
 
     /// Summary row of job `i` from the last forward.
     pub fn job_row(&self, i: usize) -> &[f32] {
-        &self.jobs[i * self.d..(i + 1) * self.d]
+        &self.memo.jobs[i * self.d..(i + 1) * self.d]
     }
 
     /// The global summary row from the last forward.

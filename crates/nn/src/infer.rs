@@ -36,6 +36,8 @@ pub struct F32Layer {
 pub struct F32Scratch {
     ping: Vec<f32>,
     pong: Vec<f32>,
+    /// First-layer row of [`F32Mlp::forward_shared_prefix`]'s prefix.
+    base: Vec<f32>,
 }
 
 /// Fused `out = act(x @ w + b)` on row-major `f32` slices.
@@ -396,14 +398,14 @@ impl F32Mlp {
         assert_eq!(tails.len(), rows * tw, "tail block size mismatch");
         // Shared prefix through the first layer, bias included, no
         // activation yet (the tail columns still need to land).
-        let mut base = [0.0f32; 64];
         let od = first.out_dim;
-        assert!(od <= 64, "first-layer width above shared-prefix limit");
-        base[..od].copy_from_slice(&first.b);
+        let base = &mut scratch.base;
+        base.clear();
+        base.extend_from_slice(&first.b);
         for (k, &v) in shared.iter().enumerate() {
             let wrow = &first.w[k * od..(k + 1) * od];
-            for j in 0..od {
-                base[j] += v * wrow[j];
+            for (acc, &wv) in base.iter_mut().zip(wrow) {
+                *acc += v * wv;
             }
         }
         // Per-row tails, then the fused activation.
@@ -412,7 +414,7 @@ impl F32Mlp {
         for r in 0..rows {
             let trow = &tails[r * tw..(r + 1) * tw];
             let orow = &mut scratch.pong[r * od..(r + 1) * od];
-            orow.copy_from_slice(&base[..od]);
+            orow.copy_from_slice(&scratch.base);
             for (k, &v) in trow.iter().enumerate() {
                 let wrow = &first.w[(shared.len() + k) * od..];
                 for (o, &wv) in orow.iter_mut().zip(wrow) {
@@ -554,6 +556,35 @@ mod tests {
             ),
             "steady-state forward must not reallocate"
         );
+    }
+
+    /// The shared-prefix kernel is the batched forward with the common
+    /// columns hoisted: same bits, at any first-layer width.
+    #[test]
+    fn shared_prefix_matches_materialized_rows_at_any_width() {
+        for first_width in [8usize, 64, 128] {
+            let mut store = ParamStore::new();
+            let mut rng = SmallRng::seed_from_u64(8);
+            let mlp = Mlp::new(
+                &mut store,
+                "m",
+                &[5, first_width, 1],
+                Activation::LeakyRelu(0.2),
+                &mut rng,
+            );
+            let fast = F32Mlp::pack(&mlp, &store).unwrap();
+            let shared = [0.3f32, -1.2, 0.7, 0.05];
+            let tails = [0.1f32, 0.5, 0.9];
+            let full: Vec<f32> = tails
+                .iter()
+                .flat_map(|&t| shared.iter().copied().chain([t]))
+                .collect();
+            let mut scratch = F32Scratch::default();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            fast.forward(3, &full, &mut scratch, &mut want);
+            fast.forward_shared_prefix(3, &shared, &tails, &mut scratch, &mut got);
+            assert_eq!(want, got, "first-layer width {first_width}");
+        }
     }
 
     #[test]

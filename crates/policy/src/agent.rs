@@ -227,8 +227,12 @@ impl DecimaAgent {
 impl Scheduler for DecimaAgent {
     fn on_episode_start(&mut self) {
         // A fresh episode allocates fresh job specs: the cached graph
-        // structure (keyed on spec identity) must not carry over.
+        // structure (keyed on spec identity) must not carry over, and
+        // the encoder's per-job memos would only pin the old specs.
         self.cache.clear();
+        if let Some(session) = &mut self.infer {
+            session.clear_memos();
+        }
     }
 
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
@@ -553,24 +557,32 @@ mod tests {
         }
     }
 
+    /// Runs `agent` over `jobs` on five executors, returning the
+    /// result, every action taken and the agent's entropy sum.
+    fn run_recorded(
+        agent: DecimaAgent,
+        jobs: Vec<decima_core::JobSpec>,
+        seed: u64,
+    ) -> (decima_sim::EpisodeResult, Vec<Action>, f64) {
+        let mut rec = RecordingScheduler {
+            inner: agent,
+            actions: Vec::new(),
+        };
+        let sim = Simulator::new(
+            ClusterSpec::homogeneous(5).with_move_delay(0.5),
+            jobs,
+            SimConfig::default().with_seed(seed),
+        );
+        let r = sim.run(&mut rec);
+        (r, rec.actions, rec.inner.entropy_sum)
+    }
+
     #[test]
     fn fast_greedy_agent_matches_tape_greedy_episodes() {
         for seed in [1u64, 2, 3] {
             let (policy, mut store) = make_policy(5, ParallelismMode::JobLevel);
             randomize_store(&mut store, 100 + seed);
-            let run = |agent: DecimaAgent| {
-                let mut rec = RecordingScheduler {
-                    inner: agent,
-                    actions: Vec::new(),
-                };
-                let sim = Simulator::new(
-                    ClusterSpec::homogeneous(5).with_move_delay(0.5),
-                    tiny_batch(),
-                    SimConfig::default().with_seed(seed),
-                );
-                let r = sim.run(&mut rec);
-                (r, rec.actions, rec.inner.entropy_sum)
-            };
+            let run = |agent| run_recorded(agent, tiny_batch(), seed);
             let tape_agent = DecimaAgent::greedy(policy.clone(), store.clone());
             assert!(!tape_agent.uses_fast_infer());
             let fast_agent = DecimaAgent::greedy_fast(policy.clone(), store.clone());
@@ -585,6 +597,95 @@ mod tests {
             assert!(
                 (e1 - e2).abs() <= 1e-3 * e1.abs().max(1.0),
                 "entropy logging diverged: {e1} vs {e2}"
+            );
+        }
+    }
+
+    /// A limit head whose first layer is wider than 64 — a shape any
+    /// checkpoint can carry — runs on the fast lane (it used to panic in
+    /// the shared-prefix kernel at the first decision) and takes the
+    /// tape agent's actions.
+    #[test]
+    fn wide_limit_head_runs_on_the_fast_lane() {
+        let mut store = ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let cfg = PolicyConfig {
+            hidden: vec![128, 16],
+            ..PolicyConfig::small(5)
+        };
+        let policy = DecimaPolicy::new(cfg, &mut store, &mut rng);
+        randomize_store(&mut store, 7);
+        let one_job = || vec![tiny_batch().remove(0)];
+
+        let fast = DecimaAgent::greedy_fast(policy.clone(), store.clone());
+        assert!(
+            fast.uses_fast_infer(),
+            "a wide head is no reason to fall back"
+        );
+        let (r_fast, a_fast, _) = run_recorded(fast, one_job(), 1);
+        let (r_tape, a_tape, _) = run_recorded(DecimaAgent::greedy(policy, store), one_job(), 1);
+        assert_eq!(r_fast.completed(), 1);
+        assert_eq!(a_fast, a_tape, "fast and tape lanes diverged");
+        assert_eq!(r_fast.avg_jct(), r_tape.avg_jct());
+    }
+
+    /// The encoder keeps one memo per live job and nothing else: over an
+    /// episode of 16 short jobs arriving every 2 s the memo count never
+    /// exceeds the number of jobs in the observation just decided on,
+    /// and an episode start drops them all.
+    #[test]
+    fn encoder_memos_are_bounded_by_the_live_jobs() {
+        use decima_core::{JobBuilder, JobId, SimTime, StageSpec};
+        struct Probe {
+            inner: DecimaAgent,
+            peak: usize,
+        }
+        impl Probe {
+            fn memos(&self) -> usize {
+                self.inner.infer.as_ref().map_or(0, InferSession::memo_len)
+            }
+        }
+        impl Scheduler for Probe {
+            fn on_episode_start(&mut self) {
+                self.inner.on_episode_start();
+                assert_eq!(self.memos(), 0, "memos survived an episode start");
+            }
+            fn decide(&mut self, obs: &Observation) -> Option<Action> {
+                let action = self.inner.decide(obs);
+                assert_eq!(self.memos(), obs.jobs.len(), "one memo per live job");
+                self.peak = self.peak.max(self.memos());
+                action
+            }
+        }
+        let jobs = || -> Vec<_> {
+            (0..16)
+                .map(|i| {
+                    let mut b = JobBuilder::new(JobId(i));
+                    let first = b.stage(StageSpec::simple(2, 1.0));
+                    let second = b.stage(StageSpec::simple(1, 1.0));
+                    b.edge(first, second);
+                    b.arrival(SimTime::from_secs(2.0 * i as f64))
+                        .build()
+                        .unwrap()
+                })
+                .collect()
+        };
+        let (policy, store) = make_policy(2, ParallelismMode::JobLevel);
+        let mut probe = Probe {
+            inner: DecimaAgent::greedy_fast(policy, store),
+            peak: 0,
+        };
+        assert!(probe.inner.uses_fast_infer());
+        for _ in 0..2 {
+            let sim = Simulator::new(ClusterSpec::homogeneous(2), jobs(), SimConfig::default());
+            let r = sim.run(&mut probe);
+            assert_eq!(r.completed(), 16);
+            assert!(probe.peak >= 1, "the memo was exercised");
+            assert!(
+                probe.peak <= r.mem.live_jobs_peak as usize,
+                "memo peak {} above the live-job peak {}",
+                probe.peak,
+                r.mem.live_jobs_peak
             );
         }
     }

@@ -80,6 +80,17 @@ impl InferSession {
         })
     }
 
+    /// Number of per-job encoder memos held — at most the live job
+    /// count of the last observation decided on.
+    pub fn memo_len(&self) -> usize {
+        self.enc.memo_len()
+    }
+
+    /// Drops the encoder's per-job memos (episode boundary).
+    pub fn clear_memos(&mut self) {
+        self.enc.clear_memos();
+    }
+
     /// Raw node-head scores of the last [`decide_greedy`]
     /// (one per candidate, softmax-equivalent to the tape path's
     /// log-probabilities up to a constant shift).

@@ -255,7 +255,7 @@ impl DecimaPolicy {
                 // global raw aggregates standing in for y_i and z. The
                 // node → job segment sum reuses the cached matrix.
                 let nodes = tape.input(graph.features.clone());
-                let seg = tape.input(graph.structure.job_seg.clone());
+                let seg = tape.input(graph.structure.job_seg().clone());
                 let jobs = tape.matmul(seg, nodes);
                 let global = tape.sum_rows(jobs);
                 EmbeddingsOrRaw::Raw {
