@@ -8,6 +8,7 @@
 
 use crate::registry::ScenarioRegistry;
 use crate::runner::{run_scenario, run_training, RunOptions, Scenario, TrainOptions};
+use crate::scenario::{count_arg, ranged};
 use crate::Args;
 
 /// Scenario-mode flags that take a value.
@@ -59,15 +60,16 @@ fn check_scenario_flags(args: &Args) -> Result<(), String> {
     })
 }
 
-/// `--train` mode: exactly its documented flags, and every numeric
-/// value must parse — a typo must not silently train the defaults.
+/// `--train` mode: exactly its documented flags, every numeric value
+/// must parse and lie in its accepted range — a typo must not silently
+/// train the defaults, nor an empty cluster train on `jct NaN`.
 fn train_options(args: &Args) -> Result<TrainOptions, String> {
     check_flags(args, TRAIN_VALUED, TRAIN_BARE, |_| {
         "not a --train flag, see --help".to_string()
     })?;
     let d = TrainOptions::default();
     let off = d.dynamics;
-    Ok(TrainOptions {
+    let opts = TrainOptions {
         recipe: args.value("recipe").unwrap_or("standard").to_string(),
         iters: args.parsed("iters")?.unwrap_or(d.iters),
         jobs: args.parsed("jobs")?.unwrap_or(d.jobs),
@@ -92,7 +94,14 @@ fn train_options(args: &Args) -> Result<TrainOptions, String> {
                 .parsed("straggle-factor")?
                 .unwrap_or(off.straggler_factor),
         },
-    })
+    };
+    count_arg("--jobs", opts.jobs as f64)?;
+    count_arg("--execs", opts.execs as f64)?;
+    if let Some(iat) = opts.iat {
+        ranged("--iat", iat, iat > 0.0, "> 0")?;
+    }
+    opts.dynamics.validate()?;
+    Ok(opts)
 }
 
 fn usage() {
@@ -133,6 +142,9 @@ fn usage() {
     println!("  --set churn=S --set fail=P --set straggle=P (plus outage=S,");
     println!("  retries=N, straggle-factor=F, level=off|low|med|high), and the");
     println!("  'robust' scenario sweeps escalating perturbation levels.");
+    println!("  Accepted ranges, here and under --train (else exit 2): churn,");
+    println!("  outage >= 0 (seconds; churn 0 = off); fail, straggle in [0, 1];");
+    println!("  straggle-factor >= 1; execs, jobs >= 1; iat > 0; move-delay >= 0.");
     println!();
     println!("Results: terminal report, out/<scenario>.csv, out/<scenario>.json;");
     println!("training: DIR/checkpoint.txt + one JSONL record per iteration.");
@@ -212,13 +224,11 @@ pub fn exp_main() {
         usage();
         std::process::exit(2);
     };
-    if let Err(e) = check_scenario_flags(&args) {
+    // Every error before the run starts is bad input: exit 2, nothing
+    // written.
+    if let Err(e) = check_scenario_flags(&args).and_then(|()| run(&name, &args)) {
         eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    if let Err(e) = run(&name, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     }
 }
 
@@ -301,6 +311,15 @@ mod tests {
                 "unknown flag '--threads' (not a --train flag, see --help)",
             ),
             (&["extra"], "unexpected argument 'extra'"),
+            // In-range checks: `--fail 2` used to train on `jct NaN`.
+            (&["--fail", "2"], "dynamics 'fail' must be in [0, 1], got 2"),
+            (&["--execs", "0"], "--execs must be at least 1, got 0"),
+            (&["--jobs", "0"], "--jobs must be at least 1, got 0"),
+            (&["--iat", "-4"], "--iat must be > 0, got -4"),
+            (
+                &["--straggle-factor", "0"],
+                "dynamics 'straggle-factor' must be >= 1, got 0",
+            ),
         ];
         for (extra, want) in cases {
             let mut parts = vec!["--train"];
@@ -356,5 +375,36 @@ mod tests {
         assert!(configure(sc, &argv(&["--seeds", "bad"])).is_err());
         assert!(configure(sc, &argv(&["--set", "execs=abc"])).is_err());
         assert!(configure(sc, &argv(&["--threads", "x"])).is_err());
+        // Out-of-range cluster/dynamics values used to panic the engine
+        // (execs=0 + churn) or print an all-NaN table with exit 0.
+        let cases = [
+            ("execs=0", "'execs' must be at least 1, got 0"),
+            ("execs=-3", "'execs' must be at least 1, got -3"),
+            ("jobs=0", "'jobs' must be at least 1, got 0"),
+            ("execs=inf", "'execs' must be at least 1, got inf"),
+            ("iat=0", "'iat' must be > 0, got 0"),
+            ("iat=NaN", "'iat' must be > 0, got NaN"),
+            ("move-delay=-1", "'move-delay' must be >= 0, got -1"),
+            ("fail=2", "dynamics 'fail' must be in [0, 1], got 2"),
+            ("churn=-5", "dynamics 'churn' must be >= 0, got -5"),
+            ("outage=-1", "dynamics 'outage' must be >= 0, got -1"),
+            (
+                "straggle=1.5",
+                "dynamics 'straggle' must be in [0, 1], got 1.5",
+            ),
+            (
+                "straggle-factor=0.5",
+                "dynamics 'straggle-factor' must be >= 1, got 0.5",
+            ),
+        ];
+        for (set, want) in cases {
+            let got = configure(sc, &argv(&["--set", "churn=5", "--set", set]));
+            assert_eq!(got.err().as_deref(), Some(want), "{set}");
+        }
+        // The scale scenario keeps `execs`/`jobs` as sweep lists: every
+        // entry is held to the same rule (it used to panic in the sweep).
+        let got = configure(reg.get("scale").unwrap(), &argv(&["--set", "execs=8,0"]));
+        let want = "'execs' must be at least 1, got 0";
+        assert_eq!(got.err().as_deref(), Some(want));
     }
 }

@@ -532,20 +532,19 @@ impl ScenarioSpec {
                 .parse::<f64>()
                 .map_err(|_| format!("'{key}' needs a numeric value, got '{value}'"))
         };
-        // A sweep value: a single number or a comma list, kept as a
-        // parameter so `list_param` can expand it.
+        // A sweep value: a single count or a comma list of counts, kept
+        // as a parameter so `list_param` can expand it.
         fn sweep_value(key: &str, value: &str) -> Result<ParamValue, String> {
-            if let Ok(n) = value.parse::<f64>() {
-                Ok(ParamValue::Num(n))
-            } else if value.contains(',')
-                && value.split(',').all(|s| s.trim().parse::<f64>().is_ok())
-            {
-                Ok(ParamValue::Text(value.to_string()))
-            } else {
-                Err(format!(
-                    "'{key}' needs a number or comma list, got '{value}'"
-                ))
+            let nums: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse()).collect();
+            let nums =
+                nums.map_err(|_| format!("'{key}' needs a number or comma list, got '{value}'"))?;
+            for &n in &nums {
+                count_arg(&format!("'{key}'"), n)?;
             }
+            Ok(match nums[..] {
+                [n] => ParamValue::Num(n),
+                _ => ParamValue::Text(value.to_string()),
+            })
         }
         match key {
             "execs" | "executors" => {
@@ -556,7 +555,7 @@ impl ScenarioSpec {
                 if self.name == "scale" {
                     self.upsert_param("execs", sweep_value(key, value)?);
                 } else {
-                    let n = num()?.round() as usize;
+                    let n = count_arg(&format!("'{key}'"), num()?)?;
                     if let Some(w) = &mut self.workload {
                         w.executors = n;
                     }
@@ -566,7 +565,7 @@ impl ScenarioSpec {
                 if self.name == "scale" {
                     self.upsert_param("jobs", sweep_value(key, value)?);
                 } else {
-                    let n = num()?.round() as usize;
+                    let n = count_arg(&format!("'{key}'"), num()?)?;
                     if let Some(w) = &mut self.workload {
                         w.set_num_jobs(n);
                     }
@@ -574,6 +573,7 @@ impl ScenarioSpec {
             }
             "iat" => {
                 let iat = num()?;
+                ranged("'iat'", iat, iat > 0.0, "> 0")?;
                 if let Some(w) = &mut self.workload {
                     w.set_mean_iat(iat);
                 }
@@ -589,6 +589,7 @@ impl ScenarioSpec {
             }
             "move-delay" => {
                 let d = num()?;
+                ranged("'move-delay'", d, d >= 0.0, ">= 0")?;
                 if let Some(w) = &mut self.workload {
                     w.move_delay = d;
                 }
@@ -685,7 +686,7 @@ impl ScenarioSpec {
             }
             _ => self.upsert_param(key, ParamValue::parse(value)),
         }
-        Ok(())
+        self.sim.dynamics.validate()
     }
 
     fn upsert_param(&mut self, key: &str, value: ParamValue) {
@@ -743,6 +744,21 @@ impl ScenarioSpec {
             ),
         ])
     }
+}
+
+/// A number from the command line (`what` names its key or flag) that
+/// must be finite and satisfy `ok`; the error states the accepted `range`.
+pub(crate) fn ranged(what: &str, v: f64, ok: bool, range: &str) -> Result<f64, String> {
+    if v.is_finite() && ok {
+        Ok(v)
+    } else {
+        Err(format!("{what} must be {range}, got {v}"))
+    }
+}
+
+/// A job or executor count from the command line: at least 1.
+pub(crate) fn count_arg(what: &str, n: f64) -> Result<usize, String> {
+    ranged(what, n.round(), n.round() >= 1.0, "at least 1").map(|n| n as usize)
 }
 
 // ---------------------------------------------------------------------------

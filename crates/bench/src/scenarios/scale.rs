@@ -69,17 +69,12 @@ impl ScaleCell {
     }
 }
 
-/// Reads a whole-number sweep list (`--set execs=8,64`).
+/// Reads a sweep list of counts (`--set execs=8,64`; `ScenarioSpec::set`
+/// has already refused anything below 1).
 fn usize_list(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec<usize> {
     list_param(spec, key, default)
         .iter()
-        .map(|&v| {
-            assert!(
-                v >= 1.0 && v.fract() == 0.0,
-                "'{key}' must be whole and ≥ 1, got {v}"
-            );
-            v as usize
-        })
+        .map(|&v| v.round() as usize)
         .collect()
 }
 

@@ -12,7 +12,6 @@
 //! |------|----------|
 //! | D001 | no `HashMap`/`HashSet` in deterministic crates |
 //! | D002 | no `thread_rng`/`SystemTime::now`/`Instant::now` outside timing-allowlisted sites |
-//! | D003 | no executor-state mutation outside the `set_exec_state` choke point |
 //! | D004 | no `unsafe` |
 //! | W001 | `unwrap()`/`expect()` in library code (ratcheted via `LINT_BASELINE.json`) |
 //!

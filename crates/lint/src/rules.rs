@@ -73,13 +73,6 @@ pub const RULES: &[Rule] = &[
         scope: Scope::NonTimingNonTest,
     },
     Rule {
-        id: "D003",
-        summary: "no direct executor-state mutation outside the \
-                  set_exec_state choke point",
-        severity: Severity::Deny,
-        scope: Scope::Everywhere,
-    },
-    Rule {
         id: "D004",
         summary: "no unsafe code",
         severity: Severity::Deny,
@@ -158,16 +151,6 @@ pub fn match_line(masked_line: &str) -> Vec<LineMatch> {
         }
     }
 
-    // D003: a write to a `.state` field — assignment or mutable borrow.
-    // Reads (`.state ==`, `match x.state`) and method calls
-    // (`.state()`) don't match.
-    if let Some(m) = state_mutation(masked_line) {
-        out.push(LineMatch {
-            rule_id: "D003",
-            what: m,
-        });
-    }
-
     // D004: the `unsafe` keyword (blocks, fns, impls, traits).
     if has_word(masked_line, "unsafe") {
         out.push(LineMatch {
@@ -197,68 +180,6 @@ pub fn match_line(masked_line: &str) -> Vec<LineMatch> {
     out
 }
 
-/// Detects a mutation of a `.state` field on a masked line.
-fn state_mutation(line: &str) -> Option<String> {
-    let mut from = 0;
-    while let Some(at) = find_word(line, "state", from) {
-        from = at + "state".len();
-        // Field access only.
-        if at == 0 || line.as_bytes()[at - 1] != b'.' {
-            continue;
-        }
-        let after = line[at + "state".len()..].trim_start();
-        // Assignment (but not comparison).
-        if let Some(rest) = after.strip_prefix('=') {
-            if !rest.starts_with('=') {
-                return Some("assignment to a `.state` field".to_string());
-            }
-        }
-        // Mutable borrow of the field: `&mut ….state` (passed to
-        // `mem::replace`/`mem::swap` or leaked as `&mut ExecState`).
-        if !after.starts_with('(') {
-            let before = &line[..at];
-            if borrowed_mut(before) {
-                return Some("mutable borrow of a `.state` field".to_string());
-            }
-        }
-    }
-    None
-}
-
-/// True when the expression ending at `before`'s tail sits under an
-/// `&mut` borrow: scans backward over the field-access path for
-/// `&mut `.
-fn borrowed_mut(before: &str) -> bool {
-    // Walk back over path characters: identifiers, `.`, `[idx]`, `()`.
-    let bytes = before.as_bytes();
-    let mut i = bytes.len();
-    // Skip the `.` that preceded `state`.
-    if i > 0 && bytes[i - 1] == b'.' {
-        i -= 1;
-    }
-    let mut bracket = 0i32;
-    while i > 0 {
-        let b = bytes[i - 1];
-        match b {
-            b']' | b')' => {
-                bracket += 1;
-                i -= 1;
-            }
-            b'[' | b'(' => {
-                if bracket == 0 {
-                    break;
-                }
-                bracket -= 1;
-                i -= 1;
-            }
-            _ if bracket > 0 => i -= 1,
-            _ if is_ident(b) || b == b'.' => i -= 1,
-            _ => break,
-        }
-    }
-    before[..i].trim_end().ends_with("&mut")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,21 +203,6 @@ mod tests {
         assert_eq!(ids("let t0 = Instant::now();"), vec!["D002"]);
         assert_eq!(ids("let t = SystemTime::now();"), vec!["D002"]);
         assert!(ids("let t0 = now();").is_empty());
-    }
-
-    #[test]
-    fn d003_matches_state_writes_not_reads() {
-        assert_eq!(ids("self.execs[i].state = ExecState::Free;"), vec!["D003"]);
-        assert_eq!(
-            ids("let old = std::mem::replace(&mut self.execs[i].state, new);"),
-            vec!["D003"]
-        );
-        assert_eq!(ids("mem::swap(&mut a.state, &mut b.state);"), vec!["D003"]);
-        assert!(ids("if self.execs[i].state == ExecState::Free {").is_empty());
-        assert!(ids("match self.execs[i].state {").is_empty());
-        assert!(ids("let s = self.rng.state();").is_empty());
-        assert!(ids("let x = rng.state() ^ 1;").is_empty());
-        assert!(ids("let bound = self.execs[i].state;").is_empty());
     }
 
     #[test]

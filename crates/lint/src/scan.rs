@@ -201,12 +201,14 @@ fn crate_of(rel: &Path) -> Option<String> {
 }
 
 /// True when every line of the file is test/bench/example context
-/// (integration tests, benches, examples — not shipped library code).
+/// (integration tests, benches, examples, or a `tests.rs` — the
+/// out-of-line body of a `#[cfg(test)] mod tests;` — not shipped
+/// library code).
 fn whole_file_is_test(rel: &Path) -> bool {
     rel.components().any(|c| {
         matches!(
             c.as_os_str().to_string_lossy().as_ref(),
-            "tests" | "benches" | "examples"
+            "tests" | "benches" | "examples" | "tests.rs"
         )
     })
 }
@@ -342,7 +344,7 @@ mod tests {
     #[test]
     fn crate_mapping() {
         assert_eq!(
-            crate_of(Path::new("crates/sim/src/engine.rs")).as_deref(),
+            crate_of(Path::new("crates/sim/src/engine/mod.rs")).as_deref(),
             Some("decima-sim")
         );
         assert_eq!(
@@ -384,6 +386,11 @@ mod tests {
         let mut r = Report::default();
         scan_source("crates/sim/src/x.rs", "decima-sim", src, &mut r);
         assert_eq!(r.deny_violations().count(), 0);
+        // So is the out-of-line body of `#[cfg(test)] mod tests;`.
+        let src = "use std::collections::HashSet;\nfn f() { None::<u8>.unwrap(); }\n";
+        scan_source("crates/sim/src/engine/tests.rs", "decima-sim", src, &mut r);
+        assert_eq!(r.deny_violations().count(), 0);
+        assert!(r.ratchet_counts("W001").values().all(|&n| n == 0));
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn every_deny_rule_fires_on_its_bad_fixture() {
     for (rule, file) in [
         ("D001", "d001_bad.rs"),
         ("D002", "d002_bad.rs"),
-        ("D003", "d003_bad.rs"),
         ("D004", "d004_bad.rs"),
     ] {
         assert!(
@@ -74,16 +73,6 @@ fn d002_bad_fixture_catches_all_three_entropy_sources() {
             "D002 must catch {what}"
         );
     }
-}
-
-#[test]
-fn d003_bad_fixture_catches_both_mutation_forms() {
-    let report = decima_lint::scan(&fixture("bad_ws")).unwrap();
-    let d003: Vec<_> = report
-        .deny_violations()
-        .filter(|f| f.rule_id == "D003")
-        .collect();
-    assert_eq!(d003.len(), 2, "assignment + mutable borrow: {d003:#?}");
 }
 
 #[test]
@@ -239,13 +228,12 @@ fn workspace_scan_is_clean() {
         "stale annotations: {:#?}",
         report.unused_suppressions
     );
-    // Known reviewed exemptions: two agent.rs timing spots, the
-    // engine.rs choke point, and the fine_tune_window tau draw (same
-    // invariant as train_iteration's baselined expect). Growing this
-    // number should be a deliberate, reviewed act — update the count
-    // alongside the annotation.
+    // Known reviewed exemptions: two agent.rs timing spots and the
+    // fine_tune_window tau draw (same invariant as train_iteration's
+    // baselined expect). Growing this number should be a deliberate,
+    // reviewed act — update the count alongside the annotation.
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
-    assert_eq!(suppressed, 4, "annotated-exemption census changed");
+    assert_eq!(suppressed, 3, "annotated-exemption census changed");
 }
 
 #[test]

@@ -34,15 +34,13 @@ pub struct SimConfig {
     pub inflation: bool,
     /// Log-normal task-duration noise sigma (0 = deterministic).
     pub noise: f64,
-    /// Probability that a finishing task fails and is re-queued (fault
-    /// injection; not part of the paper's model, off by default).
-    pub failure_rate: f64,
     /// Optional episode horizon: the run stops at this time even if jobs
     /// remain (RL training episodes, §5.3 challenge #1).
     pub time_limit: Option<f64>,
     /// Hard cap on processed events (guards against runaway schedulers).
     pub max_events: u64,
-    /// Seed for the simulator's own stochastic effects (noise, failures).
+    /// Seed for the simulator's own stochastic effects (noise, and — salted —
+    /// the [`crate::dynamics`] stream).
     pub seed: u64,
     /// Record a Gantt chart during the run (Figures 3, 13).
     pub record_gantt: bool,
@@ -68,7 +66,6 @@ impl Default for SimConfig {
             first_wave: true,
             inflation: true,
             noise: 0.0,
-            failure_rate: 0.0,
             time_limit: None,
             max_events: 50_000_000,
             seed: 0,

@@ -24,7 +24,7 @@
 //!
 //! **Determinism contract.** All perturbation randomness is drawn from a
 //! dedicated RNG seeded `SimConfig::seed ^ DYNAMICS_SEED_SALT`, so the
-//! engine's own noise/failure stream is untouched: enabling dynamics
+//! engine's own noise stream is untouched: enabling dynamics
 //! never perturbs the base simulation's random draws, and a disabled
 //! [`DynamicsSpec`] (the default) is bit-exactly the pre-dynamics
 //! engine. At a fixed seed and spec, every counter and event ordering is
@@ -137,6 +137,30 @@ impl DynamicsSpec {
     /// when this holds.
     pub fn enabled(&self) -> bool {
         self.churn_iat > 0.0 || self.fail_prob > 0.0 || self.straggler_prob > 0.0
+    }
+
+    /// Checks that every knob is finite and inside its accepted range;
+    /// the error names the `--set` / `--train` key of the first that is
+    /// not. Command-line input goes through this before any episode runs.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |key: &str, v: f64, ok: bool, range: &str| {
+            if v.is_finite() && ok {
+                Ok(())
+            } else {
+                Err(format!("dynamics '{key}' must be {range}, got {v}"))
+            }
+        };
+        let (fail, straggle, factor) = (self.fail_prob, self.straggler_prob, self.straggler_factor);
+        check("churn", self.churn_iat, self.churn_iat >= 0.0, ">= 0")?;
+        check("outage", self.outage_mean, self.outage_mean >= 0.0, ">= 0")?;
+        check("fail", fail, (0.0..=1.0).contains(&fail), "in [0, 1]")?;
+        check(
+            "straggle",
+            straggle,
+            (0.0..=1.0).contains(&straggle),
+            "in [0, 1]",
+        )?;
+        check("straggle-factor", factor, factor >= 1.0, ">= 1")
     }
 }
 
@@ -259,6 +283,61 @@ mod tests {
             DynamicsSpec::high(),
         ] {
             assert!(l.enabled());
+        }
+    }
+
+    #[test]
+    fn validate_names_the_key_and_range_of_the_first_bad_knob() {
+        for l in ["off", "low", "med", "high"] {
+            assert_eq!(DynamicsSpec::level(l).map(|d| d.validate()), Some(Ok(())));
+        }
+        let off = DynamicsSpec::off;
+        let cases = [
+            (
+                DynamicsSpec {
+                    churn_iat: -1.0,
+                    ..off()
+                },
+                "'churn' must be >= 0, got -1",
+            ),
+            (
+                DynamicsSpec {
+                    outage_mean: f64::NAN,
+                    ..off()
+                },
+                "'outage' must be >= 0, got NaN",
+            ),
+            (
+                DynamicsSpec {
+                    fail_prob: 2.0,
+                    ..off()
+                },
+                "'fail' must be in [0, 1], got 2",
+            ),
+            (
+                DynamicsSpec {
+                    straggler_prob: -0.1,
+                    ..off()
+                },
+                "'straggle' must be in [0, 1], got -0.1",
+            ),
+            (
+                DynamicsSpec {
+                    straggler_factor: 0.5,
+                    ..off()
+                },
+                "'straggle-factor' must be >= 1, got 0.5",
+            ),
+            (
+                DynamicsSpec {
+                    churn_iat: f64::INFINITY,
+                    ..off()
+                },
+                "'churn' must be >= 0, got inf",
+            ),
+        ];
+        for (spec, want) in cases {
+            assert_eq!(spec.validate(), Err(format!("dynamics {want}")));
         }
     }
 

@@ -1,0 +1,169 @@
+//! The scheduling pass: ask the scheduler, record the reward, apply
+//! the action. The one place the scheduler is called from.
+
+use super::execs::{ExecMeta, ExecState};
+use super::observe::obs_equal;
+use super::queue::Ev;
+use super::Simulator;
+use crate::result::ActionRecord;
+use crate::sched::{Action, LimitScope, Scheduler};
+
+impl Simulator {
+    pub(super) fn scheduling_loop(&mut self, sched: &mut dyn Scheduler) {
+        self.pending_sched = false;
+        loop {
+            if self.execs.avail_total() == 0 {
+                break;
+            }
+            // Take the pooled buffer out of `self` for the duration of
+            // the decision, update it in place, and put it back: the
+            // steady state allocates nothing.
+            let mut obs = self.obs_buf.take().unwrap_or_default();
+            self.write_observation(&mut obs);
+            if self.cfg.validate_observations {
+                let reference = self.observation_rebuilt();
+                if let Err(e) = obs_equal(&obs, &reference) {
+                    panic!("incremental observation diverged from rebuilt reference: {e}");
+                }
+            }
+            // Nothing schedulable is not worth a decision.
+            let decision = (!obs.schedulable.is_empty())
+                .then(|| sched.decide(&obs))
+                .flatten();
+            self.obs_buf = Some(obs);
+            let Some(action) = decision else {
+                break;
+            };
+            // Reward bookkeeping per decision.
+            self.actions.push(ActionRecord {
+                time: self.now,
+                penalty_before: self.cost_integral - self.cost_at_last_action,
+            });
+            self.cost_at_last_action = self.cost_integral;
+
+            let assigned = self.apply_action(&action);
+            if assigned == 0 {
+                self.wasted_actions += 1;
+                break;
+            }
+        }
+    }
+
+    /// Applies one action; returns the number of executors dispatched.
+    fn apply_action(&mut self, a: &Action) -> usize {
+        // Pending and retired jobs are equally un-actionable — the
+        // lenient lookup covers out-of-range ids from buggy policies.
+        let Some(job) = self.jobs.live(a.job) else {
+            return 0;
+        };
+        let v = a.stage.index();
+        let Some(n) = job.nodes.get(v) else {
+            return 0;
+        };
+        if !n.runnable || n.waiting <= n.in_flight {
+            return 0;
+        }
+        let demand = job.spec.stages[v].mem_demand;
+        // The same feasibility rule the observation's schedulable set
+        // uses: some available executor (of the requested class, if any)
+        // must fit the stage's memory demand. Checking it here keeps the
+        // two paths from ever disagreeing about actionability.
+        if !self
+            .execs
+            .avail_fits(&self.cluster.classes, demand, a.class)
+        {
+            return 0;
+        }
+        let job_id = a.job;
+        let node = v as u32;
+
+        // Unclaimed tasks bound the total dispatch.
+        let unclaimed = (n.waiting - n.in_flight) as usize;
+
+        // Allocation headroom under the limit.
+        let cur_scope = match a.scope {
+            LimitScope::Job => job.alloc,
+            LimitScope::Stage => (n.executors_on + n.in_flight) as usize,
+        };
+
+        let class_ok = |em: &ExecMeta| -> bool {
+            em.memory >= demand && a.class.map_or(true, |c| em.class == c)
+        };
+
+        let mut dispatched = 0usize;
+
+        // Candidate lists use pooled scratch: steady-state dispatch
+        // allocates nothing. (Safe to take out of `self`: nothing below
+        // recurses back into `apply_action`.)
+        let mut cand = std::mem::take(&mut self.scratch_execs);
+
+        // Tier 1: idle executors already bound to this job — free motion,
+        // does not change the job's allocation. The idle set iterates in
+        // ascending index order, matching the historical full scan.
+        cand.clear();
+        cand.extend(self.execs.idle_ids().filter(|&e| {
+            let em = self.execs.get(e);
+            em.idle_on(job_id) && class_ok(em)
+        }));
+        for &e in &cand {
+            if dispatched >= unclaimed {
+                break;
+            }
+            // For stage scope, locals still count against the stage limit.
+            if a.scope == LimitScope::Stage && cur_scope + dispatched >= a.limit {
+                break;
+            }
+            self.start_task(e, job_id, node);
+            dispatched += 1;
+        }
+
+        // Tier 2: unbound executors, then idle executors of other jobs —
+        // both incur the move delay and raise this job's allocation. Both
+        // sets iterate in ascending index order, like the old full scans.
+        cand.clear();
+        cand.extend(
+            self.execs
+                .free_ids()
+                .filter(|&e| class_ok(self.execs.get(e))),
+        );
+        cand.extend(self.execs.idle_ids().filter(|&e| {
+            let em = self.execs.get(e);
+            !em.idle_on(job_id) && class_ok(em)
+        }));
+        for &e in &cand {
+            if dispatched >= unclaimed {
+                break;
+            }
+            let headroom = match a.scope {
+                LimitScope::Job => self.jobs.job(job_id).alloc < a.limit,
+                LimitScope::Stage => cur_scope + dispatched < a.limit,
+            };
+            if !headroom {
+                break;
+            }
+            let delay = self.cluster.move_delay;
+            // Cold JVM at the new job. One transition covers the detach
+            // from any previous owner and the attach to this job (alloc
+            // −1/+1 via the choke point).
+            self.execs.set_last_node(e, None);
+            self.set_exec_state(e, ExecState::Moving { job: job_id, node });
+            let rt = self.jobs.job_mut(job_id);
+            rt.nodes[v].in_flight += 1;
+            rt.dirty = true;
+            if let Some(g) = &mut self.gantt {
+                if delay > 0.0 {
+                    g.record(e, self.now, self.now + delay, None);
+                }
+            }
+            self.queue
+                .push(self.now + delay, Ev::ExecReady(e, self.execs.get(e).epoch));
+            dispatched += 1;
+        }
+        cand.clear();
+        self.scratch_execs = cand;
+
+        let job = self.jobs.job_mut(job_id);
+        job.peak_alloc = job.peak_alloc.max(job.alloc);
+        dispatched
+    }
+}

@@ -1,0 +1,351 @@
+//! The generational job arena: per-job lifecycle phase, the slot arena
+//! of live runtime states, the active list, and the one fold of a job
+//! into its [`JobOutcome`]. Runtime state is reachable only through
+//! [`JobArena::live`]/[`JobArena::live_mut`] (or the must-be-live
+//! [`JobArena::job`]/[`JobArena::job_mut`]), never by slot index.
+
+use crate::result::{JobOutcome, MemCounters};
+use decima_core::{JobId, JobSpec, SimTime};
+use std::sync::Arc;
+
+#[derive(Clone, Debug, Default)]
+pub(super) struct NodeRt {
+    pub(super) waiting: u32,
+    pub(super) running: u32,
+    pub(super) finished: u32,
+    pub(super) executors_on: u32,
+    pub(super) in_flight: u32,
+    pub(super) runnable: bool,
+    pub(super) completed: bool,
+}
+
+/// Live per-job runtime state. Exists only between a job's arrival
+/// (lazy materialization from its spec) and its retirement into a
+/// compact [`JobOutcome`]; before and after, the job is just an
+/// `Arc<JobSpec>` in the phase table. See [`JobPhase`].
+#[derive(Clone, Debug)]
+pub(super) struct JobRt {
+    pub(super) spec: Arc<JobSpec>,
+    /// Executors bound to the job: idle-local + running + in flight.
+    /// Maintained incrementally by `ExecTable::set_exec_state`.
+    pub(super) alloc: usize,
+    pub(super) peak_alloc: usize,
+    /// Executors bound to the job and currently idle (incremental).
+    pub(super) local_free: usize,
+    /// Observation-relevant state changed since the pooled observation
+    /// was last filled (skips per-node copies for untouched jobs).
+    pub(super) dirty: bool,
+    /// Dynamics task failures charged to the job so far; exceeding the
+    /// spec's `max_retries` kills the job.
+    pub(super) failures: u32,
+    pub(super) nodes: Vec<NodeRt>,
+    pub(super) unfinished_nodes: usize,
+    pub(super) executed_work: f64,
+    pub(super) class_busy: Vec<f64>,
+}
+
+/// Generational handle into the job-slot arena: the slot index plus the
+/// generation it was claimed at. A handle is valid only while
+/// `slots[slot].gen` still matches — a recycled slot bumps its
+/// generation, so handles (and anything derived from them) can never
+/// silently alias a later occupant. The executor-epoch machinery plays
+/// the same role for in-queue `TaskDone`/`ExecReady` events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct JobHandle {
+    slot: u32,
+    gen: u32,
+}
+
+/// Lifecycle phase of one job, indexed by [`JobId`]. Memory-wise this
+/// is the whole streaming story: `Pending` and `Retired` hold only the
+/// shared spec `Arc` (kept alive so spec-pointer-keyed caches — the GNN
+/// [`GraphCache`](../../gnn) — can never observe a recycled allocation
+/// aliasing a departed job), while `Live` points into the slot arena
+/// holding full runtime state.
+#[derive(Clone, Debug)]
+enum JobPhase {
+    /// Not yet arrived: runtime state does not exist.
+    Pending(Arc<JobSpec>),
+    /// Arrived and unfinished: runtime state lives in the slot arena.
+    Live(JobHandle),
+    /// Finished or failed: folded into its [`JobOutcome`]; the slot was
+    /// recycled (unless `retain_all` keeps it).
+    Retired(Arc<JobSpec>),
+}
+
+/// One arena slot: the current generation plus the runtime state it
+/// holds (`None` while on the free list).
+#[derive(Clone, Debug)]
+struct JobSlot {
+    gen: u32,
+    rt: Option<JobRt>,
+}
+
+#[derive(Default)]
+pub(super) struct JobArena {
+    /// Per-job lifecycle phase, indexed by job id.
+    phase: Vec<JobPhase>,
+    /// Arena of live job runtime states; retired slots are recycled
+    /// through `free_slots`, so the arena's high-water mark tracks the
+    /// peak number of *concurrently live* jobs, not total jobs served.
+    slots: Vec<JobSlot>,
+    /// Recycled slot indices (LIFO). Pop order is a pure function of
+    /// the event stream — itself a pure function of (spec, seed) — and
+    /// slot indices never leak into observations or results, so reuse
+    /// order cannot perturb determinism either way.
+    free_slots: Vec<u32>,
+    /// Compact per-job outcomes folded at retirement, by job id.
+    outcomes: Vec<Option<JobOutcome>>,
+    /// Pool of node-state vectors released by retired jobs, reused by
+    /// later arrivals so steady-state serving allocates nothing.
+    node_pool: Vec<Vec<NodeRt>>,
+    /// Keep retired jobs' runtime state resident (the pre-streaming
+    /// behavior); see `Simulator::retain_all`.
+    pub(super) retain_all: bool,
+    /// Arrived, unfinished job indices in job-id order.
+    active: Vec<usize>,
+    /// Bumped whenever the active set changes (admit/retire);
+    /// invalidates the pooled observation's job structure.
+    epoch: u64,
+    num_classes: usize,
+    /// The job-side memory telemetry (`event_queue_hwm` is the queue's).
+    mem: MemCounters,
+}
+
+/// The one fold of a job into its outcome; `rt` is `None` for a job
+/// that never arrived.
+fn fold(
+    id: JobId,
+    spec: &JobSpec,
+    rt: Option<&JobRt>,
+    completion: Option<SimTime>,
+    failed: bool,
+    num_classes: usize,
+) -> JobOutcome {
+    JobOutcome {
+        id,
+        name: spec.name.clone(),
+        arrival: spec.arrival,
+        completion,
+        total_work: spec.total_work(),
+        executed_work: rt.map_or(0.0, |rt| rt.executed_work),
+        peak_alloc: rt.map_or(0, |rt| rt.peak_alloc),
+        class_busy: rt.map_or_else(|| vec![0.0; num_classes], |rt| rt.class_busy.clone()),
+        failed,
+    }
+}
+
+impl JobArena {
+    pub(super) fn with_capacity(num_jobs: usize, num_classes: usize) -> Self {
+        JobArena {
+            phase: Vec::with_capacity(num_jobs),
+            outcomes: Vec::with_capacity(num_jobs),
+            num_classes,
+            ..JobArena::default()
+        }
+    }
+
+    /// Registers the next job (ids are dense, in push order) as pending:
+    /// runtime state is materialized lazily by [`JobArena::admit`].
+    pub(super) fn push_pending(&mut self, spec: JobSpec) {
+        self.phase.push(JobPhase::Pending(Arc::new(spec)));
+        self.outcomes.push(None);
+    }
+
+    /// Jobs not yet retired (pending or live).
+    pub(super) fn remaining(&self) -> usize {
+        self.phase.len() - self.mem.retired_jobs as usize
+    }
+
+    pub(super) fn num_active(&self) -> usize {
+        self.active.len()
+    }
+
+    pub(super) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The spec of any job the episode knows, in whatever phase.
+    pub(super) fn spec(&self, id: JobId) -> Option<&Arc<JobSpec>> {
+        match self.phase.get(id.index())? {
+            JobPhase::Pending(spec) | JobPhase::Retired(spec) => Some(spec),
+            JobPhase::Live(_) => self.live(id).map(|rt| &rt.spec),
+        }
+    }
+
+    /// Runtime state of a job if it is live, `None` otherwise — the
+    /// lenient lookup for paths that can legitimately race a retirement
+    /// (an `ExecReady` landing after its job finished) or be handed any
+    /// id at all (`apply_action`).
+    #[inline]
+    pub(super) fn live(&self, id: JobId) -> Option<&JobRt> {
+        match self.phase.get(id.index())? {
+            JobPhase::Live(h) => {
+                let slot = &self.slots[h.slot as usize];
+                debug_assert_eq!(slot.gen, h.gen, "stale job handle");
+                slot.rt.as_ref()
+            }
+            _ => None,
+        }
+    }
+
+    /// Mutable [`JobArena::live`].
+    #[inline]
+    pub(super) fn live_mut(&mut self, id: JobId) -> Option<&mut JobRt> {
+        match self.phase.get(id.index())? {
+            JobPhase::Live(h) => {
+                let slot = &mut self.slots[h.slot as usize];
+                debug_assert_eq!(slot.gen, h.gen, "stale job handle");
+                slot.rt.as_mut()
+            }
+            _ => None,
+        }
+    }
+
+    /// Runtime state of a job that must be live (panics otherwise — the
+    /// call sites are event paths whose invariants guarantee liveness,
+    /// e.g. a `Running` executor always points at a live job).
+    #[inline]
+    pub(super) fn job(&self, id: JobId) -> &JobRt {
+        self.live(id)
+            .unwrap_or_else(|| unreachable!("job {id:?} is not live"))
+    }
+
+    /// Mutable [`JobArena::job`].
+    #[inline]
+    pub(super) fn job_mut(&mut self, id: JobId) -> &mut JobRt {
+        self.live_mut(id)
+            .unwrap_or_else(|| unreachable!("job {id:?} is not live"))
+    }
+
+    /// The active (arrived, unfinished) jobs in job-id order.
+    pub(super) fn active(&self) -> impl Iterator<Item = &JobRt> {
+        self.active
+            .iter()
+            .filter_map(|&ji| self.live(JobId(ji as u32)))
+    }
+
+    /// Every live job found by walking the phase table — the rebuilt
+    /// observation's view, which must not trust the active list.
+    pub(super) fn scan_live(&self) -> impl Iterator<Item = &JobRt> {
+        (0..self.phase.len()).filter_map(|ji| self.live(JobId(ji as u32)))
+    }
+
+    /// Marks every active job clean (its state is in the observation).
+    pub(super) fn clear_dirty(&mut self) {
+        for i in 0..self.active.len() {
+            if let Some(rt) = self.live_mut(JobId(self.active[i] as u32)) {
+                rt.dirty = false;
+            }
+        }
+    }
+
+    /// Builds a job's runtime state from its spec at arrival time,
+    /// claiming an arena slot (recycled if one is free) and entering
+    /// the job into the active set.
+    pub(super) fn admit(&mut self, id: JobId) {
+        let ji = id.index();
+        let spec = match &self.phase[ji] {
+            JobPhase::Pending(spec) => Arc::clone(spec),
+            other => unreachable!("double arrival for {id:?}: {other:?}"),
+        };
+        let n = spec.dag.len();
+        let mut nodes = self.node_pool.pop().unwrap_or_default();
+        nodes.clear();
+        nodes.resize(n, NodeRt::default());
+        for (v, node) in nodes.iter_mut().enumerate() {
+            node.waiting = spec.stages[v].num_tasks;
+            node.runnable = spec.dag.parents(v).is_empty();
+        }
+        let rt = Some(JobRt {
+            spec,
+            alloc: 0,
+            peak_alloc: 0,
+            local_free: 0,
+            dirty: true,
+            failures: 0,
+            unfinished_nodes: n,
+            nodes,
+            executed_work: 0.0,
+            class_busy: vec![0.0; self.num_classes],
+        });
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                self.slots[s as usize].rt = rt;
+                s
+            }
+            None => {
+                self.slots.push(JobSlot { gen: 0, rt });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.mem.slots_hwm = self.mem.slots_hwm.max(self.slots.len() as u64);
+        let gen = self.slots[slot as usize].gen;
+        self.phase[ji] = JobPhase::Live(JobHandle { slot, gen });
+        // Keep the active list in job-id order (arrival order is
+        // time order, which need not be id order).
+        let pos = self.active.partition_point(|&a| a < ji);
+        self.active.insert(pos, ji);
+        self.mem.live_jobs_peak = self.mem.live_jobs_peak.max(self.active.len() as u64);
+        self.epoch += 1;
+    }
+
+    /// Folds a finished or failed job into its compact [`JobOutcome`],
+    /// drops it from the active set and (unless `retain_all`) releases
+    /// its arena slot to the free list, bumping the slot generation so
+    /// any handle derived earlier can never alias a later occupant. The
+    /// caller has already done all executor bookkeeping — the runtime
+    /// state is dead weight at this point.
+    pub(super) fn retire(&mut self, id: JobId, completion: Option<SimTime>, failed: bool) {
+        let ji = id.index();
+        let (spec, outcome) = {
+            let rt = self.job(id);
+            let outcome = fold(id, &rt.spec, Some(rt), completion, failed, self.num_classes);
+            (Arc::clone(&rt.spec), outcome)
+        };
+        self.outcomes[ji] = Some(outcome);
+        // The spec Arc stays alive in the phase table: spec-pointer
+        // identity (GraphCache keys, obs_equal) must never be recycled.
+        let was = std::mem::replace(&mut self.phase[ji], JobPhase::Retired(spec));
+        self.mem.retired_jobs += 1;
+        let pos = self.active.partition_point(|&a| a < ji);
+        debug_assert_eq!(self.active.get(pos), Some(&ji));
+        self.active.remove(pos);
+        self.epoch += 1;
+        if let (JobPhase::Live(h), false) = (was, self.retain_all) {
+            let slot = &mut self.slots[h.slot as usize];
+            if let Some(mut rt) = slot.rt.take() {
+                rt.nodes.clear();
+                self.node_pool.push(rt.nodes);
+                self.mem.node_pool_hwm = self.mem.node_pool_hwm.max(self.node_pool.len() as u64);
+            }
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free_slots.push(h.slot);
+        }
+    }
+
+    /// Ends the episode: every job's outcome by job id — retired jobs
+    /// were folded at retirement, pending jobs never arrived (zero
+    /// outcome), live jobs were cut off by the horizon/event budget and
+    /// fold here, unfinished — plus the job-side memory telemetry.
+    pub(super) fn into_outcomes(mut self) -> (Vec<JobOutcome>, MemCounters) {
+        let folded = std::mem::take(&mut self.outcomes);
+        let jobs = folded
+            .into_iter()
+            .enumerate()
+            .map(|(ji, folded)| {
+                let id = JobId(ji as u32);
+                folded.unwrap_or_else(|| match &self.phase[ji] {
+                    JobPhase::Pending(spec) | JobPhase::Retired(spec) => {
+                        fold(id, spec, None, None, false, self.num_classes)
+                    }
+                    JobPhase::Live(_) => {
+                        let rt = self.job(id);
+                        fold(id, &rt.spec, Some(rt), None, false, self.num_classes)
+                    }
+                })
+            })
+            .collect();
+        (jobs, self.mem)
+    }
+}

@@ -1,0 +1,239 @@
+//! Observation build: the incremental writer that fills the pooled
+//! buffer from the maintained counts, the rebuild-from-scratch
+//! reference it is validated against, and their comparison.
+
+use super::execs::ExecState;
+use super::Simulator;
+use crate::sched::{JobObs, NodeObs, Observation};
+use decima_core::StageId;
+use std::fmt::{Debug, Display};
+use std::sync::Arc;
+
+impl Simulator {
+    /// Builds the observation snapshot handed to the scheduler from the
+    /// incrementally-maintained counts (no executor rescans).
+    pub fn observation(&self) -> Observation {
+        let mut obs = Observation::default();
+        self.fill_observation(&mut obs, true, &mut Vec::new());
+        obs
+    }
+
+    /// Updates the pooled buffer in place, rebuilding its job structure
+    /// only when the active-job set changed since the last decision, and
+    /// copying per-node state only for jobs dirtied since the last fill.
+    pub(super) fn write_observation(&mut self, obs: &mut Observation) {
+        let rebuild = self.obs_buf_epoch != self.jobs.epoch();
+        let mut pool = std::mem::take(&mut self.obs_nodes_pool);
+        self.fill_observation(obs, rebuild, &mut pool);
+        self.obs_nodes_pool = pool;
+        self.obs_buf_epoch = self.jobs.epoch();
+        self.jobs.clear_dirty();
+    }
+
+    fn fill_observation(&self, obs: &mut Observation, rebuild: bool, pool: &mut Vec<Vec<NodeObs>>) {
+        let classes = &self.cluster.classes;
+        obs.time = self.now;
+        obs.total_executors = self.execs.len();
+        obs.num_classes = classes.len();
+        obs.free_total = self.execs.avail_total();
+        obs.offline = self.execs.offline_count();
+        obs.free_by_class.clear();
+        obs.free_by_class
+            .extend_from_slice(self.execs.avail_by_class());
+        if rebuild {
+            obs.class_memory.clear();
+            obs.class_memory.extend(classes.iter().map(|c| c.memory));
+            // Recycle the departing entries' node vectors: a streaming
+            // episode churns through jobs, and rebuilding the structure
+            // must not re-allocate what the last rebuild already had.
+            for mut jo in obs.jobs.drain(..) {
+                jo.nodes.clear();
+                pool.push(jo.nodes);
+            }
+            for j in self.jobs.active() {
+                let mut nodes = pool.pop().unwrap_or_default();
+                nodes.reserve(j.nodes.len());
+                obs.jobs.push(JobObs {
+                    id: j.spec.id,
+                    spec: Arc::clone(&j.spec),
+                    alloc: j.alloc,
+                    local_free: j.local_free,
+                    nodes,
+                });
+            }
+        }
+        debug_assert_eq!(obs.jobs.len(), self.jobs.num_active());
+        obs.schedulable.clear();
+        for (job_index, j) in self.jobs.active().enumerate() {
+            let jo = &mut obs.jobs[job_index];
+            if rebuild {
+                // alloc/local_free were just set when the JobObs was
+                // pushed; only the node vector remains to fill.
+                jo.nodes
+                    .extend(j.nodes.iter().enumerate().map(|(v, n)| NodeObs {
+                        waiting: n.waiting,
+                        running: n.running,
+                        finished: n.finished,
+                        executors_on: n.executors_on,
+                        in_flight: n.in_flight,
+                        runnable: n.runnable,
+                        completed: n.completed,
+                        avg_task_duration: j.spec.stages[v].task_duration,
+                        mem_demand: j.spec.stages[v].mem_demand,
+                    }));
+            } else if j.dirty {
+                jo.alloc = j.alloc;
+                jo.local_free = j.local_free;
+                for (n, no) in j.nodes.iter().zip(jo.nodes.iter_mut()) {
+                    no.waiting = n.waiting;
+                    no.running = n.running;
+                    no.finished = n.finished;
+                    no.executors_on = n.executors_on;
+                    no.in_flight = n.in_flight;
+                    no.runnable = n.runnable;
+                    no.completed = n.completed;
+                    // avg_task_duration / mem_demand are static.
+                }
+            }
+            for (v, n) in j.nodes.iter().enumerate() {
+                if n.runnable
+                    && n.waiting > n.in_flight
+                    && self
+                        .execs
+                        .avail_fits(classes, j.spec.stages[v].mem_demand, None)
+                {
+                    obs.schedulable.push((job_index, StageId(v as u32)));
+                }
+            }
+        }
+    }
+
+    /// The original rebuild-from-scratch observation: rescans the
+    /// executor vector for every derived quantity. Kept as the reference
+    /// oracle for the incremental path — differential tests run episodes
+    /// with [`SimConfig::validate_observations`](crate::SimConfig::validate_observations)
+    /// set, which compares the two field-for-field at every decision.
+    pub fn observation_rebuilt(&self) -> Observation {
+        let num_classes = self.cluster.num_classes();
+        let available =
+            |s: &ExecState| -> bool { matches!(s, ExecState::Free | ExecState::Idle(_)) };
+        let mut free_by_class = vec![0usize; num_classes];
+        for em in self.execs.iter() {
+            if available(em.state()) {
+                free_by_class[em.class.index()] += 1;
+            }
+        }
+        let free_total: usize = free_by_class.iter().sum();
+        let offline = self
+            .execs
+            .iter()
+            .filter(|em| matches!(em.state(), ExecState::Offline))
+            .count();
+
+        let mut jobs = Vec::new();
+        let mut schedulable = Vec::new();
+        for j in self.jobs.scan_live() {
+            let local_free = self.execs.iter().filter(|em| em.idle_on(j.spec.id)).count();
+            // Recount the allocation from executor states: the oracle
+            // must not trust the engine's incremental `alloc`.
+            let alloc = self
+                .execs
+                .iter()
+                .filter(|em| em.state().owner() == Some(j.spec.id))
+                .count();
+            let nodes: Vec<NodeObs> = j
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(v, n)| NodeObs {
+                    waiting: n.waiting,
+                    running: n.running,
+                    finished: n.finished,
+                    executors_on: n.executors_on,
+                    in_flight: n.in_flight,
+                    runnable: n.runnable,
+                    completed: n.completed,
+                    avg_task_duration: j.spec.stages[v].task_duration,
+                    mem_demand: j.spec.stages[v].mem_demand,
+                })
+                .collect();
+            let job_index = jobs.len();
+            for (v, n) in nodes.iter().enumerate() {
+                if n.runnable && n.waiting > n.in_flight {
+                    // At least one free executor must fit the stage.
+                    let fits = self
+                        .execs
+                        .iter()
+                        .any(|em| available(em.state()) && em.memory >= n.mem_demand);
+                    if fits {
+                        schedulable.push((job_index, StageId(v as u32)));
+                    }
+                }
+            }
+            jobs.push(JobObs {
+                id: j.spec.id,
+                spec: Arc::clone(&j.spec),
+                alloc,
+                local_free,
+                nodes,
+            });
+        }
+
+        Observation {
+            time: self.now,
+            total_executors: self.execs.len(),
+            num_classes,
+            free_total,
+            offline,
+            free_by_class,
+            class_memory: self.cluster.classes.iter().map(|c| c.memory).collect(),
+            jobs,
+            schedulable,
+        }
+    }
+}
+
+/// `Err` naming `what` when the two values differ.
+fn same<T: PartialEq + Debug>(what: impl Display, x: &T, y: &T) -> Result<(), String> {
+    if x == y {
+        Ok(())
+    } else {
+        Err(format!("{what}: {x:?} vs {y:?}"))
+    }
+}
+
+/// Field-for-field comparison of two observations; job specs are
+/// compared by identity (they are shared `Arc`s of the same episode).
+/// Returns `Err` describing the first mismatch.
+pub fn obs_equal(a: &Observation, b: &Observation) -> Result<(), String> {
+    same("time", &a.time, &b.time)?;
+    same("total_executors", &a.total_executors, &b.total_executors)?;
+    same("num_classes", &a.num_classes, &b.num_classes)?;
+    same("free_total", &a.free_total, &b.free_total)?;
+    same("offline", &a.offline, &b.offline)?;
+    same("free_by_class", &a.free_by_class, &b.free_by_class)?;
+    same("class_memory", &a.class_memory, &b.class_memory)?;
+    same("job count", &a.jobs.len(), &b.jobs.len())?;
+    for (x, y) in a.jobs.iter().zip(&b.jobs) {
+        same("job id", &x.id, &y.id)?;
+        let id = x.id;
+        if !Arc::ptr_eq(&x.spec, &y.spec) {
+            return Err(format!("job {id:?}: spec identity differs"));
+        }
+        same(format_args!("job {id:?}: alloc"), &x.alloc, &y.alloc)?;
+        same(
+            format_args!("job {id:?}: local_free"),
+            &x.local_free,
+            &y.local_free,
+        )?;
+        same(
+            format_args!("job {id:?}: node count"),
+            &x.nodes.len(),
+            &y.nodes.len(),
+        )?;
+        for (v, (n, m)) in x.nodes.iter().zip(&y.nodes).enumerate() {
+            same(format_args!("job {id:?} node {v}"), n, m)?;
+        }
+    }
+    same("schedulable", &a.schedulable, &b.schedulable)
+}

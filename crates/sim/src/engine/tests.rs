@@ -1,0 +1,860 @@
+//! Engine unit tests (private access to every engine module).
+
+use super::*;
+use crate::dynamics::DynamicsSpec;
+use crate::sched::Action;
+use decima_core::{ClassId, JobBuilder, StageId, StageSpec};
+
+/// Greedy FIFO-ish scheduler used only for engine tests.
+struct TestSched;
+impl Scheduler for TestSched {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        let &(j, stage) = obs.schedulable.first()?;
+        Some(Action::new(obs.jobs[j].id, stage, obs.total_executors))
+    }
+}
+
+fn one_stage_job(id: u32, tasks: u32, dur: f64, arrival: f64) -> JobSpec {
+    let mut b = JobBuilder::new(JobId(id));
+    b.stage(StageSpec::simple(tasks, dur));
+    b.arrival(SimTime::from_secs(arrival)).build().unwrap()
+}
+
+fn chain_job(id: u32, arrival: f64) -> JobSpec {
+    let mut b = JobBuilder::new(JobId(id));
+    let a = b.stage(StageSpec::simple(2, 1.0));
+    let c = b.stage(StageSpec::simple(2, 1.0));
+    b.edge(a, c);
+    b.arrival(SimTime::from_secs(arrival)).build().unwrap()
+}
+
+fn bare_cfg() -> SimConfig {
+    SimConfig {
+        first_wave: false,
+        inflation: false,
+        noise: 0.0,
+        ..SimConfig::default()
+    }
+}
+
+fn cluster(n: usize) -> ClusterSpec {
+    ClusterSpec::homogeneous(n).with_move_delay(0.0)
+}
+
+#[test]
+fn single_job_runs_to_completion() {
+    // 4 tasks of 2s on 2 executors => 2 waves => JCT 4s.
+    let sim = Simulator::new(cluster(2), vec![one_stage_job(0, 4, 2.0, 0.0)], bare_cfg());
+    let r = sim.run(TestSched);
+    assert_eq!(r.completed(), 1);
+    assert_eq!(r.avg_jct(), Some(4.0));
+    assert_eq!(r.makespan(), Some(4.0));
+    assert_eq!(r.outcome, EpisodeOutcome::Drained);
+}
+
+#[test]
+fn chain_respects_dependencies() {
+    // Stage 0: 2 tasks 1s; stage 1: 2 tasks 1s, only after stage 0.
+    let sim = Simulator::new(cluster(2), vec![chain_job(0, 0.0)], bare_cfg());
+    let r = sim.run(TestSched);
+    assert_eq!(r.avg_jct(), Some(2.0));
+}
+
+#[test]
+fn parallelism_bounded_by_executors() {
+    // 10 tasks of 1s on 3 executors => ceil(10/3)=4 waves => 4s.
+    let sim = Simulator::new(cluster(3), vec![one_stage_job(0, 10, 1.0, 0.0)], bare_cfg());
+    let r = sim.run(TestSched);
+    assert_eq!(r.avg_jct(), Some(4.0));
+}
+
+#[test]
+fn move_delay_charged_for_fresh_executors() {
+    let cl = ClusterSpec::homogeneous(1).with_move_delay(2.0);
+    let sim = Simulator::new(cl, vec![one_stage_job(0, 1, 1.0, 0.0)], bare_cfg());
+    let r = sim.run(TestSched);
+    // 2s JVM launch + 1s task.
+    assert_eq!(r.avg_jct(), Some(3.0));
+}
+
+#[test]
+fn first_wave_factor_applies_once_per_executor() {
+    let mut b = JobBuilder::new(JobId(0));
+    b.stage(StageSpec {
+        num_tasks: 3,
+        task_duration: 1.0,
+        first_wave_factor: 2.0,
+        mem_demand: 0.0,
+    });
+    let job = b.build().unwrap();
+    let cfg = SimConfig {
+        first_wave: true,
+        inflation: false,
+        ..SimConfig::default()
+    };
+    let sim = Simulator::new(cluster(1), vec![job], cfg);
+    let r = sim.run(TestSched);
+    // First task 2s (cold), next two 1s each => 4s.
+    assert_eq!(r.avg_jct(), Some(4.0));
+}
+
+#[test]
+fn inflation_slows_high_parallelism() {
+    use decima_core::InflationCurve;
+    let mut b = JobBuilder::new(JobId(0));
+    b.stage(StageSpec::simple(4, 1.0));
+    let job = b
+        .inflation(InflationCurve {
+            gamma: 1.0,
+            p_ref: 1.0,
+            knee: 1.0,
+        })
+        .build()
+        .unwrap();
+    let cfg = SimConfig {
+        first_wave: false,
+        inflation: true,
+        ..SimConfig::default()
+    };
+    // 4 executors: factor(4) = 1 + 3 = 4 => each task 4s, one wave.
+    let sim = Simulator::new(cluster(4), vec![job], cfg);
+    let r = sim.run(TestSched);
+    assert_eq!(r.avg_jct(), Some(4.0));
+}
+
+#[test]
+fn two_jobs_fifo_order_and_avg_jct_reward() {
+    let jobs = vec![one_stage_job(0, 2, 1.0, 0.0), one_stage_job(1, 2, 1.0, 0.0)];
+    let sim = Simulator::new(cluster(2), jobs, bare_cfg());
+    let r = sim.run(TestSched);
+    assert_eq!(r.completed(), 2);
+    // Job 0 takes both executors: done at 1s; job 1 next: done at 2s.
+    let jcts = r.jcts();
+    assert_eq!(jcts, vec![1.0, 2.0]);
+    // Total AvgJct penalty = ∫J dt = 2*1 + 1*1 = 3 (2 jobs during
+    // first second, 1 during the second).
+    assert!((r.total_penalty() - 3.0).abs() < 1e-9);
+}
+
+#[test]
+fn time_limit_truncates_episode() {
+    let sim = Simulator::new(
+        cluster(1),
+        vec![one_stage_job(0, 10, 1.0, 0.0)],
+        bare_cfg().with_time_limit(3.5),
+    );
+    let r = sim.run(TestSched);
+    assert_eq!(r.completed(), 0);
+    assert_eq!(r.unfinished(), 1);
+    assert!(r.end_time.as_secs() <= 3.5 + 1e-9);
+    // Penalty accrues only to the horizon: 1 job * 3.5s.
+    assert!((r.total_penalty() - 3.5).abs() < 1e-9);
+    assert_eq!(r.outcome, EpisodeOutcome::Horizon);
+}
+
+#[test]
+fn idle_scheduler_starves_but_terminates() {
+    struct Idle;
+    impl Scheduler for Idle {
+        fn decide(&mut self, _: &Observation) -> Option<Action> {
+            None
+        }
+    }
+    let sim = Simulator::new(
+        cluster(2),
+        vec![one_stage_job(0, 2, 1.0, 0.0)],
+        bare_cfg().with_time_limit(10.0),
+    );
+    let r = sim.run(Idle);
+    assert_eq!(r.completed(), 0);
+    // Without churn there is nothing to keep the queue alive: the
+    // episode drains (it never even reaches the horizon).
+    assert_eq!(r.outcome, EpisodeOutcome::Drained);
+}
+
+/// Regression: churn plus a never-scheduling policy and no
+/// `time_limit` used to grind churn ticks all the way to
+/// `max_events` (50M by default). The livelock detector now ends
+/// the episode explicitly after one fruitless churn cycle.
+#[test]
+fn deny_all_scheduler_under_churn_ends_as_livelock() {
+    struct DenyAll;
+    impl Scheduler for DenyAll {
+        fn decide(&mut self, _: &Observation) -> Option<Action> {
+            None
+        }
+    }
+    let dynamics = DynamicsSpec {
+        churn_iat: 40.0,
+        ..DynamicsSpec::off()
+    };
+    let sim = Simulator::new(
+        cluster(3),
+        vec![one_stage_job(0, 2, 1.0, 0.0)],
+        bare_cfg().with_dynamics(dynamics),
+    );
+    let r = sim.run(DenyAll);
+    assert_eq!(r.outcome, EpisodeOutcome::Livelock);
+    assert_eq!(r.completed(), 0);
+    assert!(
+        r.num_events < 1_000,
+        "livelock must end long before max_events: {} events",
+        r.num_events
+    );
+}
+
+/// Regression: a churn tick on an empty cluster used to panic picking
+/// its victim (`gen_range(0..0)`). It now picks none; the ticks go on
+/// until every job has arrived and then end the episode as a livelock.
+#[test]
+fn churn_tick_on_an_empty_cluster_picks_no_victim() {
+    let dynamics = DynamicsSpec {
+        churn_iat: 5.0,
+        ..DynamicsSpec::off()
+    };
+    let cfg = bare_cfg().with_dynamics(dynamics).with_validation();
+    let jobs = vec![
+        one_stage_job(0, 2, 1.0, 0.0),
+        one_stage_job(1, 2, 1.0, 60.0),
+    ];
+    let r = Simulator::new(cluster(0), jobs, cfg).run(TestSched);
+    assert_eq!(r.outcome, EpisodeOutcome::Livelock);
+    assert_eq!((r.completed(), r.dynamics.churn_events), (0, 0));
+    assert!(
+        r.end_time.as_secs() >= 60.0,
+        "ticks survived to the arrival"
+    );
+}
+
+/// A scheduler that denies everything until churn capacity comes
+/// back is not livelocked while outages are pending: the detector
+/// only fires when the whole cluster is online for a full idle
+/// churn cycle, so episodes that do make progress end `Drained`.
+#[test]
+fn churned_episode_with_progress_ends_drained() {
+    let dynamics = DynamicsSpec {
+        churn_iat: 2.0,
+        ..DynamicsSpec::off()
+    };
+    let sim = Simulator::new(
+        cluster(3),
+        vec![one_stage_job(0, 6, 1.0, 0.0)],
+        bare_cfg().with_dynamics(dynamics),
+    );
+    let r = sim.run(TestSched);
+    assert_eq!(r.completed(), 1);
+    assert_eq!(r.outcome, EpisodeOutcome::Drained);
+}
+
+#[test]
+fn limit_restricts_parallelism() {
+    struct LimitTwo;
+    impl Scheduler for LimitTwo {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            let &(j, stage) = obs.schedulable.first()?;
+            Some(Action::new(obs.jobs[j].id, stage, 2))
+        }
+    }
+    // 8 tasks of 1s, 8 executors, but limit 2 => 4 waves => 4s.
+    let sim = Simulator::new(cluster(8), vec![one_stage_job(0, 8, 1.0, 0.0)], bare_cfg());
+    let r = sim.run(LimitTwo);
+    assert_eq!(r.avg_jct(), Some(4.0));
+}
+
+#[test]
+fn multi_resource_memory_fit() {
+    // Two classes: small (0.25) x1, large (1.0) x1. A stage demanding
+    // 0.5 can only use the large executor.
+    let cl = ClusterSpec {
+        classes: vec![
+            decima_core::ExecutorClass {
+                memory: 0.25,
+                count: 1,
+            },
+            decima_core::ExecutorClass {
+                memory: 1.0,
+                count: 1,
+            },
+        ],
+        move_delay: 0.0,
+    };
+    let mut b = JobBuilder::new(JobId(0));
+    b.stage(StageSpec {
+        num_tasks: 2,
+        task_duration: 1.0,
+        first_wave_factor: 1.0,
+        mem_demand: 0.5,
+    });
+    let job = b.build().unwrap();
+    let sim = Simulator::new(cl, vec![job], bare_cfg());
+    let r = sim.run(TestSched);
+    // Only one executor fits => 2 sequential tasks => 2s.
+    assert_eq!(r.avg_jct(), Some(2.0));
+    // All busy time on class 1.
+    assert_eq!(r.jobs[0].class_busy[0], 0.0);
+    assert!((r.jobs[0].class_busy[1] - 2.0).abs() < 1e-9);
+}
+
+#[test]
+fn task_failures_requeue() {
+    let cfg = SimConfig {
+        seed: 42,
+        dynamics: DynamicsSpec {
+            fail_prob: 0.5,
+            max_retries: u32::MAX,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let sim = Simulator::new(cluster(1), vec![one_stage_job(0, 5, 1.0, 0.0)], cfg);
+    let r = sim.run(TestSched);
+    assert_eq!(r.completed(), 1);
+    assert!(r.task_failures > 0);
+    // Every failure adds one extra second of serial work.
+    let expected = 5.0 + r.task_failures as f64;
+    assert_eq!(r.avg_jct(), Some(expected));
+}
+
+#[test]
+fn determinism_same_seed_same_result() {
+    let mk = || {
+        let cfg = SimConfig {
+            noise: 0.3,
+            seed: 7,
+            ..bare_cfg()
+        };
+        Simulator::new(
+            cluster(4),
+            vec![one_stage_job(0, 20, 1.0, 0.0), chain_job(1, 0.5)],
+            cfg,
+        )
+        .run(TestSched)
+    };
+    let a = mk();
+    let b = mk();
+    assert_eq!(a.avg_jct(), b.avg_jct());
+    assert_eq!(a.num_events, b.num_events);
+}
+
+#[test]
+fn gantt_recorded_when_enabled() {
+    let cfg = SimConfig {
+        record_gantt: true,
+        ..bare_cfg()
+    };
+    let sim = Simulator::new(cluster(2), vec![one_stage_job(0, 4, 1.0, 0.0)], cfg);
+    let r = sim.run(TestSched);
+    let g = r.gantt.expect("gantt requested");
+    assert_eq!(g.num_rows(), 2);
+    assert!(g.utilization() > 0.9);
+    assert_eq!(g.completions().len(), 1);
+}
+
+#[test]
+fn incremental_observation_validates_against_rebuilt() {
+    // Every decision of a mixed, noisy, multi-stage episode compares
+    // the incremental observation field-for-field with the rebuilt
+    // reference (the engine panics on the first mismatch).
+    let cfg = SimConfig {
+        noise: 0.2,
+        seed: 3,
+        validate_observations: true,
+        dynamics: DynamicsSpec {
+            fail_prob: 0.05,
+            max_retries: u32::MAX,
+            ..DynamicsSpec::off()
+        },
+        ..SimConfig::default()
+    };
+    let jobs = vec![
+        one_stage_job(0, 6, 1.0, 0.0),
+        chain_job(1, 0.5),
+        one_stage_job(2, 3, 2.0, 4.0),
+    ];
+    let r =
+        Simulator::new(ClusterSpec::homogeneous(3).with_move_delay(1.0), jobs, cfg).run(TestSched);
+    assert_eq!(r.completed(), 3);
+}
+
+#[test]
+fn observation_matches_rebuilt_mid_episode() {
+    let cfg = SimConfig {
+        seed: 9,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(
+        ClusterSpec::four_class(8).with_move_delay(1.0),
+        vec![one_stage_job(0, 12, 1.0, 0.0), chain_job(1, 0.0)],
+        cfg,
+    );
+    let mut sched = TestSched;
+    // Stop mid-episode and compare the two paths directly.
+    let more = sim.drive(&mut sched, 5);
+    assert!(more, "episode must not be exhausted after 5 events");
+    obs_equal(&sim.observation(), &sim.observation_rebuilt())
+        .expect("incremental and rebuilt observations must agree");
+}
+
+/// The `multi_resource_memory_fit` edge from the scheduler's view:
+/// with exactly one executor that fits the stage, the stage must be
+/// schedulable iff that executor is free — the small free executor
+/// alone must not make it actionable.
+#[test]
+fn memory_fit_schedulability_tracks_the_one_fitting_executor() {
+    let cl = ClusterSpec {
+        classes: vec![
+            decima_core::ExecutorClass {
+                memory: 0.25,
+                count: 1,
+            },
+            decima_core::ExecutorClass {
+                memory: 1.0,
+                count: 1,
+            },
+        ],
+        move_delay: 0.0,
+    };
+    let mut b = JobBuilder::new(JobId(0));
+    b.stage(StageSpec {
+        num_tasks: 2,
+        task_duration: 1.0,
+        first_wave_factor: 1.0,
+        mem_demand: 0.5,
+    });
+    let job = b.build().unwrap();
+
+    struct Check;
+    impl Scheduler for Check {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            // decide() is only invoked with a non-empty schedulable
+            // set, so the fitting (large) executor must be free here:
+            // the small free executor alone must never surface the
+            // stage.
+            let &(j, stage) = obs.schedulable.first()?;
+            assert!(
+                obs.free_by_class[1] > 0,
+                "stage offered as schedulable while no fitting executor is free"
+            );
+            Some(Action::new(obs.jobs[j].id, stage, obs.total_executors))
+        }
+    }
+    let cfg = SimConfig {
+        validate_observations: true,
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cl, vec![job], cfg).run(Check);
+    assert_eq!(
+        r.avg_jct(),
+        Some(2.0),
+        "two sequential tasks on the large executor"
+    );
+}
+
+/// An action naming a class the cluster does not have is a wasted
+/// action, not a panic (defensive against buggy/learned policies).
+#[test]
+fn apply_action_tolerates_out_of_range_class() {
+    struct BadClass(bool);
+    impl Scheduler for BadClass {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            if self.0 {
+                return None;
+            }
+            self.0 = true;
+            let &(j, stage) = obs.schedulable.first()?;
+            Some(Action::new(obs.jobs[j].id, stage, obs.total_executors).with_class(ClassId(7)))
+        }
+    }
+    let r = Simulator::new(
+        cluster(2),
+        vec![one_stage_job(0, 2, 1.0, 0.0)],
+        SimConfig {
+            time_limit: Some(5.0),
+            ..bare_cfg()
+        },
+    )
+    .run(BadClass(false));
+    assert_eq!(r.wasted_actions, 1);
+}
+
+/// `apply_action` must agree with the observation about memory fit:
+/// an action pinned to a class whose executors cannot fit the stage
+/// assigns nothing (one wasted action), instead of depending on scan
+/// order.
+#[test]
+fn apply_action_rejects_class_that_cannot_fit() {
+    let cl = ClusterSpec {
+        classes: vec![
+            decima_core::ExecutorClass {
+                memory: 0.25,
+                count: 1,
+            },
+            decima_core::ExecutorClass {
+                memory: 1.0,
+                count: 1,
+            },
+        ],
+        move_delay: 0.0,
+    };
+    let mut b = JobBuilder::new(JobId(0));
+    b.stage(StageSpec {
+        num_tasks: 1,
+        task_duration: 1.0,
+        first_wave_factor: 1.0,
+        mem_demand: 0.5,
+    });
+    let job = b.build().unwrap();
+
+    /// First pins the small (unfittable) class, then passes.
+    struct PinSmall(bool);
+    impl Scheduler for PinSmall {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            if self.0 {
+                return None;
+            }
+            self.0 = true;
+            let &(j, stage) = obs.schedulable.first()?;
+            Some(Action::new(obs.jobs[j].id, stage, obs.total_executors).with_class(ClassId(0)))
+        }
+    }
+    let r = Simulator::new(
+        cl,
+        vec![job],
+        SimConfig {
+            time_limit: Some(10.0),
+            ..bare_cfg()
+        },
+    )
+    .run(PinSmall(false));
+    assert_eq!(
+        r.wasted_actions, 1,
+        "the class-0 action must assign nothing"
+    );
+    assert_eq!(r.completed(), 0, "the scheduler then passed forever");
+}
+
+// ---- cluster dynamics ----
+
+#[test]
+fn dynamics_off_runs_identically_and_counts_nothing() {
+    let mk = |dynamics: DynamicsSpec| {
+        let cfg = SimConfig {
+            noise: 0.2,
+            seed: 5,
+            dynamics,
+            ..bare_cfg()
+        };
+        Simulator::new(cluster(3), vec![one_stage_job(0, 12, 1.0, 0.0)], cfg).run(TestSched)
+    };
+    let off = mk(DynamicsSpec::off());
+    let default = mk(DynamicsSpec::default());
+    assert_eq!(off.avg_jct(), default.avg_jct());
+    assert_eq!(off.num_events, default.num_events);
+    assert_eq!(off.dynamics, crate::dynamics::DynamicsCounters::default());
+}
+
+#[test]
+fn stragglers_inflate_sampled_tasks() {
+    // Probability 1 ⇒ every task straggles: 2 tasks of 1 s on one
+    // executor at factor 2 take exactly 4 s.
+    let cfg = SimConfig {
+        dynamics: DynamicsSpec {
+            straggler_prob: 1.0,
+            straggler_factor: 2.0,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cluster(1), vec![one_stage_job(0, 2, 1.0, 0.0)], cfg).run(TestSched);
+    assert_eq!(r.avg_jct(), Some(4.0));
+    assert_eq!(r.dynamics.straggled, 2);
+}
+
+#[test]
+fn retry_budget_exhaustion_fails_the_job() {
+    // Every task completion fails; a budget of 3 retries means the
+    // 4th failure kills the job.
+    let cfg = SimConfig {
+        dynamics: DynamicsSpec {
+            fail_prob: 1.0,
+            max_retries: 3,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cluster(2), vec![one_stage_job(0, 5, 1.0, 0.0)], cfg).run(TestSched);
+    assert_eq!(r.completed(), 0);
+    assert_eq!(r.failed(), 1);
+    assert!(r.jobs[0].failed && r.jobs[0].completion.is_none());
+    assert_eq!(r.dynamics.failed_jobs, 1);
+    assert_eq!(r.dynamics.retries, 4, "budget + 1 failures were charged");
+    assert_eq!(r.task_failures, 4);
+}
+
+#[test]
+fn failures_within_budget_retry_to_completion() {
+    let cfg = SimConfig {
+        seed: 9,
+        dynamics: DynamicsSpec {
+            fail_prob: 0.3,
+            max_retries: 1000,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cluster(2), vec![one_stage_job(0, 8, 1.0, 0.0)], cfg).run(TestSched);
+    assert_eq!(r.completed(), 1, "generous budget ⇒ the job completes");
+    assert!(r.dynamics.retries > 0, "some tasks must have failed");
+    assert_eq!(r.dynamics.failed_jobs, 0);
+}
+
+#[test]
+fn churn_takes_executors_down_and_episode_still_completes() {
+    // Aggressive churn on a long single-stage job: outages must be
+    // observed, capacity lost, and the work still finishes (at least
+    // one executor is always kept online).
+    let cfg = SimConfig {
+        seed: 13,
+        validate_observations: true,
+        dynamics: DynamicsSpec {
+            churn_iat: 3.0,
+            outage_mean: 4.0,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cluster(3), vec![one_stage_job(0, 40, 1.0, 0.0)], cfg).run(TestSched);
+    assert_eq!(r.completed(), 1);
+    assert!(r.dynamics.churn_events > 0, "no churn observed");
+    assert!(r.dynamics.lost_exec_seconds > 0.0);
+    // Interrupted tasks re-ran, so the ideal 40/3 waves stretched.
+    assert!(r.avg_jct().unwrap() > 40.0 / 3.0);
+}
+
+#[test]
+fn full_dynamics_is_deterministic_at_fixed_seed() {
+    let mk = || {
+        let cfg = SimConfig {
+            noise: 0.1,
+            seed: 21,
+            dynamics: DynamicsSpec::high(),
+            ..SimConfig::default()
+        };
+        Simulator::new(
+            cluster(4),
+            vec![one_stage_job(0, 30, 1.0, 0.0), chain_job(1, 2.0)],
+            cfg,
+        )
+        .run(TestSched)
+    };
+    let (a, b) = (mk(), mk());
+    assert_eq!(a.avg_jct(), b.avg_jct());
+    assert_eq!(a.num_events, b.num_events);
+    assert_eq!(a.dynamics, b.dynamics);
+    assert_eq!(a.total_penalty(), b.total_penalty());
+}
+
+/// The dynamics RNG is decorrelated from the engine RNG: enabling
+/// stragglers must not change *which* noise values the base stream
+/// draws (the noisy durations stay in lockstep, only multiplied).
+#[test]
+fn dynamics_does_not_disturb_the_engine_rng_stream() {
+    let base = |dynamics: DynamicsSpec| {
+        let cfg = SimConfig {
+            noise: 0.3,
+            seed: 2,
+            dynamics,
+            ..bare_cfg()
+        };
+        Simulator::new(cluster(1), vec![one_stage_job(0, 6, 1.0, 0.0)], cfg).run(TestSched)
+    };
+    let off = base(DynamicsSpec::off());
+    // Stragglers at factor 1.0 change durations by nothing, and the
+    // engine's noise draws must land identically.
+    let on = base(DynamicsSpec {
+        straggler_prob: 1.0,
+        straggler_factor: 1.0,
+        ..DynamicsSpec::off()
+    });
+    assert_eq!(off.avg_jct(), on.avg_jct());
+    assert_eq!(off.total_penalty(), on.total_penalty());
+}
+
+// ---- streaming job lifecycle (lazy materialization + retirement) ----
+
+/// Scripted scheduler keyed on decision count, for timelines that
+/// need specific dispatch decisions at specific scheduling passes.
+struct Script(u32);
+impl Scheduler for Script {
+    fn decide(&mut self, _: &Observation) -> Option<Action> {
+        self.0 += 1;
+        match self.0 {
+            1 => Some(Action::new(JobId(0), StageId(0), 1)),
+            3 => Some(Action::new(JobId(0), StageId(0), 2)),
+            4 => Some(Action::new(JobId(1), StageId(0), 1)),
+            5 => Some(Action::new(JobId(2), StageId(0), 1)),
+            _ => None,
+        }
+    }
+}
+
+/// A valid-epoch `ExecReady` can land after its target job finished
+/// (finishing does not interrupt in-flight moves) — and by then the
+/// job's arena slot may already host a *different* job. The phase
+/// table must recognize the retired target, free the executor, and
+/// leave the slot's new occupant untouched.
+///
+/// Timeline (move delay 3): exec0 moves to job0 at t=0 and runs its
+/// two 0.5s tasks (t=3..4); exec1 is sent after job0 at t=2 (job1's
+/// arrival pass) and is still in transit when job0 finishes at t=4.
+/// Job2 arrives at t=4.5 and reuses job0's slot. The stale-target
+/// ExecReady pops at t=5, frees exec1, and the pass then serves
+/// job2 on it.
+#[test]
+fn exec_ready_after_finish_with_recycled_slot() {
+    let cl = ClusterSpec::homogeneous(2).with_move_delay(3.0);
+    let jobs = vec![
+        one_stage_job(0, 2, 0.5, 0.0),
+        one_stage_job(1, 1, 0.5, 2.0),
+        one_stage_job(2, 1, 1.0, 4.5),
+    ];
+    let cfg = SimConfig {
+        validate_observations: true,
+        ..bare_cfg()
+    };
+    let r = Simulator::new(cl, jobs, cfg).run(Script(0));
+    assert_eq!(r.completed(), 3);
+    assert_eq!(r.jobs[0].jct(), Some(4.0));
+    assert_eq!(
+        r.jobs[1].jct(),
+        Some(5.5),
+        "t=4 dispatch + 3s move + 0.5s task"
+    );
+    assert_eq!(
+        r.jobs[2].jct(),
+        Some(4.5),
+        "t=5 dispatch on the freed executor + 3s move + 1s task"
+    );
+    // Job2 reused job0's slot: the arena never grew past the
+    // two-job live peak even though three jobs were served.
+    assert_eq!(r.mem.live_jobs_peak, 2);
+    assert_eq!(
+        r.mem.slots_hwm, 2,
+        "slot arena tracks live peak, not total jobs"
+    );
+    assert_eq!(r.mem.retired_jobs, 3);
+    assert_eq!(r.mem.node_pool_hwm, 2);
+}
+
+/// Same episode with retirement disabled: bit-identical results,
+/// but the arena keeps every job resident.
+#[test]
+fn retain_all_is_bit_identical_but_keeps_every_slot() {
+    let mk = |keep: bool| {
+        let cl = ClusterSpec::homogeneous(2).with_move_delay(3.0);
+        let jobs = vec![
+            one_stage_job(0, 2, 0.5, 0.0),
+            one_stage_job(1, 1, 0.5, 2.0),
+            one_stage_job(2, 1, 1.0, 4.5),
+        ];
+        let cfg = SimConfig {
+            validate_observations: true,
+            ..bare_cfg()
+        };
+        Simulator::new(cl, jobs, cfg)
+            .retain_all(keep)
+            .run(Script(0))
+    };
+    let retire = mk(false);
+    let keep = mk(true);
+    retire
+        .same_run(&keep)
+        .expect("retirement must not change observable results");
+    assert_eq!(keep.mem.slots_hwm, 3, "keep-everything holds all jobs");
+    assert_eq!(keep.mem.node_pool_hwm, 0, "nothing is ever recycled");
+    assert_eq!(retire.mem.slots_hwm, 2);
+}
+
+/// A retry-budget kill cancels the victim's other running tasks by
+/// bumping their executors' epochs: the already-queued `TaskDone`
+/// must be dropped as stale, and the killed job's recycled slot
+/// must be safe for the next arrival.
+#[test]
+fn task_done_after_kill_with_recycled_slot() {
+    let cfg = SimConfig {
+        dynamics: DynamicsSpec {
+            fail_prob: 1.0,
+            max_retries: 0,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let jobs = vec![one_stage_job(0, 4, 1.0, 0.0), one_stage_job(1, 1, 1.0, 2.0)];
+    let r = Simulator::new(cluster(2), jobs, cfg).run(TestSched);
+    // exec0's first failure kills job0 (budget 0) and cancels
+    // exec1's running task; exec1's TaskDone at the same instant is
+    // stale and must not be charged. Job1 then reuses job0's slot
+    // and dies the same way.
+    assert_eq!(r.completed(), 0);
+    assert_eq!(r.failed(), 2);
+    assert_eq!(
+        r.task_failures, 2,
+        "the cancelled task's TaskDone was dropped"
+    );
+    assert_eq!(r.dynamics.retries, 2);
+    assert_eq!(r.dynamics.failed_jobs, 2);
+    assert_eq!(r.mem.live_jobs_peak, 1);
+    assert_eq!(r.mem.slots_hwm, 1, "job1 reused job0's slot");
+    assert_eq!(r.mem.retired_jobs, 2);
+}
+
+/// Full-fidelity differential check: churn, failures, stragglers,
+/// noise, move delays — retirement on vs off must agree on every
+/// observable field (and the incremental observation path is
+/// validated against the rebuilt oracle at every decision).
+#[test]
+fn retirement_matches_keep_everything_under_full_dynamics() {
+    let mk = |keep: bool| {
+        let cfg = SimConfig {
+            noise: 0.2,
+            seed: 3,
+            validate_observations: true,
+            dynamics: DynamicsSpec::high(),
+            ..SimConfig::default()
+        };
+        let jobs = vec![
+            one_stage_job(0, 6, 1.0, 0.0),
+            chain_job(1, 0.5),
+            one_stage_job(2, 3, 2.0, 4.0),
+        ];
+        Simulator::new(ClusterSpec::homogeneous(3).with_move_delay(1.0), jobs, cfg)
+            .retain_all(keep)
+            .run(TestSched)
+    };
+    let retire = mk(false);
+    let keep = mk(true);
+    retire
+        .same_run(&keep)
+        .expect("retirement must not change observable results");
+    assert_eq!(
+        retire.mem.slots_hwm, retire.mem.live_jobs_peak,
+        "the arena grows exactly to the live-job peak"
+    );
+    assert_eq!(retire.mem.retired_jobs, 3);
+}
+
+#[test]
+fn rewards_align_with_actions() {
+    let sim = Simulator::new(
+        cluster(2),
+        vec![one_stage_job(0, 2, 1.0, 0.0), one_stage_job(1, 2, 1.0, 1.0)],
+        bare_cfg(),
+    );
+    let r = sim.run(TestSched);
+    assert!(!r.actions.is_empty());
+    let rewards = r.rewards();
+    assert_eq!(rewards.len(), r.actions.len());
+    // Total reward equals negative total penalty.
+    let sum: f64 = rewards.iter().sum();
+    assert!((sum + r.total_penalty()).abs() < 1e-9);
+}

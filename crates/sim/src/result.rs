@@ -115,8 +115,8 @@ pub struct EpisodeResult {
     pub num_events: u64,
     /// Actions that assigned no executor (scheduler bugs / passes).
     pub wasted_actions: u64,
-    /// Injected task failures observed (legacy `failure_rate` injection
-    /// plus dynamics-driven failures).
+    /// Injected task failures observed (dynamics-driven; see
+    /// [`crate::dynamics`]).
     pub task_failures: u64,
     /// Cluster-dynamics counters (all zero when dynamics is off).
     pub dynamics: DynamicsCounters,

@@ -194,6 +194,15 @@ fn random_memory_jobs(seed: u64, n_jobs: usize) -> Vec<decima_core::JobSpec> {
         .collect()
 }
 
+/// Task failures at rate `fail` that never kill a job.
+fn retrying(fail: f64) -> DynamicsSpec {
+    DynamicsSpec {
+        fail_prob: fail,
+        max_retries: u32::MAX,
+        ..DynamicsSpec::off()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -287,8 +296,8 @@ proptest! {
         let mk = || {
             let cfg = SimConfig {
                 noise: 0.15,
-                failure_rate: 0.03,
                 seed,
+                dynamics: retrying(0.03),
                 ..SimConfig::default()
             };
             Simulator::new(
@@ -363,11 +372,7 @@ proptest! {
             first_wave: false,
             inflation: false,
             seed,
-            dynamics: DynamicsSpec {
-                fail_prob: fail,
-                max_retries: u32::MAX,
-                ..DynamicsSpec::off()
-            },
+            dynamics: retrying(fail),
             ..SimConfig::default()
         };
         let r = Simulator::new(ClusterSpec::homogeneous(3), jobs, cfg).run(Spread);
@@ -476,8 +481,8 @@ proptest! {
         let mk = || {
             let cfg = SimConfig {
                 noise: 0.2,
-                failure_rate: 0.05,
                 seed,
+                dynamics: retrying(0.05),
                 ..SimConfig::default()
             };
             Simulator::new(
@@ -491,6 +496,133 @@ proptest! {
         prop_assert_eq!(a.num_events, b.num_events);
         prop_assert_eq!(a.task_failures, b.task_failures);
         prop_assert_eq!(a.total_penalty(), b.total_penalty());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A hostile scheduler never panics the engine
+// ---------------------------------------------------------------------------
+
+/// A seeded scheduler that mixes well-formed picks with every malformed
+/// action a buggy or adversarial policy could emit: job ids out of
+/// range, not yet arrived or already retired, stages past the DAG,
+/// classes the cluster does not have, limits 0 and `usize::MAX`, stage
+/// scope, and passes.
+struct Hostile {
+    rng: rand::rngs::SmallRng,
+    n_jobs: u32,
+    /// Every job id an observation ever showed.
+    seen: Vec<JobId>,
+}
+
+impl Scheduler for Hostile {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        use rand::Rng;
+        for j in &obs.jobs {
+            if !self.seen.contains(&j.id) {
+                self.seen.push(j.id);
+            }
+        }
+        let &(j, stage) = obs
+            .schedulable
+            .get(self.rng.gen_range(0..obs.schedulable.len()))?;
+        let job = &obs.jobs[j];
+        let good = Action::new(job.id, stage, job.alloc + 1);
+        Some(match self.rng.gen_range(0..12u32) {
+            0 => return None,
+            1 => Action {
+                job: JobId(self.n_jobs + self.rng.gen_range(0..3)),
+                ..good
+            },
+            2 => Action {
+                job: JobId(u32::MAX),
+                ..good
+            },
+            // Seen earlier, gone now: retired (its slot may be reused).
+            3 => match self
+                .seen
+                .iter()
+                .find(|id| obs.jobs.iter().all(|j| j.id != **id))
+            {
+                Some(&retired) => Action {
+                    job: retired,
+                    ..good
+                },
+                None => Action {
+                    job: JobId(self.rng.gen_range(0..self.n_jobs)),
+                    ..good
+                },
+            },
+            4 => Action {
+                stage: decima_core::StageId(job.nodes.len() as u32 + 2),
+                ..good
+            },
+            5 => good.with_class(decima_core::ClassId(obs.num_classes as u16 + 1)),
+            6 => good.with_class(decima_core::ClassId(
+                self.rng.gen_range(0..obs.num_classes) as u16
+            )),
+            7 => Action { limit: 0, ..good },
+            8 => Action {
+                limit: usize::MAX,
+                ..good
+            },
+            9 => Action {
+                limit: self.rng.gen_range(0..4),
+                ..good
+            }
+            .stage_scoped(),
+            _ => good,
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever the scheduler returns, the engine returns an
+    /// `EpisodeResult`: every job has an outcome, the episode ends for a
+    /// stated reason, the per-decision invariant battery (task
+    /// conservation, no double-booking, incremental == rebuilt
+    /// observation) holds at every decision, and a second run is
+    /// `same_run`-identical — on random multi-class clusters, dynamics
+    /// on and off, with and without a horizon.
+    #[test]
+    fn hostile_scheduler_never_panics_the_engine(
+        seed in 0u64..3000, n_jobs in 1usize..5, execs in 1usize..8,
+        dynamics_on in 0u32..2, horizon_on in 0u32..2, horizon in 5.0f64..80.0,
+    ) {
+        use decima_sim::EpisodeOutcome::{Drained, EventBudget, Horizon, Livelock};
+        use rand::SeedableRng;
+        let run = || {
+            let cfg = SimConfig {
+                noise: 0.1,
+                seed,
+                time_limit: (horizon_on == 1).then_some(horizon),
+                max_events: 200_000,
+                validate_observations: true,
+                dynamics: if dynamics_on == 1 {
+                    DynamicsSpec { churn_iat: 6.0, outage_mean: 4.0, fail_prob: 0.1,
+                                   max_retries: 4, straggler_prob: 0.1, straggler_factor: 2.0 }
+                } else {
+                    DynamicsSpec::off()
+                },
+                ..SimConfig::default()
+            };
+            let mut sched = Invariants::new(Hostile {
+                rng: rand::rngs::SmallRng::seed_from_u64(seed ^ 0x4057),
+                n_jobs: n_jobs as u32,
+                seen: Vec::new(),
+            });
+            Simulator::new(random_cluster(seed, execs), random_memory_jobs(seed, n_jobs), cfg)
+                .run(&mut sched)
+        };
+        let (a, b) = (run(), run());
+        prop_assert_eq!(a.jobs.len(), n_jobs);
+        prop_assert!(matches!(a.outcome, Drained | Horizon | Livelock | EventBudget));
+        prop_assert!(a.completed() + a.failed() <= n_jobs);
+        prop_assert!(a.wasted_actions <= a.actions.len() as u64);
+        let diff = a.same_run(&b);
+        prop_assert!(diff.is_ok(), "hostile rerun diverged: {:?}", diff);
     }
 }
 
