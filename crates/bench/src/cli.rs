@@ -406,5 +406,18 @@ mod tests {
         let got = configure(reg.get("scale").unwrap(), &argv(&["--set", "execs=8,0"]));
         let want = "'execs' must be at least 1, got 0";
         assert_eq!(got.err().as_deref(), Some(want));
+        // So does the fleet scenario with `shards`/`rates` (all four
+        // used to panic in the sweep, exit 101).
+        let fleet = reg.get("fleet").unwrap();
+        let cases = [
+            ("shards=0", "'shards' must be at least 1, got 0"),
+            ("rates=-1", "'rates' must be > 0, got -1"),
+            ("shards=x", "'shards' needs a number or comma list, got 'x'"),
+            ("rates=", "'rates' needs a number or comma list, got ''"),
+        ];
+        for (set, want) in cases {
+            let got = configure(fleet, &argv(&["--set", set]));
+            assert_eq!(got.err().as_deref(), Some(want), "{set}");
+        }
     }
 }

@@ -16,6 +16,8 @@
 //!   registered scenario with seed-parallel evaluation.
 //! * [`report`] / [`json`] — terminal tables, CSVs, and the structured
 //!   `out/<scenario>.json` result document.
+//! * [`timed`] — [`Timed`](timed::Timed): the one stopwatch around a
+//!   scheduler's `decide` (Figure 15b).
 //!
 //! The `decima-exp` binary is the front door
 //! (`cargo run -p decima-bench --bin decima-exp -- --list`): every paper
@@ -31,6 +33,7 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod scenarios;
+pub mod timed;
 
 pub use cli::exp_main;
 pub use factory::{build_trainer, make_scheduler, scheduler_spec_by_name, TrainedPolicy};

@@ -532,20 +532,26 @@ impl ScenarioSpec {
                 .parse::<f64>()
                 .map_err(|_| format!("'{key}' needs a numeric value, got '{value}'"))
         };
-        // A sweep value: a single count or a comma list of counts, kept
-        // as a parameter so `list_param` can expand it.
-        fn sweep_value(key: &str, value: &str) -> Result<ParamValue, String> {
+        // A sweep value: a single number or a comma list of them, each
+        // entry held to `check`, kept as a parameter so `list_param` can
+        // expand it.
+        fn sweep_value(
+            key: &str,
+            value: &str,
+            check: impl Fn(&str, f64) -> Result<(), String>,
+        ) -> Result<ParamValue, String> {
             let nums: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse()).collect();
             let nums =
                 nums.map_err(|_| format!("'{key}' needs a number or comma list, got '{value}'"))?;
             for &n in &nums {
-                count_arg(&format!("'{key}'"), n)?;
+                check(&format!("'{key}'"), n)?;
             }
             Ok(match nums[..] {
                 [n] => ParamValue::Num(n),
                 _ => ParamValue::Text(value.to_string()),
             })
         }
+        let count = |what: &str, n: f64| count_arg(what, n).map(drop);
         match key {
             "execs" | "executors" => {
                 // The scale scenario *sweeps* executor counts, so comma
@@ -553,7 +559,7 @@ impl ScenarioSpec {
                 // the workload to one cluster size (the same
                 // scenario-conditional treatment 'level' gets below).
                 if self.name == "scale" {
-                    self.upsert_param("execs", sweep_value(key, value)?);
+                    self.upsert_param("execs", sweep_value(key, value, count)?);
                 } else {
                     let n = count_arg(&format!("'{key}'"), num()?)?;
                     if let Some(w) = &mut self.workload {
@@ -563,13 +569,21 @@ impl ScenarioSpec {
             }
             "jobs" => {
                 if self.name == "scale" {
-                    self.upsert_param("jobs", sweep_value(key, value)?);
+                    self.upsert_param("jobs", sweep_value(key, value, count)?);
                 } else {
                     let n = count_arg(&format!("'{key}'"), num()?)?;
                     if let Some(w) = &mut self.workload {
                         w.set_num_jobs(n);
                     }
                 }
+            }
+            // The fleet scenario's two sweep lists.
+            "shards" if self.name == "fleet" => {
+                self.upsert_param(key, sweep_value(key, value, count)?);
+            }
+            "rates" if self.name == "fleet" => {
+                let positive = |what: &str, r: f64| ranged(what, r, r > 0.0, "> 0").map(drop);
+                self.upsert_param(key, sweep_value(key, value, positive)?);
             }
             "iat" => {
                 let iat = num()?;

@@ -8,6 +8,7 @@ use crate::json::Json;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
 use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
+use crate::timed::Timed;
 use crate::{eval_mean_jct, run_episode, train_with_progress, write_csv};
 use decima_baselines::WeightedFairScheduler;
 use decima_rl::{EnvFactory, SpecEnv, TrainConfig};
@@ -275,7 +276,7 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
         })
         .unwrap_or((PolicySpec::default(), Some(1)));
     let (cluster, jobs, cfg) = env.build(seed);
-    let mut agent = crate::factory::untrained_agent(&policy, execs, sample_seed);
+    let mut agent = Timed::new(crate::factory::untrained_agent(&policy, execs, sample_seed));
     let result = Simulator::new(cluster, jobs, cfg).run(&mut agent);
 
     let delays_ms: Vec<f64> = agent.decide_secs.iter().map(|s| s * 1e3).collect();

@@ -56,6 +56,15 @@ pub(crate) fn list_param(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec
     parsed
 }
 
+/// Reads a sweep list of counts (`--set shards=1,2,4`;
+/// `ScenarioSpec::set` has already refused anything below 1).
+pub(crate) fn count_list(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec<usize> {
+    list_param(spec, key, default)
+        .iter()
+        .map(|&v| v.round() as usize)
+        .collect()
+}
+
 /// Resolves the per-shard scheduler. Training inside the fleet driver
 /// is unsupported — a fleet serves policies, it does not produce them —
 /// so `decima`/train entries are rejected with the checkpoint route.
@@ -110,16 +119,8 @@ impl FleetCell {
 pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<FleetCell> {
     let env = spec_env(spec);
     let executors = env.workload.executors;
-    let shard_counts: Vec<usize> = list_param(spec, "shards", &[1.0, 2.0, 4.0, 8.0])
-        .iter()
-        .map(|&s| {
-            assert!(
-                s >= 1.0 && s.fract() == 0.0,
-                "shards must be whole and ≥ 1, got {s}"
-            );
-            s as usize
-        })
-        .collect();
+    let shard_counts = count_list(spec, "shards", &[1.0, 2.0, 4.0, 8.0]);
+    // Every rate is > 0: `ScenarioSpec::set` checked.
     let rates = list_param(spec, "rates", &[1.0, 2.0, 4.0]);
     let router_name = spec.text_param("router", "jsq");
     let (sched, trained) = resolve_sched(spec, executors, "fifo");
@@ -132,7 +133,6 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<FleetCell> {
     let mut cells = Vec::new();
     for &shards in &shard_counts {
         for &rate in &rates {
-            assert!(rate > 0.0, "rate multipliers must be positive, got {rate}");
             let mut cell_env = env.clone();
             cell_env.workload.set_mean_iat(base_iat / rate);
             let per_seed: Vec<FleetResult> = seeds

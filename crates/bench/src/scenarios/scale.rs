@@ -36,7 +36,7 @@ use crate::json::Json;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::scenarios::fleet::{list_param, resolve_sched};
+use crate::scenarios::fleet::{count_list, resolve_sched};
 use crate::write_csv;
 use decima_rl::EnvFactory as _;
 use decima_sim::{EpisodeResult, MemCounters};
@@ -69,15 +69,6 @@ impl ScaleCell {
     }
 }
 
-/// Reads a sweep list of counts (`--set execs=8,64`; `ScenarioSpec::set`
-/// has already refused anything below 1).
-fn usize_list(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec<usize> {
-    list_param(spec, key, default)
-        .iter()
-        .map(|&v| v.round() as usize)
-        .collect()
-}
-
 /// Runs the executors × total-jobs sweep and returns the cells in sweep
 /// order. Public so the determinism and memory-ceiling tests can
 /// inspect raw [`EpisodeResult`]s (in particular `mem.live_jobs_peak`)
@@ -91,8 +82,8 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<ScaleCell> {
     let Some(base_iat) = env.workload.mean_iat() else {
         panic!("the scale scenario needs a streaming workload with a mean interarrival time");
     };
-    let exec_counts = usize_list(spec, "execs", &[8.0, 64.0]);
-    let job_counts = usize_list(spec, "jobs", &[500.0, 5000.0]);
+    let exec_counts = count_list(spec, "execs", &[8.0, 64.0]);
+    let job_counts = count_list(spec, "jobs", &[500.0, 5000.0]);
     let seeds = spec.seeds.seeds();
 
     let mut cells = Vec::new();

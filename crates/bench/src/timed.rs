@@ -1,0 +1,77 @@
+//! A stopwatch around a scheduler's `decide`.
+//!
+//! Wall-clock time is telemetry, so it is read here, in the measurement
+//! crate, and not inside the schedulers (docs/DETERMINISM.md, rule
+//! D002): wrapping changes no action, only records how long each took.
+
+use decima_sim::{Action, Observation, Scheduler};
+use std::time::Instant;
+
+/// `inner`, with the wall-clock seconds of every `decide` call recorded
+/// in call order (Figure 15b).
+pub struct Timed<S> {
+    /// The scheduler being timed.
+    pub inner: S,
+    /// Seconds spent in each `decide` call.
+    pub decide_secs: Vec<f64>,
+}
+
+impl<S: Scheduler> Timed<S> {
+    /// Wraps `inner` with an empty record.
+    pub fn new(inner: S) -> Self {
+        Timed {
+            inner,
+            decide_secs: Vec::new(),
+        }
+    }
+}
+
+impl<S: Scheduler> Scheduler for Timed<S> {
+    fn on_episode_start(&mut self) {
+        self.inner.on_episode_start();
+    }
+
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        let t0 = Instant::now();
+        let action = self.inner.decide(obs);
+        self.decide_secs.push(t0.elapsed().as_secs_f64());
+        action
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::factory::untrained_agent;
+    use crate::scenario::PolicySpec;
+    use decima_core::ClusterSpec;
+    use decima_sim::{SimConfig, Simulator};
+    use decima_workload::tpch_batch;
+
+    /// One positive latency per decision, and the wrapped agent takes
+    /// the actions it takes bare.
+    #[test]
+    fn decide_latency_recorded() {
+        let agent = || untrained_agent(&PolicySpec::default(), 5, Some(42));
+        let sim = || {
+            Simulator::new(
+                ClusterSpec::homogeneous(5).with_move_delay(0.5),
+                tpch_batch(2, 3),
+                SimConfig::default().with_seed(1),
+            )
+        };
+        let mut timed = Timed::new(agent());
+        let r = sim().run(&mut timed);
+        assert_eq!(timed.decide_secs.len(), r.actions.len());
+        assert!(timed.decide_secs.iter().all(|&t| t > 0.0));
+
+        let mut bare = agent();
+        let r_bare = sim().run(&mut bare);
+        assert_eq!(timed.inner.records, bare.records, "timing must not perturb");
+        assert_eq!(r.avg_jct(), r_bare.avg_jct());
+    }
+}

@@ -125,13 +125,13 @@ impl Scheduler for DiffScheduler {
                 fd.cand.job_idx,
                 fd.cand.stage,
                 fd.limit,
-                fd.entropy.to_bits()
+                self.session.node_entropy().to_bits()
             ),
             (
                 cold_fd.cand.job_idx,
                 cold_fd.cand.stage,
                 cold_fd.limit,
-                cold_fd.entropy.to_bits()
+                cold.node_entropy().to_bits()
             ),
             "seed {} decision {}: memoised decision differs from a cold session's",
             self.seed,

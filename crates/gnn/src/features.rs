@@ -12,10 +12,20 @@
 //! Appendix J's incomplete-information experiment is reproduced by
 //! `include_duration = false`, which zeroes features (ii) and the derived
 //! work term while keeping everything else.
+//!
+//! A row is computed from three small **keys**, never from the
+//! observation directly: the node's `NodeKey` (remaining tasks,
+//! `executors_on`, duration bits), its job's `local_free > 0`, and the
+//! decision's `GlobalKey` (`free_total`, `total_executors`, the
+//! [`FeatureConfig`]). Together they are the features' whole read set,
+//! which is what lets `InferEncoder::forward_observation` decide from
+//! the keys alone which jobs' rows — and embeddings — a decision has to
+//! recompute. A new feature that reads another field has to add it to a
+//! key to get at it.
 
 use crate::graph::{GraphInput, GraphStructure};
 use decima_nn::Tensor;
-use decima_sim::Observation;
+use decima_sim::{NodeObs, Observation};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -49,26 +59,109 @@ impl Default for FeatureConfig {
     }
 }
 
-impl FeatureConfig {
-    /// Builds the per-node feature row for one `(job, node)` pair.
-    fn node_row(&self, obs: &Observation, job_idx: usize, node_idx: usize, out: &mut [f64]) {
-        let job = &obs.jobs[job_idx];
-        let n = &job.nodes[node_idx];
-        let m = obs.total_executors.max(1) as f64;
-        let dur = if self.include_duration {
-            n.avg_task_duration
+/// What a feature row reads of its own node — nothing else of a
+/// [`NodeObs`] can move it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct NodeKey {
+    remaining_tasks: u32,
+    executors_on: u32,
+    /// `avg_task_duration`, as bits: keys compare bitwise.
+    duration_bits: u64,
+}
+
+impl NodeKey {
+    #[inline]
+    pub(crate) fn of(n: &NodeObs) -> Self {
+        NodeKey {
+            remaining_tasks: n.remaining_tasks(),
+            executors_on: n.executors_on,
+            duration_bits: n.avg_task_duration.to_bits(),
+        }
+    }
+}
+
+/// What every feature row of a decision reads besides its node's
+/// [`NodeKey`] and its job's `local_free > 0`: two cluster counts and
+/// the configuration. Rows are computed *from* the keys
+/// ([`GlobalKey::node_row`]), so the three keys together are the whole
+/// read set of the features by construction — a feature cannot read a
+/// field no key holds.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct GlobalKey {
+    free_total: usize,
+    total_executors: usize,
+    cfg: FeatureConfig,
+}
+
+impl PartialEq for GlobalKey {
+    /// Bitwise on the configuration's floats, like every key compare.
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |c: &FeatureConfig| {
+            (
+                c.include_duration,
+                c.iat_hint.map(f64::to_bits),
+                c.task_scale.to_bits(),
+                c.dur_scale.to_bits(),
+                c.work_scale.to_bits(),
+            )
+        };
+        (self.free_total, self.total_executors) == (other.free_total, other.total_executors)
+            && bits(&self.cfg) == bits(&other.cfg)
+    }
+}
+
+impl GlobalKey {
+    pub(crate) fn of(cfg: &FeatureConfig, obs: &Observation) -> Self {
+        GlobalKey {
+            free_total: obs.free_total,
+            total_executors: obs.total_executors,
+            cfg: *cfg,
+        }
+    }
+
+    /// The feature row of one node, in `f64`.
+    // `#[inline]` is load-bearing: called out of line from the per-job
+    // loop in `infer.rs` this measured ≈70 ns a row against 3–4 ns
+    // inlined, which erased the whole gain of building rows only for
+    // the jobs that moved (docs/PERF.md "Codegen trap"). For the same
+    // reason the per-job builder below lives here, next to it.
+    #[inline]
+    fn node_row(&self, local_free: bool, node: NodeKey) -> [f64; FEAT_DIM] {
+        let cfg = &self.cfg;
+        let m = self.total_executors.max(1) as f64;
+        let tasks = node.remaining_tasks as f64;
+        let dur = if cfg.include_duration {
+            f64::from_bits(node.duration_bits)
         } else {
             0.0
         };
-        out[0] = n.remaining_tasks() as f64 / self.task_scale;
-        out[1] = dur / self.dur_scale;
-        out[2] = n.remaining_tasks() as f64 * dur / self.work_scale;
-        out[3] = n.executors_on as f64 / m;
-        out[4] = obs.free_total as f64 / m;
-        out[5] = if job.local_free > 0 { 1.0 } else { 0.0 };
-        out[6] = self.iat_hint.map_or(0.0, |iat| iat / 100.0);
+        [
+            tasks / cfg.task_scale,
+            dur / cfg.dur_scale,
+            tasks * dur / cfg.work_scale,
+            node.executors_on as f64 / m,
+            self.free_total as f64 / m,
+            if local_free { 1.0 } else { 0.0 },
+            cfg.iat_hint.map_or(0.0, |iat| iat / 100.0),
+        ]
     }
 
+    /// Appends one job's feature rows to `out` as `f32`: the `f64`
+    /// arithmetic of [`node_row`](Self::node_row), then the cast — the
+    /// bits [`FeatureConfig::graph_input_cached`] followed by the tensor
+    /// entry's conversion gives.
+    pub(crate) fn job_rows_f32(&self, local_free: bool, nodes: &[NodeKey], out: &mut Vec<f32>) {
+        let at = out.len();
+        out.resize(at + nodes.len() * FEAT_DIM, 0.0);
+        for (dst, &node) in out[at..].chunks_exact_mut(FEAT_DIM).zip(nodes) {
+            for (o, x) in dst.iter_mut().zip(self.node_row(local_free, node)) {
+                *o = x as f32;
+            }
+        }
+    }
+}
+
+impl FeatureConfig {
     /// Builds the batched [`GraphInput`] for every active job in `obs`,
     /// computing the graph structure fresh. Hot paths should use
     /// [`FeatureConfig::graph_input_cached`] instead.
@@ -83,13 +176,11 @@ impl FeatureConfig {
     pub fn graph_input_cached(&self, obs: &Observation, cache: &mut GraphCache) -> GraphInput {
         let structure = cache.structure_for(obs);
         let mut features = Tensor::zeros(structure.num_nodes, FEAT_DIM);
-        let mut row = [0.0; FEAT_DIM];
-        for (ji, (job, jg)) in obs.jobs.iter().zip(&structure.jobs).enumerate() {
-            for v in 0..job.nodes.len() {
-                self.node_row(obs, ji, v, &mut row);
-                for (c, &x) in row.iter().enumerate() {
-                    features.set(jg.node_offset + v, c, x);
-                }
+        let glob = GlobalKey::of(self, obs);
+        let mut rows = features.data_mut().chunks_exact_mut(FEAT_DIM);
+        for job in &obs.jobs {
+            for (n, dst) in job.nodes.iter().zip(&mut rows) {
+                dst.copy_from_slice(&glob.node_row(job.local_free > 0, NodeKey::of(n)));
             }
         }
         GraphInput::with_structure(structure, features)

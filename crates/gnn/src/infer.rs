@@ -11,20 +11,44 @@
 //! its own job's DAG and feature rows, the job summary `y_i` only on
 //! that job's node embeddings, and the global summary `z` is the single
 //! cross-job term. So the encoder keeps, for every job of the structure
-//! it last ran on, the `f32` feature block it computed from, the job's
-//! node embeddings, `y_i` and `f_glob(y_i)` — one **memo** per live job
-//! — and a forward recomputes `prep → level sweep → f_job/g_job →
-//! f_glob`, batched, over the nodes of the jobs whose block changed
-//! (bitwise) since, then re-sums `z` over all the `f_glob` rows in job
-//! order. A cold encoder, or a decision where a global feature moved, is
-//! the same code with every job dirty.
+//! it last ran on, what it computed the job from, the job's node
+//! embeddings, `y_i` and `f_glob(y_i)` — one **memo** per live job — and
+//! a forward recomputes `prep → level sweep → f_job/g_job → f_glob`,
+//! batched, over the nodes of the jobs whose input changed since, then
+//! re-sums `z` over all the `f_glob` rows in job order. A cold encoder,
+//! or a decision where a global feature moved, is the same code with
+//! every job dirty.
+//!
+//! There are two entries, and they differ only in how they find the
+//! dirty jobs; rebasing, the recomputation and the global re-sum are
+//! shared.
+//!
+//! * [`InferEncoder::forward_observation`] is the one a decision takes.
+//!   It never builds a feature matrix: per job it compares the *read
+//!   set* of the features (`features.rs`: per node remaining tasks,
+//!   `executors_on` and the duration estimate's bits; per job
+//!   `local_free > 0`; per decision `free_total`, `total_executors` and
+//!   the `FeatureConfig`) with the keys kept in the job's memo, and
+//!   builds `f32` feature rows — from those keys — only for the jobs
+//!   where a key moved. The compare is the one pass that is still O(all
+//!   nodes).
+//! * [`InferEncoder::forward`] takes a [`GraphInput`] with any feature
+//!   matrix, converts it to `f32` and compares each job's block,
+//!   bitwise, with the block in its memo. It is the reference entry:
+//!   the differential suites and the benchmark's layer probe call it.
+//!
+//! A memo remembers its job by one entry's store only, so a call
+//! through the other entry than the last recomputes every job.
 //!
 //! That is exact: every [`F32Mlp`] kernel computes an output row from
 //! that input row and the weights alone, in a fixed `k` order, and the
 //! per-parent, per-job and global sums keep their order, so a row has
 //! the same bits whether it was computed in this call, in an earlier
-//! one, or in a batch of different height (`tests/infer_diff.rs` drives
-//! a warm encoder against a cold one through random edit scripts).
+//! one, or in a batch of different height; and a feature row is a pure
+//! function of the keys, so equal keys mean equal rows
+//! (`tests/infer_diff.rs` drives a warm encoder against a cold one
+//! through random edit scripts on either entry, and the two entries
+//! against each other).
 //!
 //! Memos live in the row layout of one `GraphStructure`, held by `Arc`
 //! by the encoder. When the live job set changes, the memos of
@@ -41,9 +65,11 @@
 //! relative error.
 
 use crate::encoder::GnnEncoder;
+use crate::features::{FeatureConfig, GlobalKey, NodeKey, FEAT_DIM};
 use crate::graph::{GraphInput, GraphStructure, JobGraph};
 use decima_core::JobSpec;
 use decima_nn::{F32Mlp, F32Scratch, ParamStore};
+use decima_sim::Observation;
 use std::sync::Arc;
 
 /// One level of an [`InferPlan`]: the children each of the level's
@@ -114,11 +140,17 @@ impl InferPlan {
 }
 
 /// The per-job results of the last forwards, flat in the row layout of
-/// the plan's structure: job `i`'s memo is its node range in `feat` and
-/// `nodes` plus row `i` of `jobs` and `fglob`.
+/// the plan's structure: job `i`'s memo is its node range in `keys` (or
+/// `feat`) and `nodes` plus row `i` of `local`, `jobs` and `fglob`.
 #[derive(Default)]
 struct Memo {
-    /// `[n, feat_dim]` feature block each job was last computed from.
+    /// What each job was last computed from, as the observation entry
+    /// sees it: the read set of every node's feature row, `[n]` …
+    keys: Vec<NodeKey>,
+    /// … and `local_free > 0` of every job, `[jobs]`.
+    local: Vec<bool>,
+    /// The same for the tensor entry: the `[n, feat_dim]` feature rows.
+    /// Only the store of the entry that ran last ([`Filled`]) is valid.
     feat: Vec<f32>,
     /// `[n, d]` node embeddings `e_v`.
     nodes: Vec<f32>,
@@ -143,6 +175,16 @@ fn position_of(old: &[JobGraph], spec: &Arc<JobSpec>, cursor: &mut usize) -> Opt
     Some(found)
 }
 
+/// Which entry filled the memos' comparison store. A call through the
+/// other entry finds nothing to compare with and recomputes every job.
+enum Filled {
+    /// [`InferEncoder::forward`]: `Memo::feat`.
+    Tensor,
+    /// [`InferEncoder::forward_observation`]: `Memo::keys` and
+    /// `Memo::local`, under this global key.
+    Observation(GlobalKey),
+}
+
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
@@ -165,6 +207,7 @@ pub struct InferEncoder {
     g_zero: Vec<f32>,
     plan: InferPlan,
     memo: Memo,
+    filled: Filled,
     /// `admitted[i]`: the last [`rebase`](Self::rebase) found no memo
     /// for job `i`. Read only by the forward that rebased, which
     /// computes those jobs whatever their features.
@@ -228,6 +271,7 @@ impl InferEncoder {
             g_zero,
             plan: InferPlan::empty(),
             memo: Memo::default(),
+            filled: Filled::Tensor,
             admitted: Vec::new(),
             spare: Memo::default(),
             fresh: Vec::new(),
@@ -268,23 +312,41 @@ impl InferEncoder {
         self.plan = InferPlan::empty();
     }
 
+    /// Number of jobs the last forward recomputed (the rest were served
+    /// from their memos).
+    pub fn dirty_jobs(&self) -> usize {
+        self.dirty.len()
+    }
+
     /// Moves the memos into `structure`'s row layout: jobs present in
     /// both structures (same `Arc<JobSpec>`) keep theirs, every other
     /// job of `structure` is marked admitted, and the memos of departed
-    /// jobs are dropped with the old plan.
+    /// jobs are dropped with the old plan. Of the comparison stores only
+    /// the valid one ([`Filled`]) is carried.
     fn rebase(&mut self, structure: &Arc<GraphStructure>) {
         let (d, fd) = (self.d, self.feat_dim);
         let plan = InferPlan::new(Arc::clone(structure));
-        let nj = structure.num_jobs();
+        let (n, nj) = (structure.num_nodes, structure.num_jobs());
         let next = &mut self.spare;
         for (buf, len) in [
-            (&mut next.feat, structure.num_nodes * fd),
-            (&mut next.nodes, structure.num_nodes * d),
+            (&mut next.nodes, n * d),
             (&mut next.jobs, nj * d),
             (&mut next.fglob, nj * d),
         ] {
             buf.clear();
             buf.resize(len, 0.0);
+        }
+        match self.filled {
+            Filled::Tensor => {
+                next.feat.clear();
+                next.feat.resize(n * fd, 0.0);
+            }
+            Filled::Observation(_) => {
+                next.keys.clear();
+                next.keys.resize(n, NodeKey::default());
+                next.local.clear();
+                next.local.resize(nj, false);
+            }
         }
         let old = &self.plan.structure.jobs;
         self.admitted.clear();
@@ -298,8 +360,14 @@ impl InferEncoder {
             let Some(oi) = from else { continue };
             let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
             debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
-            next.feat[dst * fd..(dst + n) * fd]
-                .copy_from_slice(&self.memo.feat[src * fd..(src + n) * fd]);
+            match self.filled {
+                Filled::Tensor => next.feat[dst * fd..(dst + n) * fd]
+                    .copy_from_slice(&self.memo.feat[src * fd..(src + n) * fd]),
+                Filled::Observation(_) => {
+                    next.keys[dst..dst + n].copy_from_slice(&self.memo.keys[src..src + n]);
+                    next.local[ji] = self.memo.local[oi];
+                }
+            }
             next.nodes[dst * d..(dst + n) * d]
                 .copy_from_slice(&self.memo.nodes[src * d..(src + n) * d]);
             next.jobs[ji * d..(ji + 1) * d].copy_from_slice(&self.memo.jobs[oi * d..(oi + 1) * d]);
@@ -310,36 +378,49 @@ impl InferEncoder {
         self.plan = plan;
     }
 
+    /// Start of a forward over `structure`: rebases the memos if it is
+    /// not the structure they are laid out for (returns whether it did)
+    /// and empties the dirty list.
+    fn begin(&mut self, structure: &Arc<GraphStructure>) -> bool {
+        assert!(structure.num_nodes > 0, "encoder needs at least one node");
+        let rebased = !Arc::ptr_eq(&self.plan.structure, structure);
+        if rebased {
+            self.rebase(structure);
+        }
+        self.dirty.clear();
+        self.compact_off.clear();
+        self.xin.clear();
+        rebased
+    }
+
     /// Runs the encoder over `g`, filling the node/job/global embedding
     /// buffers (read them with [`node_row`](Self::node_row) /
     /// [`job_row`](Self::job_row) / [`global_row`](Self::global_row)).
     /// Only the jobs whose feature block differs from the one their
     /// memo was computed from are recomputed (module docs).
+    ///
+    /// This is the reference entry: it takes any feature matrix, which
+    /// is what the differential suites and the benchmark's layer probe
+    /// need. A decision goes through
+    /// [`forward_observation`](Self::forward_observation).
     pub fn forward(&mut self, g: &GraphInput) {
-        let n = g.structure.num_nodes;
-        let (d, fd) = (self.d, self.feat_dim);
-        assert!(n > 0, "encoder needs at least one node");
+        let fd = self.feat_dim;
         assert_eq!(g.features.cols(), fd, "feature dim");
-
-        let rebased = !Arc::ptr_eq(&self.plan.structure, &g.structure);
-        if rebased {
-            self.rebase(&g.structure);
-        }
+        let rebased = self.begin(&g.structure);
+        let comparable = matches!(self.filled, Filled::Tensor);
+        self.filled = Filled::Tensor;
         let s: &GraphStructure = &self.plan.structure;
 
         // Which jobs to recompute: no memo, or the block moved.
         self.fresh.clear();
         self.fresh
             .extend(g.features.data().iter().map(|&v| v as f32));
-        self.dirty.clear();
-        self.compact_off.clear();
-        self.xin.clear();
         let mut m = 0usize;
         for (ji, job) in s.jobs.iter().enumerate() {
             let block = job.node_offset * fd..(job.node_offset + job.num_nodes) * fd;
             let fresh = &self.fresh[block.clone()];
             let admitted = rebased && self.admitted[ji];
-            if !admitted && bits_equal(fresh, &self.memo.feat[block]) {
+            if comparable && !admitted && bits_equal(fresh, &self.memo.feat[block]) {
                 self.compact_off.push(None);
                 continue;
             }
@@ -349,10 +430,72 @@ impl InferEncoder {
             m += job.num_nodes;
         }
         std::mem::swap(&mut self.fresh, &mut self.memo.feat);
+        self.finish(m, rebased);
+    }
+
+    /// [`forward`](Self::forward) straight from the observation: what
+    /// `feat.graph_input_cached(obs, ..)` followed by `forward` computes,
+    /// bit for bit, without building the feature matrix. `structure`
+    /// must be the one `GraphCache::structure_for(obs)` returns.
+    ///
+    /// Per job it compares the *read set* of the features — each node's
+    /// key, the job's `local_free > 0`, and the decision-wide key (module
+    /// docs) — with the keys the job's memo was computed from, and builds
+    /// feature rows, from those keys, only for the jobs where one moved.
+    pub fn forward_observation(
+        &mut self,
+        feat: &FeatureConfig,
+        obs: &Observation,
+        structure: &Arc<GraphStructure>,
+    ) {
+        assert_eq!(self.feat_dim, FEAT_DIM, "feature dim");
+        assert_eq!(
+            structure.num_jobs(),
+            obs.jobs.len(),
+            "structure is not this observation's"
+        );
+        let rebased = self.begin(structure);
+        let glob = GlobalKey::of(feat, obs);
+        let comparable = matches!(self.filled, Filled::Observation(last) if last == glob);
+        self.filled = Filled::Observation(glob);
+        let s: &GraphStructure = &self.plan.structure;
+        // No-ops unless the tensor entry ran last.
+        self.memo.keys.resize(s.num_nodes, NodeKey::default());
+        self.memo.local.resize(s.num_jobs(), false);
+
+        let mut m = 0usize;
+        for (ji, (job, seen)) in s.jobs.iter().zip(&obs.jobs).enumerate() {
+            assert_eq!(job.num_nodes, seen.nodes.len(), "one spec, one DAG");
+            let keys = &mut self.memo.keys[job.node_offset..job.node_offset + job.num_nodes];
+            let local = seen.local_free > 0;
+            // One pass both compares the keys and brings them up to date.
+            let mut moved = self.memo.local[ji] != local;
+            for (key, node) in keys.iter_mut().zip(&seen.nodes) {
+                let now = NodeKey::of(node);
+                moved |= *key != now;
+                *key = now;
+            }
+            self.memo.local[ji] = local;
+            let admitted = rebased && self.admitted[ji];
+            if comparable && !admitted && !moved {
+                self.compact_off.push(None);
+                continue;
+            }
+            self.dirty.push(ji as u32);
+            self.compact_off.push(Some(m as u32));
+            glob.job_rows_f32(local, keys, &mut self.xin);
+            m += job.num_nodes;
+        }
+        self.finish(m, rebased);
+    }
+
+    /// End of a forward: recomputes the `m` nodes of the dirty jobs
+    /// (rows in `self.xin`) and, if anything changed, re-sums `z`.
+    fn finish(&mut self, m: usize, rebased: bool) {
+        let d = self.d;
         if self.dirty.is_empty() && !rebased {
             return;
         }
-
         if !self.dirty.is_empty() {
             self.recompute_dirty(m);
         }

@@ -9,12 +9,18 @@
 //! The encoder's per-job memos have a stricter contract of their own: a
 //! warm encoder, whatever it has seen before, must produce the **bits**
 //! a freshly packed (cold) encoder produces on the same input. The
-//! second half of this file drives that through random edit scripts and
-//! through the two ways a memo could be handed to the wrong job.
+//! second half of this file drives that through random edit scripts —
+//! of feature matrices for the tensor entry, of observations for the
+//! observation entry, which must also agree with the tensor entry —
+//! through the two ways a memo could be handed to the wrong job, and
+//! through the observation entry's read set field by field.
 
-use decima_core::{DagTopology, JobBuilder, JobId, JobSpec, StageSpec};
-use decima_gnn::{GnnConfig, GnnEncoder, GraphInput, GraphStructure, InferEncoder};
+use decima_core::{DagTopology, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
+use decima_gnn::{
+    FeatureConfig, GnnConfig, GnnEncoder, GraphInput, GraphStructure, InferEncoder, FEAT_DIM,
+};
 use decima_nn::{ParamStore, Tape, Tensor};
+use decima_sim::{JobObs, NodeObs, Observation};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -44,8 +50,13 @@ struct Case {
 
 /// A random encoder; its feature width is `enc.cfg().feat_dim`.
 fn random_encoder(rng: &mut SmallRng) -> (GnnEncoder, ParamStore) {
+    let feat_dim = rng.gen_range(2..5);
+    random_encoder_of_width(rng, feat_dim)
+}
+
+fn random_encoder_of_width(rng: &mut SmallRng, feat_dim: usize) -> (GnnEncoder, ParamStore) {
     let cfg = GnnConfig {
-        feat_dim: rng.gen_range(2..5),
+        feat_dim,
         embed_dim: rng.gen_range(2..6),
         hidden: vec![rng.gen_range(3..10)],
         two_level: rng.gen_bool(0.5),
@@ -202,6 +213,178 @@ proptest! {
             prop_assert_eq!(warm.memo_len(), live.len());
         }
     }
+
+    /// The observation entry, driven through a random script of what an
+    /// episode does to an observation: at every step the warm encoder
+    /// holds the bits of a cold encoder on the same entry *and* of a
+    /// cold encoder fed the feature matrix through the tensor entry —
+    /// including right after the warm one was itself called through the
+    /// tensor entry.
+    #[test]
+    fn observation_entry_matches_cold_and_tensor_entries_through_edit_scripts(
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+        let feat = FeatureConfig {
+            include_duration: rng.gen_bool(0.8),
+            iat_hint: rng.gen_bool(0.3).then(|| rng.gen_range(10.0..90.0)),
+            ..FeatureConfig::default()
+        };
+        let mut next_id = 0u32;
+        let mut admit = |rng: &mut SmallRng| {
+            let n = rng.gen_range(1..8);
+            let density = rng.gen_range(0.2..0.8);
+            next_id += 1;
+            let spec = spec_with_dag(next_id, &random_dag(rng, n, density));
+            random_job_obs(rng, spec)
+        };
+        let mut obs = Observation {
+            total_executors: rng.gen_range(1..40),
+            free_total: rng.gen_range(0..10),
+            jobs: (0..rng.gen_range(1..5)).map(|_| admit(&mut rng)).collect(),
+            ..Observation::default()
+        };
+        let mut structure = structure_of_obs(&obs);
+        let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+        for step in 0..24 {
+            let edit = if step == 0 { ObsEdit::Repeat } else { ObsEdit::random(&mut rng) };
+            match edit {
+                ObsEdit::Tasks => {
+                    for job in &mut obs.jobs {
+                        if rng.gen_bool(0.4) {
+                            let at = rng.gen_range(0..job.nodes.len());
+                            let node = &mut job.nodes[at];
+                            if node.waiting > 0 && rng.gen_bool(0.5) {
+                                node.waiting -= 1;
+                            } else {
+                                node.running += 1;
+                            }
+                        }
+                    }
+                }
+                ObsEdit::ExecutorsOn => {
+                    let job = rng.gen_range(0..obs.jobs.len());
+                    let at = rng.gen_range(0..obs.jobs[job].nodes.len());
+                    obs.jobs[job].nodes[at].executors_on += 1;
+                }
+                ObsEdit::LocalFree => {
+                    let job = rng.gen_range(0..obs.jobs.len());
+                    obs.jobs[job].local_free = 1 - obs.jobs[job].local_free.min(1);
+                }
+                ObsEdit::FreeTotal => obs.free_total = rng.gen_range(0..10),
+                ObsEdit::TotalExecutors => obs.total_executors = rng.gen_range(1..40),
+                ObsEdit::Retire if obs.jobs.len() > 1 => {
+                    obs.jobs.remove(rng.gen_range(0..obs.jobs.len()));
+                    structure = structure_of_obs(&obs);
+                }
+                ObsEdit::Admit => {
+                    let job = admit(&mut rng);
+                    obs.jobs.insert(rng.gen_range(0..=obs.jobs.len()), job);
+                    structure = structure_of_obs(&obs);
+                }
+                ObsEdit::Restructure => structure = structure_of_obs(&obs),
+                // The warm encoder is called through the other entry,
+                // on this observation's features scaled — so the memos
+                // it leaves behind are wrong for the observation.
+                ObsEdit::TensorCall => {
+                    let g = feat.graph_input(&obs);
+                    let scaled = Tensor::from_vec(
+                        structure.num_nodes,
+                        FEAT_DIM,
+                        g.features.data().iter().map(|x| x * 0.5 + 0.125).collect(),
+                    );
+                    let input = GraphInput::with_structure(Arc::clone(&structure), scaled);
+                    warm.forward(&input);
+                    let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+                    cold.forward(&input);
+                    prop_assert!(
+                        same_bits(&warm, &cold, &structure),
+                        "tensor entry after the observation entry differs from a cold one at \
+                         step {step} (seed {seed})"
+                    );
+                }
+                ObsEdit::Retire | ObsEdit::Repeat => {}
+            }
+            warm.forward_observation(&feat, &obs, &structure);
+            let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+            cold.forward_observation(&feat, &obs, &structure);
+            prop_assert!(
+                same_bits(&warm, &cold, &structure),
+                "warm and cold observation entries differ at step {step} after {edit:?} \
+                 (seed {seed})"
+            );
+            let mut tensor = InferEncoder::pack(&enc, &store).unwrap();
+            tensor.forward(&feat.graph_input(&obs));
+            prop_assert!(
+                same_bits(&warm, &tensor, &structure),
+                "observation and tensor entries differ at step {step} after {edit:?} \
+                 (seed {seed})"
+            );
+            prop_assert_eq!(warm.memo_len(), obs.jobs.len());
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum ObsEdit {
+    Tasks,
+    ExecutorsOn,
+    LocalFree,
+    FreeTotal,
+    TotalExecutors,
+    Retire,
+    Admit,
+    Restructure,
+    TensorCall,
+    Repeat,
+}
+
+impl ObsEdit {
+    fn random(rng: &mut SmallRng) -> ObsEdit {
+        const ALL: [ObsEdit; 10] = [
+            ObsEdit::Tasks,
+            ObsEdit::ExecutorsOn,
+            ObsEdit::LocalFree,
+            ObsEdit::FreeTotal,
+            ObsEdit::TotalExecutors,
+            ObsEdit::Retire,
+            ObsEdit::Admit,
+            ObsEdit::Restructure,
+            ObsEdit::TensorCall,
+            ObsEdit::Repeat,
+        ];
+        ALL[rng.gen_range(0..ALL.len())]
+    }
+}
+
+/// A job observation over `spec` with random per-stage state.
+fn random_job_obs(rng: &mut SmallRng, spec: Arc<JobSpec>) -> JobObs {
+    JobObs {
+        id: spec.id,
+        alloc: rng.gen_range(0..4),
+        local_free: rng.gen_range(0..2),
+        nodes: spec
+            .stages
+            .iter()
+            .map(|_| NodeObs {
+                waiting: rng.gen_range(0..50),
+                running: rng.gen_range(0..5),
+                finished: rng.gen_range(0..20),
+                executors_on: rng.gen_range(0..5),
+                in_flight: rng.gen_range(0..3),
+                runnable: rng.gen_bool(0.5),
+                completed: false,
+                avg_task_duration: rng.gen_range(0.1..30.0),
+                mem_demand: 0.0,
+            })
+            .collect(),
+        spec,
+    }
+}
+
+fn structure_of_obs(obs: &Observation) -> Arc<GraphStructure> {
+    Arc::new(GraphStructure::for_specs(obs.jobs.iter().map(|j| &j.spec)))
 }
 
 /// One live job of an edit script: its identity and its feature rows.
@@ -331,6 +514,132 @@ fn structures_built_from_bare_dags_never_share_memos() {
     cold = InferEncoder::pack(&enc, &store).unwrap();
     cold.forward(&first);
     assert!(same_bits(&warm, &cold, &first.structure));
+}
+
+/// The observation entry's keys are the features' read set, no more and
+/// no less: moving any one field a feature row reads recomputes the
+/// jobs that read it (one job for a node or job field, all of them for
+/// a cluster count or the configuration) to the bits a cold encoder
+/// gives, and moving a field no feature reads recomputes nothing.
+#[test]
+fn the_observation_entry_recomputes_exactly_what_the_features_read() {
+    type Edit<'a> = &'a dyn Fn(&mut Observation);
+    let mut rng = SmallRng::seed_from_u64(23);
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig {
+        iat_hint: Some(45.0),
+        ..FeatureConfig::default()
+    };
+    let chain = DagTopology::new(3, &[(0, 1), (1, 2)]).unwrap();
+    let base = Observation {
+        total_executors: 20,
+        free_total: 4,
+        jobs: (0..3)
+            .map(|i| random_job_obs(&mut rng, spec_with_dag(i, &chain)))
+            .collect(),
+        ..Observation::default()
+    };
+    let structure = structure_of_obs(&base);
+    let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+    warm.forward_observation(&feat, &base, &structure);
+    assert_eq!(warm.dirty_jobs(), 3, "a cold encoder computes every job");
+
+    // `want` jobs recomputed after `edit`, and the bits are a cold
+    // encoder's; then back to `base`, which moves the same keys back.
+    let mut check = |what: &str, want: usize, feat_now: &FeatureConfig, edit: Edit| {
+        let mut obs = base.clone();
+        edit(&mut obs);
+        warm.forward_observation(feat_now, &obs, &structure);
+        assert_eq!(warm.dirty_jobs(), want, "{what}");
+        let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+        cold.forward_observation(feat_now, &obs, &structure);
+        assert!(same_bits(&warm, &cold, &structure), "{what}");
+        warm.forward_observation(&feat, &base, &structure);
+        assert_eq!(warm.dirty_jobs(), want, "{what}, undone");
+    };
+
+    // Read per node: remaining tasks (either addend), executors_on, and
+    // the duration estimate.
+    check("waiting", 1, &feat, &|o| o.jobs[1].nodes[2].waiting += 1);
+    check("running", 1, &feat, &|o| o.jobs[1].nodes[0].running += 1);
+    check("executors_on", 1, &feat, &|o| {
+        o.jobs[2].nodes[1].executors_on += 1
+    });
+    check("avg_task_duration", 1, &feat, &|o| {
+        o.jobs[0].nodes[1].avg_task_duration += 0.5
+    });
+    // Read per job: whether any bound executor is idle.
+    check("local_free 0 <-> 1", 1, &feat, &|o| {
+        o.jobs[1].local_free = 1 - o.jobs[1].local_free
+    });
+    // Read by every row: the two cluster counts and the configuration.
+    check("free_total", 3, &feat, &|o| o.free_total += 1);
+    check("total_executors", 3, &feat, &|o| o.total_executors += 1);
+    let other_cfgs = [
+        FeatureConfig {
+            include_duration: false,
+            ..feat
+        },
+        FeatureConfig {
+            iat_hint: None,
+            ..feat
+        },
+        FeatureConfig {
+            iat_hint: Some(46.0),
+            ..feat
+        },
+        FeatureConfig {
+            task_scale: 50.0,
+            ..feat
+        },
+        FeatureConfig {
+            dur_scale: 5.0,
+            ..feat
+        },
+        FeatureConfig {
+            work_scale: 500.0,
+            ..feat
+        },
+    ];
+    for cfg in &other_cfgs {
+        check(&format!("{cfg:?}"), 3, cfg, &|_| {});
+    }
+
+    // Not read: everything else an observation carries.
+    let unread: [(&str, Edit); 12] = [
+        ("time", &|o| o.time = SimTime::from_secs(99.0)),
+        ("offline", &|o| o.offline += 1),
+        ("free_by_class", &|o| o.free_by_class = vec![4]),
+        ("schedulable", &|o| o.schedulable.clear()),
+        ("alloc", &|o| o.jobs[1].alloc += 1),
+        ("local_free 1 -> 2", &|o| {
+            let job = o.jobs.iter_mut().find(|j| j.local_free > 0);
+            job.expect("seed 23 leaves a job with an idle executor")
+                .local_free += 1
+        }),
+        ("finished", &|o| o.jobs[1].nodes[0].finished += 1),
+        ("in_flight", &|o| o.jobs[1].nodes[0].in_flight += 1),
+        ("runnable", &|o| {
+            o.jobs[1].nodes[0].runnable = !o.jobs[1].nodes[0].runnable
+        }),
+        ("completed", &|o| o.jobs[1].nodes[0].completed = true),
+        ("mem_demand", &|o| o.jobs[1].nodes[0].mem_demand = 0.5),
+        // A task starting moves one unit between the addends of
+        // `remaining_tasks`, which is all the features read of them.
+        ("waiting -> running", &|o| {
+            let node = o
+                .jobs
+                .iter_mut()
+                .flat_map(|j| &mut j.nodes)
+                .find(|n| n.waiting > 0);
+            let node = node.expect("seed 23 leaves a waiting task");
+            node.waiting -= 1;
+            node.running += 1;
+        }),
+    ];
+    for (what, edit) in unread {
+        check(what, 0, &feat, edit);
+    }
 }
 
 /// Deterministic worst-case sweep over a fixed 150-graph corpus,

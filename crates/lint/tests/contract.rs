@@ -228,12 +228,12 @@ fn workspace_scan_is_clean() {
         "stale annotations: {:#?}",
         report.unused_suppressions
     );
-    // Known reviewed exemptions: two agent.rs timing spots and the
-    // fine_tune_window tau draw (same invariant as train_iteration's
-    // baselined expect). Growing this number should be a deliberate,
-    // reviewed act — update the count alongside the annotation.
+    // Known reviewed exemption: the fine_tune_window tau draw (same
+    // invariant as train_iteration's baselined expect). Growing this
+    // number should be a deliberate, reviewed act — update the count
+    // alongside the annotation.
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
-    assert_eq!(suppressed, 3, "annotated-exemption census changed");
+    assert_eq!(suppressed, 1, "annotated-exemption census changed");
 }
 
 #[test]

@@ -28,7 +28,6 @@ use decima_sim::{Action, Observation, Scheduler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The sampled indices of one decision (into the candidate/limit/class
 /// arrays the policy constructed for that step).
@@ -69,9 +68,12 @@ pub struct DecimaAgent {
     /// Compact observations recorded in decision order (only when built
     /// with [`DecimaAgent::recorder`]).
     pub observations: Vec<ReplayObs>,
-    /// Wall-clock seconds spent in each `decide` call (Figure 15b).
-    pub decide_secs: Vec<f64>,
-    /// Sum of node-softmax entropies observed (nats), for logging.
+    /// Decisions taken so far.
+    steps: usize,
+    /// Sum of node-softmax entropies observed (nats), for the trainer's
+    /// logging. A sampling/tape-lane quantity: the greedy `f32` lane
+    /// never reads an entropy and leaves this at zero — ask
+    /// [`InferSession::node_entropy`] for a fast-lane decision's.
     pub entropy_sum: f64,
     /// Cached static graph structure, reused across an episode's
     /// decisions and cleared at episode start.
@@ -92,7 +94,7 @@ impl DecimaAgent {
             record_obs: false,
             records: Vec::new(),
             observations: Vec::new(),
-            decide_secs: Vec::new(),
+            steps: 0,
             entropy_sum: 0.0,
             cache: decima_gnn::GraphCache::with_cap(cache_cap),
             infer: None,
@@ -139,15 +141,12 @@ impl DecimaAgent {
     /// One fast-path decision; only called when `self.infer` is set
     /// (greedy mode, supported configuration).
     fn decide_fast(&mut self, obs: &Observation) -> Option<Action> {
-        // decima-lint: allow(D002) — wall-clock decide_time telemetry, never fed back into the sim
-        let t0 = Instant::now();
         if self.record_obs {
             self.observations.push(ReplayObs::from_observation(obs));
         }
         let session = self.infer.as_mut().expect("fast path requires a session");
         let fd = session.decide_greedy(&self.policy, obs, &mut self.cache);
-        self.entropy_sum += fd.entropy;
-        self.decide_secs.push(t0.elapsed().as_secs_f64());
+        self.steps += 1;
         let mut action = Action::new(
             obs.jobs[fd.cand.job_idx].id,
             StageId(fd.cand.stage),
@@ -216,7 +215,7 @@ impl DecimaAgent {
 
     /// Number of decisions taken so far.
     pub fn steps(&self) -> usize {
-        self.decide_secs.len()
+        self.steps
     }
 
     fn scalar_entropy(tape: &Tape, logp: decima_nn::TensorId) -> f64 {
@@ -239,8 +238,6 @@ impl Scheduler for DecimaAgent {
         if self.infer.is_some() {
             return self.decide_fast(obs);
         }
-        // decima-lint: allow(D002) — wall-clock decide_time telemetry, never fed back into the sim
-        let t0 = Instant::now();
         if self.record_obs {
             self.observations.push(ReplayObs::from_observation(obs));
         }
@@ -343,7 +340,7 @@ impl Scheduler for DecimaAgent {
             _ => {}
         }
 
-        self.decide_secs.push(t0.elapsed().as_secs_f64());
+        self.steps += 1;
         let mut action = Action::new(obs.jobs[cand.job_idx].id, StageId(cand.stage), limit);
         if self.policy.cfg.parallelism == ParallelismMode::StageLevel {
             action = action.stage_scoped();
@@ -522,10 +519,12 @@ mod tests {
 
     /// A scheduler wrapper that records every action it forwards —
     /// `EpisodeResult` only keeps times/penalties, so comparing the
-    /// tape and fast paths decision-by-decision needs the actions.
+    /// tape and fast paths decision-by-decision needs the actions — and
+    /// the node-softmax entropy of every decision.
     struct RecordingScheduler {
         inner: DecimaAgent,
         actions: Vec<Action>,
+        entropies: Vec<f64>,
     }
 
     impl Scheduler for RecordingScheduler {
@@ -533,10 +532,17 @@ mod tests {
             self.inner.on_episode_start();
         }
         fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            let before = self.inner.entropy_sum;
             let a = self.inner.decide(obs);
             if let Some(a) = a {
                 self.actions.push(a);
             }
+            // The tape lane sums entropies as it goes; the fast lane
+            // computes one only when asked.
+            self.entropies.push(match &self.inner.infer {
+                Some(session) => session.node_entropy(),
+                None => self.inner.entropy_sum - before,
+            });
             a
         }
         fn name(&self) -> &str {
@@ -558,15 +564,16 @@ mod tests {
     }
 
     /// Runs `agent` over `jobs` on five executors, returning the
-    /// result, every action taken and the agent's entropy sum.
+    /// result, every action taken and every decision's entropy.
     fn run_recorded(
         agent: DecimaAgent,
         jobs: Vec<decima_core::JobSpec>,
         seed: u64,
-    ) -> (decima_sim::EpisodeResult, Vec<Action>, f64) {
+    ) -> (decima_sim::EpisodeResult, Vec<Action>, Vec<f64>) {
         let mut rec = RecordingScheduler {
             inner: agent,
             actions: Vec::new(),
+            entropies: Vec::new(),
         };
         let sim = Simulator::new(
             ClusterSpec::homogeneous(5).with_move_delay(0.5),
@@ -574,7 +581,7 @@ mod tests {
             SimConfig::default().with_seed(seed),
         );
         let r = sim.run(&mut rec);
-        (r, rec.actions, rec.inner.entropy_sum)
+        (r, rec.actions, rec.entropies)
     }
 
     #[test]
@@ -594,10 +601,13 @@ mod tests {
             assert_eq!(r1.avg_jct(), r2.avg_jct());
             assert_eq!(r1.num_events, r2.num_events);
             // Entropies come from different precisions; close, not equal.
-            assert!(
-                (e1 - e2).abs() <= 1e-3 * e1.abs().max(1.0),
-                "entropy logging diverged: {e1} vs {e2}"
-            );
+            assert_eq!(e1.len(), e2.len());
+            for (k, (h1, h2)) in e1.iter().zip(&e2).enumerate() {
+                assert!(
+                    (h1 - h2).abs() <= 1e-3 * h1.abs().max(1.0),
+                    "seed {seed} decision {k}: entropy diverged: {h1} vs {h2}"
+                );
+            }
         }
     }
 
@@ -779,20 +789,6 @@ mod tests {
         );
         let r = sim.run(&mut agent);
         assert_eq!(r.completed(), 2, "multi-resource episode must finish");
-    }
-
-    #[test]
-    fn decide_latency_recorded() {
-        let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-        let mut agent = DecimaAgent::sampler(policy, store, 42);
-        let sim = Simulator::new(
-            ClusterSpec::homogeneous(5).with_move_delay(0.5),
-            tiny_batch(),
-            SimConfig::default().with_seed(1),
-        );
-        let _ = sim.run(&mut agent);
-        assert_eq!(agent.decide_secs.len(), agent.records.len());
-        assert!(agent.decide_secs.iter().all(|&t| t > 0.0));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   there is no flag, environment variable or global to set.
 
 use crate::policy::{Candidate, DecimaPolicy, ParallelismMode};
-use decima_gnn::{GraphCache, GraphInput, InferEncoder};
+use decima_gnn::{GraphCache, InferEncoder};
 use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use decima_sim::Observation;
 
@@ -35,8 +35,6 @@ pub struct FastDecision {
     /// The chosen parallelism limit (total executors when parallelism
     /// control is disabled).
     pub limit: usize,
-    /// Entropy of the node softmax (nats), for the agent's logging.
-    pub entropy: f64,
 }
 
 /// Pre-packed `f32` inference state for one policy: encoder, node head,
@@ -51,7 +49,6 @@ pub struct InferSession {
     win: Vec<f32>,
     wtail: Vec<f32>,
     wscore: Vec<f32>,
-    cands: Vec<Candidate>,
 }
 
 impl InferSession {
@@ -76,7 +73,6 @@ impl InferSession {
             win: Vec::new(),
             wtail: Vec::new(),
             wscore: Vec::new(),
-            cands: Vec::new(),
         })
     }
 
@@ -100,6 +96,14 @@ impl InferSession {
         &self.qscore
     }
 
+    /// Entropy (nats) of the node softmax of the last [`decide_greedy`].
+    /// Computed when asked: a greedy decision does not read it.
+    ///
+    /// [`decide_greedy`]: Self::decide_greedy
+    pub fn node_entropy(&self) -> f64 {
+        softmax_entropy(&self.qscore)
+    }
+
     /// One greedy decision: encodes the observation, scores every
     /// schedulable candidate in one batched matmul, and scores every
     /// valid limit of the winner in another.
@@ -113,32 +117,29 @@ impl InferSession {
             !obs.schedulable.is_empty(),
             "policy invoked with no schedulable nodes"
         );
-        let graph: GraphInput = policy.cfg.feat.graph_input_cached(obs, cache);
-        self.enc.forward(&graph);
+        let structure = cache.structure_for(obs);
+        self.enc
+            .forward_observation(&policy.cfg.feat, obs, &structure);
         let d = self.enc.embed_dim();
 
         // Node head: all candidate (e_v | y_i | z) rows in one batch.
-        self.cands.clear();
-        self.cands
-            .extend(obs.schedulable.iter().map(|&(job_idx, stage)| Candidate {
-                job_idx,
-                stage: stage.0,
-            }));
-        let c = self.cands.len();
-        self.qin.clear();
-        for cand in &self.cands {
-            let row = graph.jobs()[cand.job_idx].node_offset + cand.stage as usize;
-            self.qin.extend_from_slice(self.enc.node_row(row));
-            self.qin.extend_from_slice(self.enc.job_row(cand.job_idx));
-            self.qin.extend_from_slice(self.enc.global_row());
+        let c = obs.schedulable.len();
+        self.qin.resize(c * 3 * d, 0.0);
+        for (row, &(job_idx, stage)) in self.qin.chunks_exact_mut(3 * d).zip(&obs.schedulable) {
+            let v = structure.jobs[job_idx].node_offset + stage.0 as usize;
+            row[..d].copy_from_slice(self.enc.node_row(v));
+            row[d..2 * d].copy_from_slice(self.enc.job_row(job_idx));
+            row[2 * d..].copy_from_slice(self.enc.global_row());
         }
         self.q_net
             .forward(c, &self.qin, &mut self.scratch, &mut self.qscore);
         // log_softmax is monotonic: argmax over raw scores equals argmax
         // over log-probs. `>=` keeps the tape's last-max tie-breaking.
-        let node_idx = argmax_last(&self.qscore);
-        let entropy = softmax_entropy(&self.qscore);
-        let cand = self.cands[node_idx];
+        let (job_idx, stage) = obs.schedulable[argmax_last(&self.qscore)];
+        let cand = Candidate {
+            job_idx,
+            stage: stage.0,
+        };
 
         // Limit head for the winner: every row scores the same
         // [y_i | z] context with only the normalized value differing,
@@ -146,33 +147,28 @@ impl InferSession {
         let limit = if policy.cfg.parallelism == ParallelismMode::Disabled {
             obs.total_executors
         } else {
-            let values = policy.limit_values(obs, cand);
-            let l = values.len();
+            let (lo, stride) = policy.limit_steps(obs, cand);
             self.win.clear();
             self.win.extend_from_slice(self.enc.job_row(cand.job_idx));
             self.win.extend_from_slice(self.enc.global_row());
             debug_assert_eq!(self.win.len(), 2 * d);
             self.wtail.clear();
             self.wtail.extend(
-                values
-                    .iter()
-                    .map(|&v| (v as f64 / policy.cfg.total_executors as f64) as f32),
+                (lo..=obs.total_executors)
+                    .step_by(stride)
+                    .map(|v| (v as f64 / policy.cfg.total_executors as f64) as f32),
             );
             self.w_net.forward_shared_prefix(
-                l,
+                self.wtail.len(),
                 &self.win,
                 &self.wtail,
                 &mut self.scratch,
                 &mut self.wscore,
             );
-            values[argmax_last(&self.wscore)]
+            lo + argmax_last(&self.wscore) * stride
         };
 
-        FastDecision {
-            cand,
-            limit,
-            entropy,
-        }
+        FastDecision { cand, limit }
     }
 }
 

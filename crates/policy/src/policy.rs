@@ -296,7 +296,15 @@ impl DecimaPolicy {
 
     /// Valid limit values for a candidate under the current mode.
     pub fn limit_values(&self, obs: &Observation, cand: Candidate) -> Vec<usize> {
-        let total = obs.total_executors;
+        let (lo, stride) = self.limit_steps(obs, cand);
+        (lo..=obs.total_executors).step_by(stride).collect()
+    }
+
+    /// The smallest valid limit for a candidate and the stride to the
+    /// next: [`limit_values`](Self::limit_values) is
+    /// `(lo..=obs.total_executors).step_by(stride)`, which is never
+    /// empty. The fast lane walks that range without the `Vec`.
+    pub(crate) fn limit_steps(&self, obs: &Observation, cand: Candidate) -> (usize, usize) {
         let cur = match self.cfg.parallelism {
             ParallelismMode::StageLevel => {
                 let n = &obs.jobs[cand.job_idx].nodes[cand.stage as usize];
@@ -305,14 +313,10 @@ impl DecimaPolicy {
             _ => obs.jobs[cand.job_idx].alloc,
         };
         // The paper enforces limit > current allocation so every action
-        // schedules at least one executor (§5.2).
-        let lo = (cur + 1).min(total);
-        let vals: Vec<usize> = (lo..=total).step_by(self.cfg.limit_stride.max(1)).collect();
-        if vals.is_empty() {
-            vec![total]
-        } else {
-            vals
-        }
+        // schedules at least one executor (§5.2); at a full allocation
+        // the one value left is the cluster size.
+        let lo = (cur + 1).min(obs.total_executors);
+        (lo, self.cfg.limit_stride.max(1))
     }
 
     /// Runs the limit head for one candidate.
