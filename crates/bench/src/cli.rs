@@ -8,15 +8,17 @@
 
 use crate::registry::ScenarioRegistry;
 use crate::runner::{run_scenario, run_training, RunOptions, Scenario, TrainOptions};
-use crate::scenario::{count_arg, ranged};
+use crate::scenario::{in_range, settable_keys, COUNT, POSITIVE};
 use crate::Args;
+use decima_sim::DynamicsSpec;
 
 /// Scenario-mode flags that take a value.
 const SCENARIO_VALUED: &[&str] = &["scenario", "set", "seeds", "threads"];
 /// Scenario-mode flags that stand alone.
 const SCENARIO_BARE: &[&str] = &["json"];
 
-/// `--train` flags that take a value.
+/// `--train` flags that take a value, beside one per
+/// [`DynamicsSpec::KNOBS`] key.
 const TRAIN_VALUED: &[&str] = &[
     "recipe",
     "iters",
@@ -27,12 +29,6 @@ const TRAIN_VALUED: &[&str] = &[
     "checkpoint-dir",
     "checkpoint-every",
     "train-log",
-    "churn",
-    "outage",
-    "fail",
-    "retries",
-    "straggle",
-    "straggle-factor",
 ];
 /// `--train` flags that stand alone.
 const TRAIN_BARE: &[&str] = &["train", "resume"];
@@ -64,12 +60,13 @@ fn check_scenario_flags(args: &Args) -> Result<(), String> {
 /// must parse and lie in its accepted range — a typo must not silently
 /// train the defaults, nor an empty cluster train on `jct NaN`.
 fn train_options(args: &Args) -> Result<TrainOptions, String> {
-    check_flags(args, TRAIN_VALUED, TRAIN_BARE, |_| {
+    let knobs = DynamicsSpec::KNOBS.iter().map(|k| k.key);
+    let valued: Vec<&str> = TRAIN_VALUED.iter().copied().chain(knobs).collect();
+    check_flags(args, &valued, TRAIN_BARE, |_| {
         "not a --train flag, see --help".to_string()
     })?;
     let d = TrainOptions::default();
-    let off = d.dynamics;
-    let opts = TrainOptions {
+    let mut opts = TrainOptions {
         recipe: args.value("recipe").unwrap_or("standard").to_string(),
         iters: args.parsed("iters")?.unwrap_or(d.iters),
         jobs: args.parsed("jobs")?.unwrap_or(d.jobs),
@@ -84,74 +81,78 @@ fn train_options(args: &Args) -> Result<TrainOptions, String> {
             .unwrap_or(d.checkpoint_every),
         resume: args.has("resume"),
         log_path: args.value("train-log").map(std::path::PathBuf::from),
-        dynamics: decima_sim::DynamicsSpec {
-            churn_iat: args.parsed("churn")?.unwrap_or(off.churn_iat),
-            outage_mean: args.parsed("outage")?.unwrap_or(off.outage_mean),
-            fail_prob: args.parsed("fail")?.unwrap_or(off.fail_prob),
-            max_retries: args.parsed("retries")?.unwrap_or(off.max_retries),
-            straggler_prob: args.parsed("straggle")?.unwrap_or(off.straggler_prob),
-            straggler_factor: args
-                .parsed("straggle-factor")?
-                .unwrap_or(off.straggler_factor),
-        },
+        dynamics: d.dynamics,
     };
-    count_arg("--jobs", opts.jobs as f64)?;
-    count_arg("--execs", opts.execs as f64)?;
-    if let Some(iat) = opts.iat {
-        ranged("--iat", iat, iat > 0.0, "> 0")?;
+    in_range("--jobs", opts.jobs as f64, COUNT)?;
+    in_range("--execs", opts.execs as f64, COUNT)?;
+    let most = decima_rl::checkpoint::MAX_COUNT;
+    if opts.execs > most {
+        // The run's checkpoint has to load again.
+        return Err(format!(
+            "--execs must be at most {most}, got {}",
+            opts.execs
+        ));
     }
-    opts.dynamics.validate()?;
+    if let Some(iat) = opts.iat {
+        in_range("--iat", iat, POSITIVE)?;
+    }
+    for knob in &DynamicsSpec::KNOBS {
+        if let Some(v) = args.parsed(knob.key)? {
+            knob.set(&mut opts.dynamics, v)?;
+        }
+    }
     Ok(opts)
 }
 
-fn usage() {
-    println!("decima-exp — unified experiment runner for the Decima reproduction");
-    println!();
-    println!("USAGE:");
-    println!("  decima-exp --list");
-    println!("  decima-exp --scenario <name> [--set key=value]... [--seeds a..b]");
-    println!("             [--threads N] [--json]");
-    println!("  decima-exp --train [--recipe standard|stream|tuned] [--iters N]");
-    println!("             [--jobs J] [--execs E] [--iat S] [--seed K]");
-    println!("             [--checkpoint-dir DIR] [--checkpoint-every N]");
-    println!("             [--resume] [--train-log PATH]");
-    println!("             [--churn S] [--outage S] [--fail P] [--retries N]");
-    println!("             [--straggle P] [--straggle-factor F]");
-    println!();
-    println!("FLAGS:");
-    println!("  --list            list registered scenarios and exit");
-    println!("  --scenario NAME   which scenario to run (see --list)");
-    println!("  --set KEY=VALUE   override a spec field or parameter (repeatable)");
-    println!("  --seeds A..B      evaluation seed range (or a bare count)");
-    println!("  --threads N       worker threads (default: available parallelism)");
-    println!("  --json            also print the structured JSON result to stdout");
-    println!("  --train           run a standalone checkpointed training run");
-    println!("  --recipe NAME     training recipe: standard | stream | tuned");
-    println!("  --checkpoint-dir DIR   where checkpoint.txt lives (out/checkpoints)");
-    println!("  --checkpoint-every N   checkpoint cadence in iterations (10)");
-    println!("  --resume          continue bit-exactly from DIR/checkpoint.txt");
-    println!("                    (refuses mismatched --jobs/--execs/--iat)");
-    println!("  --train-log PATH  JSONL log path (out/train_<recipe>.jsonl)");
-    println!("  --churn S         train under executor churn (mean secs between");
-    println!("                    outages, each lasting --outage S on average);");
-    println!("                    --fail P / --straggle P likewise set task-failure");
-    println!("                    (at most --retries N) / straggler probabilities");
-    println!("                    (slowdown --straggle-factor F)");
-    println!();
-    println!("Cluster dynamics (docs/ROBUSTNESS.md): every scenario accepts");
-    println!("  --set churn=S --set fail=P --set straggle=P (plus outage=S,");
-    println!("  retries=N, straggle-factor=F, level=off|low|med|high), and the");
-    println!("  'robust' scenario sweeps escalating perturbation levels.");
-    println!("  Accepted ranges, here and under --train (else exit 2): churn,");
-    println!("  outage >= 0 (seconds; churn 0 = off); fail, straggle in [0, 1];");
-    println!("  straggle-factor >= 1; execs, jobs >= 1; iat > 0; move-delay >= 0.");
-    println!();
-    println!("Results: terminal report, out/<scenario>.csv, out/<scenario>.json;");
-    println!("training: DIR/checkpoint.txt + one JSONL record per iteration.");
-    println!("Evaluate a saved model in any scenario lineup with");
-    println!("  --set checkpoint=PATH (train once, reuse everywhere).");
-    println!("Throughput and memory are measured by the repo benchmark");
-    println!("  (benchmark/README.md, BENCHMARK.json), not by this binary.");
+/// The `--help` text: the flags, then one line per settable key from
+/// the same rows docs/ARCHITECTURE.md tabulates.
+fn usage() -> String {
+    let keys: Vec<String> = settable_keys()
+        .iter()
+        .map(|[key, on, accepts, doc]| format!("  {key:<17} {on}: {doc} ({accepts})\n"))
+        .collect();
+    format!(
+        "decima-exp — unified experiment runner for the Decima reproduction
+
+USAGE:
+  decima-exp --list
+  decima-exp --scenario <name> [--set key=value]... [--seeds a..b]
+             [--threads N] [--json]
+  decima-exp --train [--recipe standard|stream|tuned] [--iters N]
+             [--jobs J] [--execs E] [--iat S] [--seed K]
+             [--checkpoint-dir DIR] [--checkpoint-every N]
+             [--resume] [--train-log PATH] [--<dynamics key> V]...
+
+FLAGS:
+  --list            list registered scenarios and exit
+  --scenario NAME   which scenario to run (see --list)
+  --set KEY=VALUE   override a spec field or parameter (repeatable)
+  --seeds A..B      evaluation seed range (or a bare count)
+  --threads N       worker threads (default: available parallelism)
+  --json            also print the structured JSON result to stdout
+  --train           run a standalone checkpointed training run
+  --recipe NAME     training recipe: standard | stream | tuned
+  --checkpoint-dir DIR   where checkpoint.txt lives (out/checkpoints)
+  --checkpoint-every N   checkpoint cadence in iterations (10)
+  --resume          continue bit-exactly from DIR/checkpoint.txt
+                    (refuses mismatched --jobs/--execs/--iat)
+  --train-log PATH  JSONL log path (out/train_<recipe>.jsonl)
+
+KEYS for --set (a value outside what its key accepts, or a key the
+scenario does not take, is exit 2 before anything runs):
+{}  plus each scenario's own parameters: the \"params\" of its spec echo
+  (out/<scenario>.json), each held to the kind of its default.
+  Cluster dynamics (docs/ROBUSTNESS.md): the 'every scenario' keys from
+  churn on are also --train flags (--churn 240 --fail 0.05), to train a
+  policy under perturbation; --jobs, --execs at least 1, --iat > 0.
+
+Results: terminal report, out/<scenario>.csv, out/<scenario>.json;
+training: DIR/checkpoint.txt + one JSONL record per iteration.
+Throughput and memory are measured by the repo benchmark
+  (benchmark/README.md, BENCHMARK.json), not by this binary.
+",
+        keys.concat()
+    )
 }
 
 fn list(reg: &ScenarioRegistry) {
@@ -202,7 +203,7 @@ fn run(name: &str, args: &Args) -> Result<(), String> {
 pub fn exp_main() {
     let args = Args::new();
     if args.has("help") {
-        usage();
+        print!("{}", usage());
         return;
     }
     if args.has("list") {
@@ -221,7 +222,7 @@ pub fn exp_main() {
         return;
     }
     let Some(name) = args.value("scenario").map(str::to_string) else {
-        usage();
+        print!("{}", usage());
         std::process::exit(2);
     };
     // Every error before the run starts is bad input: exit 2, nothing
@@ -315,6 +316,10 @@ mod tests {
             (&["--fail", "2"], "dynamics 'fail' must be in [0, 1], got 2"),
             (&["--execs", "0"], "--execs must be at least 1, got 0"),
             (&["--jobs", "0"], "--jobs must be at least 1, got 0"),
+            (
+                &["--execs", "1000001"],
+                "--execs must be at most 1000000, got 1000001",
+            ),
             (&["--iat", "-4"], "--iat must be > 0, got -4"),
             (
                 &["--straggle-factor", "0"],
@@ -329,6 +334,91 @@ mod tests {
                 Some(*want),
                 "{extra:?}"
             );
+        }
+    }
+
+    /// One case per [`KEYS`] row and per dynamics knob: a documented
+    /// value is taken, a value outside the row's kind or range is
+    /// refused with exactly this message — and for a knob, `--set` and
+    /// the `--train` flag agree on both.
+    #[test]
+    fn every_settable_key_takes_its_kind_and_refuses_the_rest() {
+        use crate::scenario::KEYS;
+        let reg = ScenarioRegistry::standard();
+        let levels = "off, low, med, high, all or custom";
+        let scheds = "fifo, sjf-cp, fair, naive-weighted-fair, weighted-fair, opt-weighted-fair, \
+                      tetris, graphene, random, decima, decima-untrained, decima-ckpt:PATH";
+        #[rustfmt::skip]
+        let rows: &[(&str, &str, &str, &str, String)] = &[
+            ("scale", "execs", "8,64", "8,0", "'execs' must be at least 1, got 0".into()),
+            ("fig09a", "executors", "30", "0", "'executors' must be at least 1, got 0".into()),
+            ("scale", "jobs", "500,5000", "5,x", "'jobs' needs a number or comma list, got '5,x'".into()),
+            ("fig09a", "jobs", "8", "-3", "'jobs' must be at least 1, got -3".into()),
+            ("fleet", "shards", "1,2,4", "0", "'shards' must be at least 1, got 0".into()),
+            ("fleet", "rates", "1,2.5", "-1", "'rates' must be > 0, got -1".into()),
+            ("fig09b", "iat", "25", "0", "'iat' must be > 0, got 0".into()),
+            ("fig09a", "task-scale", "4", "0", "'task-scale' must be > 0, got 0".into()),
+            ("fig09a", "move-delay", "0", "-1", "'move-delay' must be >= 0, got -1".into()),
+            ("robust", "level", "high", "dire", format!("unknown dynamics level 'dire' (expected {levels})")),
+            ("drift", "profile", "flash", "x", "unknown drift profile 'x' (expected off, ramp, diurnal, mixshift, flash or all)".into()),
+            ("fig09a", "runs", "5", "0", "seed range '0' selects no seed".into()),
+            ("fig09a", "seed-start", "7", "-1", "'seed-start' must be a non-negative integer, got -1".into()),
+            ("fig09a", "iters", "0", "-5", "'iters' must be a non-negative integer, got -5".into()),
+            ("fig09a", "checkpoint", "out/m.ckpt", "", String::new()),
+            ("fleet", "router", "least-loaded", "foo", "unknown router 'foo' (valid: rr, jsq, least-loaded)".into()),
+            ("fleet", "sched", "random:7", "nope", format!("unknown scheduler 'nope' (valid: {scheds})")),
+        ];
+        let mut walked = Vec::new();
+        for (scenario, key, good, bad, want) in rows {
+            let sc = reg.get(scenario).unwrap();
+            let on = |r: &&crate::scenario::Key| r.only.is_empty() || r.only.contains(scenario);
+            walked.push(KEYS.iter().position(|r| r.names.contains(key) && on(&r)));
+            let mut spec = sc.spec.clone();
+            assert_eq!(spec.set(key, good), Ok(()), "{scenario}: {key}={good}");
+            if !want.is_empty() {
+                let before = spec.clone();
+                let got = spec.set(key, bad);
+                assert_eq!(got.as_ref(), Err(want), "{scenario}: {key}={bad}");
+                assert_eq!(spec, before, "{key}={bad} must change nothing");
+            }
+        }
+        let all: Vec<_> = (0..KEYS.len()).map(Some).collect();
+        assert_eq!(walked, all, "one case per KEYS row, in table order");
+
+        #[rustfmt::skip]
+        let knobs = [
+            ("churn", "120", "-5", "dynamics 'churn' must be >= 0, got -5"),
+            ("outage", "0", "inf", "dynamics 'outage' must be >= 0, got inf"),
+            ("fail", "1", "2", "dynamics 'fail' must be in [0, 1], got 2"),
+            ("retries", "0", "-1", "dynamics 'retries' must be a non-negative integer, got -1"),
+            ("straggle", "0.5", "NaN", "dynamics 'straggle' must be in [0, 1], got NaN"),
+            ("straggle-factor", "1", "0.5", "dynamics 'straggle-factor' must be >= 1, got 0.5"),
+        ];
+        let keys: Vec<&str> = DynamicsSpec::KNOBS.iter().map(|k| k.key).collect();
+        assert_eq!(
+            keys,
+            knobs.map(|k| k.0),
+            "one case per knob, in table order"
+        );
+        for (key, good, bad, want) in knobs {
+            let flag = format!("--{key}");
+            let mut spec = reg.get("fig09a").unwrap().spec.clone();
+            assert_eq!(spec.set(key, good), Ok(()), "{key}={good}");
+            let trained = train_options(&argv(&["--train", &flag, good])).unwrap();
+            assert_eq!(trained.dynamics, spec.sim.dynamics, "{key}={good}");
+            assert_eq!(spec.set(key, bad), Err(want.to_string()), "{key}={bad}");
+            let err = train_options(&argv(&["--train", &flag, bad])).err();
+            assert_eq!(err.as_deref(), Some(want), "{flag} {bad}");
+        }
+    }
+
+    /// `--help` carries every row docs/ARCHITECTURE.md is held to.
+    #[test]
+    fn help_lists_the_settable_keys() {
+        let help = usage();
+        for [key, on, accepts, doc] in settable_keys() {
+            let row = format!("  {key:<17} {on}: {doc} ({accepts})\n");
+            assert!(help.contains(&row), "--help lacks {row}");
         }
     }
 

@@ -13,8 +13,8 @@ use decima_baselines::{
     WeightedFairScheduler,
 };
 use decima_nn::ParamStore;
-use decima_policy::{DecimaAgent, DecimaPolicy, ParallelismMode, PolicyConfig};
-use decima_rl::{Curriculum, TrainConfig, Trainer};
+use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
+use decima_rl::Trainer;
 use decima_sim::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -141,17 +141,6 @@ pub fn make_router(name: &str) -> Result<Box<dyn Router>, String> {
     }
 }
 
-/// Parses a [`PolicySpec::parallelism`] key.
-pub fn parallelism_mode(key: &str) -> Result<ParallelismMode, String> {
-    match key {
-        "job-level" => Ok(ParallelismMode::JobLevel),
-        "stage-level" => Ok(ParallelismMode::StageLevel),
-        "one-hot" => Ok(ParallelismMode::OneHot),
-        "disabled" => Ok(ParallelismMode::Disabled),
-        other => Err(format!("unknown parallelism mode '{other}'")),
-    }
-}
-
 impl PolicySpec {
     /// Materializes the policy configuration for a cluster size.
     pub fn to_config(&self, executors: usize) -> PolicyConfig {
@@ -159,8 +148,7 @@ impl PolicySpec {
         if !self.gnn {
             cfg.gnn = None;
         }
-        cfg.parallelism = parallelism_mode(&self.parallelism)
-            .unwrap_or_else(|e| panic!("invalid policy spec: {e}"));
+        cfg.parallelism = self.parallelism;
         cfg.num_classes = self.num_classes;
         cfg.feat.include_duration = self.include_duration;
         cfg.feat.iat_hint = self.iat_hint;
@@ -172,28 +160,9 @@ impl PolicySpec {
 /// seed — bit-identical to the historical per-binary constructions).
 pub fn build_trainer(train: &TrainSpec, executors: usize) -> Trainer {
     let mut store = ParamStore::new();
-    let mut rng = SmallRng::seed_from_u64(train.seed);
+    let mut rng = SmallRng::seed_from_u64(train.cfg.seed);
     let policy = DecimaPolicy::new(train.policy.to_config(executors), &mut store, &mut rng);
-    Trainer::new(
-        policy,
-        store,
-        TrainConfig {
-            num_rollouts: train.num_rollouts,
-            lr: train.lr,
-            entropy_start: train.entropy_start,
-            entropy_end: train.entropy_end,
-            entropy_decay_iters: train.entropy_decay_iters,
-            differential_reward: train.differential_reward,
-            input_dependent_baseline: train.input_dependent_baseline,
-            curriculum: train.curriculum.map(|c| Curriculum {
-                tau_init: c.tau_init,
-                tau_step: c.tau_step,
-                tau_max: c.tau_max,
-            }),
-            seed: train.seed,
-            ..TrainConfig::default()
-        },
-    )
+    Trainer::new(policy, store, train.cfg.clone())
 }
 
 /// Constructs a boxed scheduler from its spec.
@@ -317,27 +286,6 @@ mod tests {
             let r = Simulator::new(cluster.clone(), jobs.clone(), SimConfig::default()).run(sched);
             assert_eq!(r.completed(), 2, "{name} left jobs unfinished");
         }
-    }
-
-    #[test]
-    fn parallelism_modes_parse() {
-        assert_eq!(
-            parallelism_mode("job-level").unwrap(),
-            ParallelismMode::JobLevel
-        );
-        assert_eq!(
-            parallelism_mode("stage-level").unwrap(),
-            ParallelismMode::StageLevel
-        );
-        assert_eq!(
-            parallelism_mode("one-hot").unwrap(),
-            ParallelismMode::OneHot
-        );
-        assert_eq!(
-            parallelism_mode("disabled").unwrap(),
-            ParallelismMode::Disabled
-        );
-        assert!(parallelism_mode("bogus").is_err());
     }
 
     /// A checkpoint trained **under perturbation** is a first-class

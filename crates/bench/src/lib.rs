@@ -41,12 +41,9 @@ pub use registry::ScenarioRegistry;
 pub use runner::{par_map, run_scenario, run_training, RunOptions, Scenario, TrainOptions};
 
 use decima_core::{ClusterSpec, JobSpec, Summary};
-use decima_nn::ParamStore;
-use decima_policy::{DecimaPolicy, PolicyConfig};
-use decima_rl::{EnvFactory, TrainConfig, Trainer};
+use decima_rl::{EnvFactory, Trainer};
 use decima_sim::{EpisodeResult, Scheduler, SimConfig, Simulator};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use report::SeriesReport;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -60,45 +57,30 @@ pub fn run_episode(
     Simulator::new(cluster.clone(), jobs.to_vec(), cfg.clone()).run(sched)
 }
 
-/// A labelled series of average JCTs (one per run/seed).
-#[derive(Clone, Debug)]
-pub struct SchedulerSeries {
-    /// Display name.
-    pub name: String,
-    /// Average JCT per run.
-    pub avg_jcts: Vec<f64>,
-}
-
-impl SchedulerSeries {
-    /// Summary statistics over the runs.
-    pub fn summary(&self) -> Summary {
-        Summary::of(&self.avg_jcts)
-    }
-}
-
 /// Prints a comparison table (name, mean, p50, p95) and the headline
 /// ratios against the first row.
-pub fn print_comparison(title: &str, series: &[SchedulerSeries]) {
+pub fn print_comparison(title: &str, series: &[SeriesReport]) {
     println!("\n== {title} ==");
     println!(
         "{:<26} {:>10} {:>10} {:>10} {:>10}",
         "scheduler", "mean", "p50", "p95", "runs"
     );
+    let summary = |s: &SeriesReport| Summary::of(&s.avg_jcts);
     for s in series {
-        let sum = s.summary();
+        let sum = summary(s);
         println!(
             "{:<26} {:>10.1} {:>10.1} {:>10.1} {:>10}",
-            s.name, sum.mean, sum.p50, sum.p95, sum.n
+            s.label, sum.mean, sum.p50, sum.p95, sum.n
         );
     }
     if let Some(first) = series.first() {
-        let base = first.summary().mean;
+        let base = summary(first).mean;
         for s in &series[1..] {
-            let m = s.summary().mean;
+            let m = summary(s).mean;
             println!(
                 "   {} vs {}: {:+.1}% ({}x)",
-                s.name,
-                first.name,
+                s.label,
+                first.label,
                 100.0 * (m - base) / base,
                 format_ratio(base / m)
             );
@@ -126,29 +108,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
         println!("[csv] {}", path.display());
     }
     path
-}
-
-/// The standard scaled-down training recipe used by the experiment
-/// binaries (documented in EXPERIMENTS.md): uniform-initialized small
-/// policy, entropy-annealed REINFORCE.
-pub fn standard_trainer(executors: usize, policy_cfg: Option<PolicyConfig>, seed: u64) -> Trainer {
-    let mut store = ParamStore::new();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let cfg = policy_cfg.unwrap_or_else(|| PolicyConfig::small(executors));
-    let policy = DecimaPolicy::new(cfg, &mut store, &mut rng);
-    Trainer::new(
-        policy,
-        store,
-        TrainConfig {
-            num_rollouts: 8,
-            lr: 2e-3,
-            entropy_start: 0.08,
-            entropy_end: 1e-3,
-            entropy_decay_iters: 50,
-            seed,
-            ..TrainConfig::default()
-        },
-    )
 }
 
 /// Trains for `iters` iterations with a progress line every 10.
@@ -285,9 +244,11 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(5).with_move_delay(1.0);
         let r = run_episode(&cluster, &jobs, &SimConfig::default(), FifoScheduler);
         assert_eq!(r.completed(), 3);
-        let s = SchedulerSeries {
-            name: "fifo".into(),
+        let s = SeriesReport {
+            label: "fifo".into(),
+            csv: "fifo".into(),
             avg_jcts: vec![r.avg_jct().unwrap()],
+            unfinished: 0,
         };
         assert!(s.summary().mean > 0.0);
     }

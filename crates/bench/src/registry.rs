@@ -120,13 +120,14 @@ fn drift() -> Scenario {
             SchedulerSpec::WeightedFair { alpha: -1.0 },
         )
         .decima(TrainSpec::standard(20, 11))
-        .param("ft-iters", 4.0)
-        .param("ft-window", 16.0)
+        .count("ft-iters", 4)
+        .count("ft-window", 16)
         .note("Profiles sweep ramp → diurnal → mixshift → flash (pick one with")
-        .note("--set profile=…). The base policy trains once on the stationary")
-        .note("workload (checkpoint out/drift_base.ckpt, or --set checkpoint=…);")
-        .note("fine_tuned resumes it per profile with --set ft-iters=/ft-window=;")
-        .note("retrain rebuilds from scratch on the drifted env (docs/DRIFT.md).")
+        .note("--set profile=…). The base policy trains on the stationary workload")
+        .note("every run and is written to out/drift_base.ckpt; only a file named")
+        .note("with --set checkpoint=… is reused when it exists. fine_tuned resumes")
+        .note("it per profile with --set ft-iters=/ft-window=; retrain rebuilds from")
+        .note("scratch on the drifted env (docs/DRIFT.md).")
         .build(),
         scenarios::drift::run_drift,
     )
@@ -138,7 +139,7 @@ fn fig02() -> Scenario {
         // episodes over 1..=max-parallelism executors.
         ScenarioBuilder::new("fig02", "Figure 2: runtime vs. degree of parallelism")
             .paper_ref("§2.1, Fig. 2")
-            .param("max-parallelism", 100.0)
+            .count("max-parallelism", 100)
             .note("Paper: Q9@100G ≈ 40, Q2@100G ≈ 20, Q9@2G ≲ 10.")
             .build(),
         scenarios::motivation::run_fig02,
@@ -153,7 +154,7 @@ fn fig03() -> Scenario {
         )
         .paper_ref("§2.3, Fig. 3")
         .workload(WorkloadSpec::tpch_batch(10, 15))
-        .param("width", 100.0)
+        .count("width", 100)
         .param("seed", 7.0)
         .entry("fifo", SchedulerSpec::Fifo)
         .entry("sjf-cp", SchedulerSpec::SjfCp)
@@ -174,7 +175,7 @@ fn fig07() -> Scenario {
         .paper_ref("§5.3, Fig. 7")
         .workload(WorkloadSpec::tpch_stream(60, 10, 12.0))
         .sim(|s| s.time_limit = Some(600.0))
-        .param("samples", 20.0)
+        .count("samples", 20)
         .entry("random", SchedulerSpec::Random { seed: 0 })
         .build(),
         scenarios::motivation::run_fig07,
@@ -265,6 +266,9 @@ fn fig11() -> Scenario {
         .seeds(5000, 3)
         .flag("tpch-only", false)
         .flag("alibaba-only", false)
+        // 0: the TPC-H half follows `jobs` / `iat`.
+        .count("tpch-jobs", 0)
+        .param("tpch-iat", 0.0)
         .entry(
             "opt-weighted-fair",
             SchedulerSpec::WeightedFair { alpha: -1.0 },
@@ -326,7 +330,7 @@ fn fig13() -> Scenario {
         )
         .paper_ref("§7.4, Fig. 13")
         .workload(WorkloadSpec::tpch_batch(8, 10))
-        .param("width", 100.0)
+        .count("width", 100)
         .param("seed", 21.0)
         .decima(TrainSpec::standard(60, 23))
         .note("Paper shape: the makespan policy trades higher avg JCT for a shorter")
@@ -341,7 +345,7 @@ fn fig14() -> Scenario {
         ScenarioBuilder::new("fig14", "Figure 14: contribution of each key idea, vs load")
             .paper_ref("§7.4, Fig. 14")
             .workload(WorkloadSpec::tpch_stream(100, 10, 24.0))
-            .param("iters", 60.0)
+            .count("iters", 60)
             .param("eval-seed-start", 7000.0)
             .entry(
                 "opt-weighted-fair",
@@ -363,8 +367,8 @@ fn fig15a() -> Scenario {
         )
         .paper_ref("§7.4, Fig. 15a")
         .workload(WorkloadSpec::tpch_batch(15, 10))
-        .param("iters", 80.0)
-        .param("eval-every", 10.0)
+        .count("iters", 80)
+        .count("eval-every", 10)
         .param("eval-seed-start", 8000.0)
         .note("Paper shape: the limit-as-input job-level encoding learns fastest;")
         .note("one-hot output heads and stage-level granularity train slower.")
@@ -423,7 +427,7 @@ fn fig18() -> Scenario {
                 executors: 10,
                 move_delay: 2.5,
             })
-            .param("reps", 10.0)
+            .count("reps", 10)
             .param("noise", 0.15)
             .entry("fair", SchedulerSpec::Fair)
             .note("Paper: relative errors ≤5% (isolated) and ≤9% (mixed).")
@@ -439,9 +443,9 @@ fn fig19() -> Scenario {
             "Figure 19 (App. E): two-level vs single-level GNN aggregation",
         )
         .paper_ref("App. E, Fig. 19")
-        .param("iters", 300.0)
-        .param("nodes", 20.0)
-        .param("eval-every", 25.0)
+        .count("iters", 300)
+        .count("nodes", 20)
+        .count("eval-every", 25)
         .note("Paper shape: the two-level aggregation reaches near-perfect accuracy")
         .note("(it can express the max over children); the single-level one plateaus.")
         .build(),
@@ -462,7 +466,7 @@ fn fig22() -> Scenario {
         })
         .sim(|s| s.simplified = true)
         .seeds(9100, 5)
-        .param("orderings", 2000.0)
+        .count("orderings", 2000)
         .entry(
             "opt-weighted-fair",
             SchedulerSpec::WeightedFair { alpha: -1.0 },
@@ -478,14 +482,12 @@ fn fig22() -> Scenario {
 }
 
 fn fig23() -> Scenario {
-    let train = |include_duration: bool, seed: u64| TrainSpec {
-        differential_reward: false,
-        curriculum: None,
-        policy: PolicySpec {
-            include_duration,
-            ..PolicySpec::default()
-        },
-        ..TrainSpec::tuned(80, seed)
+    let train = |include_duration: bool, seed: u64| {
+        let mut train = TrainSpec::tuned(80, seed);
+        train.cfg.differential_reward = false;
+        train.cfg.curriculum = None;
+        train.policy.include_duration = include_duration;
+        train
     };
     comparison(
         ScenarioBuilder::new("fig23", "Figure 23: avg JCT on unseen batches")
@@ -531,6 +533,8 @@ fn fleet() -> Scenario {
         .paper_ref("— (fleet ext)")
         .workload(WorkloadSpec::tpch_stream(40, 8, 12.0))
         .seeds(13000, 2)
+        .text("router", "jsq")
+        .text("sched", "fifo")
         .entry("fifo", SchedulerSpec::Fifo)
         .note("Shards are independent simulators at derived seeds; one streaming")
         .note("front-end routes jobs (--set router=rr|jsq|least-loaded). Sweep with")
@@ -595,6 +599,7 @@ fn scale() -> Scenario {
         .paper_ref("— (scaling ext)")
         .workload(WorkloadSpec::tpch_stream(500, 8, 96.0))
         .seeds(17000, 1)
+        .text("sched", "fair")
         .entry("fair", SchedulerSpec::Fair)
         .note("Sweeps --set execs=8,64 × jobs=500,5000 (comma lists); the mean")
         .note("interarrival time scales as base_iat×8/execs so per-executor load")

@@ -9,7 +9,6 @@
 
 use crate::json::Json;
 use crate::scenario::ScenarioSpec;
-use crate::SchedulerSeries;
 use decima_core::Summary;
 use decima_rl::IterStats;
 use std::path::PathBuf;
@@ -18,17 +17,8 @@ use std::path::PathBuf;
 /// type of the per-iteration JSONL training log (non-finite values render
 /// as `null`, keeping the lines valid JSON).
 pub fn iter_stats_json(s: &IterStats) -> Json {
-    Json::obj([
-        ("iter", Json::Num(s.iter as f64)),
-        ("mean_reward", Json::Num(s.mean_reward)),
-        ("mean_avg_jct", Json::Num(s.mean_avg_jct)),
-        ("mean_completed", Json::Num(s.mean_completed)),
-        ("mean_actions", Json::Num(s.mean_actions)),
-        ("mean_entropy", Json::Num(s.mean_entropy)),
-        ("grad_norm", Json::Num(s.grad_norm)),
-        ("tau", s.tau.map_or(Json::Null, Json::Num)),
-        ("beta", Json::Num(s.beta)),
-    ])
+    let record = decima_rl::iter_stats_record(s).into_iter();
+    Json::obj(record.map(|(name, v)| (name, v.map_or(Json::Null, Json::Num))))
 }
 
 /// One scheduler's evaluation series across the seed plan.
@@ -68,14 +58,6 @@ impl SeriesReport {
             f64::NAN
         } else {
             finite.iter().sum::<f64>() / finite.len() as f64
-        }
-    }
-
-    /// View as the legacy display series.
-    pub fn as_series(&self) -> SchedulerSeries {
-        SchedulerSeries {
-            name: self.label.clone(),
-            avg_jcts: self.avg_jcts.clone(),
         }
     }
 }

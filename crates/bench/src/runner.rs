@@ -304,8 +304,7 @@ pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport 
 fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
     match spec.report {
         ReportKind::Table | ReportKind::CdfCsv => {
-            let legacy: Vec<_> = report.series.iter().map(SeriesReport::as_series).collect();
-            print_comparison(&spec.title, &legacy);
+            print_comparison(&spec.title, &report.series);
         }
         ReportKind::MeanUnfinished => {
             println!("\n{}", spec.title);

@@ -8,34 +8,44 @@
 //! [`crate::runner::run_scenario`], and echoed verbatim into each
 //! run's `out/<scenario>.json` so results stay self-describing.
 
+use crate::factory::{make_router, scheduler_spec_by_name, SCHEDULER_NAMES};
 use crate::json::Json;
+use decima_policy::ParallelismMode;
+use decima_rl::{Curriculum, TrainConfig};
 use decima_sim::{DynamicsSpec, Objective, SimConfig};
 use decima_workload::{ArrivalProcess, DriftProfile, DriftSpec, WorkloadSource, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 /// A scalar experiment parameter (the open-ended part of a spec that
-/// custom scenarios read at run time).
+/// custom scenarios read at run time). A scenario declares each with a
+/// default in the registry; the variant is the kind `--set` holds a new
+/// value to.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ParamValue {
-    /// A number.
+    /// A finite number.
     Num(f64),
+    /// A non-negative integer (iterations, repetitions, sizes).
+    Count(usize),
     /// A free-form string.
     Text(String),
-    /// A boolean flag.
+    /// `true` or `false`.
     Flag(bool),
 }
 
 impl ParamValue {
-    /// Parses a CLI override: bool literals, then numbers, else text.
-    pub fn parse(s: &str) -> ParamValue {
-        match s {
-            "true" => ParamValue::Flag(true),
-            "false" => ParamValue::Flag(false),
-            _ => s
-                .parse::<f64>()
-                .map(ParamValue::Num)
-                .unwrap_or_else(|_| ParamValue::Text(s.to_string())),
-        }
+    /// A `--set` value for a parameter declared as `self`: it has to be
+    /// of the same kind.
+    fn parse_like(&self, key: &str, value: &str) -> Result<ParamValue, String> {
+        Ok(match self {
+            ParamValue::Num(_) => ParamValue::Num(number(key, value, FINITE)?),
+            ParamValue::Count(_) => ParamValue::Count(number(key, value, NATURAL)? as usize),
+            ParamValue::Text(_) => ParamValue::Text(value.to_string()),
+            ParamValue::Flag(_) => ParamValue::Flag(
+                value
+                    .parse()
+                    .map_err(|_| format!("'{key}' needs true or false, got '{value}'"))?,
+            ),
+        })
     }
 }
 
@@ -49,29 +59,33 @@ pub struct SeedPlan {
 }
 
 impl SeedPlan {
+    /// The most seeds one plan may name (the seed list is materialized).
+    pub const MAX_SEEDS: u64 = 1_000_000;
+
     /// The concrete seed list.
     pub fn seeds(&self) -> Vec<u64> {
         (self.start..self.start + self.count as u64).collect()
     }
 
-    /// Parses `"a..b"` (half-open range) or a bare count (keeps `start`).
+    /// Parses `"a..b"` (half-open range) or a bare count (keeps `start`):
+    /// at least one seed, at most [`SeedPlan::MAX_SEEDS`].
     pub fn parse(&self, text: &str) -> Result<SeedPlan, String> {
-        if let Some((a, b)) = text.split_once("..") {
-            let start: u64 = a.trim().parse().map_err(|_| bad_range(text))?;
-            let end: u64 = b.trim().parse().map_err(|_| bad_range(text))?;
-            if end < start {
-                return Err(bad_range(text));
-            }
-            Ok(SeedPlan {
+        let num = |t: &str| t.trim().parse::<u64>().map_err(|_| bad_range(text));
+        let (start, end) = match text.split_once("..") {
+            Some((a, b)) => (num(a)?, num(b)?),
+            None => (self.start, self.start.saturating_add(num(text)?)),
+        };
+        match end.checked_sub(start) {
+            Some(count @ 1..=Self::MAX_SEEDS) => Ok(SeedPlan {
                 start,
-                count: (end - start) as usize,
-            })
-        } else {
-            let count: usize = text.trim().parse().map_err(|_| bad_range(text))?;
-            Ok(SeedPlan {
-                start: self.start,
-                count,
-            })
+                count: count as usize,
+            }),
+            Some(0) => Err(format!("seed range '{text}' selects no seed")),
+            Some(_) => Err(format!(
+                "seed range '{text}' selects more than {} seeds",
+                Self::MAX_SEEDS
+            )),
+            None => Err(bad_range(text)),
         }
     }
 }
@@ -96,9 +110,8 @@ pub struct SimSpec {
     /// Record Gantt charts.
     pub record_gantt: bool,
     /// Cluster-dynamics model (executor churn, bounded-retry task
-    /// failures, stragglers); off by default. Overridable on every
-    /// scenario with `--set churn=… fail=… straggle=…` (plus `outage=`,
-    /// `retries=`, `straggle-factor=`, and the `level=` presets).
+    /// failures, stragglers); off by default. Every scenario takes the
+    /// [`DynamicsSpec::KNOBS`] keys with `--set`.
     pub dynamics: DynamicsSpec,
     /// Non-stationary workload drift (arrival ramps, diurnal cycles,
     /// mix shifts, flash crowds); off by default. The `drift` scenario
@@ -142,37 +155,14 @@ impl SimSpec {
     }
 }
 
-/// Episode-horizon curriculum parameters (§5.3 challenge #1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CurriculumSpec {
-    /// Initial mean horizon (seconds).
-    pub tau_init: f64,
-    /// Additive growth per iteration.
-    pub tau_step: f64,
-    /// Cap on the mean horizon.
-    pub tau_max: f64,
-}
-
-impl CurriculumSpec {
-    /// The curriculum every continuous-arrival experiment uses.
-    pub fn standard() -> Self {
-        CurriculumSpec {
-            tau_init: 300.0,
-            tau_step: 40.0,
-            tau_max: 4000.0,
-        }
-    }
-}
-
 /// Policy-architecture overrides on top of `PolicyConfig::small`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PolicySpec {
     /// Use the graph neural network (off reproduces the "w/o graph
     /// embedding" ablation).
     pub gnn: bool,
-    /// Parallelism-control mode, as a string key: `job-level`,
-    /// `stage-level`, `one-hot`, or `disabled`.
-    pub parallelism: String,
+    /// Parallelism-control mode.
+    pub parallelism: ParallelismMode,
     /// Executor classes (>1 enables the class head).
     pub num_classes: usize,
     /// Include task-duration features (off for Appendix J).
@@ -185,7 +175,7 @@ impl Default for PolicySpec {
     fn default() -> Self {
         PolicySpec {
             gnn: true,
-            parallelism: "job-level".to_string(),
+            parallelism: ParallelismMode::JobLevel,
             num_classes: 1,
             include_duration: true,
             iat_hint: None,
@@ -210,24 +200,9 @@ impl PolicySpec {
 pub struct TrainSpec {
     /// Training iterations.
     pub iters: usize,
-    /// Master seed (policy init and rollout sampling).
-    pub seed: u64,
-    /// Rollouts per iteration.
-    pub num_rollouts: usize,
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Entropy-bonus weight at iteration 0.
-    pub entropy_start: f64,
-    /// Entropy-bonus weight after decay.
-    pub entropy_end: f64,
-    /// Iterations over which the entropy weight decays.
-    pub entropy_decay_iters: usize,
-    /// Average-reward (differential) formulation.
-    pub differential_reward: bool,
-    /// Fix one arrival sequence per iteration (input-dependent baseline).
-    pub input_dependent_baseline: bool,
-    /// Episode-horizon curriculum.
-    pub curriculum: Option<CurriculumSpec>,
+    /// Trainer hyperparameters; `cfg.seed` also seeds the policy's
+    /// initial parameters.
+    pub cfg: TrainConfig,
     /// Policy-architecture overrides.
     pub policy: PolicySpec,
     /// Train on a different workload than the evaluation workload.
@@ -243,21 +218,20 @@ pub struct TrainSpec {
 }
 
 impl TrainSpec {
-    /// The standard scaled-down batched-arrival recipe
-    /// (`standard_trainer` historically): uniform-initialized small
-    /// policy, entropy-annealed REINFORCE.
+    /// The standard scaled-down batched-arrival recipe:
+    /// uniform-initialized small policy, entropy-annealed REINFORCE.
     pub fn standard(iters: usize, seed: u64) -> Self {
         TrainSpec {
             iters,
-            seed,
-            num_rollouts: 8,
-            lr: 2e-3,
-            entropy_start: 0.08,
-            entropy_end: 1e-3,
-            entropy_decay_iters: 50,
-            differential_reward: false,
-            input_dependent_baseline: true,
-            curriculum: None,
+            cfg: TrainConfig {
+                num_rollouts: 8,
+                lr: 2e-3,
+                entropy_start: 0.08,
+                entropy_end: 1e-3,
+                entropy_decay_iters: 50,
+                seed,
+                ..TrainConfig::default()
+            },
             policy: PolicySpec::default(),
             workload: None,
             eval_iat_hint: None,
@@ -266,35 +240,27 @@ impl TrainSpec {
     }
 
     /// The continuous-arrival recipe: standard plus differential rewards
-    /// and the horizon curriculum.
+    /// and the horizon curriculum every continuous-arrival experiment
+    /// uses (§5.3 challenge #1).
     pub fn stream(iters: usize, seed: u64) -> Self {
-        TrainSpec {
-            differential_reward: true,
-            curriculum: Some(CurriculumSpec::standard()),
-            ..TrainSpec::standard(iters, seed)
-        }
+        let mut spec = TrainSpec::standard(iters, seed);
+        spec.cfg.differential_reward = true;
+        spec.cfg.curriculum = Some(Curriculum {
+            tau_init: 300.0,
+            tau_step: 40.0,
+            tau_max: 4000.0,
+        });
+        spec
     }
 
-    /// The generalization/multi-resource recipe: hotter entropy schedule
-    /// at the default learning rate, with differential rewards and the
-    /// curriculum.
+    /// The generalization/multi-resource recipe: the continuous-arrival
+    /// one with a hotter entropy schedule at the default learning rate.
     pub fn tuned(iters: usize, seed: u64) -> Self {
-        TrainSpec {
-            iters,
-            seed,
-            num_rollouts: 8,
-            lr: 1e-3,
-            entropy_start: 0.25,
-            entropy_end: 1e-3,
-            entropy_decay_iters: 60,
-            differential_reward: true,
-            input_dependent_baseline: true,
-            curriculum: Some(CurriculumSpec::standard()),
-            policy: PolicySpec::default(),
-            workload: None,
-            eval_iat_hint: None,
-            checkpoint: None,
-        }
+        let mut spec = TrainSpec::stream(iters, seed);
+        spec.cfg.lr = 1e-3;
+        spec.cfg.entropy_start = 0.25;
+        spec.cfg.entropy_decay_iters = 60;
+        spec
     }
 
     /// Persist/reuse the trained model at `path` (see
@@ -496,16 +462,18 @@ impl ScenarioSpec {
         }
     }
 
-    /// A numeric parameter rounded to usize.
+    /// A count parameter, or `default` when absent or not declared as one.
     pub fn usize_param(&self, key: &str, default: usize) -> usize {
-        self.num_param(key, default as f64).round().max(0.0) as usize
+        match self.param(key) {
+            Some(ParamValue::Count(n)) => *n,
+            _ => default,
+        }
     }
 
     /// A boolean parameter, or `default` when absent.
     pub fn flag_param(&self, key: &str, default: bool) -> bool {
         match self.param(key) {
             Some(ParamValue::Flag(b)) => *b,
-            Some(ParamValue::Num(n)) => *n != 0.0,
             _ => default,
         }
     }
@@ -524,183 +492,52 @@ impl ScenarioSpec {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Applies one `--set key=value` override. Well-known keys update the
-    /// corresponding structured field; anything else lands in `params`.
+    /// Applies one `--set key=value` override: a [`DynamicsSpec::KNOBS`]
+    /// key, a [`KEYS`] row that applies to this scenario, or a parameter
+    /// the scenario declared — held to the knob's range, the row's kind,
+    /// or the declared kind. Anything else is an error that lists what
+    /// the scenario accepts.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        let num = || -> Result<f64, String> {
-            value
-                .parse::<f64>()
-                .map_err(|_| format!("'{key}' needs a numeric value, got '{value}'"))
+        if let Some(knob) = DynamicsSpec::KNOBS.iter().find(|k| k.key == key) {
+            return knob.set(&mut self.sim.dynamics, numeric(key, value)?);
+        }
+        let mut rows = KEYS.iter().filter(|r| r.names.contains(&key));
+        let named = rows.clone().next();
+        if let Some(row) = rows.find(|r| r.applies_to(&self.name)) {
+            match row.kind {
+                Kind::Num(range, apply) => apply(self, number(key, value, range)?),
+                Kind::Sweep(range) => self.upsert_param(row.names[0], sweep(key, value, range)?),
+                Kind::Text(_, apply) => apply(self, value)?,
+                Kind::Name(_, apply) => {
+                    apply(self, value)?;
+                    self.upsert_param(row.names[0], ParamValue::Text(value.to_string()));
+                }
+            }
+            return Ok(());
+        }
+        let problem = match (named, self.params.iter().position(|(k, _)| k == key)) {
+            (Some(row), _) => format!("'{key}' is a {}-only key", row.only.join("/")),
+            (None, Some(i)) => {
+                self.params[i].1 = self.params[i].1.parse_like(key, value)?;
+                return Ok(());
+            }
+            (None, None) => format!("unknown key '{key}'"),
         };
-        // A sweep value: a single number or a comma list of them, each
-        // entry held to `check`, kept as a parameter so `list_param` can
-        // expand it.
-        fn sweep_value(
-            key: &str,
-            value: &str,
-            check: impl Fn(&str, f64) -> Result<(), String>,
-        ) -> Result<ParamValue, String> {
-            let nums: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse()).collect();
-            let nums =
-                nums.map_err(|_| format!("'{key}' needs a number or comma list, got '{value}'"))?;
-            for &n in &nums {
-                check(&format!("'{key}'"), n)?;
+        let rows = KEYS.iter().filter(|r| r.applies_to(&self.name));
+        let knobs = DynamicsSpec::KNOBS.iter().map(|k| k.key);
+        let params = self.params.iter().map(|(k, _)| k.as_str());
+        let mut keys: Vec<String> = Vec::new();
+        for key in rows.map(|r| r.names[0]).chain(knobs).chain(params) {
+            let key = format!("{key}=");
+            if !keys.contains(&key) {
+                keys.push(key);
             }
-            Ok(match nums[..] {
-                [n] => ParamValue::Num(n),
-                _ => ParamValue::Text(value.to_string()),
-            })
         }
-        let count = |what: &str, n: f64| count_arg(what, n).map(drop);
-        match key {
-            "execs" | "executors" => {
-                // The scale scenario *sweeps* executor counts, so comma
-                // lists must survive as a parameter instead of collapsing
-                // the workload to one cluster size (the same
-                // scenario-conditional treatment 'level' gets below).
-                if self.name == "scale" {
-                    self.upsert_param("execs", sweep_value(key, value, count)?);
-                } else {
-                    let n = count_arg(&format!("'{key}'"), num()?)?;
-                    if let Some(w) = &mut self.workload {
-                        w.executors = n;
-                    }
-                }
-            }
-            "jobs" => {
-                if self.name == "scale" {
-                    self.upsert_param("jobs", sweep_value(key, value, count)?);
-                } else {
-                    let n = count_arg(&format!("'{key}'"), num()?)?;
-                    if let Some(w) = &mut self.workload {
-                        w.set_num_jobs(n);
-                    }
-                }
-            }
-            // The fleet scenario's two sweep lists.
-            "shards" if self.name == "fleet" => {
-                self.upsert_param(key, sweep_value(key, value, count)?);
-            }
-            "rates" if self.name == "fleet" => {
-                let positive = |what: &str, r: f64| ranged(what, r, r > 0.0, "> 0").map(drop);
-                self.upsert_param(key, sweep_value(key, value, positive)?);
-            }
-            "iat" => {
-                let iat = num()?;
-                ranged("'iat'", iat, iat > 0.0, "> 0")?;
-                if let Some(w) = &mut self.workload {
-                    w.set_mean_iat(iat);
-                }
-                // Also visible as a param, so custom scenarios with
-                // secondary environments (fig11) can honor it.
-                self.upsert_param(key, ParamValue::Num(iat));
-            }
-            "task-scale" => {
-                let s = num()?;
-                if let Some(w) = &mut self.workload {
-                    w.set_task_scale(s);
-                }
-            }
-            "move-delay" => {
-                let d = num()?;
-                ranged("'move-delay'", d, d >= 0.0, ">= 0")?;
-                if let Some(w) = &mut self.workload {
-                    w.move_delay = d;
-                }
-            }
-            // Cluster-dynamics knobs (docs/ROBUSTNESS.md): any scenario
-            // can run perturbed.
-            "churn" => self.sim.dynamics.churn_iat = num()?,
-            "outage" => self.sim.dynamics.outage_mean = num()?,
-            "fail" => self.sim.dynamics.fail_prob = num()?,
-            "retries" => self.sim.dynamics.max_retries = num()?.round().max(0.0) as u32,
-            "straggle" => self.sim.dynamics.straggler_prob = num()?,
-            "straggle-factor" => self.sim.dynamics.straggler_factor = num()?,
-            // A named perturbation preset. "all" (the robust scenario's
-            // full sweep) and "custom" (use the churn=/fail=/straggle=
-            // knobs as set) leave the structured dynamics untouched.
-            // Only the robust scenario interprets the level parameter;
-            // everywhere else it would be silently ignored, so reject it
-            // loudly instead of letting `--set level=high` do nothing.
-            "level" => {
-                if self.name != "robust" {
-                    return Err(format!(
-                        "'level' is a robust-only parameter (scenario '{}' would ignore it); \
-                         to perturb this scenario set the dynamics knobs directly: \
-                         churn=, outage=, fail=, retries=, straggle=, straggle-factor=",
-                        self.name
-                    ));
-                }
-                if value != "all" && value != "custom" {
-                    self.sim.dynamics = DynamicsSpec::level(value).ok_or_else(|| {
-                        format!(
-                            "unknown dynamics level '{value}' (expected off, low, med, high, \
-                             all, or custom)"
-                        )
-                    })?;
-                }
-                self.upsert_param(key, ParamValue::Text(value.to_string()));
-            }
-            // A named drift preset. "all" (the drift scenario's full
-            // sweep) leaves the structured spec untouched. Only the
-            // drift scenario interprets the profile parameter; anywhere
-            // else it would be silently ignored, so reject it loudly.
-            "profile" => {
-                if self.name != "drift" {
-                    return Err(format!(
-                        "'profile' is a drift-only parameter (scenario '{}' would ignore it); \
-                         run `--scenario drift --set profile={value}` instead",
-                        self.name
-                    ));
-                }
-                if value != "all" {
-                    self.sim.drift = DriftSpec::preset(value).ok_or_else(|| {
-                        format!(
-                            "unknown drift profile '{value}' (expected off, ramp, diurnal, \
-                             mixshift, flash, or all)"
-                        )
-                    })?;
-                }
-                self.upsert_param(key, ParamValue::Text(value.to_string()));
-            }
-            // Both accept a bare count ("5") or a range ("0..40").
-            "runs" | "seeds" => self.seeds = self.seeds.parse(value)?,
-            "seed-start" => self.seeds.start = num()?.round() as u64,
-            "iters" => {
-                let iters = num()?.round() as usize;
-                for entry in &mut self.lineup {
-                    if let SchedulerSpec::Decima { train } = &mut entry.sched {
-                        train.iters = iters;
-                    }
-                }
-                self.upsert_param(key, ParamValue::Num(iters as f64));
-            }
-            // Persist/reuse every trained-Decima entry's model (first run
-            // trains and saves; later runs load and skip training). With
-            // several Decima entries in the lineup — ablations, different
-            // training workloads — each gets its own file derived from
-            // PATH and the entry name, so entries never silently share
-            // one model.
-            "checkpoint" => {
-                let decima_entries = self
-                    .lineup
-                    .iter()
-                    .filter(|e| matches!(e.sched, SchedulerSpec::Decima { .. }))
-                    .count();
-                for i in 0..self.lineup.len() {
-                    let entry_key = self.lineup[i].csv_name();
-                    if let SchedulerSpec::Decima { train } = &mut self.lineup[i].sched {
-                        train.checkpoint = Some(if decima_entries > 1 {
-                            per_entry_checkpoint(value, &entry_key)
-                        } else {
-                            value.to_string()
-                        });
-                    }
-                }
-            }
-            _ => self.upsert_param(key, ParamValue::parse(value)),
-        }
-        self.sim.dynamics.validate()
+        let keys = keys.join(", ");
+        Err(format!(
+            "{problem} for scenario '{}', which takes {keys}",
+            self.name
+        ))
     }
 
     fn upsert_param(&mut self, key: &str, value: ParamValue) {
@@ -736,21 +573,7 @@ impl ScenarioSpec {
             ("report", Json::str(report_key(self.report))),
             (
                 "params",
-                Json::Obj(
-                    self.params
-                        .iter()
-                        .map(|(k, v)| {
-                            (
-                                k.clone(),
-                                match v {
-                                    ParamValue::Num(n) => Json::Num(*n),
-                                    ParamValue::Text(t) => Json::str(t),
-                                    ParamValue::Flag(b) => Json::Bool(*b),
-                                },
-                            )
-                        })
-                        .collect(),
-                ),
+                Json::Obj(self.params.iter().map(param_json).collect()),
             ),
             (
                 "notes",
@@ -760,24 +583,343 @@ impl ScenarioSpec {
     }
 }
 
-/// A number from the command line (`what` names its key or flag) that
-/// must be finite and satisfy `ok`; the error states the accepted `range`.
-pub(crate) fn ranged(what: &str, v: f64, ok: bool, range: &str) -> Result<f64, String> {
-    if v.is_finite() && ok {
-        Ok(v)
-    } else {
-        Err(format!("{what} must be {range}, got {v}"))
+// ---------------------------------------------------------------------------
+// The `--set` key table
+// ---------------------------------------------------------------------------
+
+/// The accepted range of a number from the command line: as errors,
+/// `--help` and the docs state it, and as a test.
+pub type Range = (&'static str, fn(f64) -> bool);
+
+/// A job, executor or shard count (rounded).
+pub(crate) const COUNT: Range = ("at least 1", |n| n.round() >= 1.0);
+pub(crate) const POSITIVE: Range = ("> 0", |v| v > 0.0);
+const NON_NEGATIVE: Range = (">= 0", |v| v >= 0.0);
+/// Up to 2^53, where every integer is still an exact `f64`.
+const NATURAL: Range = ("a non-negative integer", |n| {
+    n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0
+});
+const FINITE: Range = ("a finite number", |_| true);
+
+/// `v` when it is finite and in `range`; the error names `what` (a
+/// quoted key or a flag).
+pub(crate) fn in_range(what: &str, v: f64, (text, ok): Range) -> Result<f64, String> {
+    match v.is_finite() && ok(v) {
+        true => Ok(v),
+        false => Err(format!("{what} must be {text}, got {v}")),
     }
 }
 
-/// A job or executor count from the command line: at least 1.
-pub(crate) fn count_arg(what: &str, n: f64) -> Result<usize, String> {
-    ranged(what, n.round(), n.round() >= 1.0, "at least 1").map(|n| n as usize)
+fn numeric(key: &str, value: &str) -> Result<f64, String> {
+    let v = value.parse();
+    v.map_err(|_| format!("'{key}' needs a numeric value, got '{value}'"))
+}
+
+/// The value of `--set key=value` as a number in `range`.
+fn number(key: &str, value: &str, range: Range) -> Result<f64, String> {
+    in_range(&format!("'{key}'"), numeric(key, value)?, range)
+}
+
+/// A sweep value: a single number or a comma list of them, each in
+/// `range`, in the form `list_param` expands.
+fn sweep(key: &str, value: &str, range: Range) -> Result<ParamValue, String> {
+    let nums: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse()).collect();
+    let nums = nums.map_err(|_| format!("'{key}' needs a number or comma list, got '{value}'"))?;
+    for &n in &nums {
+        in_range(&format!("'{key}'"), n, range)?;
+    }
+    Ok(match nums[..] {
+        [n] => ParamValue::Num(n),
+        _ => ParamValue::Text(value.to_string()),
+    })
+}
+
+type SetText = fn(&mut ScenarioSpec, &str) -> Result<(), String>;
+
+/// What a [`Key`]'s value has to look like, and what it changes.
+#[derive(Clone, Copy)]
+pub enum Kind {
+    /// One number in a range.
+    Num(Range, fn(&mut ScenarioSpec, f64)),
+    /// A sweep axis: one number or a comma list of them, each in the
+    /// range, kept as a parameter for the scenario's run function.
+    Sweep(Range),
+    /// Text of the stated form, which the function resolves or refuses.
+    Text(&'static str, SetText),
+    /// The same, and what the function accepts is also kept as a
+    /// parameter for the scenario's run function.
+    Name(&'static str, SetText),
+}
+
+/// One `--set` key that means the same thing wherever it applies (a
+/// scenario's own parameters are declared in the registry instead).
+pub struct Key {
+    /// The key, then its aliases.
+    pub names: &'static [&'static str],
+    /// The scenarios that take it; empty for every scenario.
+    pub only: &'static [&'static str],
+    /// Accepted values and their effect.
+    pub kind: Kind,
+    /// One-line meaning (`--help`, docs/ARCHITECTURE.md).
+    pub doc: &'static str,
+}
+
+impl Key {
+    fn applies_to(&self, scenario: &str) -> bool {
+        self.only.is_empty() || self.only.contains(&scenario)
+    }
+}
+
+/// `(key, applies to, accepted values, meaning)` for every [`KEYS`] row
+/// and every [`DynamicsSpec::KNOBS`] key: the rows of `--help` and of
+/// the "Settable keys" table in docs/ARCHITECTURE.md.
+pub fn settable_keys() -> Vec<[String; 4]> {
+    let everywhere = || "every scenario".to_string();
+    let rows = KEYS.iter().map(|r| {
+        let on = match r.only {
+            [] => everywhere(),
+            only => only.join(", "),
+        };
+        let accepts = match r.kind {
+            Kind::Num((range, _), _) => range.to_string(),
+            Kind::Sweep((range, _)) => format!("one or a comma list, each {range}"),
+            Kind::Text(form, _) | Kind::Name(form, _) => form.to_string(),
+        };
+        [r.names.join(", "), on, accepts, r.doc.to_string()]
+    });
+    let knobs = DynamicsSpec::KNOBS.iter().map(|k| {
+        let accepts = k.range.to_string();
+        [k.key.to_string(), everywhere(), accepts, k.doc.to_string()]
+    });
+    rows.chain(knobs).collect()
+}
+
+const LEVELS: &str = "off, low, med, high, all or custom";
+const PROFILES: &str = "off, ramp, diurnal, mixshift, flash or all";
+
+/// The table behind [`ScenarioSpec::set`], `--help` and the docs. Where
+/// two rows share a name the first that applies to the scenario wins.
+pub const KEYS: &[Key] = &[
+    Key {
+        names: &["execs", "executors"],
+        only: &["scale"],
+        kind: Kind::Sweep(COUNT),
+        doc: "executor counts to sweep",
+    },
+    Key {
+        names: &["execs", "executors"],
+        only: &[],
+        kind: Kind::Num(COUNT, set_execs),
+        doc: "executors of the evaluation cluster",
+    },
+    Key {
+        names: &["jobs"],
+        only: &["scale"],
+        kind: Kind::Sweep(COUNT),
+        doc: "total job counts to sweep",
+    },
+    Key {
+        names: &["jobs"],
+        only: &[],
+        kind: Kind::Num(COUNT, set_jobs),
+        doc: "jobs per evaluation episode",
+    },
+    Key {
+        names: &["shards"],
+        only: &["fleet"],
+        kind: Kind::Sweep(COUNT),
+        doc: "shard counts to sweep",
+    },
+    Key {
+        names: &["rates"],
+        only: &["fleet"],
+        kind: Kind::Sweep(POSITIVE),
+        doc: "arrival-rate multipliers to sweep",
+    },
+    Key {
+        names: &["iat"],
+        only: &[],
+        kind: Kind::Num(POSITIVE, set_iat),
+        doc: "mean interarrival time in seconds",
+    },
+    Key {
+        names: &["task-scale"],
+        only: &[],
+        kind: Kind::Num(POSITIVE, set_task_scale),
+        doc: "TPC-H task-count divisor",
+    },
+    Key {
+        names: &["move-delay"],
+        only: &[],
+        kind: Kind::Num(NON_NEGATIVE, set_move_delay),
+        doc: "executor move delay in seconds",
+    },
+    Key {
+        names: &["level"],
+        only: &["robust"],
+        kind: Kind::Name(LEVELS, set_level),
+        doc: "dynamics preset; all sweeps them, custom runs the knobs as set",
+    },
+    Key {
+        names: &["profile"],
+        only: &["drift"],
+        kind: Kind::Name(PROFILES, set_profile),
+        doc: "drift preset; all sweeps the four profiles",
+    },
+    Key {
+        names: &["runs", "seeds"],
+        only: &[],
+        kind: Kind::Text("a count N, or a range A..B", set_seeds),
+        doc: "evaluation seeds (like --seeds)",
+    },
+    Key {
+        names: &["seed-start"],
+        only: &[],
+        kind: Kind::Num(NATURAL, set_seed_start),
+        doc: "first evaluation seed",
+    },
+    Key {
+        names: &["iters"],
+        only: &[],
+        kind: Kind::Num(NATURAL, set_iters),
+        doc: "training iterations of every Decima entry",
+    },
+    Key {
+        names: &["checkpoint"],
+        only: &[],
+        kind: Kind::Text("a path", set_checkpoint),
+        doc: "each Decima entry's model: loaded if the file exists, else trained and saved",
+    },
+    Key {
+        names: &["router"],
+        only: &["fleet"],
+        kind: Kind::Name("rr, jsq or least-loaded", |_, name| {
+            make_router(name).map(drop)
+        }),
+        doc: "how the front-end routes jobs to shards",
+    },
+    Key {
+        names: &["sched"],
+        only: &["fleet", "scale"],
+        kind: Kind::Name("a scheduler name, or decima-ckpt:PATH", check_sched),
+        doc: "the scheduler every shard (or the scale sweep) runs",
+    },
+];
+
+fn with_workload(s: &mut ScenarioSpec, f: impl FnOnce(&mut WorkloadSpec)) {
+    if let Some(w) = &mut s.workload {
+        f(w);
+    }
+}
+
+fn set_execs(s: &mut ScenarioSpec, n: f64) {
+    with_workload(s, |w| w.executors = n.round() as usize);
+}
+
+fn set_jobs(s: &mut ScenarioSpec, n: f64) {
+    with_workload(s, |w| w.set_num_jobs(n.round() as usize));
+}
+
+/// Also a parameter, so custom scenarios with secondary environments
+/// (fig11) can honor it.
+fn set_iat(s: &mut ScenarioSpec, iat: f64) {
+    with_workload(s, |w| w.set_mean_iat(iat));
+    s.upsert_param("iat", ParamValue::Num(iat));
+}
+
+fn set_task_scale(s: &mut ScenarioSpec, divisor: f64) {
+    with_workload(s, |w| w.set_task_scale(divisor));
+}
+
+fn set_move_delay(s: &mut ScenarioSpec, secs: f64) {
+    with_workload(s, |w| w.move_delay = secs);
+}
+
+fn set_seeds(s: &mut ScenarioSpec, plan: &str) -> Result<(), String> {
+    s.seeds = s.seeds.parse(plan)?;
+    Ok(())
+}
+
+fn set_seed_start(s: &mut ScenarioSpec, start: f64) {
+    s.seeds.start = start as u64;
+}
+
+/// A named perturbation preset. "all" (the robust scenario's full sweep)
+/// and "custom" (use the knobs as set) leave the structured dynamics
+/// untouched.
+fn set_level(s: &mut ScenarioSpec, value: &str) -> Result<(), String> {
+    if value != "all" && value != "custom" {
+        let level = DynamicsSpec::level(value);
+        s.sim.dynamics =
+            level.ok_or_else(|| format!("unknown dynamics level '{value}' (expected {LEVELS})"))?;
+    }
+    Ok(())
+}
+
+/// A named drift preset. "all" (the drift scenario's full sweep) leaves
+/// the structured spec untouched.
+fn set_profile(s: &mut ScenarioSpec, value: &str) -> Result<(), String> {
+    if value != "all" {
+        let preset = DriftSpec::preset(value);
+        s.sim.drift = preset
+            .ok_or_else(|| format!("unknown drift profile '{value}' (expected {PROFILES})"))?;
+    }
+    Ok(())
+}
+
+/// Also a parameter: fig14, fig15a and fig19 train outside the lineup.
+fn set_iters(s: &mut ScenarioSpec, iters: f64) {
+    for entry in &mut s.lineup {
+        if let SchedulerSpec::Decima { train } = &mut entry.sched {
+            train.iters = iters as usize;
+        }
+    }
+    s.upsert_param("iters", ParamValue::Count(iters as usize));
+}
+
+/// Persist/reuse every trained-Decima entry's model (first run trains
+/// and saves; later runs load and skip training). With several Decima
+/// entries in the lineup — ablations, different training workloads —
+/// each gets its own file derived from PATH and the entry name, so
+/// entries never silently share one model.
+fn set_checkpoint(s: &mut ScenarioSpec, path: &str) -> Result<(), String> {
+    let is_decima = |e: &LineupEntry| matches!(e.sched, SchedulerSpec::Decima { .. });
+    let several = s.lineup.iter().filter(|e| is_decima(e)).count() > 1;
+    for entry in &mut s.lineup {
+        let entry_key = entry.csv_name();
+        if let SchedulerSpec::Decima { train } = &mut entry.sched {
+            train.checkpoint = Some(match several {
+                true => per_entry_checkpoint(path, &entry_key),
+                false => path.to_string(),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn check_sched(_: &mut ScenarioSpec, name: &str) -> Result<(), String> {
+    match scheduler_spec_by_name(name) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "unknown scheduler '{name}' (valid: {}, decima-ckpt:PATH)",
+            SCHEDULER_NAMES.join(", ")
+        )),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // JSON helpers for the component types.
 // ---------------------------------------------------------------------------
+
+fn param_json((key, value): &(String, ParamValue)) -> (String, Json) {
+    let value = match value {
+        ParamValue::Num(n) => Json::Num(*n),
+        ParamValue::Count(n) => Json::Num(*n as f64),
+        ParamValue::Text(t) => Json::str(t),
+        ParamValue::Flag(b) => Json::Bool(*b),
+    };
+    (key.clone(), value)
+}
 
 fn report_key(r: ReportKind) -> &'static str {
     match r {
@@ -853,14 +995,7 @@ pub fn drift_json(d: &DriftSpec) -> Json {
 /// Serializes a cluster-dynamics model (public: the robust scenario
 /// echoes each level's spec into its JSON output).
 pub fn dynamics_json(d: &DynamicsSpec) -> Json {
-    Json::obj([
-        ("churn_iat", Json::Num(d.churn_iat)),
-        ("outage_mean", Json::Num(d.outage_mean)),
-        ("fail_prob", Json::Num(d.fail_prob)),
-        ("max_retries", Json::Num(d.max_retries as f64)),
-        ("straggler_prob", Json::Num(d.straggler_prob)),
-        ("straggler_factor", Json::Num(d.straggler_factor)),
-    ])
+    Json::obj(DynamicsSpec::KNOBS.map(|k| (k.field, Json::Num(k.get(d)))))
 }
 
 fn arrivals_json(a: &ArrivalProcess) -> Json {
@@ -955,7 +1090,7 @@ pub fn workload_json(w: &WorkloadSpec) -> Json {
 fn policy_json(p: &PolicySpec) -> Json {
     Json::obj([
         ("gnn", Json::Bool(p.gnn)),
-        ("parallelism", Json::str(&p.parallelism)),
+        ("parallelism", Json::str(p.parallelism.key())),
         ("num_classes", Json::Num(p.num_classes as f64)),
         ("include_duration", Json::Bool(p.include_duration)),
         ("iat_hint", p.iat_hint.map_or(Json::Null, Json::Num)),
@@ -963,25 +1098,26 @@ fn policy_json(p: &PolicySpec) -> Json {
 }
 
 fn train_json(t: &TrainSpec) -> Json {
+    let c = &t.cfg;
     Json::obj([
         ("iters", Json::Num(t.iters as f64)),
-        ("seed", Json::Num(t.seed as f64)),
-        ("num_rollouts", Json::Num(t.num_rollouts as f64)),
-        ("lr", Json::Num(t.lr)),
-        ("entropy_start", Json::Num(t.entropy_start)),
-        ("entropy_end", Json::Num(t.entropy_end)),
+        ("seed", Json::Num(c.seed as f64)),
+        ("num_rollouts", Json::Num(c.num_rollouts as f64)),
+        ("lr", Json::Num(c.lr)),
+        ("entropy_start", Json::Num(c.entropy_start)),
+        ("entropy_end", Json::Num(c.entropy_end)),
         (
             "entropy_decay_iters",
-            Json::Num(t.entropy_decay_iters as f64),
+            Json::Num(c.entropy_decay_iters as f64),
         ),
-        ("differential_reward", Json::Bool(t.differential_reward)),
+        ("differential_reward", Json::Bool(c.differential_reward)),
         (
             "input_dependent_baseline",
-            Json::Bool(t.input_dependent_baseline),
+            Json::Bool(c.input_dependent_baseline),
         ),
         (
             "curriculum",
-            t.curriculum.as_ref().map_or(Json::Null, |c| {
+            c.curriculum.as_ref().map_or(Json::Null, |c| {
                 Json::obj([
                     ("tau_init", Json::Num(c.tau_init)),
                     ("tau_step", Json::Num(c.tau_step)),
@@ -1183,9 +1319,24 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Adds a count parameter (iterations, repetitions, sizes).
+    pub fn count(mut self, key: impl Into<String>, value: usize) -> Self {
+        self.spec
+            .params
+            .push((key.into(), ParamValue::Count(value)));
+        self
+    }
+
     /// Adds a boolean parameter.
     pub fn flag(mut self, key: impl Into<String>, value: bool) -> Self {
         self.spec.params.push((key.into(), ParamValue::Flag(value)));
+        self
+    }
+
+    /// Adds a text parameter.
+    pub fn text(mut self, key: impl Into<String>, value: &str) -> Self {
+        let value = ParamValue::Text(value.to_string());
+        self.spec.params.push((key.into(), value));
         self
     }
 
@@ -1274,7 +1425,11 @@ mod tests {
 
     #[test]
     fn set_overrides_structured_fields() {
-        let mut spec = demo_spec();
+        let declared = ScenarioBuilder { spec: demo_spec() };
+        let mut spec = declared
+            .param("custom-knob", 0.0)
+            .flag("flaggy", false)
+            .build();
         spec.set("execs", "30").unwrap();
         spec.set("jobs", "8").unwrap();
         spec.set("runs", "12").unwrap();
@@ -1419,6 +1574,61 @@ mod tests {
         // The direct dynamics knobs stay available to every scenario.
         spec.set("churn", "120").unwrap();
         assert_eq!(spec.sim.dynamics.churn_iat, 120.0);
+    }
+
+    /// A key that is neither a table row nor a declared parameter is an
+    /// error naming what the scenario takes; a declared parameter only
+    /// takes its declared kind.
+    #[test]
+    fn undeclared_keys_and_wrong_kinds_are_rejected() {
+        let declared = ScenarioBuilder { spec: demo_spec() };
+        let mut spec = declared.count("reps", 10).text("tag", "a").build();
+        let before = spec.clone();
+        let err = spec.set("exces", "30").unwrap_err();
+        assert!(
+            err.starts_with("unknown key 'exces' for scenario 'demo', which takes execs=, jobs=,"),
+            "{err}"
+        );
+        assert!(
+            err.ends_with("straggle-factor=, verbose=, reps=, tag="),
+            "{err}"
+        );
+        let cases = [
+            ("reps", "ten", "'reps' needs a numeric value, got 'ten'"),
+            (
+                "reps",
+                "-3",
+                "'reps' must be a non-negative integer, got -3",
+            ),
+            (
+                "reps",
+                "2.5",
+                "'reps' must be a non-negative integer, got 2.5",
+            ),
+            (
+                "iters",
+                "inf",
+                "'iters' must be a non-negative integer, got inf",
+            ),
+            ("verbose", "1", "'verbose' needs true or false, got '1'"),
+            ("runs", "0", "seed range '0' selects no seed"),
+            ("seeds", "5..5", "seed range '5..5' selects no seed"),
+            (
+                "seeds",
+                "0..99999999",
+                "seed range '0..99999999' selects more than 1000000 seeds",
+            ),
+        ];
+        for (key, value, want) in cases {
+            assert_eq!(spec.set(key, value), Err(want.to_string()), "{key}={value}");
+        }
+        assert_eq!(spec, before, "a refused value changes nothing");
+        spec.set("reps", "12").unwrap();
+        spec.set("tag", "anything at all").unwrap();
+        spec.set("verbose", "true").unwrap();
+        assert_eq!(spec.usize_param("reps", 0), 12);
+        assert_eq!(spec.text_param("tag", ""), "anything at all");
+        assert!(spec.flag_param("verbose", false));
     }
 
     #[test]

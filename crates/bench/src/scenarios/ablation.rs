@@ -11,7 +11,8 @@ use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
 use crate::timed::Timed;
 use crate::{eval_mean_jct, run_episode, train_with_progress, write_csv};
 use decima_baselines::WeightedFairScheduler;
-use decima_rl::{EnvFactory, SpecEnv, TrainConfig};
+use decima_policy::ParallelismMode;
+use decima_rl::{EnvFactory, SpecEnv};
 use decima_sim::{Objective, Simulator};
 use decima_workload::WorkloadSpec;
 
@@ -89,19 +90,20 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     // Base recipe from the registered lineup entry (seed/policy vary
     // per ablation variant below), so registry edits govern the run.
     let base = first_train(spec);
-    let variant = move |fixed_seq: bool, policy: PolicySpec, seed: u64| TrainSpec {
-        iters,
-        seed,
-        input_dependent_baseline: fixed_seq,
-        policy,
-        ..base.clone()
+    let variant = move |fixed_seq: bool, policy: PolicySpec, seed: u64| {
+        let mut train = base.clone();
+        train.iters = iters;
+        train.cfg.seed = seed;
+        train.cfg.input_dependent_baseline = fixed_seq;
+        train.policy = policy;
+        train
     };
     let no_gnn = PolicySpec {
         gnn: false,
         ..PolicySpec::default()
     };
     let no_par = PolicySpec {
-        parallelism: "disabled".into(),
+        parallelism: ParallelismMode::Disabled,
         ..PolicySpec::default()
     };
 
@@ -192,28 +194,20 @@ pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
     let eval_start = spec.num_param("eval-seed-start", 8000.0) as u64;
     let eval_seeds: Vec<u64> = (eval_start..eval_start + 3).collect();
     let modes = [
-        ("job-level (decima)", "job-level"),
-        ("one-hot limits", "one-hot"),
-        ("stage-level", "stage-level"),
+        ("job-level (decima)", ParallelismMode::JobLevel),
+        ("one-hot limits", ParallelismMode::OneHot),
+        ("stage-level", ParallelismMode::StageLevel),
     ];
 
     let mut curves: Vec<Vec<(usize, f64)>> = Vec::new();
     for &(name, mode) in &modes {
         println!("\nTraining variant: {name}");
-        let mut t = build_trainer(
-            &TrainSpec {
-                lr: TrainConfig::default().lr,
-                entropy_decay_iters: iters.max(1),
-                differential_reward: false,
-                curriculum: None,
-                policy: PolicySpec {
-                    parallelism: mode.into(),
-                    ..PolicySpec::default()
-                },
-                ..TrainSpec::tuned(iters, 41)
-            },
-            execs,
-        );
+        let mut train = TrainSpec::tuned(iters, 41);
+        train.cfg.entropy_decay_iters = iters.max(1);
+        train.cfg.differential_reward = false;
+        train.cfg.curriculum = None;
+        train.policy.parallelism = mode;
+        let mut t = build_trainer(&train, execs);
         let mut curve = vec![(0usize, eval_mean_jct(&t, &env, &eval_seeds))];
         for block in 0..(iters / every) {
             for _ in 0..every {

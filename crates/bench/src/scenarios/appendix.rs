@@ -24,7 +24,7 @@ use rand::SeedableRng;
 pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
     let mut train = first_train(spec);
     // The historical binary anneals entropy over half the run.
-    train.entropy_decay_iters = train.iters / 2;
+    train.cfg.entropy_decay_iters = train.iters / 2;
     let env = spec_env(spec);
     const EPS: f64 = APPENDIX_DAG_EPS;
 

@@ -30,7 +30,7 @@ use crate::factory::{build_trainer, make_scheduler, TrainedPolicy};
 use crate::json::Json;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::{drift_json, ScenarioSpec, SchedulerSpec, TrainSpec};
+use crate::scenario::{drift_json, ScenarioSpec, SchedulerSpec};
 use crate::{run_episode, train_with_progress, write_csv};
 use decima_rl::{EnvFactory as _, SpecEnv, Trainer};
 use decima_sim::EpisodeResult;
@@ -118,18 +118,6 @@ fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
     agg
 }
 
-/// The spec's (single) Decima training recipe — the base policy every
-/// adaptation arm starts from.
-fn base_train(spec: &ScenarioSpec) -> TrainSpec {
-    spec.lineup
-        .iter()
-        .find_map(|e| match &e.sched {
-            SchedulerSpec::Decima { train } => Some(train.clone()),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("drift scenario needs a Decima lineup entry"))
-}
-
 /// Runs the drift sweep.
 pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     let mut report = ScenarioReport::new();
@@ -139,7 +127,8 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     let profiles = resolve_profiles(spec);
     let ft_iters = spec.usize_param("ft-iters", 4);
     let ft_window = spec.usize_param("ft-window", 16);
-    let train = base_train(spec);
+    // The base policy every adaptation arm starts from.
+    let train = super::first_train(spec);
 
     // The stationary environment the base policy trains on: drift off,
     // no phase boundaries.
@@ -147,15 +136,14 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     stationary.drift = DriftSpec::off();
     stationary.sim.phase_boundaries.clear();
 
-    // Train (or load) the base model once; the saved checkpoint is the
-    // lineage root every fine-tuned arm resumes from.
-    let base_path = train
-        .checkpoint
-        .clone()
-        .unwrap_or_else(|| "out/drift_base.ckpt".to_string());
-    let base = if std::path::Path::new(&base_path).exists() {
+    // The base model's checkpoint is the lineage root every fine-tuned
+    // arm resumes from. Only a file the caller named is ever reused: a
+    // leftover out/drift_base.ckpt would make the run depend on what
+    // ran before it.
+    let base_path = train.checkpoint.as_deref().unwrap_or("out/drift_base.ckpt");
+    let base = if train.checkpoint.is_some() && std::path::Path::new(base_path).exists() {
         println!("Loading base policy from checkpoint {base_path}...");
-        Trainer::load_checkpoint(std::path::Path::new(&base_path))
+        Trainer::load_checkpoint(std::path::Path::new(base_path))
             .unwrap_or_else(|e| panic!("cannot load checkpoint '{base_path}': {e}"))
     } else {
         println!(
@@ -164,13 +152,12 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         );
         let mut t = build_trainer(&train, executors);
         train_with_progress(&mut t, &stationary, train.iters);
-        let _ = std::fs::create_dir_all("out");
-        t.save_checkpoint(std::path::Path::new(&base_path))
+        t.save_checkpoint(std::path::Path::new(base_path))
             .unwrap_or_else(|e| panic!("cannot save checkpoint '{base_path}': {e}"));
         t
     };
     let frozen = TrainedPolicy::of(&base);
-    crate::runner::check_snapshot_compat(&frozen, executors, &base_path);
+    crate::runner::check_snapshot_compat(&frozen, executors, base_path);
 
     let mut rows = Vec::new();
     let mut profile_objs: Vec<(String, Json)> = Vec::new();
@@ -185,7 +172,7 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         // checkpoint per profile, so profiles never leak adaptation
         // into each other; the retrain arm rebuilds from scratch.
         println!("  fine-tuning from {base_path} ({ft_iters} iters, window {ft_window})...");
-        let mut ft = Trainer::load_checkpoint(std::path::Path::new(&base_path))
+        let mut ft = Trainer::load_checkpoint(std::path::Path::new(base_path))
             .unwrap_or_else(|e| panic!("cannot reload checkpoint '{base_path}': {e}"));
         ft.fine_tune_window(&penv, ft_iters, ft_window);
         println!("  retraining from scratch ({} iters)...", train.iters);

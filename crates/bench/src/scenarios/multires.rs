@@ -119,17 +119,23 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         // TPC-H with random memory demands (Figure 11b). Job count
         // follows the main (Alibaba) workload unless overridden, so
         // `--set jobs=N` scales both sub-experiments together.
-        let default_jobs = spec.workload.as_ref().map_or(80, WorkloadSpec::num_jobs);
+        let num_jobs = match spec.usize_param("tpch-jobs", 0) {
+            0 => spec.workload.as_ref().map_or(80, WorkloadSpec::num_jobs),
+            n => n,
+        };
+        // `--set iat=…` historically applied to both sub-experiments;
+        // a positive `tpch-iat` overrides it here.
+        let tpch_iat = spec.num_param("tpch-iat", 0.0);
+        let mean_iat = match tpch_iat > 0.0 {
+            true => tpch_iat,
+            false => spec.num_param("iat", 28.0),
+        };
         let executors = spec.executors();
         let env = SpecEnv {
             workload: WorkloadSpec {
                 source: WorkloadSource::Tpch {
-                    num_jobs: spec.usize_param("tpch-jobs", default_jobs),
-                    arrivals: ArrivalProcess::Poisson {
-                        // `--set iat=…` historically applied to both
-                        // sub-experiments; `tpch-iat` overrides it here.
-                        mean_iat: spec.num_param("tpch-iat", spec.num_param("iat", 28.0)),
-                    },
+                    num_jobs,
+                    arrivals: ArrivalProcess::Poisson { mean_iat },
                     task_scale: 8.0,
                     random_memory: true,
                 },

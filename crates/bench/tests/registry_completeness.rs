@@ -1,25 +1,155 @@
 //! Guards the contract between the registry and its documentation —
 //! the "Experiment index" table of `docs/ARCHITECTURE.md` lists exactly
-//! the registered scenarios — and every registered scenario's runner
-//! prerequisites.
+//! the registered scenarios, its "Settable keys" table and
+//! `docs/ROBUSTNESS.md`'s knob table are the rows the code generates,
+//! every `--set` key the docs, the CI and `benchmark/` use is accepted —
+//! and every registered scenario's runner prerequisites.
 
 use decima_bench::registry::ScenarioRegistry;
 use decima_bench::runner::RunKind;
-use decima_bench::scenario::SchedulerSpec;
+use decima_bench::scenario::{settable_keys, SchedulerSpec, KEYS};
+use decima_sim::DynamicsSpec;
 use std::collections::BTreeSet;
 use std::path::Path;
 
+fn repo_file(path: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(path);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The table rows (lines starting `| \``) of the section whose heading
+/// starts with `heading`.
+fn table_rows(text: &str, heading: &str) -> Vec<String> {
+    text.lines()
+        .skip_while(|l| !l.starts_with(heading))
+        .skip(1)
+        .take_while(|l| !l.starts_with('#'))
+        .filter(|l| l.starts_with("| `"))
+        .map(str::to_string)
+        .collect()
+}
+
 /// The first cell of every data row of the "Experiment index" table.
 fn documented_scenarios() -> BTreeSet<String> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/ARCHITECTURE.md");
-    let text = std::fs::read_to_string(&path).expect("docs/ARCHITECTURE.md is readable");
-    text.lines()
-        .skip_while(|l| !l.starts_with("## Experiment index"))
-        .skip(1)
-        .take_while(|l| !l.starts_with("## "))
+    table_rows(&repo_file("docs/ARCHITECTURE.md"), "## Experiment index")
+        .iter()
         .filter_map(|l| l.strip_prefix("| `")?.split_once('`'))
         .map(|(name, _)| name.to_string())
         .collect()
+}
+
+/// Docs ↔ code, both directions, as whole rows: a key, scope, range or
+/// meaning edited on one side only fails here, and the message is the
+/// table to paste.
+#[test]
+fn settable_keys_table_is_the_one_the_code_generates() {
+    let generated: Vec<String> = settable_keys()
+        .iter()
+        .map(|[key, on, accepts, doc]| {
+            let keys: Vec<String> = key.split(", ").map(|k| format!("`{k}`")).collect();
+            format!("| {} | {on} | {accepts} | {doc} |", keys.join(", "))
+        })
+        .collect();
+    let documented = table_rows(&repo_file("docs/ARCHITECTURE.md"), "### Settable keys");
+    assert_eq!(
+        documented,
+        generated,
+        "docs/ARCHITECTURE.md \"Settable keys\" should read:\n{}\n",
+        generated.join("\n")
+    );
+}
+
+#[test]
+fn robustness_knob_table_is_the_one_the_code_generates() {
+    let generated: Vec<String> = DynamicsSpec::KNOBS
+        .iter()
+        .map(|k| format!("| `{}` | `{}` | {} | {} |", k.field, k.key, k.range, k.doc))
+        .collect();
+    let documented = table_rows(&repo_file("docs/ROBUSTNESS.md"), "## Model semantics");
+    assert_eq!(
+        documented,
+        generated,
+        "docs/ROBUSTNESS.md's knob table should read:\n{}\n",
+        generated.join("\n")
+    );
+}
+
+/// Every `--set key=` the README, the docs and the CI workflow show
+/// names a table row, a dynamics knob or a parameter some scenario
+/// declares (`exces` is the CI's deliberate typo; `key`, `k` are
+/// placeholders).
+#[test]
+fn every_documented_set_key_is_known() {
+    let reg = ScenarioRegistry::standard();
+    let mut known: BTreeSet<&str> = KEYS.iter().flat_map(|r| r.names).copied().collect();
+    known.extend(DynamicsSpec::KNOBS.iter().map(|k| k.key));
+    for sc in reg.iter() {
+        known.extend(sc.spec.params.iter().map(|(k, _)| k.as_str()));
+    }
+    known.extend(["exces", "key", "k"]);
+    let mut files = vec!["README.md".to_string(), ".github/workflows/ci.yml".into()];
+    for doc in [
+        "ARCHITECTURE",
+        "DETERMINISM",
+        "DRIFT",
+        "FLEET",
+        "PERF",
+        "ROBUSTNESS",
+        "TRAINING",
+    ] {
+        files.push(format!("docs/{doc}.md"));
+    }
+    let mut seen = 0;
+    for file in files {
+        let text = repo_file(&file);
+        for (at, _) in text.match_indices("--set ") {
+            let rest = &text[at + "--set ".len()..];
+            let Some((key, _)) = rest.split_once('=') else {
+                continue;
+            };
+            if key.chars().all(|c| c.is_ascii_lowercase() || c == '-') {
+                assert!(known.contains(key), "{file}: `--set {key}=` is not a key");
+                seen += 1;
+            }
+        }
+    }
+    assert!(seen > 50, "only {seen} `--set key=` occurrences found");
+}
+
+/// The overrides `benchmark/src/workloads/exp.rs` applies (that package
+/// cannot be edited here, and panics on a refused pair).
+#[test]
+fn the_benchmark_overrides_are_accepted() {
+    let reg = ScenarioRegistry::standard();
+    let sets: [(&str, &[(&str, &str)]); 3] = [
+        ("fig09a", &[("iters", "4"), ("jobs", "10"), ("runs", "8")]),
+        (
+            "fleet",
+            &[
+                ("jobs", "400"),
+                ("shards", "1,2,4"),
+                ("rates", "1,2"),
+                ("router", "rr"),
+            ],
+        ),
+        (
+            "drift",
+            &[
+                ("iters", "1"),
+                ("ft-iters", "2"),
+                ("jobs", "5"),
+                ("runs", "2"),
+            ],
+        ),
+    ];
+    for (name, pairs) in sets {
+        let mut spec = reg.get(name).unwrap().spec.clone();
+        for (k, v) in pairs {
+            assert_eq!(spec.set(k, v), Ok(()), "{name}: {k}={v}");
+        }
+    }
 }
 
 #[test]

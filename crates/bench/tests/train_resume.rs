@@ -114,6 +114,43 @@ fn resume_reconciles_log_records_past_the_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A log line that is not a record — torn by a crash mid-write, or a
+/// damaged file — is dropped like a stale one. A line of two million
+/// `[` used to overflow the JSON parser's stack and abort the resume;
+/// a checkpoint header that asks for a 19 TB layer is an error, not an
+/// allocation.
+#[test]
+fn resume_survives_a_damaged_log_and_refuses_a_damaged_checkpoint() {
+    let dir = tmp_dir("damaged");
+    let opts = tiny_opts(&dir, 2);
+    run_training(&opts).expect("fresh run");
+    let log = opts.log_file();
+    let mut text = std::fs::read_to_string(&log).unwrap();
+    text.push_str(&"[".repeat(2_000_000));
+    text.push_str("\n{\"iter\": 1, \"torn");
+    std::fs::write(&log, text).unwrap();
+    let resume = TrainOptions {
+        resume: true,
+        ..tiny_opts(&dir, 3)
+    };
+    run_training(&resume).expect("resume runs");
+    assert_eq!(log_iters(&log), vec![0, 1, 2]);
+
+    let ckpt = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
+    let hidden = ckpt
+        .lines()
+        .find(|l| l.starts_with("policy.hidden"))
+        .unwrap();
+    let hostile = ckpt.replacen(hidden, "policy.hidden 99999999999", 1);
+    std::fs::write(opts.checkpoint_path(), hostile).unwrap();
+    let err = run_training(&resume).err().expect("hostile header");
+    assert_eq!(
+        err,
+        "checkpoint field 'policy.hidden' must be in [1, 1024], got 99999999999"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The checkpoint embeds the workload it was trained on; resuming with
 /// different `--jobs/--execs/--iat` flags must fail loudly instead of
 /// silently continuing the optimization on another distribution.

@@ -37,6 +37,27 @@ pub enum ParallelismMode {
     Disabled,
 }
 
+impl ParallelismMode {
+    /// The mode's name in scenario specs and checkpoint headers.
+    pub fn key(self) -> &'static str {
+        match self {
+            ParallelismMode::JobLevel => "job-level",
+            ParallelismMode::StageLevel => "stage-level",
+            ParallelismMode::OneHot => "one-hot",
+            ParallelismMode::Disabled => "disabled",
+        }
+    }
+
+    /// The mode [`ParallelismMode::key`] names `key`.
+    pub fn from_key(key: &str) -> Result<Self, String> {
+        use ParallelismMode::{Disabled, JobLevel, OneHot, StageLevel};
+        [JobLevel, StageLevel, OneHot, Disabled]
+            .into_iter()
+            .find(|m| m.key() == key)
+            .ok_or_else(|| format!("unknown parallelism mode '{key}'"))
+    }
+}
+
 /// Policy construction options.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PolicyConfig {
@@ -426,4 +447,26 @@ pub fn argmax_logp(tape: &Tape, logp: TensorId) -> usize {
     (0..t.rows())
         .max_by(|&a, &b| t.get(a, 0).total_cmp(&t.get(b, 0)))
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallelism_mode_keys_round_trip() {
+        use ParallelismMode::{Disabled, JobLevel, OneHot, StageLevel};
+        let keys = ["job-level", "stage-level", "one-hot", "disabled"];
+        for (mode, key) in [JobLevel, StageLevel, OneHot, Disabled]
+            .into_iter()
+            .zip(keys)
+        {
+            assert_eq!(mode.key(), key);
+            assert_eq!(ParallelismMode::from_key(key), Ok(mode));
+        }
+        assert_eq!(
+            ParallelismMode::from_key("bogus"),
+            Err("unknown parallelism mode 'bogus'".to_string())
+        );
+    }
 }

@@ -44,11 +44,11 @@
 
 use crate::baseline::MovingAvg;
 use crate::trainer::{Curriculum, IterStats, TrainConfig, Trainer};
-use decima_gnn::{FeatureConfig, GnnConfig};
+use decima_gnn::{GnnConfig, FEAT_DIM};
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, ParallelismMode, PolicyConfig};
 use decima_sim::DynamicsSpec;
-use decima_workload::{ArrivalProcess, WorkloadSource, WorkloadSpec};
+use decima_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -77,18 +77,10 @@ impl WorkloadEcho {
     /// The echo of a declarative workload description (dynamics off;
     /// see [`WorkloadEcho::with_dynamics`]).
     pub fn of(w: &WorkloadSpec) -> Self {
-        let iat = match &w.source {
-            WorkloadSource::Tpch {
-                arrivals: ArrivalProcess::Poisson { mean_iat },
-                ..
-            } => Some(*mean_iat),
-            WorkloadSource::Alibaba { mean_iat, .. } => Some(*mean_iat),
-            _ => None,
-        };
         WorkloadEcho {
             jobs: w.num_jobs(),
             execs: w.executors,
-            iat,
+            iat: w.mean_iat(),
             dynamics: DynamicsSpec::off(),
         }
     }
@@ -105,17 +97,9 @@ impl WorkloadEcho {
             Some(iat) => format!("poisson arrivals (mean IAT {iat} s)"),
             None => "batched arrivals".to_string(),
         };
-        let d = &self.dynamics;
-        let dynamics = if d.enabled() {
-            format!(
-                " / dynamics(churn={}, outage={}, fail={}, retries={}, straggle={}, factor={})",
-                d.churn_iat,
-                d.outage_mean,
-                d.fail_prob,
-                d.max_retries,
-                d.straggler_prob,
-                d.straggler_factor
-            )
+        let dynamics = if self.dynamics.enabled() {
+            let knobs = DynamicsSpec::KNOBS.map(|k| format!("{}={}", k.key, k.get(&self.dynamics)));
+            format!(" / dynamics({})", knobs.join(", "))
         } else {
             String::new()
         };
@@ -149,44 +133,254 @@ pub const CHECKPOINT_HEADER: &str = "decima-checkpoint";
 /// [`Trainer::from_checkpoint`] accepts). Bump on any layout change.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-fn mode_key(m: ParallelismMode) -> &'static str {
-    match m {
-        ParallelismMode::JobLevel => "job-level",
-        ParallelismMode::StageLevel => "stage-level",
-        ParallelismMode::OneHot => "one-hot",
-        ParallelismMode::Disabled => "disabled",
-    }
+// ---------------------------------------------------------------------------
+// One field list per struct, shared by the writer and the reader
+// ---------------------------------------------------------------------------
+
+/// Ceiling on a layer width, feature or embedding dimension, class or
+/// rollout count read from a checkpoint (the paper's widest layer is
+/// 32): a header may not ask the loader for terabytes.
+pub const MAX_WIDTH: usize = 1024;
+/// Ceiling on the layers of one MLP read from a checkpoint.
+pub const MAX_LAYERS: usize = 8;
+/// Ceiling on the executor count, limit stride and cache capacity read
+/// from a checkpoint.
+pub const MAX_COUNT: usize = 1_000_000;
+
+/// How one header value is reached inside its struct `T`, and what a
+/// reader holds it to. The accessor borrows mutably so that one serves
+/// both directions; the writer runs it on a copy.
+enum Slot<T> {
+    /// A count within the inclusive bounds.
+    Count(fn(&mut T) -> &mut usize, usize, usize),
+    Seed(fn(&mut T) -> &mut u64),
+    /// A finite real.
+    Real(fn(&mut T) -> &mut f64),
+    /// A measured statistic: any real, `NaN` and `inf` included.
+    Stat(fn(&mut T) -> &mut f64),
+    /// `0` or `1`.
+    Flag(fn(&mut T) -> &mut bool),
+    /// A finite real or `none`.
+    OptReal(fn(&mut T) -> &mut Option<f64>),
+    /// At most [`MAX_LAYERS`] widths of `1..=`[`MAX_WIDTH`].
+    Widths(fn(&mut T) -> &mut Vec<usize>),
+    Mode(fn(&mut T) -> &mut ParallelismMode),
+    /// `none`, or `tau_init tau_step tau_max`.
+    Horizon(fn(&mut T) -> &mut Option<Curriculum>),
+    /// The knobs in [`DynamicsSpec::KNOBS`] order, each in its range.
+    Dynamics(fn(&mut T) -> &mut DynamicsSpec),
 }
 
-fn mode_from_key(key: &str) -> Result<ParallelismMode, String> {
-    Ok(match key {
-        "job-level" => ParallelismMode::JobLevel,
-        "stage-level" => ParallelismMode::StageLevel,
-        "one-hot" => ParallelismMode::OneHot,
-        "disabled" => ParallelismMode::Disabled,
-        other => return Err(format!("unknown parallelism mode '{other}'")),
-    })
+/// A struct's header lines: key and slot, in the order they are written.
+type Fields<T> = &'static [(&'static str, Slot<T>)];
+
+use Slot::{Count, Dynamics, Flag, Horizon, Mode, OptReal, Real, Seed, Stat, Widths};
+
+/// `policy.gnn 1` precedes these; `policy.gnn 0` replaces them.
+const GNN_SWITCH: &str = "policy.gnn";
+const GNN: Fields<GnnConfig> = &[
+    (
+        "policy.gnn.feat_dim",
+        Count(|g| &mut g.feat_dim, 1, MAX_WIDTH),
+    ),
+    (
+        "policy.gnn.embed_dim",
+        Count(|g| &mut g.embed_dim, 1, MAX_WIDTH),
+    ),
+    ("policy.gnn.hidden", Widths(|g| &mut g.hidden)),
+    ("policy.gnn.two_level", Flag(|g| &mut g.two_level)),
+];
+const POLICY: Fields<PolicyConfig> = &[
+    (
+        "policy.feat.include_duration",
+        Flag(|p| &mut p.feat.include_duration),
+    ),
+    ("policy.feat.iat_hint", OptReal(|p| &mut p.feat.iat_hint)),
+    ("policy.feat.task_scale", Real(|p| &mut p.feat.task_scale)),
+    ("policy.feat.dur_scale", Real(|p| &mut p.feat.dur_scale)),
+    ("policy.feat.work_scale", Real(|p| &mut p.feat.work_scale)),
+    ("policy.parallelism", Mode(|p| &mut p.parallelism)),
+    (
+        "policy.limit_stride",
+        Count(|p| &mut p.limit_stride, 1, MAX_COUNT),
+    ),
+    (
+        "policy.total_executors",
+        Count(|p| &mut p.total_executors, 1, MAX_COUNT),
+    ),
+    (
+        "policy.num_classes",
+        Count(|p| &mut p.num_classes, 1, MAX_WIDTH),
+    ),
+    ("policy.hidden", Widths(|p| &mut p.hidden)),
+];
+/// Lines newer than the first v1 checkpoints: a reader that finds none
+/// keeps the default (a capacity of 16 only sets how often graph
+/// structures are rebuilt, never what a policy computes; dynamics off).
+const POLICY_ADDED: Fields<PolicyConfig> = &[(
+    "policy.graph_cache_cap",
+    Count(|p| &mut p.graph_cache_cap, 1, MAX_COUNT),
+)];
+const CFG: Fields<TrainConfig> = &[
+    (
+        "cfg.num_rollouts",
+        Count(|c| &mut c.num_rollouts, 1, MAX_WIDTH),
+    ),
+    ("cfg.lr", Real(|c| &mut c.lr)),
+    ("cfg.entropy_start", Real(|c| &mut c.entropy_start)),
+    ("cfg.entropy_end", Real(|c| &mut c.entropy_end)),
+    (
+        "cfg.entropy_decay_iters",
+        Count(|c| &mut c.entropy_decay_iters, 0, usize::MAX),
+    ),
+    ("cfg.curriculum", Horizon(|c| &mut c.curriculum)),
+    (
+        "cfg.input_dependent_baseline",
+        Flag(|c| &mut c.input_dependent_baseline),
+    ),
+    (
+        "cfg.differential_reward",
+        Flag(|c| &mut c.differential_reward),
+    ),
+    ("cfg.reward_scale", Real(|c| &mut c.reward_scale)),
+    (
+        "cfg.normalize_advantages",
+        Flag(|c| &mut c.normalize_advantages),
+    ),
+    ("cfg.seed", Seed(|c| &mut c.seed)),
+];
+const ECHO: Fields<WorkloadEcho> = &[
+    ("echo.jobs", Count(|e| &mut e.jobs, 0, usize::MAX)),
+    ("echo.execs", Count(|e| &mut e.execs, 0, usize::MAX)),
+    ("echo.iat", OptReal(|e| &mut e.iat)),
+];
+const ECHO_ADDED: Fields<WorkloadEcho> = &[("echo.dynamics", Dynamics(|e| &mut e.dynamics))];
+/// One `history` line: the values in this order, names implied.
+const STATS: Fields<IterStats> = &[
+    ("iter", Count(|s| &mut s.iter, 0, usize::MAX)),
+    ("mean_reward", Stat(|s| &mut s.mean_reward)),
+    ("mean_avg_jct", Stat(|s| &mut s.mean_avg_jct)),
+    ("mean_completed", Stat(|s| &mut s.mean_completed)),
+    ("mean_actions", Stat(|s| &mut s.mean_actions)),
+    ("mean_entropy", Stat(|s| &mut s.mean_entropy)),
+    ("grad_norm", Stat(|s| &mut s.grad_norm)),
+    ("tau", OptReal(|s| &mut s.tau)),
+    ("beta", Stat(|s| &mut s.beta)),
+];
+fn join<X: ToString>(items: &[X]) -> String {
+    let items: Vec<String> = items.iter().map(X::to_string).collect();
+    items.join(" ")
 }
 
 fn opt_f64(v: Option<f64>) -> String {
     v.map_or("none".to_string(), |x| x.to_string())
 }
 
-fn usizes(v: &[usize]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
+fn show<T>(slot: &Slot<T>, t: &mut T) -> String {
+    match slot {
+        Count(at, ..) => at(t).to_string(),
+        Seed(at) => at(t).to_string(),
+        Real(at) | Stat(at) => at(t).to_string(),
+        Flag(at) => (*at(t) as u8).to_string(),
+        OptReal(at) => opt_f64(*at(t)),
+        Widths(at) => join(at(t)),
+        Mode(at) => at(t).key().to_string(),
+        Horizon(at) => at(t).map_or("none".to_string(), |c| {
+            join(&[c.tau_init, c.tau_step, c.tau_max])
+        }),
+        Dynamics(at) => join(&DynamicsSpec::KNOBS.map(|k| k.get(at(t)))),
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Parsing helpers
-// ---------------------------------------------------------------------------
+fn number<X: std::str::FromStr>(text: &str) -> Result<X, String> {
+    text.parse().map_err(|_| format!("is malformed ('{text}')"))
+}
+
+fn finite(text: &str) -> Result<f64, String> {
+    number(text).and_then(|x: f64| match x.is_finite() {
+        true => Ok(x),
+        false => Err(format!("must be finite, got {x}")),
+    })
+}
+
+fn count(text: &str, lo: usize, hi: usize) -> Result<usize, String> {
+    number(text).and_then(|n: usize| match (lo..=hi).contains(&n) {
+        true => Ok(n),
+        false => Err(format!("must be in [{lo}, {hi}], got {n}")),
+    })
+}
+
+/// Reads `text` into the slot, or says why it is outside what the slot
+/// accepts.
+fn read<T>(slot: &Slot<T>, t: &mut T, text: &str) -> Result<(), String> {
+    let reals = || {
+        text.split_whitespace()
+            .map(finite)
+            .collect::<Result<Vec<f64>, _>>()
+    };
+    match slot {
+        Count(at, lo, hi) => *at(t) = count(text, *lo, *hi)?,
+        Seed(at) => *at(t) = number(text)?,
+        Real(at) => *at(t) = finite(text)?,
+        Stat(at) => *at(t) = number(text)?,
+        Flag(at) => {
+            *at(t) = match text {
+                "1" | "true" => true,
+                "0" | "false" => false,
+                _ => return Err(format!("has non-bool value '{text}'")),
+            }
+        }
+        OptReal(at) => *at(t) = (text != "none").then(|| finite(text)).transpose()?,
+        Widths(at) => {
+            let widths = text.split_whitespace().map(|w| count(w, 1, MAX_WIDTH));
+            *at(t) = widths.collect::<Result<_, _>>()?;
+            if at(t).len() > MAX_LAYERS {
+                return Err(format!("lists more than {MAX_LAYERS} layers"));
+            }
+        }
+        Mode(at) => *at(t) = ParallelismMode::from_key(text)?,
+        Horizon(at) => {
+            *at(t) = match (text, reals().as_deref()) {
+                ("none", _) => None,
+                // The horizon is drawn from Exp(1 / mean) and the mean
+                // grows by the step: it has to stay positive.
+                (_, Ok(&[tau_init, tau_step, tau_max]))
+                    if tau_init > 0.0 && tau_step >= 0.0 && tau_max > 0.0 =>
+                {
+                    Some(Curriculum {
+                        tau_init,
+                        tau_step,
+                        tau_max,
+                    })
+                }
+                _ => return Err(format!("is malformed ('{text}')")),
+            }
+        }
+        Dynamics(at) => {
+            let (knobs, values) = (&DynamicsSpec::KNOBS, reals()?);
+            if values.len() != knobs.len() {
+                return Err(format!("needs {} values", knobs.len()));
+            }
+            let mut set = knobs.iter().zip(values);
+            set.try_for_each(|(k, v)| k.set(at(t), v))?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes `t`'s lines (on a copy: see [`Slot`]).
+fn write_fields<T: Clone>(out: &mut String, fields: Fields<T>, t: &T) {
+    let mut t = t.clone();
+    for (key, slot) in fields {
+        let _ = writeln!(out, "{key} {}", show(slot, &mut t));
+    }
+}
 
 /// The head section as a key → value map plus the ordered history
 /// lines. Ordered (`BTreeMap`) so anything that ever iterates the head
 /// — today only lookups, tomorrow perhaps a diff or dump tool — is
-/// deterministic by construction.
+/// deterministic by construction. Keys no field list names are never
+/// looked up, which is how lines of retired fields keep loading.
 struct Head {
     map: BTreeMap<String, String>,
     history: Vec<String>,
@@ -200,40 +394,40 @@ impl Head {
             .ok_or_else(|| format!("checkpoint is missing '{key}'"))
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        self.get(key)?
-            .parse()
-            .map_err(|_| format!("checkpoint field '{key}' is malformed"))
-    }
-
-    fn parse_opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.get(key)? {
-            "none" => Ok(None),
-            v => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("checkpoint field '{key}' is malformed")),
+    /// Reads `t`'s lines into it, every value held to its slot's range;
+    /// a missing line is an error unless the list is an `_ADDED` one.
+    fn read_fields<T>(&self, fields: Fields<T>, t: &mut T, required: bool) -> Result<(), String> {
+        for (key, slot) in fields {
+            if required || self.map.contains_key(*key) {
+                let value = self.get(key)?;
+                read(slot, t, value).map_err(|e| format!("checkpoint field '{key}' {e}"))?;
+            }
         }
-    }
-
-    fn parse_bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            "1" | "true" => Ok(true),
-            "0" | "false" => Ok(false),
-            v => Err(format!("checkpoint field '{key}' has non-bool value '{v}'")),
-        }
-    }
-
-    fn parse_usizes(&self, key: &str) -> Result<Vec<usize>, String> {
-        self.get(key)?
-            .split_whitespace()
-            .map(|t| {
-                t.parse()
-                    .map_err(|_| format!("checkpoint field '{key}' is malformed"))
-            })
-            .collect()
+        Ok(())
     }
 }
+
+/// One iteration's statistics as `(name, value)` pairs in `history`
+/// order: the record of the JSONL training log (`tau` is `None` without
+/// a curriculum).
+pub fn iter_stats_record(s: &IterStats) -> Vec<(&'static str, Option<f64>)> {
+    let mut s = *s;
+    let mut value = |slot: &Slot<IterStats>| match slot {
+        Count(at, ..) => Some(*at(&mut s) as f64),
+        Real(at) | Stat(at) => Some(*at(&mut s)),
+        OptReal(at) => *at(&mut s),
+        // A statistic is a number.
+        _ => None,
+    };
+    STATS
+        .iter()
+        .map(|(name, slot)| (*name, value(slot)))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Parsing helpers
+// ---------------------------------------------------------------------------
 
 fn split_sections(text: &str) -> Result<(Head, &str, &str), String> {
     let params_at = text
@@ -281,30 +475,15 @@ fn split_sections(text: &str) -> Result<(Head, &str, &str), String> {
 }
 
 fn parse_history_line(line: &str) -> Result<IterStats, String> {
-    let t: Vec<&str> = line.split_whitespace().collect();
-    if t.len() != 9 {
+    let tokens: Vec<&str> = line.split_whitespace().collect();
+    if tokens.len() != STATS.len() {
         return Err(format!("malformed history line '{line}'"));
     }
-    let f = |s: &str| -> Result<f64, String> {
-        s.parse()
-            .map_err(|_| format!("malformed history value '{s}'"))
-    };
-    Ok(IterStats {
-        iter: t[0]
-            .parse()
-            .map_err(|_| format!("malformed history iter '{}'", t[0]))?,
-        mean_reward: f(t[1])?,
-        mean_avg_jct: f(t[2])?,
-        mean_completed: f(t[3])?,
-        mean_actions: f(t[4])?,
-        mean_entropy: f(t[5])?,
-        grad_norm: f(t[6])?,
-        tau: match t[7] {
-            "none" => None,
-            v => Some(f(v)?),
-        },
-        beta: f(t[8])?,
-    })
+    let mut stats = IterStats::default();
+    for ((name, slot), text) in STATS.iter().zip(tokens) {
+        read(slot, &mut stats, text).map_err(|e| format!("history value '{name}' {e}"))?;
+    }
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -317,90 +496,24 @@ impl Trainer {
     pub fn to_checkpoint(&self) -> String {
         let mut out = format!("{CHECKPOINT_HEADER} v{CHECKPOINT_VERSION}\n");
         let p = &self.policy.cfg;
-        match &p.gnn {
-            Some(g) => {
-                out.push_str("policy.gnn 1\n");
-                let _ = writeln!(out, "policy.gnn.feat_dim {}", g.feat_dim);
-                let _ = writeln!(out, "policy.gnn.embed_dim {}", g.embed_dim);
-                let _ = writeln!(out, "policy.gnn.hidden {}", usizes(&g.hidden));
-                let _ = writeln!(out, "policy.gnn.two_level {}", g.two_level as u8);
-            }
-            None => out.push_str("policy.gnn 0\n"),
+        let _ = writeln!(out, "{GNN_SWITCH} {}", p.gnn.is_some() as u8);
+        if let Some(g) = &p.gnn {
+            write_fields(&mut out, GNN, g);
         }
-        let _ = writeln!(
-            out,
-            "policy.feat.include_duration {}",
-            p.feat.include_duration as u8
-        );
-        let _ = writeln!(out, "policy.feat.iat_hint {}", opt_f64(p.feat.iat_hint));
-        let _ = writeln!(out, "policy.feat.task_scale {}", p.feat.task_scale);
-        let _ = writeln!(out, "policy.feat.dur_scale {}", p.feat.dur_scale);
-        let _ = writeln!(out, "policy.feat.work_scale {}", p.feat.work_scale);
-        let _ = writeln!(out, "policy.parallelism {}", mode_key(p.parallelism));
-        let _ = writeln!(out, "policy.limit_stride {}", p.limit_stride);
-        let _ = writeln!(out, "policy.total_executors {}", p.total_executors);
-        let _ = writeln!(out, "policy.num_classes {}", p.num_classes);
-        let _ = writeln!(out, "policy.hidden {}", usizes(&p.hidden));
-        let _ = writeln!(out, "policy.graph_cache_cap {}", p.graph_cache_cap);
-
-        let c = &self.cfg;
-        let _ = writeln!(out, "cfg.num_rollouts {}", c.num_rollouts);
-        let _ = writeln!(out, "cfg.lr {}", c.lr);
-        let _ = writeln!(out, "cfg.entropy_start {}", c.entropy_start);
-        let _ = writeln!(out, "cfg.entropy_end {}", c.entropy_end);
-        let _ = writeln!(out, "cfg.entropy_decay_iters {}", c.entropy_decay_iters);
-        match &c.curriculum {
-            Some(cu) => {
-                let _ = writeln!(
-                    out,
-                    "cfg.curriculum {} {} {}",
-                    cu.tau_init, cu.tau_step, cu.tau_max
-                );
-            }
-            None => out.push_str("cfg.curriculum none\n"),
-        }
-        let _ = writeln!(
-            out,
-            "cfg.input_dependent_baseline {}",
-            c.input_dependent_baseline as u8
-        );
-        let _ = writeln!(
-            out,
-            "cfg.differential_reward {}",
-            c.differential_reward as u8
-        );
-        let _ = writeln!(out, "cfg.reward_scale {}", c.reward_scale);
-        let _ = writeln!(
-            out,
-            "cfg.normalize_advantages {}",
-            c.normalize_advantages as u8
-        );
-        let _ = writeln!(out, "cfg.seed {}", c.seed);
-
+        write_fields(&mut out, POLICY, p);
+        write_fields(&mut out, POLICY_ADDED, p);
+        write_fields(&mut out, CFG, &self.cfg);
         // Workload echo (standalone training runs): lets --resume refuse
         // mismatched workload flags. Optional for compatibility with
         // checkpoints written before the echo existed.
         if let Some(echo) = &self.workload_echo {
-            let _ = writeln!(out, "echo.jobs {}", echo.jobs);
-            let _ = writeln!(out, "echo.execs {}", echo.execs);
-            let _ = writeln!(out, "echo.iat {}", opt_f64(echo.iat));
-            let d = &echo.dynamics;
-            let _ = writeln!(
-                out,
-                "echo.dynamics {} {} {} {} {} {}",
-                d.churn_iat,
-                d.outage_mean,
-                d.fail_prob,
-                d.max_retries,
-                d.straggler_prob,
-                d.straggler_factor
-            );
+            write_fields(&mut out, ECHO, echo);
+            write_fields(&mut out, ECHO_ADDED, echo);
         }
 
         let _ = writeln!(out, "state.iter {}", self.iter);
         let _ = writeln!(out, "state.tau_mean {}", self.tau_mean);
-        let s = self.rng.state();
-        let _ = writeln!(out, "state.rng {} {} {} {}", s[0], s[1], s[2], s[3]);
+        let _ = writeln!(out, "state.rng {}", join(&self.rng.state()));
         let (window, next, values) = self.rate_avg.state();
         let _ = write!(out, "state.rate_avg {window} {next}");
         for v in values {
@@ -409,19 +522,9 @@ impl Trainer {
         out.push('\n');
 
         for h in &self.history {
-            let _ = writeln!(
-                out,
-                "history {} {} {} {} {} {} {} {} {}",
-                h.iter,
-                h.mean_reward,
-                h.mean_avg_jct,
-                h.mean_completed,
-                h.mean_actions,
-                h.mean_entropy,
-                h.grad_norm,
-                opt_f64(h.tau),
-                h.beta
-            );
+            let mut h = *h;
+            let values: Vec<String> = STATS.iter().map(|(_, s)| show(s, &mut h)).collect();
+            let _ = writeln!(out, "history {}", values.join(" "));
         }
 
         out.push_str("\n[params]\n");
@@ -433,75 +536,33 @@ impl Trainer {
 
     /// Reconstructs a trainer from [`Trainer::to_checkpoint`] output.
     /// The restored trainer continues training bit-exactly where the
-    /// saved one stopped.
+    /// saved one stopped. Every header value is held to its range
+    /// before anything is sized from it, so a damaged or hostile file
+    /// is an `Err`.
     pub fn from_checkpoint(text: &str) -> Result<Trainer, String> {
         let (head, params, adam) = split_sections(text)?;
 
-        let gnn = if head.parse_bool("policy.gnn")? {
-            Some(GnnConfig {
-                feat_dim: head.parse("policy.gnn.feat_dim")?,
-                embed_dim: head.parse("policy.gnn.embed_dim")?,
-                hidden: head.parse_usizes("policy.gnn.hidden")?,
-                two_level: head.parse_bool("policy.gnn.two_level")?,
-            })
-        } else {
-            None
-        };
-        let policy_cfg = PolicyConfig {
-            gnn,
-            feat: FeatureConfig {
-                include_duration: head.parse_bool("policy.feat.include_duration")?,
-                iat_hint: head.parse_opt_f64("policy.feat.iat_hint")?,
-                task_scale: head.parse("policy.feat.task_scale")?,
-                dur_scale: head.parse("policy.feat.dur_scale")?,
-                work_scale: head.parse("policy.feat.work_scale")?,
-            },
-            parallelism: mode_from_key(head.get("policy.parallelism")?)?,
-            limit_stride: head.parse("policy.limit_stride")?,
-            total_executors: head.parse("policy.total_executors")?,
-            num_classes: head.parse("policy.num_classes")?,
-            hidden: head.parse_usizes("policy.hidden")?,
-            // Absent in checkpoints written before the cache cap became
-            // configurable; the default matches PolicyConfig::small/paper.
-            // Purely a rebuild-frequency knob, so the default can never
-            // change what a restored policy computes.
-            graph_cache_cap: match head.map.get("policy.graph_cache_cap") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| "checkpoint field 'policy.graph_cache_cap' is malformed")?,
-                None => 16,
-            },
-        };
-        let curriculum = match head.get("cfg.curriculum")? {
-            "none" => None,
-            v => {
-                let t: Vec<&str> = v.split_whitespace().collect();
-                if t.len() != 3 {
-                    return Err(format!("malformed curriculum '{v}'"));
-                }
-                let f = |s: &str| -> Result<f64, String> {
-                    s.parse().map_err(|_| format!("malformed curriculum '{v}'"))
-                };
-                Some(Curriculum {
-                    tau_init: f(t[0])?,
-                    tau_step: f(t[1])?,
-                    tau_max: f(t[2])?,
-                })
+        let mut policy_cfg = PolicyConfig::small(1);
+        let mut has_gnn = false;
+        read(&Flag(|b| b), &mut has_gnn, head.get(GNN_SWITCH)?)
+            .map_err(|e| format!("checkpoint field '{GNN_SWITCH}' {e}"))?;
+        policy_cfg.gnn = match has_gnn {
+            true => {
+                let mut gnn = GnnConfig::small(FEAT_DIM);
+                head.read_fields(GNN, &mut gnn, true)?;
+                Some(gnn)
             }
+            false => None,
         };
-        let cfg = TrainConfig {
-            num_rollouts: head.parse("cfg.num_rollouts")?,
-            lr: head.parse("cfg.lr")?,
-            entropy_start: head.parse("cfg.entropy_start")?,
-            entropy_end: head.parse("cfg.entropy_end")?,
-            entropy_decay_iters: head.parse("cfg.entropy_decay_iters")?,
-            curriculum,
-            input_dependent_baseline: head.parse_bool("cfg.input_dependent_baseline")?,
-            differential_reward: head.parse_bool("cfg.differential_reward")?,
-            reward_scale: head.parse("cfg.reward_scale")?,
-            normalize_advantages: head.parse_bool("cfg.normalize_advantages")?,
-            seed: head.parse("cfg.seed")?,
-        };
+        head.read_fields(POLICY, &mut policy_cfg, true)?;
+        head.read_fields(POLICY_ADDED, &mut policy_cfg, false)?;
+        let limit_values = policy_cfg.total_executors / policy_cfg.limit_stride;
+        if policy_cfg.parallelism == ParallelismMode::OneHot && limit_values > MAX_WIDTH {
+            // That head has one output unit per limit value.
+            return Err(format!("one-hot limit head wider than {MAX_WIDTH}"));
+        }
+        let mut cfg = TrainConfig::default();
+        head.read_fields(CFG, &mut cfg, true)?;
 
         // Rebuild the parameter layout from the architecture (parameter
         // names and shapes are a deterministic function of the config),
@@ -519,44 +580,17 @@ impl Trainer {
             .load_text(adam)
             .map_err(|e| format!("checkpoint [adam]: {e}"))?;
 
-        trainer.workload_echo = match head.map.contains_key("echo.jobs") {
-            true => {
-                // The dynamics line is optional (echoes written before
-                // perturbed training existed default to off).
-                let dynamics = match head.map.get("echo.dynamics") {
-                    Some(line) => {
-                        let t: Vec<&str> = line.split_whitespace().collect();
-                        if t.len() != 6 {
-                            return Err(format!("malformed 'echo.dynamics' line '{line}'"));
-                        }
-                        let f = |s: &str| -> Result<f64, String> {
-                            s.parse()
-                                .map_err(|_| format!("malformed 'echo.dynamics' value '{s}'"))
-                        };
-                        DynamicsSpec {
-                            churn_iat: f(t[0])?,
-                            outage_mean: f(t[1])?,
-                            fail_prob: f(t[2])?,
-                            max_retries: t[3]
-                                .parse()
-                                .map_err(|_| "malformed 'echo.dynamics' retries".to_string())?,
-                            straggler_prob: f(t[4])?,
-                            straggler_factor: f(t[5])?,
-                        }
-                    }
-                    None => DynamicsSpec::off(),
-                };
-                Some(WorkloadEcho {
-                    jobs: head.parse("echo.jobs")?,
-                    execs: head.parse("echo.execs")?,
-                    iat: head.parse_opt_f64("echo.iat")?,
-                    dynamics,
-                })
-            }
-            false => None,
-        };
-        trainer.iter = head.parse("state.iter")?;
-        trainer.tau_mean = head.parse("state.tau_mean")?;
+        if head.map.contains_key(ECHO[0].0) {
+            let mut echo = WorkloadEcho::of(&WorkloadSpec::tpch_batch(0, 0));
+            head.read_fields(ECHO, &mut echo, true)?;
+            head.read_fields(ECHO_ADDED, &mut echo, false)?;
+            trainer.workload_echo = Some(echo);
+        }
+        trainer.iter = head.get("state.iter").and_then(number)?;
+        trainer.tau_mean = head.get("state.tau_mean").and_then(number)?;
+        if trainer.tau_mean.is_nan() || trainer.tau_mean <= 0.0 {
+            return Err("checkpoint field 'state.tau_mean' must be positive".to_string());
+        }
         let rng_words: Vec<u64> = head
             .get("state.rng")?
             .split_whitespace()
@@ -566,23 +600,18 @@ impl Trainer {
             .try_into()
             .map_err(|_| "'state.rng' needs four words".to_string())?;
         trainer.rng = SmallRng::from_state(rng_words);
-        let ra: Vec<&str> = head.get("state.rate_avg")?.split_whitespace().collect();
-        if ra.len() < 2 {
-            return Err("malformed 'state.rate_avg'".to_string());
+        let mut rate = head.get("state.rate_avg")?.split_whitespace();
+        let bad_rate = |e| format!("checkpoint field 'state.rate_avg' {e}");
+        let window = count(rate.next().unwrap_or(""), 1, MAX_COUNT).map_err(bad_rate)?;
+        // The next sample overwrites this slot once the window is full.
+        let next = count(rate.next().unwrap_or(""), 0, window - 1).map_err(bad_rate)?;
+        let values: Vec<f64> = rate
+            .map(number)
+            .collect::<Result<_, _>>()
+            .map_err(bad_rate)?;
+        if values.len() > window {
+            return Err(bad_rate("holds more samples than its window".to_string()));
         }
-        let window: usize = ra[0]
-            .parse()
-            .map_err(|_| "malformed 'state.rate_avg' window".to_string())?;
-        let next: usize = ra[1]
-            .parse()
-            .map_err(|_| "malformed 'state.rate_avg' slot".to_string())?;
-        let values: Vec<f64> = ra[2..]
-            .iter()
-            .map(|t| {
-                t.parse()
-                    .map_err(|_| "malformed 'state.rate_avg' sample".to_string())
-            })
-            .collect::<Result<_, _>>()?;
         trainer.rate_avg = MovingAvg::from_state(window, next, values);
         trainer.history = head
             .history

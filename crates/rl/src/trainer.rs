@@ -98,7 +98,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-iteration statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterStats {
     /// Iteration index.
     pub iter: usize,

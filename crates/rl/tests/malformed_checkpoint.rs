@@ -1,0 +1,204 @@
+//! A checkpoint is a file from outside the program: whatever is in it,
+//! `Trainer::from_checkpoint` returns `Ok` or `Err` — it does not
+//! panic, abort on an allocation, or hang.
+
+use decima_nn::ParamStore;
+use decima_policy::{DecimaPolicy, PolicyConfig};
+use decima_rl::{Curriculum, TpchEnv, TrainConfig, Trainer, WorkloadEcho};
+use decima_sim::DynamicsSpec;
+use decima_workload::WorkloadSpec;
+use proptest::collection::vec;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::time::Duration;
+
+/// Runs `f` on its own thread and fails the case if it has not
+/// returned after ten seconds (a panic inside `f` fails it too).
+fn within_ten_seconds<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the case panicked or did not finish within 10 s")
+}
+
+/// A valid checkpoint with every optional line present (trained once).
+fn valid_checkpoint() -> &'static str {
+    static DOC: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    DOC.get_or_init(train_a_checkpoint)
+}
+
+fn train_a_checkpoint() -> String {
+    let cfg = TrainConfig {
+        num_rollouts: 2,
+        seed: 3,
+        differential_reward: true,
+        curriculum: Some(Curriculum {
+            tau_init: 50.0,
+            tau_step: 25.0,
+            tau_max: 200.0,
+        }),
+        ..TrainConfig::default()
+    };
+    let mut store = ParamStore::new();
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let policy = DecimaPolicy::new(PolicyConfig::small(5), &mut store, &mut rng);
+    let mut t = Trainer::new(policy, store, cfg);
+    let echo = WorkloadEcho::of(&WorkloadSpec::tpch_stream(3, 5, 20.0));
+    t.workload_echo = Some(echo.with_dynamics(DynamicsSpec::med()));
+    for _ in 0..2 {
+        t.train_iteration(&TpchEnv::stream(3, 5, 20.0));
+    }
+    t.to_checkpoint()
+}
+
+/// Values on the edges of every kind a header line can have.
+const HOSTILE: [&str; 16] = [
+    "",
+    "0",
+    "-1",
+    "1",
+    "2",
+    "0.5",
+    "99999999999",
+    "18446744073709551616",
+    "1e309",
+    "NaN",
+    "inf",
+    "none",
+    "x",
+    "1 1 1 1 1 1 1 1 1",
+    "0 0 0",
+    "64 64",
+];
+
+fn load_and_rewrite(text: String) {
+    within_ten_seconds(move || {
+        if let Ok(t) = Trainer::from_checkpoint(&text) {
+            // What loads describes itself again.
+            assert!(Trainer::from_checkpoint(&t.to_checkpoint()).is_ok());
+        }
+    });
+}
+
+#[test]
+fn the_reproductions_of_the_issue_are_errors() {
+    let valid = valid_checkpoint();
+    let with = |line: &str, value: &str| {
+        let old = valid.lines().find(|l| l.starts_with(line)).unwrap();
+        valid.replacen(old, &format!("{line} {value}"), 1)
+    };
+    let cases = [
+        (
+            "policy.hidden",
+            "99999999999",
+            "'policy.hidden' must be in [1, 1024], got 99999999999",
+        ),
+        (
+            "policy.hidden",
+            "1 1 1 1 1 1 1 1 1",
+            "'policy.hidden' lists more than 8 layers",
+        ),
+        (
+            "policy.gnn.embed_dim",
+            "0",
+            "'policy.gnn.embed_dim' must be in [1, 1024], got 0",
+        ),
+        (
+            "policy.limit_stride",
+            "0",
+            "'policy.limit_stride' must be in [1, 1000000], got 0",
+        ),
+        (
+            "policy.total_executors",
+            "9999999",
+            "'policy.total_executors' must be in [1, 1000000]",
+        ),
+        (
+            "cfg.num_rollouts",
+            "0",
+            "'cfg.num_rollouts' must be in [1, 1024], got 0",
+        ),
+        ("cfg.lr", "inf", "'cfg.lr' must be finite, got inf"),
+        (
+            "cfg.curriculum",
+            "0 25 200",
+            "'cfg.curriculum' is malformed ('0 25 200')",
+        ),
+        (
+            "echo.dynamics",
+            "240 60 2 20 0.05 3",
+            "dynamics 'fail' must be in [0, 1], got 2",
+        ),
+        (
+            "state.rate_avg",
+            "64 64",
+            "'state.rate_avg' must be in [0, 63], got 64",
+        ),
+        (
+            "state.rate_avg",
+            "1 0 0.5 0.5",
+            "'state.rate_avg' holds more samples than its window",
+        ),
+        ("state.tau_mean", "0", "'state.tau_mean' must be positive"),
+    ];
+    for (line, value, want) in cases {
+        let err = Trainer::from_checkpoint(&with(line, value))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains(want), "{line} {value}: {err}");
+    }
+    // A one-hot limit head is a layer as wide as the cluster.
+    let one_hot = with("policy.parallelism", "one-hot");
+    let one_hot = one_hot.replacen("policy.total_executors 5", "policy.total_executors 5000", 1);
+    let err = Trainer::from_checkpoint(&one_hot).map(|_| ()).unwrap_err();
+    assert!(err.contains("one-hot limit head wider than 1024"), "{err}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in vec(0u8..=255, 0..300)) {
+        load_and_rewrite(String::from_utf8_lossy(&bytes).into_owned());
+    }
+
+    /// One header line gets a hostile value, goes missing, or appears
+    /// twice; the sections after the header stay as written.
+    #[test]
+    fn damaged_header_lines_never_panic(
+        line in 0usize..1000,
+        hostile in 0usize..HOSTILE.len(),
+        how in 0u32..4,
+    ) {
+        let valid = valid_checkpoint();
+        let (head, rest) = valid.split_once("\n[params]\n").unwrap();
+        let mut lines: Vec<String> = head.lines().map(str::to_string).collect();
+        let at = line % lines.len();
+        let key = lines[at].split(' ').next().unwrap().to_string();
+        match how {
+            0 => { lines.remove(at); }
+            1 => lines.push(format!("{key} {}", HOSTILE[hostile])),
+            _ => lines[at] = format!("{key} {}", HOSTILE[hostile]),
+        }
+        load_and_rewrite(format!("{}\n[params]\n{rest}", lines.join("\n")));
+    }
+
+    /// The whole document truncated, or with a run of bytes replaced.
+    #[test]
+    fn truncated_and_spliced_documents_never_panic(
+        cut in 0usize..100_000,
+        len in 0usize..30,
+        splice in vec(0u8..=255, 0..10),
+        truncate in 0u32..2,
+    ) {
+        let doc = valid_checkpoint().as_bytes();
+        let at = cut % doc.len();
+        let mut damaged = doc[..at].to_vec();
+        if truncate == 0 {
+            damaged.extend_from_slice(&splice);
+            damaged.extend_from_slice(&doc[(at + len).min(doc.len())..]);
+        }
+        load_and_rewrite(String::from_utf8_lossy(&damaged).into_owned());
+    }
+}

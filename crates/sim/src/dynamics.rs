@@ -143,24 +143,107 @@ impl DynamicsSpec {
     /// the error names the `--set` / `--train` key of the first that is
     /// not. Command-line input goes through this before any episode runs.
     pub fn validate(&self) -> Result<(), String> {
-        let check = |key: &str, v: f64, ok: bool, range: &str| {
-            if v.is_finite() && ok {
-                Ok(())
-            } else {
-                Err(format!("dynamics '{key}' must be {range}, got {v}"))
-            }
-        };
-        let (fail, straggle, factor) = (self.fail_prob, self.straggler_prob, self.straggler_factor);
-        check("churn", self.churn_iat, self.churn_iat >= 0.0, ">= 0")?;
-        check("outage", self.outage_mean, self.outage_mean >= 0.0, ">= 0")?;
-        check("fail", fail, (0.0..=1.0).contains(&fail), "in [0, 1]")?;
-        check(
-            "straggle",
-            straggle,
-            (0.0..=1.0).contains(&straggle),
-            "in [0, 1]",
-        )?;
-        check("straggle-factor", factor, factor >= 1.0, ">= 1")
+        Self::KNOBS.iter().try_for_each(|k| k.check(k.get(self)))
+    }
+
+    /// The six knobs, in the order of the checkpoint echo line and the
+    /// JSON echo.
+    pub const KNOBS: [Knob; 6] = [
+        Knob {
+            key: "churn",
+            field: "churn_iat",
+            range: ">= 0",
+            doc: "mean seconds between executor-offline events, cluster-wide; 0 = no churn",
+            accepts: |v| v >= 0.0,
+            read: |d| d.churn_iat,
+            write: |d, v| d.churn_iat = v,
+        },
+        Knob {
+            key: "outage",
+            field: "outage_mean",
+            range: ">= 0",
+            doc: "mean outage duration in seconds",
+            accepts: |v| v >= 0.0,
+            read: |d| d.outage_mean,
+            write: |d, v| d.outage_mean = v,
+        },
+        Knob {
+            key: "fail",
+            field: "fail_prob",
+            range: "in [0, 1]",
+            doc: "probability that a finishing task fails and is re-queued",
+            accepts: |v| (0.0..=1.0).contains(&v),
+            read: |d| d.fail_prob,
+            write: |d, v| d.fail_prob = v,
+        },
+        Knob {
+            key: "retries",
+            field: "max_retries",
+            range: "a non-negative integer",
+            doc: "per-job failure budget; one more failure kills the job",
+            accepts: |v| v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64,
+            read: |d| d.max_retries as f64,
+            write: |d, v| d.max_retries = v as u32,
+        },
+        Knob {
+            key: "straggle",
+            field: "straggler_prob",
+            range: "in [0, 1]",
+            doc: "probability that a started task straggles",
+            accepts: |v| (0.0..=1.0).contains(&v),
+            read: |d| d.straggler_prob,
+            write: |d, v| d.straggler_prob = v,
+        },
+        Knob {
+            key: "straggle-factor",
+            field: "straggler_factor",
+            range: ">= 1",
+            doc: "duration multiplier applied to stragglers",
+            accepts: |v| v >= 1.0,
+            read: |d| d.straggler_factor,
+            write: |d, v| d.straggler_factor = v,
+        },
+    ];
+}
+
+/// One knob of a [`DynamicsSpec`], declared once in
+/// [`DynamicsSpec::KNOBS`]: validation, `--set`, the `--train` flags,
+/// `--help`, the checkpoint echo and the JSON echo all iterate that
+/// table, so a knob's key, range and order exist in one place.
+pub struct Knob {
+    /// The `--set` key and `--train` flag.
+    pub key: &'static str,
+    /// The field it sets, as the JSON echo and the docs name it.
+    pub field: &'static str,
+    /// The accepted range, as errors and `--help` state it.
+    pub range: &'static str,
+    /// One-line meaning.
+    pub doc: &'static str,
+    accepts: fn(f64) -> bool,
+    read: fn(&DynamicsSpec) -> f64,
+    write: fn(&mut DynamicsSpec, f64),
+}
+
+impl Knob {
+    /// The knob's value in `d` (the retry budget as a number).
+    pub fn get(&self, d: &DynamicsSpec) -> f64 {
+        (self.read)(d)
+    }
+
+    /// Sets the knob in `d` to `v`, or says which range `v` is outside.
+    pub fn set(&self, d: &mut DynamicsSpec, v: f64) -> Result<(), String> {
+        self.check(v)?;
+        (self.write)(d, v);
+        Ok(())
+    }
+
+    fn check(&self, v: f64) -> Result<(), String> {
+        if v.is_finite() && (self.accepts)(v) {
+            Ok(())
+        } else {
+            let Knob { key, range, .. } = self;
+            Err(format!("dynamics '{key}' must be {range}, got {v}"))
+        }
     }
 }
 
@@ -339,6 +422,26 @@ mod tests {
         for (spec, want) in cases {
             assert_eq!(spec.validate(), Err(format!("dynamics {want}")));
         }
+    }
+
+    /// Each knob's getter and setter reach the same field, and a
+    /// refused value leaves the spec as it was.
+    #[test]
+    fn knobs_read_and_write_the_field_they_name() {
+        let mut d = DynamicsSpec::off();
+        for k in &DynamicsSpec::KNOBS {
+            k.set(&mut d, k.get(&DynamicsSpec::high())).unwrap();
+        }
+        assert_eq!(d, DynamicsSpec::high());
+        for (v, shown) in [(-1.0, "-1"), (2.5, "2.5"), (1e10, "10000000000")] {
+            assert_eq!(
+                DynamicsSpec::KNOBS[3].set(&mut d, v),
+                Err(format!(
+                    "dynamics 'retries' must be a non-negative integer, got {shown}"
+                ))
+            );
+        }
+        assert_eq!(d, DynamicsSpec::high());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod sched;
 
 pub use config::{Objective, SimConfig};
 pub use drift::DriftCounters;
-pub use dynamics::{DynamicsCounters, DynamicsSpec};
+pub use dynamics::{DynamicsCounters, DynamicsSpec, Knob};
 pub use engine::{obs_equal, Simulator};
 pub use result::{ActionRecord, EpisodeOutcome, EpisodeResult, JobOutcome, MemCounters};
 pub use sched::{Action, JobObs, LimitScope, NodeObs, Observation, Scheduler};
