@@ -22,10 +22,16 @@
 //!
 //! Segment sums (child → parent, node → job, job → global) are expressed
 //! as constant 0/1 matrices fed through `matmul`, which keeps the tape's
-//! op set minimal and the whole computation differentiable.
+//! op set minimal and the whole computation differentiable. The
+//! matrices and every index list come from the cached `GraphStructure`
+//! and are shared with the tape, not copied onto it; and because a
+//! `matmul` sums in aligned groups of four, *where* a child sits in its
+//! level's batch is part of what a parent's message sum evaluates to —
+//! the reason decisions are scored one full graph at a time rather than
+//! re-batched (docs/PERF.md "The training lane").
 
 use crate::graph::GraphInput;
-use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
+use decima_nn::{Activation, Mlp, ParamStore, Tape, TensorId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -137,7 +143,7 @@ impl GnnEncoder {
         assert_eq!(g.features.cols(), self.cfg.feat_dim, "feature dim");
 
         // Feature projection p_v for every node at once.
-        let x = tape.input(g.features.clone());
+        let x = tape.input_copy(&g.features);
         let p = self.prep.forward(tape, store, x);
 
         // Bottom-up sweep, one batch per level, following the
@@ -149,7 +155,7 @@ impl GnnEncoder {
         for plan in &s.levels {
             debug_assert!(!plan.nodes.is_empty(), "levels are dense");
             let nv = plan.nodes.len();
-            let p_rows = tape.gather_rows(p, plan.nodes.clone());
+            let p_rows = tape.gather_rows(p, plan.nodes.iter().copied());
 
             let e_level = if plan.child_rows.is_empty() {
                 // All leaves: message is the zero vector, so
@@ -157,20 +163,19 @@ impl GnnEncoder {
                 // one row — compute it once and broadcast, instead of
                 // running the MLP over every leaf.
                 if self.cfg.two_level {
-                    let zero = tape.input(Tensor::zeros(1, d));
+                    let zero = tape.input_from(1, d, std::iter::repeat(0.0).take(d));
                     let gz = self.g_node.forward(tape, store, zero);
-                    let gz_rows = tape.gather_rows(gz, vec![0; nv]);
+                    let gz_rows = tape.gather_rows(gz, std::iter::repeat(0).take(nv));
                     tape.add(gz_rows, p_rows)
                 } else {
                     p_rows
                 }
             } else {
-                // Gather all child embeddings of this level's nodes from
-                // the already-computed blocks.
-                let prev = tape.concat_rows(&blocks);
-                let gathered = tape.gather_rows(prev, plan.child_rows.clone());
+                // Gather all child embeddings of this level's nodes
+                // straight from the already-computed blocks.
+                let gathered = tape.gather_blocks(&blocks, &plan.child_rows);
                 let fmsg = self.f_node.forward(tape, store, gathered);
-                let seg_in = tape.input(plan.seg().clone());
+                let seg_in = tape.constant(plan.seg());
                 let summed = tape.matmul(seg_in, fmsg);
                 let aggregated = if self.cfg.two_level {
                     self.g_node.forward(tape, store, summed)
@@ -183,16 +188,11 @@ impl GnnEncoder {
         }
 
         // Restore original node order: perm[v] = row of node v.
-        let all = if blocks.len() == 1 {
-            blocks[0]
-        } else {
-            tape.concat_rows(&blocks)
-        };
-        let nodes = tape.gather_rows(all, s.perm.clone());
+        let nodes = tape.gather_blocks(&blocks, &s.perm);
 
         // Job summaries: y_i = g2(Σ_{v ∈ G_i} f2(e_v)).
         let fj = self.f_job.forward(tape, store, nodes);
-        let sj = tape.input(s.job_seg().clone());
+        let sj = tape.constant(s.job_seg());
         let job_sum = tape.matmul(sj, fj);
         let jobs = if self.cfg.two_level {
             self.g_job.forward(tape, store, job_sum)
@@ -221,6 +221,7 @@ impl GnnEncoder {
 mod tests {
     use super::*;
     use decima_core::DagTopology;
+    use decima_nn::Tensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -13,7 +13,9 @@
 //! matrices (child → parent, node → job) are read by the `f64` tape
 //! only, so they are built on first use ([`LevelPlan::seg`],
 //! [`GraphStructure::job_seg`]) and a structure that only ever serves
-//! the `f32` lane never pays for them. And a structure built from job
+//! the `f32` lane never pays for them; they are handed out behind an
+//! `Arc`, which is how every decision's tape shares the one copy
+//! (`Tape::constant`). And a structure built from job
 //! specs ([`GraphStructure::for_specs`]) holds each job's
 //! `Arc<JobSpec>`: that is the job identity `InferEncoder` keys its
 //! per-job memos on.
@@ -55,14 +57,14 @@ pub struct LevelPlan {
     /// segment lengths of the per-parent message sums over
     /// `child_rows`.
     pub child_counts: Vec<u32>,
-    seg: OnceLock<Tensor>,
+    seg: OnceLock<Arc<Tensor>>,
 }
 
 impl LevelPlan {
     /// `[nodes.len(), child_rows.len()]` 0/1 segment-sum matrix
     /// aggregating child messages per parent (tape lane; built on first
     /// use from `child_counts`).
-    pub fn seg(&self) -> &Tensor {
+    pub fn seg(&self) -> &Arc<Tensor> {
         self.seg.get_or_init(|| {
             let mut seg = Tensor::zeros(self.nodes.len(), self.child_rows.len());
             let mut col = 0usize;
@@ -72,7 +74,7 @@ impl LevelPlan {
                     col += 1;
                 }
             }
-            seg
+            Arc::new(seg)
         })
     }
 }
@@ -90,7 +92,7 @@ pub struct GraphStructure {
     /// `perm[v]` = row of global node `v` in the concatenation of the
     /// level blocks (restores original node order after the sweep).
     pub perm: Vec<usize>,
-    job_seg: OnceLock<Tensor>,
+    job_seg: OnceLock<Arc<Tensor>>,
 }
 
 impl GraphStructure {
@@ -197,7 +199,7 @@ impl GraphStructure {
 
     /// `[num_jobs, num_nodes]` 0/1 node → job segment-sum matrix (tape
     /// lane; built on first use).
-    pub fn job_seg(&self) -> &Tensor {
+    pub fn job_seg(&self) -> &Arc<Tensor> {
         self.job_seg.get_or_init(|| {
             let mut job_seg = Tensor::zeros(self.jobs.len(), self.num_nodes);
             for (ji, job) in self.jobs.iter().enumerate() {
@@ -205,7 +207,7 @@ impl GraphStructure {
                     job_seg.set(ji, v, 1.0);
                 }
             }
-            job_seg
+            Arc::new(job_seg)
         })
     }
 

@@ -228,12 +228,15 @@ fn workspace_scan_is_clean() {
         "stale annotations: {:#?}",
         report.unused_suppressions
     );
-    // Known reviewed exemption: the fine_tune_window tau draw (same
-    // invariant as train_iteration's baselined expect). Growing this
-    // number should be a deliberate, reviewed act — update the count
-    // alongside the annotation.
+    // Known reviewed exemptions: the fine_tune_window tau draw (same
+    // invariant as train_iteration's baselined expect), and the three
+    // `unsafe` tokens `GlobalAlloc` forces on the counting allocator of
+    // crates/policy/tests/tape_allocs.rs (the impl and its two
+    // methods; test-only, forwards to `System`). Growing this number
+    // should be a deliberate, reviewed act — update the count alongside
+    // the annotation.
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
-    assert_eq!(suppressed, 1, "annotated-exemption census changed");
+    assert_eq!(suppressed, 4, "annotated-exemption census changed");
 }
 
 #[test]

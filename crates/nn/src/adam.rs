@@ -1,7 +1,7 @@
 //! Adam optimizer (Kingma & Ba, 2015) — the paper's optimizer (App. C).
 
 use crate::store::ParamStore;
-use crate::tensor::Tensor;
+use crate::tensor::{parse_finite, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Adam state and hyperparameters.
@@ -94,23 +94,16 @@ impl Adam {
             let tag = it.next().ok_or("empty line")?;
             match tag {
                 "hyper" => {
-                    let mut num = |what: &str| -> Result<f64, String> {
-                        it.next()
-                            .ok_or_else(|| format!("missing {what}"))?
-                            .parse()
-                            .map_err(|e| format!("bad {what}: {e}"))
-                    };
-                    self.lr = num("lr")?;
-                    self.beta1 = num("beta1")?;
-                    self.beta2 = num("beta2")?;
-                    self.eps = num("eps")?;
-                    self.clip_norm = match it.next().ok_or("missing clip")? {
+                    let mut field = |what: &str| it.next().ok_or_else(|| format!("missing {what}"));
+                    self.lr = parse_finite("hyper lr", field("lr")?)?;
+                    self.beta1 = parse_finite("hyper beta1", field("beta1")?)?;
+                    self.beta2 = parse_finite("hyper beta2", field("beta2")?)?;
+                    self.eps = parse_finite("hyper eps", field("eps")?)?;
+                    self.clip_norm = match field("clip")? {
                         "none" => None,
-                        c => Some(c.parse().map_err(|e| format!("bad clip: {e}"))?),
+                        c => Some(parse_finite("hyper clip", c)?),
                     };
-                    self.t = it
-                        .next()
-                        .ok_or("missing step count")?
+                    self.t = field("step count")?
                         .parse()
                         .map_err(|e| format!("bad step count: {e}"))?;
                     seen_hyper = true;
@@ -121,29 +114,11 @@ impl Adam {
                         .ok_or("missing moment index")?
                         .parse()
                         .map_err(|e| format!("bad moment index: {e}"))?;
-                    let rows: usize = it
-                        .next()
-                        .ok_or("missing rows")?
-                        .parse()
-                        .map_err(|e| format!("bad rows: {e}"))?;
-                    let cols: usize = it
-                        .next()
-                        .ok_or("missing cols")?
-                        .parse()
-                        .map_err(|e| format!("bad cols: {e}"))?;
-                    let data: Result<Vec<f64>, _> = it.map(str::parse).collect();
-                    let data = data.map_err(|e| format!("bad moment value: {e}"))?;
-                    if data.len() != rows * cols {
-                        return Err(format!("{tag} {idx}: expected {} values", rows * cols));
-                    }
                     let buf = if tag == "m" { &mut self.m } else { &mut self.v };
                     let slot = buf
                         .get_mut(idx)
                         .ok_or_else(|| format!("moment index {idx} out of range"))?;
-                    if slot.shape() != (rows, cols) {
-                        return Err(format!("{tag} {idx}: shape mismatch"));
-                    }
-                    *slot = Tensor::from_vec(rows, cols, data);
+                    *slot = Tensor::parse_line_tail(&format!("{tag} {idx}"), slot.shape(), it)?;
                     let seen = if tag == "m" { &mut seen_m } else { &mut seen_v };
                     seen[idx] = true;
                 }
@@ -280,9 +255,15 @@ mod tests {
         assert!(opt.load_text("m 0 3 3 1 2 3 4 5 6 7 8 9").is_err()); // shape
         assert!(opt.load_text("q 0 1 1 0").is_err()); // unknown record
         assert!(opt.load_text("hyper 0.1 0.9").is_err()); // truncated hyper
-                                                          // Well-formed but incomplete documents are rejected too: a
-                                                          // valid moment line without the hyper record and sibling
-                                                          // moments must not load.
+        let err = opt.load_text("m 0 2 2 1 2 inf 4").unwrap_err();
+        assert_eq!(err, "m 0: value 'inf' is not finite");
+        let err = opt.load_text("v 0 4294967296 4294967296").unwrap_err();
+        assert!(err.starts_with("v 0: shape mismatch"), "{err}");
+        let err = opt.load_text("hyper 0.1 0.9 nan 1e-8 none 0").unwrap_err();
+        assert_eq!(err, "hyper beta2: value 'nan' is not finite");
+        // Well-formed but incomplete documents are rejected too: a
+        // valid moment line without the hyper record and sibling
+        // moments must not load.
         let err = opt
             .load_text("m 0 2 2 1 2 3 4\nv 0 2 2 1 2 3 4")
             .unwrap_err();

@@ -10,8 +10,13 @@
 //! from scratch exactly the op set Decima's networks need (see
 //! `DESIGN.md` S7). Everything is gradient-checked against central
 //! differences in the test suite, and the whole model is small enough
-//! (~13k scalars in the paper's configuration) that naive dense math on
-//! the CPU trains in seconds per iteration.
+//! (~13k scalars in the paper's configuration) that dense math on the
+//! CPU trains in a fraction of a second per iteration. Training is where
+//! the paper spends its compute, so the tape is built to be kept — one
+//! per agent, reset per decision, nothing allocated in steady state
+//! ([`tape`]) — and executes through width-blocked kernels
+//! ([`kernels`]) held bitwise to the plain reference forms in
+//! [`tensor`].
 //!
 //! ## Example
 //!
@@ -37,6 +42,7 @@
 
 pub mod adam;
 pub mod infer;
+pub mod kernels;
 pub mod mlp;
 pub mod store;
 pub mod tape;

@@ -4,7 +4,7 @@
 //! levels, and the score functions `q`, `w`) as a small fully-connected
 //! network — two hidden layers of 32 and 16 units in the prototype (§6.1).
 //! [`Mlp`] registers its weights in a [`ParamStore`] once and replays the
-//! forward pass on a fresh tape each step.
+//! forward pass on whatever tape it is handed.
 
 use crate::store::ParamStore;
 use crate::tape::{Tape, TensorId};
@@ -48,7 +48,10 @@ impl Mlp {
     /// Registers a new MLP's parameters in `store`.
     ///
     /// `dims` lists layer widths including input and output, e.g.
-    /// `[5, 32, 16, 8]` for the paper's transformations.
+    /// `[5, 32, 16, 8]` for the paper's transformations. A negative
+    /// leaky-ReLU slope is refused: the fused layer's backward pass
+    /// recovers the activation mask from the sign of the *output*
+    /// ([`Tape::linear`]), which a negative slope flips.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -57,20 +60,24 @@ impl Mlp {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(dims.len() >= 2, "MLP needs at least input and output dims");
+        assert!(
+            !matches!(act, Activation::LeakyRelu(s) if s.is_nan() || s < 0.0),
+            "MLP needs a non-negative leaky slope, got {act:?}"
+        );
         let mut layers = Vec::with_capacity(dims.len() - 1);
-        for l in 0..dims.len() - 1 {
+        for (l, pair) in dims.windows(2).enumerate() {
             let w = store.add(
                 format!("{name}.w{l}"),
-                Tensor::he_init(dims[l], dims[l + 1], rng),
+                Tensor::he_init(pair[0], pair[1], rng),
             );
-            let b = store.add(format!("{name}.b{l}"), Tensor::zeros(1, dims[l + 1]));
+            let b = store.add(format!("{name}.b{l}"), Tensor::zeros(1, pair[1]));
             layers.push((w, b));
         }
         Mlp {
             layers,
             act,
             in_dim: dims[0],
-            out_dim: *dims.last().unwrap(),
+            out_dim: dims[dims.len() - 1],
         }
     }
 
@@ -86,7 +93,7 @@ impl Mlp {
 
     /// Parameter indices `(weight, bias)` of the final layer.
     pub fn final_layer(&self) -> (usize, usize) {
-        *self.layers.last().expect("MLP has at least one layer")
+        self.layers[self.layers.len() - 1]
     }
 
     /// Parameter indices `(weight, bias)` of every layer, in order.
@@ -166,6 +173,22 @@ mod tests {
         let x = tape.input(Tensor::zeros(7, 5));
         let y = mlp.forward(&mut tape, &store, x);
         assert_eq!(tape.value(y).shape(), (7, 8));
+    }
+
+    /// `LeakyRelu(s)` with `s < 0` would be mis-differentiated without a
+    /// word (the mask comes from the output's sign), so it is refused.
+    #[test]
+    #[should_panic(expected = "non-negative leaky slope")]
+    fn negative_leaky_slope_is_refused() {
+        let mut store = ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        Mlp::new(
+            &mut store,
+            "m",
+            &[2, 2],
+            Activation::LeakyRelu(-0.1),
+            &mut rng,
+        );
     }
 
     #[test]

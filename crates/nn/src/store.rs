@@ -2,6 +2,7 @@
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Magic prefix of the [`ParamStore::to_text`] header line.
 pub const PARAM_FORMAT_HEADER: &str = "decima-params";
@@ -12,13 +13,17 @@ pub const PARAM_FORMAT_VERSION: u32 = 1;
 
 /// A named collection of trainable tensors and their gradient buffers.
 ///
-/// The tape copies parameter values in at `Tape::param` and accumulates
-/// `d(loss)/d(param)` back out at `Tape::backward`; the optimizer then
-/// consumes `grads` and calls [`ParamStore::zero_grads`].
+/// Values are shared, not copied: a tape reads a parameter through the
+/// `Arc` it takes at `Tape::param`, a clone of the store (one per
+/// rollout or gradient worker) shares every value with the original,
+/// and [`ParamStore::value_mut`] copies a tensor only if someone else
+/// still holds it. `Tape::backward` accumulates `d(loss)/d(param)` into
+/// `grads`; the optimizer consumes them and calls
+/// [`ParamStore::zero_grads`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
     names: Vec<String>,
-    values: Vec<Tensor>,
+    values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
 }
 
@@ -42,7 +47,7 @@ impl ParamStore {
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> usize {
         let (r, c) = value.shape();
         self.names.push(name.into());
-        self.values.push(value);
+        self.values.push(Arc::new(value));
         self.grads.push(Tensor::zeros(r, c));
         self.values.len() - 1
     }
@@ -59,7 +64,7 @@ impl ParamStore {
 
     /// Total number of scalar parameters (the paper quotes ~12,736).
     pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
+        self.values.iter().map(|v| v.len()).sum()
     }
 
     /// Parameter value by index.
@@ -67,9 +72,19 @@ impl ParamStore {
         &self.values[idx]
     }
 
-    /// Mutable parameter value (optimizer use).
+    /// The shared handle behind [`ParamStore::value`]. Holding a clone
+    /// keeps that tensor alive and unchanged: a later
+    /// [`ParamStore::value_mut`] or load leaves the store pointing at a
+    /// different allocation, which is how a tape notices that what it
+    /// derived from a value is stale.
+    pub fn shared_value(&self, idx: usize) -> &Arc<Tensor> {
+        &self.values[idx]
+    }
+
+    /// Mutable parameter value (optimizer use). Copies the tensor first
+    /// if a tape or another store still shares it.
     pub fn value_mut(&mut self, idx: usize) -> &mut Tensor {
-        &mut self.values[idx]
+        Arc::make_mut(&mut self.values[idx])
     }
 
     /// Gradient accumulator by index.
@@ -150,9 +165,11 @@ impl ParamStore {
 
     /// Restores parameter values from [`ParamStore::to_text`] output.
     /// Parameters are matched by name; shape mismatches, unknown names,
-    /// and **missing parameters** are errors — a document that loads
-    /// `Ok` fully determines every registered tensor (no silent stale
-    /// values from a truncated file). A `decima-params vN` header is
+    /// values that are not finite numbers and **missing parameters**
+    /// are errors naming the tensor — a document that loads `Ok` fully
+    /// determines every registered tensor (no silent stale values from
+    /// a truncated file) and holds nothing a forward pass cannot use.
+    /// A `decima-params vN` header is
     /// validated when present (headerless input is accepted as the
     /// legacy v1 format); an unknown version is an error, so future
     /// checkpoint migrations are detectable.
@@ -179,30 +196,13 @@ impl ParamStore {
             }
             let mut it = line.split_whitespace();
             let name = it.next().ok_or("missing name")?;
-            let rows: usize = it
-                .next()
-                .ok_or("missing rows")?
-                .parse()
-                .map_err(|e| format!("{e}"))?;
-            let cols: usize = it
-                .next()
-                .ok_or("missing cols")?
-                .parse()
-                .map_err(|e| format!("{e}"))?;
-            let data: Result<Vec<f64>, _> = it.map(str::parse).collect();
-            let data = data.map_err(|e| format!("{e}"))?;
-            if data.len() != rows * cols {
-                return Err(format!("{name}: expected {} values", rows * cols));
-            }
             let idx = self
                 .names
                 .iter()
                 .position(|n| n == name)
                 .ok_or_else(|| format!("unknown parameter {name}"))?;
-            if self.values[idx].shape() != (rows, cols) {
-                return Err(format!("{name}: shape mismatch"));
-            }
-            self.values[idx] = Tensor::from_vec(rows, cols, data);
+            let value = Tensor::parse_line_tail(name, self.values[idx].shape(), it)?;
+            self.values[idx] = Arc::new(value);
             seen[idx] = true;
         }
         let missing: Vec<&str> = seen
@@ -282,6 +282,17 @@ mod tests {
         assert!(s.load_text("w 1 3 1 2 3").is_err()); // wrong shape
         assert!(s.load_text("x 1 2 1 2").is_err()); // unknown name
         assert!(s.load_text("w 1 2 1").is_err()); // missing values
+        assert!(s.load_text("w 1 2 1 2 3").is_err()); // surplus values
+                                                      // A value no forward pass can use, however it is spelled.
+        for bad in ["nan", "NaN", "inf", "-inf", "1e999"] {
+            let err = s.load_text(&format!("w 1 2 0.5 {bad}")).unwrap_err();
+            assert_eq!(err, format!("w: value '{bad}' is not finite"));
+        }
+        // Dimensions whose product overflows are compared, never
+        // multiplied.
+        let err = s.load_text("w 4294967296 4294967296").unwrap_err();
+        assert!(err.starts_with("w: shape mismatch"), "{err}");
+        assert_eq!(s.value(0).data(), &[0.0, 0.0], "nothing was loaded");
     }
 
     #[test]

@@ -1,28 +1,67 @@
-//! Reverse-mode automatic differentiation on a tape.
+//! Reverse-mode automatic differentiation on a recycled tape.
 //!
-//! Usage pattern: build a fresh [`Tape`] per forward pass, pull parameters
-//! in with [`Tape::param`], compose operations, then call
-//! [`Tape::backward`] on a `[1,1]` loss node — gradients are accumulated
-//! into the [`ParamStore`]'s grad buffers. Tapes are cheap to create and
-//! are discarded after each step, which matches the REINFORCE replay pass
-//! (one tape per agent action) and bounds memory.
+//! Usage pattern: keep one [`Tape`] for a run of forward passes of
+//! similar shape — an agent's decisions — and call [`Tape::reset`]
+//! before each. Pull parameters in with [`Tape::param`], compose
+//! operations, then call [`Tape::backward`] on a `[1,1]` loss node;
+//! gradients are accumulated into the [`ParamStore`]'s grad buffers.
+//! `Tape::new()` per pass computes exactly the same bits; what the kept
+//! tape saves is the allocator.
+//!
+//! **Nothing is allocated in steady state.** A reset keeps every node
+//! slot, and the node pushed at position `i` of the next pass writes its
+//! value into the buffer position `i` held before; the gradient table
+//! and the backward pass's temporaries are recycled the same way, and
+//! the index lists of gathers and concats live in one arena. The op
+//! sequence of a decision repeats while the job set does, so positions
+//! line up and buffers already have the right size; when the shape
+//! changes a buffer grows once. The arena is therefore about as large
+//! as the largest single pass, and it belongs to this tape alone — no
+//! free list shared across tapes or threads.
+//!
+//! **Nothing constant is copied or differentiated.** A parameter is
+//! read through the store's `Arc` ([`ParamStore::shared_value`]), a
+//! constant the caller already shares comes in by [`Tape::constant`],
+//! and every node carries a `needs_grad` bit — false for inputs and
+//! constants, the OR of the operands otherwise — so the backward pass
+//! computes no gradient that has no parameter upstream of it (the
+//! segment matrices' side of a segment sum, the feature side of the
+//! first layer).
+//!
+//! **What it computes is fixed to the bit**, including the order of
+//! every sum (see [`crate::kernels`] and docs/DETERMINISM.md): a
+//! gradient's first contribution is copied into place and later ones
+//! are added to it in descending consumer order, a contribution is
+//! summed on its own before it is added, and one backward pass adds
+//! each parameter's gradient to the store once.
 //!
 //! The op set is exactly what the Decima networks need (Eq. 1 message
 //! passing, hierarchical summaries, masked log-softmax action heads):
-//! matmul, broadcast add, elementwise nonlinearities, row reductions,
-//! gather/concat for graph plumbing, and a numerically-stable
-//! log-softmax over a column of scores.
+//! matmul, the fused dense layer, broadcast add, elementwise
+//! nonlinearities, row reductions, gather/concat for graph plumbing,
+//! and a numerically-stable log-softmax over a column of scores.
 
+use crate::kernels;
 use crate::store::ParamStore;
 use crate::tensor::Tensor;
+use std::sync::{Arc, OnceLock};
 
-/// Handle to a node on the tape.
+/// Handle to a node on the tape, valid until the next [`Tape::reset`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TensorId(usize);
 
-#[derive(Debug)]
+/// A run of the tape's index arena: the operands of a concat, the rows
+/// of a gather.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: usize,
+    len: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
 enum Op {
-    Input,
+    /// An input or a constant: nothing upstream.
+    Leaf,
     Param {
         store_idx: usize,
     },
@@ -45,35 +84,86 @@ enum Op {
     AddScalar(TensorId),
     LeakyRelu(TensorId, f64),
     Tanh(TensorId),
-    Sigmoid(TensorId),
     Exp(TensorId),
-    Ln(TensorId),
     SumRows(TensorId),
     SumAll(TensorId),
-    ConcatRows(Vec<TensorId>),
-    ConcatCols(Vec<TensorId>),
-    GatherRows(TensorId, Vec<usize>),
+    ConcatRows(Span),
+    ConcatCols(Span),
+    GatherRows(TensorId, Span),
+    /// Rows gathered from the vertical stack of `blocks`, which is
+    /// never built.
+    GatherBlocks {
+        blocks: Span,
+        rows: Span,
+    },
     LogSoftmaxCol(TensorId),
     Pick(TensorId, usize, usize),
 }
 
+enum Value {
+    /// Computed on this tape, in a buffer the slot keeps across resets.
+    Owned(Tensor),
+    /// A constant someone else also holds.
+    Shared(Arc<Tensor>),
+    /// A parameter: entry of [`Tape::params`].
+    Param(usize),
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
+    /// Whether a parameter is upstream, i.e. whether the backward pass
+    /// computes this node's gradient at all.
+    needs_grad: bool,
+}
+
+/// A parameter the tape has pulled. Holding the store's `Arc` keeps the
+/// value alive and unchanged, so the store handing out a different
+/// allocation for the same index — the optimizer stepped, a checkpoint
+/// loaded, another store altogether — is exactly the event that makes
+/// `transposed` stale, and a pointer comparison at the next pull sees
+/// it.
+struct ParamSlot {
+    value: Arc<Tensor>,
+    /// `valueᵀ`, built by the first backward pass that differentiates a
+    /// dense layer through this weight: `g·wᵀ` then runs through the
+    /// forward kernel for as long as the value stands (a trajectory).
+    transposed: OnceLock<Tensor>,
+    /// The pass of the last pull and the node it made: one node per
+    /// parameter per pass.
+    pulled: Option<(u64, TensorId)>,
 }
 
 /// A gradient tape: forward values plus enough structure to backprop.
 #[derive(Default)]
 pub struct Tape {
+    /// Node slots; `nodes[..len]` are the current pass, the rest keep
+    /// the buffers of a longer earlier one.
     nodes: Vec<Node>,
-    /// `(store index, node)` pairs already pulled via [`Tape::param`]:
-    /// repeated pulls of one parameter reuse the node (one value clone
-    /// per tape instead of one per MLP invocation).
-    param_memo: Vec<(usize, TensorId)>,
-    /// Debug-only identity of the store this tape pulls from (the memo
-    /// keys on the index, so one tape must stick to one store).
-    #[cfg(debug_assertions)]
-    param_store_tag: Option<usize>,
+    len: usize,
+    /// Index arena of the current pass's [`Span`]s.
+    indices: Vec<usize>,
+    /// One gradient buffer per node slot, and whether it holds a
+    /// gradient of the backward pass in progress.
+    grads: Vec<Tensor>,
+    live: Vec<bool>,
+    /// Backward temporaries: a contribution to a gradient that already
+    /// has one, and the stacked gradient of a block gather.
+    contribution: Tensor,
+    stacked: Tensor,
+    /// Parameters pulled so far, and each store index's entry in it.
+    params: Vec<ParamSlot>,
+    param_at: Vec<Option<usize>>,
+    /// Bumped by every reset.
+    pass: u64,
+}
+
+fn value_of<'a>(nodes: &'a [Node], params: &'a [ParamSlot], id: TensorId) -> &'a Tensor {
+    match &nodes[id.0].value {
+        Value::Owned(t) => t,
+        Value::Shared(t) => t,
+        Value::Param(at) => &params[*at].value,
+    }
 }
 
 impl Tape {
@@ -82,73 +172,192 @@ impl Tape {
         Tape::default()
     }
 
+    /// Starts the next forward pass: forgets every node (ids handed out
+    /// so far are dead) and keeps every buffer.
+    pub fn reset(&mut self) {
+        self.len = 0;
+        self.indices.clear();
+        self.pass += 1;
+    }
+
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// True when the tape is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> TensorId {
+    /// The buffer the next node will own: what the same position held
+    /// in an earlier pass (contents to be overwritten), else an empty
+    /// tensor.
+    fn recycled(&mut self) -> Tensor {
+        match self.nodes.get_mut(self.len) {
+            Some(Node {
+                value: Value::Owned(t),
+                ..
+            }) => std::mem::take(t),
+            _ => Tensor::default(),
+        }
+    }
+
+    fn push(&mut self, value: Value, op: Op, needs_grad: bool) -> TensorId {
+        let node = Node {
+            value,
+            op,
+            needs_grad,
+        };
+        match self.nodes.get_mut(self.len) {
+            Some(slot) => *slot = node,
+            None => self.nodes.push(node),
+        }
+        self.len += 1;
+        let id = TensorId(self.len - 1);
         debug_assert!(
-            value.data().iter().all(|v| v.is_finite()),
+            self.value(id).data().iter().all(|v| v.is_finite()),
             "non-finite value produced by {op:?}"
         );
-        self.nodes.push(Node { value, op });
-        TensorId(self.nodes.len() - 1)
+        id
+    }
+
+    /// Copies an index list into the arena.
+    fn span(&mut self, items: impl IntoIterator<Item = usize>) -> Span {
+        let start = self.indices.len();
+        self.indices.extend(items);
+        Span {
+            start,
+            len: self.indices.len() - start,
+        }
+    }
+
+    fn needs(&self, id: TensorId) -> bool {
+        self.nodes[id.0].needs_grad
     }
 
     /// The forward value of a node.
     pub fn value(&self, id: TensorId) -> &Tensor {
-        &self.nodes[id.0].value
+        assert!(id.0 < self.len, "tensor id from before the last reset");
+        value_of(&self.nodes, &self.params, id)
     }
 
-    /// Registers a constant input (no gradient tracked past it).
+    /// Registers a constant input (no gradient tracked past it),
+    /// adopting `t`'s allocation.
     pub fn input(&mut self, t: Tensor) -> TensorId {
-        self.push(t, Op::Input)
+        self.push(Value::Owned(t), Op::Leaf, false)
     }
 
-    /// Pulls parameter `idx` from the store onto the tape. Pulling the
-    /// same parameter again returns the existing node: gradients from all
-    /// of its consumers accumulate through one node, which is equivalent
-    /// to (and cheaper than) one node per pull.
-    ///
-    /// One tape must pull from one `ParamStore` only — the memo keys on
-    /// the index, so mixing stores would alias their parameters
-    /// (debug-asserted).
+    /// A constant `[rows, cols]` input written into a recycled buffer
+    /// from row-major `values`.
+    pub fn input_from(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        values: impl IntoIterator<Item = f64>,
+    ) -> TensorId {
+        let mut out = self.recycled();
+        out.assign(rows, cols, values);
+        self.push(Value::Owned(out), Op::Leaf, false)
+    }
+
+    /// A constant input copied from `t` into a recycled buffer.
+    pub fn input_copy(&mut self, t: &Tensor) -> TensorId {
+        self.input_from(t.rows(), t.cols(), t.data().iter().copied())
+    }
+
+    /// Registers a constant the caller keeps sharing (a cached segment
+    /// matrix): nothing is copied.
+    pub fn constant(&mut self, t: &Arc<Tensor>) -> TensorId {
+        self.push(Value::Shared(Arc::clone(t)), Op::Leaf, false)
+    }
+
+    /// Pulls parameter `idx` from the store onto the tape, sharing its
+    /// value. Pulling the same parameter again in one pass returns the
+    /// existing node: gradients from all of its consumers accumulate
+    /// through one node, which is equivalent to (and cheaper than) one
+    /// node per pull. One pass pulls from one store.
     pub fn param(&mut self, store: &ParamStore, idx: usize) -> TensorId {
-        #[cfg(debug_assertions)]
-        {
-            let tag = store as *const ParamStore as usize;
-            match self.param_store_tag {
-                None => self.param_store_tag = Some(tag),
-                Some(seen) => debug_assert_eq!(
-                    seen, tag,
-                    "a tape must pull parameters from a single ParamStore"
-                ),
-            }
+        let shared = store.shared_value(idx);
+        if self.param_at.len() <= idx {
+            self.param_at.resize(idx + 1, None);
         }
-        if let Some(&(_, id)) = self.param_memo.iter().find(|&&(i, _)| i == idx) {
-            return id;
+        let at = *self.param_at[idx].get_or_insert_with(|| {
+            self.params.push(ParamSlot {
+                value: Arc::clone(shared),
+                transposed: OnceLock::new(),
+                pulled: None,
+            });
+            self.params.len() - 1
+        });
+        let slot = &mut self.params[at];
+        let this_pass = slot.pulled.filter(|&(pass, _)| pass == self.pass);
+        if !Arc::ptr_eq(&slot.value, shared) {
+            // The value behind this index changed (see `ParamSlot`):
+            // whatever was derived from the old one goes with it.
+            assert!(
+                this_pass.is_none(),
+                "one pass pulled parameter {idx} from two stores"
+            );
+            slot.value = Arc::clone(shared);
+            slot.transposed = OnceLock::new();
+        } else if let Some((_, node)) = this_pass {
+            return node;
         }
-        let id = self.push(store.value(idx).clone(), Op::Param { store_idx: idx });
-        self.param_memo.push((idx, id));
-        id
+        let node = self.push(Value::Param(at), Op::Param { store_idx: idx }, true);
+        self.params[at].pulled = Some((self.pass, node));
+        node
+    }
+
+    /// Records a node whose value `compute` writes into a recycled
+    /// buffer.
+    fn record(
+        &mut self,
+        op: Op,
+        needs_grad: bool,
+        compute: impl FnOnce(&Tape, &mut Tensor),
+    ) -> TensorId {
+        let mut out = self.recycled();
+        compute(self, &mut out);
+        self.push(Value::Owned(out), op, needs_grad)
+    }
+
+    fn unary(&mut self, a: TensorId, op: Op, f: impl Fn(f64) -> f64) -> TensorId {
+        self.record(op, self.needs(a), |tape, out| {
+            let t = tape.value(a);
+            out.assign(t.rows(), t.cols(), t.data().iter().map(|&x| f(x)));
+        })
+    }
+
+    fn binary(
+        &mut self,
+        a: TensorId,
+        b: TensorId,
+        op: Op,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> TensorId {
+        self.record(op, self.needs(a) || self.needs(b), |tape, out| {
+            let (ta, tb) = (tape.value(a), tape.value(b));
+            assert_eq!(ta.shape(), tb.shape(), "shape mismatch in {op:?}");
+            let values = ta.data().iter().zip(tb.data()).map(|(&x, &y)| f(x, y));
+            out.assign(ta.rows(), ta.cols(), values);
+        })
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(v, Op::MatMul(a, b))
+        self.record(
+            Op::MatMul(a, b),
+            self.needs(a) || self.needs(b),
+            |tape, out| kernels::matmul_into(tape.value(a), tape.value(b), out),
+        )
     }
 
     /// Fused dense layer `act(x·W + b)`, with `act` a leaky ReLU of the
     /// given negative-side slope (`None` = linear output). One tape node
-    /// — and one allocation — where `matmul` + `add_row` + `leaky_relu`
-    /// would record three; the arithmetic is identical.
+    /// where `matmul` + `add_row` + `leaky_relu` would record three; the
+    /// arithmetic is identical. The slope must not be negative: the
+    /// backward pass reads the activation mask off the output's sign.
     pub fn linear(
         &mut self,
         x: TensorId,
@@ -156,428 +365,472 @@ impl Tape {
         b: TensorId,
         slope: Option<f64>,
     ) -> TensorId {
-        let v = {
-            let (tx, tw, tb) = (self.value(x), self.value(w), self.value(b));
-            assert_eq!(tb.rows(), 1, "linear bias must be a row vector");
-            assert_eq!(tw.cols(), tb.cols(), "linear bias width mismatch");
-            let mut v = tx.matmul(tw);
-            let cols = v.cols();
-            let bias = tb.data();
-            // Split borrows: bias belongs to another node, so copy once.
-            let bias: Vec<f64> = bias.to_vec();
-            for row in v.data_mut().chunks_exact_mut(cols) {
-                for (o, &bv) in row.iter_mut().zip(&bias) {
-                    *o += bv;
-                }
-            }
-            if let Some(s) = slope {
-                for o in v.data_mut() {
-                    if *o <= 0.0 {
-                        *o *= s;
-                    }
-                }
-            }
-            v
-        };
-        self.push(v, Op::Linear { x, w, b, slope })
+        assert!(
+            slope.map_or(true, |s| s >= 0.0),
+            "linear needs a non-negative leaky slope, got {slope:?}"
+        );
+        self.record(
+            Op::Linear { x, w, b, slope },
+            self.needs(x) || self.needs(w) || self.needs(b),
+            |tape, out| {
+                kernels::linear_into(tape.value(x), tape.value(w), tape.value(b), slope, out)
+            },
+        )
     }
 
     /// Elementwise addition (same shapes).
     pub fn add(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "add shape mismatch");
-        let mut v = ta.clone();
-        v.add_scaled(tb, 1.0);
-        self.push(v, Op::Add(a, b))
+        self.binary(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// `a[m,n] + b[1,n]`, broadcasting `b` across rows (bias add).
     pub fn add_row(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(tb.rows(), 1, "add_row rhs must be a row vector");
-        assert_eq!(ta.cols(), tb.cols(), "add_row width mismatch");
-        let mut v = ta.clone();
-        let cols = v.cols();
-        let bias = tb.data().to_vec();
-        for row in v.data_mut().chunks_exact_mut(cols) {
-            for (x, &bv) in row.iter_mut().zip(&bias) {
-                *x += bv;
-            }
-        }
-        self.push(v, Op::AddRow(a, b))
+        self.record(
+            Op::AddRow(a, b),
+            self.needs(a) || self.needs(b),
+            |tape, out| {
+                let (ta, tb) = (tape.value(a), tape.value(b));
+                assert_eq!(tb.rows(), 1, "add_row rhs must be a row vector");
+                assert_eq!(ta.cols(), tb.cols(), "add_row width mismatch");
+                let bias = tb.data().iter().cycle();
+                let values = ta.data().iter().zip(bias).map(|(&x, &bv)| x + bv);
+                out.assign(ta.rows(), ta.cols(), values);
+            },
+        )
     }
 
     /// Elementwise subtraction.
     pub fn sub(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "sub shape mismatch");
-        let mut v = ta.clone();
-        v.add_scaled(tb, -1.0);
-        self.push(v, Op::Sub(a, b))
+        self.binary(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "mul shape mismatch");
-        let data = ta
-            .data()
-            .iter()
-            .zip(tb.data())
-            .map(|(&x, &y)| x * y)
-            .collect();
-        let v = Tensor::from_vec(ta.rows(), ta.cols(), data);
-        self.push(v, Op::Mul(a, b))
+        self.binary(a, b, Op::Mul(a, b), |x, y| x * y)
     }
 
     /// Scalar multiply.
     pub fn scale(&mut self, a: TensorId, k: f64) -> TensorId {
-        let v = self.value(a).map(|x| x * k);
-        self.push(v, Op::Scale(a, k))
+        self.unary(a, Op::Scale(a, k), |x| x * k)
     }
 
     /// Scalar add.
     pub fn add_scalar(&mut self, a: TensorId, k: f64) -> TensorId {
-        let v = self.value(a).map(|x| x + k);
-        self.push(v, Op::AddScalar(a))
+        self.unary(a, Op::AddScalar(a), |x| x + k)
     }
 
     /// Leaky ReLU with the given negative-side slope.
     pub fn leaky_relu(&mut self, a: TensorId, slope: f64) -> TensorId {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
-        self.push(v, Op::LeakyRelu(a, slope))
+        self.unary(a, Op::LeakyRelu(a, slope), |x| {
+            if x > 0.0 {
+                x
+            } else {
+                slope * x
+            }
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: TensorId) -> TensorId {
-        let v = self.value(a).map(f64::tanh);
-        self.push(v, Op::Tanh(a))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: TensorId) -> TensorId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::Sigmoid(a))
+        self.unary(a, Op::Tanh(a), f64::tanh)
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: TensorId) -> TensorId {
-        let v = self.value(a).map(f64::exp);
-        self.push(v, Op::Exp(a))
-    }
-
-    /// Elementwise natural log (inputs must be positive).
-    pub fn ln(&mut self, a: TensorId) -> TensorId {
-        let v = self.value(a).map(f64::ln);
-        self.push(v, Op::Ln(a))
+        self.unary(a, Op::Exp(a), f64::exp)
     }
 
     /// Column-wise sum over rows: `[m,n] -> [1,n]`.
     pub fn sum_rows(&mut self, a: TensorId) -> TensorId {
-        let t = self.value(a);
-        let mut v = Tensor::zeros(1, t.cols());
-        for r in 0..t.rows() {
-            for c in 0..t.cols() {
-                let x = v.get(0, c) + t.get(r, c);
-                v.set(0, c, x);
-            }
-        }
-        self.push(v, Op::SumRows(a))
+        self.record(Op::SumRows(a), self.needs(a), |tape, out| {
+            sum_rows_into(tape.value(a), out)
+        })
     }
 
     /// Sum of all elements: `[m,n] -> [1,1]`.
     pub fn sum_all(&mut self, a: TensorId) -> TensorId {
-        let v = Tensor::filled(1, 1, self.value(a).sum());
-        self.push(v, Op::SumAll(a))
+        self.record(Op::SumAll(a), self.needs(a), |tape, out| {
+            out.assign(1, 1, [tape.value(a).sum()])
+        })
     }
 
     /// Vertical stack of same-width tensors.
     pub fn concat_rows(&mut self, ids: &[TensorId]) -> TensorId {
         assert!(!ids.is_empty(), "concat_rows needs at least one input");
-        let cols = self.value(ids[0]).cols();
-        let rows: usize = ids.iter().map(|&i| self.value(i).rows()).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for &i in ids {
-            let t = self.value(i);
-            assert_eq!(t.cols(), cols, "concat_rows width mismatch");
-            data.extend_from_slice(t.data());
-        }
-        self.push(
-            Tensor::from_vec(rows, cols, data),
-            Op::ConcatRows(ids.to_vec()),
-        )
+        let span = self.span(ids.iter().map(|id| id.0));
+        let needs = ids.iter().any(|&id| self.needs(id));
+        self.record(Op::ConcatRows(span), needs, |tape, out| {
+            let cols = tape.value(ids[0]).cols();
+            let rows = ids.iter().map(|&i| tape.value(i).rows()).sum();
+            out.refill(rows, cols, |data| {
+                for &i in ids {
+                    let t = tape.value(i);
+                    assert_eq!(t.cols(), cols, "concat_rows width mismatch");
+                    data.extend_from_slice(t.data());
+                }
+            });
+        })
     }
 
     /// Horizontal stack of same-height tensors.
     pub fn concat_cols(&mut self, ids: &[TensorId]) -> TensorId {
         assert!(!ids.is_empty(), "concat_cols needs at least one input");
-        let rows = self.value(ids[0]).rows();
-        let cols: usize = ids.iter().map(|&i| self.value(i).cols()).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for &i in ids {
-                let t = self.value(i);
-                assert_eq!(t.rows(), rows, "concat_cols height mismatch");
-                data.extend_from_slice(t.row_slice(r));
-            }
-        }
-        self.push(
-            Tensor::from_vec(rows, cols, data),
-            Op::ConcatCols(ids.to_vec()),
-        )
+        let span = self.span(ids.iter().map(|id| id.0));
+        let needs = ids.iter().any(|&id| self.needs(id));
+        self.record(Op::ConcatCols(span), needs, |tape, out| {
+            let rows = tape.value(ids[0]).rows();
+            let cols = ids.iter().map(|&i| tape.value(i).cols()).sum();
+            out.refill(rows, cols, |data| {
+                for r in 0..rows {
+                    for &i in ids {
+                        let t = tape.value(i);
+                        assert_eq!(t.rows(), rows, "concat_cols height mismatch");
+                        data.extend_from_slice(t.row_slice(r));
+                    }
+                }
+            });
+        })
     }
 
     /// Row gather: output row `i` is input row `idx[i]` (rows may repeat,
     /// which doubles as row broadcast).
-    pub fn gather_rows(&mut self, a: TensorId, idx: Vec<usize>) -> TensorId {
-        let t = self.value(a);
-        let cols = t.cols();
-        let mut data = Vec::with_capacity(idx.len() * cols);
-        for &src in &idx {
-            assert!(src < t.rows(), "gather_rows index out of range");
-            data.extend_from_slice(t.row_slice(src));
-        }
-        self.push(
-            Tensor::from_vec(idx.len(), cols, data),
-            Op::GatherRows(a, idx),
-        )
+    pub fn gather_rows(&mut self, a: TensorId, idx: impl IntoIterator<Item = usize>) -> TensorId {
+        let span = self.span(idx);
+        self.record(Op::GatherRows(a, span), self.needs(a), |tape, out| {
+            let t = tape.value(a);
+            out.refill(span.len, t.cols(), |data| {
+                for &src in tape.slice(span) {
+                    assert!(src < t.rows(), "gather_rows index out of range");
+                    data.extend_from_slice(t.row_slice(src));
+                }
+            });
+        })
+    }
+
+    /// [`Tape::gather_rows`] from the vertical stack of same-width
+    /// `blocks` — `rows` index the stack — without building the stack:
+    /// identical, values and gradients, to `concat_rows(blocks)`
+    /// followed by `gather_rows`.
+    pub fn gather_blocks(&mut self, blocks: &[TensorId], rows: &[usize]) -> TensorId {
+        assert!(!blocks.is_empty(), "gather_blocks needs at least one block");
+        let block_span = self.span(blocks.iter().map(|id| id.0));
+        let row_span = self.span(rows.iter().copied());
+        let needs = blocks.iter().any(|&id| self.needs(id));
+        let op = Op::GatherBlocks {
+            blocks: block_span,
+            rows: row_span,
+        };
+        self.record(op, needs, |tape, out| {
+            let cols = tape.value(blocks[0]).cols();
+            for &b in blocks {
+                assert_eq!(tape.value(b).cols(), cols, "gather_blocks width mismatch");
+            }
+            out.refill(rows.len(), cols, |data| {
+                for &row in rows {
+                    // Walk down the stack to the block holding `row`.
+                    let mut local = row;
+                    let mut holder = None;
+                    for &b in blocks {
+                        let t = tape.value(b);
+                        if local < t.rows() {
+                            holder = Some(t);
+                            break;
+                        }
+                        local -= t.rows();
+                    }
+                    let Some(block) = holder else {
+                        panic!("gather_blocks index {row} out of range");
+                    };
+                    data.extend_from_slice(block.row_slice(local));
+                }
+            });
+        })
     }
 
     /// Numerically-stable log-softmax over a `[m,1]` column of scores.
     pub fn log_softmax_col(&mut self, a: TensorId) -> TensorId {
-        let t = self.value(a);
-        assert_eq!(t.cols(), 1, "log_softmax_col needs a column vector");
-        let max = t.data().iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let lse = max + t.data().iter().map(|&x| (x - max).exp()).sum::<f64>().ln();
-        let v = t.map(|x| x - lse);
-        self.push(v, Op::LogSoftmaxCol(a))
+        self.record(Op::LogSoftmaxCol(a), self.needs(a), |tape, out| {
+            let t = tape.value(a);
+            assert_eq!(t.cols(), 1, "log_softmax_col needs a column vector");
+            let max = t.data().iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let lse = max + t.data().iter().map(|&x| (x - max).exp()).sum::<f64>().ln();
+            out.assign(t.rows(), 1, t.data().iter().map(|&x| x - lse));
+        })
     }
 
     /// Extracts element `(r, c)` as a `[1,1]` tensor.
     pub fn pick(&mut self, a: TensorId, r: usize, c: usize) -> TensorId {
-        let v = Tensor::filled(1, 1, self.value(a).get(r, c));
-        self.push(v, Op::Pick(a, r, c))
+        self.record(Op::Pick(a, r, c), self.needs(a), |tape, out| {
+            out.assign(1, 1, [tape.value(a).get(r, c)])
+        })
+    }
+
+    fn slice(&self, span: Span) -> &[usize] {
+        &self.indices[span.start..][..span.len]
     }
 
     /// Backpropagates from the `[1,1]` node `loss` (seeded with
     /// `d loss/d loss = seed`) and accumulates parameter gradients into
-    /// `store.grads`.
-    pub fn backward(&self, loss: TensorId, seed: f64, store: &mut ParamStore) {
+    /// `store.grads`, one addition per parameter.
+    pub fn backward(&mut self, loss: TensorId, seed: f64, store: &mut ParamStore) {
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
             "backward needs a scalar loss"
         );
-        let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[loss.0] = Some(Tensor::filled(1, 1, seed));
+        let Tape {
+            nodes,
+            len,
+            indices,
+            grads,
+            live,
+            contribution,
+            stacked,
+            params,
+            ..
+        } = self;
+        let nodes = &nodes[..*len];
+        let params = &params[..];
+        let value = |id: TensorId| value_of(nodes, params, id);
+        let slice = |span: Span| &indices[span.start..][..span.len];
+        if grads.len() < nodes.len() {
+            grads.resize_with(nodes.len(), Tensor::default);
+        }
+        live.clear();
+        live.resize(nodes.len(), false);
+        let mut grads = Grads {
+            nodes,
+            bufs: grads,
+            live,
+            contribution,
+        };
+        grads.add(loss, (1, 1), &[seed]);
 
-        for i in (0..self.nodes.len()).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            match &self.nodes[i].op {
-                Op::Input => {}
-                Op::Param { store_idx } => store.accumulate_grad(*store_idx, &g, 1.0),
+        for i in (0..=loss.0).rev() {
+            if !grads.live[i] {
+                continue;
+            }
+            // Taken out for the arm to read (and, for a dense layer,
+            // mask in place); the buffer goes back to its slot below.
+            let mut g = std::mem::take(&mut grads.bufs[i]);
+            let shape = g.shape();
+            let y = value(TensorId(i));
+            match nodes[i].op {
+                Op::Leaf => {}
+                Op::Param { store_idx } => store.accumulate_grad(store_idx, &g, 1.0),
                 Op::MatMul(a, b) => {
-                    let ga = g.matmul(&self.nodes[b.0].value.transpose());
-                    let gb = self.nodes[a.0].value.transpose().matmul(&g);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    grads.add_with(a, |ga| kernels::matmul_nt_into(&g, value(b), ga));
+                    grads.add_with(b, |gb| kernels::matmul_tn_into(value(a), &g, gb));
                 }
                 Op::Linear { x, w, b, slope } => {
                     // y = act(x·W + bias). The pre-activation sign equals
-                    // the output sign (leaky slope > 0), so the
+                    // the output sign (leaky slope ≥ 0), so the
                     // activation mask is recovered from y itself.
-                    let gp = match slope {
-                        Some(s) => {
-                            let y = &self.nodes[i].value;
-                            let data = g
-                                .data()
-                                .iter()
-                                .zip(y.data())
-                                .map(|(&gv, &yv)| if yv > 0.0 { gv } else { gv * s })
-                                .collect();
-                            Tensor::from_vec(g.rows(), g.cols(), data)
-                        }
-                        None => g,
-                    };
-                    let gx = gp.matmul(&self.nodes[w.0].value.transpose());
-                    let gw = self.nodes[x.0].value.transpose().matmul(&gp);
-                    let mut gb = Tensor::zeros(1, gp.cols());
-                    for row in gp.data().chunks_exact(gp.cols()) {
-                        for (o, &v) in gb.data_mut().iter_mut().zip(row) {
-                            *o += v;
+                    if let Some(s) = slope {
+                        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                            *gv = if yv > 0.0 { *gv } else { *gv * s };
                         }
                     }
-                    accumulate(&mut grads, *x, gx);
-                    accumulate(&mut grads, *w, gw);
-                    accumulate(&mut grads, *b, gb);
+                    grads.add_with(x, |gx| match nodes[w.0].value {
+                        Value::Param(at) => {
+                            let slot = &params[at];
+                            let wt = slot.transposed.get_or_init(|| slot.value.transpose());
+                            kernels::matmul_into(&g, wt, gx)
+                        }
+                        _ => kernels::matmul_nt_into(&g, value(w), gx),
+                    });
+                    grads.add_with(w, |gw| kernels::matmul_tn_into(value(x), &g, gw));
+                    grads.add_with(b, |gb| sum_rows_into(&g, gb));
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+                    grads.add(a, shape, g.data());
+                    grads.add(b, shape, g.data());
                 }
                 Op::AddRow(a, b) => {
-                    let mut gb = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            let x = gb.get(0, c) + g.get(r, c);
-                            gb.set(0, c, x);
-                        }
-                    }
-                    accumulate(&mut grads, *a, g);
-                    accumulate(&mut grads, *b, gb);
+                    grads.add(a, shape, g.data());
+                    grads.add_with(b, |gb| sum_rows_into(&g, gb));
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.map(|x| -x));
+                    grads.add(a, shape, g.data());
+                    grads.add_map(b, &g, |gv| -gv);
                 }
                 Op::Mul(a, b) => {
-                    let ga = hadamard(&g, &self.nodes[b.0].value);
-                    let gb = hadamard(&g, &self.nodes[a.0].value);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    grads.add_zip(a, &g, value(b), |gv, bv| gv * bv);
+                    grads.add_zip(b, &g, value(a), |gv, av| gv * av);
                 }
-                Op::Scale(a, k) => accumulate(&mut grads, *a, g.map(|x| x * k)),
-                Op::AddScalar(a) => accumulate(&mut grads, *a, g),
+                Op::Scale(a, k) => grads.add_map(a, &g, |gv| gv * k),
+                Op::AddScalar(a) => grads.add(a, shape, g.data()),
                 Op::LeakyRelu(a, slope) => {
-                    let x = &self.nodes[a.0].value;
-                    let data = g
-                        .data()
-                        .iter()
-                        .zip(x.data())
-                        .map(|(&gv, &xv)| if xv > 0.0 { gv } else { gv * slope })
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::from_vec(g.rows(), g.cols(), data));
+                    let masked = |gv, xv| if xv > 0.0 { gv } else { gv * slope };
+                    grads.add_zip(a, &g, value(a), masked);
                 }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let data = g
-                        .data()
-                        .iter()
-                        .zip(y.data())
-                        .map(|(&gv, &yv)| gv * (1.0 - yv * yv))
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::from_vec(g.rows(), g.cols(), data));
-                }
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let data = g
-                        .data()
-                        .iter()
-                        .zip(y.data())
-                        .map(|(&gv, &yv)| gv * yv * (1.0 - yv))
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::from_vec(g.rows(), g.cols(), data));
-                }
-                Op::Exp(a) => {
-                    let y = &self.nodes[i].value;
-                    accumulate(&mut grads, *a, hadamard(&g, y));
-                }
-                Op::Ln(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let data = g
-                        .data()
-                        .iter()
-                        .zip(x.data())
-                        .map(|(&gv, &xv)| gv / xv)
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::from_vec(g.rows(), g.cols(), data));
-                }
+                Op::Tanh(a) => grads.add_zip(a, &g, y, |gv, yv| gv * (1.0 - yv * yv)),
+                Op::Exp(a) => grads.add_zip(a, &g, y, |gv, yv| gv * yv),
                 Op::SumRows(a) => {
-                    let rows = self.nodes[a.0].value.rows();
-                    let mut ga = Tensor::zeros(rows, g.cols());
-                    for r in 0..rows {
-                        for c in 0..g.cols() {
-                            ga.set(r, c, g.get(0, c));
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
+                    let rows = value(a).rows();
+                    grads.add_with(a, |ga| {
+                        ga.refill(rows, g.cols(), |data| {
+                            for _ in 0..rows {
+                                data.extend_from_slice(g.data());
+                            }
+                        });
+                    });
                 }
                 Op::SumAll(a) => {
-                    let t = &self.nodes[a.0].value;
-                    accumulate(
-                        &mut grads,
-                        *a,
-                        Tensor::filled(t.rows(), t.cols(), g.scalar()),
-                    );
+                    let (rows, cols) = value(a).shape();
+                    let all = std::iter::repeat(g.scalar()).take(rows * cols);
+                    grads.add_with(a, |ga| ga.assign(rows, cols, all));
                 }
-                Op::ConcatRows(ids) => {
-                    let mut off = 0;
-                    for &cid in ids {
-                        let rows = self.nodes[cid.0].value.rows();
-                        let mut part = Tensor::zeros(rows, g.cols());
-                        for r in 0..rows {
-                            for c in 0..g.cols() {
-                                part.set(r, c, g.get(off + r, c));
-                            }
-                        }
-                        off += rows;
-                        accumulate(&mut grads, cid, part);
-                    }
-                }
+                Op::ConcatRows(ids) => grads.add_stacked(slice(ids), &g, value),
                 Op::ConcatCols(ids) => {
-                    let mut off = 0;
-                    for &cid in ids {
-                        let cols = self.nodes[cid.0].value.cols();
-                        let mut part = Tensor::zeros(g.rows(), cols);
-                        for r in 0..g.rows() {
-                            for c in 0..cols {
-                                part.set(r, c, g.get(r, off + c));
-                            }
-                        }
-                        off += cols;
-                        accumulate(&mut grads, cid, part);
+                    let mut at = 0;
+                    for &id in slice(ids) {
+                        let cols = value(TensorId(id)).cols();
+                        grads.add_with(TensorId(id), |part| {
+                            part.refill(g.rows(), cols, |data| {
+                                for r in 0..g.rows() {
+                                    data.extend_from_slice(&g.row_slice(r)[at..][..cols]);
+                                }
+                            });
+                        });
+                        at += cols;
                     }
                 }
-                Op::GatherRows(a, idx) => {
-                    let src = &self.nodes[a.0].value;
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for (r, &srow) in idx.iter().enumerate() {
-                        for c in 0..g.cols() {
-                            let x = ga.get(srow, c) + g.get(r, c);
-                            ga.set(srow, c, x);
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
+                Op::GatherRows(a, rows) => {
+                    let src = value(a).rows();
+                    grads.add_with(a, |ga| scatter_rows_into(&g, slice(rows), src, ga));
+                }
+                Op::GatherBlocks { blocks, rows } => {
+                    // The gradient of the stack that was never built,
+                    // then each block's rows of it — zero rows included,
+                    // as the concat this replaces passed them on.
+                    let total = slice(blocks).iter().map(|&b| value(TensorId(b)).rows());
+                    scatter_rows_into(&g, slice(rows), total.sum(), stacked);
+                    grads.add_stacked(slice(blocks), stacked, value);
                 }
                 Op::LogSoftmaxCol(a) => {
                     // y = x - lse(x); dx = dy - softmax(x) * sum(dy)
-                    let y = &self.nodes[i].value;
                     let gsum: f64 = g.data().iter().sum();
-                    let data = g
-                        .data()
-                        .iter()
-                        .zip(y.data())
-                        .map(|(&gv, &yv)| gv - yv.exp() * gsum)
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::from_vec(g.rows(), g.cols(), data));
+                    grads.add_zip(a, &g, y, |gv, yv| gv - yv.exp() * gsum);
                 }
                 Op::Pick(a, r, c) => {
-                    let src = &self.nodes[a.0].value;
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    ga.set(*r, *c, g.scalar());
-                    accumulate(&mut grads, *a, ga);
+                    let (rows, cols) = value(a).shape();
+                    grads.add_with(a, |ga| {
+                        ga.resize_zeroed(rows, cols);
+                        ga.set(r, c, g.scalar());
+                    });
                 }
             }
+            grads.live[i] = false;
+            grads.bufs[i] = g;
         }
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], id: TensorId, g: Tensor) {
-    match &mut grads[id.0] {
-        Some(existing) => existing.add_scaled(&g, 1.0),
-        slot @ None => *slot = Some(g),
+/// `out[0][c] = Σ_r t[r][c]`, rows added in ascending order from zero.
+fn sum_rows_into(t: &Tensor, out: &mut Tensor) {
+    out.resize_zeroed(1, t.cols());
+    for row in t.data().chunks_exact(t.cols().max(1)) {
+        for (o, &v) in out.data_mut().iter_mut().zip(row) {
+            *o += v;
+        }
     }
 }
 
-fn hadamard(a: &Tensor, b: &Tensor) -> Tensor {
-    debug_assert_eq!(a.shape(), b.shape());
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| x * y)
-        .collect();
-    Tensor::from_vec(a.rows(), a.cols(), data)
+/// The gradient of a row gather: `out` is `[src_rows, g.cols()]` zeros
+/// with row `g[r]` added to row `rows[r]`, in ascending `r`.
+fn scatter_rows_into(g: &Tensor, rows: &[usize], src_rows: usize, out: &mut Tensor) {
+    let cols = g.cols();
+    out.resize_zeroed(src_rows, cols);
+    for (r, &src) in rows.iter().enumerate() {
+        let into = &mut out.data_mut()[src * cols..][..cols];
+        for (o, &v) in into.iter_mut().zip(g.row_slice(r)) {
+            *o += v;
+        }
+    }
+}
+
+/// The gradient table of a backward pass in progress. A contribution
+/// to a node with no parameter upstream is dropped here, uncomputed.
+struct Grads<'a> {
+    nodes: &'a [Node],
+    bufs: &'a mut [Tensor],
+    live: &'a mut [bool],
+    contribution: &'a mut Tensor,
+}
+
+impl Grads<'_> {
+    /// Adds a contribution to node `id`'s gradient: the first is copied
+    /// into place bit for bit, a later one is added elementwise.
+    fn add(&mut self, id: TensorId, (rows, cols): (usize, usize), src: &[f64]) {
+        if !self.nodes[id.0].needs_grad {
+            return;
+        }
+        let buf = &mut self.bufs[id.0];
+        if std::mem::replace(&mut self.live[id.0], true) {
+            assert_eq!(buf.shape(), (rows, cols), "gradient shape mismatch");
+            for (a, &b) in buf.data_mut().iter_mut().zip(src) {
+                *a += b;
+            }
+        } else {
+            buf.refill(rows, cols, |data| data.extend_from_slice(src));
+        }
+    }
+
+    /// [`Grads::add`] for a contribution `fill` computes: straight into
+    /// the node's buffer when it is the first, else into the tape's
+    /// temporary — summed on its own — and then added.
+    fn add_with(&mut self, id: TensorId, fill: impl FnOnce(&mut Tensor)) {
+        if !self.nodes[id.0].needs_grad {
+            return;
+        }
+        if self.live[id.0] {
+            let mut computed = std::mem::take(self.contribution);
+            fill(&mut computed);
+            self.add(id, computed.shape(), computed.data());
+            *self.contribution = computed;
+        } else {
+            fill(&mut self.bufs[id.0]);
+            self.live[id.0] = true;
+        }
+    }
+
+    /// Hands each of `ids` its rows of `stacked`, the gradient of their
+    /// vertical stack.
+    fn add_stacked<'t>(
+        &mut self,
+        ids: &[usize],
+        stacked: &Tensor,
+        value: impl Fn(TensorId) -> &'t Tensor,
+    ) {
+        let cols = stacked.cols();
+        let mut at = 0;
+        for &id in ids {
+            let rows = value(TensorId(id)).rows();
+            self.add(
+                TensorId(id),
+                (rows, cols),
+                &stacked.data()[at..][..rows * cols],
+            );
+            at += rows * cols;
+        }
+    }
+
+    /// Contributes `f(g)` elementwise.
+    fn add_map(&mut self, id: TensorId, g: &Tensor, f: impl Fn(f64) -> f64) {
+        self.add_with(id, |out| {
+            out.assign(g.rows(), g.cols(), g.data().iter().map(|&gv| f(gv)))
+        });
+    }
+
+    /// Contributes `f(g, other)` elementwise.
+    fn add_zip(&mut self, id: TensorId, g: &Tensor, other: &Tensor, f: impl Fn(f64, f64) -> f64) {
+        debug_assert_eq!(g.shape(), other.shape());
+        let values = g.data().iter().zip(other.data());
+        self.add_with(id, |out| {
+            out.assign(g.rows(), g.cols(), values.map(|(&gv, &ov)| f(gv, ov)))
+        });
+    }
 }
 
 #[cfg(test)]
@@ -698,6 +951,93 @@ mod tests {
         assert_eq!(t1.value(fused).data(), t2.value(unfused).data());
     }
 
+    /// The backward pass reads the activation mask off the output's
+    /// sign, which only a non-negative slope preserves.
+    #[test]
+    #[should_panic(expected = "non-negative leaky slope")]
+    fn fused_linear_refuses_a_negative_slope() {
+        let mut store = ParamStore::new();
+        store.add("w", Tensor::filled(1, 1, 1.0));
+        store.add("b", Tensor::zeros(1, 1));
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::filled(1, 1, 1.0));
+        let (w, b) = (tape.param(&store, 0), tape.param(&store, 1));
+        tape.linear(x, w, b, Some(-0.1));
+    }
+
+    /// `seg · act(x·w + b)` with `x` and `seg` constant: neither gets a
+    /// gradient buffer written, the layer output between them does, and
+    /// the parameters receive exactly what they receive when the two
+    /// constants are (undifferentiated-through) parameters instead.
+    #[test]
+    fn constants_get_no_gradient_and_the_parameters_behind_them_do() {
+        let x_data = Tensor::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, -0.5, 1.5]);
+        let seg_data = Tensor::from_vec(2, 3, vec![1.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(2, 2, vec![0.5, -0.3, 0.2, 0.8]));
+        let b = store.add("b", Tensor::from_vec(1, 2, vec![0.1, -0.2]));
+        let xp = store.add("x", x_data.clone());
+        let sp = store.add("seg", seg_data.clone());
+        let mut all_params = store.clone();
+
+        let mut tape = Tape::new();
+        let x = tape.input(x_data);
+        let seg = tape.constant(&Arc::new(seg_data));
+        let (wn, bn) = (tape.param(&store, w), tape.param(&store, b));
+        let h = tape.linear(x, wn, bn, Some(0.2));
+        let s = tape.matmul(seg, h);
+        let loss = tape.sum_all(s);
+        tape.backward(loss, 1.0, &mut store);
+        assert!(!tape.needs(x) && !tape.needs(seg) && tape.needs(h));
+        assert!(
+            tape.grads[x.0].is_empty() && tape.grads[seg.0].is_empty(),
+            "a gradient was computed for a constant"
+        );
+        assert!(!tape.grads[h.0].is_empty());
+        assert!(store.grad(w).norm_sq() > 0.0 && store.grad(b).norm_sq() > 0.0);
+
+        let mut tape = Tape::new();
+        let (x, seg) = (tape.param(&all_params, xp), tape.param(&all_params, sp));
+        let (wn, bn) = (tape.param(&all_params, w), tape.param(&all_params, b));
+        let h = tape.linear(x, wn, bn, Some(0.2));
+        let s = tape.matmul(seg, h);
+        let loss = tape.sum_all(s);
+        tape.backward(loss, 1.0, &mut all_params);
+        assert!(all_params.grad(xp).norm_sq() > 0.0 && all_params.grad(sp).norm_sq() > 0.0);
+        for p in [w, b] {
+            assert_eq!(store.grad(p).data(), all_params.grad(p).data());
+        }
+    }
+
+    /// A kept tape sees the store change between passes: the value, and
+    /// the transposed weight derived from it, are both refreshed.
+    #[test]
+    fn a_reused_tape_follows_the_store() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(2, 2, vec![0.5, -0.3, 0.2, 0.8]));
+        let b = store.add("b", Tensor::zeros(1, 2));
+        let u = store.add("u", Tensor::from_vec(1, 2, vec![0.7, -0.4]));
+        let pass = |tape: &mut Tape, store: &mut ParamStore| {
+            tape.reset();
+            // `u` first, so the layer's input needs a gradient and the
+            // backward pass goes through `wᵀ`.
+            let un = tape.param(store, u);
+            let (wn, bn) = (tape.param(store, w), tape.param(store, b));
+            let h = tape.linear(un, wn, bn, Some(0.2));
+            let loss = tape.sum_all(h);
+            store.zero_grads();
+            tape.backward(loss, 1.0, store);
+            (tape.value(loss).scalar(), store.grad(u).data().to_vec())
+        };
+        let mut kept = Tape::new();
+        let first = pass(&mut kept, &mut store);
+        assert_eq!(pass(&mut kept, &mut store), first, "same store, same pass");
+        store.value_mut(w).set(0, 1, 2.5);
+        let after = pass(&mut kept, &mut store);
+        assert_ne!(after, first);
+        assert_eq!(after, pass(&mut Tape::new(), &mut store));
+    }
+
     #[test]
     fn param_is_memoized_per_tape() {
         let mut store = ParamStore::new();
@@ -714,18 +1054,15 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_tanh_sigmoid_exp_ln() {
+    fn grad_check_tanh_exp() {
         let mut store = ParamStore::new();
         store.add("w", Tensor::from_vec(1, 3, vec![0.3, 0.7, 1.2]));
         grad_check(&mut store, |tape, store| {
             let w = tape.param(store, 0);
             let t = tape.tanh(w);
-            let s = tape.sigmoid(w);
             let e = tape.exp(w);
-            // ln of strictly positive exp output.
-            let l = tape.ln(e);
-            let a = tape.add(t, s);
-            let a = tape.mul(a, l);
+            let a = tape.add(t, e);
+            let a = tape.mul(a, e);
             let a = tape.scale(a, 0.5);
             let a = tape.add_scalar(a, 1.0);
             tape.sum_all(a)

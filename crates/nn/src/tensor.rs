@@ -1,17 +1,22 @@
 //! Dense row-major 2-D tensors.
 //!
 //! Everything in the Decima networks is a small matrix (the paper's whole
-//! model is ~13k parameters), so a simple `Vec<f64>`-backed dense tensor
-//! with naive loops is both fast enough and easy to verify. Following the
-//! networking guides' smoltcp ethos, there is no SIMD/BLAS cleverness here
-//! — simplicity and robustness win at these sizes.
+//! model is ~13k parameters), so a `Vec<f64>`-backed dense tensor is
+//! enough. [`Tensor::matmul`] and [`Tensor::transpose`] here are the
+//! plain reference forms: the tape executes through the
+//! width-specialised, allocation-free kernels of [`crate::kernels`],
+//! which `tests/tape_diff.rs` holds bitwise to expressions built from
+//! these two. The order in which `matmul` sums — aligned groups of four
+//! along the contraction index, all-zero groups skipped — is therefore
+//! part of the training contract (docs/DETERMINISM.md), not an
+//! implementation detail.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -61,6 +66,50 @@ impl Tensor {
         }
     }
 
+    /// Parses the `rows cols v0 v1 …` tail of a serialized tensor line
+    /// (`ParamStore::load_text`, `Adam::load_text`) for a tensor
+    /// registered as `shape`. The text is outside input: the declared
+    /// shape is compared with the registered one before anything is
+    /// sized from it, and a value that is not a finite number is an
+    /// error — one NaN parameter or moment would otherwise train every
+    /// parameter to NaN. Errors name `what`.
+    pub(crate) fn parse_line_tail<'a>(
+        what: &str,
+        shape: (usize, usize),
+        mut tokens: impl Iterator<Item = &'a str>,
+    ) -> Result<Tensor, String> {
+        let mut dim = |name: &str| -> Result<usize, String> {
+            let tok = tokens
+                .next()
+                .ok_or_else(|| format!("{what}: missing {name}"))?;
+            tok.parse()
+                .map_err(|e| format!("{what}: bad {name} '{tok}': {e}"))
+        };
+        let declared = (dim("rows")?, dim("cols")?);
+        if declared != shape {
+            return Err(format!(
+                "{what}: shape mismatch: the file says {}x{}, the model has {}x{}",
+                declared.0, declared.1, shape.0, shape.1
+            ));
+        }
+        let want = shape.0 * shape.1;
+        let mut data = Vec::with_capacity(want);
+        for tok in tokens {
+            let v = parse_finite(what, tok)?;
+            if data.len() == want {
+                return Err(format!("{what}: more than the expected {want} values"));
+            }
+            data.push(v);
+        }
+        if data.len() != want {
+            return Err(format!(
+                "{what}: expected {want} values, found {}",
+                data.len()
+            ));
+        }
+        Ok(Tensor::from_vec(shape.0, shape.1, data))
+    }
+
     /// He-uniform initialization for a `[fan_in, fan_out]` weight matrix.
     pub fn he_init(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let bound = (6.0 / rows as f64).sqrt();
@@ -68,6 +117,29 @@ impl Tensor {
             .map(|_| rng.gen_range(-bound..bound))
             .collect();
         Tensor { rows, cols, data }
+    }
+
+    /// Reshapes to `[rows, cols]` of zeros, keeping the allocation: how
+    /// the tape recycles a buffer for a kernel that accumulates into it.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// Reshapes to `[rows, cols]`, keeping the allocation: `fill` gets
+    /// the emptied buffer and must leave `rows * cols` row-major values
+    /// in it (panics otherwise).
+    pub fn refill(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Vec<f64>)) {
+        self.data.clear();
+        fill(&mut self.data);
+        assert_eq!(self.data.len(), rows * cols, "tensor data length mismatch");
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// [`Tensor::refill`] from an iterator of row-major values.
+    pub fn assign(&mut self, rows: usize, cols: usize, values: impl IntoIterator<Item = f64>) {
+        self.refill(rows, cols, |data| data.extend(values));
     }
 
     /// Number of rows.
@@ -221,6 +293,17 @@ impl Tensor {
     pub fn scalar(&self) -> f64 {
         assert_eq!(self.shape(), (1, 1), "scalar() needs a [1,1] tensor");
         self.data[0]
+    }
+}
+
+/// Parses one number of a checkpoint's tensor sections: NaN and the
+/// infinities parse as `f64` and are refused all the same. Errors name
+/// `what`.
+pub(crate) fn parse_finite(what: &str, tok: &str) -> Result<f64, String> {
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(format!("{what}: value '{tok}' is not finite")),
+        Err(e) => Err(format!("{what}: bad value '{tok}': {e}")),
     }
 }
 

@@ -78,6 +78,9 @@ pub struct DecimaAgent {
     /// Cached static graph structure, reused across an episode's
     /// decisions and cleared at episode start.
     cache: decima_gnn::GraphCache,
+    /// The one tape every tape-lane decision of this agent is scored
+    /// on: reset per decision, its buffers kept (see `decima_nn::tape`).
+    tape: Tape,
     /// Tape-free `f32` fast path; present only on greedy agents built
     /// with [`DecimaAgent::greedy_fast`] for a supported configuration.
     infer: Option<InferSession>,
@@ -97,6 +100,7 @@ impl DecimaAgent {
             steps: 0,
             entropy_sum: 0.0,
             cache: decima_gnn::GraphCache::with_cap(cache_cap),
+            tape: Tape::new(),
             infer: None,
         }
     }
@@ -136,26 +140,6 @@ impl DecimaAgent {
     /// Whether decisions run through the `f32` fast path.
     pub fn uses_fast_infer(&self) -> bool {
         self.infer.is_some()
-    }
-
-    /// One fast-path decision; only called when `self.infer` is set
-    /// (greedy mode, supported configuration).
-    fn decide_fast(&mut self, obs: &Observation) -> Option<Action> {
-        if self.record_obs {
-            self.observations.push(ReplayObs::from_observation(obs));
-        }
-        let session = self.infer.as_mut().expect("fast path requires a session");
-        let fd = session.decide_greedy(&self.policy, obs, &mut self.cache);
-        self.steps += 1;
-        let mut action = Action::new(
-            obs.jobs[fd.cand.job_idx].id,
-            StageId(fd.cand.stage),
-            fd.limit,
-        );
-        if self.policy.cfg.parallelism == ParallelismMode::StageLevel {
-            action = action.stage_scoped();
-        }
-        Some(action)
     }
 
     /// Gradient-replay agent: feeds back `choices` while accumulating
@@ -235,26 +219,39 @@ impl Scheduler for DecimaAgent {
     }
 
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        if self.infer.is_some() {
-            return self.decide_fast(obs);
-        }
         if self.record_obs {
             self.observations.push(ReplayObs::from_observation(obs));
         }
-        let mut tape = Tape::new();
+        if let Some(session) = &mut self.infer {
+            // The tape-free `f32` lane (greedy mode, supported
+            // configuration).
+            let fd = session.decide_greedy(&self.policy, obs, &mut self.cache);
+            self.steps += 1;
+            let mut action = Action::new(
+                obs.jobs[fd.cand.job_idx].id,
+                StageId(fd.cand.stage),
+                fd.limit,
+            );
+            if self.policy.cfg.parallelism == ParallelismMode::StageLevel {
+                action = action.stage_scoped();
+            }
+            return Some(action);
+        }
+        self.tape.reset();
+        let tape = &mut self.tape;
         let fwd = self
             .policy
-            .forward_nodes_cached(&mut tape, &self.store, obs, &mut self.cache);
-        self.entropy_sum += Self::scalar_entropy(&tape, fwd.node_logp);
+            .forward_nodes_cached(tape, &self.store, obs, &mut self.cache);
+        self.entropy_sum += Self::scalar_entropy(tape, fwd.node_logp);
 
         // Pick the stage.
         let skip_limits = self.policy.cfg.parallelism == ParallelismMode::Disabled;
         let (node_idx, limit_choice, class_choice, replay_info) = match &mut self.mode {
             Mode::Sample => {
-                let ni = sample_from_logp(&tape, fwd.node_logp, &mut self.rng);
+                let ni = sample_from_logp(tape, fwd.node_logp, &mut self.rng);
                 (ni, None, None, None)
             }
-            Mode::Greedy => (argmax_logp(&tape, fwd.node_logp), None, None, None),
+            Mode::Greedy => (argmax_logp(tape, fwd.node_logp), None, None, None),
             Mode::Replay {
                 choices,
                 advantages,
@@ -282,10 +279,10 @@ impl Scheduler for DecimaAgent {
         } else {
             let lf = self
                 .policy
-                .forward_limits(&mut tape, &self.store, obs, &fwd, cand);
+                .forward_limits(tape, &self.store, obs, &fwd, cand);
             let li = match (&self.mode, limit_choice) {
-                (Mode::Sample, _) => sample_from_logp(&tape, lf.logp, &mut self.rng),
-                (Mode::Greedy, _) => argmax_logp(&tape, lf.logp),
+                (Mode::Sample, _) => sample_from_logp(tape, lf.logp, &mut self.rng),
+                (Mode::Greedy, _) => argmax_logp(tape, lf.logp),
                 (Mode::Replay { .. }, Some(li)) => li.min(lf.values.len() - 1),
                 (Mode::Replay { .. }, None) => unreachable!(),
             };
@@ -295,12 +292,12 @@ impl Scheduler for DecimaAgent {
         // Pick the executor class (multi-resource only).
         let class_fwd = self
             .policy
-            .forward_classes(&mut tape, &self.store, obs, &fwd, cand);
+            .forward_classes(tape, &self.store, obs, &fwd, cand);
         let (class, class_idx) = match &class_fwd {
             Some(cf) => {
                 let ci = match (&self.mode, class_choice) {
-                    (Mode::Sample, _) => sample_from_logp(&tape, cf.logp, &mut self.rng),
-                    (Mode::Greedy, _) => argmax_logp(&tape, cf.logp),
+                    (Mode::Sample, _) => sample_from_logp(tape, cf.logp, &mut self.rng),
+                    (Mode::Greedy, _) => argmax_logp(tape, cf.logp),
                     (Mode::Replay { .. }, Some(ci)) => ci.min(cf.classes.len() - 1),
                     (Mode::Replay { .. }, None) => 0,
                 };
@@ -313,14 +310,18 @@ impl Scheduler for DecimaAgent {
         match (&self.mode, replay_info) {
             (Mode::Replay { .. }, Some((adv, beta, _ch))) => {
                 // loss = −adv·log π(a) − β·H(node softmax)
-                let mut logp_terms = vec![tape.pick(fwd.node_logp, node_idx, 0)];
+                let node_term = tape.pick(fwd.node_logp, node_idx, 0);
+                let mut logp_terms = [node_term; 3];
+                let mut terms = 1;
                 if let Some(lf) = &limit_fwd {
-                    logp_terms.push(tape.pick(lf.logp, limit_idx, 0));
+                    logp_terms[terms] = tape.pick(lf.logp, limit_idx, 0);
+                    terms += 1;
                 }
                 if let (Some(cf), Some(ci)) = (&class_fwd, class_idx) {
-                    logp_terms.push(tape.pick(cf.logp, ci, 0));
+                    logp_terms[terms] = tape.pick(cf.logp, ci, 0);
+                    terms += 1;
                 }
-                let cat = tape.concat_rows(&logp_terms);
+                let cat = tape.concat_rows(&logp_terms[..terms]);
                 let logp = tape.sum_all(cat);
                 let mut loss = tape.scale(logp, -adv);
                 if beta != 0.0 {

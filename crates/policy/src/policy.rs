@@ -18,6 +18,7 @@ use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
 use decima_sim::Observation;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::iter::repeat;
 
 /// How the policy controls parallelism (§5.2, Figure 15a).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -275,8 +276,8 @@ impl DecimaPolicy {
                 // Ablation: raw features as "embeddings", with per-job and
                 // global raw aggregates standing in for y_i and z. The
                 // node → job segment sum reuses the cached matrix.
-                let nodes = tape.input(graph.features.clone());
-                let seg = tape.input(graph.structure.job_seg().clone());
+                let nodes = tape.input_copy(&graph.features);
+                let seg = tape.constant(graph.structure.job_seg());
                 let jobs = tape.matmul(seg, nodes);
                 let global = tape.sum_rows(jobs);
                 EmbeddingsOrRaw::Raw {
@@ -296,15 +297,12 @@ impl DecimaPolicy {
                 stage: stage.0,
             })
             .collect();
-        let node_rows: Vec<usize> = cands
+        let node_rows = cands
             .iter()
-            .map(|c| graph.jobs()[c.job_idx].node_offset + c.stage as usize)
-            .collect();
-        let job_rows: Vec<usize> = cands.iter().map(|c| c.job_idx).collect();
-
+            .map(|c| graph.jobs()[c.job_idx].node_offset + c.stage as usize);
         let ev = tape.gather_rows(e_nodes, node_rows);
-        let yi = tape.gather_rows(e_jobs, job_rows);
-        let z = tape.gather_rows(e_glob, vec![0; cands.len()]);
+        let yi = tape.gather_rows(e_jobs, cands.iter().map(|c| c.job_idx));
+        let z = tape.gather_rows(e_glob, repeat(0).take(cands.len()));
         let qin = tape.concat_cols(&[ev, yi, z]);
         let scores = self.q_net.forward(tape, store, qin);
         let node_logp = tape.log_softmax_col(scores);
@@ -352,8 +350,8 @@ impl DecimaPolicy {
         let values = self.limit_values(obs, cand);
         let (_, e_jobs, e_glob) = fwd.emb.parts();
         let l = values.len();
-        let yi = tape.gather_rows(e_jobs, vec![cand.job_idx; l]);
-        let z = tape.gather_rows(e_glob, vec![0; l]);
+        let yi = tape.gather_rows(e_jobs, repeat(cand.job_idx).take(l));
+        let z = tape.gather_rows(e_glob, repeat(0).take(l));
 
         let logp = match self.cfg.parallelism {
             ParallelismMode::OneHot => {
@@ -361,7 +359,7 @@ impl DecimaPolicy {
                 let net = self.w_onehot.as_ref().expect("one-hot head exists");
                 let all = net.forward(tape, store, win); // [l, total] (row-repeated)
                                                          // Select each valid limit's unit from the first row.
-                let first = tape.gather_rows(all, vec![0]);
+                let first = tape.gather_rows(all, [0]);
                 let t = values.len();
                 let mut sel = Tensor::zeros(self.cfg.total_executors, t);
                 for (i, &v) in values.iter().enumerate() {
@@ -378,11 +376,10 @@ impl DecimaPolicy {
                 tape.log_softmax_col(col)
             }
             _ => {
-                let lnorm: Vec<f64> = values
+                let lnorm = values
                     .iter()
-                    .map(|&v| v as f64 / self.cfg.total_executors as f64)
-                    .collect();
-                let lcol = tape.input(Tensor::col(lnorm));
+                    .map(|&v| v as f64 / self.cfg.total_executors as f64);
+                let lcol = tape.input_from(l, 1, lnorm);
                 let win = tape.concat_cols(&[yi, z, lcol]);
                 let scores = self.w_net.forward(tape, store, win);
                 tape.log_softmax_col(scores)
@@ -411,15 +408,14 @@ impl DecimaPolicy {
         }
         let (_, e_jobs, e_glob) = fwd.emb.parts();
         let k = classes.len();
-        let yi = tape.gather_rows(e_jobs, vec![cand.job_idx; k]);
-        let z = tape.gather_rows(e_glob, vec![0; k]);
-        let mem: Vec<f64> = classes.iter().map(|&c| obs.class_memory[c]).collect();
-        let free: Vec<f64> = classes
+        let yi = tape.gather_rows(e_jobs, repeat(cand.job_idx).take(k));
+        let z = tape.gather_rows(e_glob, repeat(0).take(k));
+        let mem = classes.iter().map(|&c| obs.class_memory[c]);
+        let free = classes
             .iter()
-            .map(|&c| obs.free_by_class[c] as f64 / obs.total_executors as f64)
-            .collect();
-        let mem = tape.input(Tensor::col(mem));
-        let free = tape.input(Tensor::col(free));
+            .map(|&c| obs.free_by_class[c] as f64 / obs.total_executors as f64);
+        let mem = tape.input_from(k, 1, mem);
+        let free = tape.input_from(k, 1, free);
         let cin = tape.concat_cols(&[yi, z, mem, free]);
         let scores = net.forward(tape, store, cin);
         let logp = tape.log_softmax_col(scores);

@@ -18,9 +18,9 @@
 //!    — and apply one Adam step to the shared parameters.
 //!
 //! Rollout and gradient tasks are CPU-bound pure functions of their
-//! inputs, so each batch is one [`ordered_map`] call over
-//! `num_rollouts` scoped threads: results come back in slot order,
-//! bit-identical to a sequential pass.
+//! inputs, so each batch is one [`ordered_map`] call over scoped
+//! threads — one per task, up to the cores the machine has: results
+//! come back in slot order, bit-identical to a sequential pass.
 //!
 //! Trainers checkpoint and resume bit-exactly: see [`crate::checkpoint`].
 
@@ -36,6 +36,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
 
 /// Curriculum over episode horizons (§5.3 challenge #1).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -173,6 +174,16 @@ impl Trainer {
         self.tau_mean
     }
 
+    /// Threads of a rollout or gradient batch: one per task, but no
+    /// more than there are cores. An agent and the tape it keeps are
+    /// live per *thread*, so more threads than cores buy resident
+    /// memory and cache misses and nothing else; results are placed by
+    /// slot, so the count never shows in them.
+    fn batch_threads(&self) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.cfg.num_rollouts.min(cores)
+    }
+
     /// The actor pass: one trajectory-recording rollout per
     /// `(sequence seed, action seed)` pair, in slot order.
     fn rollouts(
@@ -181,7 +192,7 @@ impl Trainer {
         tau: Option<f64>,
         seeds: Vec<(u64, u64)>,
     ) -> Vec<Trajectory> {
-        ordered_map(self.cfg.num_rollouts, seeds, |(seq_seed, act_seed)| {
+        ordered_map(self.batch_threads(), seeds, |(seq_seed, act_seed)| {
             let (cluster, jobs, mut sim_cfg) = env.build(seq_seed);
             if let Some(t) = tau {
                 sim_cfg.time_limit = Some(sim_cfg.time_limit.map_or(t, |l| l.min(t)));
@@ -209,7 +220,7 @@ impl Trainer {
         beta: f64,
     ) -> Vec<ParamStore> {
         let tasks = trajs.iter().zip(advantages).collect();
-        ordered_map(self.cfg.num_rollouts, tasks, |(t, adv)| {
+        ordered_map(self.batch_threads(), tasks, |(t, adv)| {
             DecimaAgent::accumulate_from_observations(
                 self.policy.clone(),
                 self.store.clone(),

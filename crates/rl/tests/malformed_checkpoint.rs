@@ -75,10 +75,42 @@ const HOSTILE: [&str; 16] = [
 fn load_and_rewrite(text: String) {
     within_ten_seconds(move || {
         if let Ok(t) = Trainer::from_checkpoint(&text) {
-            // What loads describes itself again.
-            assert!(Trainer::from_checkpoint(&t.to_checkpoint()).is_ok());
+            // What loads describes itself again, and holds nothing a
+            // forward pass or an Adam step would turn into NaN.
+            let again = t.to_checkpoint();
+            assert!(Trainer::from_checkpoint(&again).is_ok());
+            let (_, tensors) = again.split_once("\n[params]\n").unwrap();
+            let non_finite = |tok: &str| matches!(tok, "NaN" | "inf" | "-inf");
+            assert!(!tensors.split_whitespace().any(non_finite));
         }
     });
+}
+
+/// What a number in the `[params]` / `[adam]` sections can be damaged
+/// into: not finite, or a dimension whose product overflows.
+const HOSTILE_NUMBERS: [&str; 9] = [
+    "nan",
+    "NaN",
+    "inf",
+    "-inf",
+    "1e999",
+    "-1e999",
+    "4294967296",
+    "18446744073709551615",
+    "-1",
+];
+
+/// `valid` with token `token` of line `line` of its tensor sections
+/// (both counted modulo what there is) replaced by `with`.
+fn with_tensor_token(valid: &str, line: usize, token: usize, with: &str) -> String {
+    let (head, tensors) = valid.split_once("\n[params]\n").unwrap();
+    let mut lines: Vec<String> = tensors.lines().map(str::to_string).collect();
+    let at = line % lines.len();
+    let mut tokens: Vec<&str> = lines[at].split(' ').collect();
+    let token = token % tokens.len();
+    tokens[token] = with;
+    lines[at] = tokens.join(" ");
+    format!("{head}\n[params]\n{}\n", lines.join("\n"))
 }
 
 #[test]
@@ -155,8 +187,80 @@ fn the_reproductions_of_the_issue_are_errors() {
     assert!(err.contains("one-hot limit head wider than 1024"), "{err}");
 }
 
+/// The two reproductions of the tape issue: a NaN parameter used to
+/// load `Ok` and train every parameter to NaN (a debug build panicked
+/// in a rollout worker instead), and 2³² × 2³² "values" overflowed the
+/// size check in a debug build.
+#[test]
+fn damaged_tensor_sections_are_errors_naming_the_tensor() {
+    let valid = valid_checkpoint();
+    let first = valid
+        .lines()
+        .find(|l| l.starts_with("gnn.prep.w0 "))
+        .unwrap();
+    let replaced = |from: usize, with: &str| {
+        let mut tokens: Vec<&str> = first.split(' ').collect();
+        tokens.splice(from.., with.split(' '));
+        valid.replacen(first, &tokens.join(" "), 1)
+    };
+    let nan_value = {
+        let mut tokens: Vec<&str> = first.split(' ').collect();
+        tokens[3] = "nan";
+        valid.replacen(first, &tokens.join(" "), 1)
+    };
+    let moment = valid.lines().find(|l| l.starts_with("v 1 ")).unwrap();
+    let hyper = valid.lines().find(|l| l.starts_with("hyper ")).unwrap();
+    let cases = [
+        (
+            nan_value,
+            "[params]: gnn.prep.w0: value 'nan' is not finite",
+        ),
+        (
+            replaced(1, "4294967296 4294967296"),
+            "[params]: gnn.prep.w0: shape mismatch: the file says 4294967296x4294967296, \
+             the model has 7x16",
+        ),
+        (
+            replaced(3, "1e999"),
+            "[params]: gnn.prep.w0: value '1e999' is not finite",
+        ),
+        (
+            valid.replacen(moment, "v 1 1 16 inf", 1),
+            "[adam]: v 1: value 'inf' is not finite",
+        ),
+        (
+            valid.replacen(moment, "v 1 18446744073709551615 16 0", 1),
+            "[adam]: v 1: shape mismatch",
+        ),
+        (
+            valid.replacen(hyper, "hyper NaN 0.9 0.999 1e-8 10 2", 1),
+            "[adam]: hyper lr: value 'NaN' is not finite",
+        ),
+        (
+            valid.replacen(hyper, "hyper 0.001 0.9 0.999 1e-8 inf 2", 1),
+            "[adam]: hyper clip: value 'inf' is not finite",
+        ),
+    ];
+    for (text, want) in cases {
+        let err = Trainer::from_checkpoint(&text).map(|_| ()).unwrap_err();
+        assert!(err.contains(want), "wanted '{want}', got '{err}'");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// One number of a parameter, moment or `hyper` line — a dimension,
+    /// an index or a value — becomes a hostile one.
+    #[test]
+    fn damaged_tensor_numbers_never_panic_or_load(
+        line in 0usize..10_000,
+        token in 0usize..100_000,
+        hostile in 0usize..HOSTILE_NUMBERS.len(),
+    ) {
+        let damaged = with_tensor_token(valid_checkpoint(), line, token, HOSTILE_NUMBERS[hostile]);
+        load_and_rewrite(damaged);
+    }
 
     #[test]
     fn arbitrary_bytes_never_panic(bytes in vec(0u8..=255, 0..300)) {
