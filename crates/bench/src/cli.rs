@@ -4,104 +4,41 @@
 //! decima-exp --list
 //! decima-exp --scenario fig09a
 //! decima-exp --scenario fig09a --set execs=30 --seeds 0..40 --threads 8 --json
+//! decima-exp --scenario train --set recipe=stream --set iters=200
 //! ```
+//!
+//! One dialect: a scenario name and `--set key=value` overrides.
+//! Whatever is wrong with the command line itself — a flag, a key, a
+//! value, two keys that contradict each other — is one `error:` line
+//! and exit 2 before anything runs; a run that fails on a file it was
+//! pointed at (a missing, damaged or wrong-sized checkpoint) is one
+//! `error:` line and exit 1.
 
 use crate::registry::ScenarioRegistry;
-use crate::runner::{run_scenario, run_training, RunOptions, Scenario, TrainOptions};
-use crate::scenario::{in_range, settable_keys, COUNT, POSITIVE};
+use crate::runner::{try_run_scenario, RunOptions, Scenario};
+use crate::scenario::settable_keys;
 use crate::Args;
-use decima_sim::DynamicsSpec;
 
-/// Scenario-mode flags that take a value.
+/// Flags that take a value.
 const SCENARIO_VALUED: &[&str] = &["scenario", "set", "seeds", "threads"];
-/// Scenario-mode flags that stand alone.
+/// Flags that stand alone.
 const SCENARIO_BARE: &[&str] = &["json"];
 
-/// `--train` flags that take a value, beside one per
-/// [`DynamicsSpec::KNOBS`] key.
-const TRAIN_VALUED: &[&str] = &[
-    "recipe",
-    "iters",
-    "jobs",
-    "execs",
-    "iat",
-    "seed",
-    "checkpoint-dir",
-    "checkpoint-every",
-    "train-log",
-];
-/// `--train` flags that stand alone.
-const TRAIN_BARE: &[&str] = &["train", "resume"];
-
-/// A mode accepts exactly its documented flags; a misspelt one must
-/// not silently run the default configuration.
-fn check_flags(
-    args: &Args,
-    valued: &[&str],
-    bare: &[&str],
-    hint: impl Fn(&str) -> String,
-) -> Result<(), String> {
-    match args.first_unknown(valued, bare) {
+/// Exactly the documented flags: a misspelt one — or one of the
+/// removed `--train` dialect — must not silently run the default
+/// configuration.
+fn check_scenario_flags(args: &Args) -> Result<(), String> {
+    match args.first_unknown(SCENARIO_VALUED, SCENARIO_BARE) {
         None => Ok(()),
         Some(arg) => Err(match arg.strip_prefix("--") {
-            Some(key) => format!("unknown flag '{arg}' ({})", hint(key)),
+            Some("train") => format!(
+                "unknown flag '{arg}' (training is a scenario: --scenario train --set key=value, \
+                 docs/TRAINING.md)"
+            ),
+            Some(key) => format!("unknown flag '{arg}' (did you mean --set {key}=…?)"),
             None => format!("unexpected argument '{arg}'"),
         }),
     }
-}
-
-fn check_scenario_flags(args: &Args) -> Result<(), String> {
-    check_flags(args, SCENARIO_VALUED, SCENARIO_BARE, |key| {
-        format!("did you mean --set {key}=…?")
-    })
-}
-
-/// `--train` mode: exactly its documented flags, every numeric value
-/// must parse and lie in its accepted range — a typo must not silently
-/// train the defaults, nor an empty cluster train on `jct NaN`.
-fn train_options(args: &Args) -> Result<TrainOptions, String> {
-    let knobs = DynamicsSpec::KNOBS.iter().map(|k| k.key);
-    let valued: Vec<&str> = TRAIN_VALUED.iter().copied().chain(knobs).collect();
-    check_flags(args, &valued, TRAIN_BARE, |_| {
-        "not a --train flag, see --help".to_string()
-    })?;
-    let d = TrainOptions::default();
-    let mut opts = TrainOptions {
-        recipe: args.value("recipe").unwrap_or("standard").to_string(),
-        iters: args.parsed("iters")?.unwrap_or(d.iters),
-        jobs: args.parsed("jobs")?.unwrap_or(d.jobs),
-        execs: args.parsed("execs")?.unwrap_or(d.execs),
-        iat: args.parsed("iat")?,
-        seed: args.parsed("seed")?.unwrap_or(d.seed),
-        checkpoint_dir: args
-            .value("checkpoint-dir")
-            .map_or(d.checkpoint_dir, std::path::PathBuf::from),
-        checkpoint_every: args
-            .parsed("checkpoint-every")?
-            .unwrap_or(d.checkpoint_every),
-        resume: args.has("resume"),
-        log_path: args.value("train-log").map(std::path::PathBuf::from),
-        dynamics: d.dynamics,
-    };
-    in_range("--jobs", opts.jobs as f64, COUNT)?;
-    in_range("--execs", opts.execs as f64, COUNT)?;
-    let most = decima_rl::checkpoint::MAX_COUNT;
-    if opts.execs > most {
-        // The run's checkpoint has to load again.
-        return Err(format!(
-            "--execs must be at most {most}, got {}",
-            opts.execs
-        ));
-    }
-    if let Some(iat) = opts.iat {
-        in_range("--iat", iat, POSITIVE)?;
-    }
-    for knob in &DynamicsSpec::KNOBS {
-        if let Some(v) = args.parsed(knob.key)? {
-            knob.set(&mut opts.dynamics, v)?;
-        }
-    }
-    Ok(opts)
 }
 
 /// The `--help` text: the flags, then one line per settable key from
@@ -118,10 +55,8 @@ USAGE:
   decima-exp --list
   decima-exp --scenario <name> [--set key=value]... [--seeds a..b]
              [--threads N] [--json]
-  decima-exp --train [--recipe standard|stream|tuned] [--iters N]
-             [--jobs J] [--execs E] [--iat S] [--seed K]
-             [--checkpoint-dir DIR] [--checkpoint-every N]
-             [--resume] [--train-log PATH] [--<dynamics key> V]...
+  decima-exp --scenario train [--set recipe=standard|stream|tuned]
+             [--set iters=N] [--set checkpoint=PATH] [--set resume=true]...
 
 FLAGS:
   --list            list registered scenarios and exit
@@ -130,24 +65,19 @@ FLAGS:
   --seeds A..B      evaluation seed range (or a bare count)
   --threads N       worker threads (default: available parallelism)
   --json            also print the structured JSON result to stdout
-  --train           run a standalone checkpointed training run
-  --recipe NAME     training recipe: standard | stream | tuned
-  --checkpoint-dir DIR   where checkpoint.txt lives (out/checkpoints)
-  --checkpoint-every N   checkpoint cadence in iterations (10)
-  --resume          continue bit-exactly from DIR/checkpoint.txt
-                    (refuses mismatched --jobs/--execs/--iat)
-  --train-log PATH  JSONL log path (out/train_<recipe>.jsonl)
 
 KEYS for --set (a value outside what its key accepts, or a key the
 scenario does not take, is exit 2 before anything runs):
 {}  plus each scenario's own parameters: the \"params\" of its spec echo
   (out/<scenario>.json), each held to the kind of its default.
-  Cluster dynamics (docs/ROBUSTNESS.md): the 'every scenario' keys from
-  churn on are also --train flags (--churn 240 --fail 0.05), to train a
-  policy under perturbation; --jobs, --execs at least 1, --iat > 0.
+  The train scenario's (docs/TRAINING.md): recipe=standard|stream|tuned,
+  seed=K, checkpoint-every=N (10), resume=true to continue checkpoint=
+  bit-exactly (it refuses another jobs=/execs=/iat=/dynamics than the
+  file echoes), train-log=PATH (out/train_<recipe>.jsonl); the 'every
+  scenario' keys from churn on train a policy under perturbation.
 
 Results: terminal report, out/<scenario>.csv, out/<scenario>.json;
-training: DIR/checkpoint.txt + one JSONL record per iteration.
+train: the checkpoint= file + one JSONL record per iteration.
 Throughput and memory are measured by the repo benchmark
   (benchmark/README.md, BENCHMARK.json), not by this binary.
 ",
@@ -175,6 +105,7 @@ fn configure(sc: &Scenario, args: &Args) -> Result<(Scenario, RunOptions), Strin
     for (key, value) in args.sets()? {
         sc.spec.set(&key, &value)?;
     }
+    sc.spec.check()?;
     if let Some(range) = args.value("seeds") {
         sc.spec.seeds = sc.spec.seeds.parse(range)?;
     }
@@ -189,14 +120,22 @@ fn configure(sc: &Scenario, args: &Args) -> Result<(Scenario, RunOptions), Strin
     Ok((sc, opts))
 }
 
-fn run(name: &str, args: &Args) -> Result<(), String> {
+/// Everything that can be wrong before the run starts.
+fn prepare(args: &Args) -> Result<Option<(Scenario, RunOptions)>, String> {
+    check_scenario_flags(args)?;
+    let Some(name) = args.value("scenario") else {
+        return Ok(None);
+    };
     let reg = ScenarioRegistry::standard();
     let sc = reg
         .get(name)
         .ok_or_else(|| format!("unknown scenario '{name}' (try --list)"))?;
-    let (sc, opts) = configure(sc, args)?;
-    run_scenario(&sc, &opts);
-    Ok(())
+    configure(sc, args).map(Some)
+}
+
+fn fail(error: &str, code: i32) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(code)
 }
 
 /// Entry point of the `decima-exp` binary.
@@ -210,26 +149,19 @@ pub fn exp_main() {
         list(&ScenarioRegistry::standard());
         return;
     }
-    if args.has("train") {
-        let opts = train_options(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        if let Err(e) = run_training(&opts) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let Some(name) = args.value("scenario").map(str::to_string) else {
-        print!("{}", usage());
-        std::process::exit(2);
-    };
     // Every error before the run starts is bad input: exit 2, nothing
-    // written.
-    if let Err(e) = check_scenario_flags(&args).and_then(|()| run(&name, &args)) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    // written. One from the run itself is a model it could not use.
+    match prepare(&args) {
+        Err(e) => fail(&e, 2),
+        Ok(None) => {
+            print!("{}", usage());
+            std::process::exit(2);
+        }
+        Ok(Some((sc, opts))) => {
+            if let Err(e) = try_run_scenario(&sc, &opts) {
+                fail(&e, 1);
+            }
+        }
     }
 }
 
@@ -286,68 +218,85 @@ mod tests {
         }
     }
 
+    /// The `train` scenario takes what `--train` took, as keys: the
+    /// numbers must parse and lie in range, a typo is refused, and the
+    /// flag dialect itself is gone.
     #[test]
-    fn train_flags_are_checked_and_numbers_must_parse() {
-        let line = "--train --iters 2 --jobs 4 --execs 5 --iat 40 --fail 0.1 --retries 3 --resume";
-        let ok = train_options(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap();
-        assert_eq!((ok.iters, ok.jobs, ok.execs), (2, 4, 5));
-        assert_eq!(ok.iat, Some(40.0));
-        assert_eq!((ok.dynamics.fail_prob, ok.dynamics.max_retries), (0.1, 3));
-        assert!(ok.resume);
-        let defaults = train_options(&argv(&["--train"])).unwrap();
-        assert_eq!(defaults.iters, TrainOptions::default().iters);
-        assert_eq!(defaults.iat, None);
+    fn train_takes_its_keys_and_the_flag_dialect_is_gone() {
+        let reg = ScenarioRegistry::standard();
+        let train = reg.get("train").unwrap();
+        let sets = |pairs: &[&str]| {
+            let parts: Vec<&str> = pairs.iter().flat_map(|p| ["--set", p]).collect();
+            configure(train, &argv(&parts))
+        };
+        let line = "iters=2 jobs=4 execs=5 iat=40 fail=0.1 retries=3 resume=true recipe=tuned \
+                    seed=7 checkpoint=/tmp/m.ckpt checkpoint-every=1 train-log=/tmp/t.jsonl";
+        let (ok, _) = sets(&line.split_whitespace().collect::<Vec<_>>()).unwrap();
+        let spec = &ok.spec;
+        let w = spec.workload.as_ref().unwrap();
+        assert_eq!((w.num_jobs(), w.executors), (4, 5));
+        assert_eq!(spec.num_param("iat", 0.0), 40.0);
+        let d = spec.sim.dynamics;
+        assert_eq!((d.fail_prob, d.max_retries), (0.1, 3));
+        assert!(spec.flag_param("resume", false));
+        assert_eq!(spec.usize_param("seed", 0), 7);
+        let train_spec = crate::scenarios::first_train(spec);
+        assert_eq!(train_spec.iters, 2);
+        assert_eq!(train_spec.checkpoint.as_deref(), Some("/tmp/m.ckpt"));
+        let (defaults, _) = sets(&[]).unwrap();
+        assert_eq!(crate::scenarios::first_train(&defaults.spec).iters, 50);
+        assert_eq!(defaults.spec.param("iat"), None);
 
-        let cases: &[(&[&str], &str)] = &[
-            (&["--iters", "ten"], "--iters needs a number, got 'ten'"),
-            (&["--iat", "4O"], "--iat needs a number, got '4O'"),
-            (&["--churn", "often"], "--churn needs a number, got 'often'"),
-            (&["--jobs"], "--jobs needs a value"),
+        let cases: &[(&str, &str)] = &[
+            ("iters=ten", "'iters' needs a numeric value, got 'ten'"),
+            ("iat=4O", "'iat' needs a numeric value, got '4O'"),
+            ("churn=often", "'churn' needs a numeric value, got 'often'"),
+            ("fail=2", "dynamics 'fail' must be in [0, 1], got 2"),
+            ("execs=0", "'execs' must be at least 1, got 0"),
+            ("jobs=0", "'jobs' must be at least 1, got 0"),
             (
-                &["--iter", "5"],
-                "unknown flag '--iter' (not a --train flag, see --help)",
+                "execs=1000001",
+                "'execs' must be at most 1000000, got 1000001",
             ),
+            ("iat=-4", "'iat' must be > 0, got -4"),
             (
-                &["--threads", "4"],
-                "unknown flag '--threads' (not a --train flag, see --help)",
-            ),
-            (&["extra"], "unexpected argument 'extra'"),
-            // In-range checks: `--fail 2` used to train on `jct NaN`.
-            (&["--fail", "2"], "dynamics 'fail' must be in [0, 1], got 2"),
-            (&["--execs", "0"], "--execs must be at least 1, got 0"),
-            (&["--jobs", "0"], "--jobs must be at least 1, got 0"),
-            (
-                &["--execs", "1000001"],
-                "--execs must be at most 1000000, got 1000001",
-            ),
-            (&["--iat", "-4"], "--iat must be > 0, got -4"),
-            (
-                &["--straggle-factor", "0"],
+                "straggle-factor=0",
                 "dynamics 'straggle-factor' must be >= 1, got 0",
             ),
+            ("resume=yes", "'resume' needs true or false, got 'yes'"),
+            (
+                "recipe=fast",
+                "unknown recipe 'fast' (expected standard, stream, or tuned)",
+            ),
         ];
-        for (extra, want) in cases {
-            let mut parts = vec!["--train"];
-            parts.extend_from_slice(extra);
-            assert_eq!(
-                train_options(&argv(&parts)).err().as_deref(),
-                Some(*want),
-                "{extra:?}"
-            );
+        for (set, want) in cases {
+            assert_eq!(sets(&[set]).err().as_deref(), Some(*want), "{set}");
+        }
+        let err = sets(&["iter=5"]).err().unwrap();
+        assert!(
+            err.starts_with("unknown key 'iter' for scenario 'train'"),
+            "{err}"
+        );
+        for flags in [
+            &["--train"][..],
+            &["--train", "--iters", "5"],
+            &["--resume"],
+        ] {
+            let err = prepare(&argv(flags)).err().unwrap();
+            assert!(err.starts_with("unknown flag '--"), "{flags:?}: {err}");
         }
     }
 
     /// One case per [`KEYS`] row and per dynamics knob: a documented
     /// value is taken, a value outside the row's kind or range is
-    /// refused with exactly this message — and for a knob, `--set` and
-    /// the `--train` flag agree on both.
+    /// refused with exactly this message.
     #[test]
     fn every_settable_key_takes_its_kind_and_refuses_the_rest() {
         use crate::scenario::KEYS;
         let reg = ScenarioRegistry::standard();
         let levels = "off, low, med, high, all or custom";
         let scheds = "fifo, sjf-cp, fair, naive-weighted-fair, weighted-fair, opt-weighted-fair, \
-                      tetris, graphene, random, decima, decima-untrained, decima-ckpt:PATH";
+                      tetris, graphene, random, decima-untrained, decima-ckpt:PATH";
         #[rustfmt::skip]
         let rows: &[(&str, &str, &str, &str, String)] = &[
             ("scale", "execs", "8,64", "8,0", "'execs' must be at least 1, got 0".into()),
@@ -394,21 +343,19 @@ mod tests {
             ("straggle", "0.5", "NaN", "dynamics 'straggle' must be in [0, 1], got NaN"),
             ("straggle-factor", "1", "0.5", "dynamics 'straggle-factor' must be >= 1, got 0.5"),
         ];
-        let keys: Vec<&str> = DynamicsSpec::KNOBS.iter().map(|k| k.key).collect();
+        let keys: Vec<&str> = decima_sim::DynamicsSpec::KNOBS
+            .iter()
+            .map(|k| k.key)
+            .collect();
         assert_eq!(
             keys,
             knobs.map(|k| k.0),
             "one case per knob, in table order"
         );
         for (key, good, bad, want) in knobs {
-            let flag = format!("--{key}");
             let mut spec = reg.get("fig09a").unwrap().spec.clone();
             assert_eq!(spec.set(key, good), Ok(()), "{key}={good}");
-            let trained = train_options(&argv(&["--train", &flag, good])).unwrap();
-            assert_eq!(trained.dynamics, spec.sim.dynamics, "{key}={good}");
             assert_eq!(spec.set(key, bad), Err(want.to_string()), "{key}={bad}");
-            let err = train_options(&argv(&["--train", &flag, bad])).err();
-            assert_eq!(err.as_deref(), Some(want), "{flag} {bad}");
         }
     }
 

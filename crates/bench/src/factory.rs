@@ -1,10 +1,14 @@
 //! The scheduler factory: string names / [`SchedulerSpec`]s → boxed
-//! [`Scheduler`]s, plus shared trainer construction from a [`TrainSpec`].
+//! [`Scheduler`]s, plus trainer construction from a [`TrainSpec`].
 //!
 //! Every scheduler the paper compares — the seven §7.1 baselines, the
 //! random policy, and trained/untrained Decima with arbitrary
 //! `PolicyConfig` overrides — is constructible here, so experiments
-//! never hand-roll scheduler setup.
+//! never hand-roll scheduler setup. The factory never touches the
+//! disk and never trains: an entry that stands for a model (`decima`,
+//! `decima-ckpt:PATH`, `fine-tuned:PATH`) is turned into a
+//! [`TrainedPolicy`] by [`crate::model::resolve`] first, and
+//! [`make_scheduler`] is handed the result.
 
 use crate::fleet::{LeastLoaded, RoundRobin, Router, ShortestQueue};
 use crate::scenario::{PolicySpec, SchedulerSpec, TrainSpec};
@@ -39,7 +43,8 @@ impl TrainedPolicy {
 
     /// Loads a snapshot from a checkpoint file written by
     /// [`Trainer::save_checkpoint`] — the trained model as a reusable
-    /// artifact, no retraining involved.
+    /// artifact, no retraining involved, and no check against a cluster
+    /// (scenarios go through [`crate::model::resolve`], which checks).
     pub fn from_checkpoint(path: &str) -> Result<Self, String> {
         let trainer = Trainer::load_checkpoint(std::path::Path::new(path))?;
         Ok(TrainedPolicy::of(&trainer))
@@ -168,9 +173,10 @@ pub fn build_trainer(train: &TrainSpec, executors: usize) -> Trainer {
 /// Constructs a boxed scheduler from its spec.
 ///
 /// * `executors` sizes untrained Decima policies.
-/// * `trained` supplies the parameters for `Decima` entries (the runner
-///   trains first, then hands the snapshot here). A `Decima` spec without
-///   a snapshot falls back to an untrained policy.
+/// * `trained` is the model of a `Decima`, `DecimaCheckpoint` or
+///   `FineTuned` entry, as [`crate::model::resolve`] returned it — the
+///   factory opens no file and trains nothing, so calling it with such
+///   an entry and no model is a bug in the caller, and panics.
 /// * `TunedWeightedFair` must be resolved to a concrete `WeightedFair`
 ///   by the runner first; unresolved it falls back to α = −1 (the
 ///   paper's near-optimal exponent).
@@ -189,35 +195,15 @@ pub fn make_scheduler(
         SchedulerSpec::Tetris => Box::new(TetrisScheduler),
         SchedulerSpec::Graphene => Box::new(GrapheneScheduler::default()),
         SchedulerSpec::Random { seed } => Box::new(RandomScheduler::new(*seed)),
-        SchedulerSpec::Decima { .. } => match trained {
-            Some(t) => Box::new(t.greedy_agent()),
-            None => Box::new(untrained_agent(&PolicySpec::default(), executors, None)),
-        },
         SchedulerSpec::DecimaUntrained {
             policy,
             sample_seed,
         } => Box::new(untrained_agent(policy, executors, *sample_seed)),
-        SchedulerSpec::DecimaCheckpoint { path } => match trained {
-            // The runner resolves the checkpoint once and shares the
-            // snapshot across seeds; a direct call loads it here.
+        SchedulerSpec::Decima { .. }
+        | SchedulerSpec::DecimaCheckpoint { .. }
+        | SchedulerSpec::FineTuned { .. } => match trained {
             Some(t) => Box::new(t.greedy_agent()),
-            None => Box::new(
-                TrainedPolicy::from_checkpoint(path)
-                    .unwrap_or_else(|e| panic!("cannot load checkpoint '{path}': {e}"))
-                    .greedy_agent(),
-            ),
-        },
-        // Fine-tuning needs an environment, which the factory does not
-        // have: the drift scenario runs `Trainer::fine_tune_window` on
-        // the drifted env and hands the adapted snapshot in via
-        // `trained`. A direct call degrades to the frozen checkpoint.
-        SchedulerSpec::FineTuned { path, .. } => match trained {
-            Some(t) => Box::new(t.greedy_agent()),
-            None => Box::new(
-                TrainedPolicy::from_checkpoint(path)
-                    .unwrap_or_else(|e| panic!("cannot load checkpoint '{path}': {e}"))
-                    .greedy_agent(),
-            ),
+            None => panic!("'{}' stands for a model: resolve it first", spec.label()),
         },
     }
 }
@@ -248,12 +234,23 @@ mod tests {
 
     #[test]
     fn every_name_resolves_and_constructs() {
+        // What an entry that stands for a model is handed by its caller.
+        let model = TrainedPolicy::of(&build_trainer(&TrainSpec::standard(0, 11), 5));
         for name in SCHEDULER_NAMES {
             let spec = scheduler_spec_by_name(name)
                 .unwrap_or_else(|| panic!("name '{name}' did not resolve"));
-            let _sched = make_scheduler(&spec, 5, None);
+            let trained = matches!(spec, SchedulerSpec::Decima { .. }).then_some(&model);
+            let _sched = make_scheduler(&spec, 5, trained);
         }
         assert!(scheduler_spec_by_name("not-a-scheduler").is_none());
+    }
+
+    /// The factory opens no file and substitutes no untrained policy.
+    #[test]
+    #[should_panic(expected = "stands for a model")]
+    fn a_model_entry_without_its_model_is_a_caller_bug() {
+        let spec = scheduler_spec_by_name("decima-ckpt:/nonexistent").unwrap();
+        make_scheduler(&spec, 5, None);
     }
 
     #[test]
@@ -290,7 +287,8 @@ mod tests {
 
     /// A checkpoint trained **under perturbation** is a first-class
     /// model artifact: `decima-ckpt:<path>` resolves through the
-    /// factory and drives the robust scenario's perturbed environment.
+    /// factory and the resolver, and drives the robust scenario's
+    /// perturbed environment.
     #[test]
     fn perturbation_trained_checkpoint_loads_into_robust_scenario() {
         use decima_rl::{EnvFactory as _, SpecEnv};
@@ -319,9 +317,18 @@ mod tests {
         let renv = crate::runner::spec_env(&robust);
         let (cluster, jobs, cfg) = renv.build(1);
         assert!(cfg.dynamics.enabled());
-        let sched = make_scheduler(&spec, robust.executors(), None);
+        let site = crate::model::Site::Env(&renv);
+        let model = crate::model::resolve("saved", &spec, site).unwrap();
+        let sched = make_scheduler(&spec, robust.executors(), model.as_ref());
         let r = Simulator::new(cluster, jobs, cfg).run(sched);
         assert!(!r.actions.is_empty(), "the loaded policy must act");
+
+        // On a cluster of another size the same entry is an error.
+        robust.set("execs", "12").unwrap();
+        let other = crate::runner::spec_env(&robust);
+        let err = crate::model::resolve("saved", &spec, crate::model::Site::Env(&other));
+        let err = err.err().expect("a 10-executor model on 12 executors");
+        assert!(err.contains("was trained for 10 executors"), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -96,8 +96,8 @@ impl Router for RoundRobin {
     }
 }
 
-/// Join-shortest-queue by estimated pending work-seconds (ties go to
-/// the lowest shard index).
+/// Join-shortest-queue by estimated pending work-seconds (a tie goes
+/// to the fewest jobs routed so far, then the lowest shard index).
 pub struct ShortestQueue;
 
 impl Router for ShortestQueue {
@@ -111,7 +111,8 @@ impl Router for ShortestQueue {
 
 /// Least-loaded by estimated free executors: each active job is assumed
 /// to occupy at least one executor, so `free = executors − active`
-/// (ties go to the lowest shard index).
+/// (a tie goes to the fewest jobs routed so far, then the lowest shard
+/// index).
 pub struct LeastLoaded;
 
 impl Router for LeastLoaded {
@@ -124,12 +125,16 @@ impl Router for LeastLoaded {
     }
 }
 
-/// Index of the minimum key, first occurrence on ties — the tie-break
-/// must be deterministic for the fleet determinism contract.
+/// Index of the minimum key; a tie goes to the shard with the fewest
+/// jobs routed so far, then to the lowest index. At low load the drain
+/// model reads every backlog as zero, and "first index wins" sent each
+/// such tie to shard 0; the tie-break stays deterministic, as the fleet
+/// determinism contract needs.
 fn argbest(loads: &[ShardLoad], key: impl Fn(&ShardLoad) -> f64) -> usize {
+    let rank = |l: &ShardLoad| (key(l), l.routed_jobs);
     let mut best = 0;
     for (i, l) in loads.iter().enumerate().skip(1) {
-        if key(l) < key(&loads[best]) {
+        if rank(l) < rank(&loads[best]) {
             best = i;
         }
     }

@@ -10,6 +10,9 @@
 //!   the fluent [`ScenarioBuilder`](scenario::ScenarioBuilder).
 //! * [`factory`] — string name / spec → boxed scheduler, covering all
 //!   seven baselines plus trained/untrained Decima.
+//! * [`model`] — how a policy comes to exist: the one training driver
+//!   and the one lineup resolver (train, load, fine-tune, save) behind
+//!   every scenario, and the `train` scenario itself.
 //! * [`registry`] — every paper artifact (`fig02` … `table3`) registers
 //!   its spec in the [`ScenarioRegistry`].
 //! * [`runner`] — one unified runner that lists, runs, and sweeps any
@@ -28,6 +31,7 @@ pub mod cli;
 pub mod factory;
 pub mod fleet;
 pub mod json;
+pub mod model;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -38,7 +42,7 @@ pub mod timed;
 pub use cli::exp_main;
 pub use factory::{build_trainer, make_scheduler, scheduler_spec_by_name, TrainedPolicy};
 pub use registry::ScenarioRegistry;
-pub use runner::{par_map, run_scenario, run_training, RunOptions, Scenario, TrainOptions};
+pub use runner::{par_map, run_scenario, try_run_scenario, RunOptions, Scenario};
 
 use decima_core::{ClusterSpec, JobSpec, Summary};
 use decima_rl::{EnvFactory, Trainer};
@@ -110,21 +114,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// Trains for `iters` iterations with a progress line every 10.
-pub fn train_with_progress(trainer: &mut Trainer, env: &dyn EnvFactory, iters: usize) {
-    trainer.train(env, iters, |s| {
-        if (s.iter + 1) % 10 == 0 || s.iter == 0 {
-            println!(
-                "  [train] iter {:>4}  reward {:>9.3}  jct {:>8.1}  entropy {:.2}",
-                s.iter + 1,
-                s.mean_reward,
-                s.mean_avg_jct,
-                s.mean_entropy
-            );
-        }
-    });
-}
-
 /// Mean greedy-evaluation average JCT over the given sequence seeds.
 pub fn eval_mean_jct(trainer: &Trainer, env: &dyn EnvFactory, seeds: &[u64]) -> f64 {
     let rs = trainer.evaluate(env, seeds);
@@ -136,7 +125,7 @@ pub fn eval_mean_jct(trainer: &Trainer, env: &dyn EnvFactory, seeds: &[u64]) -> 
     }
 }
 
-/// Minimal `--flag value` argument parser: `Args::new().parsed::<usize>("iters")`.
+/// Minimal `--flag value` argument parser: `Args::new().value("scenario")`.
 pub struct Args {
     raw: Vec<String>,
 }
@@ -150,19 +139,6 @@ impl Args {
     /// Builds from an explicit argument vector (tests, embedding).
     pub fn from_vec(raw: Vec<String>) -> Self {
         Args { raw }
-    }
-
-    /// The value after `--name`, parsed; `Ok(None)` when the flag is
-    /// absent, an error when its value is missing or malformed.
-    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.value(name) {
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} needs a number, got '{v}'")),
-            None if self.has(name) => Err(format!("--{name} needs a value")),
-            None => Ok(None),
-        }
     }
 
     /// The raw string value after `--name`.

@@ -3,9 +3,10 @@
 //! function where the figure's analysis goes beyond the generic
 //! comparison protocol.
 //!
-//! The thin per-figure binaries and the unified `decima-exp` runner both
-//! fetch scenarios from here, so there is exactly one source of truth
-//! for each experiment's configuration.
+//! The unified `decima-exp` runner fetches scenarios from here, so
+//! there is exactly one source of truth for each experiment's
+//! configuration — training included: `train` is a scenario like any
+//! other.
 //!
 //! Recipes can reference **saved models**: a `Decima` entry whose
 //! [`TrainSpec::checkpoint`] names a path loads the checkpoint instead
@@ -13,9 +14,10 @@
 //! training run) — set it on any registered scenario with
 //! `--set checkpoint=PATH`. A lineup can also pin a pre-trained model
 //! directly with [`SchedulerSpec::DecimaCheckpoint`] (factory name
-//! `decima-ckpt:<path>`). See `docs/TRAINING.md`.
+//! `decima-ckpt:<path>`). Either way the model comes from
+//! [`crate::model`]. See `docs/TRAINING.md`.
 
-use crate::runner::{RunKind, Scenario};
+use crate::runner::{run_comparison, RunFn, Scenario};
 use crate::scenario::{
     PolicySpec, ReportKind, ScenarioBuilder, ScenarioSpec, SchedulerSpec, TrainSpec,
 };
@@ -55,6 +57,7 @@ impl ScenarioRegistry {
             scale(),
             table2(),
             table3(),
+            train(),
         ];
         ScenarioRegistry { items }
     }
@@ -85,18 +88,12 @@ impl ScenarioRegistry {
     }
 }
 
-fn custom(spec: ScenarioSpec, f: crate::runner::CustomFn) -> Scenario {
-    Scenario {
-        spec,
-        run: RunKind::Custom(f),
-    }
+fn custom(spec: ScenarioSpec, run: RunFn) -> Scenario {
+    Scenario { spec, run }
 }
 
 fn comparison(spec: ScenarioSpec) -> Scenario {
-    Scenario {
-        spec,
-        run: RunKind::Comparison,
-    }
+    custom(spec, run_comparison)
 }
 
 /// The workload-drift scenario family (not a paper artifact): frozen vs
@@ -752,6 +749,31 @@ fn table3() -> Scenario {
     )
 }
 
+/// One checkpointed, resumable training run (§5.3's recipe on its own):
+/// the training driver of [`crate::model`] with a JSONL log and a save
+/// cadence. `iters=` is the target total, `checkpoint=` the file the run
+/// writes — and, with `resume=true`, continues bit-exactly — and
+/// `jobs=` / `execs=` / `iat=` / the dynamics knobs shape the episodes
+/// it rolls out on (docs/TRAINING.md).
+fn train() -> Scenario {
+    custom(
+        ScenarioBuilder::new("train", "Train: one checkpointed, resumable training run")
+            .paper_ref("§5.3, Alg. 1")
+            .workload(WorkloadSpec::tpch_batch(10, 15))
+            .text("recipe", "standard")
+            .count("seed", 11)
+            .count("checkpoint-every", 10)
+            .flag("resume", false)
+            .text("train-log", "")
+            .decima(TrainSpec::standard(50, 11).with_checkpoint("out/checkpoints/checkpoint.txt"))
+            .note("Writes checkpoint= (and one JSONL record per iteration to train-log=,")
+            .note("default out/train_<recipe>.jsonl); any scenario then reuses the model with")
+            .note("--set checkpoint=<that file> or a decima-ckpt:<path> entry.")
+            .build(),
+        crate::model::run_train,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,7 +787,7 @@ mod tests {
         for name in [
             "drift", "fig02", "fig03", "fig07", "fig09a", "fig09b", "fig10", "fig11", "fig12",
             "fig13", "fig14", "fig15a", "fig15b", "fig16", "fig18", "fig19", "fig22", "fig23",
-            "fleet", "robust", "scale", "table2", "table3",
+            "fleet", "robust", "scale", "table2", "table3", "train",
         ] {
             assert!(reg.get(name).is_some(), "scenario '{name}' missing");
         }

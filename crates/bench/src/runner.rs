@@ -1,16 +1,26 @@
 //! The unified experiment runner.
 //!
-//! [`run_scenario`] executes any registered scenario: the generic
-//! declarative path ([`run_comparison`]) tunes baselines, trains Decima
-//! entries, evaluates the whole lineup over the seed plan **in
-//! parallel** (deterministic per-seed results, stable ordering), prints the familiar terminal report, and writes both the
+//! [`try_run_scenario`] executes any registered scenario: the generic
+//! declarative path ([`run_comparison`]) tunes baselines, resolves each
+//! lineup entry to its model, evaluates the whole lineup over the seed
+//! plan **in parallel** (deterministic per-seed results, stable
+//! ordering), prints the familiar terminal report, and writes both the
 //! CSV and the structured JSON; custom scenarios plug in a run function
 //! for figure-specific analyses and inherit the same reporting.
+//!
+//! No scenario builds a trainer or opens a checkpoint itself: models
+//! come from [`crate::model`] (`resolve` for a lineup entry,
+//! `train_entry` for a recipe, `run_train` for the `train` scenario),
+//! and a model the run cannot use — a missing, damaged or wrong-sized
+//! checkpoint — comes back as the `Err` of the run. [`run_scenario`]
+//! and [`train_decima_entry`] keep their infallible signatures for
+//! callers compiled against them (`benchmark/`) and panic on that `Err`.
 
-use crate::factory::{build_trainer, make_scheduler, TrainedPolicy};
+use crate::factory::{make_scheduler, TrainedPolicy};
+use crate::model::{resolve, train_entry, Site};
 use crate::report::{write_json, ScenarioReport, SeriesReport};
 use crate::scenario::{ReportKind, ScenarioSpec, SchedulerSpec};
-use crate::{print_comparison, run_episode, train_with_progress, write_csv};
+use crate::{print_comparison, run_episode, write_csv};
 use decima_baselines::tune_alpha;
 use decima_core::par::ordered_map;
 use decima_rl::SpecEnv;
@@ -37,37 +47,34 @@ impl Default for RunOptions {
     }
 }
 
-/// A custom run function: receives the (override-applied) spec and the
-/// options, prints its figure-specific analysis, and returns the
-/// structured results.
-pub type CustomFn = fn(&ScenarioSpec, &RunOptions) -> ScenarioReport;
-
-/// How a scenario executes.
-#[derive(Clone)]
-pub enum RunKind {
-    /// Fully declarative: the generic comparison protocol.
-    Comparison,
-    /// Figure-specific analysis on top of the declarative spec.
-    Custom(CustomFn),
-}
+/// A run function: receives the (override-applied) spec and the
+/// options, prints its analysis, and returns the structured results —
+/// or why the run could not use a model it names. [`run_comparison`] is
+/// the fully declarative one; `scenarios/` holds the figure-specific
+/// ones.
+pub type RunFn = fn(&ScenarioSpec, &RunOptions) -> Result<ScenarioReport, String>;
 
 /// A registered scenario: its declarative spec plus how to run it.
 #[derive(Clone)]
 pub struct Scenario {
     /// The declarative description (echoed into the JSON output).
     pub spec: ScenarioSpec,
-    /// Execution strategy.
-    pub run: RunKind,
+    /// The run function.
+    pub run: RunFn,
+}
+
+/// [`try_run_scenario`] for callers that hold models the run can use
+/// (`benchmark/`): panics on the error.
+pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
+    try_run_scenario(sc, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs a scenario end-to-end: executes, prints the paper-shape notes,
-/// stamps wall-clock time, and writes `out/<name>.json`.
-pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
+/// stamps wall-clock time, and writes `out/<name>.json`. An `Err` comes
+/// from resolving a model, before any report is written.
+pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let t0 = Instant::now();
-    let mut report = match &sc.run {
-        RunKind::Comparison => run_comparison(&sc.spec, opts),
-        RunKind::Custom(f) => f(&sc.spec, opts),
-    };
+    let mut report = (sc.run)(&sc.spec, opts)?;
     if !sc.spec.notes.is_empty() {
         println!();
         for line in &sc.spec.notes {
@@ -80,7 +87,7 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
     if opts.dump_json {
         println!("{}", doc.render());
     }
-    report
+    Ok(report)
 }
 
 /// Maps `f` over `items` on up to `threads` threads, returning results
@@ -159,145 +166,57 @@ pub fn tune_weighted_fair(env: &SpecEnv, tune_seeds: &[u64], threads: usize) -> 
     alpha
 }
 
-/// Trains a `Decima` lineup entry and snapshots the result. Training
-/// runs on the entry's own workload override when present (the
-/// generalization experiments), otherwise on the evaluation environment;
-/// the policy is always sized for the evaluation cluster.
-///
-/// When the recipe names a [`crate::scenario::TrainSpec::checkpoint`]
-/// path, an existing checkpoint is loaded instead of training (the model
-/// is a reusable artifact), and a fresh training run saves there.
+/// [`train_entry`]'s snapshot for callers compiled against the
+/// infallible signature (`benchmark/`): panics on the error.
 pub fn train_decima_entry(
     label: &str,
     train: &crate::scenario::TrainSpec,
     env: &SpecEnv,
 ) -> TrainedPolicy {
-    let apply_hint = |mut snapshot: TrainedPolicy| {
-        if let Some(hint) = train.eval_iat_hint {
-            // Hinted policies observe the *test* IAT at evaluation time.
-            snapshot.policy.cfg.feat.iat_hint = Some(hint);
-        }
-        snapshot
-    };
-    if let Some(ckpt) = &train.checkpoint {
-        if std::path::Path::new(ckpt).exists() {
-            println!("Loading {label} from checkpoint {ckpt} (no training)...");
-            let snapshot = TrainedPolicy::from_checkpoint(ckpt)
-                .unwrap_or_else(|e| panic!("cannot load checkpoint '{ckpt}': {e}"));
-            check_snapshot_compat(&snapshot, env.workload.executors, ckpt);
-            return apply_hint(snapshot);
-        }
-    }
-    println!("Training {label} ({} iterations)...", train.iters);
-    let mut trainer = build_trainer(train, env.workload.executors);
-    let train_env = match &train.workload {
-        Some(w) => SpecEnv {
-            workload: w.clone(),
-            sim: env.sim.clone(),
-            drift: env.drift,
-        },
-        None => env.clone(),
-    };
-    train_with_progress(&mut trainer, &train_env, train.iters);
-    if let Some(ckpt) = &train.checkpoint {
-        match trainer.save_checkpoint(std::path::Path::new(ckpt)) {
-            Ok(()) => println!("[checkpoint] {ckpt}"),
-            Err(e) => eprintln!("warning: could not save checkpoint '{ckpt}': {e}"),
-        }
-    }
-    apply_hint(TrainedPolicy::of(&trainer))
+    let trainer = train_entry(label, train, env).unwrap_or_else(|e| panic!("{e}"));
+    TrainedPolicy::of(&trainer)
 }
 
-/// A saved model is only valid on the cluster size it was trained for:
-/// the limit head enumerates parallelism values against
-/// `cfg.total_executors`, so evaluating a 15-executor policy on a
-/// 30-executor cluster would silently misreport "trained Decima".
-/// Loudly refuse instead of publishing wrong numbers.
-pub(crate) fn check_snapshot_compat(snapshot: &TrainedPolicy, executors: usize, ckpt: &str) {
-    let trained_for = snapshot.policy.cfg.total_executors;
-    assert!(
-        trained_for == executors,
-        "checkpoint '{ckpt}' was trained for {trained_for} executors but the evaluation \
-         cluster has {executors}; retrain (delete the file or point --set checkpoint= \
-         elsewhere) or evaluate at the matching cluster size"
-    );
-}
-
-/// The generic declarative path: resolve tuning, train Decima entries,
-/// evaluate the lineup over the seed plan, report per the spec's
+/// The generic declarative path: resolve tuning and models entry by
+/// entry, evaluate the lineup over the seed plan, report per the spec's
 /// [`ReportKind`].
-pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let env = spec_env(spec);
     let seeds = spec.seeds.seeds();
     let mut report = ScenarioReport::new();
 
     for entry in &spec.lineup {
-        let series = match &entry.sched {
-            SchedulerSpec::TunedWeightedFair {
-                tune_start,
-                tune_count,
-            } => {
-                let tune_seeds: Vec<u64> = (*tune_start..tune_start + *tune_count as u64).collect();
-                let alpha = tune_weighted_fair(&env, &tune_seeds, opts.threads);
-                println!("Tuned weighted-fair α = {alpha:.1} (paper: optimum near -1)");
-                // Record the swept value so JSON consumers don't have to
-                // parse the terminal line.
-                report.push_extra(
-                    format!("tuned_alpha_{}", entry.csv_name()),
-                    crate::json::Json::Num(alpha),
-                );
-                eval_series(
-                    &entry.label,
-                    &entry.csv_name(),
-                    &SchedulerSpec::WeightedFair { alpha },
-                    &env,
-                    &seeds,
-                    None,
-                    opts.threads,
-                )
-            }
-            SchedulerSpec::Decima { train } => {
-                let snapshot = train_decima_entry(&entry.label, train, &env);
-                eval_series(
-                    &entry.label,
-                    &entry.csv_name(),
-                    &entry.sched,
-                    &env,
-                    &seeds,
-                    Some(&snapshot),
-                    opts.threads,
-                )
-            }
-            SchedulerSpec::DecimaCheckpoint { path } => {
-                println!("Loading {} from checkpoint {path}...", entry.label);
-                let snapshot = TrainedPolicy::from_checkpoint(path)
-                    .unwrap_or_else(|e| panic!("cannot load checkpoint '{path}': {e}"));
-                check_snapshot_compat(&snapshot, env.workload.executors, path);
-                eval_series(
-                    &entry.label,
-                    &entry.csv_name(),
-                    &entry.sched,
-                    &env,
-                    &seeds,
-                    Some(&snapshot),
-                    opts.threads,
-                )
-            }
-            other => eval_series(
-                &entry.label,
-                &entry.csv_name(),
-                other,
-                &env,
-                &seeds,
-                None,
-                opts.threads,
-            ),
-        };
-        report.push_series(series);
+        let mut sched = entry.sched.clone();
+        if let SchedulerSpec::TunedWeightedFair {
+            tune_start,
+            tune_count,
+        } = sched
+        {
+            let tune_seeds: Vec<u64> = (tune_start..tune_start + tune_count as u64).collect();
+            let alpha = tune_weighted_fair(&env, &tune_seeds, opts.threads);
+            println!("Tuned weighted-fair α = {alpha:.1} (paper: optimum near -1)");
+            // Record the swept value so JSON consumers don't have to
+            // parse the terminal line.
+            report.push_extra(
+                format!("tuned_alpha_{}", entry.csv_name()),
+                crate::json::Json::Num(alpha),
+            );
+            sched = SchedulerSpec::WeightedFair { alpha };
+        }
+        let trained = resolve(&entry.label, &sched, Site::Env(&env))?;
+        report.push_series(eval_series(
+            &entry.label,
+            &entry.csv_name(),
+            &sched,
+            &env,
+            &seeds,
+            trained.as_ref(),
+            opts.threads,
+        ));
     }
 
     print_and_write(spec, &mut report);
-    report
+    Ok(report)
 }
 
 /// Prints the terminal report and writes the CSV for a comparison run.
@@ -389,219 +308,6 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
         }
     };
     report.push_csv(path);
-}
-
-// ---------------------------------------------------------------------------
-// Standalone training runs (`decima-exp --train`)
-// ---------------------------------------------------------------------------
-
-/// Options of a standalone checkpointed training run.
-#[derive(Clone, Debug)]
-pub struct TrainOptions {
-    /// Recipe name: `standard`, `stream`, or `tuned`.
-    pub recipe: String,
-    /// Target total iterations (a resumed run continues up to this).
-    pub iters: usize,
-    /// Jobs per training episode.
-    pub jobs: usize,
-    /// Cluster executors.
-    pub execs: usize,
-    /// Poisson mean interarrival time; batched arrivals when `None`
-    /// (stream/tuned recipes default to 25 s).
-    pub iat: Option<f64>,
-    /// Master seed (policy init + rollouts).
-    pub seed: u64,
-    /// Directory holding `checkpoint.txt`.
-    pub checkpoint_dir: std::path::PathBuf,
-    /// Save the checkpoint every N iterations (and always at the end).
-    pub checkpoint_every: usize,
-    /// Resume from the directory's checkpoint instead of starting fresh.
-    pub resume: bool,
-    /// JSONL log path (default `out/train_<recipe>.jsonl`).
-    pub log_path: Option<std::path::PathBuf>,
-    /// Cluster-dynamics model applied to the training episodes
-    /// (`--churn`/`--fail`/`--straggle`), so checkpoints can be produced
-    /// for perturbed clusters. Off by default.
-    pub dynamics: decima_sim::DynamicsSpec,
-}
-
-impl Default for TrainOptions {
-    fn default() -> Self {
-        TrainOptions {
-            recipe: "standard".into(),
-            iters: 50,
-            jobs: 10,
-            execs: 15,
-            iat: None,
-            seed: 11,
-            checkpoint_dir: std::path::PathBuf::from("out/checkpoints"),
-            checkpoint_every: 10,
-            resume: false,
-            log_path: None,
-            dynamics: decima_sim::DynamicsSpec::off(),
-        }
-    }
-}
-
-impl TrainOptions {
-    /// The checkpoint file this run reads/writes.
-    pub fn checkpoint_path(&self) -> std::path::PathBuf {
-        self.checkpoint_dir.join("checkpoint.txt")
-    }
-
-    /// The JSONL training-log path.
-    pub fn log_file(&self) -> std::path::PathBuf {
-        self.log_path
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from(format!("out/train_{}.jsonl", self.recipe)))
-    }
-
-    /// The training recipe (hyperparameters) this run uses.
-    pub fn train_spec(&self) -> Result<crate::scenario::TrainSpec, String> {
-        use crate::scenario::TrainSpec;
-        Ok(match self.recipe.as_str() {
-            "standard" => TrainSpec::standard(self.iters, self.seed),
-            "stream" => TrainSpec::stream(self.iters, self.seed),
-            "tuned" => TrainSpec::tuned(self.iters, self.seed),
-            other => {
-                return Err(format!(
-                    "unknown recipe '{other}' (expected standard, stream, or tuned)"
-                ))
-            }
-        })
-    }
-
-    /// The training workload this run rolls out on.
-    pub fn workload(&self) -> decima_workload::WorkloadSpec {
-        use decima_workload::WorkloadSpec;
-        let continuous = self.recipe != "standard";
-        match (self.iat, continuous) {
-            (Some(iat), _) => WorkloadSpec::tpch_stream(self.jobs, self.execs, iat),
-            (None, true) => WorkloadSpec::tpch_stream(self.jobs, self.execs, 25.0),
-            (None, false) => WorkloadSpec::tpch_batch(self.jobs, self.execs),
-        }
-    }
-}
-
-/// Runs (or resumes) a standalone training run: builds the trainer from
-/// the recipe — or restores it bit-exactly from the checkpoint — then
-/// trains to the target iteration count, streaming one JSONL record per
-/// iteration to the log and checkpointing every
-/// [`TrainOptions::checkpoint_every`] iterations. Returns the trained
-/// snapshot.
-pub fn run_training(opts: &TrainOptions) -> Result<TrainedPolicy, String> {
-    use std::io::Write as _;
-
-    let ckpt_path = opts.checkpoint_path();
-    let requested = decima_rl::WorkloadEcho::of(&opts.workload()).with_dynamics(opts.dynamics);
-    let mut trainer = if opts.resume {
-        let mut t = decima_rl::Trainer::load_checkpoint(&ckpt_path)?;
-        match &t.workload_echo {
-            // Resuming on a different workload than the checkpoint was
-            // trained on silently degrades the model — refuse loudly.
-            Some(saved) => saved.ensure_matches(&requested)?,
-            // Pre-echo checkpoints carry no workload record; stamp the
-            // requested shape so future resumes are protected.
-            None => t.workload_echo = Some(requested),
-        }
-        println!(
-            "Resumed from {} at iteration {} ({} logged)",
-            ckpt_path.display(),
-            t.iter,
-            t.history.len()
-        );
-        t
-    } else {
-        let mut t = build_trainer(&opts.train_spec()?, opts.execs);
-        t.workload_echo = Some(requested);
-        t
-    };
-    let log_path = opts.log_file();
-    // Fresh runs truncate the log; resumed runs append, so the file ends
-    // up with one line per iteration of the *whole* run. An interruption
-    // between checkpoints can leave logged iterations the checkpoint
-    // never saw — those are not in the saved model (and re-run below if
-    // the target asks), so drop their stale records first to keep the
-    // one-line-per-iteration contract. This must happen even when the
-    // target is already reached, or a rolled-back checkpoint would leave
-    // the log permanently over-claiming.
-    if opts.resume {
-        if let Ok(text) = std::fs::read_to_string(&log_path) {
-            let kept: Vec<&str> = text
-                .lines()
-                .filter(|l| {
-                    crate::json::Json::parse(l)
-                        .ok()
-                        .and_then(|v| v.get("iter").and_then(crate::json::Json::as_u64))
-                        .is_some_and(|i| (i as usize) < trainer.iter)
-                })
-                .collect();
-            if kept.len() != text.lines().count() {
-                let body = if kept.is_empty() {
-                    String::new()
-                } else {
-                    kept.join("\n") + "\n"
-                };
-                std::fs::write(&log_path, body)
-                    .map_err(|e| format!("cannot rewrite {}: {e}", log_path.display()))?;
-            }
-        }
-    }
-    if trainer.iter >= opts.iters {
-        println!(
-            "Checkpoint already at iteration {} (target {}); nothing to do",
-            trainer.iter, opts.iters
-        );
-        return Ok(TrainedPolicy::of(&trainer));
-    }
-
-    let mut env = SpecEnv::new(opts.workload());
-    env.sim.dynamics = opts.dynamics;
-    if let Some(dir) = log_path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let mut log = std::fs::OpenOptions::new()
-        .create(true)
-        .append(opts.resume)
-        .truncate(!opts.resume)
-        .write(true)
-        .open(&log_path)
-        .map_err(|e| format!("cannot open {}: {e}", log_path.display()))?;
-
-    println!(
-        "Training recipe '{}' on {} (target {} iterations, checkpoints in {})",
-        opts.recipe,
-        crate::scenario::workload_json(&env.workload).render_compact(),
-        opts.iters,
-        opts.checkpoint_dir.display()
-    );
-    while trainer.iter < opts.iters {
-        let s = trainer.train_iteration(&env);
-        let line = crate::report::iter_stats_json(&s).render_compact();
-        writeln!(log, "{line}").map_err(|e| format!("cannot write training log: {e}"))?;
-        if (s.iter + 1) % 10 == 0 || s.iter == 0 {
-            println!(
-                "  [train] iter {:>4}  reward {:>9.3}  jct {:>8.1}  entropy {:.2}",
-                s.iter + 1,
-                s.mean_reward,
-                s.mean_avg_jct,
-                s.mean_entropy
-            );
-        }
-        let done = trainer.iter >= opts.iters;
-        if done || trainer.iter % opts.checkpoint_every.max(1) == 0 {
-            trainer.save_checkpoint(&ckpt_path)?;
-        }
-    }
-    log.flush().map_err(|e| format!("training log: {e}"))?;
-    println!(
-        "[checkpoint] {}  (iteration {})",
-        ckpt_path.display(),
-        trainer.iter
-    );
-    println!("[jsonl] {}", log_path.display());
-    Ok(TrainedPolicy::of(&trainer))
 }
 
 #[cfg(test)]

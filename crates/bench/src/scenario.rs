@@ -263,10 +263,31 @@ impl TrainSpec {
         spec
     }
 
+    /// The recipe `name` (`standard`, `stream` or `tuned`), as the
+    /// `train` scenario's `recipe=` picks it.
+    pub fn by_recipe(name: &str, iters: usize, seed: u64) -> Result<Self, String> {
+        match name {
+            "standard" => Ok(TrainSpec::standard(iters, seed)),
+            "stream" => Ok(TrainSpec::stream(iters, seed)),
+            "tuned" => Ok(TrainSpec::tuned(iters, seed)),
+            other => Err(format!(
+                "unknown recipe '{other}' (expected standard, stream, or tuned)"
+            )),
+        }
+    }
+
     /// Persist/reuse the trained model at `path` (see
     /// [`TrainSpec::checkpoint`]).
     pub fn with_checkpoint(mut self, path: impl Into<String>) -> Self {
         self.checkpoint = Some(path.into());
+        self
+    }
+
+    /// This recipe for one of several models trained from it: a named
+    /// checkpoint gets `key` before its extension (`out/m.ckpt` →
+    /// `out/m.<key>.ckpt`), so the models never share a file.
+    pub fn keyed(mut self, key: &str) -> Self {
+        self.checkpoint = self.checkpoint.map(|p| per_entry_checkpoint(&p, key));
         self
     }
 }
@@ -540,6 +561,26 @@ impl ScenarioSpec {
         ))
     }
 
+    /// What no single `--set` can see: the constraints between keys,
+    /// checked once every override is in and before anything runs.
+    pub fn check(&self) -> Result<(), String> {
+        // Indistinguishable from `off`, which is never what the caller
+        // meant — refuse instead of silently running unperturbed.
+        if self.text_param("level", "") == "custom" && !self.sim.dynamics.enabled() {
+            return Err(CUSTOM_NEEDS_A_KNOB.to_string());
+        }
+        if self.name == "train" {
+            TrainSpec::by_recipe(&self.text_param("recipe", "standard"), 0, 0)?;
+            // The run's checkpoint has to load again.
+            let most = decima_rl::checkpoint::MAX_COUNT;
+            if self.executors() > most {
+                let got = self.executors();
+                return Err(format!("'execs' must be at most {most}, got {got}"));
+            }
+        }
+        Ok(())
+    }
+
     fn upsert_param(&mut self, key: &str, value: ParamValue) {
         if let Some(slot) = self.params.iter_mut().find(|(k, _)| k == key) {
             slot.1 = value;
@@ -592,8 +633,8 @@ impl ScenarioSpec {
 pub type Range = (&'static str, fn(f64) -> bool);
 
 /// A job, executor or shard count (rounded).
-pub(crate) const COUNT: Range = ("at least 1", |n| n.round() >= 1.0);
-pub(crate) const POSITIVE: Range = ("> 0", |v| v > 0.0);
+const COUNT: Range = ("at least 1", |n| n.round() >= 1.0);
+const POSITIVE: Range = ("> 0", |v| v > 0.0);
 const NON_NEGATIVE: Range = (">= 0", |v| v >= 0.0);
 /// Up to 2^53, where every integer is still an exact `f64`.
 const NATURAL: Range = ("a non-negative integer", |n| {
@@ -603,7 +644,7 @@ const FINITE: Range = ("a finite number", |_| true);
 
 /// `v` when it is finite and in `range`; the error names `what` (a
 /// quoted key or a flag).
-pub(crate) fn in_range(what: &str, v: f64, (text, ok): Range) -> Result<f64, String> {
+fn in_range(what: &str, v: f64, (text, ok): Range) -> Result<f64, String> {
     match v.is_finite() && ok(v) {
         true => Ok(v),
         false => Err(format!("{what} must be {text}, got {v}")),
@@ -696,6 +737,8 @@ pub fn settable_keys() -> Vec<[String; 4]> {
 
 const LEVELS: &str = "off, low, med, high, all or custom";
 const PROFILES: &str = "off, ramp, diurnal, mixshift, flash or all";
+const CUSTOM_NEEDS_A_KNOB: &str = "level=custom without any dynamics knob would run unperturbed; \
+    set at least one of churn=, fail=, or straggle= (or pick a preset: off, low, med, high)";
 
 /// The table behind [`ScenarioSpec::set`], `--help` and the docs. Where
 /// two rows share a name the first that applies to the scenario wins.
@@ -788,7 +831,7 @@ pub const KEYS: &[Key] = &[
         names: &["checkpoint"],
         only: &[],
         kind: Kind::Text("a path", set_checkpoint),
-        doc: "each Decima entry's model: loaded if the file exists, else trained and saved",
+        doc: "each Decima entry's model: loaded if the file exists, else trained and saved (train: the file it writes)",
     },
     Key {
         names: &["router"],
@@ -897,14 +940,40 @@ fn set_checkpoint(s: &mut ScenarioSpec, path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Why a serving scenario (`fleet`, `scale`: no training environment)
+/// refuses `name`, which stands for a policy still to be trained or
+/// fine-tuned.
+pub(crate) fn serving_does_not_train(name: &str) -> String {
+    format!(
+        "'{name}' has a policy to train, and a serving scenario does not train: train \
+         separately (--scenario train) and serve the checkpoint as decima-ckpt:<path>"
+    )
+}
+
+/// Such a name is refused here rather than served untrained.
 fn check_sched(_: &mut ScenarioSpec, name: &str) -> Result<(), String> {
-    match scheduler_spec_by_name(name) {
-        Some(_) => Ok(()),
-        None => Err(format!(
-            "unknown scheduler '{name}' (valid: {}, decima-ckpt:PATH)",
-            SCHEDULER_NAMES.join(", ")
-        )),
+    use SchedulerSpec::{Decima, FineTuned};
+    let trains = |n: &str| {
+        matches!(
+            scheduler_spec_by_name(n),
+            Some(Decima { .. } | FineTuned { .. })
+        )
+    };
+    if trains(name) {
+        return Err(serving_does_not_train(name));
     }
+    if scheduler_spec_by_name(name).is_some() {
+        return Ok(());
+    }
+    let valid: Vec<&str> = SCHEDULER_NAMES
+        .iter()
+        .copied()
+        .filter(|n| !trains(n))
+        .collect();
+    let valid = valid.join(", ");
+    Err(format!(
+        "unknown scheduler '{name}' (valid: {valid}, decima-ckpt:PATH)"
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 //! (Fig. 15a), and decision latency (Fig. 15b).
 
 use super::first_train;
-use crate::factory::{build_trainer, TrainedPolicy};
+use crate::factory::TrainedPolicy;
 use crate::json::Json;
+use crate::model::{begin, drive, train_entry};
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
 use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
 use crate::timed::Timed;
-use crate::{eval_mean_jct, run_episode, train_with_progress, write_csv};
+use crate::{eval_mean_jct, run_episode, write_csv};
 use decima_baselines::WeightedFairScheduler;
 use decima_policy::ParallelismMode;
 use decima_rl::{EnvFactory, SpecEnv};
@@ -18,7 +19,7 @@ use decima_workload::WorkloadSpec;
 
 /// Figure 13: qualitatively different learned policies per environment
 /// and objective — costly motion, free motion, makespan.
-pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let width = spec.usize_param("width", 100);
     let seq = spec.num_param("seed", 21.0) as u64;
     let train = first_train(spec);
@@ -35,9 +36,9 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
         let mut env = base.clone();
         env.workload.move_delay = move_delay;
         env.sim.objective = objective;
-        println!("\nTraining: {title} ({} iterations)", train.iters);
-        let mut trainer = build_trainer(&train, env.workload.executors);
-        train_with_progress(&mut trainer, &env, train.iters);
+        println!();
+        let csv = crate::scenario::sanitize(title);
+        let trainer = train_entry(title, &train.clone().keyed(&csv), &env)?;
 
         let (cluster, jobs, mut cfg) = env.build(seq);
         cfg.record_gantt = true;
@@ -54,7 +55,6 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             utilization = g.utilization();
             println!("utilization {:.0}%", 100.0 * utilization);
         }
-        let csv = crate::scenario::sanitize(title);
         report.push_series(SeriesReport {
             label: title.into(),
             csv: csv.clone(),
@@ -69,11 +69,11 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             ]),
         );
     }
-    report
+    Ok(report)
 }
 
 /// Figure 14: contribution of each key idea, vs cluster load.
-pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let iters = spec.usize_param("iters", 60);
     let jobs_n = spec
         .workload
@@ -129,28 +129,23 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         });
         let wf: f64 = wf_series.iter().sum::<f64>() / eval_seeds.len() as f64;
 
-        let train_and_eval = |t: TrainSpec, batch_train: bool| -> f64 {
-            let mut trainer = build_trainer(&t, execs);
+        let train_and_eval = |name: &str, mut t: TrainSpec, batch_train: bool| {
             if batch_train {
-                let batch_env = SpecEnv {
-                    workload: WorkloadSpec::tpch_batch(20, execs),
-                    sim: spec.sim.to_config(),
-                    drift: spec.sim.drift,
-                };
-                trainer.cfg.curriculum = None;
-                trainer.cfg.differential_reward = false;
-                train_with_progress(&mut trainer, &batch_env, t.iters);
-            } else {
-                train_with_progress(&mut trainer, &env, t.iters);
+                t.workload = Some(WorkloadSpec::tpch_batch(20, execs));
+                t.cfg.curriculum = None;
+                t.cfg.differential_reward = false;
             }
-            eval_mean_jct(&trainer, &env, &eval_seeds)
+            let key = format!("load{:.0}_{name}", load * 100.0);
+            let trainer = train_entry(&format!("{name} at load {load}"), &t.keyed(&key), &env)?;
+            Ok::<f64, String>(eval_mean_jct(&trainer, &env, &eval_seeds))
         };
 
-        let full = train_and_eval(variant(true, PolicySpec::default(), 31), false);
-        let no_gnn_jct = train_and_eval(variant(true, no_gnn.clone(), 33), false);
-        let no_par_jct = train_and_eval(variant(true, no_par.clone(), 35), false);
-        let batch_trained = train_and_eval(variant(true, PolicySpec::default(), 37), true);
-        let no_var = train_and_eval(variant(false, PolicySpec::default(), 39), false);
+        let default = PolicySpec::default;
+        let full = train_and_eval("decima", variant(true, default(), 31), false)?;
+        let no_gnn_jct = train_and_eval("no_gnn", variant(true, no_gnn.clone(), 33), false)?;
+        let no_par_jct = train_and_eval("no_par_ctl", variant(true, no_par.clone(), 35), false)?;
+        let batch_trained = train_and_eval("batch_trained", variant(true, default(), 37), true)?;
+        let no_var = train_and_eval("no_var_red", variant(false, default(), 39), false)?;
 
         println!(
             "{:<10} {:>12.1} {:>10.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
@@ -182,11 +177,11 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         "load,opt_wf,decima,no_gnn,no_par_ctl,batch_trained,no_var_red",
         &rows,
     ));
-    report
+    Ok(report)
 }
 
 /// Figure 15a: learning curves of the three parallelism encodings.
-pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let iters = spec.usize_param("iters", 80);
     let every = spec.usize_param("eval-every", 10).max(1);
     let env = spec_env(spec);
@@ -207,12 +202,10 @@ pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
         train.cfg.differential_reward = false;
         train.cfg.curriculum = None;
         train.policy.parallelism = mode;
-        let mut t = build_trainer(&train, execs);
+        let mut t = begin(&train, execs, None, None)?;
         let mut curve = vec![(0usize, eval_mean_jct(&t, &env, &eval_seeds))];
         for block in 0..(iters / every) {
-            for _ in 0..every {
-                t.train_iteration(&env);
-            }
+            drive(&mut t, &env, (block + 1) * every, None, None)?;
             let jct = eval_mean_jct(&t, &env, &eval_seeds);
             println!("  iter {:>4}: eval avg JCT {jct:.1}s", (block + 1) * every);
             curve.push(((block + 1) * every, jct));
@@ -245,12 +238,12 @@ pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             ),
         );
     }
-    report
+    Ok(report)
 }
 
 /// Figure 15b: CDF of scheduling-decision latency vs the interval
 /// between scheduling events.
-pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     use decima_core::percentile;
     let env = spec_env(spec);
     let execs = env.workload.executors;
@@ -323,5 +316,5 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
     ));
     report.push_extra("quantiles_q_decision_interval", Json::Arr(quantiles));
     report.push_extra("interval_over_delay_median", Json::Num(ratio));
-    report
+    Ok(report)
 }

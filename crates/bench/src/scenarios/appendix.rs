@@ -3,12 +3,13 @@
 //! App. E), and the exhaustive-search comparison (Fig. 22, App. H).
 
 use super::first_train;
-use crate::factory::{build_trainer, TrainedPolicy};
+use crate::factory::TrainedPolicy;
 use crate::json::Json;
+use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, train_with_progress, write_csv};
+use crate::{run_episode, write_csv};
 use decima_baselines::{exhaustive_search, SjfCpScheduler, WeightedFairScheduler};
 use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_gnn::{random_cp_example, CpExample, CpHarness};
@@ -21,7 +22,7 @@ use rand::SeedableRng;
 /// Figure 16 (Appendix A): critical-path scheduling is 29% slower than
 /// the optimal plan on the two-branch DAG — and Decima learns the
 /// optimal plan.
-pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut train = first_train(spec);
     // The historical binary anneals entropy over half the run.
     train.cfg.entropy_decay_iters = train.iters / 2;
@@ -41,12 +42,8 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
         20.0 + 3.0 * EPS
     );
 
-    println!(
-        "\nTraining Decima on this single DAG ({} iterations)...",
-        train.iters
-    );
-    let mut trainer = build_trainer(&train, env.workload.executors);
-    train_with_progress(&mut trainer, &env, train.iters);
+    println!();
+    let trainer = train_entry("Decima on this single DAG", &train, &env)?;
     let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
     let learned = run_episode(&cluster, &jobs, &cfg, &mut agent)
         .makespan()
@@ -82,12 +79,12 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
     report.push_extra("critical_path_makespan", Json::Num(cp));
     report.push_extra("decima_makespan", Json::Num(learned));
     report.push_extra("optimal_makespan", Json::Num(20.0 + 3.0 * EPS));
-    report
+    Ok(report)
 }
 
 /// Figure 18 (Appendix D): simulator fidelity — the de-noised engine vs
 /// the full-noise engine as the "real cluster" stand-in.
-pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let reps = spec.usize_param("reps", 10);
     let noise = spec.num_param("noise", 0.15);
     // The spec's workload is the representative single-query source; its
@@ -158,12 +155,12 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
             ("err_pct", Json::Num(err)),
         ]),
     );
-    report
+    Ok(report)
 }
 
 /// Figure 19 (Appendix E): critical-path identification accuracy of the
 /// two-level aggregation vs a single-aggregation GNN.
-pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let iters = spec.usize_param("iters", 300);
     let nodes = spec.usize_param("nodes", 20);
     let every = spec.usize_param("eval-every", 25).max(1);
@@ -203,23 +200,18 @@ pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
         &rows,
     ));
     report.push_extra("accuracy_iter_two_one", Json::Arr(curve));
-    report
+    Ok(report)
 }
 
 /// Figure 22 (Appendix H): Decima vs an exhaustive search over job
 /// orderings in the simplified environment.
-pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let budget = spec.usize_param("orderings", 2000);
     let train = first_train(spec);
     let env = spec_env(spec);
     let seeds = spec.seeds.seeds();
 
-    println!(
-        "Training Decima in the simplified environment ({} iterations)...",
-        train.iters
-    );
-    let mut trainer = build_trainer(&train, env.workload.executors);
-    train_with_progress(&mut trainer, &env, train.iters);
+    let trainer = train_entry("Decima in the simplified environment", &train, &env)?;
     let trained = TrainedPolicy::of(&trainer);
 
     println!(
@@ -300,5 +292,5 @@ pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
             unfinished: 0,
         });
     }
-    report
+    Ok(report)
 }

@@ -9,8 +9,8 @@
 //!   evaluated as-is under drift (the deployment that never adapts);
 //! * `fine_tuned` — the same base checkpoint, fine-tuned for a few
 //!   iterations on the drifted environment with
-//!   [`Trainer::fine_tune_window`] (a rolling trajectory window), then
-//!   frozen for evaluation;
+//!   [`Trainer::fine_tune_window`](decima_rl::Trainer::fine_tune_window)
+//!   (a rolling trajectory window), then frozen for evaluation;
 //! * `retrain` — Decima retrained from scratch on the drifted
 //!   environment (the upper-bound adaptation budget);
 //! * the spec's heuristic entries (the best of which defines the
@@ -26,13 +26,14 @@
 //!
 //! [`DriftCounters`]: decima_sim::DriftCounters
 
-use crate::factory::{build_trainer, make_scheduler, TrainedPolicy};
+use crate::factory::make_scheduler;
 use crate::json::Json;
+use crate::model::{resolve, train_entry, Site};
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::{drift_json, ScenarioSpec, SchedulerSpec};
-use crate::{run_episode, train_with_progress, write_csv};
-use decima_rl::{EnvFactory as _, SpecEnv, Trainer};
+use crate::scenario::{drift_json, ScenarioSpec, SchedulerSpec, TrainSpec};
+use crate::{run_episode, write_csv};
+use decima_rl::{EnvFactory as _, SpecEnv};
 use decima_sim::EpisodeResult;
 use decima_workload::{DriftSpec, DRIFT_PROFILE_NAMES};
 
@@ -46,21 +47,9 @@ fn resolve_profiles(spec: &ScenarioSpec) -> Vec<(String, DriftSpec)> {
             .iter()
             .filter_map(|&n| DriftSpec::preset(n).map(|d| (n.to_string(), d)))
             .collect(),
-        name => {
-            assert!(
-                DriftSpec::preset(name).is_some(),
-                "unknown drift profile '{name}'"
-            );
-            vec![(name.to_string(), spec.sim.drift)]
-        }
+        // `ScenarioSpec::set` refused any name that is not a preset.
+        name => vec![(name.to_string(), spec.sim.drift)],
     }
-}
-
-/// One evaluation arm: a named scheduler, either a heuristic spec or a
-/// trained snapshot (frozen / fine-tuned / retrained Decima).
-enum Arm {
-    Heuristic(SchedulerSpec),
-    Snapshot(TrainedPolicy),
 }
 
 /// Per-arm, per-phase aggregation over the seed plan. A stationary
@@ -119,14 +108,12 @@ fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
 }
 
 /// Runs the drift sweep.
-pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
     let env = spec_env(spec);
     let executors = env.workload.executors;
     let seeds = spec.seeds.seeds();
     let profiles = resolve_profiles(spec);
-    let ft_iters = spec.usize_param("ft-iters", 4);
-    let ft_window = spec.usize_param("ft-window", 16);
     // The base policy every adaptation arm starts from.
     let train = super::first_train(spec);
 
@@ -140,24 +127,41 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     // arm resumes from. Only a file the caller named is ever reused: a
     // leftover out/drift_base.ckpt would make the run depend on what
     // ran before it.
-    let base_path = train.checkpoint.as_deref().unwrap_or("out/drift_base.ckpt");
-    let base = if train.checkpoint.is_some() && std::path::Path::new(base_path).exists() {
-        println!("Loading base policy from checkpoint {base_path}...");
-        Trainer::load_checkpoint(std::path::Path::new(base_path))
-            .unwrap_or_else(|e| panic!("cannot load checkpoint '{base_path}': {e}"))
-    } else {
-        println!(
-            "Training base policy on the stationary workload ({} iterations)...",
-            train.iters
-        );
-        let mut t = build_trainer(&train, executors);
-        train_with_progress(&mut t, &stationary, train.iters);
-        t.save_checkpoint(std::path::Path::new(base_path))
-            .unwrap_or_else(|e| panic!("cannot save checkpoint '{base_path}': {e}"));
-        t
-    };
-    let frozen = TrainedPolicy::of(&base);
-    crate::runner::check_snapshot_compat(&frozen, executors, base_path);
+    let base_path = train.checkpoint.clone().unwrap_or_else(|| {
+        let _ = std::fs::remove_file("out/drift_base.ckpt");
+        "out/drift_base.ckpt".to_string()
+    });
+    let base = train.clone().with_checkpoint(&base_path);
+    train_entry("base policy on the stationary workload", &base, &stationary)?;
+    // The three policy arms are lineup entries like any other, resolved
+    // per profile so that profiles never leak adaptation into each
+    // other: the frozen one loads the base checkpoint, the fine-tuned
+    // one loads and adapts it, the retrain one rebuilds from scratch.
+    let policy_arms = [
+        (
+            "frozen",
+            SchedulerSpec::DecimaCheckpoint {
+                path: base_path.clone(),
+            },
+        ),
+        (
+            "fine_tuned",
+            SchedulerSpec::FineTuned {
+                path: base_path,
+                iters: spec.usize_param("ft-iters", 4),
+                window: spec.usize_param("ft-window", 16),
+            },
+        ),
+        (
+            "retrain",
+            SchedulerSpec::Decima {
+                train: TrainSpec {
+                    checkpoint: None,
+                    ..train
+                },
+            },
+        ),
+    ];
 
     let mut rows = Vec::new();
     let mut profile_objs: Vec<(String, Json)> = Vec::new();
@@ -168,55 +172,29 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         penv.sim.phase_boundaries = drift.phase_boundaries();
         println!("\n== drift: profile '{profile_name}' ==");
 
-        // Adaptation arms. The fine-tuned arm reloads the base
-        // checkpoint per profile, so profiles never leak adaptation
-        // into each other; the retrain arm rebuilds from scratch.
-        println!("  fine-tuning from {base_path} ({ft_iters} iters, window {ft_window})...");
-        let mut ft = Trainer::load_checkpoint(std::path::Path::new(base_path))
-            .unwrap_or_else(|e| panic!("cannot reload checkpoint '{base_path}': {e}"));
-        ft.fine_tune_window(&penv, ft_iters, ft_window);
-        println!("  retraining from scratch ({} iters)...", train.iters);
-        let mut rt = build_trainer(&train, executors);
-        train_with_progress(&mut rt, &penv, train.iters);
-
-        let mut arms: Vec<(String, Arm)> = vec![
-            ("frozen".into(), Arm::Snapshot(frozen.clone())),
-            ("fine_tuned".into(), Arm::Snapshot(TrainedPolicy::of(&ft))),
-            ("retrain".into(), Arm::Snapshot(TrainedPolicy::of(&rt))),
-        ];
-        for entry in &spec.lineup {
-            match &entry.sched {
-                SchedulerSpec::Decima { .. } | SchedulerSpec::DecimaUntrained { .. } => {}
-                // An explicit fine-tuned entry adapts its own checkpoint
-                // on this profile's environment with the entry's budget.
-                SchedulerSpec::FineTuned {
-                    path,
-                    iters,
-                    window,
-                } => {
-                    let mut t = Trainer::load_checkpoint(std::path::Path::new(path))
-                        .unwrap_or_else(|e| panic!("cannot load checkpoint '{path}': {e}"));
-                    t.fine_tune_window(&penv, *iters, *window);
-                    arms.push((entry.csv_name(), Arm::Snapshot(TrainedPolicy::of(&t))));
-                }
-                sched => arms.push((entry.csv_name(), Arm::Heuristic(sched.clone()))),
-            }
+        // Then the spec's own entries (the registered Decima recipe is
+        // what the policy arms above were made from): heuristics, and
+        // explicit checkpoint or fine-tuned entries with their own
+        // files and budgets.
+        let own = spec.lineup.iter().filter(|e| {
+            !matches!(
+                e.sched,
+                SchedulerSpec::Decima { .. } | SchedulerSpec::DecimaUntrained { .. }
+            )
+        });
+        let policy_arms = policy_arms.iter().map(|(name, s)| (name.to_string(), s));
+        let mut arms = Vec::new();
+        for (name, sched) in policy_arms.chain(own.map(|e| (e.csv_name(), &e.sched))) {
+            arms.push((resolve(&name, sched, Site::Env(&penv))?, name, sched));
         }
 
         let aggs: Vec<(String, PhaseAgg)> = arms
             .iter()
-            .map(|(name, arm)| {
+            .map(|(trained, name, sched)| {
                 let results: Vec<EpisodeResult> = par_map(&seeds, opts.threads, |&seed| {
                     let (cluster, jobs, cfg) = penv.build(seed);
-                    match arm {
-                        Arm::Heuristic(s) => {
-                            run_episode(&cluster, &jobs, &cfg, make_scheduler(s, executors, None))
-                        }
-                        Arm::Snapshot(t) => {
-                            let mut agent = t.greedy_agent();
-                            run_episode(&cluster, &jobs, &cfg, &mut agent)
-                        }
-                    }
+                    let sched = make_scheduler(sched, executors, trained.as_ref());
+                    run_episode(&cluster, &jobs, &cfg, sched)
                 });
                 (name.clone(), aggregate(&results))
             })
@@ -291,7 +269,7 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         &rows,
     );
     report.push_csv(path);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]

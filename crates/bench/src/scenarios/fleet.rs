@@ -30,6 +30,7 @@
 use crate::factory::{make_router, scheduler_spec_by_name, TrainedPolicy};
 use crate::fleet::{run_fleet, FleetResult, ShardPool};
 use crate::json::Json;
+use crate::model::{resolve, Site};
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::{ParamValue, ScenarioSpec, SchedulerSpec};
@@ -37,63 +38,50 @@ use crate::write_csv;
 use decima_rl::EnvFactory as _;
 use std::sync::Arc;
 
-/// Reads a sweep-list parameter: `--set shards=4` (parsed as a number)
-/// or `--set shards=1,2,4,8` (parsed as text) both work.
-pub(crate) fn list_param(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec<f64> {
-    let parsed = match spec.param(key) {
-        None => default.to_vec(),
-        Some(ParamValue::Num(n)) => vec![*n],
+/// Reads a sweep-list parameter: `--set shards=4` (kept as a number)
+/// or `--set shards=1,2,4,8` (kept as text) both work.
+pub(crate) fn list_param(
+    spec: &ScenarioSpec,
+    key: &str,
+    default: &[f64],
+) -> Result<Vec<f64>, String> {
+    let bad = || format!("'{key}' needs a number or comma list");
+    match spec.param(key) {
+        None => Ok(default.to_vec()),
+        Some(ParamValue::Num(n)) => Ok(vec![*n]),
         Some(ParamValue::Text(t)) => t
             .split(',')
-            .map(|s| match s.trim().parse::<f64>() {
-                Ok(v) => v,
-                Err(_) => panic!("'{key}' expects a number or comma list, got '{t}'"),
-            })
+            .map(|s| s.trim().parse().map_err(|_| bad()))
             .collect(),
-        Some(other) => panic!("'{key}' expects a number or comma list, got {other:?}"),
-    };
-    assert!(!parsed.is_empty(), "'{key}' must not be empty");
-    parsed
+        Some(_) => Err(bad()),
+    }
 }
 
 /// Reads a sweep list of counts (`--set shards=1,2,4`;
 /// `ScenarioSpec::set` has already refused anything below 1).
-pub(crate) fn count_list(spec: &ScenarioSpec, key: &str, default: &[f64]) -> Vec<usize> {
-    list_param(spec, key, default)
-        .iter()
-        .map(|&v| v.round() as usize)
-        .collect()
+pub(crate) fn count_list(
+    spec: &ScenarioSpec,
+    key: &str,
+    default: &[f64],
+) -> Result<Vec<usize>, String> {
+    let list = list_param(spec, key, default)?;
+    Ok(list.iter().map(|&v| v.round() as usize).collect())
 }
 
-/// Resolves the per-shard scheduler. Training inside the fleet driver
-/// is unsupported — a fleet serves policies, it does not produce them —
-/// so `decima`/train entries are rejected with the checkpoint route.
-/// (Shared with the `scale` scenario, which serves rather than trains
-/// for the same reason.)
+/// Resolves the scheduler a serving scenario runs (`fleet`, and `scale`
+/// per executor count): a checkpoint is loaded once, held to the
+/// cluster size and shared; a name that would train is an error — a
+/// fleet serves policies, it does not produce them.
 pub(crate) fn resolve_sched(
     spec: &ScenarioSpec,
     executors: usize,
     default: &str,
-) -> (SchedulerSpec, Option<Arc<TrainedPolicy>>) {
+) -> Result<(SchedulerSpec, Option<Arc<TrainedPolicy>>), String> {
     let name = spec.text_param("sched", default);
-    let Some(sched) = scheduler_spec_by_name(&name) else {
-        panic!("unknown scheduler '{name}' for --set sched= (see --list)");
-    };
-    match &sched {
-        SchedulerSpec::Decima { .. } => panic!(
-            "the fleet driver serves policies, it does not train them; train separately and \
-             point --set sched=decima-ckpt:<path> at the checkpoint"
-        ),
-        SchedulerSpec::DecimaCheckpoint { path } => {
-            let snapshot = match TrainedPolicy::from_checkpoint(path) {
-                Ok(s) => s,
-                Err(e) => panic!("cannot load checkpoint '{path}': {e}"),
-            };
-            crate::runner::check_snapshot_compat(&snapshot, executors, path);
-            (sched.clone(), Some(Arc::new(snapshot)))
-        }
-        _ => (sched, None),
-    }
+    let sched = scheduler_spec_by_name(&name)
+        .ok_or_else(|| format!("unknown scheduler '{name}' for --set sched= (see --list)"))?;
+    let trained = resolve(&name, &sched, Site::Serving(executors))?;
+    Ok((sched, trained.map(Arc::new)))
 }
 
 /// One sweep cell's deterministic result: per-seed fleet aggregates.
@@ -116,17 +104,18 @@ impl FleetCell {
 /// sweep order. Public (rather than an implementation detail of
 /// [`run_fleet_scenario`]) so the determinism tests can compare
 /// rendered cell JSON across `--threads` settings.
-pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<FleetCell> {
+pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<FleetCell>, String> {
     let env = spec_env(spec);
     let executors = env.workload.executors;
-    let shard_counts = count_list(spec, "shards", &[1.0, 2.0, 4.0, 8.0]);
+    let shard_counts = count_list(spec, "shards", &[1.0, 2.0, 4.0, 8.0])?;
     // Every rate is > 0: `ScenarioSpec::set` checked.
-    let rates = list_param(spec, "rates", &[1.0, 2.0, 4.0]);
+    let rates = list_param(spec, "rates", &[1.0, 2.0, 4.0])?;
     let router_name = spec.text_param("router", "jsq");
-    let (sched, trained) = resolve_sched(spec, executors, "fifo");
-    let Some(base_iat) = env.workload.mean_iat() else {
-        panic!("the fleet scenario needs a streaming workload with a mean interarrival time");
-    };
+    let (sched, trained) = resolve_sched(spec, executors, "fifo")?;
+    let base_iat = env
+        .workload
+        .mean_iat()
+        .ok_or("the fleet scenario needs a streaming workload with a mean interarrival time")?;
     let seeds = spec.seeds.seeds();
     let pool = ShardPool::new(opts.threads.max(1));
 
@@ -135,28 +124,23 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<FleetCell> {
         for &rate in &rates {
             let mut cell_env = env.clone();
             cell_env.workload.set_mean_iat(base_iat / rate);
-            let per_seed: Vec<FleetResult> = seeds
-                .iter()
-                .map(|&seed| {
-                    // One arrival trace per seed, routed once; shard s
-                    // simulates at shard_seed(cfg.seed, s).
-                    let (cluster, jobs, cfg) = cell_env.build(seed);
-                    let mut router = match make_router(&router_name) {
-                        Ok(r) => r,
-                        Err(e) => panic!("{e}"),
-                    };
-                    run_fleet(
-                        &cluster,
-                        &jobs,
-                        &cfg,
-                        shards,
-                        &mut *router,
-                        &sched,
-                        trained.as_ref(),
-                        &pool,
-                    )
-                })
-                .collect();
+            let mut per_seed = Vec::with_capacity(seeds.len());
+            for &seed in &seeds {
+                // One arrival trace per seed, routed once; shard s
+                // simulates at shard_seed(cfg.seed, s).
+                let (cluster, jobs, cfg) = cell_env.build(seed);
+                let mut router = make_router(&router_name)?;
+                per_seed.push(run_fleet(
+                    &cluster,
+                    &jobs,
+                    &cfg,
+                    shards,
+                    &mut *router,
+                    &sched,
+                    trained.as_ref(),
+                    &pool,
+                ));
+            }
             cells.push(FleetCell {
                 shards,
                 rate,
@@ -164,13 +148,16 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<FleetCell> {
             });
         }
     }
-    cells
+    Ok(cells)
 }
 
 /// Runs the fleet sweep and writes `out/fleet.{csv,json}`.
-pub fn run_fleet_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fleet_scenario(
+    spec: &ScenarioSpec,
+    opts: &RunOptions,
+) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
-    let cells = sweep(spec, opts);
+    let cells = sweep(spec, opts)?;
 
     println!(
         "{:>6} {:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>10}",
@@ -226,7 +213,7 @@ pub fn run_fleet_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioRep
         &rows,
     );
     report.push_csv(path);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -255,13 +242,11 @@ mod tests {
         tiny(&mut spec);
         spec.set("shards", "1,2").unwrap();
         spec.set("rates", "1,2").unwrap();
-        let cells = sweep(
-            &spec,
-            &RunOptions {
-                threads: 2,
-                ..RunOptions::default()
-            },
-        );
+        let opts = RunOptions {
+            threads: 2,
+            ..RunOptions::default()
+        };
+        let cells = sweep(&spec, &opts).unwrap();
         assert_eq!(cells.len(), 4, "2 shard counts × 2 rates");
         for cell in &cells {
             for fleet in &cell.per_seed {
@@ -277,7 +262,7 @@ mod tests {
         let mut spec = fleet_spec();
         tiny(&mut spec);
         spec.set("rates", "1,4").unwrap();
-        let cells = sweep(&spec, &RunOptions::default());
+        let cells = sweep(&spec, &RunOptions::default()).unwrap();
         // Same jobs, arriving 4× faster: the fleet finishes no earlier
         // at rate 1 than at rate 4.
         assert!(cells[0].per_seed[0].end_time() >= cells[1].per_seed[0].end_time());
@@ -289,7 +274,21 @@ mod tests {
         let mut spec = fleet_spec();
         tiny(&mut spec);
         spec.set("sched", "decima").unwrap();
-        sweep(&spec, &RunOptions::default());
+    }
+
+    /// A name that reaches the sweep without passing `set` is refused
+    /// the same way, and so is one that would fine-tune.
+    #[test]
+    fn the_sweep_trains_nothing_either() {
+        let mut spec = fleet_spec();
+        tiny(&mut spec);
+        for name in ["decima", "fine-tuned:/nonexistent"] {
+            spec.params.retain(|(k, _)| k != "sched");
+            spec.params
+                .push(("sched".into(), ParamValue::Text(name.into())));
+            let err = sweep(&spec, &RunOptions::default()).err().unwrap();
+            assert!(err.contains("does not train"), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -298,6 +297,5 @@ mod tests {
         let mut spec = fleet_spec();
         tiny(&mut spec);
         spec.set("router", "bogus").unwrap();
-        sweep(&spec, &RunOptions::default());
     }
 }

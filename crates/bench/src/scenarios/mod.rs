@@ -20,14 +20,17 @@ pub mod tpch;
 
 use crate::scenario::{ScenarioSpec, SchedulerSpec, TrainSpec};
 
-/// The first trained-Decima recipe in the lineup (the conventional place
-/// scenarios keep their training hyperparameters).
+/// The trained-Decima recipes of the lineup, in order (the conventional
+/// place scenarios keep their training hyperparameters).
+pub(crate) fn lineup_trains(spec: &ScenarioSpec) -> impl Iterator<Item = &TrainSpec> {
+    spec.lineup.iter().filter_map(|e| match &e.sched {
+        SchedulerSpec::Decima { train } => Some(train),
+        _ => None,
+    })
+}
+
+/// The first of them.
 pub(crate) fn first_train(spec: &ScenarioSpec) -> TrainSpec {
-    spec.lineup
-        .iter()
-        .find_map(|e| match &e.sched {
-            SchedulerSpec::Decima { train } => Some(train.clone()),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("scenario '{}' has no Decima lineup entry", spec.name))
+    let first = lineup_trains(spec).next().cloned();
+    first.unwrap_or_else(|| panic!("scenario '{}' has no Decima lineup entry", spec.name))
 }

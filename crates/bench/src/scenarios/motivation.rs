@@ -2,12 +2,13 @@
 //! visualizations (Fig. 3), and reward variance (Fig. 7).
 
 use super::first_train;
-use crate::factory::{build_trainer, TrainedPolicy};
+use crate::factory::TrainedPolicy;
 use crate::json::Json;
+use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, train_with_progress, write_csv};
+use crate::{run_episode, write_csv};
 use decima_baselines::{FifoScheduler, RandomScheduler, SjfCpScheduler, WeightedFairScheduler};
 use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_rl::EnvFactory as _;
@@ -47,7 +48,7 @@ fn sweet_spot(curve: &[(usize, f64)]) -> usize {
 }
 
 /// Figure 2: job runtime vs. degree of parallelism.
-pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let max_p = spec.usize_param("max-parallelism", 100);
     let cases = [(2u16, 100.0), (9, 100.0), (9, 2.0)];
 
@@ -114,7 +115,7 @@ pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
                 .collect(),
         ),
     );
-    report
+    Ok(report)
 }
 
 fn show(name: &str, r: &EpisodeResult, width: usize) {
@@ -129,7 +130,7 @@ fn show(name: &str, r: &EpisodeResult, width: usize) {
 }
 
 /// Figure 3: executor-occupancy visualizations with average JCT.
-pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let width = spec.usize_param("width", 100);
     let seq_seed = spec.num_param("seed", 7.0) as u64;
     let train = first_train(spec);
@@ -142,12 +143,7 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
     let sjf = run_episode(&cluster, &jobs, &cfg, SjfCpScheduler);
     let fair = run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::fair());
 
-    println!(
-        "Training Decima on the batch environment ({} iterations)...",
-        train.iters
-    );
-    let mut trainer = build_trainer(&train, env.workload.executors);
-    train_with_progress(&mut trainer, &env, train.iters);
+    let trainer = train_entry("Decima on the batch environment", &train, &env)?;
     let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
     let decima = run_episode(&cluster, &jobs, &cfg, &mut agent);
 
@@ -183,11 +179,11 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             Json::Num(r.makespan().unwrap_or(f64::NAN)),
         );
     }
-    report
+    Ok(report)
 }
 
 /// Figure 7: reward variance caused by stochastic job arrivals.
-pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let n = spec.usize_param("samples", 20);
     let env = spec_env(spec);
 
@@ -237,5 +233,5 @@ pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         Json::obj([("mean", Json::Num(mw)), ("std", Json::Num(sw))]),
     );
     report.push_extra("variance_ratio", Json::Num(ratio));
-    report
+    Ok(report)
 }

@@ -1,28 +1,17 @@
 //! §7.3 multi-resource experiments: packing comparison (Fig. 11) and
 //! the job-size breakdown vs Graphene* (Fig. 12).
 
-use crate::factory::{build_trainer, TrainedPolicy};
+use crate::factory::TrainedPolicy;
 use crate::json::Json;
+use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::{ScenarioSpec, SchedulerSpec, TrainSpec};
-use crate::{run_episode, train_with_progress, write_csv};
+use crate::scenario::ScenarioSpec;
+use crate::{run_episode, write_csv};
 use decima_baselines::{tune_graphene, GrapheneScheduler, TetrisScheduler, WeightedFairScheduler};
 use decima_rl::{EnvFactory, SpecEnv};
 use decima_sim::{EpisodeResult, Scheduler};
 use decima_workload::{ArrivalProcess, WorkloadSource, WorkloadSpec};
-
-/// The training recipes of the two Figure 11 sub-experiments, kept in
-/// the lineup (first = Alibaba, second = TPC-H with memory).
-fn lineup_trains(spec: &ScenarioSpec) -> Vec<TrainSpec> {
-    spec.lineup
-        .iter()
-        .filter_map(|e| match &e.sched {
-            SchedulerSpec::Decima { train } => Some(train.clone()),
-            _ => None,
-        })
-        .collect()
-}
 
 fn eval_all(
     name: &str,
@@ -94,17 +83,18 @@ fn eval_all(
 
 /// Figure 11: Decima vs opt-weighted-fair, Tetris, and Graphene* on the
 /// Alibaba-like trace replay and TPC-H with random memory demands.
-pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let seeds = spec.seeds.seeds();
-    let trains = lineup_trains(spec);
+    // The training recipes of the two sub-experiments are kept in the
+    // lineup (first = Alibaba, second = TPC-H with memory).
+    let trains: Vec<_> = super::lineup_trains(spec).collect();
     let mut rows = Vec::new();
     let mut report = ScenarioReport::new();
 
     if !spec.flag_param("tpch-only", false) {
         let env = spec_env(spec);
-        println!("Training Decima on the Alibaba-like multi-resource environment...");
-        let mut trainer = build_trainer(&trains[0], env.workload.executors);
-        train_with_progress(&mut trainer, &env, trains[0].iters);
+        let label = "Decima on the Alibaba-like multi-resource environment";
+        let trainer = train_entry(label, trains[0], &env)?;
         eval_all(
             "alibaba",
             &env,
@@ -145,9 +135,9 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
             sim: spec.sim.to_config(),
             drift: spec.sim.drift,
         };
-        println!("\nTraining Decima on the TPC-H multi-resource environment...");
-        let mut trainer = build_trainer(&trains[1], executors);
-        train_with_progress(&mut trainer, &env, trains[1].iters);
+        println!();
+        let label = "Decima on the TPC-H multi-resource environment";
+        let trainer = train_entry(label, trains[1], &env)?;
         eval_all(
             "tpch-mem",
             &env,
@@ -163,23 +153,18 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         "workload,scheduler,avg_jct,unfinished",
         &rows,
     ));
-    report
+    Ok(report)
 }
 
 /// Figure 12: Decima vs Graphene* broken down by job size — duration
 /// ratio per total-work bin and per-class executor usage on the
 /// smallest-20% jobs.
-pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let seed = spec.num_param("seed", 6000.0) as u64;
     let train = super::first_train(spec);
     let env = spec_env(spec);
 
-    println!(
-        "Training Decima (multi-resource, {} iterations)...",
-        train.iters
-    );
-    let mut trainer = build_trainer(&train, env.workload.executors);
-    train_with_progress(&mut trainer, &env, train.iters);
+    let trainer = train_entry("Decima on the multi-resource environment", &train, &env)?;
 
     let (cluster, jobs, cfg) = env.build(seed);
     let graphene = run_episode(&cluster, &jobs, &cfg, GrapheneScheduler::default());
@@ -270,5 +255,5 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             unfinished: r.unfinished(),
         });
     }
-    report
+    Ok(report)
 }

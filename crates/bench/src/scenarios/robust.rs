@@ -16,11 +16,12 @@
 //! seeds + a fixed `DynamicsSpec` reproduce every number bit-exactly,
 //! independent of `--threads` (see docs/ROBUSTNESS.md).
 
-use crate::factory::{make_scheduler, TrainedPolicy};
+use crate::factory::make_scheduler;
 use crate::json::Json;
+use crate::model::{resolve, Site};
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, train_decima_entry, RunOptions};
-use crate::scenario::{dynamics_json, ScenarioSpec, SchedulerSpec};
+use crate::runner::{par_map, spec_env, RunOptions};
+use crate::scenario::{dynamics_json, ScenarioSpec};
 use crate::{run_episode, write_csv};
 use decima_rl::EnvFactory as _;
 use decima_rl::SpecEnv;
@@ -32,9 +33,11 @@ use decima_sim::{DynamicsCounters, DynamicsSpec, EpisodeResult};
 /// being silently dropped by the preset sweep, and with `--set
 /// level=<name>` any knobs applied *after* the level refine that
 /// preset (flag order wins, like the rest of `--set`).
-fn resolve_levels(spec: &ScenarioSpec) -> Vec<(String, DynamicsSpec)> {
+fn resolve_levels(spec: &ScenarioSpec) -> Result<Vec<(String, DynamicsSpec)>, String> {
+    // `level=custom` needs a knob.
+    spec.check()?;
     let level = spec.text_param("level", "all");
-    match level.as_str() {
+    Ok(match level.as_str() {
         "all" if !spec.sim.dynamics.enabled() => vec![
             ("off".into(), DynamicsSpec::off()),
             ("low".into(), DynamicsSpec::low()),
@@ -48,28 +51,12 @@ fn resolve_levels(spec: &ScenarioSpec) -> Vec<(String, DynamicsSpec)> {
             );
             vec![("custom".into(), spec.sim.dynamics)]
         }
-        // The spec's own dynamics knobs (set via --set churn=… etc.).
-        // Without any knob the "custom" spec is indistinguishable from
-        // `off`, which is never what the caller meant — refuse instead
-        // of silently running unperturbed.
-        "custom" => {
-            assert!(
-                spec.sim.dynamics.enabled(),
-                "level=custom without any dynamics knob would run unperturbed; set at least \
-                 one of churn=, fail=, or straggle= (or pick a preset: off, low, med, high)"
-            );
-            vec![("custom".into(), spec.sim.dynamics)]
-        }
-        name => {
-            assert!(
-                DynamicsSpec::level(name).is_some(),
-                "unknown dynamics level '{name}'"
-            );
-            // `--set level=name` loaded the preset into sim.dynamics;
-            // later knob overrides refined it — use what the spec says.
-            vec![(name.to_string(), spec.sim.dynamics)]
-        }
-    }
+        // `custom` is the spec's own dynamics knobs (set via --set
+        // churn=… etc.); `--set level=<name>` loaded the preset into
+        // sim.dynamics and later knob overrides refined it. Either way,
+        // use what the spec says.
+        name => vec![(name.to_string(), spec.sim.dynamics)],
+    })
 }
 
 /// The environment Decima lineup entries train on: unperturbed for the
@@ -123,12 +110,12 @@ fn counters_json(c: &DynamicsCounters) -> Json {
 }
 
 /// Runs the robustness sweep.
-pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
     let env = spec_env(spec);
     let executors = env.workload.executors;
     let seeds = spec.seeds.seeds();
-    let levels = resolve_levels(spec);
+    let levels = resolve_levels(spec)?;
 
     // Resolve the lineup once. For the named preset sweep, Decima
     // entries train (or load their checkpoint) on the *unperturbed*
@@ -138,31 +125,11 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
     // exactly those dynamics. (To evaluate a separately trained model,
     // point a `decima-ckpt:<path>` entry at its checkpoint.)
     let train_env = robust_train_env(&env, &levels);
-    let resolved: Vec<(String, String, SchedulerSpec, Option<TrainedPolicy>)> = spec
-        .lineup
-        .iter()
-        .map(|entry| {
-            let trained = match &entry.sched {
-                SchedulerSpec::Decima { train } => {
-                    Some(train_decima_entry(&entry.label, train, &train_env))
-                }
-                SchedulerSpec::DecimaCheckpoint { path } => {
-                    println!("Loading {} from checkpoint {path}...", entry.label);
-                    let snapshot = TrainedPolicy::from_checkpoint(path)
-                        .unwrap_or_else(|e| panic!("cannot load checkpoint '{path}': {e}"));
-                    crate::runner::check_snapshot_compat(&snapshot, executors, path);
-                    Some(snapshot)
-                }
-                _ => None,
-            };
-            (
-                entry.label.clone(),
-                entry.csv_name(),
-                entry.sched.clone(),
-                trained,
-            )
-        })
-        .collect();
+    let mut resolved = Vec::new();
+    for entry in &spec.lineup {
+        let trained = resolve(&entry.label, &entry.sched, Site::Env(&train_env))?;
+        resolved.push((&entry.label, entry.csv_name(), &entry.sched, trained));
+    }
 
     let mut rows = Vec::new();
     let mut level_objs: Vec<(String, Json)> = Vec::new();
@@ -246,13 +213,14 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
         &rows,
     );
     report.push_csv(path);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::ScenarioRegistry;
+    use crate::scenario::SchedulerSpec;
 
     fn robust_spec() -> ScenarioSpec {
         ScenarioRegistry::standard()
@@ -264,7 +232,7 @@ mod tests {
 
     #[test]
     fn default_sweep_escalates() {
-        let levels = resolve_levels(&robust_spec());
+        let levels = resolve_levels(&robust_spec()).unwrap();
         let names: Vec<&str> = levels.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["off", "low", "med", "high"]);
         assert_eq!(levels[0].1, DynamicsSpec::off());
@@ -277,7 +245,7 @@ mod tests {
     fn explicit_knobs_run_as_custom() {
         let mut spec = robust_spec();
         spec.set("fail", "0.5").unwrap();
-        let levels = resolve_levels(&spec);
+        let levels = resolve_levels(&spec).unwrap();
         assert_eq!(levels.len(), 1);
         assert_eq!(levels[0].0, "custom");
         assert_eq!(levels[0].1.fail_prob, 0.5);
@@ -289,7 +257,7 @@ mod tests {
         let mut spec = robust_spec();
         spec.set("level", "med").unwrap();
         spec.set("fail", "0.5").unwrap();
-        let levels = resolve_levels(&spec);
+        let levels = resolve_levels(&spec).unwrap();
         assert_eq!(levels.len(), 1);
         assert_eq!(levels[0].0, "med");
         assert_eq!(levels[0].1.fail_prob, 0.5, "override on top of the preset");
@@ -308,7 +276,7 @@ mod tests {
         let mut spec = robust_spec();
         spec.set("churn", "60").unwrap();
         spec.set("level", "custom").unwrap();
-        let levels = resolve_levels(&spec);
+        let levels = resolve_levels(&spec).unwrap();
         assert_eq!(levels.len(), 1);
         assert_eq!(levels[0].0, "custom");
         assert_eq!(levels[0].1.churn_iat, 60.0);
@@ -320,7 +288,7 @@ mod tests {
     fn custom_level_without_knobs_is_rejected() {
         let mut spec = robust_spec();
         spec.set("level", "custom").unwrap();
-        resolve_levels(&spec);
+        resolve_levels(&spec).unwrap();
     }
 
     /// The named presets keep the documented unperturbed-training
@@ -330,9 +298,9 @@ mod tests {
         let mut spec = robust_spec();
         spec.set("level", "med").unwrap();
         let env = spec_env(&spec);
-        let train_env = robust_train_env(&env, &resolve_levels(&spec));
+        let train_env = robust_train_env(&env, &resolve_levels(&spec).unwrap());
         assert_eq!(train_env.sim.dynamics, DynamicsSpec::off());
-        let sweep = robust_train_env(&env, &resolve_levels(&robust_spec()));
+        let sweep = robust_train_env(&env, &resolve_levels(&robust_spec()).unwrap());
         assert_eq!(sweep.sim.dynamics, DynamicsSpec::off());
     }
 
@@ -348,7 +316,7 @@ mod tests {
         spec.set("fail", "0.2").unwrap();
         spec.set("level", "custom").unwrap();
         let env = spec_env(&spec);
-        let train_env = robust_train_env(&env, &resolve_levels(&spec));
+        let train_env = robust_train_env(&env, &resolve_levels(&spec).unwrap());
         assert_eq!(train_env.sim.dynamics, spec.sim.dynamics);
         assert!(train_env.sim.dynamics.enabled());
 
@@ -363,7 +331,10 @@ mod tests {
             )
         };
         let perturbed = run(&train_env);
-        let clean = run(&robust_train_env(&env, &resolve_levels(&robust_spec())));
+        let clean = run(&robust_train_env(
+            &env,
+            &resolve_levels(&robust_spec()).unwrap(),
+        ));
         assert_eq!(clean.dynamics, DynamicsCounters::default());
         assert_ne!(
             perturbed.dynamics, clean.dynamics,

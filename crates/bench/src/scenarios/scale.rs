@@ -73,24 +73,25 @@ impl ScaleCell {
 /// order. Public so the determinism and memory-ceiling tests can
 /// inspect raw [`EpisodeResult`]s (in particular `mem.live_jobs_peak`)
 /// rather than re-parsing the rendered report.
-pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<ScaleCell> {
+pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<ScaleCell>, String> {
     // Episodes run sequentially: one simulator is the unit under test
     // and the deterministic outputs must not depend on the thread count.
     let _ = opts.threads;
     let env = spec_env(spec);
     let base_execs = env.workload.executors;
-    let Some(base_iat) = env.workload.mean_iat() else {
-        panic!("the scale scenario needs a streaming workload with a mean interarrival time");
-    };
-    let exec_counts = count_list(spec, "execs", &[8.0, 64.0]);
-    let job_counts = count_list(spec, "jobs", &[500.0, 5000.0]);
+    let base_iat = env
+        .workload
+        .mean_iat()
+        .ok_or("the scale scenario needs a streaming workload with a mean interarrival time")?;
+    let exec_counts = count_list(spec, "execs", &[8.0, 64.0])?;
+    let job_counts = count_list(spec, "jobs", &[500.0, 5000.0])?;
     let seeds = spec.seeds.seeds();
 
     let mut cells = Vec::new();
     for &execs in &exec_counts {
         // Resolved per executor count so checkpoint compatibility is
         // checked against the cluster size it will actually serve.
-        let (sched, trained) = resolve_sched(spec, execs, "fair");
+        let (sched, trained) = resolve_sched(spec, execs, "fair")?;
         for &jobs in &job_counts {
             let mut cell_env = env.clone();
             cell_env.workload.executors = execs;
@@ -118,13 +119,16 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Vec<ScaleCell> {
             });
         }
     }
-    cells
+    Ok(cells)
 }
 
 /// Runs the scale sweep and writes `out/scale.{csv,json}`.
-pub fn run_scale_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioReport {
+pub fn run_scale_scenario(
+    spec: &ScenarioSpec,
+    opts: &RunOptions,
+) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
-    let cells = sweep(spec, opts);
+    let cells = sweep(spec, opts)?;
 
     println!(
         "{:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>11}",
@@ -205,7 +209,7 @@ pub fn run_scale_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> ScenarioRep
         &rows,
     );
     report.push_csv(path);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -233,7 +237,7 @@ mod tests {
         tiny(&mut spec);
         spec.set("execs", "2,4").unwrap();
         spec.set("jobs", "6,12").unwrap();
-        let cells = sweep(&spec, &RunOptions::default());
+        let cells = sweep(&spec, &RunOptions::default()).unwrap();
         assert_eq!(cells.len(), 4, "2 exec counts × 2 job counts");
         for cell in &cells {
             for r in &cell.per_seed {
@@ -251,7 +255,7 @@ mod tests {
         let mut spec = scale_spec();
         tiny(&mut spec);
         spec.set("jobs", "40").unwrap();
-        let cells = sweep(&spec, &RunOptions::default());
+        let cells = sweep(&spec, &RunOptions::default()).unwrap();
         let cell = &cells[0];
         for r in &cell.per_seed {
             assert_eq!(r.completed(), cell.jobs, "fair finishes the stream");
@@ -275,13 +279,11 @@ mod tests {
         let mut spec = scale_spec();
         tiny(&mut spec);
         let render = |threads: usize| {
-            let cells = sweep(
-                &spec,
-                &RunOptions {
-                    threads,
-                    ..RunOptions::default()
-                },
-            );
+            let opts = RunOptions {
+                threads,
+                ..RunOptions::default()
+            };
+            let cells = sweep(&spec, &opts).unwrap();
             cells
                 .iter()
                 .flat_map(|c| c.per_seed.iter())
@@ -305,6 +307,5 @@ mod tests {
         let mut spec = scale_spec();
         tiny(&mut spec);
         spec.set("sched", "decima").unwrap();
-        sweep(&spec, &RunOptions::default());
     }
 }

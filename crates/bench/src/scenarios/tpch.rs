@@ -2,12 +2,13 @@
 //! (Fig. 9a/9b) run fully declaratively through the generic runner.
 
 use super::first_train;
-use crate::factory::{build_trainer, TrainedPolicy};
+use crate::factory::TrainedPolicy;
 use crate::json::Json;
+use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, train_with_progress, write_csv};
+use crate::{run_episode, write_csv};
 use decima_baselines::WeightedFairScheduler;
 use decima_rl::EnvFactory as _;
 use decima_sim::EpisodeResult;
@@ -15,14 +16,12 @@ use decima_sim::EpisodeResult;
 /// Figure 10: concurrent job count over time, per-job JCT vs size,
 /// executor share for small jobs, and total-work inflation — Decima vs
 /// the tuned weighted-fair heuristic.
-pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
+pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
     let seed = spec.num_param("seed", 4000.0) as u64;
     let train = first_train(spec);
     let env = spec_env(spec);
 
-    println!("Training Decima ({} iterations)...", train.iters);
-    let mut trainer = build_trainer(&train, env.workload.executors);
-    train_with_progress(&mut trainer, &env, train.iters);
+    let trainer = train_entry("Decima", &train, &env)?;
 
     let (cluster, jobs, cfg) = env.build(seed);
     let heuristic = run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::new(-1.0));
@@ -143,5 +142,5 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> ScenarioReport {
             ]),
         );
     }
-    report
+    Ok(report)
 }

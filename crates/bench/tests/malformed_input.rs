@@ -1,7 +1,10 @@
 //! Input from outside the program is an `Err` or an `Ok`, never a
 //! panic, an abort or a hang: arbitrary bytes and damaged valid
 //! documents into `Json::parse`, arbitrary `--set` pairs into
-//! `ScenarioSpec::set` on every registered scenario.
+//! `ScenarioSpec::set` on every registered scenario — and, through the
+//! binary, a model the run cannot use: one `error:` line, exit 2 when
+//! the value itself is wrong and exit 1 when the file is, nothing
+//! written under `out/`.
 
 use decima_bench::json::Json;
 use decima_bench::registry::ScenarioRegistry;
@@ -109,5 +112,110 @@ proptest! {
                 }
             }
         });
+    }
+}
+
+/// Runs `decima-exp` with `args` in a directory of its own; returns
+/// that directory, the exit code and stderr.
+fn decima_exp(tag: &str, args: &[&str]) -> (std::path::PathBuf, Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("decima_exp_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_decima-exp"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("decima-exp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (dir, out.status.code(), stderr)
+}
+
+/// Every one of these was a panic and a backtrace (exit 101) — or, for
+/// `fine-tuned:` outside `drift`, a run that served 8- and 64-executor
+/// clusters with a 5-executor model and exited 0.
+#[test]
+fn a_model_the_run_cannot_use_is_one_error_line() {
+    // A 5-executor checkpoint, and a file that is not a checkpoint.
+    let train = "--scenario train --set execs=5 --set jobs=2 --set iters=1 \
+                 --set checkpoint=five.ckpt --set train-log=five.jsonl";
+    let (models, code, stderr) =
+        decima_exp("models", &train.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(
+        (code, stderr.as_str()),
+        (Some(0), ""),
+        "training the fixture"
+    );
+    std::fs::write(models.join("garbage.ckpt"), "garbage").unwrap();
+    let five = models.join("five.ckpt").display().to_string();
+    let garbage = models.join("garbage.ckpt").display().to_string();
+
+    let small = ["--set", "jobs=3", "--set", "runs=1"];
+    let cases: [(&str, Vec<String>, i32, &str); 8] = [
+        (
+            "fig09a",
+            vec![format!("checkpoint={garbage}")],
+            1,
+            "has no [params] section",
+        ),
+        (
+            "fig09a",
+            vec![format!("checkpoint={five}")],
+            1,
+            "was trained for 5 executors but the evaluation cluster has 15",
+        ),
+        (
+            "fleet",
+            vec!["sched=decima-ckpt:/nonexistent".into()],
+            1,
+            "cannot load checkpoint '/nonexistent'",
+        ),
+        ("fleet", vec!["sched=decima".into()], 2, "does not train"),
+        ("scale", vec!["sched=decima".into()], 2, "does not train"),
+        (
+            "robust",
+            vec!["level=custom".into()],
+            2,
+            "level=custom without any dynamics knob",
+        ),
+        (
+            "scale",
+            vec![format!("sched=fine-tuned:{five}"), "jobs=50".into()],
+            2,
+            "does not train",
+        ),
+        (
+            "scale",
+            vec![format!("sched=decima-ckpt:{five}"), "jobs=50".into()],
+            1,
+            "was trained for 5 executors but the evaluation cluster has 8",
+        ),
+    ];
+    for (i, (scenario, sets, want_code, want)) in cases.iter().enumerate() {
+        let mut args = vec!["--scenario", scenario];
+        if *scenario == "fig09a" {
+            args.extend(small);
+        }
+        args.extend(sets.iter().flat_map(|s| ["--set", s.as_str()]));
+        let (dir, code, stderr) = decima_exp(&format!("case{i}"), &args);
+        assert_eq!(code, Some(*want_code), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(want),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(!dir.join("out").exists(), "{args:?} wrote under out/");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The second front door is gone, not half-open.
+    let (dir, code, stderr) = decima_exp("flag", &["--train", "--iters", "3"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: unknown flag '--train'"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    for dir in [dir, models] {
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

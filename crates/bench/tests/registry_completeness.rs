@@ -6,7 +6,6 @@
 //! and every registered scenario's runner prerequisites.
 
 use decima_bench::registry::ScenarioRegistry;
-use decima_bench::runner::RunKind;
 use decima_bench::scenario::{settable_keys, SchedulerSpec, KEYS};
 use decima_sim::DynamicsSpec;
 use std::collections::BTreeSet;
@@ -74,6 +73,50 @@ fn robustness_knob_table_is_the_one_the_code_generates() {
         "docs/ROBUSTNESS.md's knob table should read:\n{}\n",
         generated.join("\n")
     );
+}
+
+/// docs/TRAINING.md's key table ↔ the `train` scenario, both ways: a
+/// row names only keys `train` takes, and every parameter `train`
+/// declares, every dynamics knob and the five shared keys the old
+/// `--train` flags mapped to has a row — with the declared default.
+#[test]
+fn training_doc_lists_the_keys_train_takes() {
+    let reg = ScenarioRegistry::standard();
+    let train = &reg.get("train").unwrap().spec;
+    let rows = table_rows(&repo_file("docs/TRAINING.md"), "### Keys of `train`");
+    let mut documented = BTreeSet::new();
+    for row in &rows {
+        let cells: Vec<&str> = row.split(" | ").collect();
+        for key in cells[0].split('`').skip(1).step_by(2) {
+            documented.insert(key.to_string());
+            let refusal = train.clone().set(key, "1").err().unwrap_or_default();
+            assert!(
+                !refusal.contains("key"),
+                "`{key}` in TRAINING.md: {refusal}"
+            );
+            let declared = train.params.iter().find(|(k, _)| k == key);
+            if let Some((_, default)) = declared {
+                use decima_bench::scenario::ParamValue::{Count, Flag, Num, Text};
+                let default = match default {
+                    Num(n) => n.to_string(),
+                    Count(n) => n.to_string(),
+                    Flag(b) => b.to_string(),
+                    Text(t) => t.clone(),
+                };
+                let shown = cells[1].trim_matches('`');
+                assert!(
+                    shown == default || (default.is_empty() && shown.starts_with("out/")),
+                    "TRAINING.md gives `{key}` the default {shown}, the registry {default}"
+                );
+            }
+        }
+    }
+    let mut taken: BTreeSet<String> = ["iters", "jobs", "execs", "iat", "checkpoint"]
+        .map(String::from)
+        .into();
+    taken.extend(train.params.iter().map(|(k, _)| k.clone()));
+    taken.extend(DynamicsSpec::KNOBS.iter().map(|k| k.key.to_string()));
+    assert_eq!(documented, taken, "docs/TRAINING.md \"Keys of `train`\"");
 }
 
 /// Every `--set key=` the README, the docs and the CI workflow show
@@ -182,16 +225,21 @@ fn list_shows_at_least_nineteen_scenarios() {
 
 #[test]
 fn comparison_scenarios_have_workload_and_lineup() {
+    // The scenarios `run_comparison` runs need a lineup; what
+    // `spec_env` and the seed-parallel evaluation need holds of every
+    // scenario that has one.
+    let generic = ["fig09a", "fig09b", "fig23", "table2", "table3"];
     for sc in ScenarioRegistry::standard().iter() {
-        if matches!(sc.run, RunKind::Comparison) {
+        let generic = generic.contains(&sc.spec.name.as_str());
+        assert!(
+            !(generic && sc.spec.lineup.is_empty()),
+            "comparison scenario '{}' needs a lineup",
+            sc.spec.name
+        );
+        if !sc.spec.lineup.is_empty() {
             assert!(
                 sc.spec.workload.is_some(),
                 "comparison scenario '{}' needs a workload",
-                sc.spec.name
-            );
-            assert!(
-                !sc.spec.lineup.is_empty(),
-                "comparison scenario '{}' needs a lineup",
                 sc.spec.name
             );
             assert!(

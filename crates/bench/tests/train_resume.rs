@@ -1,11 +1,13 @@
-//! End-to-end checks of the standalone training driver: checkpoints and
-//! JSONL logs are written, `--resume` continues the iteration counter
-//! and statistics seamlessly, and an interrupted-and-resumed run ends at
+//! End-to-end checks of the `train` scenario — the training driver with
+//! a log, a save cadence and a resume: checkpoints and JSONL logs are
+//! written, `resume=true` continues the iteration counter and
+//! statistics seamlessly, and an interrupted-and-resumed run ends at
 //! exactly the same model as an uninterrupted one.
 
 use decima_bench::json::Json;
-use decima_bench::{run_training, TrainOptions, TrainedPolicy};
-use std::path::PathBuf;
+use decima_bench::runner::RunOptions;
+use decima_bench::{ScenarioRegistry, TrainedPolicy};
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("decima_train_{tag}_{}", std::process::id()));
@@ -13,18 +15,40 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn tiny_opts(dir: &std::path::Path, iters: usize) -> TrainOptions {
-    TrainOptions {
-        iters,
-        jobs: 2,
-        execs: 5,
-        seed: 11,
-        checkpoint_dir: dir.to_path_buf(),
-        checkpoint_every: 1,
-        log_path: Some(dir.join("train.jsonl")),
-        ..TrainOptions::default()
-    }
+fn checkpoint(dir: &Path) -> PathBuf {
+    dir.join("checkpoint.txt")
 }
+
+fn log_file(dir: &Path) -> PathBuf {
+    dir.join("train.jsonl")
+}
+
+/// What `decima-exp --scenario train --set …` runs (short of writing
+/// `out/train.json`): the registered scenario with a tiny workload in
+/// `dir`, `iters` as the target, then `extra` on top.
+fn train(dir: &Path, iters: usize, extra: &[(&str, &str)]) -> Result<(), String> {
+    let mut sc = ScenarioRegistry::standard().get("train").unwrap().clone();
+    let (ckpt, log) = (checkpoint(dir), log_file(dir));
+    let tiny = [
+        ("iters", iters.to_string()),
+        ("jobs", "2".to_string()),
+        ("execs", "5".to_string()),
+        ("seed", "11".to_string()),
+        ("checkpoint", ckpt.display().to_string()),
+        ("checkpoint-every", "1".to_string()),
+        ("train-log", log.display().to_string()),
+    ];
+    for (key, value) in &tiny {
+        sc.spec.set(key, value)?;
+    }
+    for (key, value) in extra {
+        sc.spec.set(key, value)?;
+    }
+    sc.spec.check()?;
+    (sc.run)(&sc.spec, &RunOptions::default()).map(drop)
+}
+
+const RESUME: (&str, &str) = ("resume", "true");
 
 fn log_iters(path: &std::path::Path) -> Vec<u64> {
     std::fs::read_to_string(path)
@@ -45,20 +69,15 @@ fn train_writes_checkpoint_and_jsonl_then_resume_continues_seamlessly() {
     let dir = tmp_dir("resume");
 
     // Phase 1: two iterations from scratch.
-    let opts = tiny_opts(&dir, 2);
-    run_training(&opts).expect("training runs");
-    let ckpt = opts.checkpoint_path();
+    train(&dir, 2, &[]).expect("training runs");
+    let ckpt = checkpoint(&dir);
     assert!(ckpt.exists(), "checkpoint written");
-    let log = opts.log_file();
+    let log = log_file(&dir);
     assert_eq!(log_iters(&log), vec![0, 1], "one JSONL record per iter");
 
     // Phase 2: resume to four total. The iteration counter and the log
     // continue where phase 1 stopped.
-    let opts2 = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 4)
-    };
-    let resumed = run_training(&opts2).expect("resume runs");
+    train(&dir, 4, &[RESUME]).expect("resume runs");
     assert_eq!(
         log_iters(&log),
         vec![0, 1, 2, 3],
@@ -66,9 +85,11 @@ fn train_writes_checkpoint_and_jsonl_then_resume_continues_seamlessly() {
     );
 
     // The resumed model is bit-identical to an uninterrupted 4-iteration
-    // run with the same seeds.
+    // run with the same seeds — and so are the two files, byte for byte.
     let ref_dir = tmp_dir("uninterrupted");
-    let reference = run_training(&tiny_opts(&ref_dir, 4)).expect("reference runs");
+    train(&ref_dir, 4, &[]).expect("reference runs");
+    let load = |dir: &Path| TrainedPolicy::from_checkpoint(checkpoint(dir).to_str().unwrap());
+    let (resumed, reference) = (load(&dir).unwrap(), load(&ref_dir).unwrap());
     assert_eq!(resumed.store.len(), reference.store.len());
     for i in 0..reference.store.len() {
         let (a, b) = (
@@ -80,9 +101,15 @@ fn train_writes_checkpoint_and_jsonl_then_resume_continues_seamlessly() {
         }
     }
 
-    // The checkpoint is a reusable artifact: load it cold and evaluate.
-    let loaded = TrainedPolicy::from_checkpoint(ckpt.to_str().unwrap()).expect("loads");
-    assert_eq!(loaded.store.num_scalars(), resumed.store.num_scalars());
+    let read = |path: PathBuf| std::fs::read_to_string(path).unwrap();
+    assert_eq!(read(checkpoint(&dir)), read(checkpoint(&ref_dir)));
+    assert_eq!(read(log_file(&dir)), read(log_file(&ref_dir)));
+
+    // A fresh run overwrites what is there: the checkpoint is back at
+    // iteration 1 and the log at one line.
+    train(&dir, 1, &[]).expect("fresh run over an old one");
+    assert!(read(ckpt).contains("\nstate.iter 1\n"));
+    assert_eq!(log_iters(&log), vec![0]);
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -94,20 +121,15 @@ fn train_writes_checkpoint_and_jsonl_then_resume_continues_seamlessly() {
 #[test]
 fn resume_reconciles_log_records_past_the_checkpoint() {
     let dir = tmp_dir("reconcile");
-    let opts = tiny_opts(&dir, 2);
-    run_training(&opts).expect("phase 1");
-    let ckpt_at_2 = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
-    let resume4 = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 4)
-    };
-    run_training(&resume4).expect("phase 2");
+    train(&dir, 2, &[]).expect("phase 1");
+    let ckpt_at_2 = std::fs::read_to_string(checkpoint(&dir)).unwrap();
+    train(&dir, 4, &[RESUME]).expect("phase 2");
     // Simulate a crash after iteration 4 was logged but before a newer
     // checkpoint landed: roll the checkpoint back to iteration 2.
-    std::fs::write(opts.checkpoint_path(), ckpt_at_2).unwrap();
-    run_training(&resume4).expect("recovery");
+    std::fs::write(checkpoint(&dir), ckpt_at_2).unwrap();
+    train(&dir, 4, &[RESUME]).expect("recovery");
     assert_eq!(
-        log_iters(&opts.log_file()),
+        log_iters(&log_file(&dir)),
         vec![0, 1, 2, 3],
         "stale records for re-run iterations must be dropped, not duplicated"
     );
@@ -122,113 +144,111 @@ fn resume_reconciles_log_records_past_the_checkpoint() {
 #[test]
 fn resume_survives_a_damaged_log_and_refuses_a_damaged_checkpoint() {
     let dir = tmp_dir("damaged");
-    let opts = tiny_opts(&dir, 2);
-    run_training(&opts).expect("fresh run");
-    let log = opts.log_file();
+    train(&dir, 2, &[]).expect("fresh run");
+    let log = log_file(&dir);
     let mut text = std::fs::read_to_string(&log).unwrap();
     text.push_str(&"[".repeat(2_000_000));
     text.push_str("\n{\"iter\": 1, \"torn");
     std::fs::write(&log, text).unwrap();
-    let resume = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 3)
-    };
-    run_training(&resume).expect("resume runs");
+    train(&dir, 3, &[RESUME]).expect("resume runs");
     assert_eq!(log_iters(&log), vec![0, 1, 2]);
 
-    let ckpt = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
+    let ckpt = std::fs::read_to_string(checkpoint(&dir)).unwrap();
     let hidden = ckpt
         .lines()
         .find(|l| l.starts_with("policy.hidden"))
         .unwrap();
     let hostile = ckpt.replacen(hidden, "policy.hidden 99999999999", 1);
-    std::fs::write(opts.checkpoint_path(), hostile).unwrap();
-    let err = run_training(&resume).err().expect("hostile header");
+    std::fs::write(checkpoint(&dir), hostile).unwrap();
+    let err = train(&dir, 3, &[RESUME]).expect_err("hostile header");
     assert_eq!(
         err,
-        "checkpoint field 'policy.hidden' must be in [1, 1024], got 99999999999"
+        format!(
+            "cannot load checkpoint '{}': checkpoint field 'policy.hidden' must be in \
+             [1, 1024], got 99999999999",
+            checkpoint(&dir).display()
+        )
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The checkpoint embeds the workload it was trained on; resuming with
-/// different `--jobs/--execs/--iat` flags must fail loudly instead of
+/// different `jobs=`/`execs=`/`iat=` keys must fail loudly instead of
 /// silently continuing the optimization on another distribution.
 #[test]
 fn resume_with_mismatched_workload_flags_is_a_hard_error() {
     let dir = tmp_dir("echo");
-    let opts = tiny_opts(&dir, 1);
-    run_training(&opts).expect("fresh run");
-    let text = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
+    train(&dir, 1, &[]).expect("fresh run");
+    let text = std::fs::read_to_string(checkpoint(&dir)).unwrap();
     assert!(text.contains("echo.jobs 2"), "checkpoint carries the echo");
     assert!(text.contains("echo.execs 5"));
 
     // Mismatched executor count: hard error with both shapes named.
-    let bad = TrainOptions {
-        resume: true,
-        execs: 9,
-        ..tiny_opts(&dir, 2)
-    };
-    let err = match run_training(&bad) {
-        Err(e) => e,
-        Ok(_) => panic!("mismatched resume must fail"),
-    };
+    let err = train(&dir, 2, &[RESUME, ("execs", "9")]).expect_err("mismatched resume");
     assert!(err.contains("workload mismatch"), "{err}");
     assert!(err.contains("9 executors"), "{err}");
 
     // Mismatched arrivals (batch → stream): also rejected.
-    let bad_iat = TrainOptions {
-        resume: true,
-        iat: Some(20.0),
-        ..tiny_opts(&dir, 2)
-    };
     assert!(
-        run_training(&bad_iat).is_err(),
+        train(&dir, 2, &[RESUME, ("iat", "20")]).is_err(),
         "IAT drift must be rejected"
     );
 
     // Mismatched dynamics (fault-free checkpoint, perturbed resume):
     // also rejected — and by symmetry a perturbed checkpoint refuses a
     // resume that drops the dynamics flags.
-    let bad_dyn = TrainOptions {
-        resume: true,
-        dynamics: decima_sim::DynamicsSpec::med(),
-        ..tiny_opts(&dir, 2)
-    };
-    let err = match run_training(&bad_dyn) {
-        Err(e) => e,
-        Ok(_) => panic!("dynamics drift must be rejected"),
-    };
+    let med = decima_sim::DynamicsSpec::med();
+    let knobs = decima_sim::DynamicsSpec::KNOBS.map(|k| (k.key, k.get(&med).to_string()));
+    let mut bad_dyn = vec![RESUME];
+    bad_dyn.extend(knobs.iter().map(|(key, value)| (*key, value.as_str())));
+    let err = train(&dir, 2, &bad_dyn).expect_err("dynamics drift must be rejected");
     assert!(err.contains("dynamics(churn=240"), "{err}");
 
-    // Matching flags resume normally.
-    let good = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 2)
-    };
-    run_training(&good).expect("matching resume works");
+    // Matching keys resume normally.
+    train(&dir, 2, &[RESUME]).expect("matching resume works");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_without_checkpoint_errors_and_target_reached_is_a_noop() {
     let dir = tmp_dir("errors");
-    let missing = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 2)
-    };
-    assert!(run_training(&missing).is_err(), "no checkpoint to resume");
+    assert!(
+        train(&dir, 2, &[RESUME]).is_err(),
+        "no checkpoint to resume"
+    );
 
-    let opts = tiny_opts(&dir, 1);
-    run_training(&opts).expect("fresh run");
-    let before = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
+    train(&dir, 1, &[]).expect("fresh run");
+    let before = std::fs::read_to_string(checkpoint(&dir)).unwrap();
     // Target already reached: nothing trains, checkpoint untouched.
-    let again = TrainOptions {
-        resume: true,
-        ..tiny_opts(&dir, 1)
-    };
-    run_training(&again).expect("noop resume");
-    let after = std::fs::read_to_string(opts.checkpoint_path()).unwrap();
+    train(&dir, 1, &[RESUME]).expect("noop resume");
+    let after = std::fs::read_to_string(checkpoint(&dir)).unwrap();
     assert_eq!(before, after);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--train --iat 40` made the `standard` recipe's batch a Poisson
+/// stream, and `iat=` keeps that meaning for `train` — while the same
+/// key leaves a batch scenario's workload a batch
+/// (`WorkloadSpec::set_mean_iat`). The continuous-arrival recipes
+/// stream 25 s apart unless told otherwise.
+#[test]
+fn iat_turns_the_train_scenarios_batch_into_a_stream() {
+    let dir = tmp_dir("iat");
+    let echoed_iat = |extra: &[(&str, &str)]| {
+        train(&dir, 1, extra).expect("trains");
+        let text = std::fs::read_to_string(checkpoint(&dir)).unwrap();
+        let line = text.lines().find(|l| l.starts_with("echo.iat ")).unwrap();
+        line.to_string()
+    };
+    assert_eq!(echoed_iat(&[]), "echo.iat none");
+    assert_eq!(echoed_iat(&[("iat", "40")]), "echo.iat 40");
+    assert_eq!(echoed_iat(&[("recipe", "stream")]), "echo.iat 25");
+    assert_eq!(
+        echoed_iat(&[("recipe", "tuned"), ("iat", "30")]),
+        "echo.iat 30"
+    );
+    let mut fig09a = ScenarioRegistry::standard().get("fig09a").unwrap().clone();
+    fig09a.spec.set("iat", "40").unwrap();
+    assert_eq!(fig09a.spec.workload.unwrap().mean_iat(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }

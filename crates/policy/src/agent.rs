@@ -244,14 +244,8 @@ impl Scheduler for DecimaAgent {
             .forward_nodes_cached(tape, &self.store, obs, &mut self.cache);
         self.entropy_sum += Self::scalar_entropy(tape, fwd.node_logp);
 
-        // Pick the stage.
-        let skip_limits = self.policy.cfg.parallelism == ParallelismMode::Disabled;
-        let (node_idx, limit_choice, class_choice, replay_info) = match &mut self.mode {
-            Mode::Sample => {
-                let ni = sample_from_logp(tape, fwd.node_logp, &mut self.rng);
-                (ni, None, None, None)
-            }
-            Mode::Greedy => (argmax_logp(tape, fwd.node_logp), None, None, None),
+        // In replay, the recorded step: its choice, advantage and β.
+        let replay = match &mut self.mode {
             Mode::Replay {
                 choices,
                 advantages,
@@ -264,28 +258,34 @@ impl Scheduler for DecimaAgent {
                     debug_assert!(false, "replay ran past its recorded choices");
                     return None;
                 }
-                let ch = choices[*step];
-                let adv = advantages[*step];
-                let beta = *entropy_beta;
                 *step += 1;
-                (ch.node, Some(ch.limit), ch.class, Some((adv, beta, ch)))
+                Some((choices[*step - 1], advantages[*step - 1], *entropy_beta))
             }
+            _ => None,
         };
+        // One row of a `[n,1]` log-probability column: the recorded one
+        // (held to the rows this step has), the argmax, or a sample.
+        let greedy = matches!(self.mode, Mode::Greedy);
+        let rng = &mut self.rng;
+        let mut pick = |tape: &Tape, logp, recorded: Option<usize>| match recorded {
+            Some(row) => row.min(tape.value(logp).rows() - 1),
+            None if greedy => argmax_logp(tape, logp),
+            None => sample_from_logp(tape, logp, rng),
+        };
+
+        // Pick the stage.
+        let node_idx = pick(tape, fwd.node_logp, replay.map(|(ch, ..)| ch.node));
         let cand = fwd.cands[node_idx];
 
         // Pick the parallelism limit.
+        let skip_limits = self.policy.cfg.parallelism == ParallelismMode::Disabled;
         let (limit, limit_idx, limit_fwd) = if skip_limits {
             (obs.total_executors, 0, None)
         } else {
             let lf = self
                 .policy
                 .forward_limits(tape, &self.store, obs, &fwd, cand);
-            let li = match (&self.mode, limit_choice) {
-                (Mode::Sample, _) => sample_from_logp(tape, lf.logp, &mut self.rng),
-                (Mode::Greedy, _) => argmax_logp(tape, lf.logp),
-                (Mode::Replay { .. }, Some(li)) => li.min(lf.values.len() - 1),
-                (Mode::Replay { .. }, None) => unreachable!(),
-            };
+            let li = pick(tape, lf.logp, replay.map(|(ch, ..)| ch.limit));
             (lf.values[li], li, Some(lf))
         };
 
@@ -295,20 +295,16 @@ impl Scheduler for DecimaAgent {
             .forward_classes(tape, &self.store, obs, &fwd, cand);
         let (class, class_idx) = match &class_fwd {
             Some(cf) => {
-                let ci = match (&self.mode, class_choice) {
-                    (Mode::Sample, _) => sample_from_logp(tape, cf.logp, &mut self.rng),
-                    (Mode::Greedy, _) => argmax_logp(tape, cf.logp),
-                    (Mode::Replay { .. }, Some(ci)) => ci.min(cf.classes.len() - 1),
-                    (Mode::Replay { .. }, None) => 0,
-                };
+                let recorded = replay.map(|(ch, ..)| ch.class.unwrap_or(0));
+                let ci = pick(tape, cf.logp, recorded);
                 (Some(ClassId(cf.classes[ci] as u16)), Some(ci))
             }
             None => (None, None),
         };
 
         // Gradient accumulation (replay) or record keeping (sample).
-        match (&self.mode, replay_info) {
-            (Mode::Replay { .. }, Some((adv, beta, _ch))) => {
+        match replay {
+            Some((_, adv, beta)) => {
                 // loss = −adv·log π(a) − β·H(node softmax)
                 let node_term = tape.pick(fwd.node_logp, node_idx, 0);
                 let mut logp_terms = [node_term; 3];
@@ -333,12 +329,12 @@ impl Scheduler for DecimaAgent {
                 }
                 tape.backward(loss, 1.0, &mut self.store);
             }
-            (Mode::Sample, _) => self.records.push(ActionChoice {
+            None if !greedy => self.records.push(ActionChoice {
                 node: node_idx,
                 limit: limit_idx,
                 class: class_idx,
             }),
-            _ => {}
+            None => {}
         }
 
         self.steps += 1;

@@ -55,10 +55,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The shape of the environment a training run rolled out on, echoed
-/// into the checkpoint (`echo.*` lines) so a `--resume` with different
-/// `--jobs`/`--execs`/`--iat` — or different cluster-dynamics — flags
-/// is a hard error instead of silently continuing the optimization on
-/// a different distribution.
+/// into the checkpoint (`echo.*` lines) so resuming (the `train`
+/// scenario's `resume=true`) with different `jobs=`/`execs=`/`iat=` —
+/// or different cluster-dynamics — keys is a hard error instead of
+/// silently continuing the optimization on a different distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadEcho {
     /// Jobs per training episode.
@@ -69,7 +69,7 @@ pub struct WorkloadEcho {
     /// sources without a single IAT).
     pub iat: Option<f64>,
     /// The cluster-dynamics model training ran under (off unless the
-    /// run passed `--churn`/`--fail`/`--straggle`).
+    /// run set `churn=`/`fail=`/`straggle=`).
     pub dynamics: DynamicsSpec,
 }
 
@@ -116,9 +116,9 @@ impl WorkloadEcho {
             Ok(())
         } else {
             Err(format!(
-                "checkpoint workload mismatch: the checkpoint was trained on {} but --resume \
-                 was asked to continue on {}; pass matching --jobs/--execs/--iat (and \
-                 --churn/--fail/--straggle) flags or start a fresh --checkpoint-dir",
+                "checkpoint workload mismatch: the checkpoint was trained on {} but resume=true \
+                 was asked to continue on {}; set matching jobs=/execs=/iat= (and \
+                 churn=/fail=/straggle=) keys or start fresh at another checkpoint= path",
                 self.describe(),
                 requested.describe()
             ))
@@ -503,8 +503,8 @@ impl Trainer {
         write_fields(&mut out, POLICY, p);
         write_fields(&mut out, POLICY_ADDED, p);
         write_fields(&mut out, CFG, &self.cfg);
-        // Workload echo (standalone training runs): lets --resume refuse
-        // mismatched workload flags. Optional for compatibility with
+        // Workload echo (the `train` scenario's runs): lets a resume
+        // refuse a mismatched workload. Optional for compatibility with
         // checkpoints written before the echo existed.
         if let Some(echo) = &self.workload_echo {
             write_fields(&mut out, ECHO, echo);
@@ -648,14 +648,15 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::TpchEnv;
+    use crate::env::SpecEnv;
+    use decima_workload::WorkloadSpec;
 
     fn trained(iters: usize, cfg: TrainConfig) -> Trainer {
         let mut store = ParamStore::new();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let policy = DecimaPolicy::new(PolicyConfig::small(5), &mut store, &mut rng);
         let mut t = Trainer::new(policy, store, cfg);
-        let env = TpchEnv::batch(2, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(2, 5));
         for _ in 0..iters {
             t.train_iteration(&env);
         }

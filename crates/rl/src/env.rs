@@ -7,7 +7,7 @@
 
 use decima_core::{ClusterSpec, JobSpec};
 use decima_sim::SimConfig;
-use decima_workload::{AlibabaConfig, ArrivalProcess, DriftSpec, WorkloadSource, WorkloadSpec};
+use decima_workload::{DriftSpec, WorkloadSpec};
 
 /// Salt XORed into the sequence seed to derive the simulator's own RNG
 /// seed, so workload sampling and simulator noise draw from decorrelated
@@ -21,8 +21,8 @@ pub trait EnvFactory: Sync {
     fn build(&self, seq_seed: u64) -> (ClusterSpec, Vec<JobSpec>, SimConfig);
 }
 
-/// The generic environment: any [`WorkloadSpec`] plus a simulator
-/// configuration template. All concrete env types reduce to this.
+/// The environment: any [`WorkloadSpec`] plus a simulator configuration
+/// template.
 #[derive(Clone, Debug)]
 pub struct SpecEnv {
     /// Workload and cluster description.
@@ -66,149 +66,18 @@ impl EnvFactory for SpecEnv {
     }
 }
 
-/// A TPC-H environment: `num_jobs` jobs, batched or Poisson arrivals, on
-/// a homogeneous cluster, at a configurable task scale.
-#[derive(Clone, Debug)]
-pub struct TpchEnv {
-    /// Number of jobs per episode.
-    pub num_jobs: usize,
-    /// Arrival process.
-    pub arrivals: ArrivalProcess,
-    /// Executor count.
-    pub executors: usize,
-    /// Executor-motion delay in seconds.
-    pub move_delay: f64,
-    /// Task-count divisor (see `tpch_job_scaled`).
-    pub task_scale: f64,
-    /// Template for the simulator configuration.
-    pub sim: SimConfig,
-}
-
-impl TpchEnv {
-    /// A small batched environment (good for quick training runs).
-    pub fn batch(num_jobs: usize, executors: usize) -> Self {
-        TpchEnv {
-            num_jobs,
-            arrivals: ArrivalProcess::Batch,
-            executors,
-            move_delay: 1.0,
-            task_scale: 8.0,
-            sim: SimConfig::default(),
-        }
-    }
-
-    /// A small continuous-arrival environment.
-    pub fn stream(num_jobs: usize, executors: usize, mean_iat: f64) -> Self {
-        TpchEnv {
-            num_jobs,
-            arrivals: ArrivalProcess::Poisson { mean_iat },
-            executors,
-            move_delay: 1.0,
-            task_scale: 8.0,
-            sim: SimConfig::default(),
-        }
-    }
-}
-
-impl TpchEnv {
-    /// The equivalent declarative workload description.
-    pub fn workload_spec(&self) -> WorkloadSpec {
-        WorkloadSpec {
-            source: WorkloadSource::Tpch {
-                num_jobs: self.num_jobs,
-                arrivals: self.arrivals,
-                task_scale: self.task_scale,
-                random_memory: false,
-            },
-            executors: self.executors,
-            move_delay: self.move_delay,
-        }
-    }
-}
-
-impl EnvFactory for TpchEnv {
-    fn build(&self, seq_seed: u64) -> (ClusterSpec, Vec<JobSpec>, SimConfig) {
-        SpecEnv {
-            workload: self.workload_spec(),
-            sim: self.sim.clone(),
-            drift: DriftSpec::off(),
-        }
-        .build(seq_seed)
-    }
-}
-
-/// An Alibaba-like multi-resource environment (§7.3).
-#[derive(Clone, Debug)]
-pub struct AlibabaEnv {
-    /// Number of jobs per episode.
-    pub num_jobs: usize,
-    /// Mean interarrival time (seconds).
-    pub mean_iat: f64,
-    /// Total executors (split over four classes).
-    pub executors: usize,
-    /// Executor-motion delay.
-    pub move_delay: f64,
-    /// Generator configuration.
-    pub gen: AlibabaConfig,
-    /// Simulator configuration template.
-    pub sim: SimConfig,
-}
-
-impl AlibabaEnv {
-    /// A small default instance.
-    pub fn small(num_jobs: usize, executors: usize, mean_iat: f64) -> Self {
-        AlibabaEnv {
-            num_jobs,
-            mean_iat,
-            executors,
-            move_delay: 1.0,
-            gen: AlibabaConfig {
-                max_stages: 30,
-                max_tasks: 50,
-                ..AlibabaConfig::default()
-            },
-            sim: SimConfig::default(),
-        }
-    }
-}
-
-impl AlibabaEnv {
-    /// The equivalent declarative workload description.
-    pub fn workload_spec(&self) -> WorkloadSpec {
-        WorkloadSpec {
-            source: WorkloadSource::Alibaba {
-                num_jobs: self.num_jobs,
-                mean_iat: self.mean_iat,
-                gen: self.gen.clone(),
-            },
-            executors: self.executors,
-            move_delay: self.move_delay,
-        }
-    }
-}
-
-impl EnvFactory for AlibabaEnv {
-    fn build(&self, seq_seed: u64) -> (ClusterSpec, Vec<JobSpec>, SimConfig) {
-        SpecEnv {
-            workload: self.workload_spec(),
-            sim: self.sim.clone(),
-            drift: DriftSpec::off(),
-        }
-        .build(seq_seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn tpch_env_is_deterministic() {
-        let env = TpchEnv::batch(5, 10);
+    fn spec_env_is_deterministic_per_seed_and_salts_the_simulator_seed() {
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(5, 10));
         let (c1, j1, s1) = env.build(42);
         let (c2, j2, s2) = env.build(42);
         assert_eq!(c1.total_executors(), c2.total_executors());
         assert_eq!(s1.seed, s2.seed);
+        assert_eq!(s1.seed, 42 ^ SIM_SEED_SALT);
         let w1: f64 = j1.iter().map(JobSpec::total_work).sum();
         let w2: f64 = j2.iter().map(JobSpec::total_work).sum();
         assert_eq!(w1, w2);
@@ -216,12 +85,8 @@ mod tests {
         let (_, j3, _) = env.build(43);
         let w3: f64 = j3.iter().map(JobSpec::total_work).sum();
         assert_ne!(w1, w3);
-    }
-
-    #[test]
-    fn alibaba_env_builds_four_classes() {
-        let env = AlibabaEnv::small(10, 12, 20.0);
-        let (c, jobs, _) = env.build(1);
+        // The multi-resource source brings its four-class cluster.
+        let (c, jobs, _) = SpecEnv::new(WorkloadSpec::alibaba_small(10, 12, 20.0)).build(1);
         assert_eq!(c.num_classes(), 4);
         assert_eq!(jobs.len(), 10);
     }

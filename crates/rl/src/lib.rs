@@ -28,6 +28,6 @@ pub mod trajectory;
 
 pub use baseline::{returns_to_go, time_aligned_baselines, MovingAvg, ReturnSeries};
 pub use checkpoint::{iter_stats_record, WorkloadEcho, CHECKPOINT_HEADER, CHECKPOINT_VERSION};
-pub use env::{AlibabaEnv, EnvFactory, SpecEnv, TpchEnv, SIM_SEED_SALT};
+pub use env::{EnvFactory, SpecEnv, SIM_SEED_SALT};
 pub use trainer::{Curriculum, IterStats, TrainConfig, Trainer};
 pub use trajectory::Trajectory;

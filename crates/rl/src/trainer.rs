@@ -1,7 +1,10 @@
 //! The REINFORCE trainer (§5.3, Algorithm 1) — the coordinator of the
 //! actor/learner architecture.
 //!
-//! One iteration:
+//! One iteration ([`Trainer::train_iteration`]; a fine-tuning iteration
+//! of [`Trainer::fine_tune_window`] is the same private step over a
+//! longer trajectory window — step 4 then re-scores the window instead
+//! of the fresh batch alone):
 //!
 //! 1. sample an episode horizon `τ ~ Exp(τ_mean)` (memoryless termination;
 //!    `τ_mean` grows over training — curriculum learning);
@@ -138,10 +141,38 @@ pub struct Trainer {
     pub iter: usize,
     /// History of per-iteration statistics.
     pub history: Vec<IterStats>,
-    /// Workload shape echoed into checkpoints by standalone training
+    /// Workload shape echoed into checkpoints by the `train` scenario's
     /// runs (see [`crate::checkpoint::WorkloadEcho`]); `None` unless the
     /// driver stamps it.
     pub workload_echo: Option<crate::checkpoint::WorkloadEcho>,
+}
+
+/// What one REINFORCE step re-scores: the most recent `cap`
+/// trajectories with their scaled rewards, oldest first.
+struct Window {
+    cap: usize,
+    trajs: Vec<Trajectory>,
+    rewards: Vec<Vec<f64>>,
+}
+
+impl Window {
+    fn of(cap: usize) -> Self {
+        Window {
+            cap,
+            trajs: Vec::new(),
+            rewards: Vec::new(),
+        }
+    }
+
+    /// Appends a fresh batch and drops the oldest trajectories beyond
+    /// `cap`.
+    fn slide(&mut self, trajs: Vec<Trajectory>, rewards: Vec<Vec<f64>>) {
+        self.trajs.extend(trajs);
+        self.rewards.extend(rewards);
+        let excess = self.trajs.len().saturating_sub(self.cap);
+        self.trajs.drain(..excess);
+        self.rewards.drain(..excess);
+    }
 }
 
 impl Trainer {
@@ -232,8 +263,13 @@ impl Trainer {
         })
     }
 
-    /// Runs one training iteration against `env`.
-    pub fn train_iteration(&mut self, env: &dyn EnvFactory) -> IterStats {
+    /// One REINFORCE step: a fresh batch of rollouts slides into
+    /// `window`, and the gradient re-scores everything the window then
+    /// holds. Each fresh trajectory enters the differential-reward
+    /// moving average exactly once, when it is rolled out; baselines
+    /// are recomputed across the window, so same-seed trajectories from
+    /// different iterations still share input-dependent baselines.
+    fn step(&mut self, env: &dyn EnvFactory, window: &mut Window) -> IterStats {
         let n = self.cfg.num_rollouts;
         let beta = self.beta();
 
@@ -261,16 +297,11 @@ impl Trainer {
         // ---- actor pass: trajectory-recording rollouts ----
         let trajs = self.rollouts(env, tau, seq_seeds.into_iter().zip(action_seeds).collect());
 
-        // ---- learner: rewards, returns, baselines ----
-        let all_rewards = learner::scaled_rewards(&trajs, &self.cfg, &mut self.rate_avg);
-        let advantages = learner::advantages(&trajs, &all_rewards, self.cfg.normalize_advantages);
+        // ---- learner: rewards of the fresh batch ----
+        let rewards = learner::scaled_rewards(&trajs, &self.cfg, &mut self.rate_avg);
 
         // ---- stats inputs ----
-        let mean_reward = all_rewards
-            .iter()
-            .map(|rw| rw.iter().sum::<f64>())
-            .sum::<f64>()
-            / n as f64;
+        let mean_reward = rewards.iter().map(|rw| rw.iter().sum::<f64>()).sum::<f64>() / n as f64;
         let jcts: Vec<f64> = trajs.iter().filter_map(|t| t.result.avg_jct()).collect();
         let mean_avg_jct = if jcts.is_empty() {
             f64::NAN
@@ -293,13 +324,21 @@ impl Trainer {
             }
         };
 
+        // ---- returns and baselines over the window ----
+        window.slide(trajs, rewards);
+        let advantages = learner::advantages(
+            &window.trajs,
+            &window.rewards,
+            self.cfg.normalize_advantages,
+        );
+
         // ---- gradient pass: re-score stored observations (no sim) ----
-        let grads = self.gradients(&trajs, advantages, beta);
+        let grads = self.gradients(&window.trajs, advantages, beta);
 
         for g in &grads {
             self.store.merge_grads(g);
         }
-        self.store.scale_grads(1.0 / n as f64);
+        self.store.scale_grads(1.0 / window.trajs.len() as f64);
         let grad_norm = self.store.grad_norm();
         self.opt.step(&mut self.store);
 
@@ -319,6 +358,12 @@ impl Trainer {
         stats
     }
 
+    /// Runs one training iteration against `env`: the step whose window
+    /// is the fresh batch.
+    pub fn train_iteration(&mut self, env: &dyn EnvFactory) -> IterStats {
+        self.step(env, &mut Window::of(self.cfg.num_rollouts))
+    }
+
     /// Runs `iters` iterations, invoking `on_iter` after each.
     pub fn train(
         &mut self,
@@ -336,11 +381,11 @@ impl Trainer {
     /// iterations against `env`, each taking one REINFORCE step from a
     /// **rolling window** of the most recent `window` trajectories
     /// instead of just the current batch. Fresh rollouts still drive the
-    /// window forward every iteration (and enter the differential-reward
-    /// moving average exactly once), but the gradient re-scores the whole
-    /// window, which smooths adaptation when the workload distribution is
-    /// moving under the policy (cf. continuous-transfer fine-tuning for
-    /// HPC scheduling, arXiv 2509.22701).
+    /// window forward every iteration, but the gradient re-scores the
+    /// whole window, which smooths adaptation when the workload
+    /// distribution is moving under the policy (cf. continuous-transfer
+    /// fine-tuning for HPC scheduling, arXiv 2509.22701). One iteration
+    /// over a window of `num_rollouts` is [`Self::train_iteration`].
     ///
     /// Lineage contract (proved in `crates/rl/tests/checkpoint_resume.rs`):
     ///
@@ -358,108 +403,11 @@ impl Trainer {
         iters: usize,
         window: usize,
     ) -> Vec<IterStats> {
-        if iters == 0 || window == 0 {
+        if window == 0 {
             return Vec::new();
         }
-        let n = self.cfg.num_rollouts;
-        let mut win_trajs: Vec<Trajectory> = Vec::new();
-        let mut win_rewards: Vec<Vec<f64>> = Vec::new();
-        let mut out = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let beta = self.beta();
-            // Identical draw order to `train_iteration`, so the RNG
-            // lineage stays checkpoint-exact.
-            let tau = self.cfg.curriculum.map(|c| {
-                // decima-lint: allow(W001) — same invariant as train_iteration
-                let exp = Exp::new(1.0 / self.tau_mean).expect("positive mean");
-                let t: f64 = exp.sample(&mut self.rng).max(1.0);
-                self.tau_mean = (self.tau_mean + c.tau_step).min(c.tau_max);
-                t
-            });
-            let master_seq: u64 = self.rng.gen();
-            let seq_seeds: Vec<u64> = (0..n)
-                .map(|w| {
-                    if self.cfg.input_dependent_baseline {
-                        master_seq
-                    } else {
-                        master_seq.wrapping_add(w as u64 + 1)
-                    }
-                })
-                .collect();
-            let action_seeds: Vec<u64> = (0..n).map(|_| self.rng.gen()).collect();
-            let trajs = self.rollouts(env, tau, seq_seeds.into_iter().zip(action_seeds).collect());
-
-            // Each fresh trajectory enters the moving average exactly
-            // once; window re-use below never touches `rate_avg` again.
-            let new_rewards = learner::scaled_rewards(&trajs, &self.cfg, &mut self.rate_avg);
-
-            let mean_reward = new_rewards
-                .iter()
-                .map(|rw| rw.iter().sum::<f64>())
-                .sum::<f64>()
-                / n as f64;
-            let jcts: Vec<f64> = trajs.iter().filter_map(|t| t.result.avg_jct()).collect();
-            let mean_avg_jct = if jcts.is_empty() {
-                f64::NAN
-            } else {
-                jcts.iter().sum::<f64>() / jcts.len() as f64
-            };
-            let mean_completed = trajs
-                .iter()
-                .map(|t| t.result.completed() as f64)
-                .sum::<f64>()
-                / n as f64;
-            let mean_actions = trajs.iter().map(|t| t.len() as f64).sum::<f64>() / n as f64;
-            let mean_entropy = {
-                let steps: f64 = trajs.iter().map(|t| t.len() as f64).sum();
-                let ent: f64 = trajs.iter().map(|t| t.entropy_sum).sum();
-                if steps > 0.0 {
-                    ent / steps
-                } else {
-                    0.0
-                }
-            };
-
-            // Slide the window: append the fresh batch, drop the oldest
-            // trajectories beyond `window`.
-            win_trajs.extend(trajs);
-            win_rewards.extend(new_rewards);
-            if win_trajs.len() > window {
-                let excess = win_trajs.len() - window;
-                win_trajs.drain(..excess);
-                win_rewards.drain(..excess);
-            }
-
-            // One REINFORCE step over the whole window. Baselines are
-            // recomputed across the window so same-seed trajectories
-            // from different iterations still share input-dependent
-            // baselines.
-            let advantages =
-                learner::advantages(&win_trajs, &win_rewards, self.cfg.normalize_advantages);
-            let grads = self.gradients(&win_trajs, advantages, beta);
-            for g in &grads {
-                self.store.merge_grads(g);
-            }
-            self.store.scale_grads(1.0 / win_trajs.len() as f64);
-            let grad_norm = self.store.grad_norm();
-            self.opt.step(&mut self.store);
-
-            let stats = IterStats {
-                iter: self.iter,
-                mean_reward,
-                mean_avg_jct,
-                mean_completed,
-                mean_actions,
-                mean_entropy,
-                grad_norm,
-                tau,
-                beta,
-            };
-            self.history.push(stats);
-            self.iter += 1;
-            out.push(stats);
-        }
-        out
+        let mut window = Window::of(window);
+        (0..iters).map(|_| self.step(env, &mut window)).collect()
     }
 
     /// Greedy evaluation on the given sequence seeds (no horizon cap).
@@ -475,8 +423,9 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::TpchEnv;
+    use crate::env::SpecEnv;
     use decima_policy::PolicyConfig;
+    use decima_workload::WorkloadSpec;
 
     fn tiny_trainer(cfg: TrainConfig) -> Trainer {
         let mut store = ParamStore::new();
@@ -487,7 +436,7 @@ mod tests {
 
     #[test]
     fn one_iteration_produces_finite_stats() {
-        let env = TpchEnv::batch(3, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 4,
             ..TrainConfig::default()
@@ -502,7 +451,7 @@ mod tests {
 
     #[test]
     fn curriculum_grows_horizon() {
-        let env = TpchEnv::batch(2, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(2, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 2,
             curriculum: Some(Curriculum {
@@ -536,7 +485,7 @@ mod tests {
 
     #[test]
     fn ablation_unfixed_sequences_runs() {
-        let env = TpchEnv::batch(2, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(2, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 3,
             input_dependent_baseline: false,
@@ -548,7 +497,7 @@ mod tests {
 
     #[test]
     fn differential_reward_on_stream_runs() {
-        let env = TpchEnv::stream(4, 5, 20.0);
+        let env = SpecEnv::new(WorkloadSpec::tpch_stream(4, 5, 20.0));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 2,
             differential_reward: true,
@@ -591,9 +540,37 @@ mod tests {
         assert_eq!(a, b, "perturbed training must stay deterministic");
     }
 
+    /// `train_iteration` is the step whose window is the fresh batch:
+    /// from equal fresh trainers it and one `fine_tune_window` iteration
+    /// over `num_rollouts` trajectories report the same statistics and
+    /// leave the same checkpoint — every parameter, Adam moment, RNG
+    /// word and curriculum value, written round-trip exact.
+    #[test]
+    fn a_one_batch_window_is_a_training_iteration() {
+        let env = SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0));
+        let cfg = TrainConfig {
+            num_rollouts: 3,
+            differential_reward: true,
+            curriculum: Some(Curriculum {
+                tau_init: 200.0,
+                tau_step: 50.0,
+                tau_max: 1000.0,
+            }),
+            ..TrainConfig::default()
+        };
+        let (mut a, mut b) = (tiny_trainer(cfg.clone()), tiny_trainer(cfg));
+        for _ in 0..2 {
+            let iterated = a.train_iteration(&env);
+            let windowed = b.fine_tune_window(&env, 1, 3);
+            assert_eq!(format!("{windowed:?}"), format!("{:?}", [iterated]));
+            assert_eq!(a.to_checkpoint(), b.to_checkpoint());
+        }
+        assert!(a.history[1].tau.is_some() && a.history[1].grad_norm > 0.0);
+    }
+
     #[test]
     fn evaluation_is_deterministic() {
-        let env = TpchEnv::batch(3, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
         let t = tiny_trainer(TrainConfig::default());
         let a = t.evaluate(&env, &[1, 2]);
         let b = t.evaluate(&env, &[1, 2]);
@@ -606,7 +583,7 @@ mod tests {
     /// inline on this thread with the seeds the iteration draws.
     #[test]
     fn one_rollout_iteration_equals_the_inline_recorder_run() {
-        let env = TpchEnv::batch(3, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 1,
             ..TrainConfig::default()
@@ -631,7 +608,7 @@ mod tests {
     /// exactly these statistics and these parameter bits.
     #[test]
     fn two_iterations_match_the_frozen_golden() {
-        let env = TpchEnv::batch(3, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 3,
             ..TrainConfig::default()
@@ -676,7 +653,7 @@ mod tests {
     /// fixed workload must improve the policy's expected return.
     #[test]
     fn training_improves_return_on_tiny_workload() {
-        let env = TpchEnv::batch(4, 5);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(4, 5));
         let mut t = tiny_trainer(TrainConfig {
             num_rollouts: 6,
             lr: 3e-3,

@@ -11,13 +11,13 @@
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
-use decima_rl::{Curriculum, TpchEnv, TrainConfig, Trainer, WorkloadEcho};
+use decima_rl::{Curriculum, SpecEnv, TrainConfig, Trainer, WorkloadEcho};
 use decima_sim::DynamicsSpec;
 use decima_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn trained(policy: PolicyConfig, cfg: TrainConfig, env: &TpchEnv, iters: usize) -> Trainer {
+fn trained(policy: PolicyConfig, cfg: TrainConfig, env: &SpecEnv, iters: usize) -> Trainer {
     let mut store = ParamStore::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let policy = DecimaPolicy::new(policy, &mut store, &mut rng);
@@ -44,7 +44,12 @@ fn full() -> Trainer {
         }),
         ..TrainConfig::default()
     };
-    let mut t = trained(policy, cfg, &TpchEnv::stream(3, 5, 20.0), 2);
+    let mut t = trained(
+        policy,
+        cfg,
+        &SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0)),
+        2,
+    );
     t.workload_echo = Some(
         WorkloadEcho::of(&WorkloadSpec::tpch_stream(3, 5, 20.0)).with_dynamics(DynamicsSpec {
             churn_iat: 90.5,
@@ -64,7 +69,12 @@ fn minimal() -> Trainer {
         seed: 4,
         ..TrainConfig::default()
     };
-    trained(policy, cfg, &TpchEnv::batch(2, 5), 1)
+    trained(
+        policy,
+        cfg,
+        &SpecEnv::new(WorkloadSpec::tpch_batch(2, 5)),
+        1,
+    )
 }
 
 fn check(file: &str, t: &Trainer) {

@@ -5,7 +5,7 @@
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
-use decima_rl::{Curriculum, IterStats, TpchEnv, TrainConfig, Trainer, WorkloadEcho};
+use decima_rl::{Curriculum, IterStats, SpecEnv, TrainConfig, Trainer, WorkloadEcho};
 use decima_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,7 +41,7 @@ fn assert_same_params(a: &Trainer, b: &Trainer) {
     }
 }
 
-fn run_resume_case(cfg: TrainConfig, env: &TpchEnv, total: usize, split: usize) {
+fn run_resume_case(cfg: TrainConfig, env: &SpecEnv, total: usize, split: usize) {
     // Uninterrupted reference.
     let mut full = fresh(&cfg);
     for _ in 0..total {
@@ -83,7 +83,7 @@ fn resume_is_bit_exact_on_batched_training() {
         seed: 11,
         ..TrainConfig::default()
     };
-    run_resume_case(cfg, &TpchEnv::batch(3, 5), 4, 2);
+    run_resume_case(cfg, &SpecEnv::new(WorkloadSpec::tpch_batch(3, 5)), 4, 2);
 }
 
 #[test]
@@ -101,7 +101,12 @@ fn resume_is_bit_exact_with_curriculum_and_differential_rewards() {
         }),
         ..TrainConfig::default()
     };
-    run_resume_case(cfg, &TpchEnv::stream(3, 5, 20.0), 4, 1);
+    run_resume_case(
+        cfg,
+        &SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0)),
+        4,
+        1,
+    );
 }
 
 #[test]
@@ -112,7 +117,12 @@ fn resume_at_every_split_point_matches() {
         ..TrainConfig::default()
     };
     for split in 1..3 {
-        run_resume_case(cfg.clone(), &TpchEnv::batch(2, 5), 3, split);
+        run_resume_case(
+            cfg.clone(),
+            &SpecEnv::new(WorkloadSpec::tpch_batch(2, 5)),
+            3,
+            split,
+        );
     }
 }
 
@@ -134,7 +144,7 @@ fn workload_echo_round_trips_and_gates_resume() {
     assert_eq!(echo.iat, None);
     assert!(!echo.dynamics.enabled(), "dynamics defaults to off");
     t.workload_echo = Some(echo);
-    t.train_iteration(&TpchEnv::batch(3, 5));
+    t.train_iteration(&SpecEnv::new(WorkloadSpec::tpch_batch(3, 5)));
     let text = t.to_checkpoint();
     assert!(text.contains("echo.jobs 3"), "echo serialized");
     assert!(text.contains("echo.execs 5"));
@@ -190,7 +200,7 @@ fn perturbed_workload_echo_round_trips() {
     let echo = WorkloadEcho::of(&WorkloadSpec::tpch_batch(2, 5))
         .with_dynamics(decima_sim::DynamicsSpec::high());
     t.workload_echo = Some(echo);
-    t.train_iteration(&TpchEnv::batch(2, 5));
+    t.train_iteration(&SpecEnv::new(WorkloadSpec::tpch_batch(2, 5)));
     let text = t.to_checkpoint();
     let r = Trainer::from_checkpoint(&text).expect("loads");
     assert_eq!(r.workload_echo, Some(echo));
@@ -209,7 +219,7 @@ fn fine_tune_lineage_is_bit_exact_at_call_boundaries() {
         seed: 17,
         ..TrainConfig::default()
     };
-    let env = TpchEnv::stream(3, 5, 20.0);
+    let env = SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0));
     let mut base = fresh(&cfg);
     for _ in 0..2 {
         base.train_iteration(&env);
@@ -258,7 +268,7 @@ fn zero_budget_fine_tune_is_the_frozen_checkpoint() {
         seed: 29,
         ..TrainConfig::default()
     };
-    let env = TpchEnv::batch(3, 5);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
     let mut t = fresh(&cfg);
     for _ in 0..2 {
         t.train_iteration(&env);
@@ -298,7 +308,7 @@ fn checkpoints_without_echo_still_load() {
         ..TrainConfig::default()
     };
     let mut t = fresh(&cfg);
-    t.train_iteration(&TpchEnv::batch(2, 5));
+    t.train_iteration(&SpecEnv::new(WorkloadSpec::tpch_batch(2, 5)));
     assert!(t.workload_echo.is_none());
     let text = t.to_checkpoint();
     assert!(!text.contains("echo."), "no echo lines without a stamp");
@@ -318,7 +328,7 @@ fn checkpoints_with_the_removed_replay_flag_line_resume_identically() {
         seed: 4,
         ..TrainConfig::default()
     };
-    let env = TpchEnv::batch(2, 5);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(2, 5));
     let mut t = fresh(&cfg);
     t.train_iteration(&env);
     let text = t.to_checkpoint();

@@ -10,8 +10,9 @@
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
-use decima_rl::{EnvFactory, TpchEnv, Trajectory};
+use decima_rl::{EnvFactory, SpecEnv, Trajectory};
 use decima_sim::Simulator;
+use decima_workload::WorkloadSpec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,7 +26,7 @@ fn tiny_policy(execs: usize, init_seed: u64) -> (DecimaPolicy, ParamStore) {
 
 /// Rolls out one recording episode of `env` without the trainer.
 fn rollout(
-    env: &TpchEnv,
+    env: &SpecEnv,
     policy: &DecimaPolicy,
     store: &ParamStore,
     seq_seed: u64,
@@ -72,7 +73,7 @@ proptest! {
         execs in 4usize..8,
         beta in 0.0f64..0.3,
     ) {
-        let env = TpchEnv::batch(n_jobs, execs);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(n_jobs, execs));
         let (policy, store) = tiny_policy(execs, init_seed);
         let traj = rollout(&env, &policy, &store, seq_seed, act_seed);
         prop_assert!(!traj.is_empty());

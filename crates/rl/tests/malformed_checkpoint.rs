@@ -4,7 +4,7 @@
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
-use decima_rl::{Curriculum, TpchEnv, TrainConfig, Trainer, WorkloadEcho};
+use decima_rl::{Curriculum, SpecEnv, TrainConfig, Trainer, WorkloadEcho};
 use decima_sim::DynamicsSpec;
 use decima_workload::WorkloadSpec;
 use proptest::collection::vec;
@@ -47,7 +47,7 @@ fn train_a_checkpoint() -> String {
     let echo = WorkloadEcho::of(&WorkloadSpec::tpch_stream(3, 5, 20.0));
     t.workload_echo = Some(echo.with_dynamics(DynamicsSpec::med()));
     for _ in 0..2 {
-        t.train_iteration(&TpchEnv::stream(3, 5, 20.0));
+        t.train_iteration(&SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0)));
     }
     t.to_checkpoint()
 }

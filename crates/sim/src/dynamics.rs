@@ -140,7 +140,7 @@ impl DynamicsSpec {
     }
 
     /// Checks that every knob is finite and inside its accepted range;
-    /// the error names the `--set` / `--train` key of the first that is
+    /// the error names the `--set` key of the first that is
     /// not. Command-line input goes through this before any episode runs.
     pub fn validate(&self) -> Result<(), String> {
         Self::KNOBS.iter().try_for_each(|k| k.check(k.get(self)))
@@ -207,11 +207,11 @@ impl DynamicsSpec {
 }
 
 /// One knob of a [`DynamicsSpec`], declared once in
-/// [`DynamicsSpec::KNOBS`]: validation, `--set`, the `--train` flags,
+/// [`DynamicsSpec::KNOBS`]: validation, `--set` on every scenario,
 /// `--help`, the checkpoint echo and the JSON echo all iterate that
 /// table, so a knob's key, range and order exist in one place.
 pub struct Knob {
-    /// The `--set` key and `--train` flag.
+    /// The `--set` key.
     pub key: &'static str,
     /// The field it sets, as the JSON echo and the docs name it.
     pub field: &'static str,

@@ -6,10 +6,10 @@
 //! example DAG — behind one deterministic `build(seed)` entry point that
 //! returns the cluster and the job list together.
 //!
-//! The construction is bit-for-bit identical to the historical
-//! `TpchEnv`/`AlibabaEnv` environment factories (which now delegate
-//! here), so seeds recorded in old experiment outputs keep producing the
-//! same workloads.
+//! The construction is bit-for-bit identical to the per-workload
+//! environment factories it replaced (`decima_rl::SpecEnv` wraps any
+//! spec now), so seeds recorded in old experiment outputs keep producing
+//! the same workloads.
 
 use crate::alibaba::{alibaba_job, AlibabaConfig};
 use crate::arrivals::ArrivalProcess;

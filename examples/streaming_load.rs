@@ -6,8 +6,9 @@
 //! ```
 
 use decima::baselines::{FifoScheduler, SjfCpScheduler, WeightedFairScheduler};
-use decima::rl::{EnvFactory, TpchEnv};
+use decima::rl::{EnvFactory, SpecEnv};
 use decima::sim::Simulator;
+use decima::workload::WorkloadSpec;
 
 fn main() {
     println!(
@@ -15,7 +16,7 @@ fn main() {
         "IAT", "fifo", "sjf-cp", "opt-wf"
     );
     for iat in [60.0, 40.0, 28.0, 22.0] {
-        let env = TpchEnv::stream(80, 10, iat);
+        let env = SpecEnv::new(WorkloadSpec::tpch_stream(80, 10, iat));
         let mut cells = Vec::new();
         for sched in ["fifo", "sjf", "wf"] {
             let (cluster, jobs, cfg) = env.build(5);

@@ -9,8 +9,9 @@
 use decima::baselines::{FifoScheduler, WeightedFairScheduler};
 use decima::nn::ParamStore;
 use decima::policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
-use decima::rl::{EnvFactory, TpchEnv, TrainConfig, Trainer};
+use decima::rl::{EnvFactory, SpecEnv, TrainConfig, Trainer};
 use decima::sim::Simulator;
+use decima::workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,7 +21,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(60);
     let executors = 8;
-    let env = TpchEnv::batch(8, executors);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(8, executors));
 
     // Heuristic references on a fixed evaluation sequence.
     let eval_seed = 1234;

@@ -9,9 +9,9 @@ use decima::baselines::{
 use decima::core::{ClusterSpec, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use decima::nn::ParamStore;
 use decima::policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
-use decima::rl::{EnvFactory, TpchEnv, TrainConfig, Trainer};
+use decima::rl::{EnvFactory, SpecEnv, TrainConfig, Trainer};
 use decima::sim::{Scheduler, SimConfig, Simulator};
-use decima::workload::{renumber, tpch_batch, tpch_stream, with_random_memory};
+use decima::workload::{renumber, tpch_batch, tpch_stream, with_random_memory, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -64,7 +64,7 @@ fn all_schedulers_complete_a_stream() {
 #[test]
 fn decima_agent_runs_and_model_round_trips() {
     let execs = 6;
-    let env = TpchEnv::batch(4, execs);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(4, execs));
     let mut store = ParamStore::new();
     let mut rng = SmallRng::seed_from_u64(0);
     let policy = DecimaPolicy::new(PolicyConfig::small(execs), &mut store, &mut rng);
@@ -90,7 +90,7 @@ fn decima_agent_runs_and_model_round_trips() {
 
 #[test]
 fn short_training_run_is_stable() {
-    let env = TpchEnv::batch(3, 5);
+    let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
     let mut store = ParamStore::new();
     let mut rng = SmallRng::seed_from_u64(1);
     let policy = DecimaPolicy::new(PolicyConfig::small(5), &mut store, &mut rng);
@@ -222,7 +222,7 @@ proptest! {
     #[test]
     fn decima_replay_faithful(seed in 0u64..300) {
         let execs = 4;
-        let env = TpchEnv::batch(2, execs);
+        let env = SpecEnv::new(WorkloadSpec::tpch_batch(2, execs));
         let (cluster, jobs, cfg) = env.build(seed);
         let mut store = ParamStore::new();
         let mut rng = SmallRng::seed_from_u64(seed);
