@@ -6,6 +6,9 @@
 //! the value itself is wrong and exit 1 when the file is, nothing
 //! written under `out/`.
 
+mod common;
+
+use common::decima_exp;
 use decima_bench::json::Json;
 use decima_bench::registry::ScenarioRegistry;
 use decima_bench::scenario::KEYS;
@@ -113,21 +116,6 @@ proptest! {
             }
         });
     }
-}
-
-/// Runs `decima-exp` with `args` in a directory of its own; returns
-/// that directory, the exit code and stderr.
-fn decima_exp(tag: &str, args: &[&str]) -> (std::path::PathBuf, Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("decima_exp_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_decima-exp"))
-        .args(args)
-        .current_dir(&dir)
-        .output()
-        .expect("decima-exp runs");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    (dir, out.status.code(), stderr)
 }
 
 /// Every one of these was a panic and a backtrace (exit 101) — or, for
