@@ -235,11 +235,11 @@ mod tests {
         let spec = &ok.spec;
         let w = spec.workload.as_ref().unwrap();
         assert_eq!((w.num_jobs(), w.executors), (4, 5));
-        assert_eq!(spec.num_param("iat", 0.0), 40.0);
+        assert_eq!(spec.num_param("iat"), 40.0);
         let d = spec.sim.dynamics;
         assert_eq!((d.fail_prob, d.max_retries), (0.1, 3));
-        assert!(spec.flag_param("resume", false));
-        assert_eq!(spec.usize_param("seed", 0), 7);
+        assert!(spec.flag_param("resume"));
+        assert_eq!(spec.usize_param("seed"), 7);
         let train_spec = crate::scenarios::first_train(spec);
         assert_eq!(train_spec.iters, 2);
         assert_eq!(train_spec.checkpoint.as_deref(), Some("/tmp/m.ckpt"));
@@ -252,11 +252,17 @@ mod tests {
             ("iat=4O", "'iat' needs a numeric value, got '4O'"),
             ("churn=often", "'churn' needs a numeric value, got 'often'"),
             ("fail=2", "dynamics 'fail' must be in [0, 1], got 2"),
-            ("execs=0", "'execs' must be at least 1, got 0"),
-            ("jobs=0", "'jobs' must be at least 1, got 0"),
+            (
+                "execs=0",
+                "'execs' must be at least 1 (whole, up to 1000000), got 0",
+            ),
+            (
+                "jobs=0",
+                "'jobs' must be at least 1 (whole, up to 100000000), got 0",
+            ),
             (
                 "execs=1000001",
-                "'execs' must be at most 1000000, got 1000001",
+                "'execs' must be at least 1 (whole, up to 1000000), got 1000001",
             ),
             ("iat=-4", "'iat' must be > 0, got -4"),
             (
@@ -296,14 +302,15 @@ mod tests {
         let reg = ScenarioRegistry::standard();
         let levels = "off, low, med, high, all or custom";
         let scheds = "fifo, sjf-cp, fair, naive-weighted-fair, weighted-fair, opt-weighted-fair, \
-                      tetris, graphene, random, decima-untrained, decima-ckpt:PATH";
+                      tetris, graphene, random, decima, decima-untrained, decima-ckpt:PATH, \
+                      fine-tuned:PATH";
         #[rustfmt::skip]
         let rows: &[(&str, &str, &str, &str, String)] = &[
-            ("scale", "execs", "8,64", "8,0", "'execs' must be at least 1, got 0".into()),
-            ("fig09a", "executors", "30", "0", "'executors' must be at least 1, got 0".into()),
+            ("scale", "execs", "8,64", "8,0", "'execs' must be at least 1 (whole, up to 1000000), got 0".into()),
+            ("fig09a", "executors", "30", "0", "'executors' must be at least 1 (whole, up to 1000000), got 0".into()),
             ("scale", "jobs", "500,5000", "5,x", "'jobs' needs a number or comma list, got '5,x'".into()),
-            ("fig09a", "jobs", "8", "-3", "'jobs' must be at least 1, got -3".into()),
-            ("fleet", "shards", "1,2,4", "0", "'shards' must be at least 1, got 0".into()),
+            ("fig09a", "jobs", "8", "-3", "'jobs' must be at least 1 (whole, up to 100000000), got -3".into()),
+            ("fleet", "shards", "1,2,4", "0", "'shards' must be at least 1 (whole, up to 1000000), got 0".into()),
             ("fleet", "rates", "1,2.5", "-1", "'rates' must be > 0, got -1".into()),
             ("fig09b", "iat", "25", "0", "'iat' must be > 0, got 0".into()),
             ("fig09a", "task-scale", "4", "0", "'task-scale' must be > 0, got 0".into()),
@@ -415,10 +422,36 @@ mod tests {
         // Out-of-range cluster/dynamics values used to panic the engine
         // (execs=0 + churn) or print an all-NaN table with exit 0.
         let cases = [
-            ("execs=0", "'execs' must be at least 1, got 0"),
-            ("execs=-3", "'execs' must be at least 1, got -3"),
-            ("jobs=0", "'jobs' must be at least 1, got 0"),
-            ("execs=inf", "'execs' must be at least 1, got inf"),
+            (
+                "execs=0",
+                "'execs' must be at least 1 (whole, up to 1000000), got 0",
+            ),
+            (
+                "execs=-3",
+                "'execs' must be at least 1 (whole, up to 1000000), got -3",
+            ),
+            (
+                "jobs=0",
+                "'jobs' must be at least 1 (whole, up to 100000000), got 0",
+            ),
+            (
+                "execs=inf",
+                "'execs' must be at least 1 (whole, up to 1000000), got inf",
+            ),
+            // A count is a whole number (3.7 jobs used to run 4), small
+            // enough to build (1e9 executors used to abort on allocation).
+            (
+                "jobs=3.7",
+                "'jobs' must be at least 1 (whole, up to 100000000), got 3.7",
+            ),
+            (
+                "execs=1e9",
+                "'execs' must be at least 1 (whole, up to 1000000), got 1000000000",
+            ),
+            (
+                "jobs=1e12",
+                "'jobs' must be at least 1 (whole, up to 100000000), got 1000000000000",
+            ),
             ("iat=0", "'iat' must be > 0, got 0"),
             ("iat=NaN", "'iat' must be > 0, got NaN"),
             ("move-delay=-1", "'move-delay' must be >= 0, got -1"),
@@ -441,16 +474,27 @@ mod tests {
         // The scale scenario keeps `execs`/`jobs` as sweep lists: every
         // entry is held to the same rule (it used to panic in the sweep).
         let got = configure(reg.get("scale").unwrap(), &argv(&["--set", "execs=8,0"]));
-        let want = "'execs' must be at least 1, got 0";
+        let want = "'execs' must be at least 1 (whole, up to 1000000), got 0";
         assert_eq!(got.err().as_deref(), Some(want));
         // So does the fleet scenario with `shards`/`rates` (all four
         // used to panic in the sweep, exit 101).
         let fleet = reg.get("fleet").unwrap();
         let cases = [
-            ("shards=0", "'shards' must be at least 1, got 0"),
+            (
+                "shards=0",
+                "'shards' must be at least 1 (whole, up to 1000000), got 0",
+            ),
+            (
+                "shards=2.5",
+                "'shards' must be at least 1 (whole, up to 1000000), got 2.5",
+            ),
             ("rates=-1", "'rates' must be > 0, got -1"),
             ("shards=x", "'shards' needs a number or comma list, got 'x'"),
             ("rates=", "'rates' needs a number or comma list, got ''"),
+            (
+                "sched=weighted-fair:abc",
+                "scheduler 'weighted-fair' takes a finite exponent after ':', got 'weighted-fair:abc'",
+            ),
         ];
         for (set, want) in cases {
             let got = configure(fleet, &argv(&["--set", set]));

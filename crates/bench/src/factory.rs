@@ -88,44 +88,66 @@ pub const SCHEDULER_NAMES: &[&str] = &[
 ];
 
 /// Resolves a factory name (optionally with a `:arg` suffix, e.g.
-/// `weighted-fair:-0.5` or `random:7`) to a scheduler spec.
-pub fn scheduler_spec_by_name(name: &str) -> Option<SchedulerSpec> {
+/// `weighted-fair:-0.5` or `random:7`) to a scheduler spec. A name the
+/// factory does not know, an argument that is not what the name takes
+/// (a finite α, a whole non-negative seed, a path) and an argument to a
+/// name that takes none are errors naming both.
+pub fn scheduler_spec_by_name(name: &str) -> Result<SchedulerSpec, String> {
     let (base, arg) = match name.split_once(':') {
         Some((b, a)) => (b, Some(a)),
         None => (name, None),
     };
-    let num = |default: f64| arg.and_then(|a| a.parse::<f64>().ok()).unwrap_or(default);
-    Some(match base {
-        "fifo" => SchedulerSpec::Fifo,
-        "sjf-cp" => SchedulerSpec::SjfCp,
-        "fair" => SchedulerSpec::Fair,
-        "naive-weighted-fair" => SchedulerSpec::NaiveWeightedFair,
-        "weighted-fair" | "opt-weighted-fair" => SchedulerSpec::WeightedFair { alpha: num(-1.0) },
-        "tetris" => SchedulerSpec::Tetris,
-        "graphene" => SchedulerSpec::Graphene,
-        "random" => SchedulerSpec::Random {
-            seed: num(0.0) as u64,
-        },
-        "decima" => SchedulerSpec::Decima {
+    let bad = |takes: &str| format!("scheduler '{base}' takes {takes}, got '{name}'");
+    let plain = |spec| match arg {
+        None => Ok(spec),
+        Some(_) => Err(bad("no argument")),
+    };
+    let path = || {
+        arg.map(str::to_string)
+            .ok_or_else(|| bad("a checkpoint path after ':'"))
+    };
+    match base {
+        "fifo" => plain(SchedulerSpec::Fifo),
+        "sjf-cp" => plain(SchedulerSpec::SjfCp),
+        "fair" => plain(SchedulerSpec::Fair),
+        "naive-weighted-fair" => plain(SchedulerSpec::NaiveWeightedFair),
+        "weighted-fair" | "opt-weighted-fair" => {
+            let alpha = arg.map_or(Some(-1.0), |a| {
+                a.parse().ok().filter(|v: &f64| v.is_finite())
+            });
+            let alpha = alpha.ok_or_else(|| bad("a finite exponent after ':'"))?;
+            Ok(SchedulerSpec::WeightedFair { alpha })
+        }
+        "tetris" => plain(SchedulerSpec::Tetris),
+        "graphene" => plain(SchedulerSpec::Graphene),
+        "random" => {
+            let seed = arg.map_or(Some(0), |a| a.parse().ok());
+            let seed = seed.ok_or_else(|| bad("a whole non-negative seed after ':'"))?;
+            Ok(SchedulerSpec::Random { seed })
+        }
+        "decima" => plain(SchedulerSpec::Decima {
             train: TrainSpec::standard(80, 11),
-        },
-        "decima-untrained" => SchedulerSpec::DecimaUntrained {
+        }),
+        "decima-untrained" => plain(SchedulerSpec::DecimaUntrained {
             policy: PolicySpec::default(),
             sample_seed: None,
-        },
-        "decima-ckpt" => SchedulerSpec::DecimaCheckpoint {
-            path: arg?.to_string(),
-        },
+        }),
+        "decima-ckpt" => Ok(SchedulerSpec::DecimaCheckpoint { path: path()? }),
         // Online adaptation: load the checkpoint, then fine-tune on the
         // evaluation environment (drift scenario defaults: 4 iterations,
         // 16-trajectory rolling window; see docs/DRIFT.md).
-        "fine_tuned" | "fine-tuned" => SchedulerSpec::FineTuned {
-            path: arg?.to_string(),
+        "fine_tuned" | "fine-tuned" => Ok(SchedulerSpec::FineTuned {
+            path: path()?,
             iters: 4,
             window: 16,
-        },
-        _ => return None,
-    })
+        }),
+        _ => {
+            let valid = SCHEDULER_NAMES.join(", ");
+            Err(format!(
+                "unknown scheduler '{name}' (valid: {valid}, decima-ckpt:PATH, fine-tuned:PATH)"
+            ))
+        }
+    }
 }
 
 /// Router names the fleet factory accepts (canonical forms; see
@@ -237,12 +259,12 @@ mod tests {
         // What an entry that stands for a model is handed by its caller.
         let model = TrainedPolicy::of(&build_trainer(&TrainSpec::standard(0, 11), 5));
         for name in SCHEDULER_NAMES {
-            let spec = scheduler_spec_by_name(name)
-                .unwrap_or_else(|| panic!("name '{name}' did not resolve"));
+            let spec = scheduler_spec_by_name(name).unwrap();
             let trained = matches!(spec, SchedulerSpec::Decima { .. }).then_some(&model);
             let _sched = make_scheduler(&spec, 5, trained);
         }
-        assert!(scheduler_spec_by_name("not-a-scheduler").is_none());
+        let err = scheduler_spec_by_name("not-a-scheduler").unwrap_err();
+        assert!(err.starts_with("unknown scheduler 'not-a-scheduler' (valid: fifo, "));
     }
 
     /// The factory opens no file and substitutes no untrained policy.
@@ -256,12 +278,30 @@ mod tests {
     #[test]
     fn name_args_parse() {
         match scheduler_spec_by_name("weighted-fair:-0.5") {
-            Some(SchedulerSpec::WeightedFair { alpha }) => assert_eq!(alpha, -0.5),
+            Ok(SchedulerSpec::WeightedFair { alpha }) => assert_eq!(alpha, -0.5),
             other => panic!("{other:?}"),
         }
         match scheduler_spec_by_name("random:7") {
-            Some(SchedulerSpec::Random { seed }) => assert_eq!(seed, 7),
+            Ok(SchedulerSpec::Random { seed }) => assert_eq!(seed, 7),
             other => panic!("{other:?}"),
+        }
+        // An argument the name cannot use is refused, not replaced by
+        // the default (each of these used to run: α = −1, seed 0, α = NaN).
+        let cases = [
+            ("weighted-fair:abc", "a finite exponent after ':'"),
+            ("weighted-fair:nan", "a finite exponent after ':'"),
+            ("opt-weighted-fair:inf", "a finite exponent after ':'"),
+            ("random:-3", "a whole non-negative seed after ':'"),
+            ("random:2.5", "a whole non-negative seed after ':'"),
+            ("fifo:junk", "no argument"),
+            ("decima-untrained:1", "no argument"),
+            ("decima-ckpt", "a checkpoint path after ':'"),
+            ("fine-tuned", "a checkpoint path after ':'"),
+        ];
+        for (name, takes) in cases {
+            let base = name.split(':').next().unwrap();
+            let want = format!("scheduler '{base}' takes {takes}, got '{name}'");
+            assert_eq!(scheduler_spec_by_name(name), Err(want));
         }
     }
 

@@ -16,9 +16,10 @@
 //! * [`registry`] — every paper artifact (`fig02` … `table3`) registers
 //!   its spec in the [`ScenarioRegistry`].
 //! * [`runner`] — one unified runner that lists, runs, and sweeps any
-//!   registered scenario with seed-parallel evaluation.
-//! * [`report`] / [`json`] — terminal tables, CSVs, and the structured
-//!   `out/<scenario>.json` result document.
+//!   registered scenario: the one seed-parallel episode loop, the one
+//!   lineup resolver-and-tuner, and the only code that writes `out/`.
+//! * [`report`] / [`json`] — series, CSV tables and the structured
+//!   `out/<scenario>.json` result document, as data.
 //! * [`timed`] — [`Timed`](timed::Timed): the one stopwatch around a
 //!   scheduler's `decide` (Figure 15b).
 //!
@@ -45,11 +46,8 @@ pub use registry::ScenarioRegistry;
 pub use runner::{par_map, run_scenario, try_run_scenario, RunOptions, Scenario};
 
 use decima_core::{ClusterSpec, JobSpec, Summary};
-use decima_rl::{EnvFactory, Trainer};
 use decima_sim::{EpisodeResult, Scheduler, SimConfig, Simulator};
 use report::SeriesReport;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Runs one scheduler over one episode.
 pub fn run_episode(
@@ -94,35 +92,6 @@ pub fn print_comparison(title: &str, series: &[SeriesReport]) {
 
 fn format_ratio(r: f64) -> String {
     format!("{r:.2}")
-}
-
-/// Writes `rows` of CSV under `out/<name>.csv` (creating `out/`).
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let dir = PathBuf::from("out");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.csv"));
-    let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
-    let _ = writeln!(body, "{header}");
-    for r in rows {
-        let _ = writeln!(body, "{r}");
-    }
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[csv] {}", path.display());
-    }
-    path
-}
-
-/// Mean greedy-evaluation average JCT over the given sequence seeds.
-pub fn eval_mean_jct(trainer: &Trainer, env: &dyn EnvFactory, seeds: &[u64]) -> f64 {
-    let rs = trainer.evaluate(env, seeds);
-    let jcts: Vec<f64> = rs.iter().filter_map(EpisodeResult::avg_jct).collect();
-    if jcts.is_empty() {
-        f64::NAN
-    } else {
-        jcts.iter().sum::<f64>() / jcts.len() as f64
-    }
 }
 
 /// Minimal `--flag value` argument parser: `Args::new().value("scenario")`.
@@ -220,12 +189,8 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(5).with_move_delay(1.0);
         let r = run_episode(&cluster, &jobs, &SimConfig::default(), FifoScheduler);
         assert_eq!(r.completed(), 3);
-        let s = SeriesReport {
-            label: "fifo".into(),
-            csv: "fifo".into(),
-            avg_jcts: vec![r.avg_jct().unwrap()],
-            unfinished: 0,
-        };
+        let s = SeriesReport::of("fifo", "fifo", std::slice::from_ref(&r));
+        assert_eq!(s.avg_jcts, [r.avg_jct().unwrap()]);
         assert!(s.summary().mean > 0.0);
     }
 }

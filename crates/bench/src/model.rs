@@ -208,14 +208,14 @@ pub fn resolve(
 /// and a save every `checkpoint-every=` iterations. Without `resume` the
 /// run starts fresh and overwrites both files.
 pub fn run_train(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let recipe = spec.text_param("recipe", "standard");
+    let recipe = spec.text_param("recipe");
     let entry = crate::scenarios::first_train(spec);
-    let seed = spec.usize_param("seed", 11) as u64;
-    let train = TrainSpec::by_recipe(&recipe, entry.iters, seed)?;
+    let seed = spec.usize_param("seed") as u64;
+    let train = TrainSpec::by_recipe(recipe, entry.iters, seed)?;
     let ckpt = entry.checkpoint.as_deref();
     let ckpt = ckpt.ok_or("the train scenario's entry names no checkpoint")?;
-    let resume = spec.flag_param("resume", false);
-    let log_path = match spec.text_param("train-log", "").as_str() {
+    let resume = spec.flag_param("resume");
+    let log_path = match spec.text_param("train-log") {
         "" => format!("out/train_{recipe}.jsonl"),
         path => path.to_string(),
     };
@@ -225,10 +225,8 @@ pub fn run_train(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     // stream (25 s apart unless set) — unlike `WorkloadSpec::set_mean_iat`,
     // which leaves a batch alone.
     let mut env = spec_env(spec);
-    let iat = match spec.param("iat") {
-        Some(ParamValue::Num(iat)) => Some(*iat),
-        _ => (recipe != "standard").then_some(25.0),
-    };
+    let iat = spec.param("iat").and_then(ParamValue::as_num);
+    let iat = iat.or((recipe != "standard").then_some(25.0));
     if let (Some(mean_iat), WorkloadSource::Tpch { arrivals, .. }) = (iat, &mut env.workload.source)
     {
         *arrivals = ArrivalProcess::Poisson { mean_iat };
@@ -288,7 +286,7 @@ pub fn run_train(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         workload_json(&env.workload).render_compact(),
         train.iters,
     );
-    let every = spec.usize_param("checkpoint-every", 10).max(1);
+    let every = spec.usize_param("checkpoint-every").max(1);
     let save = Some((Path::new(ckpt), every));
     drive(&mut trainer, &env, train.iters, save, Some(&mut log))?;
     println!("[checkpoint] {ckpt}  (iteration {})", trainer.iter);

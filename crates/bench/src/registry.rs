@@ -634,8 +634,6 @@ fn table2() -> Scenario {
         .paper_ref("§7.2, Table 2")
         .workload(WorkloadSpec::tpch_stream(jobs, execs, test_iat))
         .seeds(9700, 4)
-        .param("test-iat", test_iat)
-        .param("anti-iat", anti_iat)
         .entry_csv(
             "opt-weighted-fair",
             "opt_weighted_fair",

@@ -1,16 +1,18 @@
-//! Structured results: per-scheduler series, terminal tables, and the
-//! machine-readable JSON document written next to each CSV.
+//! Structured results: per-scheduler series, CSV tables, and the
+//! machine-readable JSON document written next to them.
 //!
 //! Every scenario run — generic or custom — produces a
-//! [`ScenarioReport`]; the runner stamps it with wall-clock time and
-//! writes `out/<scenario>.json` containing the spec echo, per-scheduler
-//! summaries, and any custom extras, so benchmark trajectories can be
-//! scraped without parsing terminal tables.
+//! [`ScenarioReport`] and writes nothing: the run function hands back its
+//! series, extras and CSV tables as data, and the runner alone stamps the
+//! wall-clock time and writes `out/<table>.csv` and `out/<scenario>.json`
+//! (spec echo, per-scheduler summaries, custom extras), so benchmark
+//! trajectories can be scraped without parsing terminal tables.
 
 use crate::json::Json;
 use crate::scenario::ScenarioSpec;
 use decima_core::Summary;
 use decima_rl::IterStats;
+use decima_sim::EpisodeResult;
 use std::path::PathBuf;
 
 /// One training iteration's statistics as a JSON object — the record
@@ -35,31 +37,51 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
+    /// The summary of one scheduler's episodes, one per seed: the only
+    /// place episode results become a series.
+    pub fn of(label: impl Into<String>, csv: impl Into<String>, results: &[EpisodeResult]) -> Self {
+        SeriesReport {
+            label: label.into(),
+            csv: csv.into(),
+            avg_jcts: results
+                .iter()
+                .map(|r| r.avg_jct().unwrap_or(f64::NAN))
+                .collect(),
+            unfinished: results.iter().map(EpisodeResult::unfinished).sum(),
+        }
+    }
+
+    fn finite(&self) -> Vec<f64> {
+        let finite = self.avg_jcts.iter().copied().filter(|v| v.is_finite());
+        finite.collect()
+    }
+
     /// Summary statistics over the finite entries.
     pub fn summary(&self) -> Summary {
-        let finite: Vec<f64> = self
-            .avg_jcts
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        Summary::of(&finite)
+        Summary::of(&self.finite())
     }
 
     /// Mean over the finite entries (`NaN` when empty).
     pub fn mean(&self) -> f64 {
-        let finite: Vec<f64> = self
-            .avg_jcts
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
+        let finite = self.finite();
         if finite.is_empty() {
             f64::NAN
         } else {
             finite.iter().sum::<f64>() / finite.len() as f64
         }
     }
+}
+
+/// One CSV table of a run, as data: the runner writes it to
+/// `out/<name>.csv`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CsvTable {
+    /// File stem under `out/`.
+    pub name: String,
+    /// Header line.
+    pub header: String,
+    /// Data lines.
+    pub rows: Vec<String>,
 }
 
 /// Everything one scenario run produced.
@@ -70,7 +92,9 @@ pub struct ScenarioReport {
     /// Scenario-specific structured results (custom scenarios append
     /// whatever their figure measures: ratios, curves, sweet spots…).
     pub extra: Vec<(String, Json)>,
-    /// CSV files written during the run.
+    /// The CSV tables of the run, for the runner to write.
+    pub tables: Vec<CsvTable>,
+    /// The CSV files the runner wrote, one per table (empty until then).
     pub csv_paths: Vec<PathBuf>,
     /// Wall-clock seconds (stamped by the runner).
     pub wall_secs: f64,
@@ -92,9 +116,13 @@ impl ScenarioReport {
         self.extra.push((key.into(), value));
     }
 
-    /// Records a CSV written by [`crate::write_csv`].
-    pub fn push_csv(&mut self, path: PathBuf) {
-        self.csv_paths.push(path);
+    /// Appends a CSV table.
+    pub fn push_table(&mut self, name: &str, header: &str, rows: Vec<String>) {
+        self.tables.push(CsvTable {
+            name: name.to_string(),
+            header: header.to_string(),
+            rows,
+        });
     }
 
     /// The full structured document for `out/<scenario>.json`.
@@ -144,22 +172,6 @@ pub fn summary_json(s: &Summary) -> Json {
         ("p95", Json::Num(s.p95)),
         ("max", Json::Num(s.max)),
     ])
-}
-
-/// Writes `out/<name>.json` (creating the directory), mirroring
-/// [`crate::write_csv`].
-pub fn write_json(name: &str, doc: &Json) -> PathBuf {
-    let dir = PathBuf::from("out");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.json"));
-    let mut body = doc.render();
-    body.push('\n');
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[json] {}", path.display());
-    }
-    path
 }
 
 #[cfg(test)]

@@ -1,12 +1,20 @@
 //! The unified experiment runner.
 //!
-//! [`try_run_scenario`] executes any registered scenario: the generic
-//! declarative path ([`run_comparison`]) tunes baselines, resolves each
-//! lineup entry to its model, evaluates the whole lineup over the seed
-//! plan **in parallel** (deterministic per-seed results, stable
-//! ordering), prints the familiar terminal report, and writes both the
-//! CSV and the structured JSON; custom scenarios plug in a run function
-//! for figure-specific analyses and inherit the same reporting.
+//! Every artefact is the same protocol — a lineup run over a seed plan
+//! on one environment, then summarised — and its two steps exist once,
+//! here: [`episodes`] is the only seed → `env.build` → scheduler →
+//! `Simulator::run` loop (seed-parallel, deterministic per seed, stable
+//! ordering; [`SeriesReport::of`] is the only summary of what it
+//! returns), and [`resolve_lineup`] is the only place a lineup's swept
+//! baselines are tuned and its entries resolved to their models. The
+//! generic declarative path ([`run_comparison`]) is the two composed;
+//! custom scenarios plug in a run function for figure-specific analyses
+//! and call the same two.
+//!
+//! A run function prints its analysis and returns data. Only
+//! [`try_run_scenario`] writes under `out/`: each CSV table of the
+//! report, then `out/<name>.json`; a file it cannot write is the `Err`
+//! of the run, like a model the run cannot use.
 //!
 //! No scenario builds a trainer or opens a checkpoint itself: models
 //! come from [`crate::model`] (`resolve` for a lineup entry,
@@ -17,14 +25,16 @@
 //! callers compiled against them (`benchmark/`) and panic on that `Err`.
 
 use crate::factory::{make_scheduler, TrainedPolicy};
+use crate::json::Json;
 use crate::model::{resolve, train_entry, Site};
-use crate::report::{write_json, ScenarioReport, SeriesReport};
-use crate::scenario::{ReportKind, ScenarioSpec, SchedulerSpec};
-use crate::{print_comparison, run_episode, write_csv};
+use crate::print_comparison;
+use crate::report::{ScenarioReport, SeriesReport};
+use crate::scenario::{LineupEntry, ReportKind, ScenarioSpec, SchedulerSpec};
 use decima_baselines::tune_alpha;
 use decima_core::par::ordered_map;
-use decima_rl::SpecEnv;
-use decima_sim::EpisodeResult;
+use decima_rl::{EnvFactory, SpecEnv};
+use decima_sim::{EpisodeResult, Scheduler, Simulator};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Execution options common to every scenario.
@@ -48,10 +58,10 @@ impl Default for RunOptions {
 }
 
 /// A run function: receives the (override-applied) spec and the
-/// options, prints its analysis, and returns the structured results —
-/// or why the run could not use a model it names. [`run_comparison`] is
-/// the fully declarative one; `scenarios/` holds the figure-specific
-/// ones.
+/// options, prints its analysis, and returns the structured results,
+/// CSV tables included, without writing a file — or why the run could
+/// not use a model it names. [`run_comparison`] is the fully declarative
+/// one; `scenarios/` holds the figure-specific ones.
 pub type RunFn = fn(&ScenarioSpec, &RunOptions) -> Result<ScenarioReport, String>;
 
 /// A registered scenario: its declarative spec plus how to run it.
@@ -70,8 +80,11 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
 }
 
 /// Runs a scenario end-to-end: executes, prints the paper-shape notes,
-/// stamps wall-clock time, and writes `out/<name>.json`. An `Err` comes
-/// from resolving a model, before any report is written.
+/// stamps wall-clock time, and writes the report — each CSV table to
+/// `out/<table>.csv`, then `out/<name>.json`. Nothing else writes there
+/// (checkpoints and the training log go where their keys say). An `Err`
+/// is a model the run could not use, before anything is written, or a
+/// file that could not be written.
 pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let t0 = Instant::now();
     let mut report = (sc.run)(&sc.spec, opts)?;
@@ -82,12 +95,29 @@ pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioRepo
         }
     }
     report.wall_secs = t0.elapsed().as_secs_f64();
+    for table in &report.tables {
+        let lines = std::iter::once(&table.header).chain(&table.rows);
+        let body: String = lines.flat_map(|l| [l.as_str(), "\n"]).collect();
+        let path = write_out(&format!("{}.csv", table.name), &body)?;
+        println!("[csv] {}", path.display());
+        report.csv_paths.push(path);
+    }
     let doc = report.to_json(&sc.spec);
-    write_json(&sc.spec.name, &doc);
+    let path = write_out(&format!("{}.json", sc.spec.name), &(doc.render() + "\n"))?;
+    println!("[json] {}", path.display());
     if opts.dump_json {
         println!("{}", doc.render());
     }
     Ok(report)
+}
+
+/// Writes `out/<file>` (creating `out/`).
+fn write_out(file: &str, body: &str) -> Result<PathBuf, String> {
+    let path = Path::new("out").join(file);
+    std::fs::create_dir_all("out")
+        .and_then(|()| std::fs::write(&path, body))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// Maps `f` over `items` on up to `threads` threads, returning results
@@ -114,8 +144,40 @@ pub fn spec_env(spec: &ScenarioSpec) -> SpecEnv {
     }
 }
 
-/// Evaluates one scheduler spec over the seeds, one fresh scheduler per
-/// seed, in parallel.
+/// One episode per seed, in seed order, on up to `threads` threads: the
+/// only seed → `env.build` → scheduler → `Simulator::run` loop of the
+/// experiment layer. `make_sched` builds a fresh scheduler for every
+/// episode, so the results equal a sequential run whatever the thread
+/// count.
+pub fn episodes<S: Scheduler>(
+    env: &dyn EnvFactory,
+    seeds: &[u64],
+    threads: usize,
+    make_sched: impl Fn() -> S + Sync,
+) -> Vec<EpisodeResult> {
+    par_map(seeds, threads, |&seed| {
+        let (cluster, jobs, cfg) = env.build(seed);
+        Simulator::new(cluster, jobs, cfg).run(make_sched())
+    })
+}
+
+/// [`episodes`] of a scheduler spec and the model it stands for, on a
+/// cluster of the environment's size.
+pub fn spec_episodes(
+    sched: &SchedulerSpec,
+    trained: Option<&TrainedPolicy>,
+    env: &SpecEnv,
+    seeds: &[u64],
+    threads: usize,
+) -> Vec<EpisodeResult> {
+    let executors = env.workload.executors;
+    episodes(env, seeds, threads, || {
+        make_scheduler(sched, executors, trained)
+    })
+}
+
+/// Evaluates one scheduler spec over the seeds: [`spec_episodes`], then
+/// [`SeriesReport::of`].
 pub fn eval_series(
     label: &str,
     csv: &str,
@@ -125,22 +187,11 @@ pub fn eval_series(
     trained: Option<&TrainedPolicy>,
     threads: usize,
 ) -> SeriesReport {
-    let executors = env.workload.executors;
-    let results: Vec<EpisodeResult> = par_map(seeds, threads, |&seed| {
-        use decima_rl::EnvFactory as _;
-        let (cluster, jobs, cfg) = env.build(seed);
-        let sched = make_scheduler(sched, executors, trained);
-        run_episode(&cluster, &jobs, &cfg, sched)
-    });
-    SeriesReport {
-        label: label.to_string(),
-        csv: csv.to_string(),
-        avg_jcts: results
-            .iter()
-            .map(|r| r.avg_jct().unwrap_or(f64::NAN))
-            .collect(),
-        unfinished: results.iter().map(EpisodeResult::unfinished).sum(),
-    }
+    SeriesReport::of(
+        label,
+        csv,
+        &spec_episodes(sched, trained, env, seeds, threads),
+    )
 }
 
 /// Sweeps the weighted-fair exponent α on held-out seeds (§7.1),
@@ -177,50 +228,66 @@ pub fn train_decima_entry(
     TrainedPolicy::of(&trainer)
 }
 
-/// The generic declarative path: resolve tuning and models entry by
-/// entry, evaluate the lineup over the seed plan, report per the spec's
-/// [`ReportKind`].
-pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let env = spec_env(spec);
-    let seeds = spec.seeds.seeds();
-    let mut report = ScenarioReport::new();
-
-    for entry in &spec.lineup {
-        let mut sched = entry.sched.clone();
+/// Resolves a lineup on `env`, in entry order: a `TunedWeightedFair`
+/// entry is tuned there (the α recorded in `report`) and replaced by
+/// its tuned form, then every entry goes through [`resolve`] — trains,
+/// loads or fine-tunes there. Returns each entry ready to evaluate with
+/// the model it stands for, if any. The only lineup loop that does
+/// either.
+pub fn resolve_lineup(
+    lineup: &[LineupEntry],
+    env: &SpecEnv,
+    threads: usize,
+    report: &mut ScenarioReport,
+) -> Result<Vec<(LineupEntry, Option<TrainedPolicy>)>, String> {
+    let mut resolved = Vec::with_capacity(lineup.len());
+    for entry in lineup {
+        let mut entry = entry.clone();
         if let SchedulerSpec::TunedWeightedFair {
             tune_start,
             tune_count,
-        } = sched
+        } = entry.sched
         {
             let tune_seeds: Vec<u64> = (tune_start..tune_start + tune_count as u64).collect();
-            let alpha = tune_weighted_fair(&env, &tune_seeds, opts.threads);
+            let alpha = tune_weighted_fair(env, &tune_seeds, threads);
             println!("Tuned weighted-fair α = {alpha:.1} (paper: optimum near -1)");
             // Record the swept value so JSON consumers don't have to
             // parse the terminal line.
             report.push_extra(
                 format!("tuned_alpha_{}", entry.csv_name()),
-                crate::json::Json::Num(alpha),
+                Json::Num(alpha),
             );
-            sched = SchedulerSpec::WeightedFair { alpha };
+            entry.sched = SchedulerSpec::WeightedFair { alpha };
         }
-        let trained = resolve(&entry.label, &sched, Site::Env(&env))?;
+        let trained = resolve(&entry.label, &entry.sched, Site::Env(env))?;
+        resolved.push((entry, trained));
+    }
+    Ok(resolved)
+}
+
+/// The generic declarative path: resolve the lineup, evaluate it over
+/// the seed plan, report per the spec's [`ReportKind`].
+pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
+    let env = spec_env(spec);
+    let seeds = spec.seeds.seeds();
+    let mut report = ScenarioReport::new();
+    for (entry, trained) in resolve_lineup(&spec.lineup, &env, opts.threads, &mut report)? {
         report.push_series(eval_series(
             &entry.label,
             &entry.csv_name(),
-            &sched,
+            &entry.sched,
             &env,
             &seeds,
             trained.as_ref(),
             opts.threads,
         ));
     }
-
-    print_and_write(spec, &mut report);
+    report_comparison(spec, &mut report);
     Ok(report)
 }
 
-/// Prints the terminal report and writes the CSV for a comparison run.
-fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
+/// Prints the terminal report of a comparison run and adds its CSV table.
+fn report_comparison(spec: &ScenarioSpec, report: &mut ScenarioReport) {
     match spec.report {
         ReportKind::Table | ReportKind::CdfCsv => {
             print_comparison(&spec.title, &report.series);
@@ -245,7 +312,7 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
         }
     }
 
-    let path = match spec.report {
+    let (header, rows) = match spec.report {
         ReportKind::CdfCsv => {
             // One sorted column per scheduler: `cdf,<name>,<name>,…`.
             let runs = spec.seeds.count;
@@ -274,7 +341,7 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
                 .chain(report.series.iter().map(|s| s.csv.clone()))
                 .collect::<Vec<_>>()
                 .join(",");
-            write_csv(&spec.name, &header, &rows)
+            (header, rows)
         }
         ReportKind::Table => {
             let rows: Vec<String> = report
@@ -288,7 +355,7 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
                     )
                 })
                 .collect();
-            write_csv(&spec.name, "scheduler,mean,p50,p95,runs", &rows)
+            ("scheduler,mean,p50,p95,runs".to_string(), rows)
         }
         ReportKind::MeanUnfinished => {
             let rows: Vec<String> = report
@@ -296,7 +363,7 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
                 .iter()
                 .map(|s| format!("{},{:.2},{}", s.csv, s.mean(), s.unfinished))
                 .collect();
-            write_csv(&spec.name, "scheduler,avg_jct,unfinished", &rows)
+            ("scheduler,avg_jct,unfinished".to_string(), rows)
         }
         ReportKind::MeanCsv => {
             let rows: Vec<String> = report
@@ -304,10 +371,10 @@ fn print_and_write(spec: &ScenarioSpec, report: &mut ScenarioReport) {
                 .iter()
                 .map(|s| format!("{},{:.2}", s.csv, s.mean()))
                 .collect();
-            write_csv(&spec.name, "setup,avg_jct", &rows)
+            ("setup,avg_jct".to_string(), rows)
         }
     };
-    report.push_csv(path);
+    report.push_table(&spec.name, &header, rows);
 }
 
 #[cfg(test)]
@@ -324,16 +391,21 @@ mod tests {
         assert!(par_map::<u64, u64>(&[], 4, |&x| x).is_empty());
     }
 
-    #[test]
-    fn par_map_matches_sequential_for_episode_eval() {
+    fn fifo_spec() -> ScenarioSpec {
         use crate::scenario::ScenarioBuilder;
-        use decima_rl::EnvFactory as _;
         use decima_workload::WorkloadSpec;
-        let spec = ScenarioBuilder::new("t", "t")
+        ScenarioBuilder::new("t", "t")
             .workload(WorkloadSpec::tpch_batch(2, 4))
             .seeds(100, 4)
             .sched(SchedulerSpec::Fifo)
-            .build();
+            .build()
+    }
+
+    #[test]
+    fn par_map_matches_sequential_for_episode_eval() {
+        use crate::run_episode;
+        use decima_baselines::FifoScheduler;
+        let spec = fifo_spec();
         let env = spec_env(&spec);
         let seeds = spec.seeds.seeds();
         let seq: Vec<f64> = seeds
@@ -356,6 +428,41 @@ mod tests {
                 threads,
             );
             assert_eq!(s.avg_jcts, seq, "threads={threads}");
+            let direct = episodes(&env, &seeds, threads, || FifoScheduler);
+            let direct = SeriesReport::of("fifo", "fifo", &direct);
+            assert_eq!(direct.avg_jcts, seq, "episodes, threads={threads}");
         }
+    }
+
+    /// A run function returns its tables as data: called twice in one
+    /// process it gives the same report and leaves `out/` as it found it.
+    #[test]
+    fn a_run_function_returns_its_tables_and_touches_no_file() {
+        let listing = || {
+            let stamp =
+                |e: std::fs::DirEntry| (e.file_name(), e.metadata().unwrap().modified().ok());
+            let mut files: Vec<_> = std::fs::read_dir("out")
+                .ok()?
+                .flatten()
+                .map(stamp)
+                .collect();
+            files.sort();
+            Some(files)
+        };
+        let before = listing();
+        let spec = fifo_spec();
+        let opts = RunOptions {
+            threads: 2,
+            dump_json: false,
+        };
+        let first = run_comparison(&spec, &opts).unwrap();
+        let second = run_comparison(&spec, &opts).unwrap();
+        assert_eq!(first.tables, second.tables);
+        assert_eq!(first.tables.len(), 1);
+        assert_eq!(first.tables[0].name, "t");
+        assert_eq!(first.tables[0].header, "scheduler,mean,p50,p95,runs");
+        assert_eq!(first.tables[0].rows.len(), 1);
+        assert!(first.csv_paths.is_empty(), "only the runner writes");
+        assert_eq!(listing(), before);
     }
 }

@@ -8,9 +8,10 @@
 //! [`crate::runner::run_scenario`], and echoed verbatim into each
 //! run's `out/<scenario>.json` so results stay self-describing.
 
-use crate::factory::{make_router, scheduler_spec_by_name, SCHEDULER_NAMES};
+use crate::factory::{make_router, scheduler_spec_by_name};
 use crate::json::Json;
 use decima_policy::ParallelismMode;
+use decima_rl::checkpoint::MAX_COUNT;
 use decima_rl::{Curriculum, TrainConfig};
 use decima_sim::{DynamicsSpec, Objective, SimConfig};
 use decima_workload::{ArrivalProcess, DriftProfile, DriftSpec, WorkloadSource, WorkloadSpec};
@@ -33,6 +34,22 @@ pub enum ParamValue {
 }
 
 impl ParamValue {
+    /// The number, when it is one.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            ParamValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The text, when it is one.
+    pub fn as_text(&self) -> Option<&str> {
+        match self {
+            ParamValue::Text(t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// A `--set` value for a parameter declared as `self`: it has to be
     /// of the same kind.
     fn parse_like(&self, key: &str, value: &str) -> Result<ParamValue, String> {
@@ -475,40 +492,48 @@ impl ScenarioSpec {
         self.workload.as_ref().map_or(0, |w| w.executors)
     }
 
-    /// A numeric parameter, or `default` when absent/non-numeric.
-    pub fn num_param(&self, key: &str, default: f64) -> f64 {
-        match self.param(key) {
-            Some(ParamValue::Num(n)) => *n,
-            _ => default,
-        }
+    /// A parameter the scenario declared in the registry, where its
+    /// default is stated. Reading one it did not declare — or as another
+    /// kind — is a bug in the registry's shape, and panics.
+    fn declared<'a, T>(
+        &'a self,
+        key: &str,
+        kind: &str,
+        get: impl FnOnce(&'a ParamValue) -> Option<T>,
+    ) -> T {
+        let value = self.param(key).and_then(get);
+        value.unwrap_or_else(|| panic!("scenario '{}' declares no {kind} '{key}'", self.name))
     }
 
-    /// A count parameter, or `default` when absent or not declared as one.
-    pub fn usize_param(&self, key: &str, default: usize) -> usize {
-        match self.param(key) {
-            Some(ParamValue::Count(n)) => *n,
-            _ => default,
-        }
+    /// A declared numeric parameter.
+    pub fn num_param(&self, key: &str) -> f64 {
+        self.declared(key, "number", ParamValue::as_num)
     }
 
-    /// A boolean parameter, or `default` when absent.
-    pub fn flag_param(&self, key: &str, default: bool) -> bool {
-        match self.param(key) {
-            Some(ParamValue::Flag(b)) => *b,
-            _ => default,
-        }
+    /// A declared count parameter.
+    pub fn usize_param(&self, key: &str) -> usize {
+        self.declared(key, "count", |v| match v {
+            ParamValue::Count(n) => Some(*n),
+            _ => None,
+        })
     }
 
-    /// A text parameter, or `default` when absent/non-text.
-    pub fn text_param(&self, key: &str, default: &str) -> String {
-        match self.param(key) {
-            Some(ParamValue::Text(t)) => t.clone(),
-            _ => default.to_string(),
-        }
+    /// A declared boolean parameter.
+    pub fn flag_param(&self, key: &str) -> bool {
+        self.declared(key, "flag", |v| match v {
+            ParamValue::Flag(b) => Some(*b),
+            _ => None,
+        })
     }
 
-    /// Raw parameter lookup (scenario code usually wants the typed
-    /// accessors below; sweep lists need the variant itself).
+    /// A declared text parameter.
+    pub fn text_param(&self, key: &str) -> &str {
+        self.declared(key, "text", ParamValue::as_text)
+    }
+
+    /// Raw parameter lookup: `None` for a key nobody declared or set —
+    /// how the keys `--set` creates on demand (`level`, `profile`, `iat`,
+    /// the sweep lists) are read.
     pub fn param(&self, key: &str) -> Option<&ParamValue> {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
@@ -566,17 +591,12 @@ impl ScenarioSpec {
     pub fn check(&self) -> Result<(), String> {
         // Indistinguishable from `off`, which is never what the caller
         // meant — refuse instead of silently running unperturbed.
-        if self.text_param("level", "") == "custom" && !self.sim.dynamics.enabled() {
+        let level = self.param("level").and_then(ParamValue::as_text);
+        if level == Some("custom") && !self.sim.dynamics.enabled() {
             return Err(CUSTOM_NEEDS_A_KNOB.to_string());
         }
         if self.name == "train" {
-            TrainSpec::by_recipe(&self.text_param("recipe", "standard"), 0, 0)?;
-            // The run's checkpoint has to load again.
-            let most = decima_rl::checkpoint::MAX_COUNT;
-            if self.executors() > most {
-                let got = self.executors();
-                return Err(format!("'execs' must be at most {most}, got {got}"));
-            }
+            TrainSpec::by_recipe(self.text_param("recipe"), 0, 0)?;
         }
         Ok(())
     }
@@ -632,8 +652,18 @@ impl ScenarioSpec {
 /// `--help` and the docs state it, and as a test.
 pub type Range = (&'static str, fn(f64) -> bool);
 
-/// A job, executor or shard count (rounded).
-const COUNT: Range = ("at least 1", |n| n.round() >= 1.0);
+/// An executor or shard count: a whole number up to [`MAX_COUNT`], the
+/// most a checkpoint header records — so the checkpoint of whatever
+/// cluster `train` builds loads again.
+const COUNT: Range = ("at least 1 (whole, up to 1000000)", |n| {
+    n >= 1.0 && n <= MAX_COUNT as f64 && n.fract() == 0.0
+});
+const _: () = assert!(MAX_COUNT == 1_000_000, "COUNT states the bound as text");
+/// A job count: a whole number, bounded because the job list is
+/// materialized.
+const JOBS: Range = ("at least 1 (whole, up to 100000000)", |n| {
+    (1.0..=1e8).contains(&n) && n.fract() == 0.0
+});
 const POSITIVE: Range = ("> 0", |v| v > 0.0);
 const NON_NEGATIVE: Range = (">= 0", |v| v >= 0.0);
 /// Up to 2^53, where every integer is still an exact `f64`.
@@ -758,13 +788,13 @@ pub const KEYS: &[Key] = &[
     Key {
         names: &["jobs"],
         only: &["scale"],
-        kind: Kind::Sweep(COUNT),
+        kind: Kind::Sweep(JOBS),
         doc: "total job counts to sweep",
     },
     Key {
         names: &["jobs"],
         only: &[],
-        kind: Kind::Num(COUNT, set_jobs),
+        kind: Kind::Num(JOBS, set_jobs),
         doc: "jobs per evaluation episode",
     },
     Key {
@@ -856,11 +886,11 @@ fn with_workload(s: &mut ScenarioSpec, f: impl FnOnce(&mut WorkloadSpec)) {
 }
 
 fn set_execs(s: &mut ScenarioSpec, n: f64) {
-    with_workload(s, |w| w.executors = n.round() as usize);
+    with_workload(s, |w| w.executors = n as usize);
 }
 
 fn set_jobs(s: &mut ScenarioSpec, n: f64) {
-    with_workload(s, |w| w.set_num_jobs(n.round() as usize));
+    with_workload(s, |w| w.set_num_jobs(n as usize));
 }
 
 /// Also a parameter, so custom scenarios with secondary environments
@@ -950,30 +980,16 @@ pub(crate) fn serving_does_not_train(name: &str) -> String {
     )
 }
 
-/// Such a name is refused here rather than served untrained.
+/// A name the factory does not resolve — or an argument it cannot use
+/// — is refused here, and so is a policy still to be trained, rather
+/// than served untrained.
 fn check_sched(_: &mut ScenarioSpec, name: &str) -> Result<(), String> {
-    use SchedulerSpec::{Decima, FineTuned};
-    let trains = |n: &str| {
-        matches!(
-            scheduler_spec_by_name(n),
-            Some(Decima { .. } | FineTuned { .. })
-        )
-    };
-    if trains(name) {
-        return Err(serving_does_not_train(name));
+    match scheduler_spec_by_name(name)? {
+        SchedulerSpec::Decima { .. } | SchedulerSpec::FineTuned { .. } => {
+            Err(serving_does_not_train(name))
+        }
+        _ => Ok(()),
     }
-    if scheduler_spec_by_name(name).is_some() {
-        return Ok(());
-    }
-    let valid: Vec<&str> = SCHEDULER_NAMES
-        .iter()
-        .copied()
-        .filter(|n| !trains(n))
-        .collect();
-    let valid = valid.join(", ");
-    Err(format!(
-        "unknown scheduler '{name}' (valid: {valid}, decima-ckpt:PATH)"
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,8 +1528,8 @@ mod tests {
             SchedulerSpec::Decima { train } => assert_eq!(train.iters, 9),
             _ => unreachable!(),
         }
-        assert_eq!(spec.num_param("custom-knob", 0.0), 2.5);
-        assert!(spec.flag_param("flaggy", false));
+        assert_eq!(spec.num_param("custom-knob"), 2.5);
+        assert!(spec.flag_param("flaggy"));
         assert!(spec.set("execs", "abc").is_err());
     }
 
@@ -1611,7 +1627,7 @@ mod tests {
         // Presets overwrite the whole model and record the level param.
         spec.set("level", "high").unwrap();
         assert_eq!(spec.sim.dynamics, DynamicsSpec::high());
-        assert_eq!(spec.text_param("level", "all"), "high");
+        assert_eq!(spec.text_param("level"), "high");
         spec.set("level", "off").unwrap();
         assert!(!spec.sim.dynamics.enabled());
         // "all" (the robust sweep marker) and "custom" (use the knobs
@@ -1619,10 +1635,10 @@ mod tests {
         spec.set("churn", "50").unwrap();
         spec.set("level", "all").unwrap();
         assert_eq!(spec.sim.dynamics.churn_iat, 50.0);
-        assert_eq!(spec.text_param("level", "x"), "all");
+        assert_eq!(spec.text_param("level"), "all");
         spec.set("level", "custom").unwrap();
         assert_eq!(spec.sim.dynamics.churn_iat, 50.0);
-        assert_eq!(spec.text_param("level", "x"), "custom");
+        assert_eq!(spec.text_param("level"), "custom");
         assert!(spec.set("level", "apocalyptic").is_err());
     }
 
@@ -1695,9 +1711,9 @@ mod tests {
         spec.set("reps", "12").unwrap();
         spec.set("tag", "anything at all").unwrap();
         spec.set("verbose", "true").unwrap();
-        assert_eq!(spec.usize_param("reps", 0), 12);
-        assert_eq!(spec.text_param("tag", ""), "anything at all");
-        assert!(spec.flag_param("verbose", false));
+        assert_eq!(spec.usize_param("reps"), 12);
+        assert_eq!(spec.text_param("tag"), "anything at all");
+        assert!(spec.flag_param("verbose"));
     }
 
     #[test]

@@ -7,21 +7,30 @@ use crate::factory::TrainedPolicy;
 use crate::json::Json;
 use crate::model::{begin, drive, train_entry};
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
+use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
 use crate::timed::Timed;
-use crate::{eval_mean_jct, run_episode, write_csv};
 use decima_baselines::WeightedFairScheduler;
 use decima_policy::ParallelismMode;
-use decima_rl::{EnvFactory, SpecEnv};
-use decima_sim::{Objective, Simulator};
+use decima_rl::{EnvFactory, SpecEnv, Trainer};
+use decima_sim::{Objective, Scheduler, Simulator};
 use decima_workload::WorkloadSpec;
+
+/// Mean avg JCT of a scheduler over the seeds (finite episodes only).
+fn mean_jct<S: Scheduler>(
+    env: &SpecEnv,
+    seeds: &[u64],
+    threads: usize,
+    make_sched: impl Fn() -> S + Sync,
+) -> f64 {
+    SeriesReport::of("", "", &episodes(env, seeds, threads, make_sched)).mean()
+}
 
 /// Figure 13: qualitatively different learned policies per environment
 /// and objective — costly motion, free motion, makespan.
 pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let width = spec.usize_param("width", 100);
-    let seq = spec.num_param("seed", 21.0) as u64;
+    let width = spec.usize_param("width");
+    let seq = spec.num_param("seed") as u64;
     let train = first_train(spec);
     let base = spec_env(spec);
 
@@ -39,11 +48,11 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         println!();
         let csv = crate::scenario::sanitize(title);
         let trainer = train_entry(title, &train.clone().keyed(&csv), &env)?;
+        let trained = TrainedPolicy::of(&trainer);
 
-        let (cluster, jobs, mut cfg) = env.build(seq);
-        cfg.record_gantt = true;
-        let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
-        let r = run_episode(&cluster, &jobs, &cfg, &mut agent);
+        env.sim.record_gantt = true;
+        let run = episodes(&env, &[seq], 1, || trained.greedy_agent());
+        let r = &run[0];
         println!(
             "--- {title}: avg JCT {:.1}s, makespan {:.1}s ---",
             r.avg_jct().unwrap_or(f64::NAN),
@@ -55,12 +64,7 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
             utilization = g.utilization();
             println!("utilization {:.0}%", 100.0 * utilization);
         }
-        report.push_series(SeriesReport {
-            label: title.into(),
-            csv: csv.clone(),
-            avg_jcts: vec![r.avg_jct().unwrap_or(f64::NAN)],
-            unfinished: r.unfinished(),
-        });
+        report.push_series(SeriesReport::of(title, &csv, &run));
         report.push_extra(
             csv,
             Json::obj([
@@ -74,7 +78,7 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 
 /// Figure 14: contribution of each key idea, vs cluster load.
 pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let iters = spec.usize_param("iters", 60);
+    let iters = spec.usize_param("iters");
     let jobs_n = spec
         .workload
         .as_ref()
@@ -84,7 +88,7 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     // Mean IAT ≈ 24s gives ~85% load at task_scale 8 on 10 executors;
     // larger IATs lower the load.
     let loads: Vec<(f64, f64)> = vec![(0.55, 37.0), (0.70, 29.0), (0.85, 24.0)];
-    let eval_start = spec.num_param("eval-seed-start", 7000.0) as u64;
+    let eval_start = spec.num_param("eval-seed-start") as u64;
     let eval_seeds: Vec<u64> = (eval_start..eval_start + 4).collect();
 
     // Base recipe from the registered lineup entry (seed/policy vary
@@ -121,13 +125,9 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             drift: spec.sim.drift,
         };
         // Heuristic reference.
-        let wf_series = par_map(&eval_seeds, opts.threads, |&s| {
-            let (c, j, cfg) = env.build(s);
-            run_episode(&c, &j, &cfg, WeightedFairScheduler::new(-1.0))
-                .avg_jct()
-                .unwrap_or(f64::NAN)
+        let wf = mean_jct(&env, &eval_seeds, opts.threads, || {
+            WeightedFairScheduler::new(-1.0)
         });
-        let wf: f64 = wf_series.iter().sum::<f64>() / eval_seeds.len() as f64;
 
         let train_and_eval = |name: &str, mut t: TrainSpec, batch_train: bool| {
             if batch_train {
@@ -137,7 +137,9 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             }
             let key = format!("load{:.0}_{name}", load * 100.0);
             let trainer = train_entry(&format!("{name} at load {load}"), &t.keyed(&key), &env)?;
-            Ok::<f64, String>(eval_mean_jct(&trainer, &env, &eval_seeds))
+            let trained = TrainedPolicy::of(&trainer);
+            let greedy = || trained.greedy_agent();
+            Ok::<f64, String>(mean_jct(&env, &eval_seeds, opts.threads, greedy))
         };
 
         let default = PolicySpec::default;
@@ -172,21 +174,21 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             ]),
         );
     }
-    report.push_csv(write_csv(
+    report.push_table(
         "fig14_ablations",
         "load,opt_wf,decima,no_gnn,no_par_ctl,batch_trained,no_var_red",
-        &rows,
-    ));
+        rows,
+    );
     Ok(report)
 }
 
 /// Figure 15a: learning curves of the three parallelism encodings.
-pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let iters = spec.usize_param("iters", 80);
-    let every = spec.usize_param("eval-every", 10).max(1);
+pub fn run_fig15a(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
+    let iters = spec.usize_param("iters");
+    let every = spec.usize_param("eval-every").max(1);
     let env = spec_env(spec);
     let execs = env.workload.executors;
-    let eval_start = spec.num_param("eval-seed-start", 8000.0) as u64;
+    let eval_start = spec.num_param("eval-seed-start") as u64;
     let eval_seeds: Vec<u64> = (eval_start..eval_start + 3).collect();
     let modes = [
         ("job-level (decima)", ParallelismMode::JobLevel),
@@ -203,10 +205,14 @@ pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
         train.cfg.curriculum = None;
         train.policy.parallelism = mode;
         let mut t = begin(&train, execs, None, None)?;
-        let mut curve = vec![(0usize, eval_mean_jct(&t, &env, &eval_seeds))];
+        let eval = |t: &Trainer| {
+            let trained = TrainedPolicy::of(t);
+            mean_jct(&env, &eval_seeds, opts.threads, || trained.greedy_agent())
+        };
+        let mut curve = vec![(0usize, eval(&t))];
         for block in 0..(iters / every) {
             drive(&mut t, &env, (block + 1) * every, None, None)?;
-            let jct = eval_mean_jct(&t, &env, &eval_seeds);
+            let jct = eval(&t);
             println!("  iter {:>4}: eval avg JCT {jct:.1}s", (block + 1) * every);
             curve.push(((block + 1) * every, jct));
         }
@@ -222,11 +228,11 @@ pub fn run_fig15a(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
         ));
     }
     let mut report = ScenarioReport::new();
-    report.push_csv(write_csv(
+    report.push_table(
         "fig15a_learning_curve",
         "iter,job_level,one_hot,stage_level",
-        &rows,
-    ));
+        rows,
+    );
     for (i, key) in ["job_level", "one_hot", "stage_level"].iter().enumerate() {
         report.push_extra(
             key.to_string(),
@@ -247,7 +253,7 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
     use decima_core::percentile;
     let env = spec_env(spec);
     let execs = env.workload.executors;
-    let seed = spec.num_param("seed", 9000.0) as u64;
+    let seed = spec.num_param("seed") as u64;
 
     // The agent comes from the registered lineup entry (an untrained
     // sampling policy), so registry edits govern the run.
@@ -309,11 +315,7 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
             format!("{f:.4},{d:.4},{interval:.2}")
         })
         .collect();
-    report.push_csv(write_csv(
-        "fig15b_latency",
-        "cdf,decision_ms,interval_ms",
-        &rows,
-    ));
+    report.push_table("fig15b_latency", "cdf,decision_ms,interval_ms", rows);
     report.push_extra("quantiles_q_decision_interval", Json::Arr(quantiles));
     report.push_extra("interval_over_delay_median", Json::Num(ratio));
     Ok(report)

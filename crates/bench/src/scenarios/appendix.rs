@@ -7,9 +7,9 @@ use crate::factory::TrainedPolicy;
 use crate::json::Json;
 use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
+use crate::run_episode;
+use crate::runner::{episodes, par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, write_csv};
 use decima_baselines::{exhaustive_search, SjfCpScheduler, WeightedFairScheduler};
 use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_gnn::{random_cp_example, CpExample, CpHarness};
@@ -29,10 +29,8 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let env = spec_env(spec);
     const EPS: f64 = APPENDIX_DAG_EPS;
 
-    let (cluster, jobs, cfg) = env.build(0);
-    let cp = run_episode(&cluster, &jobs, &cfg, SjfCpScheduler)
-        .makespan()
-        .unwrap();
+    let cp_run = episodes(&env, &[0], 1, || SjfCpScheduler);
+    let cp = cp_run[0].makespan().unwrap();
     println!(
         "critical-path schedule: {cp:.2}s (paper: 28 + 3ε = {:.2}s)",
         28.0 + 3.0 * EPS
@@ -44,10 +42,9 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 
     println!();
     let trainer = train_entry("Decima on this single DAG", &train, &env)?;
-    let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
-    let learned = run_episode(&cluster, &jobs, &cfg, &mut agent)
-        .makespan()
-        .unwrap();
+    let trained = TrainedPolicy::of(&trainer);
+    let learned_run = episodes(&env, &[0], 1, || trained.greedy_agent());
+    let learned = learned_run[0].makespan().unwrap();
     println!("\nDecima's learned schedule: {learned:.2}s");
     println!(
         "vs critical path: {:+.0}% (paper: optimal is 29% faster)",
@@ -55,27 +52,18 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     );
 
     let mut report = ScenarioReport::new();
-    report.push_series(SeriesReport {
-        label: "sjf-cp".into(),
-        csv: "sjf_cp".into(),
-        avg_jcts: vec![cp],
-        unfinished: 0,
-    });
-    report.push_series(SeriesReport {
-        label: "decima".into(),
-        csv: "decima".into(),
-        avg_jcts: vec![learned],
-        unfinished: 0,
-    });
-    report.push_csv(write_csv(
+    // One job arriving at time zero: its JCT is the makespan.
+    report.push_series(SeriesReport::of("sjf-cp", "sjf_cp", &cp_run));
+    report.push_series(SeriesReport::of("decima", "decima", &learned_run));
+    report.push_table(
         "fig16_appendix_example",
         "scheduler,makespan",
-        &[
+        vec![
             format!("sjf_cp,{cp:.2}"),
             format!("decima,{learned:.2}"),
             format!("optimal,{:.2}", 20.0 + 3.0 * EPS),
         ],
-    ));
+    );
     report.push_extra("critical_path_makespan", Json::Num(cp));
     report.push_extra("decima_makespan", Json::Num(learned));
     report.push_extra("optimal_makespan", Json::Num(20.0 + 3.0 * EPS));
@@ -85,8 +73,8 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 /// Figure 18 (Appendix D): simulator fidelity — the de-noised engine vs
 /// the full-noise engine as the "real cluster" stand-in.
 pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let reps = spec.usize_param("reps", 10);
-    let noise = spec.num_param("noise", 0.15);
+    let reps = spec.usize_param("reps");
+    let noise = spec.num_param("noise");
     // The spec's workload is the representative single-query source; its
     // task scale (overridable with `--set task-scale=…`) governs all 22.
     let scale = match spec.workload.as_ref().map(|w| &w.source) {
@@ -122,11 +110,7 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
     println!("mean |error| isolated: {mean_err:.1}% (paper: ≤5%)");
     let mut report = ScenarioReport::new();
-    report.push_csv(write_csv(
-        "fig18a_isolated",
-        "query,real_mean,sim,err_pct",
-        &rows,
-    ));
+    report.push_table("fig18a_isolated", "query,real_mean,sim,err_pct", rows);
 
     println!("\nFigure 18b: 22-query mix on a shared cluster");
     let jobs = renumber(
@@ -161,9 +145,9 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
 /// Figure 19 (Appendix E): critical-path identification accuracy of the
 /// two-level aggregation vs a single-aggregation GNN.
 pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let iters = spec.usize_param("iters", 300);
-    let nodes = spec.usize_param("nodes", 20);
-    let every = spec.usize_param("eval-every", 25).max(1);
+    let iters = spec.usize_param("iters");
+    let nodes = spec.usize_param("nodes");
+    let every = spec.usize_param("eval-every").max(1);
 
     let mut rng = SmallRng::seed_from_u64(0);
     let train: Vec<CpExample> = (0..64)
@@ -194,11 +178,7 @@ pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         }
     }
     let mut report = ScenarioReport::new();
-    report.push_csv(write_csv(
-        "fig19_expressiveness",
-        "iter,two_level,single_level",
-        &rows,
-    ));
+    report.push_table("fig19_expressiveness", "iter,two_level,single_level", rows);
     report.push_extra("accuracy_iter_two_one", Json::Arr(curve));
     Ok(report)
 }
@@ -206,7 +186,7 @@ pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 /// Figure 22 (Appendix H): Decima vs an exhaustive search over job
 /// orderings in the simplified environment.
 pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let budget = spec.usize_param("orderings", 2000);
+    let budget = spec.usize_param("orderings");
     let train = first_train(spec);
     let env = spec_env(spec);
     let seeds = spec.seeds.seeds();
@@ -222,75 +202,44 @@ pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         "{:>6} {:>12} {:>12} {:>14} {:>12}",
         "seed", "opt-wf", "sjf-cp", "search", "decima"
     );
-    struct Row {
-        seed: u64,
-        wf: f64,
-        sjf: f64,
-        search: decima_baselines::SearchResult,
-        decima: f64,
-    }
-    let computed: Vec<Row> = par_map(&seeds, opts.threads, |&seed| {
-        let (cluster, jobs, cfg) = env.build(seed);
-        let wf = run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::new(-1.0))
-            .avg_jct()
-            .unwrap();
-        let sjf = run_episode(&cluster, &jobs, &cfg, SjfCpScheduler)
-            .avg_jct()
-            .unwrap();
-        let search = exhaustive_search(&cluster, &jobs, &cfg, budget);
-        let mut agent = trained.greedy_agent();
-        let decima = run_episode(&cluster, &jobs, &cfg, &mut agent)
-            .avg_jct()
-            .unwrap();
-        Row {
-            seed,
-            wf,
-            sjf,
-            search,
-            decima,
-        }
+    let wf = episodes(&env, &seeds, opts.threads, || {
+        WeightedFairScheduler::new(-1.0)
     });
+    let sjf = episodes(&env, &seeds, opts.threads, || SjfCpScheduler);
+    let searches = par_map(&seeds, opts.threads, |&seed| {
+        let (cluster, jobs, cfg) = env.build(seed);
+        exhaustive_search(&cluster, &jobs, &cfg, budget)
+    });
+    let decima = episodes(&env, &seeds, opts.threads, || trained.greedy_agent());
+    let columns = [
+        SeriesReport::of("opt-wf", "opt_wf", &wf),
+        SeriesReport::of("sjf-cp", "sjf_cp", &sjf),
+        SeriesReport {
+            label: "search".into(),
+            csv: "search".into(),
+            avg_jcts: searches.iter().map(|s| s.avg_jct).collect(),
+            unfinished: 0,
+        },
+        SeriesReport::of("decima", "decima", &decima),
+    ];
+
     let mut rows = Vec::new();
-    let mut report = ScenarioReport::new();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for r in &computed {
+    for (i, (seed, search)) in seeds.iter().zip(&searches).enumerate() {
+        let [wf, sjf, searched, decima] = [0, 1, 2, 3].map(|col| columns[col].avg_jcts[i]);
         println!(
-            "{:>6} {:>12.1} {:>12.1} {:>14.1} {:>12.1}   (search evaluated {} orderings{})",
-            r.seed,
-            r.wf,
-            r.sjf,
-            r.search.avg_jct,
-            r.decima,
-            r.search.evaluated,
-            if r.search.exhaustive {
+            "{seed:>6} {wf:>12.1} {sjf:>12.1} {searched:>14.1} {decima:>12.1}   \
+             (search evaluated {} orderings{})",
+            search.evaluated,
+            if search.exhaustive {
                 ", exhaustive"
             } else {
                 ", sampled"
             }
         );
-        rows.push(format!(
-            "{},{:.2},{:.2},{:.2},{:.2}",
-            r.seed, r.wf, r.sjf, r.search.avg_jct, r.decima
-        ));
-        for (col, v) in columns
-            .iter_mut()
-            .zip([r.wf, r.sjf, r.search.avg_jct, r.decima])
-        {
-            col.push(v);
-        }
+        rows.push(format!("{seed},{wf:.2},{sjf:.2},{searched:.2},{decima:.2}"));
     }
-    report.push_csv(write_csv(
-        "fig22_optimality",
-        "seed,opt_wf,sjf_cp,search,decima",
-        &rows,
-    ));
-    for (name, col) in ["opt_wf", "sjf_cp", "search", "decima"].iter().zip(columns) {
-        report.push_series(SeriesReport {
-            label: name.replace('_', "-"),
-            csv: name.to_string(),
-            avg_jcts: col,
-            unfinished: 0,
-        });
-    }
+    let mut report = ScenarioReport::new();
+    report.series.extend(columns);
+    report.push_table("fig22_optimality", "seed,opt_wf,sjf_cp,search,decima", rows);
     Ok(report)
 }

@@ -26,14 +26,14 @@
 //!
 //! [`DriftCounters`]: decima_sim::DriftCounters
 
-use crate::factory::make_scheduler;
 use crate::json::Json;
-use crate::model::{resolve, train_entry, Site};
+use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::{drift_json, ScenarioSpec, SchedulerSpec, TrainSpec};
-use crate::{run_episode, write_csv};
-use decima_rl::{EnvFactory as _, SpecEnv};
+use crate::runner::{resolve_lineup, spec_env, spec_episodes, RunOptions};
+use crate::scenario::{
+    drift_json, LineupEntry, ParamValue, ScenarioSpec, SchedulerSpec, TrainSpec,
+};
+use decima_rl::SpecEnv;
 use decima_sim::EpisodeResult;
 use decima_workload::{DriftSpec, DRIFT_PROFILE_NAMES};
 
@@ -42,7 +42,8 @@ use decima_workload::{DriftSpec, DRIFT_PROFILE_NAMES};
 /// the spec's own drift (the preset `--set profile=<name>` loaded,
 /// refined by any later overrides).
 fn resolve_profiles(spec: &ScenarioSpec) -> Vec<(String, DriftSpec)> {
-    match spec.text_param("profile", "all").as_str() {
+    let profile = spec.param("profile").and_then(ParamValue::as_text);
+    match profile.unwrap_or("all") {
         "all" => DRIFT_PROFILE_NAMES
             .iter()
             .filter_map(|&n| DriftSpec::preset(n).map(|d| (n.to_string(), d)))
@@ -60,18 +61,11 @@ struct PhaseAgg {
     mean_cost: Vec<f64>,
     arrivals: Vec<u64>,
     completions: Vec<u64>,
-    avg_jcts: Vec<f64>,
-    unfinished: usize,
 }
 
 fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
     let n = results.len().max(1) as f64;
     let phases = results.iter().map(|r| r.drift.phases).max().unwrap_or(0);
-    let avg_jcts: Vec<f64> = results
-        .iter()
-        .map(|r| r.avg_jct().unwrap_or(f64::NAN))
-        .collect();
-    let unfinished = results.iter().map(EpisodeResult::unfinished).sum();
     if phases == 0 {
         return PhaseAgg {
             phases: 1,
@@ -84,8 +78,6 @@ fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
             ],
             arrivals: vec![results.iter().map(|r| r.jobs.len() as u64).sum()],
             completions: vec![results.iter().map(|r| r.completed() as u64).sum()],
-            avg_jcts,
-            unfinished,
         };
     }
     let p = phases as usize;
@@ -94,8 +86,6 @@ fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
         mean_cost: vec![0.0; p],
         arrivals: vec![0; p],
         completions: vec![0; p],
-        avg_jcts,
-        unfinished,
     };
     for r in results {
         for i in 0..p {
@@ -111,7 +101,6 @@ fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
 pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
     let env = spec_env(spec);
-    let executors = env.workload.executors;
     let seeds = spec.seeds.seeds();
     let profiles = resolve_profiles(spec);
     // The base policy every adaptation arm starts from.
@@ -137,22 +126,27 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     // per profile so that profiles never leak adaptation into each
     // other: the frozen one loads the base checkpoint, the fine-tuned
     // one loads and adapts it, the retrain one rebuilds from scratch.
-    let policy_arms = [
-        (
+    let arm = |name: &str, sched| LineupEntry {
+        label: name.to_string(),
+        csv: Some(name.to_string()),
+        sched,
+    };
+    let mut arms = vec![
+        arm(
             "frozen",
             SchedulerSpec::DecimaCheckpoint {
                 path: base_path.clone(),
             },
         ),
-        (
+        arm(
             "fine_tuned",
             SchedulerSpec::FineTuned {
                 path: base_path,
-                iters: spec.usize_param("ft-iters", 4),
-                window: spec.usize_param("ft-window", 16),
+                iters: spec.usize_param("ft-iters"),
+                window: spec.usize_param("ft-window"),
             },
         ),
-        (
+        arm(
             "retrain",
             SchedulerSpec::Decima {
                 train: TrainSpec {
@@ -162,6 +156,16 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             },
         ),
     ];
+    // Then the spec's own entries (the registered Decima recipe is what
+    // the policy arms above were made from): heuristics, and explicit
+    // checkpoint or fine-tuned entries with their own files and budgets.
+    let own = spec.lineup.iter().filter(|e| {
+        !matches!(
+            e.sched,
+            SchedulerSpec::Decima { .. } | SchedulerSpec::DecimaUntrained { .. }
+        )
+    });
+    arms.extend(own.map(|e| arm(&e.csv_name(), e.sched.clone())));
 
     let mut rows = Vec::new();
     let mut profile_objs: Vec<(String, Json)> = Vec::new();
@@ -172,33 +176,16 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         penv.sim.phase_boundaries = drift.phase_boundaries();
         println!("\n== drift: profile '{profile_name}' ==");
 
-        // Then the spec's own entries (the registered Decima recipe is
-        // what the policy arms above were made from): heuristics, and
-        // explicit checkpoint or fine-tuned entries with their own
-        // files and budgets.
-        let own = spec.lineup.iter().filter(|e| {
-            !matches!(
-                e.sched,
-                SchedulerSpec::Decima { .. } | SchedulerSpec::DecimaUntrained { .. }
-            )
-        });
-        let policy_arms = policy_arms.iter().map(|(name, s)| (name.to_string(), s));
-        let mut arms = Vec::new();
-        for (name, sched) in policy_arms.chain(own.map(|e| (e.csv_name(), &e.sched))) {
-            arms.push((resolve(&name, sched, Site::Env(&penv))?, name, sched));
+        let mut aggs: Vec<(String, PhaseAgg)> = Vec::new();
+        for (arm, trained) in resolve_lineup(&arms, &penv, opts.threads, &mut report)? {
+            let results = spec_episodes(&arm.sched, trained.as_ref(), &penv, &seeds, opts.threads);
+            report.push_series(SeriesReport::of(
+                format!("{} @{profile_name}", arm.label),
+                format!("{profile_name}_{}", arm.label),
+                &results,
+            ));
+            aggs.push((arm.label, aggregate(&results)));
         }
-
-        let aggs: Vec<(String, PhaseAgg)> = arms
-            .iter()
-            .map(|(trained, name, sched)| {
-                let results: Vec<EpisodeResult> = par_map(&seeds, opts.threads, |&seed| {
-                    let (cluster, jobs, cfg) = penv.build(seed);
-                    let sched = make_scheduler(sched, executors, trained.as_ref());
-                    run_episode(&cluster, &jobs, &cfg, sched)
-                });
-                (name.clone(), aggregate(&results))
-            })
-            .collect();
 
         // Per-phase regret against the best arm in that phase.
         let phases = aggs.iter().map(|(_, a)| a.phases).max().unwrap_or(1) as usize;
@@ -245,12 +232,6 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
                     ),
                 ]),
             ));
-            report.push_series(SeriesReport {
-                label: format!("{name} @{profile_name}"),
-                csv: format!("{profile_name}_{name}"),
-                avg_jcts: agg.avg_jcts.clone(),
-                unfinished: agg.unfinished,
-            });
         }
         profile_objs.push((
             profile_name.clone(),
@@ -263,12 +244,11 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     }
 
     report.push_extra("profiles", Json::Obj(profile_objs));
-    let path = write_csv(
+    report.push_table(
         &spec.name,
         "profile,scheduler,phase,phases,mean_cost,regret,arrivals,completions",
-        &rows,
+        rows,
     );
-    report.push_csv(path);
     Ok(report)
 }
 
@@ -276,6 +256,8 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
 mod tests {
     use super::*;
     use crate::registry::ScenarioRegistry;
+    use crate::{make_scheduler, run_episode};
+    use decima_rl::EnvFactory as _;
     use decima_workload::DriftProfile;
 
     fn drift_spec() -> ScenarioSpec {

@@ -34,7 +34,6 @@ use crate::model::{resolve, Site};
 use crate::report::{ScenarioReport, SeriesReport};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::{ParamValue, ScenarioSpec, SchedulerSpec};
-use crate::write_csv;
 use decima_rl::EnvFactory as _;
 use std::sync::Arc;
 
@@ -58,14 +57,15 @@ pub(crate) fn list_param(
 }
 
 /// Reads a sweep list of counts (`--set shards=1,2,4`;
-/// `ScenarioSpec::set` has already refused anything below 1).
+/// `ScenarioSpec::set` has already refused anything but whole numbers
+/// from 1 up).
 pub(crate) fn count_list(
     spec: &ScenarioSpec,
     key: &str,
     default: &[f64],
 ) -> Result<Vec<usize>, String> {
     let list = list_param(spec, key, default)?;
-    Ok(list.iter().map(|&v| v.round() as usize).collect())
+    Ok(list.iter().map(|&v| v as usize).collect())
 }
 
 /// Resolves the scheduler a serving scenario runs (`fleet`, and `scale`
@@ -75,12 +75,10 @@ pub(crate) fn count_list(
 pub(crate) fn resolve_sched(
     spec: &ScenarioSpec,
     executors: usize,
-    default: &str,
 ) -> Result<(SchedulerSpec, Option<Arc<TrainedPolicy>>), String> {
-    let name = spec.text_param("sched", default);
-    let sched = scheduler_spec_by_name(&name)
-        .ok_or_else(|| format!("unknown scheduler '{name}' for --set sched= (see --list)"))?;
-    let trained = resolve(&name, &sched, Site::Serving(executors))?;
+    let name = spec.text_param("sched");
+    let sched = scheduler_spec_by_name(name)?;
+    let trained = resolve(name, &sched, Site::Serving(executors))?;
     Ok((sched, trained.map(Arc::new)))
 }
 
@@ -110,8 +108,8 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<FleetCell>, S
     let shard_counts = count_list(spec, "shards", &[1.0, 2.0, 4.0, 8.0])?;
     // Every rate is > 0: `ScenarioSpec::set` checked.
     let rates = list_param(spec, "rates", &[1.0, 2.0, 4.0])?;
-    let router_name = spec.text_param("router", "jsq");
-    let (sched, trained) = resolve_sched(spec, executors, "fifo")?;
+    let router_name = spec.text_param("router");
+    let (sched, trained) = resolve_sched(spec, executors)?;
     let base_iat = env
         .workload
         .mean_iat()
@@ -129,7 +127,7 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<FleetCell>, S
                 // One arrival trace per seed, routed once; shard s
                 // simulates at shard_seed(cfg.seed, s).
                 let (cluster, jobs, cfg) = cell_env.build(seed);
-                let mut router = make_router(&router_name)?;
+                let mut router = make_router(router_name)?;
                 per_seed.push(run_fleet(
                     &cluster,
                     &jobs,
@@ -151,7 +149,7 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<FleetCell>, S
     Ok(cells)
 }
 
-/// Runs the fleet sweep and writes `out/fleet.{csv,json}`.
+/// Runs the fleet sweep and reports it (`out/fleet.{csv,json}`).
 pub fn run_fleet_scenario(
     spec: &ScenarioSpec,
     opts: &RunOptions,
@@ -204,15 +202,14 @@ pub fn run_fleet_scenario(
         });
     }
 
-    report.push_extra("router", Json::str(spec.text_param("router", "jsq")));
+    report.push_extra("router", Json::str(spec.text_param("router")));
     report.push_extra("cells", Json::Arr(cell_objs));
-    let path = write_csv(
+    report.push_table(
         &spec.name,
         "shards,rate,routed_jobs,completed,unfinished,total_decisions,\
          jobs_per_sim_sec,jct_p95,imbalance",
-        &rows,
+        rows,
     );
-    report.push_csv(path);
     Ok(report)
 }
 

@@ -5,8 +5,10 @@
 //! Each function receives the override-applied [`ScenarioSpec`] and
 //! the run options, prints the same analysis the historical standalone
 //! binary printed, and returns a
-//! [`ScenarioReport`](crate::report::ScenarioReport) so the unified
-//! runner can emit the structured JSON alongside.
+//! [`ScenarioReport`](crate::report::ScenarioReport) — series, extras
+//! and CSV tables as data — which the unified runner writes out. Each
+//! evaluates through [`episodes`](crate::runner::episodes), reads its
+//! parameters as the registry declares them, and opens no file.
 
 pub mod ablation;
 pub mod appendix;

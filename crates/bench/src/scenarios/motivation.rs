@@ -6,13 +6,13 @@ use crate::factory::TrainedPolicy;
 use crate::json::Json;
 use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
+use crate::run_episode;
+use crate::runner::{episodes, par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, write_csv};
 use decima_baselines::{FifoScheduler, RandomScheduler, SjfCpScheduler, WeightedFairScheduler};
 use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_rl::EnvFactory as _;
-use decima_sim::{Action, EpisodeResult, Observation, Scheduler, SimConfig, Simulator};
+use decima_sim::{Action, EpisodeResult, Observation, Scheduler, SimConfig};
 use decima_workload::tpch_job;
 
 /// Gives every executor to the only job (a user running one query).
@@ -49,7 +49,7 @@ fn sweet_spot(curve: &[(usize, f64)]) -> usize {
 
 /// Figure 2: job runtime vs. degree of parallelism.
 pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let max_p = spec.usize_param("max-parallelism", 100);
+    let max_p = spec.usize_param("max-parallelism");
     let cases = [(2u16, 100.0), (9, 100.0), (9, 2.0)];
 
     println!("Figure 2: runtime vs. degree of parallelism");
@@ -81,11 +81,7 @@ pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         rows.push(row);
     }
     let mut report = ScenarioReport::new();
-    report.push_csv(write_csv(
-        "fig02_parallelism",
-        "p,q2_100g,q9_100g,q9_2g",
-        &rows,
-    ));
+    report.push_table("fig02_parallelism", "p,q2_100g,q9_100g,q9_2g", rows);
 
     println!("\nSweet spots (within 5% of best):");
     let keys = ["q2_100g", "q9_100g", "q9_2g"];
@@ -131,11 +127,13 @@ fn show(name: &str, r: &EpisodeResult, width: usize) {
 
 /// Figure 3: executor-occupancy visualizations with average JCT.
 pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let width = spec.usize_param("width", 100);
-    let seq_seed = spec.num_param("seed", 7.0) as u64;
+    let width = spec.usize_param("width");
+    let seq_seed = spec.num_param("seed") as u64;
     let train = first_train(spec);
     let env = spec_env(spec);
 
+    // One fixed schedule to draw: the simulator's own seed is pinned, so
+    // these four are not `episodes` of the environment.
     let (cluster, jobs, _) = env.build(seq_seed);
     let cfg = SimConfig::default().with_seed(1).with_gantt();
 
@@ -168,12 +166,7 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         ("fair", "fair", &fair),
         ("decima", "decima", &decima),
     ] {
-        report.push_series(SeriesReport {
-            label: label.into(),
-            csv: csv.into(),
-            avg_jcts: vec![r.avg_jct().unwrap_or(f64::NAN)],
-            unfinished: r.unfinished(),
-        });
+        report.push_series(SeriesReport::of(label, csv, std::slice::from_ref(r)));
         report.push_extra(
             format!("{csv}_makespan"),
             Json::Num(r.makespan().unwrap_or(f64::NAN)),
@@ -184,20 +177,18 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 
 /// Figure 7: reward variance caused by stochastic job arrivals.
 pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let n = spec.usize_param("samples", 20);
+    let n = spec.usize_param("samples");
     let env = spec_env(spec);
-
-    let episode_return = |seq_seed: u64, action_seed: u64| -> f64 {
-        let (cluster, jobs, cfg) = env.build(seq_seed);
-        let r = Simulator::new(cluster, jobs, cfg).run(RandomScheduler::new(action_seed));
-        -r.total_penalty()
-    };
 
     let samples: Vec<u64> = (0..n as u64).collect();
     // Across-sequence spread (same action seed).
-    let across: Vec<f64> = par_map(&samples, opts.threads, |&s| episode_return(s, 0));
+    let across = episodes(&env, &samples, opts.threads, || RandomScheduler::new(0));
+    let across: Vec<f64> = across.iter().map(|r| -r.total_penalty()).collect();
     // Within-sequence spread (same arrivals, different action seeds).
-    let within: Vec<f64> = par_map(&samples, opts.threads, |&a| episode_return(0, a));
+    let (cluster, jobs, cfg) = env.build(0);
+    let within: Vec<f64> = par_map(&samples, opts.threads, |&a| {
+        -run_episode(&cluster, &jobs, &cfg, RandomScheduler::new(a)).total_penalty()
+    });
 
     let stats = |v: &[f64]| {
         let m = v.iter().sum::<f64>() / v.len() as f64;
@@ -219,11 +210,11 @@ pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         .map(|(i, (a, w))| format!("{i},{a:.2},{w:.2}"))
         .collect();
     let mut report = ScenarioReport::new();
-    report.push_csv(write_csv(
+    report.push_table(
         "fig07_reward_variance",
         "sample,across_seq,within_seq",
-        &rows,
-    ));
+        rows,
+    );
     report.push_extra(
         "across",
         Json::obj([("mean", Json::Num(ma)), ("std", Json::Num(sa))]),

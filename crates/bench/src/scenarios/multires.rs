@@ -5,12 +5,11 @@ use crate::factory::TrainedPolicy;
 use crate::json::Json;
 use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::ScenarioSpec;
-use crate::{run_episode, write_csv};
+use crate::runner::{episodes, spec_env, RunOptions};
+use crate::scenario::{ParamValue, ScenarioSpec};
 use decima_baselines::{tune_graphene, GrapheneScheduler, TetrisScheduler, WeightedFairScheduler};
 use decima_rl::{EnvFactory, SpecEnv};
-use decima_sim::{EpisodeResult, Scheduler};
+use decima_sim::EpisodeResult;
 use decima_workload::{ArrivalProcess, WorkloadSource, WorkloadSpec};
 
 fn eval_all(
@@ -24,36 +23,27 @@ fn eval_all(
 ) {
     println!("\n== Figure 11 ({name}) ==");
     let mut per_sched = |sched_name: &str, rs: &[EpisodeResult]| -> f64 {
-        let jcts: Vec<f64> = rs.iter().filter_map(EpisodeResult::avg_jct).collect();
-        let mean = jcts.iter().sum::<f64>() / jcts.len().max(1) as f64;
-        let unf: usize = rs.iter().map(EpisodeResult::unfinished).sum();
+        let series = SeriesReport::of(
+            format!("{name}:{sched_name}"),
+            format!("{name}_{}", crate::scenario::sanitize(sched_name)),
+            rs,
+        );
+        let (mean, unf) = (series.mean(), series.unfinished);
         println!("{sched_name:<22} avg JCT {mean:>8.1}s  unfinished {unf}");
         rows.push(format!("{name},{sched_name},{mean:.2},{unf}"));
-        report.push_series(SeriesReport {
-            label: format!("{name}:{sched_name}"),
-            csv: format!("{name}_{}", crate::scenario::sanitize(sched_name)),
-            avg_jcts: rs.iter().map(|r| r.avg_jct().unwrap_or(f64::NAN)).collect(),
-            unfinished: unf,
-        });
+        report.push_series(series);
         mean
     };
 
-    let run = |mk: &(dyn Fn() -> Box<dyn Scheduler + Send> + Sync)| -> Vec<EpisodeResult> {
-        par_map(seeds, threads, |&s| {
-            let (c, j, cfg) = env.build(s);
-            run_episode(&c, &j, &cfg, mk())
-        })
-    };
     per_sched(
         "opt-weighted-fair",
-        &run(&|| Box::new(WeightedFairScheduler::new(-1.0))),
+        &episodes(env, seeds, threads, || WeightedFairScheduler::new(-1.0)),
     );
-    per_sched("tetris", &run(&|| Box::new(TetrisScheduler)));
+    per_sched("tetris", &episodes(env, seeds, threads, || TetrisScheduler));
 
     // Tune Graphene* on one held-out seed (App. F grid search).
     let (g, _) = tune_graphene(|g| {
-        let (c, j, cfg) = env.build(seeds[0] ^ 0xdead);
-        run_episode(&c, &j, &cfg, g.clone())
+        episodes(env, &[seeds[0] ^ 0xdead], 1, || g.clone())[0]
             .avg_jct()
             .unwrap_or(f64::INFINITY)
     });
@@ -61,19 +51,9 @@ fn eval_all(
         "(graphene* tuned: work_frac {:.1}, mem {:.2}, α {:.1})",
         g.work_frac_threshold, g.mem_threshold, g.alpha
     );
-    let graphene = per_sched(
-        "graphene*",
-        &run(&{
-            let g = g.clone();
-            move || Box::new(g.clone()) as Box<dyn Scheduler + Send>
-        }),
-    );
+    let graphene = per_sched("graphene*", &episodes(env, seeds, threads, || g.clone()));
 
-    let decima_rs: Vec<EpisodeResult> = par_map(seeds, threads, |&s| {
-        let (c, j, cfg) = env.build(s);
-        let mut agent = trained.greedy_agent();
-        run_episode(&c, &j, &cfg, &mut agent)
-    });
+    let decima_rs = episodes(env, seeds, threads, || trained.greedy_agent());
     let decima = per_sched("decima", &decima_rs);
     println!(
         "decima vs graphene*: {:+.0}% (paper: -32% on the trace, -43% on TPC-H)",
@@ -91,7 +71,7 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     let mut rows = Vec::new();
     let mut report = ScenarioReport::new();
 
-    if !spec.flag_param("tpch-only", false) {
+    if !spec.flag_param("tpch-only") {
         let env = spec_env(spec);
         let label = "Decima on the Alibaba-like multi-resource environment";
         let trainer = train_entry(label, trains[0], &env)?;
@@ -105,20 +85,21 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             &mut report,
         );
     }
-    if !spec.flag_param("alibaba-only", false) {
+    if !spec.flag_param("alibaba-only") {
         // TPC-H with random memory demands (Figure 11b). Job count
         // follows the main (Alibaba) workload unless overridden, so
         // `--set jobs=N` scales both sub-experiments together.
-        let num_jobs = match spec.usize_param("tpch-jobs", 0) {
+        let num_jobs = match spec.usize_param("tpch-jobs") {
             0 => spec.workload.as_ref().map_or(80, WorkloadSpec::num_jobs),
             n => n,
         };
         // `--set iat=…` historically applied to both sub-experiments;
         // a positive `tpch-iat` overrides it here.
-        let tpch_iat = spec.num_param("tpch-iat", 0.0);
+        let tpch_iat = spec.num_param("tpch-iat");
+        let iat = spec.param("iat").and_then(ParamValue::as_num);
         let mean_iat = match tpch_iat > 0.0 {
             true => tpch_iat,
-            false => spec.num_param("iat", 28.0),
+            false => iat.unwrap_or(28.0),
         };
         let executors = spec.executors();
         let env = SpecEnv {
@@ -148,11 +129,11 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             &mut report,
         );
     }
-    report.push_csv(write_csv(
+    report.push_table(
         "fig11_multires",
         "workload,scheduler,avg_jct,unfinished",
-        &rows,
-    ));
+        rows,
+    );
     Ok(report)
 }
 
@@ -160,16 +141,17 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
 /// ratio per total-work bin and per-class executor usage on the
 /// smallest-20% jobs.
 pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let seed = spec.num_param("seed", 6000.0) as u64;
+    let seed = spec.num_param("seed") as u64;
     let train = super::first_train(spec);
     let env = spec_env(spec);
 
     let trainer = train_entry("Decima on the multi-resource environment", &train, &env)?;
+    let trained = TrainedPolicy::of(&trainer);
 
-    let (cluster, jobs, cfg) = env.build(seed);
-    let graphene = run_episode(&cluster, &jobs, &cfg, GrapheneScheduler::default());
-    let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
-    let decima = run_episode(&cluster, &jobs, &cfg, &mut agent);
+    let (_, jobs, _) = env.build(seed);
+    let graphene_run = episodes(&env, &[seed], 1, GrapheneScheduler::default);
+    let decima_run = episodes(&env, &[seed], 1, || trained.greedy_agent());
+    let (graphene, decima) = (&graphene_run[0], &decima_run[0]);
 
     let mut report = ScenarioReport::new();
 
@@ -191,8 +173,8 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         }
         sums
     };
-    let g = jct_by_bin(&graphene);
-    let d = jct_by_bin(&decima);
+    let g = jct_by_bin(graphene);
+    let d = jct_by_bin(decima);
     println!("\n(a) normalized job duration (Decima / Graphene*), by total-work quintile:");
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
@@ -205,11 +187,11 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         rows.push(format!("{},{ratio:.4}", b + 1));
         ratios.push(Json::nums([(b + 1) as f64, ratio]));
     }
-    report.push_csv(write_csv(
+    report.push_table(
         "fig12a_duration_ratio",
         "work_quintile,decima_over_graphene",
-        &rows,
-    ));
+        rows,
+    );
     report.push_extra("duration_ratio_by_quintile", Json::Arr(ratios));
 
     // (b) per-class executor usage on the smallest-20% jobs.
@@ -225,8 +207,8 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         }
         acc
     };
-    let gu = class_use(&graphene);
-    let du = class_use(&decima);
+    let gu = class_use(graphene);
+    let du = class_use(decima);
     println!("\n(b) class busy-time on smallest-20% jobs (Decima / Graphene*):");
     let mems = [0.25, 0.5, 0.75, 1.0];
     let mut rows = Vec::new();
@@ -237,23 +219,18 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         rows.push(format!("{},{ratio:.4}", mems[c]));
         usage.push(Json::nums([mems[c], ratio]));
     }
-    report.push_csv(write_csv(
+    report.push_table(
         "fig12b_class_usage",
         "class_memory,decima_over_graphene",
-        &rows,
-    ));
+        rows,
+    );
     report.push_extra("class_usage_ratio", Json::Arr(usage));
 
     for (label, csv, r) in [
-        ("graphene*", "graphene", &graphene),
-        ("decima", "decima", &decima),
+        ("graphene*", "graphene", &graphene_run),
+        ("decima", "decima", &decima_run),
     ] {
-        report.push_series(SeriesReport {
-            label: label.into(),
-            csv: csv.into(),
-            avg_jcts: vec![r.avg_jct().unwrap_or(f64::NAN)],
-            unfinished: r.unfinished(),
-        });
+        report.push_series(SeriesReport::of(label, csv, r));
     }
     Ok(report)
 }

@@ -16,16 +16,12 @@
 //! seeds + a fixed `DynamicsSpec` reproduce every number bit-exactly,
 //! independent of `--threads` (see docs/ROBUSTNESS.md).
 
-use crate::factory::make_scheduler;
 use crate::json::Json;
-use crate::model::{resolve, Site};
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{par_map, spec_env, RunOptions};
-use crate::scenario::{dynamics_json, ScenarioSpec};
-use crate::{run_episode, write_csv};
-use decima_rl::EnvFactory as _;
+use crate::runner::{resolve_lineup, spec_env, spec_episodes, RunOptions};
+use crate::scenario::{dynamics_json, ParamValue, ScenarioSpec};
 use decima_rl::SpecEnv;
-use decima_sim::{DynamicsCounters, DynamicsSpec, EpisodeResult};
+use decima_sim::{DynamicsCounters, DynamicsSpec};
 
 /// The perturbation levels this run sweeps, by the `level` parameter.
 /// Explicit dynamics knobs (`--set churn=…` etc.) are always honored:
@@ -36,8 +32,8 @@ use decima_sim::{DynamicsCounters, DynamicsSpec, EpisodeResult};
 fn resolve_levels(spec: &ScenarioSpec) -> Result<Vec<(String, DynamicsSpec)>, String> {
     // `level=custom` needs a knob.
     spec.check()?;
-    let level = spec.text_param("level", "all");
-    Ok(match level.as_str() {
+    let level = spec.param("level").and_then(ParamValue::as_text);
+    Ok(match level.unwrap_or("all") {
         "all" if !spec.sim.dynamics.enabled() => vec![
             ("off".into(), DynamicsSpec::off()),
             ("low".into(), DynamicsSpec::low()),
@@ -73,19 +69,6 @@ fn robust_train_env(env: &SpecEnv, levels: &[(String, DynamicsSpec)]) -> SpecEnv
     train_env
 }
 
-fn sum_counters(results: &[EpisodeResult]) -> DynamicsCounters {
-    let mut c = DynamicsCounters::default();
-    for r in results {
-        c.retries += r.dynamics.retries;
-        c.interrupted += r.dynamics.interrupted;
-        c.straggled += r.dynamics.straggled;
-        c.failed_jobs += r.dynamics.failed_jobs;
-        c.churn_events += r.dynamics.churn_events;
-        c.lost_exec_seconds += r.dynamics.lost_exec_seconds;
-    }
-    c
-}
-
 /// A mean JCT as a CSV cell: empty (not the literal `NaN`) when no job
 /// completed — e.g. every job exhausted its retry budget — so numeric
 /// consumers of `out/robust.csv` see a missing value, not a non-numeric
@@ -98,22 +81,10 @@ fn csv_mean(mean: f64) -> String {
     }
 }
 
-fn counters_json(c: &DynamicsCounters) -> Json {
-    Json::obj([
-        ("retries", Json::Num(c.retries as f64)),
-        ("interrupted", Json::Num(c.interrupted as f64)),
-        ("straggled", Json::Num(c.straggled as f64)),
-        ("failed_jobs", Json::Num(c.failed_jobs as f64)),
-        ("churn_events", Json::Num(c.churn_events as f64)),
-        ("lost_exec_seconds", Json::Num(c.lost_exec_seconds)),
-    ])
-}
-
 /// Runs the robustness sweep.
 pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
     let env = spec_env(spec);
-    let executors = env.workload.executors;
     let seeds = spec.seeds.seeds();
     let levels = resolve_levels(spec)?;
 
@@ -125,11 +96,7 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
     // exactly those dynamics. (To evaluate a separately trained model,
     // point a `decima-ckpt:<path>` entry at its checkpoint.)
     let train_env = robust_train_env(&env, &levels);
-    let mut resolved = Vec::new();
-    for entry in &spec.lineup {
-        let trained = resolve(&entry.label, &entry.sched, Site::Env(&train_env))?;
-        resolved.push((&entry.label, entry.csv_name(), &entry.sched, trained));
-    }
+    let resolved = resolve_lineup(&spec.lineup, &train_env, opts.threads, &mut report)?;
 
     let mut rows = Vec::new();
     let mut level_objs: Vec<(String, Json)> = Vec::new();
@@ -150,29 +117,25 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
             "lost e·s"
         );
         let mut sched_objs: Vec<(String, Json)> = Vec::new();
-        for (label, csv, sched, trained) in &resolved {
-            let results: Vec<EpisodeResult> = par_map(&seeds, opts.threads, |&seed| {
-                let (cluster, jobs, cfg) = level_env.build(seed);
-                run_episode(
-                    &cluster,
-                    &jobs,
-                    &cfg,
-                    make_scheduler(sched, executors, trained.as_ref()),
-                )
-            });
-            let series = SeriesReport {
-                label: format!("{label} @{level_name}"),
-                csv: format!("{level_name}_{csv}"),
-                avg_jcts: results
-                    .iter()
-                    .map(|r| r.avg_jct().unwrap_or(f64::NAN))
-                    .collect(),
-                unfinished: results.iter().map(EpisodeResult::unfinished).sum(),
-            };
-            let c = sum_counters(&results);
+        for (entry, trained) in &resolved {
+            let (label, csv) = (&entry.label, entry.csv_name());
+            let results = spec_episodes(
+                &entry.sched,
+                trained.as_ref(),
+                &level_env,
+                &seeds,
+                opts.threads,
+            );
+            let series = SeriesReport::of(
+                format!("{label} @{level_name}"),
+                format!("{level_name}_{csv}"),
+                &results,
+            );
+            let mut c = DynamicsCounters::default();
+            results.iter().for_each(|r| c += r.dynamics);
             println!(
                 "{:<22} {:>8.1}s {:>6} {:>8} {:>8} {:>9} {:>7} {:>7} {:>9.1}s",
-                *label,
+                label,
                 series.mean(),
                 series.unfinished,
                 c.retries,
@@ -182,18 +145,15 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
                 c.churn_events,
                 c.lost_exec_seconds
             );
+            let [counts @ .., (_, lost_secs)] = c.named();
+            let counts = counts.map(|(_, n)| n.to_string()).join(",");
             rows.push(format!(
-                "{level_name},{csv},{},{},{},{},{},{},{},{:.2}",
+                "{level_name},{csv},{},{},{counts},{lost_secs:.2}",
                 csv_mean(series.mean()),
                 series.unfinished,
-                c.retries,
-                c.interrupted,
-                c.straggled,
-                c.failed_jobs,
-                c.churn_events,
-                c.lost_exec_seconds
             ));
-            sched_objs.push((csv.clone(), counters_json(&c)));
+            let counters = c.named().map(|(name, n)| (name, Json::Num(n)));
+            sched_objs.push((csv, Json::obj(counters)));
             report.push_series(series);
         }
         level_objs.push((
@@ -206,21 +166,19 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
     }
 
     report.push_extra("levels", Json::Obj(level_objs));
-    let path = write_csv(
-        &spec.name,
-        "level,scheduler,avg_jct,unfinished,retries,interrupted,straggled,failed_jobs,\
-         churn_events,lost_exec_seconds",
-        &rows,
-    );
-    report.push_csv(path);
+    let counters = DynamicsCounters::default().named().map(|(name, _)| name);
+    let header = format!("level,scheduler,avg_jct,unfinished,{}", counters.join(","));
+    report.push_table(&spec.name, &header, rows);
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::make_scheduler;
     use crate::registry::ScenarioRegistry;
     use crate::scenario::SchedulerSpec;
+    use decima_rl::EnvFactory as _;
 
     fn robust_spec() -> ScenarioSpec {
         ScenarioRegistry::standard()

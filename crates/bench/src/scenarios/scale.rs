@@ -31,14 +31,11 @@
 //!
 //! [`MemCounters`]: decima_sim::MemCounters
 
-use crate::factory::make_scheduler;
 use crate::json::Json;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{spec_env, RunOptions};
+use crate::runner::{spec_env, spec_episodes, RunOptions};
 use crate::scenario::ScenarioSpec;
 use crate::scenarios::fleet::{count_list, resolve_sched};
-use crate::write_csv;
-use decima_rl::EnvFactory as _;
 use decima_sim::{EpisodeResult, MemCounters};
 use std::time::Instant;
 
@@ -91,7 +88,7 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<ScaleCell>, S
     for &execs in &exec_counts {
         // Resolved per executor count so checkpoint compatibility is
         // checked against the cluster size it will actually serve.
-        let (sched, trained) = resolve_sched(spec, execs, "fair")?;
+        let (sched, trained) = resolve_sched(spec, execs)?;
         for &jobs in &job_counts {
             let mut cell_env = env.clone();
             cell_env.workload.executors = execs;
@@ -101,14 +98,7 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<ScaleCell>, S
                 .workload
                 .set_mean_iat(base_iat * base_execs as f64 / execs as f64);
             let start = Instant::now();
-            let per_seed: Vec<EpisodeResult> = seeds
-                .iter()
-                .map(|&seed| {
-                    let (cluster, job_specs, cfg) = cell_env.build(seed);
-                    let sched = make_scheduler(&sched, execs, trained.as_deref());
-                    decima_sim::Simulator::new(cluster, job_specs, cfg).run(sched)
-                })
-                .collect();
+            let per_seed = spec_episodes(&sched, trained.as_deref(), &cell_env, &seeds, 1);
             let decisions: u64 = per_seed.iter().map(|r| r.actions.len() as u64).sum();
             let wall = start.elapsed().as_secs_f64();
             cells.push(ScaleCell {
@@ -122,7 +112,7 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<ScaleCell>, S
     Ok(cells)
 }
 
-/// Runs the scale sweep and writes `out/scale.{csv,json}`.
+/// Runs the scale sweep and reports it (`out/scale.{csv,json}`).
 pub fn run_scale_scenario(
     spec: &ScenarioSpec,
     opts: &RunOptions,
@@ -188,27 +178,21 @@ pub fn run_scale_scenario(
             ("node_pool_hwm", Json::Num(pool_hwm as f64)),
             ("retired_jobs", Json::Num(retired as f64)),
         ]));
-        report.push_series(SeriesReport {
-            label: format!("{} execs × {} jobs", cell.execs, cell.jobs),
-            csv: format!("e{}_j{}", cell.execs, cell.jobs),
-            avg_jcts: cell
-                .per_seed
-                .iter()
-                .map(|r| r.avg_jct().unwrap_or(f64::NAN))
-                .collect(),
-            unfinished,
-        });
+        report.push_series(SeriesReport::of(
+            format!("{} execs × {} jobs", cell.execs, cell.jobs),
+            format!("e{}_j{}", cell.execs, cell.jobs),
+            &cell.per_seed,
+        ));
     }
 
-    report.push_extra("sched", Json::str(spec.text_param("sched", "fair")));
+    report.push_extra("sched", Json::str(spec.text_param("sched")));
     report.push_extra("cells", Json::Arr(cell_objs));
-    let path = write_csv(
+    report.push_table(
         &spec.name,
         "execs,jobs,completed,unfinished,decisions,events,end_time,avg_jct,\
          live_jobs_peak,slots_hwm,event_queue_hwm,node_pool_hwm,retired_jobs",
-        &rows,
+        rows,
     );
-    report.push_csv(path);
     Ok(report)
 }
 

@@ -6,9 +6,8 @@ use crate::factory::TrainedPolicy;
 use crate::json::Json;
 use crate::model::train_entry;
 use crate::report::{ScenarioReport, SeriesReport};
-use crate::runner::{spec_env, RunOptions};
+use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
-use crate::{run_episode, write_csv};
 use decima_baselines::WeightedFairScheduler;
 use decima_rl::EnvFactory as _;
 use decima_sim::EpisodeResult;
@@ -17,22 +16,22 @@ use decima_sim::EpisodeResult;
 /// executor share for small jobs, and total-work inflation — Decima vs
 /// the tuned weighted-fair heuristic.
 pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioReport, String> {
-    let seed = spec.num_param("seed", 4000.0) as u64;
+    let seed = spec.num_param("seed") as u64;
     let train = first_train(spec);
     let env = spec_env(spec);
 
-    let trainer = train_entry("Decima", &train, &env)?;
+    let trained = TrainedPolicy::of(&train_entry("Decima", &train, &env)?);
 
-    let (cluster, jobs, cfg) = env.build(seed);
-    let heuristic = run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::new(-1.0));
-    let mut agent = TrainedPolicy::of(&trainer).greedy_agent();
-    let decima = run_episode(&cluster, &jobs, &cfg, &mut agent);
+    let (_, jobs, _) = env.build(seed);
+    let heuristic_run = episodes(&env, &[seed], 1, || WeightedFairScheduler::new(-1.0));
+    let decima_run = episodes(&env, &[seed], 1, || trained.greedy_agent());
+    let (heuristic, decima) = (&heuristic_run[0], &decima_run[0]);
 
     let mut report = ScenarioReport::new();
 
     // (a) concurrent jobs over time.
     let ser = |r: &EpisodeResult| r.concurrency_series();
-    let (hs, ds) = (ser(&heuristic), ser(&decima));
+    let (hs, ds) = (ser(heuristic), ser(decima));
     let peak = |s: &[(f64, usize)]| s.iter().map(|&(_, c)| c).max().unwrap_or(0);
     println!(
         "\n(a) concurrent jobs: peak heuristic {}, peak decima {}",
@@ -44,11 +43,7 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         .map(|&(t, c)| format!("heuristic,{t:.1},{c}"))
         .chain(ds.iter().map(|&(t, c)| format!("decima,{t:.1},{c}")))
         .collect();
-    report.push_csv(write_csv(
-        "fig10a_concurrency",
-        "scheduler,time,jobs_in_system",
-        &rows,
-    ));
+    report.push_table("fig10a_concurrency", "scheduler,time,jobs_in_system", rows);
 
     // (b)+(c) per-job JCT vs completion time and size.
     let per_job = |r: &EpisodeResult, tag: &str| -> Vec<String> {
@@ -69,13 +64,13 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
             })
             .collect()
     };
-    let mut rows = per_job(&heuristic, "heuristic");
-    rows.extend(per_job(&decima, "decima"));
-    report.push_csv(write_csv(
+    let mut rows = per_job(heuristic, "heuristic");
+    rows.extend(per_job(decima, "decima"));
+    report.push_table(
         "fig10cde_jobs",
         "scheduler,job,arrival,jct,total_work,executed_work,peak_alloc",
-        &rows,
-    ));
+        rows,
+    );
 
     // (d) executor share on small jobs; (e) work inflation.
     let small_cut = {
@@ -101,8 +96,8 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         }
         (alloc_small / n_small.max(1.0), inflation / n_done.max(1.0))
     };
-    let (h_alloc, h_infl) = stats(&heuristic);
-    let (d_alloc, d_infl) = stats(&decima);
+    let (h_alloc, h_infl) = stats(heuristic);
+    let (d_alloc, d_infl) = stats(decima);
     println!(
         "(d) mean peak executors on smallest-20% jobs: heuristic {h_alloc:.1}, decima {d_alloc:.1}"
     );
@@ -121,22 +116,17 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         (
             "opt-weighted-fair",
             "heuristic",
-            &heuristic,
+            &heuristic_run,
             h_alloc,
             h_infl,
         ),
-        ("decima", "decima", &decima, d_alloc, d_infl),
+        ("decima", "decima", &decima_run, d_alloc, d_infl),
     ] {
-        report.push_series(SeriesReport {
-            label: label.into(),
-            csv: csv.into(),
-            avg_jcts: vec![r.avg_jct().unwrap_or(f64::NAN)],
-            unfinished: r.unfinished(),
-        });
+        report.push_series(SeriesReport::of(label, csv, r));
         report.push_extra(
             format!("{csv}_stats"),
             Json::obj([
-                ("peak_concurrency", Json::Num(peak(&ser(r)) as f64)),
+                ("peak_concurrency", Json::Num(peak(&ser(&r[0])) as f64)),
                 ("small_job_peak_alloc", Json::Num(alloc)),
                 ("work_inflation", Json::Num(infl)),
             ]),

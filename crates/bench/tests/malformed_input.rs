@@ -2,13 +2,13 @@
 //! panic, an abort or a hang: arbitrary bytes and damaged valid
 //! documents into `Json::parse`, arbitrary `--set` pairs into
 //! `ScenarioSpec::set` on every registered scenario — and, through the
-//! binary, a model the run cannot use: one `error:` line, exit 2 when
-//! the value itself is wrong and exit 1 when the file is, nothing
-//! written under `out/`.
+//! binary, a value it refuses, a model the run cannot use and an `out/`
+//! it cannot write: one `error:` line, exit 2 when the value itself is
+//! wrong and exit 1 when the file is, nothing written under `out/`.
 
 mod common;
 
-use common::decima_exp;
+use common::{decima_exp, decima_exp_in, fresh_dir};
 use decima_bench::json::Json;
 use decima_bench::registry::ScenarioRegistry;
 use decima_bench::scenario::KEYS;
@@ -118,9 +118,11 @@ proptest! {
     }
 }
 
-/// Every one of these was a panic and a backtrace (exit 101) — or, for
-/// `fine-tuned:` outside `drift`, a run that served 8- and 64-executor
-/// clusters with a 5-executor model and exited 0.
+/// Every one of these was a panic and a backtrace (exit 101), an abort
+/// (`execs=1e9`, exit 134), a hang (`task-scale=0`) — or a run of
+/// something else that exited 0: `fine-tuned:` outside `drift` served 8-
+/// and 64-executor clusters with a 5-executor model, `shards=2.5` ran 3
+/// shards, `sched=weighted-fair:abc` served α = −1.
 #[test]
 fn a_model_the_run_cannot_use_is_one_error_line() {
     // A 5-executor checkpoint, and a file that is not a checkpoint.
@@ -138,7 +140,7 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
     let garbage = models.join("garbage.ckpt").display().to_string();
 
     let small = ["--set", "jobs=3", "--set", "runs=1"];
-    let cases: [(&str, Vec<String>, i32, &str); 8] = [
+    let cases: [(&str, Vec<String>, i32, &str); 21] = [
         (
             "fig09a",
             vec![format!("checkpoint={garbage}")],
@@ -177,6 +179,79 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
             1,
             "was trained for 5 executors but the evaluation cluster has 8",
         ),
+        (
+            "fig09a",
+            vec!["execs=0".into()],
+            2,
+            "'execs' must be at least 1",
+        ),
+        (
+            "fleet",
+            vec!["shards=0".into()],
+            2,
+            "'shards' must be at least 1",
+        ),
+        ("fig09a", vec!["exces=30".into()], 2, "unknown key 'exces'"),
+        (
+            "fig09a",
+            vec!["task-scale=0".into()],
+            2,
+            "'task-scale' must be > 0",
+        ),
+        (
+            "fleet",
+            vec!["router=foo".into()],
+            2,
+            "unknown router 'foo'",
+        ),
+        (
+            "fleet",
+            vec!["sched=weighted-fair:abc".into()],
+            2,
+            "scheduler 'weighted-fair' takes a finite exponent after ':', got 'weighted-fair:abc'",
+        ),
+        (
+            "fleet",
+            vec!["sched=weighted-fair:nan".into()],
+            2,
+            "scheduler 'weighted-fair' takes a finite exponent after ':', got 'weighted-fair:nan'",
+        ),
+        (
+            "fleet",
+            vec!["sched=fifo:junk".into()],
+            2,
+            "scheduler 'fifo' takes no argument, got 'fifo:junk'",
+        ),
+        (
+            "scale",
+            vec!["sched=random:-3".into()],
+            2,
+            "scheduler 'random' takes a whole non-negative seed after ':', got 'random:-3'",
+        ),
+        (
+            "fleet",
+            vec!["shards=2.5".into()],
+            2,
+            "'shards' must be at least 1 (whole, up to 1000000), got 2.5",
+        ),
+        (
+            "fig09a",
+            vec!["jobs=3.7".into()],
+            2,
+            "'jobs' must be at least 1 (whole, up to 100000000), got 3.7",
+        ),
+        (
+            "fig09a",
+            vec!["execs=1e9".into()],
+            2,
+            "'execs' must be at least 1 (whole, up to 1000000), got 1000000000",
+        ),
+        (
+            "scale",
+            vec!["jobs=1e12".into()],
+            2,
+            "'jobs' must be at least 1 (whole, up to 100000000), got 1000000000000",
+        ),
     ];
     for (i, (scenario, sets, want_code, want)) in cases.iter().enumerate() {
         let mut args = vec!["--scenario", scenario];
@@ -184,7 +259,11 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
             args.extend(small);
         }
         args.extend(sets.iter().flat_map(|s| ["--set", s.as_str()]));
-        let (dir, code, stderr) = decima_exp(&format!("case{i}"), &args);
+        let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let (dir, code, stderr) = within_ten_seconds(move || {
+            let args: Vec<&str> = owned.iter().map(String::as_str).collect();
+            decima_exp(&format!("case{i}"), &args)
+        });
         assert_eq!(code, Some(*want_code), "{args:?}: {stderr}");
         assert!(
             stderr.starts_with("error: ") && stderr.contains(want),
@@ -206,4 +285,21 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
     for dir in [dir, models] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A run that cannot write its artefacts says so and fails: it used to
+/// print two warnings and exit 0 with nothing written.
+#[test]
+fn an_unwritable_out_is_one_error_line_naming_the_file() {
+    let dir = fresh_dir("unwritable");
+    std::fs::write(dir.join("out"), "in the way").unwrap();
+    let args = "--scenario fleet --set shards=1 --set jobs=8 --set rates=1";
+    let (code, stderr) = decima_exp_in(&dir, &args.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: cannot write out/fleet.csv: "),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -121,7 +121,7 @@ fn training_doc_lists_the_keys_train_takes() {
 
 /// Every `--set key=` the README, the docs and the CI workflow show
 /// names a table row, a dynamics knob or a parameter some scenario
-/// declares (`exces` is the CI's deliberate typo; `key`, `k` are
+/// declares (`exces` is the docs' deliberate typo; `key`, `k` are
 /// placeholders).
 #[test]
 fn every_documented_set_key_is_known() {

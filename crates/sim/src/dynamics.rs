@@ -265,6 +265,32 @@ pub struct DynamicsCounters {
     pub lost_exec_seconds: f64,
 }
 
+impl DynamicsCounters {
+    /// The six counters by name, in the order reports list them: five
+    /// whole event counts, then the lost executor-seconds.
+    pub fn named(&self) -> [(&'static str, f64); 6] {
+        [
+            ("retries", self.retries as f64),
+            ("interrupted", self.interrupted as f64),
+            ("straggled", self.straggled as f64),
+            ("failed_jobs", self.failed_jobs as f64),
+            ("churn_events", self.churn_events as f64),
+            ("lost_exec_seconds", self.lost_exec_seconds),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for DynamicsCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.retries += other.retries;
+        self.interrupted += other.interrupted;
+        self.straggled += other.straggled;
+        self.failed_jobs += other.failed_jobs;
+        self.churn_events += other.churn_events;
+        self.lost_exec_seconds += other.lost_exec_seconds;
+    }
+}
+
 /// Runtime perturbation state owned by one simulator: the spec, a
 /// dedicated RNG, the episode counters, and per-executor outage
 /// timestamps for lost-capacity accounting.
