@@ -9,7 +9,7 @@
 
 use crate::common::{critical_path_stage, has_schedulable};
 use decima_core::{ClusterSpec, JobId, JobSpec};
-use decima_sim::{Action, EpisodeResult, Observation, Scheduler, SimConfig, Simulator};
+use decima_sim::{Action, EpisodeResult, JobProfile, Observation, Scheduler, SimConfig, Simulator};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -122,17 +122,18 @@ pub fn exhaustive_search(
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5ee0);
         // Seed the sample with informed orderings: by total work (SJF-ish)
         // and by critical path, then random shuffles.
+        let profiles: Vec<JobProfile> = jobs.iter().map(JobProfile::of).collect();
         let mut by_work = ids.clone();
         by_work.sort_by(|a, b| {
-            jobs[a.index()]
-                .total_work()
-                .total_cmp(&jobs[b.index()].total_work())
+            profiles[a.index()]
+                .total_work
+                .total_cmp(&profiles[b.index()].total_work)
         });
         let mut by_cp = ids.clone();
         by_cp.sort_by(|a, b| {
-            jobs[a.index()]
+            profiles[a.index()]
                 .critical_path_len()
-                .total_cmp(&jobs[b.index()].critical_path_len())
+                .total_cmp(&profiles[b.index()].critical_path_len())
         });
         let mut candidates = vec![ids.clone(), by_work, by_cp];
         while candidates.len() < max_orderings {

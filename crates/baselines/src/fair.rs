@@ -1,7 +1,7 @@
 //! Fair-sharing baselines (§7.1 items 3–5): simple fair, naive weighted
 //! fair, and the tuned weighted fair family `T_i^α / Σ T_j^α`.
 
-use crate::common::{has_schedulable, widest_stage, with_best_fit};
+use crate::common::{schedulable_jobs, widest_stage, with_best_fit};
 use decima_sim::{Action, Observation, Scheduler};
 
 /// Weighted fair scheduling with share exponent `alpha` (§7.1 item 5):
@@ -21,6 +21,10 @@ pub struct WeightedFairScheduler {
     /// Share exponent α.
     pub alpha: f64,
     name: String,
+    /// Per-decision buffers, indexed like `obs.jobs`: kept so a decision
+    /// at a job count already seen allocates nothing.
+    weights: Vec<f64>,
+    targets: Vec<usize>,
 }
 
 impl WeightedFairScheduler {
@@ -33,7 +37,12 @@ impl WeightedFairScheduler {
         } else {
             format!("weighted-fair(α={alpha})")
         };
-        WeightedFairScheduler { alpha, name }
+        WeightedFairScheduler {
+            alpha,
+            name,
+            weights: Vec::new(),
+            targets: Vec::new(),
+        }
     }
 
     /// Simple fair scheduling (equal shares).
@@ -46,37 +55,41 @@ impl WeightedFairScheduler {
         Self::new(1.0)
     }
 
-    /// Per-job executor targets under the current observation.
-    fn targets(&self, obs: &Observation) -> Vec<usize> {
+    /// Fills `self.targets` with the per-job executor targets under the
+    /// current observation (weights are summed in `obs.jobs` order).
+    fn fill_targets(&mut self, obs: &Observation) {
         let m = obs.total_executors as f64;
-        let weights: Vec<f64> = obs
-            .jobs
-            .iter()
-            .map(|j| j.spec.total_work().max(1e-9).powf(self.alpha))
-            .collect();
-        let total_w: f64 = weights.iter().sum();
-        weights
-            .iter()
-            .map(|w| ((m * w / total_w).floor() as usize).max(1))
-            .collect()
+        let alpha = self.alpha;
+        self.weights.clear();
+        self.weights.extend(
+            obs.jobs
+                .iter()
+                .map(|j| j.profile.total_work.max(1e-9).powf(alpha)),
+        );
+        let total_w: f64 = self.weights.iter().sum();
+        self.targets.clear();
+        self.targets.extend(
+            self.weights
+                .iter()
+                .map(|w| ((m * w / total_w).floor() as usize).max(1)),
+        );
     }
 }
 
 impl Scheduler for WeightedFairScheduler {
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        let targets = self.targets(obs);
+        self.fill_targets(obs);
+        let targets = &self.targets;
         // Largest-deficit-first among jobs below target with work to do.
-        let candidate = (0..obs.jobs.len())
-            .filter(|&j| has_schedulable(obs, j) && obs.jobs[j].alloc < targets[j])
+        let candidate = schedulable_jobs(obs)
+            .filter(|&j| obs.jobs[j].alloc < targets[j])
             .max_by_key(|&j| targets[j] - obs.jobs[j].alloc);
         let (job_idx, limit) = match candidate {
             Some(j) => (j, targets[j]),
             None => {
                 // Work-conserving spill-over: any job that can still use
                 // executors gets them, smallest allocation first.
-                let j = (0..obs.jobs.len())
-                    .filter(|&j| has_schedulable(obs, j))
-                    .min_by_key(|&j| obs.jobs[j].alloc)?;
+                let j = schedulable_jobs(obs).min_by_key(|&j| obs.jobs[j].alloc)?;
                 (j, obs.jobs[j].alloc + obs.free_total)
             }
         };

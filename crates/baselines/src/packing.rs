@@ -1,7 +1,7 @@
 //! Multi-resource packing baselines: Tetris (§7.1 item 6) and Graphene*
 //! (§7.1 item 7, Appendix F).
 
-use crate::common::{has_schedulable, schedulable_stages, widest_stage, with_best_fit};
+use crate::common::{schedulable_jobs, schedulable_stages, widest_stage, with_best_fit};
 use decima_core::StageId;
 use decima_sim::{Action, Observation, Scheduler};
 
@@ -70,7 +70,7 @@ impl GrapheneScheduler {
     fn is_troublesome(&self, obs: &Observation, job_idx: usize, stage: usize) -> bool {
         let job = &obs.jobs[job_idx];
         let spec = &job.spec;
-        let total = spec.total_work().max(1e-9);
+        let total = job.profile.total_work.max(1e-9);
         let frac = spec.stages[stage].work() / total;
         frac > self.work_frac_threshold || spec.stages[stage].mem_demand > self.mem_threshold
     }
@@ -89,7 +89,7 @@ impl GrapheneScheduler {
         let w: Vec<f64> = obs
             .jobs
             .iter()
-            .map(|j| j.spec.total_work().max(1e-9).powf(self.alpha))
+            .map(|j| j.profile.total_work.max(1e-9).powf(self.alpha))
             .collect();
         let tw: f64 = w.iter().sum();
         w.iter()
@@ -103,14 +103,12 @@ impl Scheduler for GrapheneScheduler {
         let targets = self.targets(obs);
         // Prefer jobs under their share; fall back to spill-over.
         let job_order: Vec<usize> = {
-            let mut under: Vec<usize> = (0..obs.jobs.len())
-                .filter(|&j| has_schedulable(obs, j) && obs.jobs[j].alloc < targets[j])
+            let mut under: Vec<usize> = schedulable_jobs(obs)
+                .filter(|&j| obs.jobs[j].alloc < targets[j])
                 .collect();
             under.sort_by_key(|&j| obs.jobs[j].alloc as i64 - targets[j] as i64);
             if under.is_empty() {
-                let mut all: Vec<usize> = (0..obs.jobs.len())
-                    .filter(|&j| has_schedulable(obs, j))
-                    .collect();
+                let mut all: Vec<usize> = schedulable_jobs(obs).collect();
                 all.sort_by_key(|&j| obs.jobs[j].alloc);
                 all
             } else {

@@ -1,7 +1,7 @@
 //! FIFO and SJF-CP baselines (§7.1 items 1–2), plus a uniformly-random
 //! scheduler used as a training sanity floor.
 
-use crate::common::{critical_path_stage, has_schedulable, with_best_fit};
+use crate::common::with_best_fit;
 use decima_sim::{Action, Observation, Scheduler};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -39,15 +39,26 @@ pub struct SjfCpScheduler;
 
 impl Scheduler for SjfCpScheduler {
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        let job_idx = (0..obs.jobs.len())
-            .filter(|&j| has_schedulable(obs, j))
-            .min_by(|&a, &b| {
-                obs.jobs[a]
-                    .spec
-                    .total_work()
-                    .total_cmp(&obs.jobs[b].spec.total_work())
-            })?;
-        let stage = critical_path_stage(obs, job_idx)?;
+        // One pass over the per-job groups of `schedulable`: the first
+        // job of least total work among those with something to run
+        // (`min_by`'s tie rule) and, within it, the last stage of
+        // greatest critical path (`max_by`'s). One loop with the
+        // comparisons spelled out, because a nested scan per group
+        // measured an eighth slower (docs/PERF.md "The heuristic lane").
+        let &(mut job_idx, mut stage) = obs.schedulable.first()?;
+        let mut least = obs.jobs[job_idx].profile.total_work;
+        let mut longest = f64::NEG_INFINITY;
+        for &(j, s) in &obs.schedulable {
+            let profile = &obs.jobs[j].profile;
+            let path = profile.critical_path[s.index()];
+            if j == job_idx {
+                if path.total_cmp(&longest).is_ge() {
+                    (stage, longest) = (s, path);
+                }
+            } else if profile.total_work.total_cmp(&least).is_lt() {
+                (job_idx, least, stage, longest) = (j, profile.total_work, s, path);
+            }
+        }
         let action = Action::new(obs.jobs[job_idx].id, stage, obs.total_executors);
         Some(with_best_fit(obs, job_idx, stage, action))
     }

@@ -83,9 +83,12 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
 /// stamps wall-clock time, and writes the report — each CSV table to
 /// `out/<table>.csv`, then `out/<name>.json`. Nothing else writes there
 /// (checkpoints and the training log go where their keys say). An `Err`
-/// is a model the run could not use, before anything is written, or a
+/// is an `out/` that cannot be written — found before any episode runs
+/// — a model the run could not use, before anything is written, or a
 /// file that could not be written.
 pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, String> {
+    let json_name = format!("{}.json", sc.spec.name);
+    probe_out().map_err(|e| cannot_write(&Path::new("out").join(&json_name), &e))?;
     let t0 = Instant::now();
     let mut report = (sc.run)(&sc.spec, opts)?;
     if !sc.spec.notes.is_empty() {
@@ -103,7 +106,7 @@ pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioRepo
         report.csv_paths.push(path);
     }
     let doc = report.to_json(&sc.spec);
-    let path = write_out(&format!("{}.json", sc.spec.name), &(doc.render() + "\n"))?;
+    let path = write_out(&json_name, &(doc.render() + "\n"))?;
     println!("[json] {}", path.display());
     if opts.dump_json {
         println!("{}", doc.render());
@@ -111,12 +114,34 @@ pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioRepo
     Ok(report)
 }
 
+fn cannot_write(path: &Path, e: &std::io::Error) -> String {
+    format!("cannot write {}: {e}", path.display())
+}
+
+/// Whether a file can be created in `out/` — or, while `out/` does not
+/// exist, beside it, where creating the directory takes the same
+/// permission — found out by creating one and removing it: a run that
+/// fails later for another reason still leaves nothing under `out/`.
+fn probe_out() -> std::io::Result<()> {
+    let out = Path::new("out");
+    let dir = if out.exists() {
+        std::fs::create_dir_all(out)?; // an `out` that is not a directory
+        out
+    } else {
+        Path::new(".")
+    };
+    let probe = dir.join(format!(".decima-exp-probe-{}", std::process::id()));
+    let created = std::fs::File::create(&probe).map(drop);
+    let _ = std::fs::remove_file(&probe);
+    created
+}
+
 /// Writes `out/<file>` (creating `out/`).
 fn write_out(file: &str, body: &str) -> Result<PathBuf, String> {
     let path = Path::new("out").join(file);
     std::fs::create_dir_all("out")
         .and_then(|()| std::fs::write(&path, body))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        .map_err(|e| cannot_write(&path, &e))?;
     Ok(path)
 }
 

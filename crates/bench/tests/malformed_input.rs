@@ -287,19 +287,29 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
     }
 }
 
-/// A run that cannot write its artefacts says so and fails: it used to
-/// print two warnings and exit 0 with nothing written.
+/// A run that cannot write its artefacts says so and fails — it used to
+/// print two warnings and exit 0 with nothing written — and says so
+/// before it runs: `out/` is probed up front, so the error does not wait
+/// for a scenario that would take minutes.
 #[test]
 fn an_unwritable_out_is_one_error_line_naming_the_file() {
     let dir = fresh_dir("unwritable");
     std::fs::write(dir.join("out"), "in the way").unwrap();
-    let args = "--scenario fleet --set shards=1 --set jobs=8 --set rates=1";
+    // Two million jobs: tens of seconds of routing and serving, were
+    // they to start.
+    let args = "--scenario fleet --set shards=1 --set jobs=2000000 --set rates=1";
+    let started = std::time::Instant::now();
     let (code, stderr) = decima_exp_in(&dir, &args.split_whitespace().collect::<Vec<_>>());
+    let elapsed = started.elapsed();
     assert_eq!(code, Some(1), "{stderr}");
     assert!(
-        stderr.starts_with("error: cannot write out/fleet.csv: "),
+        stderr.starts_with("error: cannot write out/fleet.json: "),
         "{stderr}"
     );
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the error took {elapsed:?}: `out/` was not probed before the run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

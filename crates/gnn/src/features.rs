@@ -502,13 +502,14 @@ mod tests {
     /// Observation whose live set is exactly `specs` (only `jobs`
     /// matters to the cache key and structure build).
     fn live_obs(specs: &[Arc<decima_core::JobSpec>]) -> Observation {
-        use decima_sim::{JobObs, NodeObs};
+        use decima_sim::{JobObs, JobProfile, NodeObs};
         Observation {
             jobs: specs
                 .iter()
                 .map(|s| JobObs {
                     id: s.id,
                     spec: Arc::clone(s),
+                    profile: Arc::new(JobProfile::of(s)),
                     alloc: 0,
                     local_free: 0,
                     nodes: s

@@ -20,7 +20,7 @@ use decima_gnn::{
     FeatureConfig, GnnConfig, GnnEncoder, GraphInput, GraphStructure, InferEncoder, FEAT_DIM,
 };
 use decima_nn::{ParamStore, Tape, Tensor};
-use decima_sim::{JobObs, NodeObs, Observation};
+use decima_sim::{JobObs, JobProfile, NodeObs, Observation};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -362,6 +362,7 @@ impl ObsEdit {
 fn random_job_obs(rng: &mut SmallRng, spec: Arc<JobSpec>) -> JobObs {
     JobObs {
         id: spec.id,
+        profile: Arc::new(JobProfile::of(&spec)),
         alloc: rng.gen_range(0..4),
         local_free: rng.gen_range(0..2),
         nodes: spec

@@ -229,9 +229,10 @@ fn workspace_scan_is_clean() {
         report.unused_suppressions
     );
     // Known reviewed exemptions: the three `unsafe` tokens
-    // `GlobalAlloc` forces on the counting allocator of
-    // crates/policy/tests/tape_allocs.rs (the impl and its two
-    // methods; test-only, forwards to `System`). (The fourth, a second
+    // `GlobalAlloc` forces on the one counting allocator,
+    // tests/support/counting_alloc.rs, which every allocation-pin test
+    // includes by `#[path]` (the impl and its two methods; test-only,
+    // forwards to `System`). (The fourth, a second
     // copy of the trainer's τ draw, went when `train_iteration` and
     // `fine_tune_window` became one step.) Growing this number should
     // be a deliberate, reviewed act — update the count alongside the

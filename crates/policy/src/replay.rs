@@ -17,7 +17,7 @@
 //! gradient replay actually reads.
 
 use decima_core::{JobId, JobSpec, SimTime, StageId};
-use decima_sim::{JobObs, NodeObs, Observation};
+use decima_sim::{JobObs, JobProfile, NodeObs, Observation};
 use std::sync::Arc;
 
 /// Per-stage dynamic state the policy forward reads: the paper's feature
@@ -41,6 +41,9 @@ pub struct ReplayJob {
     /// Static specification (shared with the simulator; pointer identity
     /// is what keeps the episode's `GraphCache` keys valid).
     pub spec: Arc<JobSpec>,
+    /// The job's static profile: the observation's own `Arc`, stored and
+    /// re-emitted as is (a replay derives nothing).
+    pub profile: Arc<JobProfile>,
     /// Executors bound to the job.
     pub alloc: usize,
     /// Executors bound to the job and currently idle.
@@ -83,6 +86,7 @@ impl ReplayObs {
                 .map(|j| ReplayJob {
                     id: j.id,
                     spec: Arc::clone(&j.spec),
+                    profile: Arc::clone(&j.profile),
                     alloc: j.alloc,
                     local_free: j.local_free,
                     nodes: j
@@ -150,6 +154,7 @@ impl ReplayObs {
             obs.jobs.push(JobObs {
                 id: rj.id,
                 spec: Arc::clone(&rj.spec),
+                profile: Arc::clone(&rj.profile),
                 alloc: rj.alloc,
                 local_free: rj.local_free,
                 nodes,
@@ -210,6 +215,7 @@ mod tests {
             assert_eq!(scratch.free_total, obs.free_total);
             assert_eq!(scratch.free_by_class, obs.free_by_class);
             assert_eq!(scratch.schedulable, obs.schedulable);
+            assert!(scratch.schedulable_is_grouped(), "grouping survives replay");
             for (a, b) in scratch.class_memory.iter().zip(&obs.class_memory) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -217,6 +223,7 @@ mod tests {
             for (a, b) in scratch.jobs.iter().zip(&obs.jobs) {
                 assert_eq!(a.id, b.id);
                 assert!(Arc::ptr_eq(&a.spec, &b.spec), "spec identity kept");
+                assert!(Arc::ptr_eq(&a.profile, &b.profile), "profile re-emitted");
                 assert_eq!(a.alloc, b.alloc);
                 assert_eq!(a.local_free, b.local_free);
                 assert_eq!(a.nodes.len(), b.nodes.len());

@@ -1,9 +1,10 @@
 //! The tape lane's steady state does not allocate: a decision re-scored
 //! on the agent's kept tape, and a recorded rollout decision, each stay
 //! under a small pinned number of heap allocations (the old
-//! tape-per-decision execution made 814 and 315). Counted by a
-//! `#[global_allocator]` that forwards to the system allocator, in one
-//! test so nothing else in this process allocates meanwhile.
+//! tape-per-decision execution made 814 and 315). Counted by the
+//! workspace's counting `#[global_allocator]`
+//! (`tests/support/counting_alloc.rs`), in one test so nothing else in
+//! this process allocates meanwhile.
 
 use decima_core::ClusterSpec;
 use decima_nn::ParamStore;
@@ -12,34 +13,10 @@ use decima_sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima_workload::tpch_batch;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is the only addition.
-// (`realloc` and `alloc_zeroed` default to `alloc`, so they count too.)
-// decima-lint: allow(D004) — GlobalAlloc is an unsafe trait; test-only counting allocator
-unsafe impl GlobalAlloc for Counting {
-    // decima-lint: allow(D004) — signature fixed by GlobalAlloc
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // decima-lint: allow(D004) — signature fixed by GlobalAlloc
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, bytes};
 
 /// Schedules greedily and keeps the observation of its `keep`-th
 /// decision.
@@ -63,17 +40,14 @@ impl Scheduler for Capture {
 /// Allocations of each of `n` calls of `decide`; the bytes they asked
 /// for are printed, not pinned.
 fn per_decision(what: &str, n: usize, mut decide: impl FnMut()) -> Vec<u64> {
-    let (mut counts, mut bytes) = (Vec::new(), Vec::new());
+    let (mut counts, mut sizes) = (Vec::new(), Vec::new());
     for _ in 0..n {
-        let before = (
-            ALLOCATIONS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
-        );
+        let before = (allocations(), bytes());
         decide();
-        counts.push(ALLOCATIONS.load(Ordering::Relaxed) - before.0);
-        bytes.push(BYTES.load(Ordering::Relaxed) - before.1);
+        counts.push(allocations() - before.0);
+        sizes.push(bytes() - before.1);
     }
-    println!("{what}: allocations {counts:?}, bytes {bytes:?}");
+    println!("{what}: allocations {counts:?}, bytes {sizes:?}");
     counts
 }
 

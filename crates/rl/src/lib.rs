@@ -23,6 +23,8 @@ pub mod baseline;
 pub mod checkpoint;
 pub mod env;
 pub mod learner;
+#[doc(hidden)]
+pub mod test_support;
 pub mod trainer;
 pub mod trajectory;
 

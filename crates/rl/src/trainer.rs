@@ -34,7 +34,7 @@ use crate::trajectory::Trajectory;
 use decima_core::par::ordered_map;
 use decima_nn::{Adam, ParamStore};
 use decima_policy::{DecimaAgent, DecimaPolicy};
-use decima_sim::{EpisodeResult, Simulator};
+use decima_sim::Simulator;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
@@ -409,21 +409,13 @@ impl Trainer {
         let mut window = Window::of(window);
         (0..iters).map(|_| self.step(env, &mut window)).collect()
     }
-
-    /// Greedy evaluation on the given sequence seeds (no horizon cap).
-    pub fn evaluate(&self, env: &dyn EnvFactory, seq_seeds: &[u64]) -> Vec<EpisodeResult> {
-        ordered_map(seq_seeds.len(), seq_seeds.to_vec(), |seed| {
-            let (cluster, jobs, sim_cfg) = env.build(seed);
-            let mut agent = DecimaAgent::greedy(self.policy.clone(), self.store.clone());
-            Simulator::new(cluster, jobs, sim_cfg).run(&mut agent)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::SpecEnv;
+    use crate::test_support::greedy_eval;
     use decima_policy::PolicyConfig;
     use decima_workload::WorkloadSpec;
 
@@ -572,8 +564,8 @@ mod tests {
     fn evaluation_is_deterministic() {
         let env = SpecEnv::new(WorkloadSpec::tpch_batch(3, 5));
         let t = tiny_trainer(TrainConfig::default());
-        let a = t.evaluate(&env, &[1, 2]);
-        let b = t.evaluate(&env, &[1, 2]);
+        let a = greedy_eval(&t, &env, &[1, 2]);
+        let b = greedy_eval(&t, &env, &[1, 2]);
         assert_eq!(a[0].avg_jct(), b[0].avg_jct());
         assert_eq!(a[1].avg_jct(), b[1].avg_jct());
     }
@@ -665,16 +657,14 @@ mod tests {
         });
         // Fixed eval sequences, measured before and after.
         let eval_seeds = [100, 101, 102];
-        let before: f64 = t
-            .evaluate(&env, &eval_seeds)
+        let before: f64 = greedy_eval(&t, &env, &eval_seeds)
             .iter()
             .map(|r| r.avg_jct().unwrap())
             .sum();
         for _ in 0..15 {
             t.train_iteration(&env);
         }
-        let after: f64 = t
-            .evaluate(&env, &eval_seeds)
+        let after: f64 = greedy_eval(&t, &env, &eval_seeds)
             .iter()
             .map(|r| r.avg_jct().unwrap())
             .sum();

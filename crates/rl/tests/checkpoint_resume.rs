@@ -5,6 +5,7 @@
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
+use decima_rl::test_support::greedy_eval;
 use decima_rl::{Curriculum, IterStats, SpecEnv, TrainConfig, Trainer, WorkloadEcho};
 use decima_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
@@ -68,8 +69,8 @@ fn run_resume_case(cfg: TrainConfig, env: &SpecEnv, total: usize, split: usize) 
     assert_same_params(&full, &resumed);
 
     // The two policies must also act identically.
-    let ea = full.evaluate(env, &[500, 501]);
-    let eb = resumed.evaluate(env, &[500, 501]);
+    let ea = greedy_eval(&full, env, &[500, 501]);
+    let eb = greedy_eval(&resumed, env, &[500, 501]);
     for (ra, rb) in ea.iter().zip(&eb) {
         assert_eq!(ra.avg_jct(), rb.avg_jct());
         assert_eq!(ra.actions.len(), rb.actions.len());
@@ -249,8 +250,8 @@ fn fine_tune_lineage_is_bit_exact_at_call_boundaries() {
         }
         assert_same_params(&inproc, &resumed);
 
-        let ea = inproc.evaluate(&env, &[700, 701]);
-        let eb = resumed.evaluate(&env, &[700, 701]);
+        let ea = greedy_eval(&inproc, &env, &[700, 701]);
+        let eb = greedy_eval(&resumed, &env, &[700, 701]);
         for (ra, rb) in ea.iter().zip(&eb) {
             assert_eq!(ra.avg_jct(), rb.avg_jct());
             assert_eq!(ra.actions.len(), rb.actions.len());

@@ -5,6 +5,7 @@
 //! [`JobArena::job`]/[`JobArena::job_mut`]), never by slot index.
 
 use crate::result::{JobOutcome, MemCounters};
+use crate::sched::JobProfile;
 use decima_core::{JobId, JobSpec, SimTime};
 use std::sync::Arc;
 
@@ -26,6 +27,9 @@ pub(super) struct NodeRt {
 #[derive(Clone, Debug)]
 pub(super) struct JobRt {
     pub(super) spec: Arc<JobSpec>,
+    /// Static quantities of `spec`, derived once at admission and
+    /// shared with every observation the job appears in.
+    pub(super) profile: Arc<JobProfile>,
     /// Executors bound to the job: idle-local + running + in flight.
     /// Maintained incrementally by `ExecTable::set_exec_state`.
     pub(super) alloc: usize,
@@ -127,7 +131,7 @@ fn fold(
         name: spec.name.clone(),
         arrival: spec.arrival,
         completion,
-        total_work: spec.total_work(),
+        total_work: rt.map_or_else(|| spec.total_work(), |rt| rt.profile.total_work),
         executed_work: rt.map_or(0.0, |rt| rt.executed_work),
         peak_alloc: rt.map_or(0, |rt| rt.peak_alloc),
         class_busy: rt.map_or_else(|| vec![0.0; num_classes], |rt| rt.class_busy.clone()),
@@ -258,6 +262,7 @@ impl JobArena {
             node.runnable = spec.dag.parents(v).is_empty();
         }
         let rt = Some(JobRt {
+            profile: Arc::new(JobProfile::of(&spec)),
             spec,
             alloc: 0,
             peak_alloc: 0,

@@ -150,12 +150,28 @@ impl ExecTable {
         self.offline_count
     }
 
+    /// The largest memory among classes with an available (free or
+    /// idle) executor; `-∞` when none is available. A stage fits some
+    /// available executor iff its demand is at most this — the
+    /// observation computes it once per write and tests every open
+    /// stage against it.
+    #[inline]
+    pub(super) fn avail_max_memory(&self, classes: &[ExecutorClass]) -> f64 {
+        classes
+            .iter()
+            .zip(&self.avail_by_class)
+            .filter(|&(_, &n)| n > 0)
+            .fold(f64::NEG_INFINITY, |m, (cl, _)| m.max(cl.memory))
+    }
+
     /// True when at least one available (free or idle) executor —
     /// optionally restricted to one class — has memory ≥ `demand`.
     ///
     /// This is the single memory-fit rule shared by the observation's
-    /// schedulable set and `apply_action`'s feasibility check, so the two
-    /// can never disagree about whether a stage is actionable.
+    /// schedulable set (through [`ExecTable::avail_max_memory`], which
+    /// the unrestricted case is defined by) and `apply_action`'s
+    /// feasibility check, so the two can never disagree about whether a
+    /// stage is actionable.
     #[inline]
     pub(super) fn avail_fits(
         &self,
@@ -169,10 +185,7 @@ impl ExecTable {
             Some(c) => classes
                 .get(c.index())
                 .is_some_and(|cl| self.avail_by_class[c.index()] > 0 && cl.memory >= demand),
-            None => classes
-                .iter()
-                .zip(&self.avail_by_class)
-                .any(|(cl, &n)| n > 0 && cl.memory >= demand),
+            None => demand <= self.avail_max_memory(classes),
         }
     }
 

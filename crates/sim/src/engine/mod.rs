@@ -33,12 +33,13 @@ mod observe;
 mod queue;
 
 pub use observe::obs_equal;
+use observe::ObsScratch;
 
 use crate::config::{Objective, SimConfig};
 use crate::drift::DriftCounters;
 use crate::dynamics::Perturbations;
 use crate::result::{ActionRecord, EpisodeOutcome, EpisodeResult};
-use crate::sched::{NodeObs, Observation, Scheduler};
+use crate::sched::{Observation, Scheduler};
 use arena::JobArena;
 use decima_core::{ClusterSpec, ExecutorId, Gantt, JobId, JobSpec, SimTime};
 use execs::{ExecState, ExecTable};
@@ -59,9 +60,9 @@ pub struct Simulator {
     queue: EventQueue,
     /// Pooled scratch for `apply_action`'s dispatch candidate lists.
     scratch_execs: Vec<ExecutorId>,
-    /// Pooled node-observation vectors recycled across observation
-    /// rebuilds (job departures would otherwise drop them).
-    obs_nodes_pool: Vec<Vec<NodeObs>>,
+    /// Pooled side state of the observation write: recycled node
+    /// vectors and the per-job open-stage lists.
+    obs_scratch: ObsScratch,
     /// `jobs.epoch()` the pooled observation's job structure was last
     /// built at.
     obs_buf_epoch: u64,
@@ -155,7 +156,7 @@ impl Simulator {
             execs,
             queue,
             scratch_execs: Vec::new(),
-            obs_nodes_pool: Vec::new(),
+            obs_scratch: ObsScratch::default(),
             obs_buf_epoch: u64::MAX,
             obs_buf: None,
             now: SimTime::ZERO,

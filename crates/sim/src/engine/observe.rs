@@ -9,28 +9,46 @@ use decima_core::StageId;
 use std::fmt::{Debug, Display};
 use std::sync::Arc;
 
+/// Pooled state of the incremental observation write that is not part
+/// of the observation itself; lives on the [`Simulator`] beside the
+/// pooled buffer it describes.
+#[derive(Default)]
+pub(super) struct ObsScratch {
+    /// Node vectors recycled across structure rebuilds (job departures
+    /// would otherwise drop them).
+    nodes_pool: Vec<Vec<NodeObs>>,
+    /// Per active job, indexed like [`Observation::jobs`]: its open
+    /// stages (runnable with unclaimed waiting tasks) and their memory
+    /// demand, ascending by stage. Re-derived only for a job dirtied
+    /// since the last write; `schedulable` is these lists filtered by
+    /// the write's memory threshold. Only ever grows, so the inner
+    /// vectors are reused across rebuilds.
+    open: Vec<Vec<(StageId, f64)>>,
+}
+
 impl Simulator {
     /// Builds the observation snapshot handed to the scheduler from the
     /// incrementally-maintained counts (no executor rescans).
     pub fn observation(&self) -> Observation {
         let mut obs = Observation::default();
-        self.fill_observation(&mut obs, true, &mut Vec::new());
+        self.fill_observation(&mut obs, true, &mut ObsScratch::default());
         obs
     }
 
     /// Updates the pooled buffer in place, rebuilding its job structure
     /// only when the active-job set changed since the last decision, and
-    /// copying per-node state only for jobs dirtied since the last fill.
+    /// copying per-node state and re-deriving the open stages only for
+    /// jobs dirtied since the last fill.
     pub(super) fn write_observation(&mut self, obs: &mut Observation) {
         let rebuild = self.obs_buf_epoch != self.jobs.epoch();
-        let mut pool = std::mem::take(&mut self.obs_nodes_pool);
-        self.fill_observation(obs, rebuild, &mut pool);
-        self.obs_nodes_pool = pool;
+        let mut scratch = std::mem::take(&mut self.obs_scratch);
+        self.fill_observation(obs, rebuild, &mut scratch);
+        self.obs_scratch = scratch;
         self.obs_buf_epoch = self.jobs.epoch();
         self.jobs.clear_dirty();
     }
 
-    fn fill_observation(&self, obs: &mut Observation, rebuild: bool, pool: &mut Vec<Vec<NodeObs>>) {
+    fn fill_observation(&self, obs: &mut Observation, rebuild: bool, scratch: &mut ObsScratch) {
         let classes = &self.cluster.classes;
         obs.time = self.now;
         obs.total_executors = self.execs.len();
@@ -48,24 +66,32 @@ impl Simulator {
             // must not re-allocate what the last rebuild already had.
             for mut jo in obs.jobs.drain(..) {
                 jo.nodes.clear();
-                pool.push(jo.nodes);
+                scratch.nodes_pool.push(jo.nodes);
             }
             for j in self.jobs.active() {
-                let mut nodes = pool.pop().unwrap_or_default();
+                let mut nodes = scratch.nodes_pool.pop().unwrap_or_default();
                 nodes.reserve(j.nodes.len());
                 obs.jobs.push(JobObs {
                     id: j.spec.id,
                     spec: Arc::clone(&j.spec),
+                    profile: Arc::clone(&j.profile),
                     alloc: j.alloc,
                     local_free: j.local_free,
                     nodes,
                 });
             }
+            if scratch.open.len() < obs.jobs.len() {
+                scratch.open.resize_with(obs.jobs.len(), Vec::new);
+            }
         }
         debug_assert_eq!(obs.jobs.len(), self.jobs.num_active());
+        // The one memory-fit rule (`ExecTable::avail_fits`), evaluated
+        // once for this write.
+        let fits_up_to = self.execs.avail_max_memory(classes);
         obs.schedulable.clear();
         for (job_index, j) in self.jobs.active().enumerate() {
             let jo = &mut obs.jobs[job_index];
+            let open = &mut scratch.open[job_index];
             if rebuild {
                 // alloc/local_free were just set when the JobObs was
                 // pushed; only the node vector remains to fill.
@@ -95,16 +121,18 @@ impl Simulator {
                     // avg_task_duration / mem_demand are static.
                 }
             }
-            for (v, n) in j.nodes.iter().enumerate() {
-                if n.runnable
-                    && n.waiting > n.in_flight
-                    && self
-                        .execs
-                        .avail_fits(classes, j.spec.stages[v].mem_demand, None)
-                {
-                    obs.schedulable.push((job_index, StageId(v as u32)));
-                }
+            if rebuild || j.dirty {
+                open.clear();
+                open.extend(
+                    jo.open_stages()
+                        .map(|(v, n)| (StageId(v as u32), n.mem_demand)),
+                );
             }
+            obs.schedulable.extend(
+                open.iter()
+                    .filter(|&&(_, demand)| demand <= fits_up_to)
+                    .map(|&(stage, _)| (job_index, stage)),
+            );
         }
     }
 
@@ -173,6 +201,7 @@ impl Simulator {
             jobs.push(JobObs {
                 id: j.spec.id,
                 spec: Arc::clone(&j.spec),
+                profile: Arc::clone(&j.profile),
                 alloc,
                 local_free,
                 nodes,
@@ -204,8 +233,18 @@ fn same<T: PartialEq + Debug>(what: impl Display, x: &T, y: &T) -> Result<(), St
 
 /// Field-for-field comparison of two observations; job specs are
 /// compared by identity (they are shared `Arc`s of the same episode).
-/// Returns `Err` describing the first mismatch.
+/// Returns `Err` describing the first mismatch — or naming the side
+/// whose `schedulable` breaks the grouping invariant, which equal but
+/// equally misordered lists would otherwise pass.
 pub fn obs_equal(a: &Observation, b: &Observation) -> Result<(), String> {
+    for (side, o) in [("left", a), ("right", b)] {
+        if !o.schedulable_is_grouped() {
+            return Err(format!(
+                "{side} schedulable is not strictly ascending by (job index, stage): {:?}",
+                o.schedulable
+            ));
+        }
+    }
     same("time", &a.time, &b.time)?;
     same("total_executors", &a.total_executors, &b.total_executors)?;
     same("num_classes", &a.num_classes, &b.num_classes)?;
@@ -220,6 +259,7 @@ pub fn obs_equal(a: &Observation, b: &Observation) -> Result<(), String> {
         if !Arc::ptr_eq(&x.spec, &y.spec) {
             return Err(format!("job {id:?}: spec identity differs"));
         }
+        same(format_args!("job {id:?}: profile"), &x.profile, &y.profile)?;
         same(format_args!("job {id:?}: alloc"), &x.alloc, &y.alloc)?;
         same(
             format_args!("job {id:?}: local_free"),

@@ -2,7 +2,7 @@
 
 use super::*;
 use crate::dynamics::DynamicsSpec;
-use crate::sched::Action;
+use crate::sched::{Action, JobProfile};
 use decima_core::{ClassId, JobBuilder, StageId, StageSpec};
 
 /// Greedy FIFO-ish scheduler used only for engine tests.
@@ -393,6 +393,75 @@ fn observation_matches_rebuilt_mid_episode() {
     assert!(more, "episode must not be exhausted after 5 events");
     obs_equal(&sim.observation(), &sim.observation_rebuilt())
         .expect("incremental and rebuilt observations must agree");
+}
+
+/// Both builders emit `schedulable` strictly ascending by (job index,
+/// stage) and hand out the admission-time profile, at every decision of
+/// a two-class episode under dynamics; `obs_equal` refuses a list that
+/// is not grouped even when both sides carry the same one.
+#[test]
+fn both_builders_emit_schedulable_grouped_and_obs_equal_insists() {
+    struct Grouped(usize);
+    impl Scheduler for Grouped {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            assert!(obs.schedulable_is_grouped(), "{:?}", obs.schedulable);
+            for j in &obs.jobs {
+                assert_eq!(*j.profile, JobProfile::of(&j.spec));
+            }
+            self.0 += 1;
+            // The last schedulable stage: keeps several jobs open at once.
+            let &(j, stage) = obs.schedulable.last()?;
+            Some(Action::new(obs.jobs[j].id, stage, obs.jobs[j].alloc + 2))
+        }
+    }
+    let cl = ClusterSpec {
+        classes: vec![
+            decima_core::ExecutorClass {
+                memory: 0.5,
+                count: 2,
+            },
+            decima_core::ExecutorClass {
+                memory: 1.0,
+                count: 2,
+            },
+        ],
+        move_delay: 0.5,
+    };
+    let jobs: Vec<JobSpec> = (0..5)
+        .map(|i| {
+            let mut b = JobBuilder::new(JobId(i));
+            let root = b.stage(StageSpec::simple(3, 1.0));
+            for k in 0..3 {
+                let leaf = b.stage(StageSpec {
+                    mem_demand: [0.2, 0.6, 0.9][k],
+                    ..StageSpec::simple(2 + k as u32, 1.0)
+                });
+                b.edge(root, leaf);
+            }
+            b.arrival(SimTime::from_secs(i as f64)).build().unwrap()
+        })
+        .collect();
+    let cfg = SimConfig {
+        seed: 4,
+        ..SimConfig::default()
+    }
+    .with_validation()
+    .with_dynamics(DynamicsSpec::med());
+    let mut sim = Simulator::new(cl, jobs, cfg);
+    let mut sched = Grouped(0);
+    assert!(sim.drive(&mut sched, 40), "stopped mid-episode");
+    let (inc, reb) = (sim.observation(), sim.observation_rebuilt());
+    assert!(inc.schedulable.len() > 2, "several stages open: {inc:?}");
+    assert!(inc.schedulable_is_grouped() && reb.schedulable_is_grouped());
+    obs_equal(&inc, &reb).expect("the two builders agree");
+    while sim.drive(&mut sched, 1_000) {}
+    assert!(sched.0 > 20, "decisions were checked");
+
+    let mut swapped = inc.clone();
+    swapped.schedulable.swap(0, 1);
+    let err = obs_equal(&swapped, &swapped).unwrap_err();
+    assert!(err.contains("not strictly ascending"), "{err}");
+    assert!(obs_equal(&inc, &swapped).is_err());
 }
 
 /// The `multi_resource_memory_fit` edge from the scheduler's view:

@@ -44,4 +44,6 @@ pub use drift::DriftCounters;
 pub use dynamics::{DynamicsCounters, DynamicsSpec, Knob};
 pub use engine::{obs_equal, Simulator};
 pub use result::{ActionRecord, EpisodeOutcome, EpisodeResult, JobOutcome, MemCounters};
-pub use sched::{Action, JobObs, LimitScope, NodeObs, Observation, Scheduler};
+pub use sched::{
+    Action, JobObs, JobProfile, LimitScope, NodeObs, Observation, SchedulableGroups, Scheduler,
+};

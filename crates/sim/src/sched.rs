@@ -105,6 +105,37 @@ impl NodeObs {
     }
 }
 
+/// The static quantities the heuristics rank jobs and stages by,
+/// derived from a job's spec once — by the engine when the job is
+/// admitted — and handed to the scheduler on every [`JobObs`]. Each
+/// field is the result of the named [`JobSpec`] method, so reading it
+/// is the same bits as calling the method, without the per-decision
+/// sums, DAG walk and allocations.
+#[derive(Clone, Debug, PartialEq)]
+pub struct JobProfile {
+    /// [`JobSpec::total_work`]: task-seconds over all stages.
+    pub total_work: f64,
+    /// [`JobSpec::critical_path`]: per stage, the work of the heaviest
+    /// path from that stage to a sink, the stage included.
+    pub critical_path: Vec<f64>,
+}
+
+impl JobProfile {
+    /// Derives the profile of `spec` — the one place it is computed.
+    pub fn of(spec: &JobSpec) -> Self {
+        JobProfile {
+            total_work: spec.total_work(),
+            critical_path: spec.critical_path(),
+        }
+    }
+
+    /// [`JobSpec::critical_path_len`]: the longest critical path over
+    /// all stages.
+    pub fn critical_path_len(&self) -> f64 {
+        self.critical_path.iter().copied().fold(0.0_f64, f64::max)
+    }
+}
+
 /// Dynamic, per-job view at a scheduling event.
 #[derive(Clone, Debug)]
 pub struct JobObs {
@@ -112,6 +143,9 @@ pub struct JobObs {
     pub id: JobId,
     /// Static specification (shared, cheap to clone).
     pub spec: Arc<JobSpec>,
+    /// Static quantities derived from `spec` (shared with the engine;
+    /// the same `Arc` for as long as the job is live).
+    pub profile: Arc<JobProfile>,
     /// Executors bound to the job (idle-local + running + in flight).
     pub alloc: usize,
     /// Executors bound to the job and currently idle.
@@ -160,7 +194,33 @@ pub struct Observation {
     pub jobs: Vec<JobObs>,
     /// Actionable `(job index into `jobs`, stage)` pairs: runnable stages
     /// with unclaimed waiting tasks that at least one free executor fits.
+    ///
+    /// **Invariant:** strictly ascending by `(job index, stage)` — one
+    /// contiguous group per job, groups in `jobs` order, stages
+    /// ascending within a group. Every builder emits it that way
+    /// ([`Observation::schedulable_is_grouped`] is checked wherever two
+    /// observations are compared), and
+    /// [`Observation::schedulable_of`] / [`Observation::schedulable_groups`]
+    /// rely on it.
     pub schedulable: Vec<(usize, StageId)>,
+}
+
+/// Iterator over the per-job groups of [`Observation::schedulable`].
+#[derive(Clone, Debug)]
+pub struct SchedulableGroups<'a> {
+    rest: &'a [(usize, StageId)],
+}
+
+impl<'a> Iterator for SchedulableGroups<'a> {
+    type Item = (usize, &'a [(usize, StageId)]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(job, _) = self.rest.first()?;
+        let len = self.rest.iter().take_while(|e| e.0 == job).count();
+        let (group, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some((job, group))
+    }
 }
 
 impl Observation {
@@ -173,6 +233,31 @@ impl Observation {
     /// Looks up a job observation by id.
     pub fn job(&self, id: JobId) -> Option<&JobObs> {
         self.jobs.iter().find(|j| j.id == id)
+    }
+
+    /// The schedulable entries of job `job_idx`: its group in
+    /// `schedulable` (empty when the job has none), found by binary
+    /// search.
+    pub fn schedulable_of(&self, job_idx: usize) -> &[(usize, StageId)] {
+        let start = self.schedulable.partition_point(|e| e.0 < job_idx);
+        let len = self.schedulable[start..]
+            .iter()
+            .take_while(|e| e.0 == job_idx)
+            .count();
+        &self.schedulable[start..start + len]
+    }
+
+    /// One `(job index, group)` per job that has a schedulable stage,
+    /// in ascending job index — a single pass over `schedulable`.
+    pub fn schedulable_groups(&self) -> SchedulableGroups<'_> {
+        SchedulableGroups {
+            rest: &self.schedulable,
+        }
+    }
+
+    /// Whether `schedulable` meets its ordering invariant.
+    pub fn schedulable_is_grouped(&self) -> bool {
+        self.schedulable.windows(2).all(|w| w[0] < w[1])
     }
 
     /// True when nothing can be scheduled.
@@ -258,5 +343,68 @@ mod tests {
         };
         assert_eq!(n.remaining_tasks(), 5);
         assert_eq!(n.remaining_work(), 10.0);
+    }
+
+    #[test]
+    fn profile_fields_are_the_spec_methods_bit_for_bit() {
+        use decima_core::{JobBuilder, StageSpec};
+        let mut b = JobBuilder::new(JobId(0));
+        let a = b.stage(StageSpec::simple(3, 0.7));
+        let c = b.stage(StageSpec::simple(5, 1.3));
+        let d = b.stage(StageSpec::simple(2, 0.1));
+        b.edge(a, c).edge(a, d);
+        let spec = b.build().unwrap();
+        let p = JobProfile::of(&spec);
+        assert_eq!(p.total_work.to_bits(), spec.total_work().to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p.critical_path), bits(&spec.critical_path()));
+        assert_eq!(
+            p.critical_path_len().to_bits(),
+            spec.critical_path_len().to_bits()
+        );
+    }
+
+    #[test]
+    fn schedulable_is_read_as_per_job_groups() {
+        let s = |j: usize, v: u32| (j, StageId(v));
+        let obs = Observation {
+            // Jobs 0 and 3 have nothing; job 2 sits between two that do.
+            schedulable: vec![s(1, 0), s(1, 4), s(2, 2), s(4, 0), s(4, 1), s(4, 7)],
+            ..Observation::default()
+        };
+        assert!(obs.schedulable_is_grouped());
+        let groups: Vec<_> = obs.schedulable_groups().collect();
+        assert_eq!(
+            groups,
+            vec![
+                (1, &obs.schedulable[0..2]),
+                (2, &obs.schedulable[2..3]),
+                (4, &obs.schedulable[3..6]),
+            ]
+        );
+        for (j, want) in [
+            (0, 0..0),
+            (1, 0..2),
+            (2, 2..3),
+            (3, 3..3),
+            (4, 3..6),
+            (9, 6..6),
+        ] {
+            assert_eq!(obs.schedulable_of(j), &obs.schedulable[want], "job {j}");
+        }
+        assert_eq!(Observation::default().schedulable_groups().count(), 0);
+
+        // Out of order, or the same entry twice, breaks the invariant.
+        for bad in [
+            vec![s(1, 4), s(1, 0)],
+            vec![s(2, 0), s(1, 0)],
+            vec![s(1, 0), s(1, 0)],
+        ] {
+            let obs = Observation {
+                schedulable: bad,
+                ..Observation::default()
+            };
+            assert!(!obs.schedulable_is_grouped());
+        }
     }
 }
