@@ -1,9 +1,12 @@
-//! What a scenario run leaves under `out/`, frozen byte for byte: tiny
-//! runs of seven scenarios through the built binary, every CSV as it is
-//! and every JSON document with `wall_secs` zeroed, against
-//! `tests/golden/artefacts/`. Nothing trains (`iters=0`, `ft-iters=0`),
-//! so a run is evaluation, aggregation and reporting only — the part a
-//! change to the runner must leave alone. Refresh after an intended
+//! What a scenario run leaves behind, frozen: tiny runs of all 24
+//! scenarios through the built binary, every CSV byte for byte, every
+//! JSON document with `wall_secs` zeroed, and stdout as a sorted multiset
+//! of whitespace-collapsed lines (without the `[csv]` / `[json]` lines,
+//! whose place in the stream is the runner's), against
+//! `tests/golden/artefacts/`. Training is zero to two iterations, so a
+//! run is mostly evaluation, aggregation and reporting — the part a
+//! change to the report layer must leave alone. The few cells that are
+//! wall-clock are masked (see [`masked`]). Refresh after an intended
 //! change with `GOLDEN_UPDATE=1 cargo test -p decima-bench --test artefacts`.
 
 mod common;
@@ -12,27 +15,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// `(scenario, --set pairs, the CSV and JSON files it writes)`.
-const RUNS: [(&str, &[&str], &[&str]); 7] = [
-    (
-        "fig09a",
-        &["iters=0", "jobs=3", "runs=2"],
-        &["fig09a.csv", "fig09a.json"],
-    ),
-    (
-        "fig09b",
-        &["iters=0", "jobs=6", "runs=2"],
-        &["fig09b.csv", "fig09b.json"],
-    ),
-    (
-        "fig11",
-        &["iters=0", "jobs=4", "runs=2"],
-        &["fig11.json", "fig11_multires.csv"],
-    ),
-    (
-        "robust",
-        &["level=low", "iters=0", "jobs=4", "runs=2"],
-        &["robust.csv", "robust.json"],
-    ),
+const RUNS: [(&str, &[&str], &[&str]); 24] = [
     (
         "drift",
         &[
@@ -45,24 +28,163 @@ const RUNS: [(&str, &[&str], &[&str]); 7] = [
         &["drift.csv", "drift.json"],
     ),
     (
+        "fig02",
+        &["max-parallelism=4"],
+        &["fig02.json", "fig02_parallelism.csv"],
+    ),
+    ("fig03", &["iters=1", "jobs=3", "execs=4"], &["fig03.json"]),
+    (
+        "fig07",
+        &["samples=3", "jobs=5"],
+        &["fig07.json", "fig07_reward_variance.csv"],
+    ),
+    (
+        "fig09a",
+        &["iters=0", "jobs=3", "runs=2"],
+        &["fig09a.csv", "fig09a.json"],
+    ),
+    (
+        "fig09b",
+        &["iters=0", "jobs=6", "runs=2"],
+        &["fig09b.csv", "fig09b.json"],
+    ),
+    (
+        "fig10",
+        &["iters=1", "jobs=6"],
+        &["fig10.json", "fig10a_concurrency.csv", "fig10cde_jobs.csv"],
+    ),
+    (
+        "fig11",
+        &["iters=0", "jobs=4", "runs=2"],
+        &["fig11.json", "fig11_multires.csv"],
+    ),
+    (
+        "fig12",
+        &["iters=0", "jobs=10"],
+        &[
+            "fig12.json",
+            "fig12a_duration_ratio.csv",
+            "fig12b_class_usage.csv",
+        ],
+    ),
+    (
+        "fig13",
+        &["iters=1", "jobs=2", "execs=4", "width=40"],
+        &["fig13.json"],
+    ),
+    (
+        "fig14",
+        &["iters=0", "jobs=5"],
+        &["fig14.json", "fig14_ablations.csv"],
+    ),
+    (
+        "fig15a",
+        &["iters=2", "eval-every=1", "jobs=2", "execs=4"],
+        &["fig15a.json", "fig15a_learning_curve.csv"],
+    ),
+    (
+        "fig15b",
+        &["jobs=4"],
+        &["fig15b.json", "fig15b_latency.csv"],
+    ),
+    (
+        "fig16",
+        &["iters=2"],
+        &["fig16.json", "fig16_appendix_example.csv"],
+    ),
+    ("fig18", &["reps=2"], &["fig18.json", "fig18a_isolated.csv"]),
+    (
+        "fig19",
+        &["iters=4", "nodes=6", "eval-every=2"],
+        &["fig19.json", "fig19_expressiveness.csv"],
+    ),
+    (
+        "fig22",
+        &["iters=1", "orderings=20", "jobs=4", "runs=2"],
+        &["fig22.json", "fig22_optimality.csv"],
+    ),
+    (
+        "fig23",
+        &["iters=1", "jobs=3", "runs=2"],
+        &["fig23.csv", "fig23.json"],
+    ),
+    (
         "fleet",
         &["shards=1,2", "rates=1", "jobs=8"],
         &["fleet.csv", "fleet.json"],
+    ),
+    (
+        "robust",
+        &["level=low", "iters=0", "jobs=4", "runs=2"],
+        &["robust.csv", "robust.json"],
     ),
     (
         "scale",
         &["execs=4", "jobs=20"],
         &["scale.csv", "scale.json"],
     ),
+    (
+        "table2",
+        &["iters=0", "jobs=6", "runs=2"],
+        &["table2.csv", "table2.json"],
+    ),
+    (
+        "table3",
+        &["iters=0", "jobs=6", "runs=2"],
+        &["table3.csv", "table3.json"],
+    ),
+    ("train", &["iters=2", "jobs=2", "execs=5"], &["train.json"]),
 ];
 
-/// The document with the one field that is wall-clock set to zero.
-fn without_wall_clock(text: &str) -> String {
-    let lines = text.lines().map(|l| match l.trim_start() {
-        t if t.starts_with("\"wall_secs\": ") => "  \"wall_secs\": 0",
-        _ => l,
-    });
-    lines.flat_map(|l| [l, "\n"]).collect()
+/// `line` with its `n`-th whitespace-separated token replaced by `_`.
+fn blank_token(line: &str, n: usize) -> String {
+    let tokens = line.split_whitespace().enumerate();
+    let tokens: Vec<&str> = tokens.map(|(i, t)| if i == n { "_" } else { t }).collect();
+    tokens.join(" ")
+}
+
+/// Stdout as the sorted multiset of its whitespace-collapsed lines,
+/// without the runner's `[csv]` / `[json]` lines.
+fn stdout_multiset(text: &str) -> String {
+    let lines = text.lines().map(|l| blank_token(l, usize::MAX));
+    let mut lines: Vec<String> = lines
+        .filter(|l| !l.starts_with("[csv] ") && !l.starts_with("[json] "))
+        .collect();
+    lines.sort();
+    lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect()
+}
+
+/// `text` of artefact `name` with what is wall-clock taken out: every
+/// document's `wall_secs`; Figure 15b's measured decision latencies (its
+/// CSV is sorted by them, so that file is held to header and row count);
+/// `scale`'s stdout-only decisions per wall-clock second.
+fn masked(name: &str, text: &str) -> String {
+    let is_num = |t: &str| t.parse::<f64>().is_ok();
+    let line = |l: &str| -> String {
+        let t = l.trim_start();
+        match name {
+            _ if t.starts_with("\"wall_secs\": ") => "  \"wall_secs\": 0".into(),
+            // `[q, decision_ms, interval_ms]`
+            "fig15b.json" if t.starts_with("[0.") => blank_token(l, 1),
+            "fig15b.json" if t.starts_with("\"interval_over_delay_median\"") => blank_token(l, 1),
+            // `p50: decision 0.03 ms event interval 2604.8 ms`
+            "fig15b.stdout" if l.contains(": decision ") => blank_token(l, 2),
+            "fig15b.stdout" if l.starts_with("median interval / median delay") => blank_token(l, 5),
+            // A data row: nine numbers, the last one `decis/s(w)`.
+            "scale.stdout" if l.split(' ').count() == 9 && l.split(' ').all(is_num) => {
+                blank_token(l, 8)
+            }
+            _ => l.to_string(),
+        }
+    };
+    if name == "fig15b_latency.csv" {
+        let header = text.lines().next().unwrap_or_default();
+        return format!("{header}\n<{} rows>\n", text.lines().count() - 1);
+    }
+    if name.ends_with(".csv") {
+        return text.to_string();
+    }
+    text.lines().flat_map(|l| [line(l), "\n".into()]).collect()
 }
 
 #[test]
@@ -73,8 +195,15 @@ fn tiny_runs_leave_the_frozen_csv_and_json_bytes() {
     for (scenario, sets, files) in RUNS {
         let mut args = vec!["--scenario", scenario, "--threads", "2"];
         args.extend(sets.iter().flat_map(|s| ["--set", s]));
-        let (dir, code, stderr) = common::decima_exp(&format!("artefacts_{scenario}"), &args);
-        assert_eq!((code, stderr.as_str()), (Some(0), ""), "{args:?}");
+        let dir = common::fresh_dir(&format!("artefacts_{scenario}"));
+        let out = common::output_in(&dir, &args);
+        let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+        let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+        assert_eq!(
+            (out.status.code(), stderr.as_str()),
+            (Some(0), ""),
+            "{args:?}"
+        );
 
         let written: BTreeSet<String> = std::fs::read_dir(dir.join("out"))
             .unwrap()
@@ -84,16 +213,17 @@ fn tiny_runs_leave_the_frozen_csv_and_json_bytes() {
         let expected: BTreeSet<String> = files.iter().map(|f| f.to_string()).collect();
         assert_eq!(written, expected, "{scenario}: files under out/");
 
-        for file in files {
-            let mut got = std::fs::read_to_string(dir.join("out").join(file)).unwrap();
-            if file.ends_with(".json") {
-                got = without_wall_clock(&got);
-            }
+        let stdout_name = format!("{scenario}.stdout");
+        let read = |file: &&str| std::fs::read_to_string(dir.join("out").join(file)).unwrap();
+        let artefacts = files.iter().map(|file| (file.to_string(), read(file)));
+        let stdout = (stdout_name, stdout_multiset(&stdout));
+        for (file, got) in artefacts.chain([stdout]) {
+            let got = masked(&file, &got);
             if update {
                 std::fs::create_dir_all(&golden).unwrap();
-                std::fs::write(golden.join(file), &got).unwrap();
+                std::fs::write(golden.join(&file), &got).unwrap();
             }
-            let want = std::fs::read_to_string(golden.join(file)).unwrap_or_default();
+            let want = std::fs::read_to_string(golden.join(&file)).unwrap_or_default();
             if got != want {
                 let at = got.lines().zip(want.lines()).position(|(g, w)| g != w);
                 let at = at.unwrap_or(got.lines().count().min(want.lines().count()));

@@ -1,7 +1,9 @@
 //! The harness the binary-driving suites share (`malformed_input`,
-//! `artefacts`).
+//! `artefacts`); each uses part of it.
+#![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
+use std::process::Output;
 
 /// An empty directory of this process's own.
 pub fn fresh_dir(tag: &str) -> PathBuf {
@@ -11,14 +13,19 @@ pub fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `decima-exp` with `args` in `dir`; returns the exit code and
-/// stderr.
-pub fn decima_exp_in(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_decima-exp"))
+/// Runs `decima-exp` with `args` in `dir`.
+pub fn output_in(dir: &Path, args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_decima-exp"))
         .args(args)
         .current_dir(dir)
         .output()
-        .expect("decima-exp runs");
+        .expect("decima-exp runs")
+}
+
+/// Runs `decima-exp` with `args` in `dir`; returns the exit code and
+/// stderr.
+pub fn decima_exp_in(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = output_in(dir, args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     (out.status.code(), stderr)
 }
