@@ -28,7 +28,7 @@
 //!   bit-for-bit (see docs/FLEET.md for the determinism contract).
 
 use crate::factory::{make_scheduler, TrainedPolicy};
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::scenario::SchedulerSpec;
 use decima_core::par::ordered_map;
 use decima_core::{ClusterSpec, JobSpec, Summary};
@@ -387,43 +387,38 @@ impl FleetResult {
 
     /// Deterministic JSON (simulated-time metrics only; no wall clock).
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("router", Json::str(&self.router)),
-            ("shards", Json::Num(self.shards.len() as f64)),
-            ("routed_jobs", Json::Num(self.routed_jobs() as f64)),
-            ("completed", Json::Num(self.completed() as f64)),
-            ("unfinished", Json::Num(self.unfinished() as f64)),
-            ("total_decisions", Json::Num(self.total_decisions() as f64)),
-            ("end_time", Json::Num(self.end_time())),
-            ("jobs_per_sim_sec", Json::Num(self.jobs_per_sim_sec())),
-            ("imbalance", Json::Num(self.imbalance())),
-            ("live_jobs_peak", Json::Num(self.live_jobs_peak() as f64)),
-            ("retired_jobs", Json::Num(self.retired_jobs() as f64)),
-            ("jct_mean", Json::Num(self.jct.mean)),
-            ("jct_p95", Json::Num(self.jct.p95)),
-            ("jct_max", Json::Num(self.jct.max)),
-            (
-                "per_shard",
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("shard", Json::Num(s.shard as f64)),
-                                ("routed_jobs", Json::Num(s.routed_jobs as f64)),
-                                ("routed_work", Json::Num(s.routed_work)),
-                                ("completed", Json::Num(s.completed as f64)),
-                                ("decisions", Json::Num(s.decisions as f64)),
-                                ("events", Json::Num(s.events as f64)),
-                                ("end_time", Json::Num(s.end_time)),
-                                ("live_jobs_peak", Json::Num(s.mem.live_jobs_peak as f64)),
-                                ("retired_jobs", Json::Num(s.mem.retired_jobs as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let per_shard = self.shards.iter().map(|s| {
+            // Of the memory counters, the first and the last.
+            let [live_peak, .., retired] = s.mem.named();
+            obj!(
+                s.shard,
+                s.routed_jobs,
+                s.routed_work,
+                s.completed,
+                s.decisions,
+                s.events,
+                s.end_time,
+                live_peak.0 => live_peak.1,
+                retired.0 => retired.1
+            )
+        });
+        obj!(
+            self.router,
+            "shards" => self.shards.len(),
+            self.routed_jobs(),
+            self.completed(),
+            self.unfinished(),
+            self.total_decisions(),
+            self.end_time(),
+            self.jobs_per_sim_sec(),
+            self.imbalance(),
+            self.live_jobs_peak(),
+            self.retired_jobs(),
+            "jct_mean" => self.jct.mean,
+            "jct_p95" => self.jct.p95,
+            "jct_max" => self.jct.max,
+            "per_shard" => per_shard.collect::<Vec<Json>>()
+        )
     }
 }
 

@@ -214,6 +214,72 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
+/// A value with one JSON form: what [`obj!`] shows.
+pub(crate) trait ToJson {
+    /// That form.
+    fn json(&self) -> Json;
+}
+
+/// The object `{"a": s.a, "b": s.b(), "c": c, "key": value}` of
+/// `obj!(s.a, s.b(), c, "key" => value)`: a field, a getter or a
+/// variable is shown under its own name, anything else under the key
+/// stated — so a key that is a name is typed once.
+macro_rules! obj {
+    (@ [$($done:tt)*]) => { Json::Obj(vec![$($done)*]) };
+    (@ [$($done:tt)*] $key:expr => $v:expr $(, $($rest:tt)*)?) => {
+        obj!(@ [$($done)* ($key.to_string(), $v.json()),] $($($rest)*)?)
+    };
+    (@ [$($done:tt)*] $of:ident . $getter:ident () $(, $($rest:tt)*)?) => {
+        obj!(@ [$($done)* (stringify!($getter).to_string(), $of.$getter().json()),] $($($rest)*)?)
+    };
+    (@ [$($done:tt)*] $of:ident . $field:ident $(, $($rest:tt)*)?) => {
+        obj!(@ [$($done)* (stringify!($field).to_string(), $of.$field.json()),] $($($rest)*)?)
+    };
+    (@ [$($done:tt)*] $var:ident $(, $($rest:tt)*)?) => {
+        obj!(@ [$($done)* (stringify!($var).to_string(), $var.json()),] $($($rest)*)?)
+    };
+    ($($all:tt)*) => { obj!(@ [] $($all)*) };
+}
+pub(crate) use obj;
+
+/// `impl ToJson` for each `Type: value => its JSON`.
+macro_rules! to_json {
+    ($($t:ty: $v:ident => $json:expr),* $(,)?) => {$(
+        impl ToJson for $t {
+            fn json(&self) -> Json {
+                let $v = self;
+                $json
+            }
+        }
+    )*};
+}
+pub(crate) use to_json;
+
+to_json! {
+    Json: j => j.clone(),
+    bool: b => Json::Bool(*b),
+    f64: n => Json::Num(*n),
+    usize: n => Json::Num(*n as f64),
+    u64: n => Json::Num(*n as f64),
+    u32: n => Json::Num(*n as f64),
+    u16: n => Json::Num(*n as f64),
+    str: s => Json::str(s),
+    String: s => Json::str(s),
+    (f64, f64): pair => Json::nums([pair.0, pair.1]),
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(T::json).collect())
+    }
+}
+
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; serialize as null (consumers treat it as

@@ -45,9 +45,8 @@ pub use factory::{build_trainer, make_scheduler, scheduler_spec_by_name, Trained
 pub use registry::ScenarioRegistry;
 pub use runner::{par_map, run_scenario, try_run_scenario, RunOptions, Scenario};
 
-use decima_core::{ClusterSpec, JobSpec, Summary};
+use decima_core::{ClusterSpec, JobSpec};
 use decima_sim::{EpisodeResult, Scheduler, SimConfig, Simulator};
-use report::SeriesReport;
 
 /// Runs one scheduler over one episode.
 pub fn run_episode(
@@ -57,41 +56,6 @@ pub fn run_episode(
     sched: impl Scheduler,
 ) -> EpisodeResult {
     Simulator::new(cluster.clone(), jobs.to_vec(), cfg.clone()).run(sched)
-}
-
-/// Prints a comparison table (name, mean, p50, p95) and the headline
-/// ratios against the first row.
-pub fn print_comparison(title: &str, series: &[SeriesReport]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>10}",
-        "scheduler", "mean", "p50", "p95", "runs"
-    );
-    let summary = |s: &SeriesReport| Summary::of(&s.avg_jcts);
-    for s in series {
-        let sum = summary(s);
-        println!(
-            "{:<26} {:>10.1} {:>10.1} {:>10.1} {:>10}",
-            s.label, sum.mean, sum.p50, sum.p95, sum.n
-        );
-    }
-    if let Some(first) = series.first() {
-        let base = summary(first).mean;
-        for s in &series[1..] {
-            let m = summary(s).mean;
-            println!(
-                "   {} vs {}: {:+.1}% ({}x)",
-                s.label,
-                first.label,
-                100.0 * (m - base) / base,
-                format_ratio(base / m)
-            );
-        }
-    }
-}
-
-fn format_ratio(r: f64) -> String {
-    format!("{r:.2}")
 }
 
 /// Minimal `--flag value` argument parser: `Args::new().value("scenario")`.
@@ -172,6 +136,7 @@ impl Default for Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SeriesReport;
     use decima_baselines::FifoScheduler;
     use decima_workload::tpch_batch;
 

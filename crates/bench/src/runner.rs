@@ -27,8 +27,7 @@
 use crate::factory::{make_scheduler, TrainedPolicy};
 use crate::json::Json;
 use crate::model::{resolve, train_entry, Site};
-use crate::print_comparison;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV, TERM};
 use crate::scenario::{LineupEntry, ReportKind, ScenarioSpec, SchedulerSpec};
 use decima_baselines::tune_alpha;
 use decima_core::par::ordered_map;
@@ -99,9 +98,7 @@ pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioRepo
     }
     report.wall_secs = t0.elapsed().as_secs_f64();
     for table in &report.tables {
-        let lines = std::iter::once(&table.header).chain(&table.rows);
-        let body: String = lines.flat_map(|l| [l.as_str(), "\n"]).collect();
-        let path = write_out(&format!("{}.csv", table.name), &body)?;
+        let path = write_out(&format!("{}.csv", table.name), &table.csv())?;
         println!("[csv] {}", path.display());
         report.csv_paths.push(path);
     }
@@ -311,95 +308,120 @@ pub fn run_comparison(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Scenario
     Ok(report)
 }
 
-/// Prints the terminal report of a comparison run and adds its CSV table.
+/// Reports a comparison run in the spec's [`ReportKind`]: one [`Table`]
+/// printed to the terminal and handed to the report as its CSV (the CDF
+/// shape prints the comparison table and writes the CDF one).
 fn report_comparison(spec: &ScenarioSpec, report: &mut ScenarioReport) {
-    match spec.report {
+    let series = &report.series;
+    let table = match spec.report {
         ReportKind::Table | ReportKind::CdfCsv => {
-            print_comparison(&spec.title, &report.series);
+            println!("\n== {} ==", spec.title);
+            let table = comparison_table(spec, series);
+            table.print();
+            print_headlines(series);
+            match spec.report {
+                ReportKind::CdfCsv => cdf_table(spec, series),
+                _ => table,
+            }
         }
-        ReportKind::MeanUnfinished => {
+        ReportKind::MeanUnfinished | ReportKind::MeanCsv => {
             println!("\n{}", spec.title);
-            for s in &report.series {
-                println!(
-                    "{:<22} avg JCT {:>8.1}s   unfinished {:>4} (across {} runs)",
-                    s.label,
-                    s.mean(),
-                    s.unfinished,
-                    s.avg_jcts.len()
-                );
-            }
-        }
-        ReportKind::MeanCsv => {
-            println!("\n{}", spec.title);
-            for s in &report.series {
-                println!("{:<34} avg JCT {:>8.1}s", s.label, s.mean());
-            }
-        }
-    }
-
-    let (header, rows) = match spec.report {
-        ReportKind::CdfCsv => {
-            // One sorted column per scheduler: `cdf,<name>,<name>,…`.
-            let runs = spec.seeds.count;
-            let sorted: Vec<Vec<f64>> = report
-                .series
-                .iter()
-                .map(|s| {
-                    let mut v = s.avg_jcts.clone();
-                    v.sort_by(|a, b| a.total_cmp(b));
-                    v
-                })
-                .collect();
-            let mut rows = Vec::with_capacity(runs);
-            for i in 0..runs {
-                let frac = (i + 1) as f64 / runs.max(1) as f64;
-                let mut row = format!("{frac:.3}");
-                for col in &sorted {
-                    match col.get(i) {
-                        Some(v) => row += &format!(",{v:.2}"),
-                        None => row += ",",
-                    }
-                }
-                rows.push(row);
-            }
-            let header = std::iter::once("cdf".to_string())
-                .chain(report.series.iter().map(|s| s.csv.clone()))
-                .collect::<Vec<_>>()
-                .join(",");
-            (header, rows)
-        }
-        ReportKind::Table => {
-            let rows: Vec<String> = report
-                .series
-                .iter()
-                .map(|s| {
-                    let sum = s.summary();
-                    format!(
-                        "{},{:.2},{:.2},{:.2},{}",
-                        s.csv, sum.mean, sum.p50, sum.p95, sum.n
-                    )
-                })
-                .collect();
-            ("scheduler,mean,p50,p95,runs".to_string(), rows)
-        }
-        ReportKind::MeanUnfinished => {
-            let rows: Vec<String> = report
-                .series
-                .iter()
-                .map(|s| format!("{},{:.2},{}", s.csv, s.mean(), s.unfinished))
-                .collect();
-            ("scheduler,avg_jct,unfinished".to_string(), rows)
-        }
-        ReportKind::MeanCsv => {
-            let rows: Vec<String> = report
-                .series
-                .iter()
-                .map(|s| format!("{},{:.2}", s.csv, s.mean()))
-                .collect();
-            ("setup,avg_jct".to_string(), rows)
+            let table = mean_table(spec, series);
+            table.print();
+            table
         }
     };
-    report.push_table(&spec.name, &header, rows);
+    report.push_table(table);
+}
+
+/// Name, mean, p50, p95 and seed count per scheduler, each over the
+/// seeds that completed a job ([`SeriesReport::summary`]).
+fn comparison_table(spec: &ScenarioSpec, series: &[SeriesReport]) -> Table {
+    let names = [
+        Column::new("scheduler").on(TERM),
+        Column::new("scheduler").on(CSV),
+    ];
+    let stats = ["mean", "p50", "p95", "runs"].map(Column::new);
+    let mut table = Table::new(&spec.name, names.into_iter().chain(stats));
+    for s in series {
+        let (names, sum) = (
+            [s.label.as_str(), s.csv.as_str()].map(Cell::from),
+            s.summary(),
+        );
+        let stats = [sum.mean, sum.p50, sum.p95].map(Cell::Num);
+        table.push(names.into_iter().chain(stats).chain([sum.n.into()]));
+    }
+    table
+}
+
+/// The headline ratios against the first row, and how many seeds of a
+/// scheduler completed no job (they are in no statistic above).
+fn print_headlines(series: &[SeriesReport]) {
+    if let Some((first, rest)) = series.split_first() {
+        let (first, base) = (&first.label, first.summary().mean);
+        for s in rest {
+            let (name, m) = (&s.label, s.summary().mean);
+            let (change, ratio) = (100.0 * (m - base) / base, base / m);
+            println!("   {name} vs {first}: {change:+.1}% ({ratio:.2}x)");
+        }
+    }
+    for s in series {
+        let (name, runs, done) = (&s.label, s.avg_jcts.len(), s.summary().n);
+        if done < runs {
+            println!(
+                "   {name}: {} of {runs} seeds completed no job",
+                runs - done
+            );
+        }
+    }
+}
+
+/// One labelled line per scheduler: mean avg JCT, and for streaming runs
+/// the unfinished jobs across the seeds.
+fn mean_table(spec: &ScenarioSpec, series: &[SeriesReport]) -> Table {
+    // Where the streaming columns show: nowhere for a plain mean table.
+    let (id, streaming) = match spec.report {
+        ReportKind::MeanUnfinished => ("scheduler", TERM | CSV),
+        _ => ("setup", 0),
+    };
+    let columns = [
+        Column::new("").on(TERM),
+        Column::new(id).on(CSV),
+        Column::new("avg_jct").heading("avg JCT").unit("s"),
+        Column::new("unfinished").on(streaming),
+        Column::new("").on(streaming & TERM),
+    ];
+    let mut table = Table::new(&spec.name, columns).labelled();
+    for s in series {
+        let across = format!("(across {} runs)", s.avg_jcts.len());
+        let names = [s.label.as_str(), s.csv.as_str()].map(Cell::from);
+        let jobs = [s.mean().into(), s.unfinished.into(), across.into()];
+        table.push(names.into_iter().chain(jobs));
+    }
+    table
+}
+
+/// One sorted column per scheduler: `cdf,<name>,<name>,…`; a seed that
+/// completed no job sorts last, as an empty cell.
+fn cdf_table(spec: &ScenarioSpec, series: &[SeriesReport]) -> Table {
+    let runs = spec.seeds.count;
+    let names = series.iter().map(|s| Column::new(s.csv.as_str()));
+    let cdf = Column::new("cdf").digits(3, 3);
+    let mut table = Table::new(&spec.name, std::iter::once(cdf).chain(names));
+    let sorted = series.iter().map(|s| {
+        let mut v = s.avg_jcts.clone();
+        v.sort_by(|a, b| a.total_cmp(b));
+        v
+    });
+    let sorted: Vec<Vec<f64>> = sorted.collect();
+    for i in 0..runs {
+        let frac = (i + 1) as f64 / runs.max(1) as f64;
+        let cells = sorted
+            .iter()
+            .map(|col| col.get(i).copied().unwrap_or(f64::NAN));
+        table.push(std::iter::once(frac).chain(cells).map(Cell::Num));
+    }
+    table
 }
 
 #[cfg(test)]
@@ -485,8 +507,9 @@ mod tests {
         assert_eq!(first.tables, second.tables);
         assert_eq!(first.tables.len(), 1);
         assert_eq!(first.tables[0].name, "t");
-        assert_eq!(first.tables[0].header, "scheduler,mean,p50,p95,runs");
-        assert_eq!(first.tables[0].rows.len(), 1);
+        let csv = first.tables[0].csv();
+        assert_eq!(csv.lines().next(), Some("scheduler,mean,p50,p95,runs"));
+        assert_eq!(first.tables[0].len(), 1);
         assert!(first.csv_paths.is_empty(), "only the runner writes");
         assert_eq!(listing(), before);
     }

@@ -4,9 +4,9 @@
 
 use super::first_train;
 use crate::factory::TrainedPolicy;
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::model::{begin, drive, train_entry};
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV, JSON, TERM};
 use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
 use crate::timed::Timed;
@@ -65,13 +65,8 @@ pub fn run_fig13(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
             println!("utilization {:.0}%", 100.0 * utilization);
         }
         report.push_series(SeriesReport::of(title, &csv, &run));
-        report.push_extra(
-            csv,
-            Json::obj([
-                ("makespan", Json::Num(r.makespan().unwrap_or(f64::NAN))),
-                ("utilization", Json::Num(utilization)),
-            ]),
-        );
+        let makespan = r.makespan().unwrap_or(f64::NAN);
+        report.push_extra(csv, obj!(makespan, utilization));
     }
     Ok(report)
 }
@@ -110,14 +105,38 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         parallelism: ParallelismMode::Disabled,
         ..PolicySpec::default()
     };
+    // (CSV / JSON / model key, terminal heading, recipe, trained on batches)
+    let default = PolicySpec::default;
+    let variants = [
+        ("decima", "decima", variant(true, default(), 31), false),
+        ("no_gnn", "no-gnn", variant(true, no_gnn, 33), false),
+        ("no_par_ctl", "no-par-ctl", variant(true, no_par, 35), false),
+        (
+            "batch_trained",
+            "batch-trn",
+            variant(true, default(), 37),
+            true,
+        ),
+        (
+            "no_var_red",
+            "no-var-red",
+            variant(false, default(), 39),
+            false,
+        ),
+    ];
 
-    let mut rows = Vec::new();
     let mut report = ScenarioReport::new();
     println!("Figure 14: ablations vs cluster load (avg JCT over completed jobs, seconds)");
-    println!(
-        "{:<10} {:>12} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "load", "opt-wf", "decima", "no-gnn", "no-par-ctl", "batch-trn", "no-var-red"
-    );
+    // The terminal shows the load as a percentage, the CSV as a fraction.
+    let fixed = [
+        Column::new("load").on(TERM),
+        Column::new("load").shortest().on(CSV),
+        Column::new("opt_wf").heading("opt-wf"),
+    ];
+    let arms = variants
+        .iter()
+        .map(|(key, heading, ..)| Column::new(*key).heading(heading));
+    let mut table = Table::new("fig14_ablations", fixed.into_iter().chain(arms));
     for &(load, iat) in &loads {
         let env = SpecEnv {
             workload: WorkloadSpec::tpch_stream(jobs_n, execs, iat),
@@ -128,9 +147,14 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         let wf = mean_jct(&env, &eval_seeds, opts.threads, || {
             WeightedFairScheduler::new(-1.0)
         });
-
-        let train_and_eval = |name: &str, mut t: TrainSpec, batch_train: bool| {
-            if batch_train {
+        let mut row = vec![
+            format!("{:.0}%", load * 100.0).into(),
+            load.into(),
+            wf.into(),
+        ];
+        for (name, _, train, batch_train) in &variants {
+            let mut t = train.clone();
+            if *batch_train {
                 t.workload = Some(WorkloadSpec::tpch_batch(20, execs));
                 t.cfg.curriculum = None;
                 t.cfg.differential_reward = false;
@@ -139,46 +163,15 @@ pub fn run_fig14(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             let trainer = train_entry(&format!("{name} at load {load}"), &t.keyed(&key), &env)?;
             let trained = TrainedPolicy::of(&trainer);
             let greedy = || trained.greedy_agent();
-            Ok::<f64, String>(mean_jct(&env, &eval_seeds, opts.threads, greedy))
-        };
-
-        let default = PolicySpec::default;
-        let full = train_and_eval("decima", variant(true, default(), 31), false)?;
-        let no_gnn_jct = train_and_eval("no_gnn", variant(true, no_gnn.clone(), 33), false)?;
-        let no_par_jct = train_and_eval("no_par_ctl", variant(true, no_par.clone(), 35), false)?;
-        let batch_trained = train_and_eval("batch_trained", variant(true, default(), 37), true)?;
-        let no_var = train_and_eval("no_var_red", variant(false, default(), 39), false)?;
-
-        println!(
-            "{:<10} {:>12.1} {:>10.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            format!("{:.0}%", load * 100.0),
-            wf,
-            full,
-            no_gnn_jct,
-            no_par_jct,
-            batch_trained,
-            no_var
-        );
-        rows.push(format!(
-            "{load},{wf:.2},{full:.2},{no_gnn_jct:.2},{no_par_jct:.2},{batch_trained:.2},{no_var:.2}"
-        ));
-        report.push_extra(
-            format!("load_{:.0}", load * 100.0),
-            Json::obj([
-                ("opt_wf", Json::Num(wf)),
-                ("decima", Json::Num(full)),
-                ("no_gnn", Json::Num(no_gnn_jct)),
-                ("no_par_ctl", Json::Num(no_par_jct)),
-                ("batch_trained", Json::Num(batch_trained)),
-                ("no_var_red", Json::Num(no_var)),
-            ]),
-        );
+            row.push(mean_jct(&env, &eval_seeds, opts.threads, greedy).into());
+        }
+        table.push(row);
     }
-    report.push_table(
-        "fig14_ablations",
-        "load,opt_wf,decima,no_gnn,no_par_ctl,batch_trained,no_var_red",
-        rows,
-    );
+    table.print();
+    for (&(load, _), row) in loads.iter().zip(table.json_rows()) {
+        report.push_extra(format!("load_{:.0}", load * 100.0), Json::Obj(row));
+    }
+    report.push_table(table);
     Ok(report)
 }
 
@@ -191,13 +184,13 @@ pub fn run_fig15a(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
     let eval_start = spec.num_param("eval-seed-start") as u64;
     let eval_seeds: Vec<u64> = (eval_start..eval_start + 3).collect();
     let modes = [
-        ("job-level (decima)", ParallelismMode::JobLevel),
-        ("one-hot limits", ParallelismMode::OneHot),
-        ("stage-level", ParallelismMode::StageLevel),
+        ("job-level (decima)", ParallelismMode::JobLevel, "job_level"),
+        ("one-hot limits", ParallelismMode::OneHot, "one_hot"),
+        ("stage-level", ParallelismMode::StageLevel, "stage_level"),
     ];
 
     let mut curves: Vec<Vec<(usize, f64)>> = Vec::new();
-    for &(name, mode) in &modes {
+    for &(name, mode, _) in &modes {
         println!("\nTraining variant: {name}");
         let mut train = TrainSpec::tuned(iters, 41);
         train.cfg.entropy_decay_iters = iters.max(1);
@@ -219,31 +212,18 @@ pub fn run_fig15a(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
         curves.push(curve);
     }
 
-    let mut rows = Vec::new();
-    for ((&(iter, job_level), &(_, one_hot)), &(_, stage_level)) in
-        curves[0].iter().zip(&curves[1]).zip(&curves[2])
-    {
-        rows.push(format!(
-            "{iter},{job_level:.2},{one_hot:.2},{stage_level:.2}"
-        ));
+    let keys = modes.map(|(_, _, key)| key);
+    let columns = std::iter::once("iter").chain(keys).map(Column::new);
+    let mut table = Table::new("fig15a_learning_curve", columns);
+    for (i, &(iter, _)) in curves[0].iter().enumerate() {
+        let jcts = curves.iter().map(|curve| curve[i].1.into());
+        table.push(std::iter::once(iter.into()).chain(jcts));
     }
     let mut report = ScenarioReport::new();
-    report.push_table(
-        "fig15a_learning_curve",
-        "iter,job_level,one_hot,stage_level",
-        rows,
-    );
-    for (i, key) in ["job_level", "one_hot", "stage_level"].iter().enumerate() {
-        report.push_extra(
-            key.to_string(),
-            Json::Arr(
-                curves[i]
-                    .iter()
-                    .map(|&(it, jct)| Json::nums([it as f64, jct]))
-                    .collect(),
-            ),
-        );
+    for key in keys {
+        report.push_extra(key, table.json_arrays(&["iter", key]));
     }
+    report.push_table(table);
     Ok(report)
 }
 
@@ -286,37 +266,46 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
         delays_ms.len()
     );
     let mut report = ScenarioReport::new();
-    let mut quantiles = Vec::new();
+    let mut quantiles = Table::new(
+        "quantiles",
+        [
+            Column::new("").on(TERM),
+            Column::new("q").on(JSON),
+            Column::new("decision").digits(2, 2).unit(" ms"),
+            Column::new("event interval").unit(" ms"),
+        ],
+    )
+    .labelled();
     for q in [0.5, 0.9, 0.95, 0.99] {
-        let d = percentile(&delays_ms, q);
-        let iv = percentile(&intervals_ms, q);
-        println!(
-            "  p{:>2.0}: decision {:>8.2} ms   event interval {:>10.1} ms",
-            q * 100.0,
-            d,
-            iv
-        );
-        quantiles.push(Json::nums([q, d, iv]));
+        let (d, iv) = (percentile(&delays_ms, q), percentile(&intervals_ms, q));
+        quantiles.push([
+            format!("p{:.0}:", q * 100.0).into(),
+            q.into(),
+            d.into(),
+            iv.into(),
+        ]);
     }
+    quantiles.print();
     let ratio = percentile(&intervals_ms, 0.5) / percentile(&delays_ms, 0.5).max(1e-9);
     println!("  median interval / median delay: {ratio:.0}x (paper: ~50x, <15 ms decisions)");
 
     let mut sorted = delays_ms.clone();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    let rows: Vec<String> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let f = (i + 1) as f64 / sorted.len() as f64;
-            let interval = intervals_ms
-                .get(i * intervals_ms.len() / sorted.len())
-                .copied()
-                .unwrap_or(f64::NAN);
-            format!("{f:.4},{d:.4},{interval:.2}")
-        })
-        .collect();
-    report.push_table("fig15b_latency", "cdf,decision_ms,interval_ms", rows);
-    report.push_extra("quantiles_q_decision_interval", Json::Arr(quantiles));
+    let mut table = Table::new(
+        "fig15b_latency",
+        [
+            Column::new("cdf").digits(4, 4),
+            Column::new("decision_ms").digits(4, 4),
+            Column::new("interval_ms"),
+        ],
+    );
+    for (i, &d) in sorted.iter().enumerate() {
+        let f = (i + 1) as f64 / sorted.len() as f64;
+        let interval = intervals_ms.get(i * intervals_ms.len() / sorted.len());
+        table.push([f, d, interval.copied().unwrap_or(f64::NAN)].map(Cell::Num));
+    }
+    report.push_table(table);
+    report.push_extra("quantiles_q_decision_interval", quantiles.json_arrays(&[]));
     report.push_extra("interval_over_delay_median", Json::Num(ratio));
     Ok(report)
 }

@@ -4,14 +4,14 @@
 
 use super::first_train;
 use crate::factory::TrainedPolicy;
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::model::train_entry;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Column, ScenarioReport, SeriesReport, Table, TERM};
 use crate::run_episode;
 use crate::runner::{episodes, par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
 use decima_baselines::{exhaustive_search, SjfCpScheduler, WeightedFairScheduler};
-use decima_core::{ClusterSpec, JobId, SimTime};
+use decima_core::{ClusterSpec, JobId, JobSpec, SimTime};
 use decima_gnn::{random_cp_example, CpExample, CpHarness};
 use decima_rl::EnvFactory as _;
 use decima_sim::SimConfig;
@@ -30,7 +30,9 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     const EPS: f64 = APPENDIX_DAG_EPS;
 
     let cp_run = episodes(&env, &[0], 1, || SjfCpScheduler);
-    let cp = cp_run[0].makespan().unwrap();
+    // A horizon that ends before the job does leaves no makespan: an
+    // empty cell and a `null`.
+    let cp = cp_run[0].makespan().unwrap_or(f64::NAN);
     println!(
         "critical-path schedule: {cp:.2}s (paper: 28 + 3ε = {:.2}s)",
         28.0 + 3.0 * EPS
@@ -44,7 +46,7 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let trainer = train_entry("Decima on this single DAG", &train, &env)?;
     let trained = TrainedPolicy::of(&trainer);
     let learned_run = episodes(&env, &[0], 1, || trained.greedy_agent());
-    let learned = learned_run[0].makespan().unwrap();
+    let learned = learned_run[0].makespan().unwrap_or(f64::NAN);
     println!("\nDecima's learned schedule: {learned:.2}s");
     println!(
         "vs critical path: {:+.0}% (paper: optimal is 29% faster)",
@@ -55,15 +57,12 @@ pub fn run_fig16(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     // One job arriving at time zero: its JCT is the makespan.
     report.push_series(SeriesReport::of("sjf-cp", "sjf_cp", &cp_run));
     report.push_series(SeriesReport::of("decima", "decima", &learned_run));
-    report.push_table(
-        "fig16_appendix_example",
-        "scheduler,makespan",
-        vec![
-            format!("sjf_cp,{cp:.2}"),
-            format!("decima,{learned:.2}"),
-            format!("optimal,{:.2}", 20.0 + 3.0 * EPS),
-        ],
-    );
+    let columns = ["scheduler", "makespan"].map(Column::new);
+    let mut table = Table::new("fig16_appendix_example", columns);
+    table.push(["sjf_cp".into(), cp.into()]);
+    table.push(["decima".into(), learned.into()]);
+    table.push(["optimal".into(), (20.0 + 3.0 * EPS).into()]);
+    report.push_table(table);
     report.push_extra("critical_path_makespan", Json::Num(cp));
     report.push_extra("decima_makespan", Json::Num(learned));
     report.push_extra("optimal_makespan", Json::Num(20.0 + 3.0 * EPS));
@@ -85,32 +84,51 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     let move_delay = spec.workload.as_ref().map_or(2.5, |w| w.move_delay);
 
     let cluster = ClusterSpec::homogeneous(execs).with_move_delay(move_delay);
-    let sim_cfg = SimConfig::default().with_seed(0);
+    // A horizon too short for a job to finish leaves its JCT undefined:
+    // an empty cell and a `null`, like any run that completes nothing.
+    let config = |seed: u64| SimConfig {
+        time_limit: spec.sim.time_limit,
+        ..SimConfig::default().with_seed(seed)
+    };
+    let fair_jct = |jobs: &[JobSpec], cfg: &SimConfig| {
+        let run = run_episode(&cluster, jobs, cfg, WeightedFairScheduler::fair());
+        run.avg_jct().unwrap_or(f64::NAN)
+    };
+    let sim_cfg = config(0);
     println!("Figure 18a: single jobs in isolation (relative error, sim vs noisy 'real')");
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig18a_isolated",
+        [
+            Column::new("query").heading(""),
+            Column::new("real_mean").heading("real").unit("s"),
+            Column::new("sim").unit("s"),
+            Column::new("err_pct").heading("err").signed().unit("%"),
+        ],
+    )
+    .labelled();
     let mut errs = Vec::new();
     let rep_seeds: Vec<u64> = (0..reps as u64).collect();
     for q in 1..=22u16 {
         let jobs = vec![tpch_job_scaled(q, 20.0, JobId(0), SimTime::ZERO, scale)];
-        let sim = run_episode(&cluster, &jobs, &sim_cfg, WeightedFairScheduler::fair())
-            .avg_jct()
-            .unwrap();
+        let sim = fair_jct(&jobs, &sim_cfg);
         let reals = par_map(&rep_seeds, opts.threads, |&r| {
-            let cfg = SimConfig::default().with_noise(noise).with_seed(100 + r);
-            run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::fair())
-                .avg_jct()
-                .unwrap()
+            fair_jct(&jobs, &config(100 + r).with_noise(noise))
         });
         let real_mean: f64 = reals.iter().sum::<f64>() / reps as f64;
         let err = 100.0 * (sim - real_mean) / real_mean;
         errs.push(err.abs());
-        println!("  q{q:<3} real {real_mean:>7.1}s  sim {sim:>7.1}s  err {err:>+6.1}%");
-        rows.push(format!("q{q},{real_mean:.2},{sim:.2},{err:.2}"));
+        table.push([
+            format!("q{q}").into(),
+            real_mean.into(),
+            sim.into(),
+            err.into(),
+        ]);
     }
+    table.print();
     let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
     println!("mean |error| isolated: {mean_err:.1}% (paper: ≤5%)");
     let mut report = ScenarioReport::new();
-    report.push_table("fig18a_isolated", "query,real_mean,sim,err_pct", rows);
+    report.push_table(table);
 
     println!("\nFigure 18b: 22-query mix on a shared cluster");
     let jobs = renumber(
@@ -118,27 +136,15 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             .map(|q| tpch_job_scaled(q, 10.0, JobId(0), SimTime::ZERO, scale))
             .collect(),
     );
-    let sim = run_episode(&cluster, &jobs, &sim_cfg, WeightedFairScheduler::fair())
-        .avg_jct()
-        .unwrap();
+    let sim = fair_jct(&jobs, &sim_cfg);
     let reals = par_map(&rep_seeds, opts.threads, |&r| {
-        let cfg = SimConfig::default().with_noise(noise).with_seed(200 + r);
-        run_episode(&cluster, &jobs, &cfg, WeightedFairScheduler::fair())
-            .avg_jct()
-            .unwrap()
+        fair_jct(&jobs, &config(200 + r).with_noise(noise))
     });
     let real_mean = reals.iter().sum::<f64>() / reps as f64;
     let err = 100.0 * (sim - real_mean) / real_mean;
     println!("  mix: real {real_mean:.1}s  sim {sim:.1}s  err {err:+.1}% (paper: ≤9%)");
     report.push_extra("mean_abs_err_isolated_pct", Json::Num(mean_err));
-    report.push_extra(
-        "mix",
-        Json::obj([
-            ("real_mean", Json::Num(real_mean)),
-            ("sim", Json::Num(sim)),
-            ("err_pct", Json::Num(err)),
-        ]),
-    );
+    report.push_extra("mix", obj!(real_mean, sim, "err_pct" => err));
     Ok(report)
 }
 
@@ -160,16 +166,23 @@ pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let mut two = CpHarness::new(true, 7);
     let mut one = CpHarness::new(false, 7);
     println!("Figure 19: critical-path argmax accuracy on unseen {nodes}-node DAGs");
-    println!("{:>6} {:>14} {:>14}", "iter", "two-level", "single-level");
-    let mut rows = Vec::new();
-    let mut curve = Vec::new();
+    let mut table = Table::new(
+        "fig19_expressiveness",
+        [
+            Column::new("iter"),
+            Column::new("two_level").heading("two-level").digits(4, 2),
+            Column::new("single_level")
+                .heading("single-level")
+                .digits(4, 2),
+        ],
+    );
     for i in 0..=iters {
         if i % every == 0 {
-            let a2 = two.accuracy(&test);
-            let a1 = one.accuracy(&test);
-            println!("{i:>6} {a2:>14.2} {a1:>14.2}");
-            rows.push(format!("{i},{a2:.4},{a1:.4}"));
-            curve.push(Json::nums([i as f64, a2, a1]));
+            table.push([
+                i.into(),
+                two.accuracy(&test).into(),
+                one.accuracy(&test).into(),
+            ]);
         }
         if i < iters {
             let lo = (i * 8) % (train.len() - 8);
@@ -177,9 +190,10 @@ pub fn run_fig19(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
             one.train_step(&train[lo..lo + 8]);
         }
     }
+    table.print();
     let mut report = ScenarioReport::new();
-    report.push_table("fig19_expressiveness", "iter,two_level,single_level", rows);
-    report.push_extra("accuracy_iter_two_one", Json::Arr(curve));
+    report.push_extra("accuracy_iter_two_one", table.json_arrays(&[]));
+    report.push_table(table);
     Ok(report)
 }
 
@@ -197,10 +211,6 @@ pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     println!(
         "\nFigure 22: avg JCT on {} unseen 10-job batches (simplified sim)",
         seeds.len()
-    );
-    println!(
-        "{:>6} {:>12} {:>12} {:>14} {:>12}",
-        "seed", "opt-wf", "sjf-cp", "search", "decima"
     );
     let wf = episodes(&env, &seeds, opts.threads, || {
         WeightedFairScheduler::new(-1.0)
@@ -223,23 +233,77 @@ pub fn run_fig22(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         SeriesReport::of("decima", "decima", &decima),
     ];
 
-    let mut rows = Vec::new();
-    for (i, (seed, search)) in seeds.iter().zip(&searches).enumerate() {
-        let [wf, sjf, searched, decima] = [0, 1, 2, 3].map(|col| columns[col].avg_jcts[i]);
-        println!(
-            "{seed:>6} {wf:>12.1} {sjf:>12.1} {searched:>14.1} {decima:>12.1}   \
-             (search evaluated {} orderings{})",
-            search.evaluated,
-            if search.exhaustive {
-                ", exhaustive"
-            } else {
-                ", sampled"
-            }
+    // One column per series, then what the search did (terminal only).
+    let series = columns.iter();
+    let series = series.map(|s| Column::new(s.csv.as_str()).heading(&s.label));
+    let note = Column::new("").on(TERM);
+    let seed = std::iter::once(Column::new("seed"));
+    let mut table = Table::new("fig22_optimality", seed.chain(series).chain([note]));
+    for (i, (&seed, search)) in seeds.iter().zip(&searches).enumerate() {
+        let jcts = columns.iter().map(|s| s.avg_jcts[i].into());
+        let how = if search.exhaustive {
+            "exhaustive"
+        } else {
+            "sampled"
+        };
+        let note = format!("(search evaluated {} orderings, {how})", search.evaluated);
+        table.push(
+            std::iter::once(seed.into())
+                .chain(jcts)
+                .chain([note.into()]),
         );
-        rows.push(format!("{seed},{wf:.2},{sjf:.2},{searched:.2},{decima:.2}"));
     }
+    table.print();
     let mut report = ScenarioReport::new();
     report.series.extend(columns);
-    report.push_table("fig22_optimality", "seed,opt_wf,sjf_cp,search,decima", rows);
+    report.push_table(table);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ScenarioRegistry;
+
+    /// A horizon that ends before any job does: Figures 16 and 18 report
+    /// empty CSV cells and JSON `null`s where they used to panic on the
+    /// missing makespan / JCT.
+    #[test]
+    fn a_horizon_that_finishes_nothing_is_empty_cells_and_nulls() {
+        let registry = ScenarioRegistry::standard();
+        let opts = RunOptions::default();
+        let run = |name: &str, run: crate::runner::RunFn, sets: &[(&str, &str)]| {
+            let mut spec = registry.get(name).unwrap().spec.clone();
+            sets.iter().for_each(|(k, v)| spec.set(k, v).unwrap());
+            spec.sim.time_limit = Some(1e-3);
+            let report = run(&spec, &opts).unwrap();
+            (report.tables[0].csv(), report.to_json(&spec))
+        };
+
+        let (csv, doc) = run("fig16", run_fig16, &[("iters", "0")]);
+        let optimal = format!("optimal,{:.2}", 20.0 + 3.0 * APPENDIX_DAG_EPS);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(
+            lines,
+            ["scheduler,makespan", "sjf_cp,", "decima,", &optimal]
+        );
+        let extra = doc.get("extra").unwrap();
+        assert!(extra.get("optimal_makespan").unwrap().as_f64().is_some());
+        let rendered = extra.render();
+        assert!(
+            rendered.contains("\"critical_path_makespan\": null"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("\"decima_makespan\": null"), "{rendered}");
+
+        let (csv, doc) = run("fig18", run_fig18, &[("reps", "1")]);
+        assert_eq!(csv.lines().count(), 23);
+        assert!(csv.lines().skip(1).all(|l| l.ends_with(",,,")), "{csv}");
+        let rendered = doc.get("extra").unwrap().render();
+        assert!(
+            rendered.contains("\"mean_abs_err_isolated_pct\": null"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("\"sim\": null"), "{rendered}");
+    }
 }

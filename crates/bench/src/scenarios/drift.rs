@@ -26,15 +26,15 @@
 //!
 //! [`DriftCounters`]: decima_sim::DriftCounters
 
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::model::train_entry;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV, TERM};
 use crate::runner::{resolve_lineup, spec_env, spec_episodes, RunOptions};
 use crate::scenario::{
     drift_json, LineupEntry, ParamValue, ScenarioSpec, SchedulerSpec, TrainSpec,
 };
 use decima_rl::SpecEnv;
-use decima_sim::EpisodeResult;
+use decima_sim::{DriftCounters, EpisodeResult};
 use decima_workload::{DriftSpec, DRIFT_PROFILE_NAMES};
 
 /// The drift profiles this run sweeps, by the `profile` parameter:
@@ -53,45 +53,29 @@ fn resolve_profiles(spec: &ScenarioSpec) -> Vec<(String, DriftSpec)> {
     }
 }
 
-/// Per-arm, per-phase aggregation over the seed plan. A stationary
-/// episode (no phase boundaries) degrades to one synthetic phase so
-/// `profile=off` still produces well-formed rows.
-struct PhaseAgg {
-    phases: u64,
-    mean_cost: Vec<f64>,
-    arrivals: Vec<u64>,
-    completions: Vec<u64>,
-}
-
-fn aggregate(results: &[EpisodeResult]) -> PhaseAgg {
+/// Per-arm, per-phase aggregation over the seed plan: arrivals and
+/// completions summed, cost averaged. A stationary episode (no phase
+/// boundaries) degrades to one synthetic phase so `profile=off` still
+/// produces well-formed rows.
+fn aggregate(results: &[EpisodeResult]) -> DriftCounters {
     let n = results.len().max(1) as f64;
     let phases = results.iter().map(|r| r.drift.phases).max().unwrap_or(0);
     if phases == 0 {
-        return PhaseAgg {
+        let cost = results.iter().map(EpisodeResult::total_penalty);
+        return DriftCounters {
             phases: 1,
-            mean_cost: vec![
-                results
-                    .iter()
-                    .map(EpisodeResult::total_penalty)
-                    .sum::<f64>()
-                    / n,
-            ],
-            arrivals: vec![results.iter().map(|r| r.jobs.len() as u64).sum()],
-            completions: vec![results.iter().map(|r| r.completed() as u64).sum()],
+            cost_by_phase: vec![cost.sum::<f64>() / n],
+            arrivals_by_phase: vec![results.iter().map(|r| r.jobs.len() as u64).sum()],
+            completions_by_phase: vec![results.iter().map(|r| r.completed() as u64).sum()],
         };
     }
-    let p = phases as usize;
-    let mut agg = PhaseAgg {
-        phases,
-        mean_cost: vec![0.0; p],
-        arrivals: vec![0; p],
-        completions: vec![0; p],
-    };
+    let mut agg = DriftCounters::with_boundaries(phases as usize - 1);
     for r in results {
-        for i in 0..p {
-            agg.mean_cost[i] += r.drift.cost_by_phase.get(i).copied().unwrap_or(0.0) / n;
-            agg.arrivals[i] += r.drift.arrivals_by_phase.get(i).copied().unwrap_or(0);
-            agg.completions[i] += r.drift.completions_by_phase.get(i).copied().unwrap_or(0);
+        for i in 0..phases as usize {
+            agg.cost_by_phase[i] += r.drift.cost_by_phase.get(i).copied().unwrap_or(0.0) / n;
+            agg.arrivals_by_phase[i] += r.drift.arrivals_by_phase.get(i).copied().unwrap_or(0);
+            agg.completions_by_phase[i] +=
+                r.drift.completions_by_phase.get(i).copied().unwrap_or(0);
         }
     }
     agg
@@ -167,7 +151,24 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     });
     arms.extend(own.map(|e| arm(&e.csv_name(), e.sched.clone())));
 
-    let mut rows = Vec::new();
+    // The engine's per-phase counters keep their names in the JSON.
+    let [cost, arrivals, completions] =
+        DriftCounters::with_boundaries(0).phase_rows()[0].map(|(name, _)| name);
+    let mut table = Table::new(
+        &spec.name,
+        [
+            Column::new("profile").on(CSV),
+            Column::new("scheduler").on(TERM | CSV),
+            Column::new("phase").on(TERM | CSV),
+            Column::new("phases").on(CSV),
+            Column::new("mean_cost").json(cost).digits(4, 1),
+            Column::new("regret").json("regret_by_phase").digits(4, 1),
+            Column::new("arrivals").json(arrivals),
+            Column::new("completions")
+                .heading("compl")
+                .json(completions),
+        ],
+    );
     let mut profile_objs: Vec<(String, Json)> = Vec::new();
     for (profile_name, drift) in &profiles {
         // The drifted evaluation/adaptation environment for this profile.
@@ -176,7 +177,7 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         penv.sim.phase_boundaries = drift.phase_boundaries();
         println!("\n== drift: profile '{profile_name}' ==");
 
-        let mut aggs: Vec<(String, PhaseAgg)> = Vec::new();
+        let mut aggs: Vec<(String, DriftCounters)> = Vec::new();
         for (arm, trained) in resolve_lineup(&arms, &penv, opts.threads, &mut report)? {
             let results = spec_episodes(&arm.sched, trained.as_ref(), &penv, &seeds, opts.threads);
             report.push_series(SeriesReport::of(
@@ -192,63 +193,37 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         let best: Vec<f64> = (0..phases)
             .map(|i| {
                 aggs.iter()
-                    .map(|(_, a)| a.mean_cost.get(i).copied().unwrap_or(f64::INFINITY))
+                    .map(|(_, a)| a.cost_by_phase.get(i).copied().unwrap_or(f64::INFINITY))
                     .fold(f64::INFINITY, f64::min)
             })
             .collect();
 
-        println!(
-            "{:<14} {:>6} {:>12} {:>12} {:>9} {:>9}",
-            "scheduler", "phase", "mean_cost", "regret", "arrivals", "compl"
-        );
+        let from = table.len();
         let mut sched_objs: Vec<(String, Json)> = Vec::new();
         for (name, agg) in &aggs {
-            let mut regrets = Vec::new();
-            for (i, b) in best.iter().enumerate().take(agg.phases as usize) {
-                let cost = agg.mean_cost[i];
-                let regret = cost - b;
-                println!(
-                    "{name:<14} {:>6} {cost:>12.1} {regret:>12.1} {:>9} {:>9}",
-                    i, agg.arrivals[i], agg.completions[i]
-                );
-                rows.push(format!(
-                    "{profile_name},{name},{i},{},{cost:.4},{regret:.4},{},{}",
-                    agg.phases, agg.arrivals[i], agg.completions[i]
-                ));
-                regrets.push(regret);
+            let first = table.len();
+            for (i, [cost, arrivals, completions]) in agg.phase_rows().into_iter().enumerate() {
+                table.push([
+                    profile_name.as_str().into(),
+                    name.as_str().into(),
+                    i.into(),
+                    agg.phases.into(),
+                    cost.1.into(),
+                    (cost.1 - best[i]).into(),
+                    Cell::Int(arrivals.1 as u64),
+                    Cell::Int(completions.1 as u64),
+                ]);
             }
-            sched_objs.push((
-                name.clone(),
-                Json::obj([
-                    ("cost_by_phase", Json::nums(agg.mean_cost.iter().copied())),
-                    ("regret_by_phase", Json::nums(regrets)),
-                    (
-                        "arrivals_by_phase",
-                        Json::nums(agg.arrivals.iter().map(|&a| a as f64)),
-                    ),
-                    (
-                        "completions_by_phase",
-                        Json::nums(agg.completions.iter().map(|&c| c as f64)),
-                    ),
-                ]),
-            ));
+            sched_objs.push((name.clone(), table.json_columns(first..table.len())));
         }
-        profile_objs.push((
-            profile_name.clone(),
-            Json::obj([
-                ("drift", drift_json(drift)),
-                ("phases", Json::Num(phases as f64)),
-                ("schedulers", Json::Obj(sched_objs)),
-            ]),
-        ));
+        table.print_from(from);
+        let schedulers = Json::Obj(sched_objs);
+        let profile = obj!("drift" => drift_json(drift), phases, schedulers);
+        profile_objs.push((profile_name.clone(), profile));
     }
 
     report.push_extra("profiles", Json::Obj(profile_objs));
-    report.push_table(
-        &spec.name,
-        "profile,scheduler,phase,phases,mean_cost,regret,arrivals,completions",
-        rows,
-    );
+    report.push_table(table);
     Ok(report)
 }
 
@@ -326,10 +301,10 @@ mod tests {
         );
         let agg = aggregate(std::slice::from_ref(&r));
         assert_eq!(agg.phases, 1);
-        assert_eq!(agg.mean_cost.len(), 1);
-        assert!((agg.mean_cost[0] - r.total_penalty()).abs() < 1e-9);
-        assert_eq!(agg.arrivals, vec![r.jobs.len() as u64]);
-        assert_eq!(agg.completions, vec![r.completed() as u64]);
+        assert_eq!(agg.cost_by_phase.len(), 1);
+        assert!((agg.cost_by_phase[0] - r.total_penalty()).abs() < 1e-9);
+        assert_eq!(agg.arrivals_by_phase, vec![r.jobs.len() as u64]);
+        assert_eq!(agg.completions_by_phase, vec![r.completed() as u64]);
     }
 
     /// Drifted episodes land arrivals/cost in real phases and conserve
@@ -350,8 +325,8 @@ mod tests {
         );
         let agg = aggregate(std::slice::from_ref(&r));
         assert_eq!(agg.phases, 5, "diurnal has 4 boundaries = 5 phases");
-        assert_eq!(agg.arrivals.iter().sum::<u64>(), jobs.len() as u64);
-        let total: f64 = agg.mean_cost.iter().sum();
+        assert_eq!(agg.total_arrivals(), jobs.len() as u64);
+        let total = agg.total_cost();
         assert!((total - r.total_penalty()).abs() <= 1e-9 * r.total_penalty().abs().max(1.0));
     }
 }

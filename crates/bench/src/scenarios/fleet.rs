@@ -31,7 +31,7 @@ use crate::factory::{make_router, scheduler_spec_by_name, TrainedPolicy};
 use crate::fleet::{run_fleet, FleetResult, ShardPool};
 use crate::json::Json;
 use crate::model::{resolve, Site};
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Column, ScenarioReport, SeriesReport, Table, CSV, JSON};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::{ParamValue, ScenarioSpec, SchedulerSpec};
 use decima_rl::EnvFactory as _;
@@ -157,59 +157,61 @@ pub fn run_fleet_scenario(
     let mut report = ScenarioReport::new();
     let cells = sweep(spec, opts)?;
 
-    println!(
-        "{:>6} {:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>10}",
-        "shards", "rate", "routed", "completed", "decisions", "jobs/s(sim)", "jct p95", "imbalance"
+    let mut table = Table::new(
+        &spec.name,
+        [
+            Column::new("shards"),
+            Column::new("rate").digits(3, 1),
+            Column::new("routed_jobs").heading("routed"),
+            Column::new("completed"),
+            Column::new("unfinished").on(CSV | JSON),
+            Column::new("total_decisions").heading("decisions"),
+            Column::new("jobs_per_sim_sec")
+                .heading("jobs/s(sim)")
+                .digits(6, 4),
+            Column::new("jct_p95")
+                .heading("jct p95")
+                .digits(4, 1)
+                .unit("s"),
+            Column::new("imbalance").digits(6, 3),
+        ],
     );
-    let mut rows = Vec::new();
-    let mut cell_objs = Vec::new();
     for cell in &cells {
-        let routed: u64 = cell.per_seed.iter().map(FleetResult::routed_jobs).sum();
-        let completed: usize = cell.per_seed.iter().map(FleetResult::completed).sum();
-        let unfinished: usize = cell.per_seed.iter().map(FleetResult::unfinished).sum();
-        let decisions: u64 = cell.per_seed.iter().map(FleetResult::total_decisions).sum();
-        let jobs_per_sec = cell.mean(FleetResult::jobs_per_sim_sec);
-        let jct_p95 = cell.mean(|f| f.jct.p95);
-        let imbalance = cell.mean(FleetResult::imbalance);
-        println!(
-            "{:>6} {:>6.1} {:>8} {:>10} {:>12} {:>11.4} {:>9.1}s {:>10.3}",
-            cell.shards, cell.rate, routed, completed, decisions, jobs_per_sec, jct_p95, imbalance
-        );
-        rows.push(format!(
-            "{},{:.3},{routed},{completed},{unfinished},{decisions},{jobs_per_sec:.6},{jct_p95:.4},{imbalance:.6}",
-            cell.shards, cell.rate
-        ));
-        cell_objs.push(Json::obj([
-            ("shards", Json::Num(cell.shards as f64)),
-            ("rate", Json::Num(cell.rate)),
-            ("routed_jobs", Json::Num(routed as f64)),
-            ("completed", Json::Num(completed as f64)),
-            ("unfinished", Json::Num(unfinished as f64)),
-            ("total_decisions", Json::Num(decisions as f64)),
-            ("jobs_per_sim_sec", Json::Num(jobs_per_sec)),
-            ("jct_p95", Json::Num(jct_p95)),
-            ("imbalance", Json::Num(imbalance)),
-            (
-                "per_seed",
-                Json::Arr(cell.per_seed.iter().map(FleetResult::to_json).collect()),
-            ),
-        ]));
+        let seeds = || cell.per_seed.iter();
+        let unfinished: usize = seeds().map(FleetResult::unfinished).sum();
+        table.push([
+            cell.shards.into(),
+            cell.rate.into(),
+            seeds().map(FleetResult::routed_jobs).sum::<u64>().into(),
+            seeds().map(FleetResult::completed).sum::<usize>().into(),
+            unfinished.into(),
+            seeds()
+                .map(FleetResult::total_decisions)
+                .sum::<u64>()
+                .into(),
+            cell.mean(FleetResult::jobs_per_sim_sec).into(),
+            cell.mean(|f| f.jct.p95).into(),
+            cell.mean(FleetResult::imbalance).into(),
+        ]);
         report.push_series(SeriesReport {
             label: format!("{} shard(s) @ rate {:.1}", cell.shards, cell.rate),
             csv: format!("s{}_r{}", cell.shards, cell.rate),
-            avg_jcts: cell.per_seed.iter().map(|f| f.jct.mean).collect(),
+            avg_jcts: seeds().map(|f| f.jct.mean).collect(),
             unfinished,
         });
     }
+    table.print();
 
+    // A cell's JSON object is its row, then every seed's fleet aggregate.
+    let cell_objs = table.json_rows().into_iter().zip(&cells);
+    let cell_objs = cell_objs.map(|(mut row, cell)| {
+        let per_seed = cell.per_seed.iter().map(FleetResult::to_json);
+        row.push(("per_seed".into(), Json::Arr(per_seed.collect())));
+        Json::Obj(row)
+    });
     report.push_extra("router", Json::str(spec.text_param("router")));
-    report.push_extra("cells", Json::Arr(cell_objs));
-    report.push_table(
-        &spec.name,
-        "shards,rate,routed_jobs,completed,unfinished,total_decisions,\
-         jobs_per_sim_sec,jct_p95,imbalance",
-        rows,
-    );
+    report.push_extra("cells", Json::Arr(cell_objs.collect()));
+    report.push_table(table);
     Ok(report)
 }
 

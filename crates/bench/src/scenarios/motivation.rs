@@ -3,9 +3,9 @@
 
 use super::first_train;
 use crate::factory::TrainedPolicy;
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::model::train_entry;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table};
 use crate::run_episode;
 use crate::runner::{episodes, par_map, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
@@ -50,67 +50,42 @@ fn sweet_spot(curve: &[(usize, f64)]) -> usize {
 /// Figure 2: job runtime vs. degree of parallelism.
 pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let max_p = spec.usize_param("max-parallelism");
-    let cases = [(2u16, 100.0), (9, 100.0), (9, 2.0)];
+    // (query, GB, CSV / JSON key, terminal heading)
+    let cases = [
+        (2u16, 100.0, "q2_100g", "Q2-100G"),
+        (9, 100.0, "q9_100g", "Q9-100G"),
+        (9, 2.0, "q9_2g", "Q9-2G"),
+    ];
 
     println!("Figure 2: runtime vs. degree of parallelism");
-    println!(
-        "{:>6} {:>14} {:>14} {:>14}",
-        "p", "Q2-100G", "Q9-100G", "Q9-2G"
-    );
     let ps: Vec<usize> = (1..=max_p).filter(|p| *p <= 10 || p % 5 == 0).collect();
     // Each grid point is an independent single-job episode — sweep them
     // in parallel.
     let grid: Vec<[f64; 3]> = par_map(&ps, opts.threads, |&p| {
-        [
-            runtime(cases[0].0, cases[0].1, p),
-            runtime(cases[1].0, cases[1].1, p),
-            runtime(cases[2].0, cases[2].1, p),
-        ]
+        cases.map(|(query, gb, ..)| runtime(query, gb, p))
     });
-    let mut curves: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cases.len()];
-    let mut rows = Vec::new();
+    let runtimes = cases.map(|(.., key, heading)| Column::new(key).heading(heading).digits(3, 1));
+    let columns = std::iter::once(Column::new("p")).chain(runtimes);
+    let mut table = Table::new("fig02_parallelism", columns);
     for (&p, rs) in ps.iter().zip(&grid) {
-        let mut row = format!("{p}");
-        let mut line = format!("{p:>6}");
-        for (i, &r) in rs.iter().enumerate() {
-            curves[i].push((p, r));
-            line += &format!(" {r:>14.1}");
-            row += &format!(",{r:.3}");
-        }
-        println!("{line}");
-        rows.push(row);
+        table.push(std::iter::once(p.into()).chain(rs.map(Cell::Num)));
     }
-    let mut report = ScenarioReport::new();
-    report.push_table("fig02_parallelism", "p,q2_100g,q9_100g,q9_2g", rows);
+    table.print();
 
     println!("\nSweet spots (within 5% of best):");
-    let keys = ["q2_100g", "q9_100g", "q9_2g"];
     let mut spots = Vec::new();
-    for (i, &(q, gb)) in cases.iter().enumerate() {
-        let spot = sweet_spot(&curves[i]);
+    let mut curves = Vec::new();
+    for (i, &(q, gb, key, _)) in cases.iter().enumerate() {
+        let curve: Vec<(usize, f64)> = ps.iter().zip(&grid).map(|(&p, rs)| (p, rs[i])).collect();
+        let spot = sweet_spot(&curve);
         println!("  Q{q}@{gb}GB: {spot} executors");
-        spots.push((keys[i].to_string(), Json::Num(spot as f64)));
+        spots.push((key.to_string(), Json::Num(spot as f64)));
+        curves.push((key.to_string(), table.json_arrays(&["p", key])));
     }
+    let mut report = ScenarioReport::new();
     report.push_extra("sweet_spots", Json::Obj(spots));
-    report.push_extra(
-        "curves",
-        Json::Obj(
-            keys.iter()
-                .enumerate()
-                .map(|(i, k)| {
-                    (
-                        k.to_string(),
-                        Json::Arr(
-                            curves[i]
-                                .iter()
-                                .map(|&(p, r)| Json::nums([p as f64, r]))
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        ),
-    );
+    report.push_extra("curves", Json::Obj(curves));
+    report.push_table(table);
     Ok(report)
 }
 
@@ -203,26 +178,15 @@ pub fn run_fig07(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     println!("  within one sequence:      mean {mw:.0}, std {sw:.0}");
     let ratio = (sa / sw.max(1e-9)).powi(2);
     println!("  variance ratio (across/within): {ratio:.1}x — the input process dominates");
-    let rows: Vec<String> = across
-        .iter()
-        .zip(&within)
-        .enumerate()
-        .map(|(i, (a, w))| format!("{i},{a:.2},{w:.2}"))
-        .collect();
+    let columns = ["sample", "across_seq", "within_seq"].map(Column::new);
+    let mut table = Table::new("fig07_reward_variance", columns);
+    for (i, (&a, &w)) in across.iter().zip(&within).enumerate() {
+        table.push([i.into(), a.into(), w.into()]);
+    }
     let mut report = ScenarioReport::new();
-    report.push_table(
-        "fig07_reward_variance",
-        "sample,across_seq,within_seq",
-        rows,
-    );
-    report.push_extra(
-        "across",
-        Json::obj([("mean", Json::Num(ma)), ("std", Json::Num(sa))]),
-    );
-    report.push_extra(
-        "within",
-        Json::obj([("mean", Json::Num(mw)), ("std", Json::Num(sw))]),
-    );
+    report.push_table(table);
+    report.push_extra("across", obj!("mean" => ma, "std" => sa));
+    report.push_extra("within", obj!("mean" => mw, "std" => sw));
     report.push_extra("variance_ratio", Json::Num(ratio));
     Ok(report)
 }

@@ -2,9 +2,8 @@
 //! the job-size breakdown vs Graphene* (Fig. 12).
 
 use crate::factory::TrainedPolicy;
-use crate::json::Json;
 use crate::model::train_entry;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV};
 use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::{ParamValue, ScenarioSpec};
 use decima_baselines::{tune_graphene, GrapheneScheduler, TetrisScheduler, WeightedFairScheduler};
@@ -18,10 +17,11 @@ fn eval_all(
     seeds: &[u64],
     trained: &TrainedPolicy,
     threads: usize,
-    rows: &mut Vec<String>,
+    table: &mut Table,
     report: &mut ScenarioReport,
 ) {
     println!("\n== Figure 11 ({name}) ==");
+    let from = table.len();
     let mut per_sched = |sched_name: &str, rs: &[EpisodeResult]| -> f64 {
         let series = SeriesReport::of(
             format!("{name}:{sched_name}"),
@@ -29,8 +29,7 @@ fn eval_all(
             rs,
         );
         let (mean, unf) = (series.mean(), series.unfinished);
-        println!("{sched_name:<22} avg JCT {mean:>8.1}s  unfinished {unf}");
-        rows.push(format!("{name},{sched_name},{mean:.2},{unf}"));
+        table.push([name.into(), sched_name.into(), mean.into(), unf.into()]);
         report.push_series(series);
         mean
     };
@@ -55,6 +54,7 @@ fn eval_all(
 
     let decima_rs = episodes(env, seeds, threads, || trained.greedy_agent());
     let decima = per_sched("decima", &decima_rs);
+    table.print_from(from);
     println!(
         "decima vs graphene*: {:+.0}% (paper: -32% on the trace, -43% on TPC-H)",
         100.0 * (decima - graphene) / graphene
@@ -68,7 +68,16 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     // The training recipes of the two sub-experiments are kept in the
     // lineup (first = Alibaba, second = TPC-H with memory).
     let trains: Vec<_> = super::lineup_trains(spec).collect();
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig11_multires",
+        [
+            Column::new("workload").on(CSV),
+            Column::new("scheduler").heading(""),
+            Column::new("avg_jct").heading("avg JCT").unit("s"),
+            Column::new("unfinished"),
+        ],
+    )
+    .labelled();
     let mut report = ScenarioReport::new();
 
     if !spec.flag_param("tpch-only") {
@@ -81,7 +90,7 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             &seeds,
             &TrainedPolicy::of(&trainer),
             opts.threads,
-            &mut rows,
+            &mut table,
             &mut report,
         );
     }
@@ -125,16 +134,19 @@ pub fn run_fig11(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
             &seeds,
             &TrainedPolicy::of(&trainer),
             opts.threads,
-            &mut rows,
+            &mut table,
             &mut report,
         );
     }
-    report.push_table(
-        "fig11_multires",
-        "workload,scheduler,avg_jct,unfinished",
-        rows,
-    );
+    report.push_table(table);
     Ok(report)
+}
+
+/// Decima's value over Graphene*'s, the one number both halves of
+/// Figure 12 report per row.
+fn ratio_column() -> Column {
+    let ratio = Column::new("decima_over_graphene");
+    ratio.heading("").digits(4, 2)
 }
 
 /// Figure 12: Decima vs Graphene* broken down by job size — duration
@@ -176,23 +188,24 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let g = jct_by_bin(graphene);
     let d = jct_by_bin(decima);
     println!("\n(a) normalized job duration (Decima / Graphene*), by total-work quintile:");
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
+    let mut table = Table::new(
+        "fig12a_duration_ratio",
+        [
+            Column::new("work_quintile").heading("quintile").unit(":"),
+            ratio_column(),
+        ],
+    )
+    .labelled();
     for b in 0..5 {
         if g[b].1 == 0 || d[b].1 == 0 {
             continue;
         }
         let ratio = (d[b].0 / d[b].1 as f64) / (g[b].0 / g[b].1 as f64);
-        println!("  quintile {}: {:.2}", b + 1, ratio);
-        rows.push(format!("{},{ratio:.4}", b + 1));
-        ratios.push(Json::nums([(b + 1) as f64, ratio]));
+        table.push([(b + 1).into(), ratio.into()]);
     }
-    report.push_table(
-        "fig12a_duration_ratio",
-        "work_quintile,decima_over_graphene",
-        rows,
-    );
-    report.push_extra("duration_ratio_by_quintile", Json::Arr(ratios));
+    table.print();
+    report.push_extra("duration_ratio_by_quintile", table.json_arrays(&[]));
+    report.push_table(table);
 
     // (b) per-class executor usage on the smallest-20% jobs.
     let small_cut = sorted[sorted.len() / 5];
@@ -210,21 +223,24 @@ pub fn run_fig12(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let gu = class_use(graphene);
     let du = class_use(decima);
     println!("\n(b) class busy-time on smallest-20% jobs (Decima / Graphene*):");
-    let mems = [0.25, 0.5, 0.75, 1.0];
-    let mut rows = Vec::new();
-    let mut usage = Vec::new();
-    for c in 0..4 {
-        let ratio = du[c] / gu[c].max(1e-9);
-        println!("  memory {:.2}: {:.2}", mems[c], ratio);
-        rows.push(format!("{},{ratio:.4}", mems[c]));
-        usage.push(Json::nums([mems[c], ratio]));
-    }
-    report.push_table(
+    let mut table = Table::new(
         "fig12b_class_usage",
-        "class_memory,decima_over_graphene",
-        rows,
-    );
-    report.push_extra("class_usage_ratio", Json::Arr(usage));
+        [
+            Column::new("class_memory")
+                .heading("memory")
+                .digits(2, 2)
+                .shortest()
+                .unit(":"),
+            ratio_column(),
+        ],
+    )
+    .labelled();
+    for (c, memory) in [0.25, 0.5, 0.75, 1.0].into_iter().enumerate() {
+        table.push([memory, du[c] / gu[c].max(1e-9)].map(Cell::Num));
+    }
+    table.print();
+    report.push_extra("class_usage_ratio", table.json_arrays(&[]));
+    report.push_table(table);
 
     for (label, csv, r) in [
         ("graphene*", "graphene", &graphene_run),

@@ -16,8 +16,8 @@
 //! seeds + a fixed `DynamicsSpec` reproduce every number bit-exactly,
 //! independent of `--threads` (see docs/ROBUSTNESS.md).
 
-use crate::json::Json;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::json::{obj, Json, ToJson};
+use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV, TERM};
 use crate::runner::{resolve_lineup, spec_env, spec_episodes, RunOptions};
 use crate::scenario::{dynamics_json, ParamValue, ScenarioSpec};
 use decima_rl::SpecEnv;
@@ -69,18 +69,6 @@ fn robust_train_env(env: &SpecEnv, levels: &[(String, DynamicsSpec)]) -> SpecEnv
     train_env
 }
 
-/// A mean JCT as a CSV cell: empty (not the literal `NaN`) when no job
-/// completed — e.g. every job exhausted its retry budget — so numeric
-/// consumers of `out/robust.csv` see a missing value, not a non-numeric
-/// token.
-fn csv_mean(mean: f64) -> String {
-    if mean.is_finite() {
-        format!("{mean:.2}")
-    } else {
-        String::new()
-    }
-}
-
 /// Runs the robustness sweep.
 pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let mut report = ScenarioReport::new();
@@ -98,25 +86,32 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
     let train_env = robust_train_env(&env, &levels);
     let resolved = resolve_lineup(&spec.lineup, &train_env, opts.threads, &mut report)?;
 
-    let mut rows = Vec::new();
-    let mut level_objs: Vec<(String, Json)> = Vec::new();
+    // The six dynamics counters by name; the terminal abbreviates them.
+    let [retries, interrupted, straggled, failed, churn, lost] =
+        DynamicsCounters::default().named().map(|(name, _)| name);
+    let mut table = Table::new(
+        &spec.name,
+        [
+            Column::new("level").on(CSV),
+            Column::new("scheduler").on(TERM),
+            Column::new("scheduler").on(CSV),
+            Column::new("avg_jct")
+                .heading("avg JCT")
+                .unit("s")
+                .on(TERM | CSV),
+            Column::new("unfinished").heading("unfin").on(TERM | CSV),
+            Column::new(retries),
+            Column::new(interrupted).heading("interr"),
+            Column::new(straggled).heading("straggle"),
+            Column::new(failed).heading("failed"),
+            Column::new(churn).heading("churn"),
+            Column::new(lost).heading("lost e·s").unit("s"),
+        ],
+    );
     for (level_name, dynamics) in &levels {
         let mut level_env = env.clone();
         level_env.sim.dynamics = *dynamics;
-        println!("\n== robust: perturbation level '{level_name}' ==");
-        println!(
-            "{:<22} {:>9} {:>6} {:>8} {:>8} {:>9} {:>7} {:>7} {:>10}",
-            "scheduler",
-            "avg JCT",
-            "unfin",
-            "retries",
-            "interr",
-            "straggle",
-            "failed",
-            "churn",
-            "lost e·s"
-        );
-        let mut sched_objs: Vec<(String, Json)> = Vec::new();
+        let from = table.len();
         for (entry, trained) in &resolved {
             let (label, csv) = (&entry.label, entry.csv_name());
             let results = spec_episodes(
@@ -133,42 +128,31 @@ pub fn run_robust(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepo
             );
             let mut c = DynamicsCounters::default();
             results.iter().for_each(|r| c += r.dynamics);
-            println!(
-                "{:<22} {:>8.1}s {:>6} {:>8} {:>8} {:>9} {:>7} {:>7} {:>9.1}s",
-                label,
-                series.mean(),
-                series.unfinished,
-                c.retries,
-                c.interrupted,
-                c.straggled,
-                c.failed_jobs,
-                c.churn_events,
-                c.lost_exec_seconds
-            );
             let [counts @ .., (_, lost_secs)] = c.named();
-            let counts = counts.map(|(_, n)| n.to_string()).join(",");
-            rows.push(format!(
-                "{level_name},{csv},{},{},{counts},{lost_secs:.2}",
-                csv_mean(series.mean()),
-                series.unfinished,
-            ));
-            let counters = c.named().map(|(name, n)| (name, Json::Num(n)));
-            sched_objs.push((csv, Json::obj(counters)));
+            let names = [level_name.as_str(), label.as_str(), csv.as_str()].map(Cell::from);
+            let jobs = [series.mean().into(), series.unfinished.into()];
+            let counts = counts.map(|(_, n)| Cell::Int(n as u64));
+            let row = names.into_iter().chain(jobs).chain(counts);
+            table.push(row.chain([lost_secs.into()]));
             report.push_series(series);
         }
-        level_objs.push((
-            level_name.clone(),
-            Json::obj([
-                ("dynamics", dynamics_json(dynamics)),
-                ("counters", Json::Obj(sched_objs)),
-            ]),
-        ));
+        println!("\n== robust: perturbation level '{level_name}' ==");
+        table.print_from(from);
     }
 
+    // The JSON of a level: its spec, then each scheduler's counter cells.
+    let mut rows = table.json_rows().into_iter();
+    let levels = levels.iter().map(|(level_name, dynamics)| {
+        let counters = resolved.iter().zip(rows.by_ref());
+        let counters = counters.map(|((entry, _), row)| (entry.csv_name(), Json::Obj(row)));
+        let counters = Json::Obj(counters.collect());
+        let level = obj!("dynamics" => dynamics_json(dynamics), counters);
+        (level_name.clone(), level)
+    });
+    let level_objs = levels.collect();
+
     report.push_extra("levels", Json::Obj(level_objs));
-    let counters = DynamicsCounters::default().named().map(|(name, _)| name);
-    let header = format!("level,scheduler,avg_jct,unfinished,{}", counters.join(","));
-    report.push_table(&spec.name, &header, rows);
+    report.push_table(table);
     Ok(report)
 }
 
@@ -220,13 +204,6 @@ mod tests {
         assert_eq!(levels[0].0, "med");
         assert_eq!(levels[0].1.fail_prob, 0.5, "override on top of the preset");
         assert_eq!(levels[0].1.churn_iat, DynamicsSpec::med().churn_iat);
-    }
-
-    #[test]
-    fn csv_mean_blanks_out_nan() {
-        assert_eq!(csv_mean(12.345), "12.35");
-        assert_eq!(csv_mean(f64::NAN), "");
-        assert_eq!(csv_mean(f64::INFINITY), "");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! [`MemCounters`]: decima_sim::MemCounters
 
 use crate::json::Json;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Column, ScenarioReport, SeriesReport, Table, CSV, JSON, TERM};
 use crate::runner::{spec_env, spec_episodes, RunOptions};
 use crate::scenario::ScenarioSpec;
 use crate::scenarios::fleet::{count_list, resolve_sched};
@@ -55,12 +55,6 @@ pub struct ScaleCell {
 }
 
 impl ScaleCell {
-    /// Largest value of `f` across the cell's seeds (the conventional
-    /// aggregate for high-water marks).
-    fn hwm(&self, f: impl Fn(&MemCounters) -> u64) -> u64 {
-        self.per_seed.iter().map(|r| f(&r.mem)).max().unwrap_or(0)
-    }
-
     fn mean(&self, f: impl Fn(&EpisodeResult) -> f64) -> f64 {
         self.per_seed.iter().map(&f).sum::<f64>() / self.per_seed.len().max(1) as f64
     }
@@ -120,79 +114,62 @@ pub fn run_scale_scenario(
     let mut report = ScenarioReport::new();
     let cells = sweep(spec, opts)?;
 
-    println!(
-        "{:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>11}",
-        "execs",
-        "jobs",
-        "completed",
-        "decisions",
-        "live_peak",
-        "slots",
-        "queue",
-        "pool",
-        "decis/s(w)"
+    // The terminal shows what fits a line: four memory counters under
+    // short headings, and the one wall-clock column the files leave out.
+    let data = |key: &str| Column::new(key).digits(4, 1).on(CSV | JSON);
+    let [live, slots, queue, pool, retired] = MemCounters::default().named().map(|(name, _)| name);
+    let mut table = Table::new(
+        &spec.name,
+        [
+            Column::new("execs"),
+            Column::new("jobs"),
+            Column::new("completed"),
+            data("unfinished"),
+            Column::new("decisions"),
+            data("events"),
+            data("end_time"),
+            data("avg_jct"),
+            Column::new(live).heading("live_peak"),
+            Column::new(slots).heading("slots"),
+            Column::new(queue).heading("queue"),
+            Column::new(pool).heading("pool"),
+            data(retired),
+            Column::new("decis/s(w)").digits(0, 0).on(TERM),
+        ],
     );
-    let mut rows = Vec::new();
-    let mut cell_objs = Vec::new();
     for cell in &cells {
-        let completed: usize = cell.per_seed.iter().map(EpisodeResult::completed).sum();
-        let unfinished: usize = cell.per_seed.iter().map(EpisodeResult::unfinished).sum();
-        let decisions: u64 = cell.per_seed.iter().map(|r| r.actions.len() as u64).sum();
-        let events: u64 = cell.per_seed.iter().map(|r| r.num_events).sum();
-        let retired: u64 = cell.per_seed.iter().map(|r| r.mem.retired_jobs).sum();
-        let live_peak = cell.hwm(|m| m.live_jobs_peak);
-        let slots_hwm = cell.hwm(|m| m.slots_hwm);
-        let queue_hwm = cell.hwm(|m| m.event_queue_hwm);
-        let pool_hwm = cell.hwm(|m| m.node_pool_hwm);
-        let end_time = cell.mean(|r| r.end_time.as_secs());
-        let avg_jct = cell.mean(|r| r.avg_jct().unwrap_or(f64::NAN));
-        println!(
-            "{:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>11.0}",
-            cell.execs,
-            cell.jobs,
-            completed,
-            decisions,
-            live_peak,
-            slots_hwm,
-            queue_hwm,
-            pool_hwm,
-            cell.wall_decisions_per_sec
-        );
-        rows.push(format!(
-            "{},{},{completed},{unfinished},{decisions},{events},{end_time:.4},{avg_jct:.4},\
-             {live_peak},{slots_hwm},{queue_hwm},{pool_hwm},{retired}",
-            cell.execs, cell.jobs
-        ));
-        cell_objs.push(Json::obj([
-            ("execs", Json::Num(cell.execs as f64)),
-            ("jobs", Json::Num(cell.jobs as f64)),
-            ("completed", Json::Num(completed as f64)),
-            ("unfinished", Json::Num(unfinished as f64)),
-            ("decisions", Json::Num(decisions as f64)),
-            ("events", Json::Num(events as f64)),
-            ("end_time", Json::Num(end_time)),
-            ("avg_jct", Json::Num(avg_jct)),
-            ("live_jobs_peak", Json::Num(live_peak as f64)),
-            ("slots_hwm", Json::Num(slots_hwm as f64)),
-            ("event_queue_hwm", Json::Num(queue_hwm as f64)),
-            ("node_pool_hwm", Json::Num(pool_hwm as f64)),
-            ("retired_jobs", Json::Num(retired as f64)),
-        ]));
+        let seeds = || cell.per_seed.iter();
+        // A high-water mark is the largest seed's, the retired count adds up.
+        let mem = |i: usize| seeds().map(move |r| r.mem.named()[i].1);
+        let hwm = |i: usize| mem(i).max().unwrap_or(0);
+        table.push([
+            cell.execs.into(),
+            cell.jobs.into(),
+            seeds().map(EpisodeResult::completed).sum::<usize>().into(),
+            seeds().map(EpisodeResult::unfinished).sum::<usize>().into(),
+            seeds().map(|r| r.actions.len()).sum::<usize>().into(),
+            seeds().map(|r| r.num_events).sum::<u64>().into(),
+            cell.mean(|r| r.end_time.as_secs()).into(),
+            cell.mean(|r| r.avg_jct().unwrap_or(f64::NAN)).into(),
+            hwm(0).into(),
+            hwm(1).into(),
+            hwm(2).into(),
+            hwm(3).into(),
+            mem(4).sum::<u64>().into(),
+            cell.wall_decisions_per_sec.into(),
+        ]);
         report.push_series(SeriesReport::of(
             format!("{} execs × {} jobs", cell.execs, cell.jobs),
             format!("e{}_j{}", cell.execs, cell.jobs),
             &cell.per_seed,
         ));
     }
+    table.print();
 
     report.push_extra("sched", Json::str(spec.text_param("sched")));
-    report.push_extra("cells", Json::Arr(cell_objs));
-    report.push_table(
-        &spec.name,
-        "execs,jobs,completed,unfinished,decisions,events,end_time,avg_jct,\
-         live_jobs_peak,slots_hwm,event_queue_hwm,node_pool_hwm,retired_jobs",
-        rows,
-    );
+    let cell_objs = table.json_rows().into_iter().map(Json::Obj);
+    report.push_extra("cells", Json::Arr(cell_objs.collect()));
+    report.push_table(table);
     Ok(report)
 }
 

@@ -3,9 +3,9 @@
 
 use super::first_train;
 use crate::factory::TrainedPolicy;
-use crate::json::Json;
+use crate::json::{obj, Json, ToJson};
 use crate::model::train_entry;
-use crate::report::{ScenarioReport, SeriesReport};
+use crate::report::{Column, ScenarioReport, SeriesReport, Table};
 use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::ScenarioSpec;
 use decima_baselines::WeightedFairScheduler;
@@ -38,39 +38,44 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         peak(&hs),
         peak(&ds)
     );
-    let rows: Vec<String> = hs
-        .iter()
-        .map(|&(t, c)| format!("heuristic,{t:.1},{c}"))
-        .chain(ds.iter().map(|&(t, c)| format!("decima,{t:.1},{c}")))
-        .collect();
-    report.push_table("fig10a_concurrency", "scheduler,time,jobs_in_system", rows);
+    let columns = ["scheduler", "time", "jobs_in_system"];
+    let columns = columns.map(|key| Column::new(key).digits(1, 1));
+    let mut table = Table::new("fig10a_concurrency", columns);
+    for (tag, series) in [("heuristic", &hs), ("decima", &ds)] {
+        for &(t, c) in series {
+            table.push([tag.into(), t.into(), c.into()]);
+        }
+    }
+    report.push_table(table);
 
     // (b)+(c) per-job JCT vs completion time and size.
-    let per_job = |r: &EpisodeResult, tag: &str| -> Vec<String> {
-        r.jobs
-            .iter()
-            .filter_map(|j| {
-                j.jct().map(|jct| {
-                    format!(
-                        "{tag},{},{:.1},{:.1},{:.1},{:.1},{}",
-                        j.id,
-                        j.arrival.as_secs(),
-                        jct,
-                        j.total_work,
-                        j.executed_work,
-                        j.peak_alloc
-                    )
-                })
-            })
-            .collect()
-    };
-    let mut rows = per_job(heuristic, "heuristic");
-    rows.extend(per_job(decima, "decima"));
-    report.push_table(
-        "fig10cde_jobs",
-        "scheduler,job,arrival,jct,total_work,executed_work,peak_alloc",
-        rows,
-    );
+    let columns = [
+        "scheduler",
+        "job",
+        "arrival",
+        "jct",
+        "total_work",
+        "executed_work",
+        "peak_alloc",
+    ];
+    let columns = columns.map(|key| Column::new(key).digits(1, 1));
+    let mut table = Table::new("fig10cde_jobs", columns);
+    for (tag, r) in [("heuristic", heuristic), ("decima", decima)] {
+        for j in &r.jobs {
+            if let Some(jct) = j.jct() {
+                table.push([
+                    tag.into(),
+                    j.id.index().into(),
+                    j.arrival.as_secs().into(),
+                    jct.into(),
+                    j.total_work.into(),
+                    j.executed_work.into(),
+                    j.peak_alloc.into(),
+                ]);
+            }
+        }
+    }
+    report.push_table(table);
 
     // (d) executor share on small jobs; (e) work inflation.
     let small_cut = {
@@ -123,14 +128,10 @@ pub fn run_fig10(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
         ("decima", "decima", &decima_run, d_alloc, d_infl),
     ] {
         report.push_series(SeriesReport::of(label, csv, r));
-        report.push_extra(
-            format!("{csv}_stats"),
-            Json::obj([
-                ("peak_concurrency", Json::Num(peak(&ser(&r[0])) as f64)),
-                ("small_job_peak_alloc", Json::Num(alloc)),
-                ("work_inflation", Json::Num(infl)),
-            ]),
-        );
+        let peak_concurrency = peak(&ser(&r[0]));
+        let stats =
+            obj!(peak_concurrency, "small_job_peak_alloc" => alloc, "work_inflation" => infl);
+        report.push_extra(format!("{csv}_stats"), stats);
     }
     Ok(report)
 }

@@ -239,3 +239,50 @@ fn tiny_runs_leave_the_frozen_csv_and_json_bytes() {
     }
     assert!(moved.is_empty(), "artefacts moved:\n{}", moved.join("\n"));
 }
+
+/// One run, one summary: with task failures on, one of six seeds
+/// completes no job, and the terminal table, the CSV and the JSON all
+/// describe the five that did — `n` 5, mean 49.65 — where the terminal
+/// used to average the `NaN` in and the CSV spelled it out.
+#[test]
+fn a_seed_that_completes_no_job_is_reported_the_same_three_ways() {
+    let sets = [
+        "jobs=1",
+        "execs=4",
+        "runs=6",
+        "iters=1",
+        "fail=0.3",
+        "retries=3",
+    ];
+    let mut args = vec!["--scenario", "fig09a", "--threads", "2"];
+    args.extend(sets.iter().flat_map(|s| ["--set", s]));
+    let dir = common::fresh_dir("artefacts_nan_seed");
+    let out = common::output_in(&dir, &args);
+    assert_eq!(out.status.code(), Some(0));
+
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let rows = stdout.lines().map(|l| l.split_whitespace().collect());
+    let rows: Vec<Vec<&str>> = rows.collect();
+    let fifo = rows.iter().find(|r| r.first() == Some(&"fifo")).unwrap();
+    assert_eq!(fifo[..], ["fifo", "49.6", "57.4", "69.5", "5"]);
+    let none = "fifo: 1 of 6 seeds completed no job";
+    assert!(stdout.lines().any(|l| l.trim() == none), "{stdout}");
+    assert!(!stdout.contains("NaN%"), "{stdout}");
+
+    let json = std::fs::read_to_string(dir.join("out/fig09a.json")).unwrap();
+    let doc = decima_bench::json::Json::parse(&json).unwrap();
+    let fifo = &doc.get("schedulers").unwrap().as_arr().unwrap()[0];
+    let summary = fifo.get("summary").unwrap();
+    assert_eq!(summary.get("n").unwrap().as_u64(), Some(5));
+    let mean = summary.get("mean").unwrap().as_f64().unwrap();
+    assert_eq!(format!("{mean:.2}"), "49.65");
+
+    let csv = std::fs::read_to_string(dir.join("out/fig09a.csv")).unwrap();
+    assert!(!csv.contains("NaN"), "{csv}");
+    assert_eq!(csv.lines().last(), Some("1.000,,,,,,"));
+    let cells = csv.lines().skip(1).map(|l| l.split(',').nth(1).unwrap());
+    let finite: Vec<f64> = cells.filter_map(|c| c.parse().ok()).collect();
+    assert_eq!(finite.len(), 5);
+    assert_eq!(format!("{:.2}", finite.iter().sum::<f64>() / 5.0), "49.65");
+    let _ = std::fs::remove_dir_all(&dir);
+}

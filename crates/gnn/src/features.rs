@@ -163,8 +163,11 @@ impl GlobalKey {
 
 impl FeatureConfig {
     /// Builds the batched [`GraphInput`] for every active job in `obs`,
-    /// computing the graph structure fresh. Hot paths should use
-    /// [`FeatureConfig::graph_input_cached`] instead.
+    /// computing the graph structure fresh. Every production path uses
+    /// [`FeatureConfig::graph_input_cached`]; this cache-free form stays
+    /// as the reference of the differential suite
+    /// `crates/gnn/tests/infer_diff.rs` (and of the stored-observation
+    /// test in `decima-policy`'s `replay.rs`).
     pub fn graph_input(&self, obs: &Observation) -> GraphInput {
         let mut cache = GraphCache::default();
         self.graph_input_cached(obs, &mut cache)

@@ -399,9 +399,11 @@ impl InferEncoder {
     /// Only the jobs whose feature block differs from the one their
     /// memo was computed from are recomputed (module docs).
     ///
-    /// This is the reference entry: it takes any feature matrix, which
-    /// is what the differential suites and the benchmark's layer probe
-    /// need. A decision goes through
+    /// This is the reference entry, kept for the suites that name it:
+    /// it takes any feature matrix, which is what the differential suite
+    /// `crates/gnn/tests/infer_diff.rs` (this entry against the f64 tape
+    /// and against the observation entry) and the benchmark's layer
+    /// probe need. No decision takes it: that goes through
     /// [`forward_observation`](Self::forward_observation).
     pub fn forward(&mut self, g: &GraphInput) {
         let fd = self.feat_dim;

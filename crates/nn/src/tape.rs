@@ -167,7 +167,11 @@ fn value_of<'a>(nodes: &'a [Node], params: &'a [ParamSlot], id: TensorId) -> &'a
 }
 
 impl Tape {
-    /// Empty tape.
+    /// Empty tape. An agent builds one and [`reset`](Self::reset)s it per
+    /// pass; a fresh tape for every pass is off the decision and training
+    /// paths (only the Figure 19 harness, `CpHarness`, still does it) and
+    /// stays as the reference the kept tape is held to the bit against
+    /// in `crates/nn/tests/tape_diff.rs`.
     pub fn new() -> Self {
         Tape::default()
     }

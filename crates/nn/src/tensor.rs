@@ -211,6 +211,11 @@ impl Tensor {
     /// memory-bound at these tiny sizes), and skips all-zero coefficient
     /// groups, which makes products with the GNN's 0/1 segment matrices
     /// cost only their nonzeros.
+    ///
+    /// The tape computes through the allocation-free kernels of
+    /// `kernels.rs`; this allocating form has no production caller and
+    /// stays as the expression each kernel is held to the bit against
+    /// (`crates/nn/tests/tape_diff.rs`, and the kernels' unit tests).
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,

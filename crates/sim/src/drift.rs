@@ -44,6 +44,19 @@ impl DriftCounters {
         }
     }
 
+    /// One row per phase: the three per-phase counters by name, in the
+    /// order reports list them (cost, arrivals, completions).
+    pub fn phase_rows(&self) -> Vec<[(&'static str, f64); 3]> {
+        let row = |i: usize| {
+            [
+                ("cost_by_phase", self.cost_by_phase[i]),
+                ("arrivals_by_phase", self.arrivals_by_phase[i] as f64),
+                ("completions_by_phase", self.completions_by_phase[i] as f64),
+            ]
+        };
+        (0..self.phases as usize).map(row).collect()
+    }
+
     /// Whether any phase accounting is active.
     pub fn enabled(&self) -> bool {
         self.phases > 0

@@ -28,7 +28,11 @@ pub(super) struct ObsScratch {
 
 impl Simulator {
     /// Builds the observation snapshot handed to the scheduler from the
-    /// incrementally-maintained counts (no executor rescans).
+    /// incrementally-maintained counts (no executor rescans). The
+    /// scheduling loop writes into a kept buffer instead; this owned
+    /// snapshot has no production caller and stays as the incremental
+    /// side of the differential tests in `engine/tests.rs`
+    /// (`obs_equal(&sim.observation(), &sim.observation_rebuilt())`).
     pub fn observation(&self) -> Observation {
         let mut obs = Observation::default();
         self.fill_observation(&mut obs, true, &mut ObsScratch::default());

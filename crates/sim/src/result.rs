@@ -100,6 +100,20 @@ pub struct MemCounters {
     pub node_pool_hwm: u64,
 }
 
+impl MemCounters {
+    /// The five counters by name, in the order reports list them: the
+    /// live-job peak, the three high-water marks, then the retired count.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("live_jobs_peak", self.live_jobs_peak),
+            ("slots_hwm", self.slots_hwm),
+            ("event_queue_hwm", self.event_queue_hwm),
+            ("node_pool_hwm", self.node_pool_hwm),
+            ("retired_jobs", self.retired_jobs),
+        ]
+    }
+}
+
 /// Everything measured during one simulated episode.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EpisodeResult {
