@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-baselines
 //!
 //! The seven baseline scheduling algorithms the paper compares against

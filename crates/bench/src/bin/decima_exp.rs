@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The unified experiment runner: lists, runs, and sweeps any scenario
 //! registered in `decima_bench::registry`.
 //!

@@ -86,10 +86,7 @@ pub fn run_fig18(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     let cluster = ClusterSpec::homogeneous(execs).with_move_delay(move_delay);
     // A horizon too short for a job to finish leaves its JCT undefined:
     // an empty cell and a `null`, like any run that completes nothing.
-    let config = |seed: u64| SimConfig {
-        time_limit: spec.sim.time_limit,
-        ..SimConfig::default().with_seed(seed)
-    };
+    let config = |seed: u64| spec.sim.to_config().with_seed(seed);
     let fair_jct = |jobs: &[JobSpec], cfg: &SimConfig| {
         let run = run_episode(&cluster, jobs, cfg, WeightedFairScheduler::fair());
         run.avg_jct().unwrap_or(f64::NAN)

@@ -8,7 +8,7 @@ use crate::model::train_entry;
 use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table};
 use crate::run_episode;
 use crate::runner::{episodes, par_map, spec_env, RunOptions};
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{ScenarioSpec, SimSpec};
 use decima_baselines::{FifoScheduler, RandomScheduler, SjfCpScheduler, WeightedFairScheduler};
 use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_rl::EnvFactory as _;
@@ -24,17 +24,20 @@ impl Scheduler for Greedy {
     }
 }
 
-fn runtime(query: u16, gb: f64, execs: usize) -> f64 {
+/// One query alone on `execs` executors, on the scenario's simulator
+/// with the figure's two overrides; `NaN` when the job does not complete
+/// (task failures with no retry left).
+fn runtime(sim: &SimSpec, query: u16, gb: f64, execs: usize) -> f64 {
     let job = tpch_job(query, gb, JobId(0), SimTime::ZERO);
     let cluster = ClusterSpec::homogeneous(execs).with_move_delay(0.0);
     let cfg = SimConfig {
         first_wave: false,
         noise: 0.0,
-        ..SimConfig::default()
+        ..sim.to_config()
     };
     run_episode(&cluster, &[job], &cfg, Greedy)
         .avg_jct()
-        .expect("single job completes")
+        .unwrap_or(f64::NAN)
 }
 
 fn sweet_spot(curve: &[(usize, f64)]) -> usize {
@@ -62,7 +65,7 @@ pub fn run_fig02(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     // Each grid point is an independent single-job episode — sweep them
     // in parallel.
     let grid: Vec<[f64; 3]> = par_map(&ps, opts.threads, |&p| {
-        cases.map(|(query, gb, ..)| runtime(query, gb, p))
+        cases.map(|(query, gb, ..)| runtime(&spec.sim, query, gb, p))
     });
     let runtimes = cases.map(|(.., key, heading)| Column::new(key).heading(heading).digits(3, 1));
     let columns = std::iter::once(Column::new("p")).chain(runtimes);
@@ -109,8 +112,8 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
 
     // One fixed schedule to draw: the simulator's own seed is pinned, so
     // these four are not `episodes` of the environment.
-    let (cluster, jobs, _) = env.build(seq_seed);
-    let cfg = SimConfig::default().with_seed(1).with_gantt();
+    let (cluster, jobs, cfg) = env.build(seq_seed);
+    let cfg = cfg.with_seed(1).with_gantt();
 
     let fifo = run_episode(&cluster, &jobs, &cfg, FifoScheduler);
     let sjf = run_episode(&cluster, &jobs, &cfg, SjfCpScheduler);
@@ -125,9 +128,9 @@ pub fn run_fig03(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     show("Fair", &fair, width);
     show("Decima", &decima, width);
 
-    let f = fifo.avg_jct().unwrap();
-    let d = decima.avg_jct().unwrap();
-    let fr = fair.avg_jct().unwrap();
+    // A schedule that completes no job has no average: a `NaN%` here,
+    // an empty summary below.
+    let [f, d, fr] = [&fifo, &decima, &fair].map(|r| r.avg_jct().unwrap_or(f64::NAN));
     println!(
         "\nDecima vs FIFO: {:+.0}%   Decima vs Fair: {:+.0}%",
         100.0 * (d - f) / f,

@@ -1,8 +1,9 @@
 //! A stopwatch around a scheduler's `decide`.
 //!
 //! Wall-clock time is telemetry, so it is read here, in the measurement
-//! crate, and not inside the schedulers (docs/DETERMINISM.md, rule
-//! D002): wrapping changes no action, only records how long each took.
+//! crate, and not inside the schedulers (docs/DETERMINISM.md,
+//! `clippy::disallowed_methods`): wrapping changes no action, only
+//! records how long each took.
 
 use decima_sim::{Action, Observation, Scheduler};
 use std::time::Instant;

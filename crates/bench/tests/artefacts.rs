@@ -286,3 +286,41 @@ fn a_seed_that_completes_no_job_is_reported_the_same_three_ways() {
     assert_eq!(format!("{:.2}", finite.iter().sum::<f64>() / 5.0), "49.65");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A figure runs the simulator it echoes: with every task failing and no
+/// retry, `fig03`'s four drawn schedules complete nothing — they used to
+/// be built from `SimConfig::default()`, echo `fail_prob: 1`, and report
+/// every job done.
+#[test]
+fn fig03_draws_its_schedules_on_the_dynamics_it_echoes() {
+    let sets = ["jobs=2", "execs=4", "iters=1", "fail=1", "retries=0"];
+    let mut args = vec!["--scenario", "fig03"];
+    args.extend(sets.iter().flat_map(|s| ["--set", s]));
+    let dir = common::fresh_dir("artefacts_fig03_dynamics");
+    let out = common::output_in(&dir, &args);
+    assert_eq!(out.status.code(), Some(0));
+
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let line = "Decima vs FIFO: NaN% Decima vs Fair: NaN%";
+    assert!(stdout_multiset(&stdout).contains(line), "{stdout}");
+
+    let json = std::fs::read_to_string(dir.join("out/fig03.json")).unwrap();
+    let doc = decima_bench::json::Json::parse(&json).unwrap();
+    let dynamics = doc
+        .get("scenario")
+        .and_then(|s| s.get("sim")?.get("dynamics"));
+    assert_eq!(
+        dynamics.unwrap().get("fail_prob").unwrap().as_f64(),
+        Some(1.0)
+    );
+    let schedulers = doc.get("schedulers").unwrap().as_arr().unwrap();
+    assert_eq!(schedulers.len(), 4);
+    for s in schedulers {
+        assert_eq!(
+            s.get("summary").unwrap().get("n").unwrap().as_u64(),
+            Some(0)
+        );
+        assert_eq!(s.get("unfinished").unwrap().as_u64(), Some(2), "{json}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -292,6 +292,10 @@ fn a_model_the_run_cannot_use_is_one_error_line() {
 /// before it runs: `out/` is probed up front, so the error does not wait
 /// for a scenario that would take minutes.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times the child process: the refusal must come before the run"
+)]
 fn an_unwritable_out_is_one_error_line_naming_the_file() {
     let dir = fresh_dir("unwritable");
     std::fs::write(dir.join("out"), "in the way").unwrap();

@@ -144,6 +144,10 @@ impl DagTopology {
     }
 
     /// A single-node DAG (one stage, no dependencies).
+    #[expect(
+        clippy::expect_used,
+        reason = "one node and no edges has no edge to reject and no cycle"
+    )]
     pub fn single() -> Self {
         DagTopology::new(1, &[]).expect("single-node DAG is valid")
     }

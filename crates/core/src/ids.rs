@@ -109,8 +109,10 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        use std::collections::BTreeSet;
+        fn hashable<T: std::hash::Hash>() {}
+        hashable::<StageId>();
+        let mut set = BTreeSet::new();
         set.insert(StageId(1));
         set.insert(StageId(1));
         set.insert(StageId(2));

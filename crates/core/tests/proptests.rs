@@ -9,7 +9,7 @@ fn dag_strategy() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..20).prop_flat_map(|n| {
         let edges =
             proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 2).prop_map(move |raw| {
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 raw.into_iter()
                     .filter_map(|(a, b)| {
                         let (lo, hi) = if a < b { (a, b) } else { (b, a) };

@@ -46,6 +46,10 @@ pub fn random_cp_example(n: usize, rng: &mut impl Rng) -> CpExample {
             edges.push((p, v));
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "valid by construction: every edge runs from a lower index to a higher one"
+    )]
     let dag = DagTopology::new(n, &edges).expect("construction is acyclic");
     let work: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
     let cp = dag.critical_path(&work);
@@ -131,12 +135,8 @@ impl CpHarness {
             let emb = self.enc.forward(&mut tape, &self.store, &g);
             let pred = self.head.forward(&mut tape, &self.store, emb.nodes);
             let p = tape.value(pred);
-            let pred_arg = (0..p.rows())
-                .max_by(|&a, &b| p.get(a, 0).total_cmp(&p.get(b, 0)))
-                .unwrap();
-            let true_arg = (0..ex.cp.len())
-                .max_by(|&a, &b| ex.cp[a].total_cmp(&ex.cp[b]))
-                .unwrap();
+            let pred_arg = (0..p.rows()).max_by(|&a, &b| p.get(a, 0).total_cmp(&p.get(b, 0)));
+            let true_arg = (0..ex.cp.len()).max_by(|&a, &b| ex.cp[a].total_cmp(&ex.cp[b]));
             if pred_arg == true_arg {
                 hits += 1;
             }

@@ -295,14 +295,17 @@ impl GraphCache {
             }
         }
 
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+        let structure = if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             // Hit: move to front so the cap evicts least-recently-used.
             let hit = self.entries.remove(pos);
+            let structure = Arc::clone(&hit.1);
             self.entries.insert(0, hit);
+            structure
         } else {
             let built = Arc::new(GraphStructure::for_specs(obs.jobs.iter().map(|j| &j.spec)));
-            self.entries.insert(0, (key.clone(), built));
-        }
+            self.entries.insert(0, (key.clone(), Arc::clone(&built)));
+            built
+        };
 
         // A key element absent from the live set belongs to a job that
         // retired (jobs arrive once), so the entry can never match again.
@@ -311,8 +314,7 @@ impl GraphCache {
         self.entries.truncate(self.cap);
 
         self.scratch_key = key;
-        let front = self.entries.first().expect("entry just ensured");
-        Arc::clone(&front.1)
+        structure
     }
 }
 

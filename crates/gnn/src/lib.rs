@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-gnn
 //!
 //! The graph neural network of §5.1: per-node embeddings via two-level

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-nn
 //!
 //! A minimal, self-contained neural-network substrate for the Decima

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-policy
 //!
 //! Decima's scheduling policy (§5.2): the GNN-backed policy network with

@@ -353,10 +353,11 @@ impl DecimaPolicy {
         let yi = tape.gather_rows(e_jobs, repeat(cand.job_idx).take(l));
         let z = tape.gather_rows(e_glob, repeat(0).take(l));
 
-        let logp = match self.cfg.parallelism {
-            ParallelismMode::OneHot => {
+        // `new` builds the one-hot head in `ParallelismMode::OneHot` and in
+        // no other mode, so the head's presence is the mode.
+        let logp = match &self.w_onehot {
+            Some(net) => {
                 let win = tape.concat_cols(&[yi, z]);
-                let net = self.w_onehot.as_ref().expect("one-hot head exists");
                 let all = net.forward(tape, store, win); // [l, total] (row-repeated)
                                                          // Select each valid limit's unit from the first row.
                 let first = tape.gather_rows(all, [0]);
@@ -375,7 +376,7 @@ impl DecimaPolicy {
                 let col = tape.concat_rows(&cols);
                 tape.log_softmax_col(col)
             }
-            _ => {
+            None => {
                 let lnorm = values
                     .iter()
                     .map(|&v| v as f64 / self.cfg.total_executors as f64);

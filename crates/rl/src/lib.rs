@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-rl
 //!
 //! Reinforcement-learning infrastructure for Decima (§5.3, Appendices B

@@ -275,8 +275,10 @@ impl Trainer {
 
         // Horizon: memoryless termination with growing mean (§5.3).
         let tau = self.cfg.curriculum.map(|c| {
-            let exp = Exp::new(1.0 / self.tau_mean).expect("positive mean");
-            let t: f64 = exp.sample(&mut self.rng).max(1.0);
+            // Every draw is clamped to one second, which is also what a
+            // mean no exponential has (zero, negative, NaN) gives.
+            let t =
+                Exp::new(1.0 / self.tau_mean).map_or(1.0, |exp| exp.sample(&mut self.rng).max(1.0));
             self.tau_mean = (self.tau_mean + c.tau_step).min(c.tau_max);
             t
         });

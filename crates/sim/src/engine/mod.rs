@@ -109,6 +109,11 @@ impl Simulator {
     /// Builds a simulator over the given cluster and job set.
     ///
     /// Jobs must have dense ids `0..n` in `specs` order and valid specs.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented caller contract: specs come from `JobBuilder::build` or have \
+                  passed `validate`; an invalid one is a bug upstream, not a run-time input"
+    )]
     pub fn new(cluster: ClusterSpec, specs: Vec<JobSpec>, cfg: SimConfig) -> Self {
         let execs = ExecTable::new(&cluster);
         let mut queue = EventQueue::default();

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # decima-sim
 //!
 //! Discrete-event simulator of a Spark-like cluster, reproducing the

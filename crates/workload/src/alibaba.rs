@@ -68,6 +68,11 @@ fn sample_num_stages(cfg: &AlibabaConfig, rng: &mut impl Rng) -> usize {
 }
 
 /// Generates one synthetic production job.
+#[expect(
+    clippy::expect_used,
+    reason = "valid by construction: at least one stage, every sampled field clamped into \
+              range, and edges only from strictly earlier layers, so no cycle"
+)]
 pub fn alibaba_job(
     cfg: &AlibabaConfig,
     id: JobId,
@@ -75,10 +80,13 @@ pub fn alibaba_job(
     rng: &mut impl Rng,
 ) -> JobSpec {
     let n = sample_num_stages(cfg, rng);
-    let tasks_dist = LogNormal::new(cfg.task_count_lognorm.0, cfg.task_count_lognorm.1)
-        .expect("valid lognormal");
-    let dur_dist =
-        LogNormal::new(cfg.task_dur_lognorm.0, cfg.task_dur_lognorm.1).expect("valid lognormal");
+    #[expect(
+        clippy::expect_used,
+        reason = "caller contract: the config's (mu, sigma) pairs are finite with sigma >= 0, \
+                  as the defaults (the only values any caller passes) are"
+    )]
+    let [tasks_dist, dur_dist] = [cfg.task_count_lognorm, cfg.task_dur_lognorm]
+        .map(|(mu, sigma)| LogNormal::new(mu, sigma).expect("valid lognormal"));
 
     let mut b = JobBuilder::new(id);
     // Assign stages to layers: layer count ~ sqrt(n), at least 1.

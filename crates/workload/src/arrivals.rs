@@ -31,8 +31,9 @@ impl ArrivalProcess {
         match *self {
             ArrivalProcess::Batch => vec![SimTime::ZERO; n],
             ArrivalProcess::Poisson { mean_iat } => {
-                assert!(mean_iat > 0.0, "mean interarrival time must be positive");
-                let exp = Exp::new(1.0 / mean_iat).expect("valid rate");
+                let Ok(exp) = Exp::new(1.0 / mean_iat) else {
+                    panic!("mean interarrival time must be positive and finite, got {mean_iat}")
+                };
                 let mut t = 0.0;
                 (0..n)
                     .map(|_| {

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! Support library for the workspace's integration tests and examples.
 //!
 //! The real code lives in the `decima-*` crates under `crates/`; this
@@ -6,6 +7,9 @@
 //! directories and hosts small shared helpers for them.
 
 pub use decima;
+
+#[cfg(contract_canary)]
+pub mod contract_canary;
 
 /// Scales every stage's task count down by `factor` (minimum one task),
 /// so integration tests and smoke tests run in milliseconds while

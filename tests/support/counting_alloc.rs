@@ -7,6 +7,11 @@
 //! is the only test of its binary, so nothing else in the process
 //! allocates while it counts.
 
+#![allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; test-only, forwards to System"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,16 +23,13 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counters are the only addition.
 // (`realloc` and `alloc_zeroed` default to `alloc`, so they count too.)
-// decima-lint: allow(D004) — GlobalAlloc is an unsafe trait; test-only counting allocator
 unsafe impl GlobalAlloc for Counting {
-    // decima-lint: allow(D004) — signature fixed by GlobalAlloc
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
-    // decima-lint: allow(D004) — signature fixed by GlobalAlloc
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
