@@ -190,14 +190,18 @@ impl FeatureConfig {
     }
 }
 
-/// Default maximum number of job-set entries [`GraphCache`] retains.
+/// Default maximum number of job-set entries [`GraphCache`] retains —
+/// the one default: `GraphCache::default()` and both `PolicyConfig`
+/// constructors use it.
 ///
 /// Arrivals and finishes toggle the active-job set between a handful of
 /// nearby configurations; a small LRU window captures those without
-/// letting the cache grow with episode length. Episodes with more
-/// concurrently-churning jobs than this (e.g. mix-shift drift episodes)
-/// thrash the window — use [`GraphCache::with_cap`] to widen it.
-pub const GRAPH_CACHE_CAP: usize = 8;
+/// letting the cache grow with episode length. 16 rather than the
+/// historical 8 because mix-shift drift episodes cycle through more than
+/// 8 live job sets and thrash a narrower window
+/// (`wider_cap_prevents_churn_on_deep_job_waves`); use
+/// [`GraphCache::with_cap`] to widen it further.
+pub const GRAPH_CACHE_CAP: usize = 16;
 
 /// Caches the static [`GraphStructure`] across the decisions of one
 /// episode, bounded by the *live* job set.
@@ -542,7 +546,7 @@ mod tests {
     /// pattern): the live set grows past the historical 8-entry cap and
     /// then drains in arrival order, re-visiting each earlier prefix. A
     /// cap-8 cache has truncated the early prefixes and rebuilds them on
-    /// the way down; the `PolicyConfig` default of 16 keeps the whole
+    /// the way down; the default of 16 (`GRAPH_CACHE_CAP`) keeps the whole
     /// wave hot. Either way the rebuilt structures are identical — the
     /// cap changes rebuild frequency, never outputs.
     #[test]
@@ -571,7 +575,7 @@ mod tests {
         };
 
         let (rebuilds_narrow, narrow) = run(8);
-        let (rebuilds_wide, wide) = run(16);
+        let (rebuilds_wide, wide) = run(GRAPH_CACHE_CAP);
 
         // The shrink phase re-visits WAVE-1 prefixes; the narrow cache
         // truncated the oldest WAVE-8 of them during the grow phase.
@@ -587,12 +591,12 @@ mod tests {
         }
     }
 
-    /// The policy-layer default cap is wired through `PolicyConfig` and
-    /// clamped at ≥ 1; the legacy constant still backs `Default`.
+    /// One default backs `Default` (and `PolicyConfig`'s constructors);
+    /// an explicit cap is taken as given and clamped at ≥ 1.
     #[test]
     fn cap_plumbing_and_clamp() {
         assert_eq!(GraphCache::default().cap(), GRAPH_CACHE_CAP);
         assert_eq!(GraphCache::with_cap(0).cap(), 1);
-        assert_eq!(GraphCache::with_cap(16).cap(), 16);
+        assert_eq!(GraphCache::with_cap(8).cap(), 8);
     }
 }

@@ -1,22 +1,25 @@
 //! Graph-input plumbing: a batched, level-grouped view of every active
 //! job's DAG, ready for bottom-up message passing.
 //!
-//! The expensive part of a batch — child lists in global indices, the
-//! depth-levelled evaluation plan with its per-parent child counts —
-//! depends only on the DAG *shapes*, which never change mid-episode. It
-//! is therefore factored into [`GraphStructure`], shared behind an `Arc`
-//! and cached across the thousands of decisions of an episode (see
-//! `GraphCache` in `features.rs`); a [`GraphInput`] is that structure
-//! plus the per-decision feature matrix.
+//! The expensive part of a batch — the depth-levelled evaluation plan
+//! with its per-parent child lists — depends only on the DAG *shapes*,
+//! which never change mid-episode. It is therefore factored into
+//! [`GraphStructure`], shared behind an `Arc` and cached across the
+//! thousands of decisions of an episode (see `GraphCache` in
+//! `features.rs`); a [`GraphInput`] is that structure plus the
+//! per-decision feature matrix.
 //!
-//! Two things ride along for one lane each. The constant 0/1 segment
-//! matrices (child → parent, node → job) are read by the `f64` tape
-//! only, so they are built on first use ([`LevelPlan::seg`],
-//! [`GraphStructure::job_seg`]) and a structure that only ever serves
-//! the `f32` lane never pays for them; they are handed out behind an
-//! `Arc`, which is how every decision's tape shares the one copy
-//! (`Tape::constant`). And a structure built from job
-//! specs ([`GraphStructure::for_specs`]) holds each job's
+//! One pass over the DAGs builds the plan of both forward lanes: per
+//! level the nodes and their child counts, the children as rows of the
+//! level-block concatenation (`child_rows`, the `f64` tape's gather)
+//! and as global node indices (`children`, the `f32` sweep's), and the
+//! node → job map `node_job`. The constant 0/1 segment matrices (child
+//! → parent, node → job) are read by the tape only, so they are built
+//! on first use ([`LevelPlan::seg`], [`GraphStructure::job_seg`]) and a
+//! structure that only ever serves the `f32` lane never pays for them;
+//! they are handed out behind an `Arc`, which is how every decision's
+//! tape shares the one copy (`Tape::constant`). And a structure built
+//! from job specs ([`GraphStructure::for_specs`]) holds each job's
 //! `Arc<JobSpec>`: that is the job identity `InferEncoder` keys its
 //! per-job memos on.
 
@@ -31,10 +34,6 @@ pub struct JobGraph {
     pub node_offset: usize,
     /// Number of nodes in this job.
     pub num_nodes: usize,
-    /// `children[v]` in *global* node indices.
-    pub children: Vec<Vec<usize>>,
-    /// `level[v]`: hop distance to the farthest leaf (leaves = 0).
-    pub level: Vec<u32>,
     /// The job this topology belongs to, when the structure was built
     /// from specs. Holding the `Arc` keeps the allocation alive, so a
     /// pointer comparison against it can never match a later job that
@@ -50,12 +49,16 @@ pub struct LevelPlan {
     /// Global node indices at this level, ascending.
     pub nodes: Vec<usize>,
     /// For every child message consumed at this level: the child's row in
-    /// the concatenation of all previously-computed level blocks. Empty
-    /// when the whole level is leaves.
+    /// the concatenation of all previously-computed level blocks (the
+    /// tape's gather). Empty when the whole level is leaves.
     pub child_rows: Vec<usize>,
+    /// The same children as global node indices, grouped per parent in
+    /// parent order (the `f32` sweep's gather, which never builds the
+    /// level blocks).
+    pub children: Vec<u32>,
     /// `child_counts[i]` = number of children of `nodes[i]`: the
     /// segment lengths of the per-parent message sums over
-    /// `child_rows`.
+    /// `child_rows` / `children`.
     pub child_counts: Vec<u32>,
     seg: OnceLock<Arc<Tensor>>,
 }
@@ -89,6 +92,8 @@ pub struct GraphStructure {
     pub levels: Vec<LevelPlan>,
     /// Total node count across jobs.
     pub num_nodes: usize,
+    /// Job index of every global node.
+    pub node_job: Vec<u32>,
     /// `perm[v]` = row of global node `v` in the concatenation of the
     /// level blocks (restores original node order after the sweep).
     pub perm: Vec<usize>,
@@ -114,66 +119,48 @@ impl GraphStructure {
 
     fn build<'a>(dags: impl Iterator<Item = (&'a DagTopology, Option<Arc<JobSpec>>)>) -> Self {
         let mut jobs = Vec::with_capacity(dags.size_hint().0);
-        let mut max_level = 0u32;
+        let mut topologies = Vec::with_capacity(dags.size_hint().0);
+        let mut node_job = Vec::new();
+        // Global node indices per level, ascending.
+        let mut level_nodes: Vec<Vec<usize>> = Vec::new();
         let mut offset = 0usize;
-        for (dag, spec) in dags {
-            let children = (0..dag.len())
-                .map(|v| {
-                    dag.children(v)
-                        .iter()
-                        .map(|&c| offset + c as usize)
-                        .collect()
-                })
-                .collect();
-            let level: Vec<u32> = (0..dag.len()).map(|v| dag.level(v)).collect();
-            max_level = max_level.max(level.iter().copied().max().unwrap_or(0));
+        for (ji, (dag, spec)) in dags.enumerate() {
+            for v in 0..dag.len() {
+                let level = dag.level(v) as usize;
+                if level >= level_nodes.len() {
+                    level_nodes.resize_with(level + 1, Vec::new);
+                }
+                level_nodes[level].push(offset + v);
+                node_job.push(ji as u32);
+            }
             jobs.push(JobGraph {
                 node_offset: offset,
                 num_nodes: dag.len(),
-                children,
-                level,
                 spec,
             });
+            topologies.push(dag);
             offset += dag.len();
         }
-        let total = offset;
 
-        let mut level_nodes = vec![
-            Vec::new();
-            if total == 0 {
-                0
-            } else {
-                max_level as usize + 1
-            }
-        ];
-        for j in &jobs {
-            for v in 0..j.num_nodes {
-                level_nodes[j.level[v] as usize].push(j.node_offset + v);
-            }
-        }
-
-        // Flat global child lists, then the row numbering of the
-        // level-block concatenation and each level's child rows, grouped
-        // per parent.
-        let mut children_global: Vec<&[usize]> = Vec::with_capacity(total);
-        for j in &jobs {
-            for v in 0..j.num_nodes {
-                children_global.push(&j.children[v]);
-            }
-        }
-        let mut perm = vec![usize::MAX; total];
+        // The row numbering of the level-block concatenation and each
+        // level's children, grouped per parent.
+        let mut perm = vec![usize::MAX; offset];
         let mut next_row = 0usize;
         let mut levels = Vec::with_capacity(level_nodes.len());
         for nodes in level_nodes {
             debug_assert!(!nodes.is_empty(), "levels are dense");
-            let total_children: usize = nodes.iter().map(|&v| children_global[v].len()).sum();
-            let mut child_rows = Vec::with_capacity(total_children);
+            let (mut child_rows, mut children) = (Vec::new(), Vec::new());
             let mut child_counts = Vec::with_capacity(nodes.len());
             for &v in &nodes {
-                child_counts.push(children_global[v].len() as u32);
-                for &c in children_global[v] {
+                let ji = node_job[v] as usize;
+                let base = jobs[ji].node_offset;
+                let kids = topologies[ji].children(v - base);
+                child_counts.push(kids.len() as u32);
+                for &c in kids {
+                    let c = base + c as usize;
                     debug_assert_ne!(perm[c], usize::MAX, "child computed before parent");
                     child_rows.push(perm[c]);
+                    children.push(c as u32);
                 }
             }
             for &v in &nodes {
@@ -183,6 +170,7 @@ impl GraphStructure {
             levels.push(LevelPlan {
                 nodes,
                 child_rows,
+                children,
                 child_counts,
                 seg: OnceLock::new(),
             });
@@ -191,7 +179,8 @@ impl GraphStructure {
         GraphStructure {
             jobs,
             levels,
-            num_nodes: total,
+            num_nodes: offset,
+            node_job,
             perm,
             job_seg: OnceLock::new(),
         }
@@ -214,16 +203,6 @@ impl GraphStructure {
     /// Number of jobs in the batch.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Children (global indices) of a global node index.
-    pub fn children_of(&self, global: usize) -> &[usize] {
-        for j in &self.jobs {
-            if global >= j.node_offset && global < j.node_offset + j.num_nodes {
-                return &j.children[global - j.node_offset];
-            }
-        }
-        panic!("node index {global} out of range");
     }
 }
 
@@ -292,11 +271,6 @@ impl GraphInput {
     pub fn jobs(&self) -> &[JobGraph] {
         &self.structure.jobs
     }
-
-    /// Children (global indices) of a global node index.
-    pub fn children_of(&self, global: usize) -> &[usize] {
-        self.structure.children_of(global)
-    }
 }
 
 #[cfg(test)]
@@ -327,10 +301,12 @@ mod tests {
         assert_eq!(s.levels[1].seg().get(0, 0), 1.0);
         assert_eq!(s.levels[1].seg().get(1, 1), 1.0);
         assert_eq!(s.levels[1].seg().get(0, 1), 0.0);
-        // Children in global indices.
-        assert_eq!(g.children_of(0), &[1]);
-        assert_eq!(g.children_of(3), &[4]);
-        assert!(g.children_of(4).is_empty());
+        // The same children as global node indices, and each node's job.
+        assert!(s.levels[0].children.is_empty());
+        assert_eq!(s.levels[1].children, vec![2, 4]);
+        assert_eq!(s.levels[2].children, vec![1]);
+        assert_eq!(s.levels[2].child_counts, vec![1]);
+        assert_eq!(s.node_job, vec![0, 0, 0, 1, 1]);
         // Features copied.
         assert_eq!(g.features.get(3, 0), 2.0);
         // Job segment matrix sums each job's nodes.

@@ -3,9 +3,11 @@
 //! [`InferEncoder`] is the evaluation-only twin of
 //! [`GnnEncoder::forward`]: the seven MLPs are packed once into
 //! contiguous `f32` matrices ([`decima_nn::F32Mlp`]), the bottom-up
-//! sweep runs over flat reusable buffers instead of tape nodes, and the
-//! 0/1 segment matmuls of the tape path become direct per-parent
-//! segment sums driven by child counts.
+//! sweep runs over flat reusable buffers in the order the
+//! [`GraphStructure`] records for it (`LevelPlan::children`,
+//! `GraphStructure::node_job`) instead of tape nodes, and the 0/1
+//! segment matmuls of the tape path become direct per-parent segment
+//! sums driven by child counts.
 //!
 //! Messages never cross jobs (§5.1): a node embedding depends only on
 //! its own job's DAG and feature rows, the job summary `y_i` only on
@@ -13,42 +15,33 @@
 //! cross-job term. So the encoder keeps, for every job of the structure
 //! it last ran on, what it computed the job from, the job's node
 //! embeddings, `y_i` and `f_glob(y_i)` — one **memo** per live job — and
-//! a forward recomputes `prep → level sweep → f_job/g_job → f_glob`,
-//! batched, over the nodes of the jobs whose input changed since, then
-//! re-sums `z` over all the `f_glob` rows in job order. A cold encoder,
-//! or a decision where a global feature moved, is the same code with
-//! every job dirty.
+//! a decision ([`InferEncoder::forward_observation`]) recomputes `prep →
+//! level sweep → f_job/g_job → f_glob`, batched, over the nodes of the
+//! jobs whose input changed since, then re-sums `z` over all the
+//! `f_glob` rows in job order. It never builds a feature matrix: per job
+//! it compares the *read set* of the features (`features.rs`: per node
+//! remaining tasks, `executors_on` and the duration estimate's bits; per
+//! job `local_free > 0`; per decision `free_total`, `total_executors`
+//! and the `FeatureConfig`) with the keys kept in the job's memo — the
+//! one comparison store — and builds `f32` feature rows, from those
+//! keys, only for the jobs where a key moved. The compare is the one
+//! pass that is still O(all nodes). A cold encoder, or a decision where
+//! a global feature moved, is the same code with every job dirty.
 //!
-//! There are two entries, and they differ only in how they find the
-//! dirty jobs; rebasing, the recomputation and the global re-sum are
-//! shared.
+//! [`InferEncoder::forward`] is the **cold reference sweep**: it takes a
+//! [`GraphInput`] with any feature matrix, computes every job from it,
+//! compares nothing and leaves no key behind, so the next decision
+//! recomputes every job too. The differential suites hold the
+//! observation entry to it, and the benchmark's layer probe times it.
 //!
-//! * [`InferEncoder::forward_observation`] is the one a decision takes.
-//!   It never builds a feature matrix: per job it compares the *read
-//!   set* of the features (`features.rs`: per node remaining tasks,
-//!   `executors_on` and the duration estimate's bits; per job
-//!   `local_free > 0`; per decision `free_total`, `total_executors` and
-//!   the `FeatureConfig`) with the keys kept in the job's memo, and
-//!   builds `f32` feature rows — from those keys — only for the jobs
-//!   where a key moved. The compare is the one pass that is still O(all
-//!   nodes).
-//! * [`InferEncoder::forward`] takes a [`GraphInput`] with any feature
-//!   matrix, converts it to `f32` and compares each job's block,
-//!   bitwise, with the block in its memo. It is the reference entry:
-//!   the differential suites and the benchmark's layer probe call it.
-//!
-//! A memo remembers its job by one entry's store only, so a call
-//! through the other entry than the last recomputes every job.
-//!
-//! That is exact: every [`F32Mlp`] kernel computes an output row from
-//! that input row and the weights alone, in a fixed `k` order, and the
-//! per-parent, per-job and global sums keep their order, so a row has
-//! the same bits whether it was computed in this call, in an earlier
+//! Memoising is exact: every [`F32Mlp`] kernel computes an output row
+//! from that input row and the weights alone, in a fixed `k` order, and
+//! the per-parent, per-job and global sums keep their order, so a row
+//! has the same bits whether it was computed in this call, in an earlier
 //! one, or in a batch of different height; and a feature row is a pure
 //! function of the keys, so equal keys mean equal rows
-//! (`tests/infer_diff.rs` drives a warm encoder against a cold one
-//! through random edit scripts on either entry, and the two entries
-//! against each other).
+//! (`tests/infer_diff.rs` drives a warm encoder against a cold one and
+//! against the cold reference through random edit scripts).
 //!
 //! Memos live in the row layout of one `GraphStructure`, held by `Arc`
 //! by the encoder. When the live job set changes, the memos of
@@ -72,86 +65,16 @@ use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use decima_sim::Observation;
 use std::sync::Arc;
 
-/// One level of an [`InferPlan`]: the children each of the level's
-/// nodes sums over, as global node indices (the structure's
-/// `child_rows` number rows of the tape path's level-block
-/// concatenation, which this lane never materialises).
-struct PlanLevel {
-    /// `children[child_off[i]..child_off[i + 1]]` are the children of
-    /// the level's `i`-th node.
-    child_off: Vec<u32>,
-    /// Global node index of every child message consumed at this level,
-    /// grouped per parent in parent order. Empty when the level is all
-    /// leaves.
-    children: Vec<u32>,
-}
-
-/// Per-structure evaluation order, derived once and reused across every
-/// decision that shares the `GraphStructure`.
-struct InferPlan {
-    /// The structure this plan — and the memo layout — was built for.
-    /// Holding the `Arc` keeps the allocation alive, so the pointer
-    /// identity check in [`InferEncoder::forward`] is sound, and keeps
-    /// every job's `Arc<JobSpec>` alive for [`InferEncoder::rebase`].
-    structure: Arc<GraphStructure>,
-    /// Job index of every global node.
-    node_job: Vec<u32>,
-    levels: Vec<PlanLevel>,
-}
-
-impl InferPlan {
-    fn new(structure: Arc<GraphStructure>) -> Self {
-        let mut node_job = Vec::with_capacity(structure.num_nodes);
-        let mut children_of: Vec<&[usize]> = Vec::with_capacity(structure.num_nodes);
-        for (ji, job) in structure.jobs.iter().enumerate() {
-            for children in &job.children {
-                node_job.push(ji as u32);
-                children_of.push(children);
-            }
-        }
-        let levels = structure
-            .levels
-            .iter()
-            .map(|level| {
-                let mut child_off = Vec::with_capacity(level.nodes.len() + 1);
-                let mut children = Vec::with_capacity(level.child_rows.len());
-                child_off.push(0);
-                for &v in &level.nodes {
-                    children.extend(children_of[v].iter().map(|&c| c as u32));
-                    child_off.push(children.len() as u32);
-                }
-                PlanLevel {
-                    child_off,
-                    children,
-                }
-            })
-            .collect();
-        InferPlan {
-            structure,
-            node_job,
-            levels,
-        }
-    }
-
-    /// The plan of an encoder that holds no memo.
-    fn empty() -> Self {
-        InferPlan::new(Arc::new(GraphStructure::new(&[])))
-    }
-}
-
 /// The per-job results of the last forwards, flat in the row layout of
-/// the plan's structure: job `i`'s memo is its node range in `keys` (or
-/// `feat`) and `nodes` plus row `i` of `local`, `jobs` and `fglob`.
+/// the encoder's structure: job `i`'s memo is its node range in `keys`
+/// and `nodes` plus row `i` of `local`, `jobs` and `fglob`.
 #[derive(Default)]
 struct Memo {
-    /// What each job was last computed from, as the observation entry
-    /// sees it: the read set of every node's feature row, `[n]` …
+    /// What each job was last computed from: the read set of every
+    /// node's feature row, `[n]` …
     keys: Vec<NodeKey>,
     /// … and `local_free > 0` of every job, `[jobs]`.
     local: Vec<bool>,
-    /// The same for the tensor entry: the `[n, feat_dim]` feature rows.
-    /// Only the store of the entry that ran last ([`Filled`]) is valid.
-    feat: Vec<f32>,
     /// `[n, d]` node embeddings `e_v`.
     nodes: Vec<f32>,
     /// `[jobs, d]` job summaries `y_i`.
@@ -175,20 +98,6 @@ fn position_of(old: &[JobGraph], spec: &Arc<JobSpec>, cursor: &mut usize) -> Opt
     Some(found)
 }
 
-/// Which entry filled the memos' comparison store. A call through the
-/// other entry finds nothing to compare with and recomputes every job.
-enum Filled {
-    /// [`InferEncoder::forward`]: `Memo::feat`.
-    Tensor,
-    /// [`InferEncoder::forward_observation`]: `Memo::keys` and
-    /// `Memo::local`, under this global key.
-    Observation(GlobalKey),
-}
-
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// The packed, tape-free encoder. Owns every buffer the forward pass
 /// needs; between changes of the live job set nothing here allocates.
 pub struct InferEncoder {
@@ -205,17 +114,23 @@ pub struct InferEncoder {
     /// `g_node(0)` — constant for fixed weights, so the leaf broadcast
     /// of the tape path collapses to one precomputed row.
     g_zero: Vec<f32>,
-    plan: InferPlan,
+    /// The structure the memos are laid out for, and whose plan the
+    /// sweep follows. Holding the `Arc` keeps the allocation alive, so
+    /// the pointer identity check in [`begin`](Self::begin) is sound,
+    /// and keeps every job's `Arc<JobSpec>` alive for
+    /// [`rebase`](Self::rebase).
+    structure: Arc<GraphStructure>,
     memo: Memo,
-    filled: Filled,
+    /// The decision-wide key `memo.keys` / `memo.local` were recorded
+    /// under; `None` while they describe nothing (a cold encoder, or
+    /// the cold reference sweep ran last).
+    keyed: Option<GlobalKey>,
     /// `admitted[i]`: the last [`rebase`](Self::rebase) found no memo
     /// for job `i`. Read only by the forward that rebased, which
     /// computes those jobs whatever their features.
     admitted: Vec<bool>,
     /// Target of a rebase, swapped with `memo`.
     spare: Memo,
-    /// The incoming features as `f32`, swapped with `memo.feat`.
-    fresh: Vec<f32>,
     /// Job indices recomputed by this forward, ascending.
     dirty: Vec<u32>,
     /// Per job: whether it is in `dirty`, and if so its node offset in
@@ -237,6 +152,11 @@ pub struct InferEncoder {
     fg: Vec<f32>,
     gsum: Vec<f32>,
     glob: Vec<f32>,
+}
+
+/// The structure of an encoder that holds no memo.
+fn no_structure() -> Arc<GraphStructure> {
+    Arc::new(GraphStructure::new(&[]))
 }
 
 impl InferEncoder {
@@ -269,12 +189,11 @@ impl InferEncoder {
             f_glob,
             g_glob,
             g_zero,
-            plan: InferPlan::empty(),
+            structure: no_structure(),
             memo: Memo::default(),
-            filled: Filled::Tensor,
+            keyed: None,
             admitted: Vec::new(),
             spare: Memo::default(),
-            fresh: Vec::new(),
             dirty: Vec::new(),
             compact_off: Vec::new(),
             picked: Vec::new(),
@@ -300,16 +219,16 @@ impl InferEncoder {
     }
 
     /// Number of per-job memos held: the job count of the structure the
-    /// last [`forward`](Self::forward) ran on.
+    /// last forward ran on.
     pub fn memo_len(&self) -> usize {
-        self.plan.structure.num_jobs()
+        self.structure.num_jobs()
     }
 
     /// Drops every memo (and the structure and job specs they hold).
     /// Never needed for correctness; keeps an idle encoder from pinning
     /// the last episode's jobs.
     pub fn clear_memos(&mut self) {
-        self.plan = InferPlan::empty();
+        self.structure = no_structure();
     }
 
     /// Number of jobs the last forward recomputed (the rest were served
@@ -321,11 +240,9 @@ impl InferEncoder {
     /// Moves the memos into `structure`'s row layout: jobs present in
     /// both structures (same `Arc<JobSpec>`) keep theirs, every other
     /// job of `structure` is marked admitted, and the memos of departed
-    /// jobs are dropped with the old plan. Of the comparison stores only
-    /// the valid one ([`Filled`]) is carried.
+    /// jobs are dropped with the old structure.
     fn rebase(&mut self, structure: &Arc<GraphStructure>) {
-        let (d, fd) = (self.d, self.feat_dim);
-        let plan = InferPlan::new(Arc::clone(structure));
+        let d = self.d;
         let (n, nj) = (structure.num_nodes, structure.num_jobs());
         let next = &mut self.spare;
         for (buf, len) in [
@@ -336,19 +253,11 @@ impl InferEncoder {
             buf.clear();
             buf.resize(len, 0.0);
         }
-        match self.filled {
-            Filled::Tensor => {
-                next.feat.clear();
-                next.feat.resize(n * fd, 0.0);
-            }
-            Filled::Observation(_) => {
-                next.keys.clear();
-                next.keys.resize(n, NodeKey::default());
-                next.local.clear();
-                next.local.resize(nj, false);
-            }
-        }
-        let old = &self.plan.structure.jobs;
+        next.keys.clear();
+        next.keys.resize(n, NodeKey::default());
+        next.local.clear();
+        next.local.resize(nj, false);
+        let old = &self.structure.jobs;
         self.admitted.clear();
         let mut cursor = 0usize;
         for (ji, job) in structure.jobs.iter().enumerate() {
@@ -360,14 +269,8 @@ impl InferEncoder {
             let Some(oi) = from else { continue };
             let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
             debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
-            match self.filled {
-                Filled::Tensor => next.feat[dst * fd..(dst + n) * fd]
-                    .copy_from_slice(&self.memo.feat[src * fd..(src + n) * fd]),
-                Filled::Observation(_) => {
-                    next.keys[dst..dst + n].copy_from_slice(&self.memo.keys[src..src + n]);
-                    next.local[ji] = self.memo.local[oi];
-                }
-            }
+            next.keys[dst..dst + n].copy_from_slice(&self.memo.keys[src..src + n]);
+            next.local[ji] = self.memo.local[oi];
             next.nodes[dst * d..(dst + n) * d]
                 .copy_from_slice(&self.memo.nodes[src * d..(src + n) * d]);
             next.jobs[ji * d..(ji + 1) * d].copy_from_slice(&self.memo.jobs[oi * d..(oi + 1) * d]);
@@ -375,7 +278,7 @@ impl InferEncoder {
                 .copy_from_slice(&self.memo.fglob[oi * d..(oi + 1) * d]);
         }
         std::mem::swap(&mut self.memo, &mut self.spare);
-        self.plan = plan;
+        self.structure = Arc::clone(structure);
     }
 
     /// Start of a forward over `structure`: rebases the memos if it is
@@ -383,7 +286,7 @@ impl InferEncoder {
     /// and empties the dirty list.
     fn begin(&mut self, structure: &Arc<GraphStructure>) -> bool {
         assert!(structure.num_nodes > 0, "encoder needs at least one node");
-        let rebased = !Arc::ptr_eq(&self.plan.structure, structure);
+        let rebased = !Arc::ptr_eq(&self.structure, structure);
         if rebased {
             self.rebase(structure);
         }
@@ -393,52 +296,34 @@ impl InferEncoder {
         rebased
     }
 
-    /// Runs the encoder over `g`, filling the node/job/global embedding
-    /// buffers (read them with [`node_row`](Self::node_row) /
-    /// [`job_row`](Self::job_row) / [`global_row`](Self::global_row)).
-    /// Only the jobs whose feature block differs from the one their
-    /// memo was computed from are recomputed (module docs).
+    /// The cold reference sweep: runs the encoder over every job of `g`,
+    /// filling the node/job/global embedding buffers (read them with
+    /// [`node_row`](Self::node_row) / [`job_row`](Self::job_row) /
+    /// [`global_row`](Self::global_row)). It reads no memo and leaves
+    /// no key, so the next
+    /// [`forward_observation`](Self::forward_observation) recomputes
+    /// every job as well (module docs).
     ///
-    /// This is the reference entry, kept for the suites that name it:
-    /// it takes any feature matrix, which is what the differential suite
-    /// `crates/gnn/tests/infer_diff.rs` (this entry against the f64 tape
-    /// and against the observation entry) and the benchmark's layer
-    /// probe need. No decision takes it: that goes through
-    /// [`forward_observation`](Self::forward_observation).
+    /// No decision takes it. It stays for the suites that name it as
+    /// the reference — `crates/gnn/tests/infer_diff.rs` holds it to the
+    /// `f64` tape and the observation entry to it — and for the
+    /// benchmark's layer probe, because it takes any feature matrix.
     pub fn forward(&mut self, g: &GraphInput) {
-        let fd = self.feat_dim;
-        assert_eq!(g.features.cols(), fd, "feature dim");
-        let rebased = self.begin(&g.structure);
-        let comparable = matches!(self.filled, Filled::Tensor);
-        self.filled = Filled::Tensor;
-        let s: &GraphStructure = &self.plan.structure;
-
-        // Which jobs to recompute: no memo, or the block moved.
-        self.fresh.clear();
-        self.fresh
-            .extend(g.features.data().iter().map(|&v| v as f32));
-        let mut m = 0usize;
-        for (ji, job) in s.jobs.iter().enumerate() {
-            let block = job.node_offset * fd..(job.node_offset + job.num_nodes) * fd;
-            let fresh = &self.fresh[block.clone()];
-            let admitted = rebased && self.admitted[ji];
-            if comparable && !admitted && bits_equal(fresh, &self.memo.feat[block]) {
-                self.compact_off.push(None);
-                continue;
-            }
+        assert_eq!(g.features.cols(), self.feat_dim, "feature dim");
+        self.begin(&g.structure);
+        self.keyed = None;
+        self.xin.extend(g.features.data().iter().map(|&v| v as f32));
+        for (ji, job) in self.structure.jobs.iter().enumerate() {
             self.dirty.push(ji as u32);
-            self.compact_off.push(Some(m as u32));
-            self.xin.extend_from_slice(fresh);
-            m += job.num_nodes;
+            self.compact_off.push(Some(job.node_offset as u32));
         }
-        std::mem::swap(&mut self.fresh, &mut self.memo.feat);
-        self.finish(m, rebased);
+        self.finish(self.structure.num_nodes, true);
     }
 
-    /// [`forward`](Self::forward) straight from the observation: what
-    /// `feat.graph_input_cached(obs, ..)` followed by `forward` computes,
-    /// bit for bit, without building the feature matrix. `structure`
-    /// must be the one `GraphCache::structure_for(obs)` returns.
+    /// The entry a decision takes: what `feat.graph_input_cached(obs,
+    /// ..)` followed by [`forward`](Self::forward) computes, bit for
+    /// bit, without building the feature matrix. `structure` must be the
+    /// one `GraphCache::structure_for(obs)` returns.
     ///
     /// Per job it compares the *read set* of the features — each node's
     /// key, the job's `local_free > 0`, and the decision-wide key (module
@@ -458,12 +343,9 @@ impl InferEncoder {
         );
         let rebased = self.begin(structure);
         let glob = GlobalKey::of(feat, obs);
-        let comparable = matches!(self.filled, Filled::Observation(last) if last == glob);
-        self.filled = Filled::Observation(glob);
-        let s: &GraphStructure = &self.plan.structure;
-        // No-ops unless the tensor entry ran last.
-        self.memo.keys.resize(s.num_nodes, NodeKey::default());
-        self.memo.local.resize(s.num_jobs(), false);
+        let comparable = self.keyed == Some(glob);
+        self.keyed = Some(glob);
+        let s: &GraphStructure = &self.structure;
 
         let mut m = 0usize;
         for (ji, (job, seen)) in s.jobs.iter().zip(&obs.jobs).enumerate() {
@@ -525,13 +407,12 @@ impl InferEncoder {
     /// `self.xin`; results land in the jobs' memos.
     fn recompute_dirty(&mut self, m: usize) {
         let d = self.d;
-        let plan = &self.plan;
-        let s: &GraphStructure = &plan.structure;
+        let s: &GraphStructure = &self.structure;
         // Row of global node `v` (of a dirty job) in the compact
         // numbering `xin` and `p` use.
         let compact_off = &self.compact_off;
         let compact = |v: usize| -> Option<usize> {
-            let ji = plan.node_job[v] as usize;
+            let ji = s.node_job[v] as usize;
             compact_off[ji].map(|off| off as usize + v - s.jobs[ji].node_offset)
         };
 
@@ -543,19 +424,22 @@ impl InferEncoder {
         // embeddings are written in place, in original node order, and
         // a level's children lie in levels already written.
         let nodes = &mut self.memo.nodes;
-        for (level, pl) in s.levels.iter().zip(&plan.levels) {
+        for level in &s.levels {
             self.picked.clear();
             self.gathered.clear();
-            for (i, &v) in level.nodes.iter().enumerate() {
+            let mut at = 0usize;
+            for (i, (&v, &cnt)) in level.nodes.iter().zip(&level.child_counts).enumerate() {
+                let children = &level.children[at..at + cnt as usize];
+                at += cnt as usize;
                 let Some(row) = compact(v) else { continue };
                 self.picked.push((i as u32, row as u32));
-                for &c in &pl.children[pl.child_off[i] as usize..pl.child_off[i + 1] as usize] {
+                for &c in children {
                     let c = c as usize;
                     self.gathered.extend_from_slice(&nodes[c * d..(c + 1) * d]);
                 }
             }
             let nv = self.picked.len();
-            let leaves = pl.children.is_empty();
+            let leaves = level.children.is_empty();
             if !leaves && nv > 0 {
                 let nc = self.gathered.len() / d;
                 self.f_node
@@ -567,7 +451,7 @@ impl InferEncoder {
                 self.summed.resize(nv * d, 0.0);
                 let mut srow = 0usize;
                 for (k, &(i, _)) in self.picked.iter().enumerate() {
-                    let cnt = (pl.child_off[i as usize + 1] - pl.child_off[i as usize]) as usize;
+                    let cnt = level.child_counts[i as usize] as usize;
                     let acc = &mut self.summed[k * d..(k + 1) * d];
                     for msg in self.fmsg[srow * d..(srow + cnt) * d].chunks_exact(d) {
                         for (a, v) in acc.iter_mut().zip(msg) {
@@ -735,7 +619,7 @@ mod tests {
         let g1 = toy_input();
         fast.forward(&g1);
         let first = fast.global_row().to_vec();
-        // Same structure Arc, same result; fresh structure, plan rebuilds.
+        // Same structure Arc, same result; a fresh structure, same result.
         let g1b = GraphInput::with_structure(Arc::clone(&g1.structure), g1.features.clone());
         fast.forward(&g1b);
         assert_eq!(fast.global_row(), &first[..]);

@@ -9,11 +9,13 @@
 //! The encoder's per-job memos have a stricter contract of their own: a
 //! warm encoder, whatever it has seen before, must produce the **bits**
 //! a freshly packed (cold) encoder produces on the same input. The
-//! second half of this file drives that through random edit scripts —
-//! of feature matrices for the tensor entry, of observations for the
-//! observation entry, which must also agree with the tensor entry —
-//! through the two ways a memo could be handed to the wrong job, and
-//! through the observation entry's read set field by field.
+//! second half of this file drives the observation entry a decision
+//! takes through random edit scripts of observations — against a cold
+//! observation entry and against the cold reference sweep
+//! (`InferEncoder::forward` on the feature matrix), with calls through
+//! that reference thrown in — through the two ways a memo could be
+//! handed to the wrong job, and through the read set field by field; and
+//! it shows the reference sweep reads no memo.
 
 use decima_core::{DagTopology, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use decima_gnn::{
@@ -142,76 +144,6 @@ proptest! {
             case.num_nodes,
             case.num_jobs
         );
-    }
-
-    /// One warm encoder driven through a random script of the edits an
-    /// episode makes — some jobs' rows move, a global column moves, a
-    /// job leaves, a job arrives, nothing moves — equals, bit for bit
-    /// and at every step, a cold encoder that sees only that step.
-    #[test]
-    fn warm_encoder_matches_cold_encoder_through_edit_scripts(seed in 0u64..1_000_000) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (enc, store) = random_encoder(&mut rng);
-        let feat_dim = enc.cfg().feat_dim;
-        let mut next_id = 0u32;
-        let mut admit = |rng: &mut SmallRng| {
-            let n = rng.gen_range(1..8);
-            let density = rng.gen_range(0.2..0.8);
-            next_id += 1;
-            LiveJob {
-                spec: spec_with_dag(next_id, &random_dag(rng, n, density)),
-                rows: (0..n * feat_dim).map(|_| rng.gen_range(-1.5..1.5)).collect(),
-            }
-        };
-        let mut live: Vec<LiveJob> = (0..rng.gen_range(1..5)).map(|_| admit(&mut rng)).collect();
-        let mut structure = structure_of(&live);
-        let mut warm = InferEncoder::pack(&enc, &store).unwrap();
-        for step in 0..24 {
-            let edit = if step == 0 { Edit::Repeat } else { Edit::random(&mut rng) };
-            match edit {
-                Edit::SomeJobs => {
-                    for job in &mut live {
-                        if rng.gen_bool(0.4) {
-                            let at = rng.gen_range(0..job.rows.len());
-                            job.rows[at] += 0.25;
-                        }
-                    }
-                }
-                Edit::OneColumn => {
-                    let col = rng.gen_range(0..feat_dim);
-                    let to = rng.gen_range(-1.5..1.5);
-                    for job in &mut live {
-                        job.rows.iter_mut().skip(col).step_by(feat_dim).for_each(|x| *x = to);
-                    }
-                }
-                Edit::Drop if live.len() > 1 => {
-                    live.remove(rng.gen_range(0..live.len()));
-                    structure = structure_of(&live);
-                }
-                Edit::Admit => {
-                    let job = admit(&mut rng);
-                    live.insert(rng.gen_range(0..=live.len()), job);
-                    structure = structure_of(&live);
-                }
-                // Same jobs under a structure `Arc` of their own, as
-                // after a `GraphCache` eviction.
-                Edit::Restructure => structure = structure_of(&live),
-                Edit::Drop | Edit::Repeat => {}
-            }
-            let rows: Vec<f64> = live.iter().flat_map(|j| j.rows.iter().copied()).collect();
-            let input = GraphInput::with_structure(
-                Arc::clone(&structure),
-                Tensor::from_vec(structure.num_nodes, feat_dim, rows),
-            );
-            warm.forward(&input);
-            let mut cold = InferEncoder::pack(&enc, &store).unwrap();
-            cold.forward(&input);
-            prop_assert!(
-                same_bits(&warm, &cold, &structure),
-                "warm and cold encoders differ at step {step} after {edit:?} (seed {seed})"
-            );
-            prop_assert_eq!(warm.memo_len(), live.len());
-        }
     }
 
     /// The observation entry, driven through a random script of what an
@@ -388,36 +320,6 @@ fn structure_of_obs(obs: &Observation) -> Arc<GraphStructure> {
     Arc::new(GraphStructure::for_specs(obs.jobs.iter().map(|j| &j.spec)))
 }
 
-/// One live job of an edit script: its identity and its feature rows.
-struct LiveJob {
-    spec: Arc<JobSpec>,
-    rows: Vec<f64>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Edit {
-    SomeJobs,
-    OneColumn,
-    Drop,
-    Admit,
-    Restructure,
-    Repeat,
-}
-
-impl Edit {
-    fn random(rng: &mut SmallRng) -> Edit {
-        const ALL: [Edit; 6] = [
-            Edit::SomeJobs,
-            Edit::OneColumn,
-            Edit::Drop,
-            Edit::Admit,
-            Edit::Restructure,
-            Edit::Repeat,
-        ];
-        ALL[rng.gen_range(0..ALL.len())]
-    }
-}
-
 /// A job spec whose DAG is `dag` (stage attributes play no part here).
 fn spec_with_dag(id: u32, dag: &DagTopology) -> Arc<JobSpec> {
     let mut b = JobBuilder::new(JobId(id));
@@ -428,10 +330,6 @@ fn spec_with_dag(id: u32, dag: &DagTopology) -> Arc<JobSpec> {
         b.edge(parent, child);
     }
     Arc::new(b.build().expect("a DAG's own edges are valid"))
-}
-
-fn structure_of(live: &[LiveJob]) -> Arc<GraphStructure> {
-    Arc::new(GraphStructure::for_specs(live.iter().map(|j| &j.spec)))
 }
 
 /// Whether two encoders hold bit-identical node, job and global rows
@@ -445,41 +343,45 @@ fn same_bits(a: &InferEncoder, b: &InferEncoder, s: &GraphStructure) -> bool {
         && eq(a.global_row(), b.global_row())
 }
 
-/// A memo belongs to a job, not to a position or to a set of feature
-/// rows: once a job has left, a different-shaped job that presents the
-/// same number of identical rows must be computed afresh — even when
-/// the departed job's spec has been dropped everywhere outside the
-/// encoder, so that the allocator is free to hand its address on.
+/// An observation of one job over `dag` whose node rows are drawn from
+/// `seed` alone: two such observations present the same keys whatever
+/// their DAGs.
+fn one_job_obs(dag: &DagTopology, id: u32, seed: u64) -> Observation {
+    let spec = spec_with_dag(id, dag);
+    Observation {
+        total_executors: 12,
+        free_total: 3,
+        jobs: vec![random_job_obs(&mut SmallRng::seed_from_u64(seed), spec)],
+        ..Observation::default()
+    }
+}
+
+/// A memo belongs to a job, not to a position or to a set of keys: once
+/// a job has left, a different-shaped job that presents the same number
+/// of identical keys must be computed afresh — even when the departed
+/// job's spec has been dropped everywhere outside the encoder, so that
+/// the allocator is free to hand its address on.
 #[test]
 fn a_departed_jobs_memo_never_serves_a_different_job() {
     let mut rng = SmallRng::seed_from_u64(21);
-    let (enc, store) = random_encoder(&mut rng);
-    let feat_dim = enc.cfg().feat_dim;
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig::default();
     let chain = DagTopology::new(3, &[(0, 1), (1, 2)]).unwrap();
     let fan = DagTopology::new(3, &[(0, 1), (0, 2)]).unwrap();
-    let rows: Vec<f64> = (0..3 * feat_dim).map(|i| 0.1 * i as f64 - 0.4).collect();
-    let input_for = |dag: &DagTopology, id: u32| {
-        let live = [LiveJob {
-            spec: spec_with_dag(id, dag),
-            rows: rows.clone(),
-        }];
-        // `live`, and with it this scope's `Arc<JobSpec>`, drops on
-        // return: only the structure holds the spec from here on.
-        GraphInput::with_structure(
-            structure_of(&live),
-            Tensor::from_vec(3, feat_dim, rows.clone()),
-        )
-    };
     let mut warm = InferEncoder::pack(&enc, &store).unwrap();
-    warm.forward(&input_for(&chain, 0));
-    // The first input — structure and spec — is gone; only the
+    {
+        let obs = one_job_obs(&chain, 0, 5);
+        warm.forward_observation(&feat, &obs, &structure_of_obs(&obs));
+    }
+    // The first observation — structure and spec — is gone; only the
     // encoder's memo still refers to the chain job.
-    let second = input_for(&fan, 1);
-    warm.forward(&second);
+    let obs = one_job_obs(&fan, 1, 5);
+    let structure = structure_of_obs(&obs);
+    warm.forward_observation(&feat, &obs, &structure);
     let mut cold = InferEncoder::pack(&enc, &store).unwrap();
-    cold.forward(&second);
+    cold.forward_observation(&feat, &obs, &structure);
     assert!(
-        same_bits(&warm, &cold, &second.structure),
+        same_bits(&warm, &cold, &structure),
         "the fan job was served the chain job's memo"
     );
     assert_eq!(warm.memo_len(), 1, "the chain job's memo is gone");
@@ -490,31 +392,67 @@ fn a_departed_jobs_memo_never_serves_a_different_job() {
 #[test]
 fn structures_built_from_bare_dags_never_share_memos() {
     let mut rng = SmallRng::seed_from_u64(22);
-    let (enc, store) = random_encoder(&mut rng);
-    let feat_dim = enc.cfg().feat_dim;
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig::default();
     let chain = DagTopology::new(3, &[(0, 1), (1, 2)]).unwrap();
     let fan = DagTopology::new(3, &[(0, 1), (0, 2)]).unwrap();
-    let feats = || {
-        Tensor::from_vec(
-            3,
-            feat_dim,
-            (0..3 * feat_dim).map(|i| 0.2 * i as f64).collect(),
-        )
-    };
-    let first = GraphInput::new(&[&chain], &[feats()]);
-    let second = GraphInput::new(&[&fan], &[feats()]);
+    let obs = one_job_obs(&chain, 0, 6);
+    let first = Arc::new(GraphStructure::new(&[&chain]));
+    let second = Arc::new(GraphStructure::new(&[&fan]));
     let mut warm = InferEncoder::pack(&enc, &store).unwrap();
-    warm.forward(&first);
-    warm.forward(&second);
+    warm.forward_observation(&feat, &obs, &first);
+    warm.forward_observation(&feat, &obs, &second);
     let mut cold = InferEncoder::pack(&enc, &store).unwrap();
-    cold.forward(&second);
-    assert!(same_bits(&warm, &cold, &second.structure));
+    cold.forward_observation(&feat, &obs, &second);
+    assert!(same_bits(&warm, &cold, &second));
     // The same `Arc` again is the one case that does hit.
-    warm.forward(&first);
-    warm.forward(&first);
+    warm.forward_observation(&feat, &obs, &first);
+    warm.forward_observation(&feat, &obs, &first);
+    assert_eq!(warm.dirty_jobs(), 0, "the second call on one Arc hits");
     cold = InferEncoder::pack(&enc, &store).unwrap();
-    cold.forward(&first);
-    assert!(same_bits(&warm, &cold, &first.structure));
+    cold.forward_observation(&feat, &obs, &first);
+    assert!(same_bits(&warm, &cold, &first));
+}
+
+/// The tensor entry is the cold reference sweep: it computes every job
+/// whatever ran before, and leaves no key behind, so the observation
+/// call after it recomputes every job too — here over memos that hold
+/// another feature matrix's embeddings, which a kept key would serve.
+#[test]
+fn the_tensor_entry_reads_no_memo() {
+    let mut rng = SmallRng::seed_from_u64(24);
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig::default();
+    let jobs = (0..3)
+        .map(|i| {
+            let dag = random_dag(&mut rng, 4, 0.5);
+            random_job_obs(&mut rng, spec_with_dag(i, &dag))
+        })
+        .collect();
+    let obs = Observation {
+        total_executors: 12,
+        free_total: 3,
+        jobs,
+        ..Observation::default()
+    };
+    let structure = structure_of_obs(&obs);
+    let g = feat.graph_input(&obs);
+    let scaled = g.features.data().iter().map(|x| x * 0.5 + 0.125);
+    let input = GraphInput::with_structure(
+        Arc::clone(&structure),
+        Tensor::from_vec(structure.num_nodes, FEAT_DIM, scaled.collect()),
+    );
+    let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+    warm.forward_observation(&feat, &obs, &structure);
+    for call in 0..2 {
+        warm.forward(&input);
+        assert_eq!(warm.dirty_jobs(), 3, "tensor call {call}");
+    }
+    warm.forward_observation(&feat, &obs, &structure);
+    assert_eq!(warm.dirty_jobs(), 3, "a tensor call leaves no key behind");
+    let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+    cold.forward_observation(&feat, &obs, &structure);
+    assert!(same_bits(&warm, &cold, &structure));
 }
 
 /// The observation entry's keys are the features' read set, no more and

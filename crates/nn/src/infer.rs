@@ -342,36 +342,7 @@ impl F32Mlp {
     /// the buffers have reached their steady-state sizes.
     pub fn forward(&self, rows: usize, x: &[f32], scratch: &mut F32Scratch, out: &mut Vec<f32>) {
         assert_eq!(x.len(), rows * self.in_dim, "f32 MLP input size mismatch");
-        let last = self.layers.len() - 1;
-        let mut src: &[f32] = x;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let slope = if l < last { self.slope } else { None };
-            if l == last {
-                linear_f32(
-                    rows,
-                    layer.in_dim,
-                    layer.out_dim,
-                    src,
-                    &layer.w,
-                    &layer.b,
-                    slope,
-                    out,
-                );
-            } else {
-                linear_f32(
-                    rows,
-                    layer.in_dim,
-                    layer.out_dim,
-                    src,
-                    &layer.w,
-                    &layer.b,
-                    slope,
-                    &mut scratch.pong,
-                );
-                std::mem::swap(&mut scratch.ping, &mut scratch.pong);
-                src = &scratch.ping;
-            }
-        }
+        self.layers_from(0, rows, Some(x), scratch, out);
     }
 
     /// [`forward`](Self::forward) for a batch whose rows all share the
@@ -408,12 +379,15 @@ impl F32Mlp {
                 *acc += v * wv;
             }
         }
-        // Per-row tails, then the fused activation.
-        scratch.pong.clear();
-        scratch.pong.resize(rows * od, 0.0);
+        // Per-row tails, then the fused activation of a hidden layer; a
+        // one-layer network's (linear) output goes straight to `out`.
+        let hidden = self.layers.len() > 1;
+        let dst = if hidden { &mut scratch.pong } else { &mut *out };
+        dst.clear();
+        dst.resize(rows * od, 0.0);
         for r in 0..rows {
             let trow = &tails[r * tw..(r + 1) * tw];
-            let orow = &mut scratch.pong[r * od..(r + 1) * od];
+            let orow = &mut dst[r * od..(r + 1) * od];
             orow.copy_from_slice(&scratch.base);
             for (k, &v) in trow.iter().enumerate() {
                 let wrow = &first.w[(shared.len() + k) * od..];
@@ -421,48 +395,53 @@ impl F32Mlp {
                     *o += v * wv;
                 }
             }
-            if let Some(s) = self.slope {
-                if self.layers.len() > 1 {
-                    for o in orow.iter_mut() {
-                        if *o < 0.0 {
-                            *o *= s;
-                        }
+            if let Some(s) = self.slope.filter(|_| hidden) {
+                for o in orow.iter_mut() {
+                    if *o < 0.0 {
+                        *o *= s;
                     }
                 }
             }
         }
-        std::mem::swap(&mut scratch.ping, &mut scratch.pong);
-        // Remaining layers run the normal batched path.
-        if self.layers.len() == 1 {
-            out.clear();
-            out.extend_from_slice(&scratch.ping[..rows * od]);
-            return;
+        if hidden {
+            std::mem::swap(&mut scratch.ping, &mut scratch.pong);
+            self.layers_from(1, rows, None, scratch, out);
         }
+    }
+
+    /// Layers `first..` over `rows` rows of `x`, or of `scratch.ping`
+    /// when `x` is `None`: hidden layers ping-pong through `scratch`,
+    /// the (linear) output layer writes `out`.
+    fn layers_from(
+        &self,
+        first: usize,
+        rows: usize,
+        x: Option<&[f32]>,
+        scratch: &mut F32Scratch,
+        out: &mut Vec<f32>,
+    ) {
         let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate().skip(1) {
-            let slope = if l < last { self.slope } else { None };
-            if l == last {
-                linear_f32(
-                    rows,
-                    layer.in_dim,
-                    layer.out_dim,
-                    &scratch.ping,
-                    &layer.w,
-                    &layer.b,
-                    slope,
-                    out,
-                );
+        for (l, layer) in self.layers.iter().enumerate().skip(first) {
+            let src = match x {
+                Some(x) if l == first => x,
+                _ => &scratch.ping,
+            };
+            let (slope, dst) = if l < last {
+                (self.slope, &mut scratch.pong)
             } else {
-                linear_f32(
-                    rows,
-                    layer.in_dim,
-                    layer.out_dim,
-                    &scratch.ping,
-                    &layer.w,
-                    &layer.b,
-                    slope,
-                    &mut scratch.pong,
-                );
+                (None, &mut *out)
+            };
+            linear_f32(
+                rows,
+                layer.in_dim,
+                layer.out_dim,
+                src,
+                &layer.w,
+                &layer.b,
+                slope,
+                dst,
+            );
+            if l < last {
                 std::mem::swap(&mut scratch.ping, &mut scratch.pong);
             }
         }

@@ -13,6 +13,7 @@
 
 use decima_gnn::{
     Embeddings, FeatureConfig, GnnConfig, GnnEncoder, GraphCache, GraphInput, FEAT_DIM,
+    GRAPH_CACHE_CAP,
 };
 use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
 use decima_sim::Observation;
@@ -79,9 +80,8 @@ pub struct PolicyConfig {
     pub hidden: Vec<usize>,
     /// LRU capacity of the per-agent [`decima_gnn::GraphCache`]. Purely
     /// a rebuild-frequency knob — it can never change policy outputs.
-    /// Sized above the historical cap of 8 because mix-shift drift
-    /// episodes cycle through more than 8 live job sets and thrash a
-    /// smaller window.
+    /// Both constructors write [`GRAPH_CACHE_CAP`], the default of every
+    /// `GraphCache`.
     pub graph_cache_cap: usize,
 }
 
@@ -97,7 +97,7 @@ impl PolicyConfig {
             total_executors,
             num_classes: 1,
             hidden: vec![16, 8],
-            graph_cache_cap: 16,
+            graph_cache_cap: GRAPH_CACHE_CAP,
         }
     }
 
@@ -112,7 +112,7 @@ impl PolicyConfig {
             total_executors,
             num_classes: 1,
             hidden: vec![32, 16],
-            graph_cache_cap: 16,
+            graph_cache_cap: GRAPH_CACHE_CAP,
         }
     }
 
@@ -241,23 +241,10 @@ impl DecimaPolicy {
     /// set. Panics if the schedulable set is empty (the engine guarantees
     /// it is not when it invokes the scheduler).
     ///
-    /// Computes the graph structure fresh; agents on the decision hot
-    /// path keep a [`GraphCache`] and call
-    /// [`DecimaPolicy::forward_nodes_cached`] instead.
-    pub fn forward_nodes(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        obs: &Observation,
-    ) -> PolicyForward {
-        let mut cache = GraphCache::default();
-        self.forward_nodes_cached(tape, store, obs, &mut cache)
-    }
-
-    /// [`DecimaPolicy::forward_nodes`] with a caller-owned
-    /// [`GraphCache`], so the batch's static structure (child lists,
-    /// level plan, segment matrices) is reused across the decisions of an
-    /// episode and only rebuilt when the active-job set changes.
+    /// `cache` is caller-owned, so the batch's static structure (level
+    /// plan, child lists, segment matrices) is reused across the
+    /// decisions of an episode and only rebuilt when the active-job set
+    /// changes.
     pub fn forward_nodes_cached(
         &self,
         tape: &mut Tape,

@@ -44,17 +44,6 @@ impl SpecEnv {
             drift: DriftSpec::off(),
         }
     }
-
-    /// Sets the drift regime (and, when enabled, the matching phase
-    /// boundaries on the simulator configuration so per-phase counters
-    /// come back on every result).
-    pub fn with_drift(mut self, drift: DriftSpec) -> Self {
-        self.drift = drift;
-        if drift.enabled() && self.sim.phase_boundaries.is_empty() {
-            self.sim.phase_boundaries = drift.phase_boundaries();
-        }
-        self
-    }
 }
 
 impl EnvFactory for SpecEnv {

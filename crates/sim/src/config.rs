@@ -126,12 +126,6 @@ impl SimConfig {
         self.dynamics = dynamics;
         self
     }
-
-    /// Sets the drift phase boundaries (must be strictly increasing).
-    pub fn with_phase_boundaries(mut self, boundaries: Vec<f64>) -> Self {
-        self.phase_boundaries = boundaries;
-        self
-    }
 }
 
 #[cfg(test)]

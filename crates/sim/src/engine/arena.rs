@@ -169,14 +169,6 @@ impl JobArena {
         self.epoch
     }
 
-    /// The spec of any job the episode knows, in whatever phase.
-    pub(super) fn spec(&self, id: JobId) -> Option<&Arc<JobSpec>> {
-        match self.phase.get(id.index())? {
-            JobPhase::Pending(spec) | JobPhase::Retired(spec) => Some(spec),
-            JobPhase::Live(_) => self.live(id).map(|rt| &rt.spec),
-        }
-    }
-
     /// Runtime state of a job if it is live, `None` otherwise — the
     /// lenient lookup for paths that can legitimately race a retirement
     /// (an `ExecReady` landing after its job finished) or be handed any

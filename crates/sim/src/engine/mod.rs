@@ -192,14 +192,6 @@ impl Simulator {
         self
     }
 
-    /// The spec of any job the episode knows, in whatever lifecycle
-    /// phase. Retired jobs still answer: the engine holds every spec
-    /// `Arc` for the episode's lifetime so spec-pointer identity (used
-    /// by the GNN graph cache and `obs_equal`) is never recycled.
-    pub fn job_spec(&self, id: JobId) -> Option<&Arc<JobSpec>> {
-        self.jobs.spec(id)
-    }
-
     /// Current simulation time (for tests and instrumentation).
     pub fn now(&self) -> SimTime {
         self.now

@@ -3,7 +3,7 @@
 
 use crate::drift::DriftCounters;
 use crate::dynamics::DynamicsCounters;
-use decima_core::{Gantt, JobId, SimTime, Summary};
+use decima_core::{Gantt, JobId, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Reward bookkeeping for one agent decision.
@@ -160,11 +160,6 @@ impl EpisodeResult {
         } else {
             Some(j.iter().sum::<f64>() / j.len() as f64)
         }
-    }
-
-    /// Summary statistics of completed-job JCTs.
-    pub fn jct_summary(&self) -> Summary {
-        Summary::of(&self.jcts())
     }
 
     /// Completion time of the last finished job (the makespan for batched

@@ -259,12 +259,6 @@ impl Observation {
     pub fn schedulable_is_grouped(&self) -> bool {
         self.schedulable.windows(2).all(|w| w[0] < w[1])
     }
-
-    /// True when nothing can be scheduled.
-    #[inline]
-    pub fn is_terminal(&self) -> bool {
-        self.schedulable.is_empty() || self.free_total == 0
-    }
 }
 
 /// A scheduling policy. Implemented by all baselines and by Decima.
