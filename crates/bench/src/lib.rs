@@ -1,10 +1,5 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "the one crate that may read a clock: wall-clock telemetry (`wall_secs`, \
-              Figure 15b's latencies, `scale`'s decisions per second) that no run reads back"
-)]
 //! # decima-bench
 //!
 //! The experiment layer of the reproduction, built around a declarative

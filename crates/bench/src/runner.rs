@@ -88,6 +88,10 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> ScenarioReport {
 pub fn try_run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, String> {
     let json_name = format!("{}.json", sc.spec.name);
     probe_out().map_err(|e| cannot_write(&Path::new("out").join(&json_name), &e))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`wall_secs` is telemetry: the report carries it and no run reads it back"
+    )]
     let t0 = Instant::now();
     let mut report = (sc.run)(&sc.spec, opts)?;
     if !sc.spec.notes.is_empty() {

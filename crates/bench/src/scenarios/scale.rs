@@ -91,6 +91,10 @@ pub fn sweep(spec: &ScenarioSpec, opts: &RunOptions) -> Result<Vec<ScaleCell>, S
             cell_env
                 .workload
                 .set_mean_iat(base_iat * base_execs as f64 / execs as f64);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "decisions per wall-clock second are reported, never read back by a run"
+            )]
             let start = Instant::now();
             let per_seed = spec_episodes(&sched, trained.as_deref(), &cell_env, &seeds, 1);
             let decisions: u64 = per_seed.iter().map(|r| r.actions.len() as u64).sum();

@@ -33,6 +33,10 @@ impl<S: Scheduler> Scheduler for Timed<S> {
     }
 
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Figure 15b's decision latencies: recorded beside the run, never fed back"
+        )]
         let t0 = Instant::now();
         let action = self.inner.decide(obs);
         self.decide_secs.push(t0.elapsed().as_secs_f64());

@@ -9,6 +9,21 @@
 //! leaf-depth levels used by the graph neural network's bottom-up message
 //! passing sweep (§5.1), and offers critical-path computation
 //! (`cp(v) = work(v) + max_{u∈children(v)} cp(u)`, Appendix A footnote 5).
+//!
+//! A topology is one heap block of `u32`s, compressed sparse rows both
+//! ways, for `n` nodes and `e` edges:
+//!
+//! ```text
+//! [ parent offsets (n+1) | child offsets (n+1) | parents (e) | children (e) | topo (n) | level (n) ]
+//! ```
+//!
+//! An offset is an absolute position in the block, so a node's parents or
+//! children are the slice between its offset and the next one, in the
+//! order their edges were given; `topo` is Kahn's order (a stack seeded
+//! with the roots in ascending order). [`DagTopology::new`] counts
+//! degrees, prefix-sums the offsets and fills both lists in edge order
+//! inside the block, so a job's DAG costs one allocation however many
+//! stages it has, and cloning it costs one more.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,86 +75,129 @@ impl fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// Immutable, validated DAG over nodes `0..num_nodes`.
+///
+/// Everything lives in one buffer of `4n + 2 + 2e` words, laid out as
+/// the module docs show: `v`'s parents are `buf[buf[v]..buf[v + 1]]` and
+/// its children `buf[buf[n + 1 + v]..buf[n + 2 + v]]`.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct DagTopology {
     num_nodes: usize,
-    /// `parents[v]` = upstream stages `v` depends on.
-    parents: Vec<Vec<u32>>,
-    /// `children[v]` = downstream stages depending on `v`.
-    children: Vec<Vec<u32>>,
-    /// A topological order (parents before children).
-    topo: Vec<u32>,
-    /// `level[v]` = longest path (in hops) from `v` down to any leaf;
-    /// leaves have level 0. Used by bottom-up message passing.
-    level: Vec<u32>,
+    buf: Box<[u32]>,
 }
 
 impl DagTopology {
     /// Builds and validates a topology from an edge list.
+    ///
+    /// The first faulty edge decides the error: an endpoint out of range
+    /// (parent checked first), a self-loop, or a repeat of an earlier
+    /// edge. Only a fault-free edge list can be a [`DagError::Cycle`].
     pub fn new(num_nodes: usize, edges: &[(u32, u32)]) -> Result<Self, DagError> {
-        if num_nodes == 0 {
+        let n = num_nodes;
+        if n == 0 {
             return Err(DagError::Empty);
         }
-        let mut parents = vec![Vec::new(); num_nodes];
-        let mut children = vec![Vec::new(); num_nodes];
-        for &(p, c) in edges {
-            for &e in &[p, c] {
-                if e as usize >= num_nodes {
-                    return Err(DagError::NodeOutOfRange {
-                        index: e,
-                        num_nodes,
-                    });
-                }
-            }
-            if p == c {
-                return Err(DagError::SelfLoop { node: p });
-            }
-            if children[p as usize].contains(&c) {
+        // Edges before the first endpoint fault are laid out; a repeat
+        // among them is found while filling, and comes earlier.
+        let fault = edges
+            .iter()
+            .position(|&(p, c)| p as usize >= n || c as usize >= n || p == c);
+        let laid = &edges[..fault.unwrap_or(edges.len())];
+        let e = laid.len();
+        // Where each region of the buffer starts (module docs).
+        let child_offsets = n + 1;
+        let parents = 2 * n + 2;
+        let children = parents + e;
+        let topo = children + e;
+        let level = topo + n;
+        assert!(
+            level + n <= u32::MAX as usize,
+            "a DAG's buffer positions are u32: {n} nodes and {e} edges do not fit"
+        );
+        let mut buf = vec![0u32; level + n];
+
+        // Degrees, prefix-summed into absolute positions.
+        for &(p, c) in laid {
+            buf[c as usize + 1] += 1;
+            buf[child_offsets + p as usize + 1] += 1;
+        }
+        buf[0] = parents as u32;
+        buf[child_offsets] = children as u32;
+        for v in 0..n {
+            buf[v + 1] += buf[v];
+            buf[child_offsets + v + 1] += buf[child_offsets + v];
+        }
+
+        // Adjacency in edge order. Until Kahn's algorithm runs, the topo
+        // region holds each node's next parent slot and the level region
+        // its next child slot.
+        buf.copy_within(0..n, topo);
+        buf.copy_within(child_offsets..child_offsets + n, level);
+        for &(p, c) in laid {
+            let (pi, ci) = (p as usize, c as usize);
+            let slot = buf[level + pi] as usize;
+            if buf[buf[child_offsets + pi] as usize..slot].contains(&c) {
                 return Err(DagError::DuplicateEdge {
                     parent: p,
                     child: c,
                 });
             }
-            children[p as usize].push(c);
-            parents[c as usize].push(p);
+            buf[slot] = c;
+            buf[level + pi] += 1;
+            let slot = buf[topo + ci] as usize;
+            buf[slot] = p;
+            buf[topo + ci] += 1;
+        }
+        if let Some(at) = fault {
+            let (p, c) = edges[at];
+            return Err(match [p, c].into_iter().find(|&v| v as usize >= n) {
+                Some(index) => DagError::NodeOutOfRange {
+                    index,
+                    num_nodes: n,
+                },
+                None => DagError::SelfLoop { node: p },
+            });
         }
 
-        // Kahn's algorithm: topological order + cycle detection.
-        let mut indeg: Vec<usize> = parents.iter().map(Vec::len).collect();
-        let mut stack: Vec<u32> = (0..num_nodes as u32)
-            .filter(|&v| indeg[v as usize] == 0)
+        // Kahn's algorithm: topological order + cycle detection. The
+        // level region holds the remaining in-degrees, all zero once
+        // every node is ordered.
+        for v in 0..n {
+            buf[level + v] = buf[v + 1] - buf[v];
+        }
+        let mut stack: Vec<u32> = (0..n as u32)
+            .filter(|&v| buf[level + v as usize] == 0)
             .collect();
-        let mut topo = Vec::with_capacity(num_nodes);
+        let mut ordered = 0;
         while let Some(v) = stack.pop() {
-            topo.push(v);
-            for &c in &children[v as usize] {
-                indeg[c as usize] -= 1;
-                if indeg[c as usize] == 0 {
-                    stack.push(c);
+            buf[topo + ordered] = v;
+            ordered += 1;
+            let v = child_offsets + v as usize;
+            for at in buf[v] as usize..buf[v + 1] as usize {
+                let c = buf[at] as usize;
+                buf[level + c] -= 1;
+                if buf[level + c] == 0 {
+                    stack.push(c as u32);
                 }
             }
         }
-        if topo.len() != num_nodes {
+        if ordered != n {
             return Err(DagError::Cycle);
         }
 
         // Leaf depth, computed in reverse topological order.
-        let mut level = vec![0u32; num_nodes];
-        for &v in topo.iter().rev() {
-            let l = children[v as usize]
+        for t in (topo..level).rev() {
+            let v = buf[t] as usize;
+            let kids = buf[child_offsets + v] as usize..buf[child_offsets + v + 1] as usize;
+            buf[level + v] = buf[kids]
                 .iter()
-                .map(|&c| level[c as usize] + 1)
+                .map(|&c| buf[level + c as usize] + 1)
                 .max()
                 .unwrap_or(0);
-            level[v as usize] = l;
         }
 
         Ok(DagTopology {
-            num_nodes,
-            parents,
-            children,
-            topo,
-            level,
+            num_nodes: n,
+            buf: buf.into_boxed_slice(),
         })
     }
 
@@ -172,52 +230,65 @@ impl DagTopology {
         self.num_nodes == 0
     }
 
-    /// Upstream dependencies of `v`.
+    /// The adjacency list whose offset pair starts at buffer position `at`.
     #[inline]
-    pub fn parents(&self, v: usize) -> &[u32] {
-        &self.parents[v]
+    fn adjacency(&self, at: usize) -> &[u32] {
+        &self.buf[self.buf[at] as usize..self.buf[at + 1] as usize]
     }
 
-    /// Downstream consumers of `v`.
+    /// Upstream dependencies of `v`, in edge-list order.
+    #[inline]
+    pub fn parents(&self, v: usize) -> &[u32] {
+        self.adjacency(v)
+    }
+
+    /// Downstream consumers of `v`, in edge-list order.
     #[inline]
     pub fn children(&self, v: usize) -> &[u32] {
-        &self.children[v]
+        self.adjacency(self.num_nodes + 1 + v)
     }
 
     /// A topological order (each parent precedes its children).
     #[inline]
     pub fn topo_order(&self) -> &[u32] {
-        &self.topo
+        let end = self.buf.len() - self.num_nodes;
+        &self.buf[end - self.num_nodes..end]
+    }
+
+    /// `levels()[v]` is `level(v)`.
+    #[inline]
+    fn levels(&self) -> &[u32] {
+        &self.buf[self.buf.len() - self.num_nodes..]
     }
 
     /// Longest hop-distance from `v` down to a leaf (leaves = 0).
     #[inline]
     pub fn level(&self, v: usize) -> u32 {
-        self.level[v]
+        self.levels()[v]
     }
 
     /// Maximum level in the DAG (its depth).
     pub fn depth(&self) -> u32 {
-        self.level.iter().copied().max().unwrap_or(0)
+        self.levels().iter().copied().max().unwrap_or(0)
     }
 
     /// Nodes without parents (initially runnable).
     pub fn roots(&self) -> Vec<u32> {
         (0..self.num_nodes as u32)
-            .filter(|&v| self.parents[v as usize].is_empty())
+            .filter(|&v| self.parents(v as usize).is_empty())
             .collect()
     }
 
     /// Nodes without children (the GNN message-passing frontier).
     pub fn leaves(&self) -> Vec<u32> {
         (0..self.num_nodes as u32)
-            .filter(|&v| self.children[v as usize].is_empty())
+            .filter(|&v| self.children(v as usize).is_empty())
             .collect()
     }
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
+        (self.buf.len() - 4 * self.num_nodes - 2) / 2
     }
 
     /// Critical-path value from each node: `cp(v) = work[v] + max cp(child)`.
@@ -227,8 +298,9 @@ impl DagTopology {
     pub fn critical_path(&self, work: &[f64]) -> Vec<f64> {
         assert_eq!(work.len(), self.num_nodes, "work vector length mismatch");
         let mut cp = vec![0.0; self.num_nodes];
-        for &v in self.topo.iter().rev() {
-            let down = self.children[v as usize]
+        for &v in self.topo_order().iter().rev() {
+            let down = self
+                .children(v as usize)
                 .iter()
                 .map(|&c| cp[c as usize])
                 .fold(0.0_f64, f64::max);
@@ -245,13 +317,13 @@ impl DagTopology {
     /// All nodes reachable (strictly) downstream of `v`.
     pub fn descendants(&self, v: usize) -> Vec<u32> {
         let mut seen = vec![false; self.num_nodes];
-        let mut stack: Vec<u32> = self.children[v].to_vec();
+        let mut stack: Vec<u32> = self.children(v).to_vec();
         let mut out = Vec::new();
         while let Some(u) = stack.pop() {
             if !seen[u as usize] {
                 seen[u as usize] = true;
                 out.push(u);
-                stack.extend_from_slice(&self.children[u as usize]);
+                stack.extend_from_slice(self.children(u as usize));
             }
         }
         out.sort_unstable();
@@ -261,10 +333,8 @@ impl DagTopology {
     /// Edge list (parent, child), in parent-major order.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.num_edges());
-        for (p, cs) in self.children.iter().enumerate() {
-            for &c in cs {
-                out.push((p as u32, c));
-            }
+        for p in 0..self.num_nodes {
+            out.extend(self.children(p).iter().map(|&c| (p as u32, c)));
         }
         out
     }

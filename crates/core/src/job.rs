@@ -278,9 +278,11 @@ impl JobBuilder {
         self
     }
 
-    /// Finalizes into a validated [`JobSpec`].
-    pub fn build(self) -> Result<JobSpec, Box<dyn std::error::Error>> {
+    /// Finalizes into a validated [`JobSpec`] whose `stages` hold no spare
+    /// capacity: a spec may stay resident for a whole arrival stream.
+    pub fn build(mut self) -> Result<JobSpec, Box<dyn std::error::Error>> {
         let dag = DagTopology::new(self.stages.len(), &self.edges)?;
+        self.stages.shrink_to_fit();
         let job = JobSpec {
             id: self.id,
             name: self.name,

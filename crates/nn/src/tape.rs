@@ -168,10 +168,12 @@ fn value_of<'a>(nodes: &'a [Node], params: &'a [ParamSlot], id: TensorId) -> &'a
 
 impl Tape {
     /// Empty tape. An agent builds one and [`reset`](Self::reset)s it per
-    /// pass; a fresh tape for every pass is off the decision and training
-    /// paths (only the Figure 19 harness, `CpHarness`, still does it) and
-    /// stays as the reference the kept tape is held to the bit against
-    /// in `crates/nn/tests/tape_diff.rs`.
+    /// pass. A fresh tape for every pass is off the decision and training
+    /// paths and stays only as the reference the differential suites
+    /// name: `crates/nn/tests/tape_diff.rs` holds the kept tape to it to
+    /// the bit. Its other callers (the Figure 19 harness, `CpHarness`,
+    /// and the repo benchmark's tape-forward probes) are to move to a
+    /// kept tape, after which per-pass use is the reference's alone.
     pub fn new() -> Self {
         Tape::default()
     }

@@ -1,7 +1,8 @@
 //! A `#[global_allocator]` that counts: every allocation-pin test
 //! (`crates/policy/tests/tape_allocs.rs`,
 //! `crates/baselines/tests/decide_allocs.rs`,
-//! `crates/sim/tests/obs_allocs.rs`) includes this one file by
+//! `crates/sim/tests/obs_allocs.rs`,
+//! `crates/core/tests/spec_allocs.rs`) includes this one file by
 //! `#[path]`, so the workspace has one `unsafe impl GlobalAlloc`, not one
 //! per test. It forwards to the system allocator; each of those tests
 //! is the only test of its binary, so nothing else in the process
