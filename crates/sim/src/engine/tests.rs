@@ -912,6 +912,118 @@ fn retirement_matches_keep_everything_under_full_dynamics() {
     assert_eq!(retire.mem.retired_jobs, 3);
 }
 
+// ---- event order ----
+
+/// One episode's order-sensitive results: decisions, events, the end
+/// time's bits, each job's JCT bits and the event-queue high-water mark.
+type OrderPin = (usize, u64, u64, Vec<Option<u64>>, u64);
+
+fn order_pin(r: &EpisodeResult) -> OrderPin {
+    (
+        r.actions.len(),
+        r.num_events,
+        r.end_time.as_secs().to_bits(),
+        r.jobs.iter().map(|j| j.jct().map(f64::to_bits)).collect(),
+        r.mem.event_queue_hwm,
+    )
+}
+
+fn pin(decisions: usize, events: u64, end: f64, jcts: &[Option<f64>], hwm: u64) -> OrderPin {
+    let jcts = jcts.iter().map(|j| j.map(f64::to_bits)).collect();
+    (decisions, events, end.to_bits(), jcts, hwm)
+}
+
+/// Eight jobs whose arrivals are out of id order, three of them tied at
+/// t = 2. With integer task durations and a 1 s move delay, arrivals land
+/// on the instants executors become ready (t = 1) and tasks finish
+/// (t = 2, 3). `last` is job 7's arrival.
+fn order_jobs(last: f64) -> Vec<JobSpec> {
+    vec![
+        one_stage_job(0, 2, 1.0, 3.0),
+        chain_job(1, 0.0),
+        one_stage_job(2, 3, 2.0, 2.0),
+        one_stage_job(3, 1, 1.0, 2.0),
+        chain_job(4, 2.0),
+        one_stage_job(5, 2, 1.0, 1.0),
+        one_stage_job(6, 1, 3.0, 6.0),
+        one_stage_job(7, 2, 1.0, last),
+    ]
+}
+
+fn order_cluster() -> ClusterSpec {
+    ClusterSpec::homogeneous(3).with_move_delay(1.0)
+}
+
+/// Pins the order in which the event queue hands out same-instant
+/// events — arrivals first, and among themselves by id — with every
+/// order-sensitive result frozen to the bit. Also under a phase boundary
+/// and a churn tick on arrival instants, a horizon between two arrivals,
+/// and a `drive` stopped mid-stream.
+#[test]
+fn same_instant_events_keep_their_order() {
+    let plain = || Simulator::new(order_cluster(), order_jobs(9.0), bare_cfg());
+    let s = Some;
+    let jcts = [
+        s(2.0),
+        s(3.0),
+        s(6.0),
+        s(7.0),
+        s(9.0),
+        s(3.0),
+        s(7.0),
+        s(4.0),
+    ];
+    let want = pin(11, 41, 13.0, &jcts, 9);
+    assert_eq!(order_pin(&plain().run(TestSched)), want, "plain");
+
+    // Stopped after five events, then driven to the end in small steps:
+    // the same episode.
+    let mut sim = plain();
+    let mut sched = TestSched;
+    assert!(sim.drive(&mut sched, 5), "five events are mid-stream");
+    assert_eq!(sim.now(), SimTime::from_secs(2.0));
+    while sim.drive(&mut sched, 3) {}
+    assert_eq!(order_pin(&sim.finish()), want, "driven in steps");
+
+    // A horizon between the arrivals at t = 6 and t = 9.
+    let cfg = bare_cfg().with_time_limit(7.5);
+    let r = Simulator::new(order_cluster(), order_jobs(9.0), cfg).run(TestSched);
+    assert_eq!(r.outcome, EpisodeOutcome::Horizon);
+    let jcts = [s(2.0), s(3.0), None, None, None, s(3.0), None, None];
+    assert_eq!(order_pin(&r), pin(7, 24, 7.5, &jcts, 9), "horizon");
+
+    // Phase boundaries on the arrivals at t = 2 and t = 6, and job 7
+    // arriving exactly when the first churn tick fires.
+    let dynamics = DynamicsSpec {
+        churn_iat: 4.0,
+        outage_mean: 3.0,
+        ..DynamicsSpec::off()
+    };
+    let cfg = SimConfig {
+        seed: 5,
+        phase_boundaries: vec![2.0, 6.0],
+        ..bare_cfg().with_dynamics(dynamics)
+    };
+    let first_tick = Perturbations::new(dynamics, cfg.seed, 3).next_churn_interval();
+    assert_eq!(first_tick, 4.035755121319159);
+    let r = Simulator::new(order_cluster(), order_jobs(first_tick), cfg).run(TestSched);
+    assert_eq!(r.dynamics.churn_events, 2);
+    assert_eq!(r.drift.arrivals_by_phase, [5, 3, 0], "arrivals first");
+    assert_eq!(r.drift.completions_by_phase, [0, 3, 5]);
+    let jcts = [
+        s(2.0),
+        s(3.0),
+        s(10.0),
+        s(10.043059568451596),
+        s(13.371713586390458),
+        s(3.0),
+        s(10.043059568451596),
+        s(11.96424487868084),
+    ];
+    let want = pin(12, 49, 17.19602384606274, &jcts, 12);
+    assert_eq!(order_pin(&r), want, "phases and churn");
+}
+
 #[test]
 fn rewards_align_with_actions() {
     let sim = Simulator::new(
