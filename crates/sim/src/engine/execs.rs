@@ -9,7 +9,6 @@
 
 use super::arena::JobArena;
 use decima_core::{ClassId, ClusterSpec, ExecutorClass, ExecutorId, JobId, SimTime};
-use std::collections::BTreeSet;
 
 #[derive(Clone, Copy, Debug)]
 pub(super) enum ExecState {
@@ -79,10 +78,10 @@ impl ExecMeta {
 /// Every executor plus the counts derived from their states.
 pub(super) struct ExecTable {
     execs: Vec<ExecMeta>,
-    /// Unbound (`Free`) executors, in ascending index order.
-    free_set: BTreeSet<u32>,
-    /// Idle-bound (`Idle(_)`) executors, in ascending index order.
-    idle_set: BTreeSet<u32>,
+    /// Unbound (`Free`) executors.
+    free_set: ExecSet,
+    /// Idle-bound (`Idle(_)`) executors.
+    idle_set: ExecSet,
     /// `Free` + `Idle` executor count per class.
     avail_by_class: Vec<usize>,
     /// Offline executors (see `ExecState::Offline`).
@@ -104,9 +103,13 @@ impl ExecTable {
                 });
             }
         }
+        let mut free_set = ExecSet::new(execs.len());
+        for i in 0..execs.len() as u32 {
+            free_set.insert(i);
+        }
         ExecTable {
-            free_set: (0..execs.len() as u32).collect(),
-            idle_set: BTreeSet::new(),
+            free_set,
+            idle_set: ExecSet::new(execs.len()),
             avail_by_class: cluster.classes.iter().map(|c| c.count).collect(),
             offline_count: 0,
             execs,
@@ -128,12 +131,12 @@ impl ExecTable {
 
     /// Unbound executors, ascending.
     pub(super) fn free_ids(&self) -> impl Iterator<Item = ExecutorId> + '_ {
-        self.free_set.iter().map(|&i| ExecutorId(i))
+        self.free_set.iter().map(ExecutorId)
     }
 
     /// Idle-bound executors, ascending.
     pub(super) fn idle_ids(&self) -> impl Iterator<Item = ExecutorId> + '_ {
-        self.idle_set.iter().map(|&i| ExecutorId(i))
+        self.idle_set.iter().map(ExecutorId)
     }
 
     /// Available executors (unbound or idle-local), in total. O(1).
@@ -213,13 +216,13 @@ impl ExecTable {
             if new_free {
                 self.free_set.insert(i);
             } else {
-                self.free_set.remove(&i);
+                self.free_set.remove(i);
             }
         }
         let (old_idle, new_idle) = (old.idle_for(), new.idle_for());
         if old_idle != new_idle {
             if let Some(j) = old_idle {
-                self.idle_set.remove(&i);
+                self.idle_set.remove(i);
                 if let Some(rt) = jobs.live_mut(j) {
                     rt.local_free -= 1;
                     rt.dirty = true;
@@ -270,5 +273,63 @@ impl ExecTable {
                 self.offline_count -= 1;
             }
         }
+    }
+}
+
+/// A set of executor indices below a fixed bound: one bit per index plus
+/// the member count. Iterates in ascending order, so a dispatch walk
+/// visits executors in index order; a walk costs one word per 64
+/// indices up to the last member.
+pub(super) struct ExecSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl ExecSet {
+    /// An empty set that can hold the indices `0..bound`.
+    pub(super) fn new(bound: usize) -> Self {
+        ExecSet {
+            words: vec![0; bound.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    pub(super) fn insert(&mut self, i: u32) {
+        let bit = 1u64 << (i % 64);
+        let w = &mut self.words[i as usize / 64];
+        self.len += usize::from(*w & bit == 0);
+        *w |= bit;
+    }
+
+    #[inline]
+    pub(super) fn remove(&mut self, i: u32) {
+        let bit = 1u64 << (i % 64);
+        let w = &mut self.words[i as usize / 64];
+        self.len -= usize::from(*w & bit != 0);
+        *w &= !bit;
+    }
+
+    #[inline]
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The members, ascending.
+    pub(super) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &w)| {
+                let mut rest = w;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        k as u32 * 64 + bit
+                    })
+                })
+            })
+            .take(self.len)
     }
 }

@@ -116,15 +116,18 @@ impl Simulator {
     )]
     pub fn new(cluster: ClusterSpec, specs: Vec<JobSpec>, cfg: SimConfig) -> Self {
         let execs = ExecTable::new(&cluster);
-        let mut queue = EventQueue::default();
+        let mut arrivals = Vec::with_capacity(specs.len());
         let mut jobs = JobArena::with_capacity(specs.len(), cluster.num_classes());
         for (i, spec) in specs.into_iter().enumerate() {
             assert_eq!(spec.id.index(), i, "job ids must be dense 0..n");
             spec.validate()
                 .expect("invalid JobSpec handed to Simulator");
-            queue.push(spec.arrival, Ev::Arrival(spec.id));
+            arrivals.push((spec.arrival, spec.id));
             jobs.push_pending(spec);
         }
+        // Arrivals count as pushed first, in id order: they win every
+        // tie with the events pushed below and during the run.
+        let mut queue = EventQueue::with_arrivals(arrivals);
         // Dynamics runtime state only exists when the model is enabled —
         // the disabled default leaves every path (and the event queue)
         // bit-identical to the pre-dynamics engine.

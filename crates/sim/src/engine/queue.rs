@@ -1,8 +1,8 @@
 //! The event queue: events, their deterministic `(time, seq)` order,
-//! and the one `push` that stamps sequence numbers.
+//! the one `push` that stamps sequence numbers, and the arrival cursor.
 
 use decima_core::{ExecutorId, JobId, SimTime};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Simulator events. Executor-bound events carry the executor's epoch
@@ -37,46 +37,91 @@ struct QueuedEv {
 }
 
 impl Ord for QueuedEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
     }
 }
 
 impl PartialOrd for QueuedEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Min-heap of pending events. Same-time events pop in push order.
+/// Pending events in `(time, seq)` order; same-time events pop in push
+/// order.
+///
+/// Every arrival is known when the episode starts, so arrivals never
+/// enter the heap: they sit in one vector sorted by time (equal times in
+/// id order) and are read through a cursor, and the heap holds only the
+/// events the run itself pushes. The arrivals count as pushed first —
+/// before every heap event, in vector order — so an arrival wins every
+/// tie with a heap event, exactly as if all of them shared one heap.
 #[derive(Default)]
 pub(super) struct EventQueue {
+    arrivals: Vec<(SimTime, JobId)>,
+    /// Index of the next arrival to pop.
+    next_arrival: usize,
     heap: BinaryHeap<Reverse<QueuedEv>>,
     seq: u64,
-    /// High-water mark of `heap.len()`. The backing storage is never
-    /// shrunk (`BinaryHeap` keeps its capacity across pop/push), so this
-    /// is exactly the retained allocation in heap entries.
+    /// High-water mark of the pending events: the heap plus the arrivals
+    /// not yet popped.
     hwm: u64,
 }
 
 impl EventQueue {
+    /// A queue holding `arrivals`, stable-sorted by time so that equal
+    /// times keep the order given (the engine passes id order).
+    pub(super) fn with_arrivals(mut arrivals: Vec<(SimTime, JobId)>) -> Self {
+        #[expect(
+            clippy::unnecessary_sort_by,
+            reason = "`Ord`, as in the heap: `sort_by_key` compares with `<`, \
+                      for which `-0.0` and `0.0` are equal"
+        )]
+        arrivals.sort_by(|a, b| a.0.cmp(&b.0));
+        EventQueue {
+            hwm: arrivals.len() as u64,
+            arrivals,
+            ..EventQueue::default()
+        }
+    }
+
     #[inline]
     pub(super) fn push(&mut self, time: SimTime, ev: Ev) {
         let seq = self.seq;
         self.heap.push(Reverse(QueuedEv { time, seq, ev }));
         self.seq += 1;
-        self.hwm = self.hwm.max(self.heap.len() as u64);
+        let pending = self.heap.len() + self.arrivals.len() - self.next_arrival;
+        self.hwm = self.hwm.max(pending as u64);
+    }
+
+    /// The next arrival if it pops before the heap's top: at equal times
+    /// it does, having been pushed first.
+    #[inline]
+    fn arrival_first(&self) -> Option<(SimTime, JobId)> {
+        let &(t, j) = self.arrivals.get(self.next_arrival)?;
+        match self.heap.peek() {
+            Some(Reverse(q)) if t.cmp(&q.time) == Ordering::Greater => None,
+            _ => Some((t, j)),
+        }
     }
 
     #[inline]
     pub(super) fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        if let Some((t, j)) = self.arrival_first() {
+            self.next_arrival += 1;
+            return Some((t, Ev::Arrival(j)));
+        }
         self.heap.pop().map(|Reverse(q)| (q.time, q.ev))
     }
 
     /// Time of the next event, if any.
     #[inline]
     pub(super) fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(q)| q.time)
+        match self.arrival_first() {
+            Some((t, _)) => Some(t),
+            None => self.heap.peek().map(|Reverse(q)| q.time),
+        }
     }
 
     pub(super) fn hwm(&self) -> u64 {

@@ -1,9 +1,13 @@
 //! Engine unit tests (private access to every engine module).
 
+use super::execs::ExecSet;
 use super::*;
 use crate::dynamics::DynamicsSpec;
 use crate::sched::{Action, JobProfile};
 use decima_core::{ClassId, JobBuilder, StageId, StageSpec};
+use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Greedy FIFO-ish scheduler used only for engine tests.
 struct TestSched;
@@ -1022,6 +1026,143 @@ fn same_instant_events_keep_their_order() {
     ];
     let want = pin(12, 49, 17.19602384606274, &jcts, 12);
     assert_eq!(order_pin(&r), want, "phases and churn");
+}
+
+/// A time compared by `Ord` (`total_cmp`) everywhere: `BinaryHeap`
+/// sifts with `<=`, which on a bare `SimTime` is the `f64` one, where
+/// `-0.0` and `0.0` are equal.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct TotalTime(SimTime);
+
+impl Ord for TotalTime {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for TotalTime {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The queue as it was before arrivals got their own cursor: every
+/// event, arrivals included, in one heap ordered by `(time, seq)`, with
+/// the events themselves kept beside it by `seq`.
+#[derive(Default)]
+struct OneHeapQueue {
+    heap: BinaryHeap<Reverse<(TotalTime, u64)>>,
+    evs: Vec<Ev>,
+    hwm: u64,
+}
+
+impl OneHeapQueue {
+    fn push(&mut self, time: SimTime, ev: Ev) {
+        let seq = self.evs.len() as u64;
+        self.heap.push(Reverse((TotalTime(time), seq)));
+        self.evs.push(ev);
+        self.hwm = self.hwm.max(self.heap.len() as u64);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        let Reverse((TotalTime(t), seq)) = self.heap.pop()?;
+        Some((t, self.evs[seq as usize]))
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((TotalTime(t), _))| *t)
+    }
+}
+
+/// A time drawn for the queue scripts: whole seconds 0–4, so ties are
+/// common, and `-0.0`, which sorts before `0.0`.
+fn script_time(code: u8) -> SimTime {
+    SimTime::from_secs(if code == 0 { -0.0 } else { f64::from(code - 1) })
+}
+
+/// `(time, event)` with the bits of the time, which `==` does not see.
+fn bits(e: Option<(SimTime, Ev)>) -> Option<(u64, Ev)> {
+    e.map(|(t, ev)| (t.as_secs().to_bits(), ev))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The arrival cursor merged with the heap hands out exactly what
+    /// one heap holding every event does, ties and `-0.0` included: the
+    /// same events at the same time bits, the same `next_time` before
+    /// every step and the same high-water mark.
+    #[test]
+    fn event_queue_matches_one_heap(
+        arrivals in proptest::collection::vec(0u8..6, 0..12),
+        script in proptest::collection::vec((0u8..2, 0u8..6), 0..48),
+    ) {
+        let mut reference = OneHeapQueue::default();
+        for (id, &code) in arrivals.iter().enumerate() {
+            reference.push(script_time(code), Ev::Arrival(JobId(id as u32)));
+        }
+        let mut queue = EventQueue::with_arrivals(
+            arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &code)| (script_time(code), JobId(id as u32)))
+                .collect(),
+        );
+        // Every push carries a distinct event, so push order is visible.
+        let mut pushed = 0u32;
+        for &(op, code) in &script {
+            let (t, r) = (queue.next_time(), reference.next_time());
+            prop_assert_eq!(t.map(|t| t.as_secs().to_bits()), r.map(|t| t.as_secs().to_bits()));
+            if op == 0 {
+                prop_assert_eq!(bits(queue.pop()), bits(reference.pop()));
+            } else {
+                let ev = Ev::ExecOnline(ExecutorId(pushed));
+                pushed += 1;
+                queue.push(script_time(code), ev);
+                reference.push(script_time(code), ev);
+            }
+        }
+        loop {
+            let (q, r) = (queue.pop(), reference.pop());
+            prop_assert_eq!(bits(q), bits(r));
+            if r.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(queue.hwm(), reference.hwm);
+    }
+
+    /// The executor bitset behaves as a `BTreeSet<u32>` under random
+    /// insert / remove scripts (repeats included) at word-boundary
+    /// sizes: the same `len` and the same ascending members after every
+    /// step.
+    #[test]
+    fn exec_set_matches_btree_set(
+        size in 0usize..5,
+        script in proptest::collection::vec((0u8..2, 0u8..3, 0u32..10_000), 0..160),
+    ) {
+        let bound = [1u32, 63, 64, 65, 10_000][size];
+        // Two indices in three come from the word edges, where a shift
+        // or a word index is most easily off by one.
+        let edges: Vec<u32> = [0, 62, 63, 64, 65, bound - 1]
+            .into_iter()
+            .filter(|&i| i < bound)
+            .collect();
+        let mut set = ExecSet::new(bound as usize);
+        let mut reference = BTreeSet::new();
+        for &(op, from, raw) in &script {
+            let i = if from == 0 { raw % bound } else { edges[raw as usize % edges.len()] };
+            if op == 0 {
+                set.insert(i);
+                reference.insert(i);
+            } else {
+                set.remove(i);
+                reference.remove(&i);
+            }
+            prop_assert_eq!(set.len(), reference.len());
+            prop_assert!(set.iter().eq(reference.iter().copied()));
+        }
+    }
 }
 
 #[test]

@@ -93,7 +93,9 @@ pub struct MemCounters {
     /// High-water mark of the job-slot arena (live runtime states held
     /// at once; equals total arrivals when retirement is off).
     pub slots_hwm: u64,
-    /// High-water mark of the event queue.
+    /// High-water mark of the pending events: those in the event heap
+    /// plus the arrivals not yet popped. (Arrivals wait in a sorted
+    /// vector, not the heap, but still count as pending.)
     pub event_queue_hwm: u64,
     /// High-water mark of the pooled per-job node-state vectors waiting
     /// for reuse (0 when retirement is off — nothing is ever returned).

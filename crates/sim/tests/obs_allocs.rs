@@ -9,12 +9,14 @@
 //! jobs and writes the next observation. The episode is shaped so that
 //! the other steps allocate a known amount once half the batch has
 //! retired: a retirement folds the job into its outcome (two
-//! allocations: the name and the per-class busy time), ten executors
-//! keep each executor set inside one B-tree leaf, the event heap was
-//! sized by the batch's arrivals, and the action log doubles at most
-//! once. What is left over is the observation write's, and is pinned
-//! under a handful — where one allocation per write, per dirty job or
-//! per rebuild would be tens to hundreds. Counted by the workspace's
+//! allocations: the name and the per-class busy time); the executor
+//! sets are bitsets sized once, for the ten executors; the event heap
+//! holds at most one event per executor (arrivals wait in a vector
+//! built with the simulator), so it is full-sized once all ten first
+//! run; and the action log doubles at most once. What is left over is
+//! the observation write's, and is pinned under a handful — where one
+//! allocation per write, per dirty job or per rebuild would be tens to
+//! hundreds. Counted by the workspace's
 //! counting `#[global_allocator]` (`tests/support/counting_alloc.rs`),
 //! in one test so nothing else in this process allocates meanwhile.
 
