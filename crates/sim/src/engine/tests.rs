@@ -176,18 +176,20 @@ fn idle_scheduler_starves_but_terminates() {
     assert_eq!(r.outcome, EpisodeOutcome::Drained);
 }
 
+/// Passes on every decision.
+struct DenyAll;
+impl Scheduler for DenyAll {
+    fn decide(&mut self, _: &Observation) -> Option<Action> {
+        None
+    }
+}
+
 /// Regression: churn plus a never-scheduling policy and no
 /// `time_limit` used to grind churn ticks all the way to
 /// `max_events` (50M by default). The livelock detector now ends
 /// the episode explicitly after one fruitless churn cycle.
 #[test]
 fn deny_all_scheduler_under_churn_ends_as_livelock() {
-    struct DenyAll;
-    impl Scheduler for DenyAll {
-        fn decide(&mut self, _: &Observation) -> Option<Action> {
-            None
-        }
-    }
     let dynamics = DynamicsSpec {
         churn_iat: 40.0,
         ..DynamicsSpec::off()
@@ -1026,6 +1028,71 @@ fn same_instant_events_keep_their_order() {
     ];
     let want = pin(12, 49, 17.19602384606274, &jcts, 12);
     assert_eq!(order_pin(&r), want, "phases and churn");
+}
+
+/// The four ways an episode stops, in the order `stopping_episode`
+/// builds them.
+const STOPS: [EpisodeOutcome; 4] = [
+    EpisodeOutcome::Drained,
+    EpisodeOutcome::Horizon,
+    EpisodeOutcome::EventBudget,
+    EpisodeOutcome::Livelock,
+];
+
+/// `order_jobs` run to the stop named: drained, a horizon between the
+/// arrivals at t = 6 and t = 9, twenty events, or a deny-all scheduler
+/// under churn.
+fn stopping_episode(stop: EpisodeOutcome) -> (Simulator, Box<dyn Scheduler>) {
+    let (cfg, sched): (_, Box<dyn Scheduler>) = match stop {
+        EpisodeOutcome::Drained => (bare_cfg(), Box::new(TestSched)),
+        EpisodeOutcome::Horizon => (bare_cfg().with_time_limit(7.5), Box::new(TestSched)),
+        EpisodeOutcome::EventBudget => (
+            SimConfig {
+                max_events: 20,
+                ..bare_cfg()
+            },
+            Box::new(TestSched),
+        ),
+        EpisodeOutcome::Livelock => {
+            let churn = DynamicsSpec {
+                churn_iat: 40.0,
+                ..DynamicsSpec::off()
+            };
+            (bare_cfg().with_dynamics(churn), Box::new(DenyAll))
+        }
+    };
+    (Simulator::new(order_cluster(), order_jobs(9.0), cfg), sched)
+}
+
+/// Each stop ends its episode at the same event with the same results:
+/// the outcome and every order-sensitive value, event counts included.
+#[test]
+fn each_stop_keeps_its_event_count() {
+    let s = Some;
+    let done = [
+        s(2.0),
+        s(3.0),
+        s(6.0),
+        s(7.0),
+        s(9.0),
+        s(3.0),
+        s(7.0),
+        s(4.0),
+    ];
+    let horizon = [s(2.0), s(3.0), None, None, None, s(3.0), None, None];
+    let want = [
+        pin(11, 41, 13.0, &done, 9),
+        pin(7, 24, 7.5, &horizon, 9),
+        // The 21st event is counted, not handled: the clock stays at 5.
+        pin(6, 21, 5.0, &horizon, 9),
+        // A pass records no decision; churn events alone run the clock.
+        pin(0, 11, 182.4715111260296, &[None; 8], 9),
+    ];
+    for (stop, want) in STOPS.into_iter().zip(want) {
+        let (sim, sched) = stopping_episode(stop);
+        let r = sim.run(sched);
+        assert_eq!((r.outcome, order_pin(&r)), (stop, want), "{stop:?}");
+    }
 }
 
 /// A time compared by `Ord` (`total_cmp`) everywhere: `BinaryHeap`
