@@ -21,10 +21,7 @@ pub struct WeightedFairScheduler {
     /// Share exponent α.
     pub alpha: f64,
     name: String,
-    /// Per-decision buffers, indexed like `obs.jobs`: kept so a decision
-    /// at a job count already seen allocates nothing.
-    weights: Vec<f64>,
-    targets: Vec<usize>,
+    shares: FairShares,
 }
 
 impl WeightedFairScheduler {
@@ -40,8 +37,7 @@ impl WeightedFairScheduler {
         WeightedFairScheduler {
             alpha,
             name,
-            weights: Vec::new(),
-            targets: Vec::new(),
+            shares: FairShares::default(),
         }
     }
 
@@ -54,12 +50,23 @@ impl WeightedFairScheduler {
     pub fn naive() -> Self {
         Self::new(1.0)
     }
+}
 
-    /// Fills `self.targets` with the per-job executor targets under the
-    /// current observation (weights are summed in `obs.jobs` order).
-    fn fill_targets(&mut self, obs: &Observation) {
+/// The weighted-fair partition in kept buffers: job `i`'s executor
+/// target is `⌊m · T_i^α / Σ_j T_j^α⌋`, at least one, with the weights
+/// summed in `obs.jobs` order. Weighted fair and Graphene* both share
+/// executors this way.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FairShares {
+    weights: Vec<f64>,
+    targets: Vec<usize>,
+}
+
+impl FairShares {
+    /// The per-job targets under `obs`, indexed like `obs.jobs`; a call
+    /// at a job count already seen allocates nothing.
+    pub(crate) fn targets(&mut self, obs: &Observation, alpha: f64) -> &[usize] {
         let m = obs.total_executors as f64;
-        let alpha = self.alpha;
         self.weights.clear();
         self.weights.extend(
             obs.jobs
@@ -73,13 +80,13 @@ impl WeightedFairScheduler {
                 .iter()
                 .map(|w| ((m * w / total_w).floor() as usize).max(1)),
         );
+        &self.targets
     }
 }
 
 impl Scheduler for WeightedFairScheduler {
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        self.fill_targets(obs);
-        let targets = &self.targets;
+        let targets = self.shares.targets(obs, self.alpha);
         // Largest-deficit-first among jobs below target with work to do.
         let candidate = schedulable_jobs(obs)
             .filter(|&j| obs.jobs[j].alloc < targets[j])

@@ -2,6 +2,7 @@
 //! (§7.1 item 7, Appendix F).
 
 use crate::common::{schedulable_jobs, schedulable_stages, widest_stage, with_best_fit};
+use crate::fair::FairShares;
 use decima_core::StageId;
 use decima_sim::{Action, Observation, Scheduler};
 
@@ -83,24 +84,12 @@ impl GrapheneScheduler {
             .filter(|&v| self.is_troublesome(obs, job_idx, v))
             .all(|v| job.nodes[v].runnable || job.nodes[v].completed)
     }
-
-    fn targets(&self, obs: &Observation) -> Vec<usize> {
-        let m = obs.total_executors as f64;
-        let w: Vec<f64> = obs
-            .jobs
-            .iter()
-            .map(|j| j.profile.total_work.max(1e-9).powf(self.alpha))
-            .collect();
-        let tw: f64 = w.iter().sum();
-        w.iter()
-            .map(|x| ((m * x / tw).floor() as usize).max(1))
-            .collect()
-    }
 }
 
 impl Scheduler for GrapheneScheduler {
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        let targets = self.targets(obs);
+        let mut shares = FairShares::default();
+        let targets = shares.targets(obs, self.alpha);
         // Prefer jobs under their share; fall back to spill-over.
         let job_order: Vec<usize> = {
             let mut under: Vec<usize> = schedulable_jobs(obs)

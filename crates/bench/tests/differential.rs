@@ -1,10 +1,10 @@
 //! Differential test of the incremental observation path.
 //!
 //! Every registered scenario's evaluation workload is run (scaled down)
-//! at two seeds with [`SimConfig::validate_observations`] set: the
-//! engine then rebuilds the observation from scratch at **every**
-//! scheduling decision and panics on the first field that differs from
-//! the incrementally-maintained one. Two scheduler families drive the
+//! at two seeds through `run_checked`: at **every** scheduling decision
+//! `Pending::check` rebuilds the observation from scratch, and the run
+//! panics on the first field that differs from the
+//! incrementally-maintained one. Two scheduler families drive the
 //! episodes so both the single-resource and the memory-fit/multi-class
 //! decision shapes are exercised.
 
@@ -13,6 +13,10 @@ use decima_bench::scenario::SchedulerSpec;
 use decima_bench::{make_scheduler, ScenarioRegistry};
 use decima_rl::EnvFactory as _;
 use decima_sim::Simulator;
+
+#[path = "../../../tests/support/checked.rs"]
+mod checked;
+use checked::run_checked;
 
 #[test]
 fn every_scenario_validates_incremental_observations() {
@@ -32,14 +36,12 @@ fn every_scenario_validates_incremental_observations() {
         for seed in [11u64, 12] {
             for sched_spec in [SchedulerSpec::SjfCp, SchedulerSpec::Fair] {
                 let (cluster, jobs, mut cfg) = env.build(seed);
-                cfg.validate_observations = true;
-                // Bound scenario-specific long horizons: validation costs
+                // Bound scenario-specific long horizons: the check costs
                 // a full rebuild per decision.
                 cfg.max_events = 200_000;
                 let sched = make_scheduler(&sched_spec, executors, None);
-                // Any divergence panics inside the engine with the field
-                // that differed.
-                let r = Simulator::new(cluster, jobs, cfg).run(sched);
+                // Any divergence panics with the field that differed.
+                let r = run_checked(Simulator::new(cluster, jobs, cfg), sched);
                 decisions += r.actions.len();
             }
         }

@@ -4,9 +4,9 @@
 //! * same seed + same `DynamicsSpec` ⇒ **identical `SimResult`
 //!   counters** whether the seed plan is evaluated on 1 thread or 4
 //!   (episodes are single-threaded; parallelism is across seeds only);
-//! * every perturbed decision path validates the incremental
-//!   observation against the rebuilt reference (the engine panics on
-//!   the first divergent field);
+//! * every perturbed decision path checks the incremental observation
+//!   against the rebuilt reference (`run_checked` panics on the first
+//!   divergent field);
 //! * dynamics off is zero-cost: counters all zero, `Observation.offline`
 //!   always zero.
 
@@ -14,8 +14,12 @@ use decima_bench::runner::{par_map, spec_env};
 use decima_bench::scenario::{SchedulerSpec, TrainSpec};
 use decima_bench::{build_trainer, make_scheduler, run_episode, ScenarioRegistry, TrainedPolicy};
 use decima_rl::{EnvFactory as _, SpecEnv};
-use decima_sim::{DynamicsCounters, DynamicsSpec, EpisodeResult, Simulator};
+use decima_sim::{DynamicsCounters, DynamicsSpec, EpisodeResult, Scheduler, Simulator};
 use decima_workload::WorkloadSpec;
+
+#[path = "../../../tests/support/checked.rs"]
+mod checked;
+use checked::run_checked;
 
 fn robust_env(level: DynamicsSpec) -> SpecEnv {
     let reg = ScenarioRegistry::standard();
@@ -83,7 +87,7 @@ fn dynamics_counters_identical_across_thread_counts() {
 }
 
 /// The incremental observation path stays field-identical to the
-/// rebuilt reference under every perturbation level (engine validation
+/// rebuilt reference under every perturbation level (`run_checked`
 /// panics on the first mismatch).
 #[test]
 fn perturbed_episodes_validate_incremental_observations() {
@@ -96,9 +100,9 @@ fn perturbed_episodes_validate_incremental_observations() {
         for seed in [11000u64, 11001] {
             for sched in [SchedulerSpec::SjfCp, SchedulerSpec::Fair] {
                 let (cluster, jobs, mut cfg) = env.build(seed);
-                cfg.validate_observations = true;
                 cfg.max_events = 500_000;
-                let r = Simulator::new(cluster, jobs, cfg).run(make_scheduler(&sched, 8, None));
+                let sim = Simulator::new(cluster, jobs, cfg);
+                let r = run_checked(sim, make_scheduler(&sched, 8, None));
                 assert!(!r.actions.is_empty());
             }
         }
@@ -181,6 +185,14 @@ fn dynamics_off_counts_nothing() {
     let (cluster, jobs, cfg) = env.build(11000);
     let mut sim = Simulator::new(cluster, jobs, cfg);
     let mut sched = make_scheduler(&SchedulerSpec::SjfCp, 8, None);
-    assert!(sim.drive(&mut sched, 10), "episode alive after 10 events");
-    assert_eq!(sim.observation().offline, 0);
+    // Stopped at its tenth decision, the episode has nothing offline.
+    for _ in 0..9 {
+        let p = sim.step().expect("episode alive");
+        let action = sched.decide(p.observation());
+        p.resume(action);
+    }
+    assert_eq!(
+        sim.step().expect("a tenth decision").observation().offline,
+        0
+    );
 }

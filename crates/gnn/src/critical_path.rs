@@ -71,6 +71,8 @@ pub struct CpHarness {
     /// Trainable parameters.
     pub store: ParamStore,
     opt: Adam,
+    /// Kept across passes and reset before each.
+    tape: Tape,
 }
 
 impl CpHarness {
@@ -99,6 +101,7 @@ impl CpHarness {
             head,
             store,
             opt,
+            tape: Tape::new(),
         }
     }
 
@@ -108,9 +111,10 @@ impl CpHarness {
         let mut count = 0usize;
         for ex in batch {
             let g = input_of(ex);
-            let mut tape = Tape::new();
-            let emb = self.enc.forward(&mut tape, &self.store, &g);
-            let pred = self.head.forward(&mut tape, &self.store, emb.nodes);
+            let tape = &mut self.tape;
+            tape.reset();
+            let emb = self.enc.forward(tape, &self.store, &g);
+            let pred = self.head.forward(tape, &self.store, emb.nodes);
             let target = tape.input(Tensor::col(ex.cp.clone()));
             let err = tape.sub(pred, target);
             let sq = tape.mul(err, err);
@@ -127,13 +131,14 @@ impl CpHarness {
 
     /// Fraction of examples where the predicted argmax node equals the
     /// true critical-path argmax (the Figure 19 metric).
-    pub fn accuracy(&self, examples: &[CpExample]) -> f64 {
+    pub fn accuracy(&mut self, examples: &[CpExample]) -> f64 {
         let mut hits = 0usize;
         for ex in examples {
             let g = input_of(ex);
-            let mut tape = Tape::new();
-            let emb = self.enc.forward(&mut tape, &self.store, &g);
-            let pred = self.head.forward(&mut tape, &self.store, emb.nodes);
+            let tape = &mut self.tape;
+            tape.reset();
+            let emb = self.enc.forward(tape, &self.store, &g);
+            let pred = self.head.forward(tape, &self.store, emb.nodes);
             let p = tape.value(pred);
             let pred_arg = (0..p.rows()).max_by(|&a, &b| p.get(a, 0).total_cmp(&p.get(b, 0)));
             let true_arg = (0..ex.cp.len()).max_by(|&a, &b| ex.cp[a].total_cmp(&ex.cp[b]));

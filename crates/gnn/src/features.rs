@@ -342,10 +342,8 @@ mod tests {
             vec![job, job2],
             SimConfig::default(),
         );
-        // No events processed yet: observation is empty of jobs. Run the
-        // arrival by constructing a fresh observation after `run` isn't
-        // possible here, so build directly:
-        sim.observation()
+        // No events processed yet: the observation is empty of jobs.
+        sim.observation_rebuilt()
     }
 
     #[test]

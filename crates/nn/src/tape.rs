@@ -171,9 +171,9 @@ impl Tape {
     /// pass. A fresh tape for every pass is off the decision and training
     /// paths and stays only as the reference the differential suites
     /// name: `crates/nn/tests/tape_diff.rs` holds the kept tape to it to
-    /// the bit. Its other callers (the Figure 19 harness, `CpHarness`,
-    /// and the repo benchmark's tape-forward probes) are to move to a
-    /// kept tape, after which per-pass use is the reference's alone.
+    /// the bit. Its other callers, the repo benchmark's tape-forward
+    /// probes, are to move to a kept tape, after which per-pass use is
+    /// the reference's alone.
     pub fn new() -> Self {
         Tape::default()
     }

@@ -44,10 +44,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record a Gantt chart during the run (Figures 3, 13).
     pub record_gantt: bool,
-    /// Compare the incremental observation against the
-    /// rebuild-from-scratch reference at every decision, panicking on any
-    /// field mismatch (differential testing; slow, off by default).
-    pub validate_observations: bool,
     /// Cluster-dynamics model: executor churn, bounded-retry task
     /// failures, stragglers (see [`crate::dynamics`]). Off by default;
     /// disabled dynamics is bit-exactly the pre-dynamics engine.
@@ -70,7 +66,6 @@ impl Default for SimConfig {
             max_events: 50_000_000,
             seed: 0,
             record_gantt: false,
-            validate_observations: false,
             dynamics: DynamicsSpec::off(),
             phase_boundaries: Vec::new(),
         }
@@ -111,13 +106,6 @@ impl SimConfig {
     /// Enables Gantt recording.
     pub fn with_gantt(mut self) -> Self {
         self.record_gantt = true;
-        self
-    }
-
-    /// Enables per-decision differential validation of the incremental
-    /// observation path against the rebuilt reference.
-    pub fn with_validation(mut self) -> Self {
-        self.validate_observations = true;
         self
     }
 

@@ -1,51 +1,73 @@
-//! The scheduling pass: ask the scheduler, record the reward, apply
-//! the action. The one place the scheduler is called from.
+//! The decision exchange: [`Simulator::step`] hands out the decisions of
+//! an instant's scheduling pass one at a time, until an executor or a
+//! schedulable stage runs out, or an answer passes or dispatches nothing.
 
 use super::execs::{ExecMeta, ExecState};
 use super::observe::obs_equal;
 use super::queue::Ev;
 use super::Simulator;
 use crate::result::ActionRecord;
-use crate::sched::{Action, LimitScope, Scheduler};
+use crate::sched::{Action, LimitScope, Observation};
+
+/// A decision the engine owes, borrowing the simulator until
+/// [`Pending::resume`] answers it. Dropped unanswered, it stays owed:
+/// the next [`Simulator::step`] offers the same observation again.
+pub struct Pending<'a> {
+    sim: &'a mut Simulator,
+}
+
+impl Pending<'_> {
+    /// The observation to decide on: the engine's pooled buffer, with
+    /// at least one free executor and one schedulable stage.
+    pub fn observation(&self) -> &Observation {
+        &self.sim.obs_buf
+    }
+
+    /// Compares the observation with the rebuild-from-scratch reference
+    /// [`Simulator::observation_rebuilt`]: `Err` names the first field
+    /// that differs.
+    pub fn check(&self) -> Result<(), String> {
+        obs_equal(&self.sim.obs_buf, &self.sim.observation_rebuilt())
+    }
+
+    /// Answers the decision: records the penalty accrued since the last
+    /// one and applies `action`. `None`, or an action that dispatches no
+    /// executor (counted as wasted), ends the pass.
+    pub fn resume(self, action: Option<Action>) {
+        let sim = self.sim;
+        let Some(action) = action else {
+            sim.pass_open = false;
+            return;
+        };
+        sim.actions.push(ActionRecord {
+            time: sim.now,
+            penalty_before: sim.cost_integral - sim.cost_at_last_action,
+        });
+        sim.cost_at_last_action = sim.cost_integral;
+        if sim.apply_action(&action) == 0 {
+            sim.wasted_actions += 1;
+            sim.pass_open = false;
+        }
+    }
+}
 
 impl Simulator {
-    pub(super) fn scheduling_loop(&mut self, sched: &mut dyn Scheduler) {
-        self.pending_sched = false;
+    /// Runs events until the engine owes a decision and returns it, or
+    /// `None` once the episode has ended — and on every call after that.
+    pub fn step(&mut self) -> Option<Pending<'_>> {
         loop {
-            if self.execs.avail_total() == 0 {
-                break;
-            }
-            // Take the pooled buffer out of `self` for the duration of
-            // the decision, update it in place, and put it back: the
-            // steady state allocates nothing.
-            let mut obs = self.obs_buf.take().unwrap_or_default();
-            self.write_observation(&mut obs);
-            if self.cfg.validate_observations {
-                let reference = self.observation_rebuilt();
-                if let Err(e) = obs_equal(&obs, &reference) {
-                    panic!("incremental observation diverged from rebuilt reference: {e}");
+            // Nothing free or nothing schedulable is not worth a decision.
+            if self.pass_open && self.execs.avail_total() > 0 {
+                self.write_observation();
+                if !self.obs_buf.schedulable.is_empty() {
+                    return Some(Pending { sim: self });
                 }
             }
-            // Nothing schedulable is not worth a decision.
-            let decision = (!obs.schedulable.is_empty())
-                .then(|| sched.decide(&obs))
-                .flatten();
-            self.obs_buf = Some(obs);
-            let Some(action) = decision else {
-                break;
-            };
-            // Reward bookkeeping per decision.
-            self.actions.push(ActionRecord {
-                time: self.now,
-                penalty_before: self.cost_integral - self.cost_at_last_action,
-            });
-            self.cost_at_last_action = self.cost_integral;
-
-            let assigned = self.apply_action(&action);
-            if assigned == 0 {
-                self.wasted_actions += 1;
-                break;
+            self.pass_open = false;
+            if self.outcome.is_some() {
+                return None;
             }
+            self.next_instant();
         }
     }
 

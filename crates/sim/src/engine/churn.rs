@@ -33,7 +33,7 @@ impl Simulator {
             && nothing_in_flight
             && self.tasks_at_last_churn_tick == Some(self.tasks_started)
         {
-            self.outcome = EpisodeOutcome::Livelock;
+            self.outcome = Some(EpisodeOutcome::Livelock);
             return false; // no next tick: the episode ends here
         }
         self.tasks_at_last_churn_tick = Some(self.tasks_started);

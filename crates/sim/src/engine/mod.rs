@@ -8,11 +8,11 @@
 //! parallelism according to its [`InflationCurve`](decima_core::InflationCurve);
 //! optional log-normal noise completes the fidelity switches.
 //!
-//! The engine invokes the [`Scheduler`] at the paper's scheduling events
-//! and applies each returned action by dispatching free executors —
-//! idle executors already bound to the target job first (no delay), then
-//! unbound or other-job executors (with delay) — up to the action's
-//! parallelism limit and the stage's unclaimed task count.
+//! [`Simulator::step`] runs events up to the paper's next scheduling
+//! decision and hands it out as a [`Pending`]; its answer dispatches free
+//! executors — idle executors already bound to the target job first (no
+//! delay), then unbound or other-job executors (with delay) — up to the
+//! action's parallelism limit and the stage's unclaimed task count.
 //!
 //! When the configured [`crate::dynamics::DynamicsSpec`] is enabled the
 //! engine additionally injects executor churn (offline/online
@@ -32,6 +32,7 @@ mod execs;
 mod observe;
 mod queue;
 
+pub use apply::Pending;
 pub use observe::obs_equal;
 use observe::ObsScratch;
 
@@ -68,10 +69,9 @@ pub struct Simulator {
     obs_buf_epoch: u64,
     /// Pooled observation reused across decisions: steady-state decisions
     /// update it in place and allocate nothing. The reference
-    /// rebuild-from-scratch path survives as `observation_rebuilt` and
-    /// the two are compared field-for-field when
-    /// `SimConfig::validate_observations` is set.
-    obs_buf: Option<Observation>,
+    /// rebuild-from-scratch path survives as `observation_rebuilt`, and
+    /// [`Pending::check`] compares the two field-for-field.
+    obs_buf: Observation,
     now: SimTime,
     /// Objective integral accumulated so far.
     cost_integral: f64,
@@ -83,11 +83,11 @@ pub struct Simulator {
     num_events: u64,
     wasted_actions: u64,
     task_failures: u64,
-    /// A scheduling pass is owed once same-time events finish coalescing.
-    pending_sched: bool,
-    /// Why event processing stopped (stamped on the early exits;
-    /// `Drained` until something else ends the episode).
-    outcome: EpisodeOutcome,
+    /// A scheduling pass is under way: `step` offers decisions until an
+    /// answer ends it.
+    pass_open: bool,
+    /// Why event processing stopped; `None` while the episode runs.
+    outcome: Option<EpisodeOutcome>,
     /// Tasks started so far — the progress signal the churn-livelock
     /// detector watches.
     tasks_started: u64,
@@ -166,7 +166,7 @@ impl Simulator {
             scratch_execs: Vec::new(),
             obs_scratch: ObsScratch::default(),
             obs_buf_epoch: u64::MAX,
-            obs_buf: None,
+            obs_buf: Observation::default(),
             now: SimTime::ZERO,
             cost_integral: 0.0,
             cost_at_last_action: 0.0,
@@ -174,8 +174,8 @@ impl Simulator {
             num_events: 0,
             wasted_actions: 0,
             task_failures: 0,
-            pending_sched: false,
-            outcome: EpisodeOutcome::Drained,
+            pass_open: false,
+            outcome: None,
             tasks_started: 0,
             tasks_at_last_churn_tick: None,
             dynamics,
@@ -195,69 +195,63 @@ impl Simulator {
         self
     }
 
-    /// Current simulation time (for tests and instrumentation).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Every executor transition goes through the table's choke point.
     fn set_exec_state(&mut self, e: ExecutorId, new: ExecState) {
         self.execs.set_exec_state(&mut self.jobs, e, new);
     }
 
-    /// Runs the episode to completion (all jobs done, horizon reached, or
-    /// event budget exhausted) under the given scheduler.
+    /// Runs the episode to its end under `sched`, which answers every
+    /// decision [`Simulator::step`] owes.
     pub fn run(mut self, mut sched: impl Scheduler) -> EpisodeResult {
         sched.on_episode_start();
-        self.drive(&mut sched, u64::MAX);
+        while let Some(pending) = self.step() {
+            let action = sched.decide(pending.observation());
+            pending.resume(action);
+        }
         self.finish()
     }
 
-    /// Processes up to `budget` events, invoking the scheduler at the
-    /// usual scheduling points; returns `false` once the episode is
-    /// exhausted (queue empty, horizon reached, or event cap hit).
-    ///
-    /// `run` drives the whole episode through this; benches and tests use
-    /// it directly to stop a simulation mid-episode and inspect state
-    /// (e.g. benchmark `observation` on a busy cluster).
-    pub fn drive(&mut self, sched: &mut dyn Scheduler, budget: u64) -> bool {
-        let mut processed = 0u64;
-        while processed < budget {
+    /// Handles every event of the next instant, so that the pass they
+    /// owe sees the whole state at that instant; or stamps why the
+    /// episode ends instead: the queue drained, the next event lies past
+    /// the horizon, it would exceed the event budget, or it revealed a
+    /// livelock.
+    fn next_instant(&mut self) {
+        let mut owed = false;
+        loop {
             let Some((time, ev)) = self.queue.pop() else {
-                return false;
+                self.outcome = Some(EpisodeOutcome::Drained);
+                return;
             };
             if let Some(limit) = self.cfg.time_limit {
                 if time.as_secs() > limit {
                     // Account cost up to the horizon, then stop.
                     self.advance_clock(SimTime::from_secs(limit));
-                    self.outcome = EpisodeOutcome::Horizon;
-                    return false;
+                    self.outcome = Some(EpisodeOutcome::Horizon);
+                    return;
                 }
             }
             self.num_events += 1;
             if self.num_events > self.cfg.max_events {
-                self.outcome = EpisodeOutcome::EventBudget;
-                return false;
+                self.outcome = Some(EpisodeOutcome::EventBudget);
+                return;
             }
-            processed += 1;
             self.advance_clock(time);
-            if self.handle_event(ev) {
-                self.pending_sched = true;
+            owed |= self.handle_event(ev);
+            if self.outcome.is_some() {
+                return;
             }
-            if self.outcome == EpisodeOutcome::Livelock {
-                return false;
-            }
-            // Coalesce same-time events before invoking the scheduler so
-            // one scheduling pass sees the full state at this instant.
-            let more_now = self.queue.next_time() == Some(self.now);
-            if self.pending_sched && !more_now {
-                self.scheduling_loop(sched);
+            if self.queue.next_time() != Some(self.now) {
+                self.pass_open = owed;
+                return;
             }
         }
-        true
     }
 
-    fn finish(mut self) -> EpisodeResult {
+    /// Closes the episode and returns its result: the whole episode once
+    /// [`Simulator::step`] has returned `None`; called before that, the
+    /// episode so far, reported as [`EpisodeOutcome::Drained`].
+    pub fn finish(mut self) -> EpisodeResult {
         let tail_penalty = self.cost_integral - self.cost_at_last_action;
         // Close out open outages so lost capacity is fully accounted.
         let now = self.now;
@@ -285,7 +279,7 @@ impl Simulator {
             task_failures: self.task_failures,
             dynamics,
             drift: self.drift,
-            outcome: self.outcome,
+            outcome: self.outcome.unwrap_or_default(),
             gantt: self.gantt,
             mem,
         }

@@ -1,6 +1,6 @@
 //! Observation build: the incremental writer that fills the pooled
-//! buffer from the maintained counts, the rebuild-from-scratch
-//! reference it is validated against, and their comparison.
+//! buffer each [`Pending`](crate::Pending) hands out, the
+//! rebuild-from-scratch reference it is checked against, and their comparison.
 
 use super::execs::ExecState;
 use super::Simulator;
@@ -27,41 +27,31 @@ pub(super) struct ObsScratch {
 }
 
 impl Simulator {
-    /// Builds the observation snapshot handed to the scheduler from the
-    /// incrementally-maintained counts (no executor rescans). The
-    /// scheduling loop writes into a kept buffer instead; this owned
-    /// snapshot has no production caller and stays as the incremental
-    /// side of the differential tests in `engine/tests.rs`
-    /// (`obs_equal(&sim.observation(), &sim.observation_rebuilt())`).
-    pub fn observation(&self) -> Observation {
-        let mut obs = Observation::default();
-        self.fill_observation(&mut obs, true, &mut ObsScratch::default());
-        obs
-    }
-
-    /// Updates the pooled buffer in place, rebuilding its job structure
-    /// only when the active-job set changed since the last decision, and
-    /// copying per-node state and re-deriving the open stages only for
-    /// jobs dirtied since the last fill.
-    pub(super) fn write_observation(&mut self, obs: &mut Observation) {
-        let rebuild = self.obs_buf_epoch != self.jobs.epoch();
-        let mut scratch = std::mem::take(&mut self.obs_scratch);
-        self.fill_observation(obs, rebuild, &mut scratch);
-        self.obs_scratch = scratch;
-        self.obs_buf_epoch = self.jobs.epoch();
-        self.jobs.clear_dirty();
-    }
-
-    fn fill_observation(&self, obs: &mut Observation, rebuild: bool, scratch: &mut ObsScratch) {
-        let classes = &self.cluster.classes;
-        obs.time = self.now;
-        obs.total_executors = self.execs.len();
+    /// Updates the pooled observation in place from the
+    /// incrementally-maintained counts (no executor rescans), rebuilding
+    /// its job structure only when the active-job set changed since the
+    /// last write, and copying per-node state and re-deriving the open
+    /// stages only for jobs dirtied since then.
+    pub(super) fn write_observation(&mut self) {
+        let Simulator {
+            cluster,
+            jobs,
+            execs,
+            obs_scratch: scratch,
+            obs_buf_epoch,
+            obs_buf: obs,
+            now,
+            ..
+        } = self;
+        let rebuild = *obs_buf_epoch != jobs.epoch();
+        let classes = &cluster.classes;
+        obs.time = *now;
+        obs.total_executors = execs.len();
         obs.num_classes = classes.len();
-        obs.free_total = self.execs.avail_total();
-        obs.offline = self.execs.offline_count();
+        obs.free_total = execs.avail_total();
+        obs.offline = execs.offline_count();
         obs.free_by_class.clear();
-        obs.free_by_class
-            .extend_from_slice(self.execs.avail_by_class());
+        obs.free_by_class.extend_from_slice(execs.avail_by_class());
         if rebuild {
             obs.class_memory.clear();
             obs.class_memory.extend(classes.iter().map(|c| c.memory));
@@ -72,7 +62,7 @@ impl Simulator {
                 jo.nodes.clear();
                 scratch.nodes_pool.push(jo.nodes);
             }
-            for j in self.jobs.active() {
+            for j in jobs.active() {
                 let mut nodes = scratch.nodes_pool.pop().unwrap_or_default();
                 nodes.reserve(j.nodes.len());
                 obs.jobs.push(JobObs {
@@ -88,12 +78,12 @@ impl Simulator {
                 scratch.open.resize_with(obs.jobs.len(), Vec::new);
             }
         }
-        debug_assert_eq!(obs.jobs.len(), self.jobs.num_active());
+        debug_assert_eq!(obs.jobs.len(), jobs.num_active());
         // The one memory-fit rule (`ExecTable::avail_fits`), evaluated
         // once for this write.
-        let fits_up_to = self.execs.avail_max_memory(classes);
+        let fits_up_to = execs.avail_max_memory(classes);
         obs.schedulable.clear();
-        for (job_index, j) in self.jobs.active().enumerate() {
+        for (job_index, j) in jobs.active().enumerate() {
             let jo = &mut obs.jobs[job_index];
             let open = &mut scratch.open[job_index];
             if rebuild {
@@ -138,13 +128,15 @@ impl Simulator {
                     .map(|&(stage, _)| (job_index, stage)),
             );
         }
+        *obs_buf_epoch = jobs.epoch();
+        jobs.clear_dirty();
     }
 
     /// The original rebuild-from-scratch observation: rescans the
     /// executor vector for every derived quantity. Kept as the reference
-    /// oracle for the incremental path — differential tests run episodes
-    /// with [`SimConfig::validate_observations`](crate::SimConfig::validate_observations)
-    /// set, which compares the two field-for-field at every decision.
+    /// oracle for the incremental path: [`Pending::check`](crate::Pending::check) compares the
+    /// two field-for-field, and differential tests call it at every
+    /// decision.
     pub fn observation_rebuilt(&self) -> Observation {
         let num_classes = self.cluster.num_classes();
         let available =

@@ -45,6 +45,32 @@ fn cluster(n: usize) -> ClusterSpec {
     ClusterSpec::homogeneous(n).with_move_delay(0.0)
 }
 
+/// Answers the decision `step` owes next with `sched`; `false` once the
+/// episode has ended.
+fn answer(sim: &mut Simulator, sched: &mut impl Scheduler) -> bool {
+    let Some(p) = sim.step() else {
+        return false;
+    };
+    let action = sched.decide(p.observation());
+    p.resume(action);
+    true
+}
+
+/// Drives the episode through `step`, answering with `sched` and holding
+/// every decision's observation to the rebuilt reference; then steps
+/// twice more, which must find the episode ended, and finishes it.
+fn run_checked(mut sim: Simulator, mut sched: impl Scheduler) -> EpisodeResult {
+    sched.on_episode_start();
+    while let Some(p) = sim.step() {
+        p.check()
+            .expect("incremental observation matches the rebuilt one");
+        let action = sched.decide(p.observation());
+        p.resume(action);
+    }
+    assert!(sim.step().is_none() && sim.step().is_none(), "stays ended");
+    sim.finish()
+}
+
 #[test]
 fn single_job_runs_to_completion() {
     // 4 tasks of 2s on 2 executors => 2 waves => JCT 4s.
@@ -156,32 +182,26 @@ fn time_limit_truncates_episode() {
     assert_eq!(r.outcome, EpisodeOutcome::Horizon);
 }
 
-#[test]
-fn idle_scheduler_starves_but_terminates() {
-    struct Idle;
-    impl Scheduler for Idle {
-        fn decide(&mut self, _: &Observation) -> Option<Action> {
-            None
-        }
-    }
-    let sim = Simulator::new(
-        cluster(2),
-        vec![one_stage_job(0, 2, 1.0, 0.0)],
-        bare_cfg().with_time_limit(10.0),
-    );
-    let r = sim.run(Idle);
-    assert_eq!(r.completed(), 0);
-    // Without churn there is nothing to keep the queue alive: the
-    // episode drains (it never even reaches the horizon).
-    assert_eq!(r.outcome, EpisodeOutcome::Drained);
-}
-
 /// Passes on every decision.
 struct DenyAll;
 impl Scheduler for DenyAll {
     fn decide(&mut self, _: &Observation) -> Option<Action> {
         None
     }
+}
+
+#[test]
+fn idle_scheduler_starves_but_terminates() {
+    let sim = Simulator::new(
+        cluster(2),
+        vec![one_stage_job(0, 2, 1.0, 0.0)],
+        bare_cfg().with_time_limit(10.0),
+    );
+    let r = sim.run(DenyAll);
+    assert_eq!(r.completed(), 0);
+    // Without churn there is nothing to keep the queue alive: the
+    // episode drains (it never even reaches the horizon).
+    assert_eq!(r.outcome, EpisodeOutcome::Drained);
 }
 
 /// Regression: churn plus a never-scheduling policy and no
@@ -218,12 +238,12 @@ fn churn_tick_on_an_empty_cluster_picks_no_victim() {
         churn_iat: 5.0,
         ..DynamicsSpec::off()
     };
-    let cfg = bare_cfg().with_dynamics(dynamics).with_validation();
+    let cfg = bare_cfg().with_dynamics(dynamics);
     let jobs = vec![
         one_stage_job(0, 2, 1.0, 0.0),
         one_stage_job(1, 2, 1.0, 60.0),
     ];
-    let r = Simulator::new(cluster(0), jobs, cfg).run(TestSched);
+    let r = run_checked(Simulator::new(cluster(0), jobs, cfg), TestSched);
     assert_eq!(r.outcome, EpisodeOutcome::Livelock);
     assert_eq!((r.completed(), r.dynamics.churn_events), (0, 0));
     assert!(
@@ -360,11 +380,10 @@ fn gantt_recorded_when_enabled() {
 fn incremental_observation_validates_against_rebuilt() {
     // Every decision of a mixed, noisy, multi-stage episode compares
     // the incremental observation field-for-field with the rebuilt
-    // reference (the engine panics on the first mismatch).
+    // reference.
     let cfg = SimConfig {
         noise: 0.2,
         seed: 3,
-        validate_observations: true,
         dynamics: DynamicsSpec {
             fail_prob: 0.05,
             max_retries: u32::MAX,
@@ -377,8 +396,8 @@ fn incremental_observation_validates_against_rebuilt() {
         chain_job(1, 0.5),
         one_stage_job(2, 3, 2.0, 4.0),
     ];
-    let r =
-        Simulator::new(ClusterSpec::homogeneous(3).with_move_delay(1.0), jobs, cfg).run(TestSched);
+    let cl = ClusterSpec::homogeneous(3).with_move_delay(1.0);
+    let r = run_checked(Simulator::new(cl, jobs, cfg), TestSched);
     assert_eq!(r.completed(), 3);
 }
 
@@ -393,11 +412,10 @@ fn observation_matches_rebuilt_mid_episode() {
         vec![one_stage_job(0, 12, 1.0, 0.0), chain_job(1, 0.0)],
         cfg,
     );
-    let mut sched = TestSched;
-    // Stop mid-episode and compare the two paths directly.
-    let more = sim.drive(&mut sched, 5);
-    assert!(more, "episode must not be exhausted after 5 events");
-    obs_equal(&sim.observation(), &sim.observation_rebuilt())
+    // Answer two decisions, then compare the two paths at the third.
+    assert!(answer(&mut sim, &mut TestSched) && answer(&mut sim, &mut TestSched));
+    let p = sim.step().expect("a third decision is owed");
+    p.check()
         .expect("incremental and rebuilt observations must agree");
 }
 
@@ -407,7 +425,9 @@ fn observation_matches_rebuilt_mid_episode() {
 /// is not grouped even when both sides carry the same one.
 #[test]
 fn both_builders_emit_schedulable_grouped_and_obs_equal_insists() {
-    struct Grouped(usize);
+    /// Counts its decisions and keeps the first observation with more
+    /// than two stages open.
+    struct Grouped(usize, Option<Observation>);
     impl Scheduler for Grouped {
         fn decide(&mut self, obs: &Observation) -> Option<Action> {
             assert!(obs.schedulable_is_grouped(), "{:?}", obs.schedulable);
@@ -415,6 +435,9 @@ fn both_builders_emit_schedulable_grouped_and_obs_equal_insists() {
                 assert_eq!(*j.profile, JobProfile::of(&j.spec));
             }
             self.0 += 1;
+            if self.1.is_none() && obs.schedulable.len() > 2 {
+                self.1 = Some(obs.clone());
+            }
             // The last schedulable stage: keeps several jobs open at once.
             let &(j, stage) = obs.schedulable.last()?;
             Some(Action::new(obs.jobs[j].id, stage, obs.jobs[j].alloc + 2))
@@ -451,17 +474,19 @@ fn both_builders_emit_schedulable_grouped_and_obs_equal_insists() {
         seed: 4,
         ..SimConfig::default()
     }
-    .with_validation()
     .with_dynamics(DynamicsSpec::med());
     let mut sim = Simulator::new(cl, jobs, cfg);
-    let mut sched = Grouped(0);
-    assert!(sim.drive(&mut sched, 40), "stopped mid-episode");
-    let (inc, reb) = (sim.observation(), sim.observation_rebuilt());
-    assert!(inc.schedulable.len() > 2, "several stages open: {inc:?}");
-    assert!(inc.schedulable_is_grouped() && reb.schedulable_is_grouped());
-    obs_equal(&inc, &reb).expect("the two builders agree");
-    while sim.drive(&mut sched, 1_000) {}
+    let mut sched = Grouped(0, None);
+    // The two builders agree at every decision, several of them with
+    // more than two stages open; `check` also refuses either side
+    // ungrouped.
+    while let Some(p) = sim.step() {
+        p.check().expect("the two builders agree");
+        let action = sched.decide(p.observation());
+        p.resume(action);
+    }
     assert!(sched.0 > 20, "decisions were checked");
+    let inc = sched.1.expect("several stages open at once");
 
     let mut swapped = inc.clone();
     swapped.schedulable.swap(0, 1);
@@ -513,11 +538,7 @@ fn memory_fit_schedulability_tracks_the_one_fitting_executor() {
             Some(Action::new(obs.jobs[j].id, stage, obs.total_executors))
         }
     }
-    let cfg = SimConfig {
-        validate_observations: true,
-        ..bare_cfg()
-    };
-    let r = Simulator::new(cl, vec![job], cfg).run(Check);
+    let r = run_checked(Simulator::new(cl, vec![job], bare_cfg()), Check);
     assert_eq!(
         r.avg_jct(),
         Some(2.0),
@@ -690,7 +711,6 @@ fn churn_takes_executors_down_and_episode_still_completes() {
     // one executor is always kept online).
     let cfg = SimConfig {
         seed: 13,
-        validate_observations: true,
         dynamics: DynamicsSpec {
             churn_iat: 3.0,
             outage_mean: 4.0,
@@ -698,7 +718,8 @@ fn churn_takes_executors_down_and_episode_still_completes() {
         },
         ..bare_cfg()
     };
-    let r = Simulator::new(cluster(3), vec![one_stage_job(0, 40, 1.0, 0.0)], cfg).run(TestSched);
+    let sim = Simulator::new(cluster(3), vec![one_stage_job(0, 40, 1.0, 0.0)], cfg);
+    let r = run_checked(sim, TestSched);
     assert_eq!(r.completed(), 1);
     assert!(r.dynamics.churn_events > 0, "no churn observed");
     assert!(r.dynamics.lost_exec_seconds > 0.0);
@@ -793,11 +814,7 @@ fn exec_ready_after_finish_with_recycled_slot() {
         one_stage_job(1, 1, 0.5, 2.0),
         one_stage_job(2, 1, 1.0, 4.5),
     ];
-    let cfg = SimConfig {
-        validate_observations: true,
-        ..bare_cfg()
-    };
-    let r = Simulator::new(cl, jobs, cfg).run(Script(0));
+    let r = run_checked(Simulator::new(cl, jobs, bare_cfg()), Script(0));
     assert_eq!(r.completed(), 3);
     assert_eq!(r.jobs[0].jct(), Some(4.0));
     assert_eq!(
@@ -832,13 +849,10 @@ fn retain_all_is_bit_identical_but_keeps_every_slot() {
             one_stage_job(1, 1, 0.5, 2.0),
             one_stage_job(2, 1, 1.0, 4.5),
         ];
-        let cfg = SimConfig {
-            validate_observations: true,
-            ..bare_cfg()
-        };
-        Simulator::new(cl, jobs, cfg)
-            .retain_all(keep)
-            .run(Script(0))
+        run_checked(
+            Simulator::new(cl, jobs, bare_cfg()).retain_all(keep),
+            Script(0),
+        )
     };
     let retire = mk(false);
     let keep = mk(true);
@@ -893,7 +907,6 @@ fn retirement_matches_keep_everything_under_full_dynamics() {
         let cfg = SimConfig {
             noise: 0.2,
             seed: 3,
-            validate_observations: true,
             dynamics: DynamicsSpec::high(),
             ..SimConfig::default()
         };
@@ -902,9 +915,8 @@ fn retirement_matches_keep_everything_under_full_dynamics() {
             chain_job(1, 0.5),
             one_stage_job(2, 3, 2.0, 4.0),
         ];
-        Simulator::new(ClusterSpec::homogeneous(3).with_move_delay(1.0), jobs, cfg)
-            .retain_all(keep)
-            .run(TestSched)
+        let cl = ClusterSpec::homogeneous(3).with_move_delay(1.0);
+        run_checked(Simulator::new(cl, jobs, cfg).retain_all(keep), TestSched)
     };
     let retire = mk(false);
     let keep = mk(true);
@@ -964,7 +976,7 @@ fn order_cluster() -> ClusterSpec {
 /// events — arrivals first, and among themselves by id — with every
 /// order-sensitive result frozen to the bit. Also under a phase boundary
 /// and a churn tick on arrival instants, a horizon between two arrivals,
-/// and a `drive` stopped mid-stream.
+/// and an episode stepped with one decision dropped unanswered.
 #[test]
 fn same_instant_events_keep_their_order() {
     let plain = || Simulator::new(order_cluster(), order_jobs(9.0), bare_cfg());
@@ -982,14 +994,13 @@ fn same_instant_events_keep_their_order() {
     let want = pin(11, 41, 13.0, &jcts, 9);
     assert_eq!(order_pin(&plain().run(TestSched)), want, "plain");
 
-    // Stopped after five events, then driven to the end in small steps:
-    // the same episode.
+    // Stepped, with the third decision (at t = 2) dropped unanswered and
+    // so offered again: the same episode.
     let mut sim = plain();
-    let mut sched = TestSched;
-    assert!(sim.drive(&mut sched, 5), "five events are mid-stream");
-    assert_eq!(sim.now(), SimTime::from_secs(2.0));
-    while sim.drive(&mut sched, 3) {}
-    assert_eq!(order_pin(&sim.finish()), want, "driven in steps");
+    assert!(answer(&mut sim, &mut TestSched) && answer(&mut sim, &mut TestSched));
+    let third = sim.step().map(|p| p.observation().time);
+    assert_eq!(third, Some(SimTime::from_secs(2.0)));
+    assert_eq!(order_pin(&run_checked(sim, TestSched)), want, "stepped");
 
     // A horizon between the arrivals at t = 6 and t = 9.
     let cfg = bare_cfg().with_time_limit(7.5);
@@ -1085,7 +1096,7 @@ fn each_stop_keeps_its_event_count() {
         pin(7, 24, 7.5, &horizon, 9),
         // The 21st event is counted, not handled: the clock stays at 5.
         pin(6, 21, 5.0, &horizon, 9),
-        // A pass records no decision; churn events alone run the clock.
+        // Deny-all answers record no decision; churn alone runs the clock.
         pin(0, 11, 182.4715111260296, &[None; 8], 9),
     ];
     for (stop, want) in STOPS.into_iter().zip(want) {
@@ -1093,6 +1104,69 @@ fn each_stop_keeps_its_event_count() {
         let r = sim.run(sched);
         assert_eq!((r.outcome, order_pin(&r)), (stop, want), "{stop:?}");
     }
+}
+
+/// `order_jobs` under churn, task failures and stragglers, with phase
+/// boundaries on the arrivals at t = 2 and t = 6.
+fn dynamic_episode() -> Simulator {
+    let dynamics = DynamicsSpec {
+        churn_iat: 4.0,
+        outage_mean: 3.0,
+        fail_prob: 0.1,
+        max_retries: 4,
+        straggler_prob: 0.1,
+        straggler_factor: 2.0,
+    };
+    let cfg = SimConfig {
+        seed: 5,
+        phase_boundaries: vec![2.0, 6.0],
+        ..bare_cfg().with_dynamics(dynamics)
+    };
+    Simulator::new(order_cluster(), order_jobs(9.0), cfg)
+}
+
+/// Stepping an episode with the scheduler's own answers is `run` to the
+/// bit, at each of the four stops and under dynamics and phase
+/// boundaries; stepping on after the end changes nothing, the event
+/// count included (`run_checked` steps twice more before finishing).
+#[test]
+fn stepping_is_run() {
+    let same = |ran: &EpisodeResult, stepped: &EpisodeResult| {
+        ran.same_run(stepped).expect("the episode `run` gives");
+        assert_eq!(order_pin(ran), order_pin(stepped));
+    };
+    for stop in STOPS {
+        let (sim, sched) = stopping_episode(stop);
+        let ran = sim.run(sched);
+        let (sim, sched) = stopping_episode(stop);
+        let stepped = run_checked(sim, sched);
+        assert_eq!(stepped.outcome, stop);
+        same(&ran, &stepped);
+    }
+    let ran = dynamic_episode().run(TestSched);
+    let d = ran.dynamics;
+    assert!(d.churn_events > 0 && d.retries > 0 && d.straggled > 0 && ran.drift.enabled());
+    same(&ran, &run_checked(dynamic_episode(), TestSched));
+}
+
+/// A decision dropped unanswered is offered again, with an observation
+/// `obs_equal` accepts against the first; answering the second offers
+/// gives the episode `run` does.
+#[test]
+fn a_dropped_decision_is_offered_again() {
+    let mut sim = dynamic_episode();
+    let mut offers = 0;
+    while let Some(first) = sim.step().map(|p| p.observation().clone()) {
+        let p = sim.step().expect("the dropped decision is still owed");
+        obs_equal(&first, p.observation()).expect("offered again unchanged");
+        let action = TestSched.decide(p.observation());
+        p.resume(action);
+        offers += 1;
+    }
+    let r = sim.finish();
+    assert_eq!(offers, r.actions.len());
+    r.same_run(&dynamic_episode().run(TestSched))
+        .expect("the episode `run` gives");
 }
 
 /// A time compared by `Ord` (`total_cmp`) everywhere: `BinaryHeap`

@@ -271,7 +271,7 @@ pub trait Scheduler {
     ///
     /// The engine guarantees `obs.free_total > 0` and
     /// `!obs.schedulable.is_empty()`; an action that assigns no executor
-    /// ends the event's scheduling loop (and is counted as wasted).
+    /// ends the instant's scheduling pass (and is counted as wasted).
     fn decide(&mut self, obs: &Observation) -> Option<Action>;
 
     /// A short display name for reports.

@@ -3,11 +3,16 @@
 //! tasks are conserved, no executor is double-booked, the clock is
 //! monotone, work-conserving episodes terminate, and same-seed runs are
 //! bit-identical. The `Invariants` wrapper checks the engine's
-//! incremental counters against first principles at **every** decision.
+//! incremental counters against first principles at **every** decision,
+//! and `run_checked` holds every observation to the rebuilt reference.
 
 use decima_core::{ClusterSpec, ExecutorClass, JobBuilder, JobId, SimTime, StageSpec};
 use decima_sim::{Action, DynamicsSpec, Observation, Scheduler, SimConfig, Simulator};
 use proptest::prelude::*;
+
+#[path = "../../../tests/support/checked.rs"]
+mod checked;
+use checked::run_checked;
 
 /// A work-conserving test scheduler that spreads over all stages.
 struct Spread;
@@ -269,7 +274,7 @@ proptest! {
 
     /// The full per-decision invariant battery on random multi-class
     /// clusters with per-stage memory demands, with the engine's own
-    /// incremental-vs-rebuilt observation validation enabled: tasks
+    /// incremental-vs-rebuilt observation check at every decision: tasks
     /// conserved, no double-booking, monotone clock, alloc consistency,
     /// schedulable-set soundness — and the work-conserving episode
     /// terminates with every job complete.
@@ -281,11 +286,10 @@ proptest! {
         let cfg = SimConfig {
             noise,
             seed,
-            validate_observations: true,
             ..SimConfig::default()
         };
         let mut sched = Invariants::new(Spread);
-        let r = Simulator::new(cluster, jobs, cfg).run(&mut sched);
+        let r = run_checked(Simulator::new(cluster, jobs, cfg), &mut sched);
         prop_assert_eq!(r.completed(), n_jobs, "work-conserving episode must finish");
         prop_assert!(sched.decisions > 0, "episode took no decisions");
     }
@@ -315,7 +319,7 @@ proptest! {
     /// The full per-decision invariant battery **under cluster
     /// dynamics**: random churn, bounded-retry failures, and stragglers
     /// on random multi-class clusters, with the engine's
-    /// incremental-vs-rebuilt observation validation enabled. Tasks stay
+    /// incremental-vs-rebuilt observation check at every decision. Tasks stay
     /// conserved through retries and churn interrupts, the clock stays
     /// monotone across outages, executor accounting (free/busy/offline)
     /// never double-books, alloc matches its definition, and no
@@ -334,7 +338,6 @@ proptest! {
         let cluster = random_cluster(seed, execs);
         let cfg = SimConfig {
             seed,
-            validate_observations: true,
             dynamics: DynamicsSpec {
                 churn_iat,
                 outage_mean: outage,
@@ -346,7 +349,7 @@ proptest! {
             ..SimConfig::default()
         };
         let mut sched = Invariants::new(Spread);
-        let r = Simulator::new(cluster, jobs, cfg).run(&mut sched);
+        let r = run_checked(Simulator::new(cluster, jobs, cfg), &mut sched);
         prop_assert!(sched.decisions > 0, "episode took no decisions");
         prop_assert_eq!(
             r.completed() + r.failed(), n_jobs,
@@ -430,9 +433,9 @@ proptest! {
     /// bit-identical to the keep-everything engine
     /// ([`Simulator::retain_all`]), across random multi-class clusters
     /// with churn, bounded-retry failures, stragglers, and noise all
-    /// active. The incremental-vs-rebuilt observation validation runs
-    /// at every decision of both episodes, so the recycled arena is
-    /// also checked against the rebuilt oracle throughout.
+    /// active. The incremental-vs-rebuilt observation check runs at
+    /// every decision of both episodes, so the recycled arena is also
+    /// checked against the rebuilt oracle throughout.
     #[test]
     fn retirement_is_bit_identical_to_keep_everything(
         seed in 0u64..3000, n_jobs in 1usize..5, execs in 2usize..8,
@@ -443,7 +446,6 @@ proptest! {
             let cfg = SimConfig {
                 noise,
                 seed,
-                validate_observations: true,
                 dynamics: DynamicsSpec {
                     churn_iat,
                     outage_mean: 5.0,
@@ -454,9 +456,9 @@ proptest! {
                 },
                 ..SimConfig::default()
             };
-            Simulator::new(random_cluster(seed, execs), random_memory_jobs(seed, n_jobs), cfg)
-                .retain_all(keep)
-                .run(Spread)
+            let sim =
+                Simulator::new(random_cluster(seed, execs), random_memory_jobs(seed, n_jobs), cfg);
+            run_checked(sim.retain_all(keep), Spread)
         };
         let retire = mk(false);
         let keep = mk(true);
@@ -599,7 +601,6 @@ proptest! {
                 seed,
                 time_limit: (horizon_on == 1).then_some(horizon),
                 max_events: 200_000,
-                validate_observations: true,
                 dynamics: if dynamics_on == 1 {
                     DynamicsSpec { churn_iat: 6.0, outage_mean: 4.0, fail_prob: 0.1,
                                    max_retries: 4, straggler_prob: 0.1, straggler_factor: 2.0 }
@@ -613,8 +614,9 @@ proptest! {
                 n_jobs: n_jobs as u32,
                 seen: Vec::new(),
             });
-            Simulator::new(random_cluster(seed, execs), random_memory_jobs(seed, n_jobs), cfg)
-                .run(&mut sched)
+            let sim =
+                Simulator::new(random_cluster(seed, execs), random_memory_jobs(seed, n_jobs), cfg);
+            run_checked(sim, &mut sched)
         };
         let (a, b) = (run(), run());
         prop_assert_eq!(a.jobs.len(), n_jobs);

@@ -278,11 +278,7 @@ impl WorkloadSpec {
             _ => return self.build(seed),
         };
         let mut rng = SmallRng::seed_from_u64(seed ^ DRIFT_SEED_SALT);
-        let cluster = match &self.source {
-            WorkloadSource::Alibaba { .. } => ClusterSpec::four_class(self.executors),
-            _ => ClusterSpec::homogeneous(self.executors),
-        }
-        .with_move_delay(self.move_delay);
+        let cluster = self.cluster();
 
         if let DriftProfile::MixShift { shift_at } = drift.profile {
             // Keep the spec's own (stationary) arrival process; only the

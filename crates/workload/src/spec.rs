@@ -211,10 +211,25 @@ impl WorkloadSpec {
         }
     }
 
+    /// The cluster every episode of this workload runs on: four memory
+    /// classes where the jobs carry memory demands (Alibaba, TPC-H with
+    /// random memory), one class otherwise.
+    pub(crate) fn cluster(&self) -> ClusterSpec {
+        let classes = match self.source {
+            WorkloadSource::Alibaba { .. }
+            | WorkloadSource::Tpch {
+                random_memory: true,
+                ..
+            } => ClusterSpec::four_class(self.executors),
+            _ => ClusterSpec::homogeneous(self.executors),
+        };
+        classes.with_move_delay(self.move_delay)
+    }
+
     /// Materializes the episode input for `seed`: deterministic, and
     /// identical to the historical env-factory construction.
     pub fn build(&self, seed: u64) -> (ClusterSpec, Vec<JobSpec>) {
-        match &self.source {
+        let jobs = match &self.source {
             WorkloadSource::Tpch {
                 num_jobs,
                 arrivals,
@@ -224,19 +239,11 @@ impl WorkloadSpec {
                 let jobs = tpch_jobs(*num_jobs, *arrivals, *task_scale, seed);
                 if *random_memory {
                     let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
-                    let jobs = jobs
-                        .into_iter()
+                    jobs.into_iter()
                         .map(|j| with_random_memory(j, &mut rng))
-                        .collect();
-                    (
-                        ClusterSpec::four_class(self.executors).with_move_delay(self.move_delay),
-                        jobs,
-                    )
+                        .collect()
                 } else {
-                    (
-                        ClusterSpec::homogeneous(self.executors).with_move_delay(self.move_delay),
-                        jobs,
-                    )
+                    jobs
                 }
             }
             WorkloadSource::TpchMixedIat {
@@ -249,15 +256,11 @@ impl WorkloadSpec {
                 // from a side RNG, then builds the normal stream.
                 let mut rng = SmallRng::seed_from_u64(seed ^ 0xa11a);
                 let iat = rng.gen_range(*lo_iat..=*hi_iat);
-                let jobs = tpch_jobs(
+                tpch_jobs(
                     *num_jobs,
                     ArrivalProcess::Poisson { mean_iat: iat },
                     *task_scale,
                     seed,
-                );
-                (
-                    ClusterSpec::homogeneous(self.executors).with_move_delay(self.move_delay),
-                    jobs,
                 )
             }
             WorkloadSource::Alibaba {
@@ -270,47 +273,30 @@ impl WorkloadSpec {
                     mean_iat: *mean_iat,
                 }
                 .sample(*num_jobs, &mut rng);
-                let jobs = arrivals
+                arrivals
                     .into_iter()
                     .enumerate()
                     .map(|(i, t)| alibaba_job(gen, JobId(i as u32), t, &mut rng))
-                    .collect();
-                (
-                    ClusterSpec::four_class(self.executors).with_move_delay(self.move_delay),
-                    jobs,
-                )
+                    .collect()
             }
             WorkloadSource::SingleTpch {
                 query,
                 gb,
                 task_scale,
-            } => (
-                ClusterSpec::homogeneous(self.executors).with_move_delay(self.move_delay),
-                vec![tpch_job_scaled(
-                    *query,
-                    *gb,
-                    JobId(0),
-                    SimTime::ZERO,
-                    *task_scale,
-                )],
-            ),
-            WorkloadSource::TpchSuite { gb, task_scale } => {
-                let jobs = (1..=22u16)
-                    .enumerate()
-                    .map(|(i, q)| {
-                        tpch_job_scaled(q, *gb, JobId(i as u32), SimTime::ZERO, *task_scale)
-                    })
-                    .collect();
-                (
-                    ClusterSpec::homogeneous(self.executors).with_move_delay(self.move_delay),
-                    jobs,
-                )
-            }
-            WorkloadSource::AppendixDag => (
-                ClusterSpec::homogeneous(self.executors).with_move_delay(self.move_delay),
-                vec![appendix_dag_job()],
-            ),
-        }
+            } => vec![tpch_job_scaled(
+                *query,
+                *gb,
+                JobId(0),
+                SimTime::ZERO,
+                *task_scale,
+            )],
+            WorkloadSource::TpchSuite { gb, task_scale } => (1..=22u16)
+                .enumerate()
+                .map(|(i, q)| tpch_job_scaled(q, *gb, JobId(i as u32), SimTime::ZERO, *task_scale))
+                .collect(),
+            WorkloadSource::AppendixDag => vec![appendix_dag_job()],
+        };
+        (self.cluster(), jobs)
     }
 }
 
