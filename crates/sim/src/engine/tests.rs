@@ -1106,6 +1106,25 @@ fn each_stop_keeps_its_event_count() {
     }
 }
 
+/// Each stop ends its episode with the same objective integral: the
+/// bits of `total_penalty`, the decisions' penalties summed in decision
+/// order plus the tail after the last one.
+#[test]
+fn each_stop_keeps_its_penalty() {
+    // Deny-all records no decision: the livelock's is all tail.
+    let want = [41.0, 26.0, 17.0, 1434.772089008237].map(f64::to_bits);
+    for (stop, want) in STOPS.into_iter().zip(want) {
+        let (sim, sched) = stopping_episode(stop);
+        let r = sim.run(sched);
+        assert_eq!(
+            (r.outcome, r.total_penalty().to_bits()),
+            (stop, want),
+            "{stop:?}: total penalty {}",
+            r.total_penalty()
+        );
+    }
+}
+
 /// `order_jobs` under churn, task failures and stragglers, with phase
 /// boundaries on the arrivals at t = 2 and t = 6.
 fn dynamic_episode() -> Simulator {
