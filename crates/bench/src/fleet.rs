@@ -34,6 +34,8 @@ use decima_core::par::ordered_map;
 use decima_core::{ClusterSpec, JobSpec, Summary};
 use decima_sim::{EpisodeResult, MemCounters, SimConfig, Simulator};
 use decima_workload::renumber;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Per-shard seed salt (the 64-bit golden ratio, as in splitmix64).
@@ -141,13 +143,40 @@ fn argbest(loads: &[ShardLoad], key: impl Fn(&ShardLoad) -> f64) -> usize {
     best
 }
 
+/// An estimated completion time, ordered by [`f64::total_cmp`] so that a
+/// min-heap of them is well defined.
+#[derive(Clone, Copy, Debug)]
+struct Done(f64);
+
+impl PartialEq for Done {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Done {}
+
+impl PartialOrd for Done {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Done {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// Routes `jobs` (in arrival order) across `shards` shards; returns the
 /// per-shard job lists, preserving arrival order and original job ids.
 ///
 /// Between arrivals the front-end drains each shard's estimated backlog
 /// at `executors` work-seconds per second and retires jobs whose
 /// estimated completion has passed, so load-aware routers track an
-/// evolving picture rather than the cumulative routed total.
+/// evolving picture rather than the cumulative routed total. Each
+/// shard's estimates wait in a min-heap, so an arrival pops only the
+/// jobs it retires.
 pub fn route_jobs(
     jobs: &[JobSpec],
     shards: usize,
@@ -165,17 +194,19 @@ pub fn route_jobs(
         })
         .collect();
     // Estimated completion times of in-flight jobs, per shard.
-    let mut active: Vec<Vec<f64>> = vec![Vec::new(); shards];
+    let mut active: Vec<BinaryHeap<Reverse<Done>>> = vec![BinaryHeap::new(); shards];
     let mut last_t = 0.0f64;
     for job in jobs {
         let t = job.arrival.as_secs();
         debug_assert!(t >= last_t, "arrival stream must be time-ordered");
         let dt = (t - last_t).max(0.0);
         last_t = t;
-        for (s, load) in loads.iter_mut().enumerate() {
+        for (load, done) in loads.iter_mut().zip(&mut active) {
             load.backlog = (load.backlog - dt * load.executors as f64).max(0.0);
-            active[s].retain(|&done| done > t);
-            load.active_jobs = active[s].len();
+            while done.peek().is_some_and(|Reverse(Done(d))| *d <= t) {
+                done.pop();
+            }
+            load.active_jobs = done.len();
         }
         let pick = router.route(job, &loads);
         assert!(pick < shards, "router picked shard {pick} of {shards}");
@@ -184,7 +215,8 @@ pub fn route_jobs(
         loads[pick].routed_jobs += 1;
         // Crude service estimate: the backlog ahead of (and including)
         // this job, drained at full parallelism.
-        active[pick].push(t + loads[pick].backlog / loads[pick].executors.max(1) as f64);
+        let done = t + loads[pick].backlog / loads[pick].executors.max(1) as f64;
+        active[pick].push(Reverse(Done(done)));
         loads[pick].active_jobs = active[pick].len();
         out[pick].push(job.clone());
     }
@@ -460,10 +492,94 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decima_core::{JobBuilder, JobId, SimTime, StageSpec};
     use decima_workload::WorkloadSpec;
+    use proptest::prelude::*;
 
     fn stream(n: usize) -> (ClusterSpec, Vec<JobSpec>) {
         WorkloadSpec::tpch_stream(n, 6, 15.0).build(7)
+    }
+
+    /// `route_jobs` as it was before the completion estimates moved to
+    /// min-heaps: every arrival rescans every shard's estimates.
+    fn route_jobs_retain(
+        jobs: &[JobSpec],
+        shards: usize,
+        executors: usize,
+        router: &mut dyn Router,
+    ) -> Vec<Vec<JobSpec>> {
+        let mut out: Vec<Vec<JobSpec>> = vec![Vec::new(); shards];
+        let mut loads: Vec<ShardLoad> = (0..shards)
+            .map(|_| ShardLoad {
+                executors,
+                routed_jobs: 0,
+                backlog: 0.0,
+                active_jobs: 0,
+            })
+            .collect();
+        let mut active: Vec<Vec<f64>> = vec![Vec::new(); shards];
+        let mut last_t = 0.0f64;
+        for job in jobs {
+            let t = job.arrival.as_secs();
+            let dt = (t - last_t).max(0.0);
+            last_t = t;
+            for (s, load) in loads.iter_mut().enumerate() {
+                load.backlog = (load.backlog - dt * load.executors as f64).max(0.0);
+                active[s].retain(|&done| done > t);
+                load.active_jobs = active[s].len();
+            }
+            let pick = router.route(job, &loads);
+            loads[pick].backlog += job.total_work();
+            loads[pick].routed_jobs += 1;
+            active[pick].push(t + loads[pick].backlog / loads[pick].executors.max(1) as f64);
+            loads[pick].active_jobs = active[pick].len();
+            out[pick].push(job.clone());
+        }
+        out
+    }
+
+    /// One single-stage job per `(gap, tasks, duration)`, arriving `gap`
+    /// half-seconds after the one before (so arrivals often tie with
+    /// each other and with estimated completions).
+    fn generated_stream(spec: &[(u8, u8, u8)]) -> Vec<JobSpec> {
+        let mut t = 0.0;
+        spec.iter()
+            .enumerate()
+            .map(|(i, &(gap, tasks, dur))| {
+                t += f64::from(gap) * 0.5;
+                let mut b = JobBuilder::new(JobId(i as u32));
+                b.stage(StageSpec::simple(u32::from(tasks), f64::from(dur) * 0.5));
+                b.arrival(SimTime::from_secs(t)).build().unwrap()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The min-heaps route every job where the rescan did, for each
+        /// of the three routers.
+        #[test]
+        fn heap_routing_matches_the_rescan(
+            spec in proptest::collection::vec((0u8..4, 1u8..9, 1u8..13), 0..60),
+            shards in 1usize..5,
+            executors in 1usize..7,
+        ) {
+            let jobs = generated_stream(&spec);
+            let ids = |routed: Vec<Vec<JobSpec>>| -> Vec<Vec<JobId>> {
+                routed.iter().map(|s| s.iter().map(|j| j.id).collect()).collect()
+            };
+            let routers: [fn() -> Box<dyn Router>; 3] = [
+                || Box::new(RoundRobin::default()),
+                || Box::new(ShortestQueue),
+                || Box::new(LeastLoaded),
+            ];
+            for make in routers {
+                let heap = route_jobs(&jobs, shards, executors, make().as_mut());
+                let rescan = route_jobs_retain(&jobs, shards, executors, make().as_mut());
+                prop_assert_eq!(ids(heap), ids(rescan), "{}", make().name());
+            }
+        }
     }
 
     #[test]

@@ -250,13 +250,13 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
         .unwrap_or((PolicySpec::default(), Some(1)));
     let (cluster, jobs, cfg) = env.build(seed);
     let mut agent = Timed::new(crate::factory::untrained_agent(&policy, execs, sample_seed));
-    let result = Simulator::new(cluster, jobs, cfg).run(&mut agent);
+    Simulator::new(cluster, jobs, cfg).run(&mut agent);
 
     let delays_ms: Vec<f64> = agent.decide_secs.iter().map(|s| s * 1e3).collect();
-    let mut intervals_ms: Vec<f64> = result
-        .actions
+    let mut intervals_ms: Vec<f64> = agent
+        .decision_times
         .windows(2)
-        .map(|w| (w[1].time - w[0].time) * 1e3)
+        .map(|w| (w[1] - w[0]) * 1e3)
         .filter(|&d| d > 0.0)
         .collect();
     intervals_ms.sort_by(|a, b| a.total_cmp(b));

@@ -5,16 +5,20 @@
 //! `clippy::disallowed_methods`): wrapping changes no action, only
 //! records how long each took.
 
+use decima_core::SimTime;
 use decima_sim::{Action, Observation, Scheduler};
 use std::time::Instant;
 
-/// `inner`, with the wall-clock seconds of every `decide` call recorded
-/// in call order (Figure 15b).
+/// `inner`, with the wall-clock seconds of every `decide` call and the
+/// simulated time of every decision recorded in call order (Figure 15b).
 pub struct Timed<S> {
     /// The scheduler being timed.
     pub inner: S,
     /// Seconds spent in each `decide` call.
     pub decide_secs: Vec<f64>,
+    /// Simulated time of each decision (each call that returned an
+    /// action).
+    pub decision_times: Vec<SimTime>,
 }
 
 impl<S: Scheduler> Timed<S> {
@@ -23,6 +27,7 @@ impl<S: Scheduler> Timed<S> {
         Timed {
             inner,
             decide_secs: Vec::new(),
+            decision_times: Vec::new(),
         }
     }
 }
@@ -40,6 +45,9 @@ impl<S: Scheduler> Scheduler for Timed<S> {
         let t0 = Instant::now();
         let action = self.inner.decide(obs);
         self.decide_secs.push(t0.elapsed().as_secs_f64());
+        if action.is_some() {
+            self.decision_times.push(obs.time);
+        }
         action
     }
 
@@ -57,8 +65,8 @@ mod tests {
     use decima_sim::{SimConfig, Simulator};
     use decima_workload::tpch_batch;
 
-    /// One positive latency per decision, and the wrapped agent takes
-    /// the actions it takes bare.
+    /// One positive latency and one simulated time per decision, and
+    /// the wrapped agent takes the actions it takes bare.
     #[test]
     fn decide_latency_recorded() {
         let agent = || untrained_agent(&PolicySpec::default(), 5, Some(42));
@@ -73,6 +81,8 @@ mod tests {
         let r = sim().run(&mut timed);
         assert_eq!(timed.decide_secs.len(), r.actions.len());
         assert!(timed.decide_secs.iter().all(|&t| t > 0.0));
+        assert_eq!(timed.decision_times.len(), r.actions.len());
+        assert!(timed.decision_times.windows(2).all(|w| w[0] <= w[1]));
 
         let mut bare = agent();
         let r_bare = sim().run(&mut bare);

@@ -545,8 +545,9 @@ fn the_observation_entry_recomputes_exactly_what_the_features_read() {
     }
 
     // Not read: everything else an observation carries.
-    let unread: [(&str, Edit); 12] = [
+    let unread: [(&str, Edit); 13] = [
         ("time", &|o| o.time = SimTime::from_secs(99.0)),
+        ("cost", &|o| o.cost += 7.0),
         ("offline", &|o| o.offline += 1),
         ("free_by_class", &|o| o.free_by_class = vec![4]),
         ("schedulable", &|o| o.schedulable.clear()),

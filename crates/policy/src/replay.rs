@@ -4,12 +4,14 @@
 //! decision. Most of that state is never read when the learner re-scores
 //! the decision: the policy forward consumes only the candidate list,
 //! the executor-availability summary, and per-node `(remaining tasks,
-//! executors on, executors in flight)` — everything else (simulation
-//! time, offline count, per-node finished/running splits, runnable and
-//! completed flags, and the spec-static duration/memory columns) is
-//! either unread or reconstructible from the job spec.
+//! executors on, executors in flight)` — everything else (offline
+//! count, per-node finished/running splits, runnable and completed
+//! flags, and the spec-static duration/memory columns) is either unread
+//! or reconstructible from the job spec.
 //!
-//! [`ReplayObs`] stores exactly the read set. [`ReplayObs::write_into`]
+//! [`ReplayObs`] stores exactly the read set, plus the decision's time
+//! and objective integral, from which the trainer derives the rewards
+//! (`decima_rl::Trajectory::raw_rewards`). [`ReplayObs::write_into`]
 //! rebuilds a full [`Observation`] whose *policy-visible* fields are
 //! bit-identical to the original, so the gradient computed from stored
 //! trajectories is unchanged (see the bitwise equivalence tests here and
@@ -52,9 +54,14 @@ pub struct ReplayJob {
     pub nodes: Vec<ReplayNode>,
 }
 
-/// The subset of an [`Observation`] that gradient replay reads.
+/// The subset of an [`Observation`] that gradient replay reads, and the
+/// decision's place in the reward stream.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayObs {
+    /// Simulation time of the decision.
+    pub time: SimTime,
+    /// The objective integral at the decision ([`Observation::cost`]).
+    pub cost: f64,
     /// Total executor slots in the cluster.
     pub total_executors: usize,
     /// Number of executor classes.
@@ -75,6 +82,8 @@ impl ReplayObs {
     /// Captures the replay-relevant subset of `obs`.
     pub fn from_observation(obs: &Observation) -> Self {
         ReplayObs {
+            time: obs.time,
+            cost: obs.cost,
             total_executors: obs.total_executors,
             num_classes: obs.num_classes,
             free_total: obs.free_total,
@@ -110,13 +119,15 @@ impl ReplayObs {
     }
 
     /// Rebuilds a full [`Observation`] whose policy-visible fields are
-    /// bit-identical to the one this was captured from. Fields the
-    /// forward pass never reads are zeroed (`time`, `offline`, per-node
-    /// `running`/`finished` splits and status flags); spec-static
-    /// columns are restored from the spec. Reuses `obs`'s buffers, so a
-    /// single scratch observation serves a whole trajectory.
+    /// bit-identical to the one this was captured from, `time` and
+    /// `cost` included. Fields the forward pass never reads are zeroed
+    /// (`offline`, per-node `running`/`finished` splits and status
+    /// flags); spec-static columns are restored from the spec. Reuses
+    /// `obs`'s buffers, so a single scratch observation serves a whole
+    /// trajectory.
     pub fn write_into(&self, obs: &mut Observation) {
-        obs.time = SimTime::ZERO;
+        obs.time = self.time;
+        obs.cost = self.cost;
         obs.total_executors = self.total_executors;
         obs.num_classes = self.num_classes;
         obs.free_total = self.free_total;
@@ -209,7 +220,10 @@ mod tests {
             let compact = ReplayObs::from_observation(obs);
             compact.write_into(&mut scratch);
 
-            // The forward pass's full read set, bit-for-bit.
+            // The reward stream's place and the forward pass's full
+            // read set, bit-for-bit.
+            assert_eq!(scratch.time, obs.time);
+            assert_eq!(scratch.cost.to_bits(), obs.cost.to_bits());
             assert_eq!(scratch.total_executors, obs.total_executors);
             assert_eq!(scratch.num_classes, obs.num_classes);
             assert_eq!(scratch.free_total, obs.free_total);

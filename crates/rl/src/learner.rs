@@ -92,37 +92,36 @@ pub fn advantages(
 mod tests {
     use super::*;
 
-    /// A synthetic trajectory whose `result.rewards()` equals `rewards`
-    /// at the given action times (reward k is carried by the *next*
-    /// action's `penalty_before`, the tail by `tail_penalty`).
+    /// A synthetic trajectory whose `raw_rewards()` equals `rewards` at
+    /// the given action times (reward k is the drop in objective
+    /// integral to the *next* observation, the tail is `tail_penalty`).
     fn traj_with(times: Vec<f64>, rewards: Vec<f64>, end: f64) -> Trajectory {
         use decima_core::SimTime;
-        use decima_sim::{ActionRecord, EpisodeResult};
-        let n = times.len();
-        let actions = (0..n)
-            .map(|k| ActionRecord {
-                time: SimTime::from_secs(times[k]),
-                penalty_before: if k == 0 { 0.0 } else { -rewards[k - 1] },
+        use decima_policy::ReplayObs;
+        use decima_sim::EpisodeResult;
+        let mut cost = 0.0;
+        let observations = times
+            .iter()
+            .zip(&rewards)
+            .map(|(&t, &r)| {
+                let obs = ReplayObs {
+                    time: SimTime::from_secs(t),
+                    cost,
+                    ..ReplayObs::default()
+                };
+                cost -= r;
+                obs
             })
             .collect();
         Trajectory {
             seq_seed: 0,
-            observations: Vec::new(),
+            observations,
             choices: Vec::new(),
             entropy_sum: 0.0,
             result: EpisodeResult {
-                actions,
                 tail_penalty: rewards.last().map_or(0.0, |r| -r),
-                jobs: Vec::new(),
                 end_time: SimTime::from_secs(end),
-                num_events: 0,
-                wasted_actions: 0,
-                task_failures: 0,
-                dynamics: Default::default(),
-                drift: Default::default(),
-                outcome: Default::default(),
-                gantt: None,
-                mem: Default::default(),
+                ..EpisodeResult::default()
             },
         }
     }

@@ -3,10 +3,15 @@
 //!
 //! A [`Trajectory`] carries everything the gradient pass needs — the
 //! per-decision observations, the sampled action indices, the episode
-//! outcome (rewards and timing), and the summed policy entropy — so the
-//! learner can recompute forwards directly from stored data instead of
+//! outcome, and the summed policy entropy — so the learner can
+//! recompute forwards directly from stored data instead of
 //! re-simulating the episode. This is what halves the per-iteration
 //! simulation work relative to the old replay-by-resimulation design.
+//!
+//! The rewards live here too: each stored observation keeps the time
+//! and the objective integral of its decision, so the reward stream is
+//! derived from consecutive observations, and the simulator keeps no
+//! per-decision record.
 
 use decima_policy::{ActionChoice, ReplayObs};
 use decima_sim::EpisodeResult;
@@ -20,13 +25,14 @@ pub struct Trajectory {
     /// Carries exactly the fields the policy forward reads (bit-for-bit
     /// what the sampler saw), so re-scoring them reproduces the
     /// rollout's log-probabilities exactly at a fraction of the memory
-    /// of full observation clones.
+    /// of full observation clones; and each decision's time and
+    /// objective integral, which the rewards are derived from.
     pub observations: Vec<ReplayObs>,
     /// The sampled action indices, aligned with `observations`.
     pub choices: Vec<ActionChoice>,
     /// Sum of node-softmax entropies over the episode (nats).
     pub entropy_sum: f64,
-    /// The episode outcome (rewards, action times, job completions).
+    /// The episode outcome (tail penalty, end time, job completions).
     pub result: EpisodeResult,
 }
 
@@ -41,25 +47,30 @@ impl Trajectory {
         self.choices.is_empty()
     }
 
-    /// Wall-clock time of each action (seconds of simulated time).
+    /// Simulated time of each action (seconds).
     pub fn action_times(&self) -> Vec<f64> {
-        self.result
-            .actions
-            .iter()
-            .map(|a| a.time.as_secs())
-            .collect()
+        self.observations.iter().map(|o| o.time.as_secs()).collect()
     }
 
-    /// The raw (unscaled) per-step rewards of the episode.
+    /// The raw (unscaled) per-step rewards of the episode: the negated
+    /// cost accrued *after* each action, so the reward of action `k`
+    /// covers `(t_k, t_{k+1}]`, `r_k = −(c_{k+1} − c_k)` for the
+    /// objective integrals `c` of consecutive decisions, and the last
+    /// action is charged the episode's tail penalty.
     pub fn raw_rewards(&self) -> Vec<f64> {
-        self.result.rewards()
+        let tail = self.observations.last().map(|_| -self.result.tail_penalty);
+        self.observations
+            .windows(2)
+            .map(|w| -(w[1].cost - w[0].cost))
+            .chain(tail)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decima_core::ClusterSpec;
+    use decima_core::{ClusterSpec, SimTime};
     use decima_nn::ParamStore;
     use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
     use decima_sim::{SimConfig, Simulator};
@@ -97,9 +108,41 @@ mod tests {
         };
         assert!(!traj.is_empty());
         assert_eq!(traj.observations.len(), traj.len());
+        assert_eq!(traj.result.actions.len(), traj.len());
         assert_eq!(traj.action_times().len(), traj.len());
         assert_eq!(traj.raw_rewards().len(), traj.len());
         let times = traj.action_times();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "times ascend");
+        // The rewards and the tally account for the same integral.
+        let sum: f64 = traj.raw_rewards().iter().sum();
+        let first = traj.observations[0].cost;
+        assert!((sum + traj.result.total_penalty() - first).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rewards_shift_and_tail() {
+        let at = |time: f64, cost: f64| ReplayObs {
+            time: SimTime::from_secs(time),
+            cost,
+            ..ReplayObs::default()
+        };
+        let traj = Trajectory {
+            seq_seed: 0,
+            observations: vec![at(0.0, 0.0), at(1.0, 3.0)],
+            choices: Vec::new(),
+            entropy_sum: 0.0,
+            result: EpisodeResult {
+                tail_penalty: 4.0,
+                ..EpisodeResult::default()
+            },
+        };
+        assert_eq!(traj.raw_rewards(), vec![-3.0, -4.0]);
+        assert_eq!(traj.action_times(), vec![0.0, 1.0]);
+
+        let none = Trajectory {
+            observations: Vec::new(),
+            ..traj
+        };
+        assert!(none.raw_rewards().is_empty());
     }
 }

@@ -6,7 +6,6 @@ use super::execs::{ExecMeta, ExecState};
 use super::observe::obs_equal;
 use super::queue::Ev;
 use super::Simulator;
-use crate::result::ActionRecord;
 use crate::sched::{Action, LimitScope, Observation};
 
 /// A decision the engine owes, borrowing the simulator until
@@ -30,19 +29,18 @@ impl Pending<'_> {
         obs_equal(&self.sim.obs_buf, &self.sim.observation_rebuilt())
     }
 
-    /// Answers the decision: records the penalty accrued since the last
-    /// one and applies `action`. `None`, or an action that dispatches no
-    /// executor (counted as wasted), ends the pass.
+    /// Answers the decision: folds it, with the penalty accrued since
+    /// the last one, into the episode's tally and applies `action`.
+    /// `None`, or an action that dispatches no executor (counted as
+    /// wasted), ends the pass.
     pub fn resume(self, action: Option<Action>) {
         let sim = self.sim;
         let Some(action) = action else {
             sim.pass_open = false;
             return;
         };
-        sim.actions.push(ActionRecord {
-            time: sim.now,
-            penalty_before: sim.cost_integral - sim.cost_at_last_action,
-        });
+        sim.actions
+            .push(sim.now, sim.cost_integral - sim.cost_at_last_action);
         sim.cost_at_last_action = sim.cost_integral;
         if sim.apply_action(&action) == 0 {
             sim.wasted_actions += 1;

@@ -128,7 +128,6 @@ fn fold(
 ) -> JobOutcome {
     JobOutcome {
         id,
-        name: spec.name.clone(),
         arrival: spec.arrival,
         completion,
         total_work: rt.map_or_else(|| spec.total_work(), |rt| rt.profile.total_work),

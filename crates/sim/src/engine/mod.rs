@@ -39,7 +39,7 @@ use observe::ObsScratch;
 use crate::config::{Objective, SimConfig};
 use crate::drift::DriftCounters;
 use crate::dynamics::Perturbations;
-use crate::result::{ActionRecord, EpisodeOutcome, EpisodeResult};
+use crate::result::{DecisionTally, EpisodeOutcome, EpisodeResult};
 use crate::sched::{Observation, Scheduler};
 use arena::JobArena;
 use decima_core::{ClusterSpec, ExecutorId, Gantt, JobId, JobSpec, SimTime};
@@ -79,7 +79,7 @@ pub struct Simulator {
     cost_at_last_action: f64,
     rng: SmallRng,
     gantt: Option<Gantt>,
-    actions: Vec<ActionRecord>,
+    actions: DecisionTally,
     num_events: u64,
     wasted_actions: u64,
     task_failures: u64,
@@ -170,7 +170,7 @@ impl Simulator {
             now: SimTime::ZERO,
             cost_integral: 0.0,
             cost_at_last_action: 0.0,
-            actions: Vec::new(),
+            actions: DecisionTally::default(),
             num_events: 0,
             wasted_actions: 0,
             task_failures: 0,

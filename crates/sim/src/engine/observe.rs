@@ -41,11 +41,13 @@ impl Simulator {
             obs_buf_epoch,
             obs_buf: obs,
             now,
+            cost_integral,
             ..
         } = self;
         let rebuild = *obs_buf_epoch != jobs.epoch();
         let classes = &cluster.classes;
         obs.time = *now;
+        obs.cost = *cost_integral;
         obs.total_executors = execs.len();
         obs.num_classes = classes.len();
         obs.free_total = execs.avail_total();
@@ -206,6 +208,7 @@ impl Simulator {
 
         Observation {
             time: self.now,
+            cost: self.cost_integral,
             total_executors: self.execs.len(),
             num_classes,
             free_total,
@@ -242,6 +245,7 @@ pub fn obs_equal(a: &Observation, b: &Observation) -> Result<(), String> {
         }
     }
     same("time", &a.time, &b.time)?;
+    same("cost bits", &a.cost.to_bits(), &b.cost.to_bits())?;
     same("total_executors", &a.total_executors, &b.total_executors)?;
     same("num_classes", &a.num_classes, &b.num_classes)?;
     same("free_total", &a.free_total, &b.free_total)?;

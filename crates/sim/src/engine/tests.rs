@@ -1325,18 +1325,33 @@ proptest! {
     }
 }
 
+/// The rewards a trainer derives from the observations' `cost` — each
+/// decision's negated increase to the next, the tail after the last —
+/// are one per decision and sum to the negated total penalty.
 #[test]
 fn rewards_align_with_actions() {
-    let sim = Simulator::new(
+    let mut sim = Simulator::new(
         cluster(2),
         vec![one_stage_job(0, 2, 1.0, 0.0), one_stage_job(1, 2, 1.0, 1.0)],
         bare_cfg(),
     );
-    let r = sim.run(TestSched);
+    let mut costs = Vec::new();
+    while let Some(p) = sim.step() {
+        costs.push(p.observation().cost);
+        let action = TestSched.decide(p.observation());
+        assert!(action.is_some());
+        p.resume(action);
+    }
+    let r = sim.finish();
     assert!(!r.actions.is_empty());
-    let rewards = r.rewards();
-    assert_eq!(rewards.len(), r.actions.len());
-    // Total reward equals negative total penalty.
+    assert_eq!(costs.len(), r.actions.len());
+    assert_eq!(costs[0], 0.0, "the first decision is at the episode start");
+    let rewards: Vec<f64> = costs
+        .windows(2)
+        .map(|w| -(w[1] - w[0]))
+        .chain([-r.tail_penalty])
+        .collect();
+    assert!(rewards.iter().all(|&x| x <= 0.0));
     let sum: f64 = rewards.iter().sum();
     assert!((sum + r.total_penalty()).abs() < 1e-9);
 }

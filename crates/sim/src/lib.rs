@@ -44,7 +44,7 @@ pub use config::{Objective, SimConfig};
 pub use drift::DriftCounters;
 pub use dynamics::{DynamicsCounters, DynamicsSpec, Knob};
 pub use engine::{obs_equal, Pending, Simulator};
-pub use result::{ActionRecord, EpisodeOutcome, EpisodeResult, JobOutcome, MemCounters};
+pub use result::{DecisionTally, EpisodeOutcome, EpisodeResult, JobOutcome, MemCounters};
 pub use sched::{
     Action, JobObs, JobProfile, LimitScope, NodeObs, Observation, SchedulableGroups, Scheduler,
 };

@@ -1,23 +1,67 @@
-//! Episode results: per-action reward records, per-job outcomes, and
-//! aggregate metrics.
+//! Episode results: the decision tally, per-job outcomes, and aggregate
+//! metrics.
 
 use crate::drift::DriftCounters;
 use crate::dynamics::DynamicsCounters;
 use decima_core::{Gantt, JobId, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Reward bookkeeping for one agent decision.
+/// The decisions of an episode, folded into a fixed size as they are
+/// taken: how many, the penalty they accrued, and a digest of each one.
 ///
-/// `penalty_before` is the objective integral accumulated since the
-/// *previous* decision (or episode start), so the REINFORCE reward of
-/// action `k` is `r_k = -actions[k+1].penalty_before` shifted by one — the
-/// trainer handles the alignment; see `decima-rl`.
+/// A decision's penalty is the objective integral accrued since the
+/// previous decision (or the episode start). The per-decision stream
+/// itself is not kept: the trainer reads each decision's objective
+/// integral from the observation it recorded (`Observation::cost`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ActionRecord {
-    /// Wall-clock time of the decision.
-    pub time: SimTime,
-    /// Objective cost accrued since the previous decision.
-    pub penalty_before: f64,
+pub struct DecisionTally {
+    count: u64,
+    /// The penalties summed in decision order.
+    penalty: f64,
+    /// FNV-1a over each decision's `(time, penalty)` bits, in order.
+    digest: u64,
+}
+
+/// FNV-1a offset basis and prime (64-bit).
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Default for DecisionTally {
+    fn default() -> Self {
+        DecisionTally {
+            count: 0,
+            // `Iterator::sum`'s neutral element for floats.
+            penalty: -0.0,
+            digest: FNV_BASIS,
+        }
+    }
+}
+
+impl DecisionTally {
+    /// Folds in the next decision, taken at `time` with `penalty`
+    /// accrued since the previous one.
+    pub fn push(&mut self, time: SimTime, penalty: f64) {
+        self.count += 1;
+        self.penalty += penalty;
+        for word in [time.as_secs().to_bits(), penalty.to_bits()] {
+            self.digest = (self.digest ^ word).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Number of decisions.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True when the episode made no decision.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The decisions' penalties summed in decision order.
+    pub fn penalty(&self) -> f64 {
+        self.penalty
+    }
 }
 
 /// Outcome of one job.
@@ -25,8 +69,6 @@ pub struct ActionRecord {
 pub struct JobOutcome {
     /// Job identifier.
     pub id: JobId,
-    /// Display name.
-    pub name: String,
     /// Arrival time.
     pub arrival: SimTime,
     /// Completion time, if the job finished within the episode.
@@ -119,8 +161,8 @@ impl MemCounters {
 /// Everything measured during one simulated episode.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EpisodeResult {
-    /// One record per agent decision, in decision order.
-    pub actions: Vec<ActionRecord>,
+    /// The agent's decisions, tallied in decision order.
+    pub actions: DecisionTally,
     /// Objective cost accrued after the last decision until episode end.
     pub tail_penalty: f64,
     /// Per-job outcomes (all jobs, finished or not).
@@ -189,26 +231,10 @@ impl EpisodeResult {
         self.jobs.iter().filter(|j| j.failed).count()
     }
 
-    /// Total objective penalty of the episode (sum over actions + tail).
+    /// Total objective penalty of the episode (the decisions' penalties
+    /// summed in decision order, plus the tail).
     pub fn total_penalty(&self) -> f64 {
-        self.actions.iter().map(|a| a.penalty_before).sum::<f64>() + self.tail_penalty
-    }
-
-    /// Per-action rewards for REINFORCE: the negative cost accrued *after*
-    /// each action, i.e. reward of action `k` covers `(t_k, t_{k+1}]` with
-    /// the tail charged to the final action. Length equals `actions.len()`.
-    pub fn rewards(&self) -> Vec<f64> {
-        let n = self.actions.len();
-        let mut r = Vec::with_capacity(n);
-        for k in 0..n {
-            let cost = if k + 1 < n {
-                self.actions[k + 1].penalty_before
-            } else {
-                self.tail_penalty
-            };
-            r.push(-cost);
-        }
-        r
+        self.actions.penalty() + self.tail_penalty
     }
 
     /// Field-for-field comparison of everything the simulation
@@ -216,21 +242,18 @@ impl EpisodeResult {
     ///
     /// This is the differential oracle for the streaming job lifecycle:
     /// retirement-on and keep-everything runs of the same (spec, seed)
-    /// must satisfy `a.same_run(&b)`. Two fields are deliberately
-    /// excluded: [`EpisodeResult::mem`] (telemetry that legitimately
-    /// differs between the two modes — that difference is the feature)
-    /// and [`EpisodeResult::gantt`] (no equality; covered indirectly by
-    /// the action/job streams that generate it).
+    /// must satisfy `a.same_run(&b)`. The decisions compare through
+    /// their tally: the count, the summed penalty and the digest of
+    /// every decision's time and penalty bits. Two fields are
+    /// deliberately excluded: [`EpisodeResult::mem`] (telemetry that
+    /// legitimately differs between the two modes — that difference is
+    /// the feature) and [`EpisodeResult::gantt`] (no equality; covered
+    /// indirectly by the decision and job streams that generate it).
     pub fn same_run(&self, other: &EpisodeResult) -> Result<(), String> {
         if self.actions != other.actions {
             return Err(format!(
-                "actions differ: {} vs {} records (first mismatch at {:?})",
-                self.actions.len(),
-                other.actions.len(),
-                self.actions
-                    .iter()
-                    .zip(&other.actions)
-                    .position(|(a, b)| a != b)
+                "decisions differ: {:?} vs {:?}",
+                self.actions, other.actions
             ));
         }
         if self.tail_penalty.to_bits() != other.tail_penalty.to_bits() {
@@ -315,7 +338,6 @@ mod tests {
     fn outcome(id: u32, arrival: f64, completion: Option<f64>, work: f64) -> JobOutcome {
         JobOutcome {
             id: JobId(id),
-            name: format!("j{id}"),
             arrival: SimTime::from_secs(arrival),
             completion: completion.map(SimTime::from_secs),
             total_work: work,
@@ -343,24 +365,41 @@ mod tests {
         assert_eq!(r.unfinished(), 1);
     }
 
+    /// A tally of `(time, penalty)` decisions.
+    fn tally(decisions: &[(f64, f64)]) -> DecisionTally {
+        let mut t = DecisionTally::default();
+        for &(time, penalty) in decisions {
+            t.push(SimTime::from_secs(time), penalty);
+        }
+        t
+    }
+
     #[test]
-    fn rewards_shift_and_tail() {
+    fn the_tally_sums_penalties_and_tells_decisions_apart() {
+        let decisions = [(0.0, 0.5), (1.0, 3.0), (2.0, 1.5)];
         let r = EpisodeResult {
-            actions: vec![
-                ActionRecord {
-                    time: SimTime::from_secs(0.0),
-                    penalty_before: 0.0,
-                },
-                ActionRecord {
-                    time: SimTime::from_secs(1.0),
-                    penalty_before: 3.0,
-                },
-            ],
+            actions: tally(&decisions),
             tail_penalty: 4.0,
             ..Default::default()
         };
-        assert_eq!(r.rewards(), vec![-3.0, -4.0]);
-        assert_eq!(r.total_penalty(), 7.0);
+        assert_eq!(r.actions.len(), 3);
+        assert_eq!(r.total_penalty(), 9.0);
+        r.same_run(&r.clone()).expect("a run is its own run");
+
+        // One decision's time moved, or two decisions' penalties swapped:
+        // the same count and summed penalty, another run.
+        for other in [
+            [(0.0, 0.5), (1.25, 3.0), (2.0, 1.5)],
+            [(0.0, 0.5), (1.0, 1.5), (2.0, 3.0)],
+        ] {
+            let moved = EpisodeResult {
+                actions: tally(&other),
+                ..r.clone()
+            };
+            assert_eq!(moved.actions.len(), 3);
+            assert_eq!(moved.total_penalty(), r.total_penalty());
+            assert!(moved.same_run(&r).is_err(), "{other:?}");
+        }
     }
 
     #[test]
@@ -381,7 +420,7 @@ mod tests {
         let r = EpisodeResult::default();
         assert!(r.avg_jct().is_none());
         assert!(r.makespan().is_none());
-        assert!(r.rewards().is_empty());
+        assert!(r.actions.is_empty());
         assert_eq!(r.total_penalty(), 0.0);
         assert_eq!(r.failed(), 0);
         assert_eq!(r.dynamics, DynamicsCounters::default());

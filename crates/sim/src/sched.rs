@@ -174,6 +174,11 @@ impl JobObs {
 pub struct Observation {
     /// Current simulation time.
     pub time: SimTime,
+    /// The objective integral accrued from the episode start to `time`
+    /// (job-seconds under the average-JCT objective). The reward of a
+    /// decision is the negated increase to the next decision's `cost`
+    /// (§5.3); the trainer derives it from recorded observations.
+    pub cost: f64,
     /// Total executor slots in the cluster.
     pub total_executors: usize,
     /// Number of executor classes (1 in the single-resource setting).

@@ -428,8 +428,9 @@ proptest! {
 
     /// The streaming job lifecycle's differential contract: with job
     /// retirement on (the default), every observable field of the
-    /// episode result — action records, per-job outcomes,
-    /// `DynamicsCounters`, event counts, the penalty stream — is
+    /// episode result — the decision tally (count, summed penalty and
+    /// the digest of every decision's time and penalty bits), per-job
+    /// outcomes, `DynamicsCounters`, event counts — is
     /// bit-identical to the keep-everything engine
     /// ([`Simulator::retain_all`]), across random multi-class clusters
     /// with churn, bounded-retry failures, stragglers, and noise all

@@ -33,6 +33,8 @@ fn main() {
 
     let cluster = ClusterSpec::homogeneous(4); // 4 executors, 2.5 s move delay
     let cfg = SimConfig::default().with_gantt();
+    // Outcomes carry job ids; the names stay with the specs.
+    let job_names = [diamond.name.clone(), small.name.clone()];
 
     for (name, result) in [
         (
@@ -54,7 +56,7 @@ fn main() {
         for job in &result.jobs {
             println!(
                 "  {}: arrived {:.1}s, JCT {:.1}s",
-                job.name,
+                job_names[job.id.index()],
                 job.arrival.as_secs(),
                 job.jct().unwrap_or(f64::NAN)
             );

@@ -10,7 +10,7 @@ use decima::core::{ClusterSpec, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use decima::nn::ParamStore;
 use decima::policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
 use decima::rl::{EnvFactory, SpecEnv, TrainConfig, Trainer};
-use decima::sim::{Scheduler, SimConfig, Simulator};
+use decima::sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima::workload::{renumber, tpch_batch, tpch_stream, with_random_memory, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -132,9 +132,22 @@ fn memory_demands_respected_end_to_end() {
     for j in &r.jobs {
         assert_eq!(
             j.class_busy[0], 0.0,
-            "{}: task ran on an executor too small for it",
-            j.name
+            "{:?}: task ran on an executor too small for it",
+            j.id
         );
+    }
+}
+
+/// FIFO, keeping the objective integral of every decision it takes.
+struct Costs(Vec<f64>);
+
+impl Scheduler for Costs {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        let action = FifoScheduler.decide(obs);
+        if action.is_some() {
+            self.0.push(obs.cost);
+        }
+        action
     }
 }
 
@@ -166,8 +179,9 @@ proptest! {
 
         let total_work: f64 = jobs.iter().map(JobSpec::total_work).sum();
         let cluster = ClusterSpec::homogeneous(execs).with_move_delay(move_delay);
+        let mut sched = Costs(Vec::new());
         let r = Simulator::new(cluster, jobs, SimConfig::default().with_seed(seed))
-            .run(FifoScheduler);
+            .run(&mut sched);
 
         prop_assert_eq!(r.completed(), n_jobs);
         // Executed work ≥ static work (waves/inflation only inflate).
@@ -179,8 +193,12 @@ proptest! {
             let c = j.completion.unwrap();
             prop_assert!(c >= j.arrival);
         }
-        // Reward accounting is self-consistent.
-        let rewards: f64 = r.rewards().iter().sum();
+        // Reward accounting is self-consistent: the rewards derived from
+        // the decisions' objective integrals (the first is at t = 0) sum
+        // to the negated total penalty.
+        prop_assert_eq!(sched.0.len(), r.actions.len());
+        let rewards: f64 = sched.0.windows(2).map(|w| -(w[1] - w[0])).sum::<f64>()
+            - r.tail_penalty;
         prop_assert!((rewards + r.total_penalty()).abs() < 1e-6);
     }
 

@@ -66,7 +66,7 @@ fn quickstart_fair_sharing_helps_the_small_job() {
     let small_jct = |r: &EpisodeResult| {
         r.jobs
             .iter()
-            .find(|j| j.name == "small")
+            .find(|j| j.id == JobId(1))
             .and_then(|j| j.jct())
             .expect("small job completed")
     };
