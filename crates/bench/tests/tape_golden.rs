@@ -144,6 +144,52 @@ fn one_hot_gradient_matches_the_frozen_bits() {
     assert_eq!(got, (23, "048e39e62cad2b9a".to_string()));
 }
 
+/// One sampled `tpch_batch(4, 11)` episode on ten executors under the
+/// initial small policy in `cfg`, re-scored.
+fn small_arm_gradient_fnv(cfg: PolicyConfig) -> (usize, String) {
+    let (policy, store) = initial_policy(cfg);
+    recorded_gradient_fnv(
+        &policy,
+        &store,
+        ClusterSpec::homogeneous(10).with_move_delay(0.5),
+        shrunk(tpch_batch(4, 11)),
+        SimConfig::default().with_seed(2),
+    )
+}
+
+/// The no-GNN ablation: raw features and their per-job and global sums
+/// stand in for the embeddings.
+#[test]
+fn no_gnn_gradient_matches_the_frozen_bits() {
+    let got = small_arm_gradient_fnv(PolicyConfig {
+        gnn: None,
+        ..PolicyConfig::small(10)
+    });
+    assert_eq!(got, (31, "fb03cd7dc5efefa5".to_string()));
+}
+
+/// Stage-level limits: the limit floor comes from the stage's executors
+/// and every action is stage-scoped.
+#[test]
+fn stage_level_gradient_matches_the_frozen_bits() {
+    let got = small_arm_gradient_fnv(PolicyConfig {
+        parallelism: ParallelismMode::StageLevel,
+        ..PolicyConfig::small(10)
+    });
+    assert_eq!(got, (31, "1c320e6d0b304330".to_string()));
+}
+
+/// No parallelism control: the limit head is skipped, so the loss has
+/// the node term alone.
+#[test]
+fn disabled_limits_gradient_matches_the_frozen_bits() {
+    let got = small_arm_gradient_fnv(PolicyConfig {
+        parallelism: ParallelismMode::Disabled,
+        ..PolicyConfig::small(10)
+    });
+    assert_eq!(got, (26, "161649b2834bd00c".to_string()));
+}
+
 /// The paper's widths (16-wide embeddings, 32/16 hidden layers), so the
 /// 16- and 32-wide kernels are pinned at the policy level too.
 #[test]
