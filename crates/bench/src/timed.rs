@@ -84,9 +84,7 @@ mod tests {
         assert_eq!(timed.decision_times.len(), r.actions.len());
         assert!(timed.decision_times.windows(2).all(|w| w[0] <= w[1]));
 
-        let mut bare = agent();
-        let r_bare = sim().run(&mut bare);
-        assert_eq!(timed.inner.records, bare.records, "timing must not perturb");
-        assert_eq!(r.avg_jct(), r_bare.avg_jct());
+        r.same_run(&sim().run(agent()))
+            .expect("timing must not perturb");
     }
 }

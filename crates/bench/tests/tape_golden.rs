@@ -127,7 +127,9 @@ fn four_class_gradient_matches_the_frozen_bits() {
     assert_eq!(got, (28, "965247f6aa5d4160".to_string()));
 }
 
-/// The one-hot limit head (a `matmul` against a constant selector).
+/// The one-hot limit head (one `[y_i | z]` row scored, unit `v − 1`
+/// picked per limit `v`), frozen when it was a `matmul` against a
+/// constant 0/1 selector.
 #[test]
 fn one_hot_gradient_matches_the_frozen_bits() {
     let (policy, store) = initial_policy(PolicyConfig {

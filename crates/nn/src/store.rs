@@ -17,12 +17,13 @@ pub const PARAM_FORMAT_VERSION: u32 = 1;
 /// `Arc` it takes at `Tape::param`, a clone of the store (one per
 /// rollout or gradient worker) shares every value with the original,
 /// and [`ParamStore::value_mut`] copies a tensor only if someone else
-/// still holds it. `Tape::backward` accumulates `d(loss)/d(param)` into
+/// still holds it. The names are shared the same way: a clone copies
+/// no string. `Tape::backward` accumulates `d(loss)/d(param)` into
 /// `grads`; the optimizer consumes them and calls
 /// [`ParamStore::zero_grads`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
-    names: Vec<String>,
+    names: Arc<Vec<String>>,
     values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
 }
@@ -37,7 +38,7 @@ impl ParamStore {
     /// Empty store.
     pub fn new() -> Self {
         ParamStore {
-            names: Vec::new(),
+            names: Arc::new(Vec::new()),
             values: Vec::new(),
             grads: Vec::new(),
         }
@@ -46,7 +47,7 @@ impl ParamStore {
     /// Registers a parameter, returning its dense index.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> usize {
         let (r, c) = value.shape();
-        self.names.push(name.into());
+        Arc::make_mut(&mut self.names).push(name.into());
         self.values.push(Arc::new(value));
         self.grads.push(Tensor::zeros(r, c));
         self.values.len() - 1
@@ -207,7 +208,7 @@ impl ParamStore {
         }
         let missing: Vec<&str> = seen
             .iter()
-            .zip(&self.names)
+            .zip(self.names.iter())
             .filter(|(s, _)| !**s)
             .map(|(_, n)| n.as_str())
             .collect();

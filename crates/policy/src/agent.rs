@@ -1,32 +1,32 @@
-//! The scheduling agent: a [`DecimaPolicy`] driving the simulator.
+//! The scheduling agent: a [`DecimaPolicy`] driving the simulator, and
+//! the gradient pass over the decisions it recorded.
 //!
-//! Three modes cover the RL life cycle:
+//! A [`DecimaAgent`] decides greedily (argmax: evaluation) or by
+//! sampling from the policy with its own seeded RNG (rollouts). A
+//! greedy agent built with [`DecimaAgent::greedy_fast`] decides on the
+//! `f32` lane ([`InferSession`]) wherever that lane covers the
+//! configuration; every other decision is scored on the agent's kept
+//! `f64` tape.
 //!
-//! * **Sample** — rollout: actions are sampled from the policy and the
-//!   chosen indices are recorded.
-//! * **Greedy** — evaluation: argmax actions (used for testing snapshots).
-//! * **Replay** — gradient pass: the recorded indices are fed back while
-//!   the tape accumulates `advantage × ∇(−log π)` (plus an entropy bonus)
-//!   into the agent's parameter store. Replaying a deterministic episode
-//!   is what lets one-pass REINFORCE work without retaining every tape
-//!   (see `decima-rl`).
-//!
-//! A sampler built with [`DecimaAgent::recorder`] additionally captures
-//! every observation it decides on as a compact [`ReplayObs`] — the
-//! subset of fields the gradient forward actually reads. The gradient
-//! pass can then be driven directly from those stored observations via
-//! [`DecimaAgent::accumulate_from_observations`] — no second simulation
-//! of the episode is needed, which is how the trajectory-based trainer
-//! in `decima-rl` halves its per-iteration simulation work.
+//! A sampler built with [`DecimaAgent::recorder`] also keeps each
+//! decision's [`ActionChoice`] and the compact [`ReplayObs`] it decided
+//! on: the subset of fields the forward pass reads. [`GradientPass`]
+//! re-scores recorded decisions with the same tape scoring routine a
+//! decision runs, fed the recorded rows instead of picking its own, and
+//! accumulates Algorithm 1's loss gradient (§5.3);
+//! [`DecimaAgent::accumulate_from_observations`] runs it over a stored
+//! trajectory. Nothing schedules and nothing is simulated again during
+//! the gradient pass.
 
 use crate::infer::InferSession;
-use crate::policy::{argmax_logp, sample_from_logp, DecimaPolicy, ParallelismMode};
+use crate::policy::{Candidate, DecimaPolicy, ParallelismMode};
 use crate::replay::ReplayObs;
 use decima_core::{ClassId, StageId};
-use decima_nn::{ParamStore, Tape};
+use decima_gnn::GraphCache;
+use decima_nn::{ParamStore, Tape, TensorId};
 use decima_sim::{Action, Observation, Scheduler};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// The sampled indices of one decision (into the candidate/limit/class
@@ -41,43 +41,150 @@ pub struct ActionChoice {
     pub class: Option<usize>,
 }
 
-enum Mode {
-    Sample,
-    Greedy,
-    Replay {
-        choices: Vec<ActionChoice>,
-        advantages: Vec<f64>,
-        entropy_beta: f64,
-        step: usize,
-    },
+/// How [`score`] picks each head's row.
+enum Pick<'a> {
+    /// The highest log-probability; ties go to the last maximum.
+    Argmax,
+    /// A draw from the head's softmax.
+    Sample(&'a mut SmallRng),
+    /// The rows a recorded decision took.
+    Recorded(ActionChoice),
 }
 
-/// A Decima scheduling agent (policy + parameters + mode).
+impl Pick<'_> {
+    /// The row of the `[n, 1]` log-probability column `logp` to take;
+    /// `recorded` reads a recorded decision's row for this head.
+    fn row(&mut self, tape: &Tape, logp: TensorId, recorded: fn(&ActionChoice) -> usize) -> usize {
+        let t = tape.value(logp);
+        match self {
+            Pick::Argmax => (0..t.rows())
+                .max_by(|&a, &b| t.get(a, 0).total_cmp(&t.get(b, 0)))
+                .unwrap_or(0),
+            Pick::Sample(rng) => {
+                let u: f64 = rng.gen();
+                let mut acc = 0.0;
+                (0..t.rows())
+                    .find(|&i| {
+                        acc += t.get(i, 0).exp();
+                        u < acc
+                    })
+                    .unwrap_or(t.rows() - 1)
+            }
+            Pick::Recorded(choice) => recorded(choice),
+        }
+    }
+}
+
+/// One decision scored on the tape: its action, the rows picked, and
+/// the log-probability columns they were picked from.
+struct Scored {
+    action: Action,
+    choice: ActionChoice,
+    /// `(column, row)` per head that ran, node first; the first `heads`
+    /// entries are set (the limit head is skipped when parallelism
+    /// control is disabled, the class head on a single-class cluster or
+    /// when no class fits).
+    picked: [(TensorId, usize); 3],
+    heads: usize,
+}
+
+/// The tape lane: runs the node, limit and class heads on `tape` (reset
+/// first) and picks each head's row by `pick`. A recorded row out of
+/// range panics where it indexes its head.
+fn score(
+    policy: &DecimaPolicy,
+    store: &ParamStore,
+    tape: &mut Tape,
+    cache: &mut GraphCache,
+    obs: &Observation,
+    mut pick: Pick,
+) -> Scored {
+    tape.reset();
+    let fwd = policy.forward_nodes_cached(tape, store, obs, cache);
+    let node = pick.row(tape, fwd.node_logp, |c| c.node);
+    let cand = fwd.cands[node];
+    let mut picked = [(fwd.node_logp, node); 3];
+    let mut heads = 1;
+
+    let (limit, limit_row) = if policy.cfg.parallelism == ParallelismMode::Disabled {
+        (obs.total_executors, 0)
+    } else {
+        let lf = policy.forward_limits(tape, store, obs, &fwd, cand);
+        let row = pick.row(tape, lf.logp, |c| c.limit);
+        picked[heads] = (lf.logp, row);
+        heads += 1;
+        (lf.values[row], row)
+    };
+
+    let class = policy
+        .forward_classes(tape, store, obs, &fwd, cand)
+        .map(|cf| {
+            // A record without a class row has none in a class column.
+            let row = pick.row(tape, cf.logp, |c| c.class.unwrap_or(usize::MAX));
+            picked[heads] = (cf.logp, row);
+            heads += 1;
+            (row, ClassId(cf.classes[row] as u16))
+        });
+    Scored {
+        action: action(policy, obs, cand, limit, class.map(|(_, c)| c)),
+        choice: ActionChoice {
+            node,
+            limit: limit_row,
+            class: class.map(|(row, _)| row),
+        },
+        picked,
+        heads,
+    }
+}
+
+/// The action that schedules `cand` under `limit` (and on `class`).
+fn action(
+    policy: &DecimaPolicy,
+    obs: &Observation,
+    cand: Candidate,
+    limit: usize,
+    class: Option<ClassId>,
+) -> Action {
+    let mut action = Action::new(obs.jobs[cand.job_idx].id, StageId(cand.stage), limit);
+    if policy.cfg.parallelism == ParallelismMode::StageLevel {
+        action = action.stage_scoped();
+    }
+    match class {
+        Some(c) => action.with_class(c),
+        None => action,
+    }
+}
+
+/// The entropy (nats) of the softmax whose log-probabilities are `logp`.
+fn entropy(tape: &Tape, logp: TensorId) -> f64 {
+    tape.value(logp).data().iter().map(|&l| -l.exp() * l).sum()
+}
+
+/// A Decima scheduling agent: a policy, its parameters, and how it
+/// picks (argmax, or a sample from its RNG).
 pub struct DecimaAgent {
     /// The policy architecture (cheap to clone; references `store`).
     pub policy: DecimaPolicy,
-    /// Parameter values; in replay mode gradients accumulate into its
-    /// grad buffers.
+    /// Parameter values.
     pub store: ParamStore,
-    mode: Mode,
-    rng: SmallRng,
-    /// Clone each observation into `observations` (trajectory recording).
-    record_obs: bool,
-    /// Choices recorded during sampling, in decision order.
+    /// The sampling RNG; a greedy agent has none and takes the argmax.
+    rng: Option<SmallRng>,
+    /// Keep `records` and `observations` (a recorder).
+    record: bool,
+    /// The rows each decision picked, in decision order (only when
+    /// built with [`DecimaAgent::recorder`]).
     pub records: Vec<ActionChoice>,
     /// Compact observations recorded in decision order (only when built
     /// with [`DecimaAgent::recorder`]).
     pub observations: Vec<ReplayObs>,
-    /// Decisions taken so far.
-    steps: usize,
     /// Sum of node-softmax entropies observed (nats), for the trainer's
-    /// logging. A sampling/tape-lane quantity: the greedy `f32` lane
-    /// never reads an entropy and leaves this at zero — ask
+    /// logging. A tape-lane quantity: the greedy `f32` lane never reads
+    /// an entropy and leaves this at zero — ask
     /// [`InferSession::node_entropy`] for a fast-lane decision's.
     pub entropy_sum: f64,
     /// Cached static graph structure, reused across an episode's
     /// decisions and cleared at episode start.
-    cache: decima_gnn::GraphCache,
+    cache: GraphCache,
     /// The one tape every tape-lane decision of this agent is scored
     /// on: reset per decision, its buffers kept (see `decima_nn::tape`).
     tape: Tape,
@@ -87,43 +194,41 @@ pub struct DecimaAgent {
 }
 
 impl DecimaAgent {
-    fn with_mode(policy: DecimaPolicy, store: ParamStore, mode: Mode, seed: u64) -> Self {
-        let cache_cap = policy.cfg.graph_cache_cap;
+    fn new(policy: DecimaPolicy, store: ParamStore, rng: Option<SmallRng>, record: bool) -> Self {
+        let cache = GraphCache::with_cap(policy.cfg.graph_cache_cap);
         DecimaAgent {
             policy,
             store,
-            mode,
-            rng: SmallRng::seed_from_u64(seed),
-            record_obs: false,
+            rng,
+            record,
             records: Vec::new(),
             observations: Vec::new(),
-            steps: 0,
             entropy_sum: 0.0,
-            cache: decima_gnn::GraphCache::with_cap(cache_cap),
+            cache,
             tape: Tape::new(),
             infer: None,
         }
     }
 
-    /// Rollout agent: samples actions with the given seed.
+    /// Rollout agent: samples actions with the given seed and keeps
+    /// nothing per decision.
     pub fn sampler(policy: DecimaPolicy, store: ParamStore, seed: u64) -> Self {
-        Self::with_mode(policy, store, Mode::Sample, seed)
+        Self::new(policy, store, Some(SmallRng::seed_from_u64(seed)), false)
     }
 
     /// Trajectory-recording rollout agent: samples exactly like
-    /// [`DecimaAgent::sampler`] and additionally clones every observation
-    /// it decides on into [`DecimaAgent::observations`], so the gradient
-    /// pass can run from the stored trajectory without re-simulating.
+    /// [`DecimaAgent::sampler`] and also keeps every decision's rows in
+    /// [`DecimaAgent::records`] and the observation it decided on in
+    /// [`DecimaAgent::observations`], so the gradient pass can run from
+    /// the stored trajectory without re-simulating.
     pub fn recorder(policy: DecimaPolicy, store: ParamStore, seed: u64) -> Self {
-        let mut agent = Self::with_mode(policy, store, Mode::Sample, seed);
-        agent.record_obs = true;
-        agent
+        Self::new(policy, store, Some(SmallRng::seed_from_u64(seed)), true)
     }
 
     /// Evaluation agent: deterministic argmax actions on the exact
     /// `f64` tape path.
     pub fn greedy(policy: DecimaPolicy, store: ParamStore) -> Self {
-        Self::with_mode(policy, store, Mode::Greedy, 0)
+        Self::new(policy, store, None, false)
     }
 
     /// Evaluation agent on the tape-free `f32` fast path: pre-packs the
@@ -142,38 +247,12 @@ impl DecimaAgent {
         self.infer.is_some()
     }
 
-    /// Gradient-replay agent: feeds back `choices` while accumulating
-    /// `Σ_k advantages[k]·∇(−log π(a_k)) − β·∇H` into `store`'s gradient
-    /// buffers.
-    pub fn replayer(
-        policy: DecimaPolicy,
-        store: ParamStore,
-        choices: Vec<ActionChoice>,
-        advantages: Vec<f64>,
-        entropy_beta: f64,
-    ) -> Self {
-        assert_eq!(choices.len(), advantages.len(), "one advantage per step");
-        Self::with_mode(
-            policy,
-            store,
-            Mode::Replay {
-                choices,
-                advantages,
-                entropy_beta,
-                step: 0,
-            },
-            0,
-        )
-    }
-
-    /// The gradient pass without a simulator: feeds each stored
-    /// observation through the same forward/backward computation as a
-    /// live replay, accumulating `Σ_k advantages[k]·∇(−log π(a_k)) −
-    /// β·∇H` into the returned store's gradient buffers. Because the
-    /// stored observations carry every field the policy forward reads,
-    /// bit-for-bit, the result is bit-identical to replaying the episode
-    /// through the simulator — with zero simulation work. A single
-    /// scratch [`Observation`] is reused across the whole trajectory.
+    /// The gradient pass over a stored trajectory: a [`GradientPass`]
+    /// fed each stored observation, written back into one reused
+    /// scratch [`Observation`], with its recorded choice and advantage.
+    /// Because the stored observations carry every field the forward
+    /// pass reads, bit for bit, the result is bit-identical to the pass
+    /// over the live observations — with zero simulation work.
     pub fn accumulate_from_observations(
         policy: DecimaPolicy,
         store: ParamStore,
@@ -187,23 +266,14 @@ impl DecimaAgent {
             choices.len(),
             "one observation per choice"
         );
-        let mut agent = Self::replayer(policy, store, choices, advantages, entropy_beta);
-        agent.on_episode_start();
+        assert_eq!(choices.len(), advantages.len(), "one advantage per step");
+        let mut pass = GradientPass::new(policy, store, entropy_beta);
         let mut scratch = Observation::default();
-        for obs in observations {
+        for ((obs, choice), advantage) in observations.iter().zip(choices).zip(advantages) {
             obs.write_into(&mut scratch);
-            let _ = agent.decide(&scratch);
+            pass.add(&scratch, choice, advantage);
         }
-        agent.store
-    }
-
-    /// Number of decisions taken so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    fn scalar_entropy(tape: &Tape, logp: decima_nn::TensorId) -> f64 {
-        tape.value(logp).data().iter().map(|&l| -l.exp() * l).sum()
+        pass.finish()
     }
 }
 
@@ -219,137 +289,98 @@ impl Scheduler for DecimaAgent {
     }
 
     fn decide(&mut self, obs: &Observation) -> Option<Action> {
-        if self.record_obs {
+        if self.record {
             self.observations.push(ReplayObs::from_observation(obs));
         }
         if let Some(session) = &mut self.infer {
-            // The tape-free `f32` lane (greedy mode, supported
-            // configuration).
             let fd = session.decide_greedy(&self.policy, obs, &mut self.cache);
-            self.steps += 1;
-            let mut action = Action::new(
-                obs.jobs[fd.cand.job_idx].id,
-                StageId(fd.cand.stage),
-                fd.limit,
-            );
-            if self.policy.cfg.parallelism == ParallelismMode::StageLevel {
-                action = action.stage_scoped();
-            }
-            return Some(action);
+            return Some(action(&self.policy, obs, fd.cand, fd.limit, None));
         }
-        self.tape.reset();
-        let tape = &mut self.tape;
-        let fwd = self
-            .policy
-            .forward_nodes_cached(tape, &self.store, obs, &mut self.cache);
-        self.entropy_sum += Self::scalar_entropy(tape, fwd.node_logp);
-
-        // In replay, the recorded step: its choice, advantage and β.
-        let replay = match &mut self.mode {
-            Mode::Replay {
-                choices,
-                advantages,
-                entropy_beta,
-                step,
-            } => {
-                if *step >= choices.len() {
-                    // Defensive: a diverged replay ends the episode's
-                    // scheduling rather than panicking mid-training.
-                    debug_assert!(false, "replay ran past its recorded choices");
-                    return None;
-                }
-                *step += 1;
-                Some((choices[*step - 1], advantages[*step - 1], *entropy_beta))
-            }
-            _ => None,
+        let pick = match &mut self.rng {
+            Some(rng) => Pick::Sample(rng),
+            None => Pick::Argmax,
         };
-        // One row of a `[n,1]` log-probability column: the recorded one
-        // (held to the rows this step has), the argmax, or a sample.
-        let greedy = matches!(self.mode, Mode::Greedy);
-        let rng = &mut self.rng;
-        let mut pick = |tape: &Tape, logp, recorded: Option<usize>| match recorded {
-            Some(row) => row.min(tape.value(logp).rows() - 1),
-            None if greedy => argmax_logp(tape, logp),
-            None => sample_from_logp(tape, logp, rng),
-        };
-
-        // Pick the stage.
-        let node_idx = pick(tape, fwd.node_logp, replay.map(|(ch, ..)| ch.node));
-        let cand = fwd.cands[node_idx];
-
-        // Pick the parallelism limit.
-        let skip_limits = self.policy.cfg.parallelism == ParallelismMode::Disabled;
-        let (limit, limit_idx, limit_fwd) = if skip_limits {
-            (obs.total_executors, 0, None)
-        } else {
-            let lf = self
-                .policy
-                .forward_limits(tape, &self.store, obs, &fwd, cand);
-            let li = pick(tape, lf.logp, replay.map(|(ch, ..)| ch.limit));
-            (lf.values[li], li, Some(lf))
-        };
-
-        // Pick the executor class (multi-resource only).
-        let class_fwd = self
-            .policy
-            .forward_classes(tape, &self.store, obs, &fwd, cand);
-        let (class, class_idx) = match &class_fwd {
-            Some(cf) => {
-                let recorded = replay.map(|(ch, ..)| ch.class.unwrap_or(0));
-                let ci = pick(tape, cf.logp, recorded);
-                (Some(ClassId(cf.classes[ci] as u16)), Some(ci))
-            }
-            None => (None, None),
-        };
-
-        // Gradient accumulation (replay) or record keeping (sample).
-        match replay {
-            Some((_, adv, beta)) => {
-                // loss = −adv·log π(a) − β·H(node softmax)
-                let node_term = tape.pick(fwd.node_logp, node_idx, 0);
-                let mut logp_terms = [node_term; 3];
-                let mut terms = 1;
-                if let Some(lf) = &limit_fwd {
-                    logp_terms[terms] = tape.pick(lf.logp, limit_idx, 0);
-                    terms += 1;
-                }
-                if let (Some(cf), Some(ci)) = (&class_fwd, class_idx) {
-                    logp_terms[terms] = tape.pick(cf.logp, ci, 0);
-                    terms += 1;
-                }
-                let cat = tape.concat_rows(&logp_terms[..terms]);
-                let logp = tape.sum_all(cat);
-                let mut loss = tape.scale(logp, -adv);
-                if beta != 0.0 {
-                    let p = tape.exp(fwd.node_logp);
-                    let pl = tape.mul(p, fwd.node_logp);
-                    let neg_h = tape.sum_all(pl); // = −H
-                    let ent_term = tape.scale(neg_h, beta);
-                    loss = tape.add(loss, ent_term);
-                }
-                tape.backward(loss, 1.0, &mut self.store);
-            }
-            None if !greedy => self.records.push(ActionChoice {
-                node: node_idx,
-                limit: limit_idx,
-                class: class_idx,
-            }),
-            None => {}
+        let scored = score(
+            &self.policy,
+            &self.store,
+            &mut self.tape,
+            &mut self.cache,
+            obs,
+            pick,
+        );
+        self.entropy_sum += entropy(&self.tape, scored.picked[0].0);
+        if self.record {
+            self.records.push(scored.choice);
         }
-
-        self.steps += 1;
-        let mut action = Action::new(obs.jobs[cand.job_idx].id, StageId(cand.stage), limit);
-        if self.policy.cfg.parallelism == ParallelismMode::StageLevel {
-            action = action.stage_scoped();
-        }
-        if let Some(c) = class {
-            action = action.with_class(c);
-        }
-        Some(action)
+        Some(scored.action)
     }
 
     fn name(&self) -> &str {
         "decima"
+    }
+}
+
+/// The gradient pass of Algorithm 1 (§5.3): each
+/// [`add`](GradientPass::add) re-scores one recorded decision on a kept
+/// tape and accumulates `advantage·∇(−log π(a)) − β·∇H` (`H` the node
+/// softmax's entropy) into the store's gradient buffers.
+pub struct GradientPass {
+    policy: DecimaPolicy,
+    store: ParamStore,
+    entropy_beta: f64,
+    cache: GraphCache,
+    tape: Tape,
+}
+
+impl GradientPass {
+    /// A pass accumulating into `store`'s gradient buffers with entropy
+    /// weight `entropy_beta`.
+    pub fn new(policy: DecimaPolicy, store: ParamStore, entropy_beta: f64) -> Self {
+        let cache = GraphCache::with_cap(policy.cfg.graph_cache_cap);
+        GradientPass {
+            policy,
+            store,
+            entropy_beta,
+            cache,
+            tape: Tape::new(),
+        }
+    }
+
+    /// Re-scores the decision that took the rows `choice` on `obs` and
+    /// accumulates its loss gradient, weighted by `advantage`. Panics if
+    /// a row of `choice` is out of range on `obs`.
+    pub fn add(&mut self, obs: &Observation, choice: ActionChoice, advantage: f64) {
+        let s = score(
+            &self.policy,
+            &self.store,
+            &mut self.tape,
+            &mut self.cache,
+            obs,
+            Pick::Recorded(choice),
+        );
+        let tape = &mut self.tape;
+        // loss = −adv·log π(a) − β·H(node softmax)
+        let node_logp = s.picked[0].0;
+        let mut terms = [node_logp; 3];
+        for (term, &(logp, row)) in terms.iter_mut().zip(&s.picked[..s.heads]) {
+            *term = tape.pick(logp, row, 0);
+        }
+        let cat = tape.concat_rows(&terms[..s.heads]);
+        let logp = tape.sum_all(cat);
+        let mut loss = tape.scale(logp, -advantage);
+        if self.entropy_beta != 0.0 {
+            let p = tape.exp(node_logp);
+            let pl = tape.mul(p, node_logp);
+            let neg_h = tape.sum_all(pl); // = −H
+            let ent_term = tape.scale(neg_h, self.entropy_beta);
+            loss = tape.add(loss, ent_term);
+        }
+        tape.backward(loss, 1.0, &mut self.store);
+    }
+
+    /// The store, its gradient buffers holding the pass's sum.
+    pub fn finish(self) -> ParamStore {
+        self.store
     }
 }
 
@@ -383,19 +414,23 @@ mod tests {
         ]
     }
 
+    fn small_sim(seed: u64) -> Simulator {
+        Simulator::new(
+            ClusterSpec::homogeneous(5).with_move_delay(0.5),
+            tiny_batch(),
+            SimConfig::default().with_seed(seed),
+        )
+    }
+
     #[test]
     fn sampling_episode_completes_and_records() {
         let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-        let mut agent = DecimaAgent::sampler(policy, store, 42);
-        let sim = Simulator::new(
-            ClusterSpec::homogeneous(5).with_move_delay(0.5),
-            tiny_batch(),
-            SimConfig::default().with_seed(1),
-        );
-        let r = sim.run(&mut agent);
+        let mut agent = DecimaAgent::recorder(policy, store, 42);
+        let r = small_sim(1).run(&mut agent);
         assert_eq!(r.completed(), 2, "all jobs must finish");
         assert!(!agent.records.is_empty());
         assert_eq!(agent.records.len(), r.actions.len());
+        assert_eq!(agent.observations.len(), r.actions.len());
         assert!(r.wasted_actions == 0, "every action must assign work");
     }
 
@@ -403,99 +438,60 @@ mod tests {
     fn same_seed_same_trajectory() {
         let run = |seed| {
             let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-            let mut agent = DecimaAgent::sampler(policy, store, seed);
-            let sim = Simulator::new(
-                ClusterSpec::homogeneous(5).with_move_delay(0.5),
-                tiny_batch(),
-                SimConfig::default().with_seed(1),
-            );
-            let r = sim.run(&mut agent);
-            (r.avg_jct().unwrap(), agent.records.len())
+            small_sim(1).run(DecimaAgent::sampler(policy, store, seed))
         };
-        assert_eq!(run(7), run(7));
+        let base = run(7);
+        base.same_run(&run(7)).expect("same seed, same run");
         // Across a handful of seeds, at least one trajectory must differ
         // (the policy is stochastic).
-        let base = run(7);
         assert!(
-            (0..6).any(|s| run(s) != base),
+            (0..6).any(|s| run(s).same_run(&base).is_err()),
             "sampling produced identical trajectories for every seed"
-        );
-    }
-
-    #[test]
-    fn replay_reproduces_the_sampled_episode_and_accumulates_grads() {
-        let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-        let mut sampler = DecimaAgent::sampler(policy.clone(), store.clone(), 42);
-        let mk_sim = || {
-            Simulator::new(
-                ClusterSpec::homogeneous(5).with_move_delay(0.5),
-                tiny_batch(),
-                SimConfig::default().with_seed(1),
-            )
-        };
-        let r1 = mk_sim().run(&mut sampler);
-
-        let advantages = vec![1.0; sampler.records.len()];
-        let mut replayer =
-            DecimaAgent::replayer(policy, store, sampler.records.clone(), advantages, 0.01);
-        let r2 = mk_sim().run(&mut replayer);
-        assert_eq!(r1.avg_jct(), r2.avg_jct(), "replay must be bit-faithful");
-        assert_eq!(r1.actions.len(), r2.actions.len());
-        assert!(
-            replayer.store.grad_norm() > 0.0,
-            "replay must accumulate gradients"
         );
     }
 
     #[test]
     fn recorder_matches_sampler_and_stores_observations() {
         let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-        let mk_sim = || {
-            Simulator::new(
-                ClusterSpec::homogeneous(5).with_move_delay(0.5),
-                tiny_batch(),
-                SimConfig::default().with_seed(1),
-            )
-        };
         let mut sampler = DecimaAgent::sampler(policy.clone(), store.clone(), 42);
-        let r1 = mk_sim().run(&mut sampler);
+        let r1 = small_sim(1).run(&mut sampler);
         let mut recorder = DecimaAgent::recorder(policy, store, 42);
-        let r2 = mk_sim().run(&mut recorder);
-        assert_eq!(r1.avg_jct(), r2.avg_jct(), "recording must not perturb");
-        assert_eq!(sampler.records, recorder.records);
+        let r2 = small_sim(1).run(&mut recorder);
+        r1.same_run(&r2).expect("recording must not perturb");
+        assert_eq!(recorder.records.len(), r2.actions.len());
         assert_eq!(recorder.observations.len(), recorder.records.len());
-        assert!(sampler.observations.is_empty());
+        assert!(sampler.records.is_empty() && sampler.observations.is_empty());
     }
 
-    /// The tentpole invariant: the gradient computed from stored
-    /// observations is bit-identical to the gradient from replaying the
-    /// episode through the simulator.
+    /// The recorder's own episode, stepped by hand: every observation
+    /// it decided on, cloned live, and the agent.
+    fn record_live(agent: DecimaAgent, mut sim: Simulator) -> (DecimaAgent, Vec<Observation>) {
+        let mut agent = agent;
+        let mut live = Vec::new();
+        agent.on_episode_start();
+        while let Some(pending) = sim.step() {
+            live.push(pending.observation().clone());
+            let action = agent.decide(pending.observation());
+            pending.resume(action);
+        }
+        (agent, live)
+    }
+
+    /// The gradient computed from stored observations is bit-identical
+    /// to the gradient from the live observations they were taken from.
     #[test]
-    fn stored_observation_gradient_matches_simulator_replay() {
+    fn stored_observation_gradient_matches_live_observations() {
         let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
-        let mk_sim = || {
-            Simulator::new(
-                ClusterSpec::homogeneous(5).with_move_delay(0.5),
-                tiny_batch(),
-                SimConfig::default().with_seed(1),
-            )
-        };
-        let mut recorder = DecimaAgent::recorder(policy.clone(), store.clone(), 42);
-        let _ = mk_sim().run(&mut recorder);
-        let advantages: Vec<f64> = (0..recorder.records.len())
-            .map(|k| (k as f64 * 0.37).sin())
-            .collect();
+        let recorder = DecimaAgent::recorder(policy.clone(), store.clone(), 42);
+        let (recorder, live) = record_live(recorder, small_sim(1));
+        let advantages: Vec<f64> = (0..live.len()).map(|k| (k as f64 * 0.37).sin()).collect();
 
-        let mut replayer = DecimaAgent::replayer(
-            policy.clone(),
-            store.clone(),
-            recorder.records.clone(),
-            advantages.clone(),
-            0.03,
-        );
-        let _ = mk_sim().run(&mut replayer);
-
-        let from_obs = DecimaAgent::accumulate_from_observations(
+        let mut pass = GradientPass::new(policy.clone(), store.clone(), 0.03);
+        for ((obs, &choice), &adv) in live.iter().zip(&recorder.records).zip(&advantages) {
+            pass.add(obs, choice, adv);
+        }
+        let from_live = pass.finish();
+        let from_stored = DecimaAgent::accumulate_from_observations(
             policy,
             store,
             &recorder.observations,
@@ -503,15 +499,33 @@ mod tests {
             advantages,
             0.03,
         );
-        assert!(from_obs.grad_norm() > 0.0);
-        for i in 0..from_obs.len() {
-            let a = replayer.store.grad(i).data();
-            let b = from_obs.grad(i).data();
+        assert!(from_stored.grad_norm() > 0.0);
+        for i in 0..from_stored.len() {
+            let a = from_live.grad(i).data();
+            let b = from_stored.grad(i).data();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "param {i} gradient differs");
             }
         }
+    }
+
+    /// A recorded row the observation has no row for is an error in the
+    /// record, not a row to clamp to.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_recorded_row_out_of_range_panics() {
+        let (policy, store) = make_policy(5, ParallelismMode::JobLevel);
+        let (_, live) = record_live(
+            DecimaAgent::greedy(policy.clone(), store.clone()),
+            small_sim(1),
+        );
+        let choice = ActionChoice {
+            node: live[0].schedulable.len(),
+            limit: 0,
+            class: None,
+        };
+        GradientPass::new(policy, store, 0.0).add(&live[0], choice, 1.0);
     }
 
     /// A scheduler wrapper that records every action it forwards —

@@ -13,7 +13,7 @@
 //! * **Exact-enough.** Logits diverge from the `f64` reference only by
 //!   `f32` rounding (bounded at 1e-4 relative error by the differential
 //!   suites); argmax ties break identically (last maximum wins, the
-//!   same rule as [`crate::policy::argmax_logp`], and `log_softmax` is
+//!   same rule as the tape lane's argmax, and `log_softmax` is
 //!   monotonic so raw scores order exactly like log-probabilities).
 //! * **Narrow.** Only the greedy single-class configurations evaluation
 //!   actually uses are supported; [`InferSession::try_new`] returns

@@ -15,7 +15,7 @@ use decima_gnn::{
     Embeddings, FeatureConfig, GnnConfig, GnnEncoder, GraphCache, GraphInput, FEAT_DIM,
     GRAPH_CACHE_CAP,
 };
-use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
+use decima_nn::{Activation, Mlp, ParamStore, Tape, TensorId};
 use decima_sim::Observation;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -144,29 +144,7 @@ pub struct PolicyForward {
     pub node_logp: TensorId,
     /// The candidates, aligned with `node_logp` rows.
     pub cands: Vec<Candidate>,
-    emb: EmbeddingsOrRaw,
-}
-
-enum EmbeddingsOrRaw {
-    Gnn(Embeddings),
-    Raw {
-        nodes: TensorId,
-        jobs: TensorId,
-        global: TensorId,
-    },
-}
-
-impl EmbeddingsOrRaw {
-    fn parts(&self) -> (TensorId, TensorId, TensorId) {
-        match self {
-            EmbeddingsOrRaw::Gnn(e) => (e.nodes, e.jobs, e.global),
-            EmbeddingsOrRaw::Raw {
-                nodes,
-                jobs,
-                global,
-            } => (*nodes, *jobs, *global),
-        }
-    }
+    emb: Embeddings,
 }
 
 /// Limit head output: log-probs over the valid limit values.
@@ -258,7 +236,7 @@ impl DecimaPolicy {
         );
         let graph: GraphInput = self.cfg.feat.graph_input_cached(obs, cache);
         let emb = match &self.encoder {
-            Some(enc) => EmbeddingsOrRaw::Gnn(enc.forward(tape, store, &graph)),
+            Some(enc) => enc.forward(tape, store, &graph),
             None => {
                 // Ablation: raw features as "embeddings", with per-job and
                 // global raw aggregates standing in for y_i and z. The
@@ -267,7 +245,7 @@ impl DecimaPolicy {
                 let seg = tape.constant(graph.structure.job_seg());
                 let jobs = tape.matmul(seg, nodes);
                 let global = tape.sum_rows(jobs);
-                EmbeddingsOrRaw::Raw {
+                Embeddings {
                     nodes,
                     jobs,
                     global,
@@ -275,7 +253,6 @@ impl DecimaPolicy {
             }
         };
 
-        let (e_nodes, e_jobs, e_glob) = emb.parts();
         let cands: Vec<Candidate> = obs
             .schedulable
             .iter()
@@ -287,9 +264,9 @@ impl DecimaPolicy {
         let node_rows = cands
             .iter()
             .map(|c| graph.jobs()[c.job_idx].node_offset + c.stage as usize);
-        let ev = tape.gather_rows(e_nodes, node_rows);
-        let yi = tape.gather_rows(e_jobs, cands.iter().map(|c| c.job_idx));
-        let z = tape.gather_rows(e_glob, repeat(0).take(cands.len()));
+        let ev = tape.gather_rows(emb.nodes, node_rows);
+        let yi = tape.gather_rows(emb.jobs, cands.iter().map(|c| c.job_idx));
+        let z = tape.gather_rows(emb.global, repeat(0).take(cands.len()));
         let qin = tape.concat_cols(&[ev, yi, z]);
         let scores = self.q_net.forward(tape, store, qin);
         let node_logp = tape.log_softmax_col(scores);
@@ -335,44 +312,35 @@ impl DecimaPolicy {
         cand: Candidate,
     ) -> LimitForward {
         let values = self.limit_values(obs, cand);
-        let (_, e_jobs, e_glob) = fwd.emb.parts();
-        let l = values.len();
-        let yi = tape.gather_rows(e_jobs, repeat(cand.job_idx).take(l));
-        let z = tape.gather_rows(e_glob, repeat(0).take(l));
-
         // `new` builds the one-hot head in `ParallelismMode::OneHot` and in
-        // no other mode, so the head's presence is the mode.
-        let logp = match &self.w_onehot {
+        // no other mode, so the head's presence is the mode. It scores
+        // every limit from one `[y_i | z]` row: the unit `v − 1` is limit
+        // `v`. The limit-as-input head scores one row per limit.
+        let rows = if self.w_onehot.is_some() {
+            1
+        } else {
+            values.len()
+        };
+        let yi = tape.gather_rows(fwd.emb.jobs, repeat(cand.job_idx).take(rows));
+        let z = tape.gather_rows(fwd.emb.global, repeat(0).take(rows));
+        let scores = match &self.w_onehot {
             Some(net) => {
                 let win = tape.concat_cols(&[yi, z]);
-                let all = net.forward(tape, store, win); // [l, total] (row-repeated)
-                                                         // Select each valid limit's unit from the first row.
-                let first = tape.gather_rows(all, [0]);
-                let t = values.len();
-                let mut sel = Tensor::zeros(self.cfg.total_executors, t);
-                for (i, &v) in values.iter().enumerate() {
-                    sel.set(v - 1, i, 1.0);
-                }
-                let sel = tape.input(sel);
-                let picked = tape.matmul(first, sel); // [1, t]
-                                                      // To a column for log_softmax_col: gather transpose.
-                let mut cols = Vec::with_capacity(t);
-                for i in 0..t {
-                    cols.push(tape.pick(picked, 0, i));
-                }
-                let col = tape.concat_rows(&cols);
-                tape.log_softmax_col(col)
+                let units = net.forward(tape, store, win); // [1, total_executors]
+                let picked: Vec<TensorId> =
+                    values.iter().map(|&v| tape.pick(units, 0, v - 1)).collect();
+                tape.concat_rows(&picked)
             }
             None => {
                 let lnorm = values
                     .iter()
                     .map(|&v| v as f64 / self.cfg.total_executors as f64);
-                let lcol = tape.input_from(l, 1, lnorm);
+                let lcol = tape.input_from(rows, 1, lnorm);
                 let win = tape.concat_cols(&[yi, z, lcol]);
-                let scores = self.w_net.forward(tape, store, win);
-                tape.log_softmax_col(scores)
+                self.w_net.forward(tape, store, win)
             }
         };
+        let logp = tape.log_softmax_col(scores);
         LimitForward { logp, values }
     }
 
@@ -394,10 +362,9 @@ impl DecimaPolicy {
         if classes.is_empty() {
             return None;
         }
-        let (_, e_jobs, e_glob) = fwd.emb.parts();
         let k = classes.len();
-        let yi = tape.gather_rows(e_jobs, repeat(cand.job_idx).take(k));
-        let z = tape.gather_rows(e_glob, repeat(0).take(k));
+        let yi = tape.gather_rows(fwd.emb.jobs, repeat(cand.job_idx).take(k));
+        let z = tape.gather_rows(fwd.emb.global, repeat(0).take(k));
         let mem = classes.iter().map(|&c| obs.class_memory[c]);
         let free = classes
             .iter()
@@ -409,28 +376,6 @@ impl DecimaPolicy {
         let logp = tape.log_softmax_col(scores);
         Some(ClassForward { logp, classes })
     }
-}
-
-/// Samples an index from a `[n,1]` log-probability column.
-pub fn sample_from_logp(tape: &Tape, logp: TensorId, rng: &mut impl Rng) -> usize {
-    let t = tape.value(logp);
-    let u: f64 = rng.gen();
-    let mut acc = 0.0;
-    for i in 0..t.rows() {
-        acc += t.get(i, 0).exp();
-        if u < acc {
-            return i;
-        }
-    }
-    t.rows() - 1
-}
-
-/// Argmax index of a `[n,1]` log-probability column.
-pub fn argmax_logp(tape: &Tape, logp: TensorId) -> usize {
-    let t = tape.value(logp);
-    (0..t.rows())
-        .max_by(|&a, &b| t.get(a, 0).total_cmp(&t.get(b, 0)))
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

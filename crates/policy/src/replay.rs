@@ -113,7 +113,7 @@ impl ReplayObs {
         }
     }
 
-    /// Number of decisions' worth of jobs stored.
+    /// Number of jobs active at the decision.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
     }

@@ -1,5 +1,6 @@
 //! The tape lane's steady state does not allocate: a decision re-scored
-//! on the agent's kept tape, and a recorded rollout decision, each stay
+//! by a `GradientPass` on its kept tape, and a recorded rollout decision,
+//! each stay
 //! under a small pinned number of heap allocations (the old
 //! tape-per-decision execution made 814 and 315). Counted by the
 //! workspace's counting `#[global_allocator]`
@@ -8,7 +9,7 @@
 
 use decima_core::ClusterSpec;
 use decima_nn::ParamStore;
-use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
+use decima_policy::{DecimaAgent, DecimaPolicy, GradientPass, PolicyConfig};
 use decima_sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima_workload::tpch_batch;
 use rand::rngs::SmallRng;
@@ -89,18 +90,11 @@ fn steady_state_decisions_stay_under_their_allocation_pins() {
 
     // A gradient decision: forward, loss, backward, on the kept tape.
     let choice = recorder.records[0];
-    let mut replayer = DecimaAgent::replayer(
-        policy,
-        store,
-        vec![choice; DECISIONS],
-        vec![0.5; DECISIONS],
-        0.03,
-    );
-    replayer.on_episode_start();
+    let mut pass = GradientPass::new(policy, store, 0.03);
     let gradient = per_decision("gradient", DECISIONS, || {
-        replayer.decide(&obs);
+        pass.add(&obs, choice, 0.5);
     });
-    assert!(replayer.store.grad_norm() > 0.0);
+    assert!(pass.finish().grad_norm() > 0.0);
 
     let steady = |counts: &[u64]| counts[WARM_UP..].iter().copied().max().unwrap_or(0);
     assert!(

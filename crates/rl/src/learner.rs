@@ -4,8 +4,8 @@
 //!
 //! The gradient pass consumes [`Trajectory`] records directly — the
 //! stored observations are re-scored by the policy with no simulator in
-//! the loop. Its equivalence to replaying every episode through a second
-//! simulation is proved per rollout in `crates/rl/tests/equivalence.rs`.
+//! the loop. Its equivalence to the same pass over the live
+//! observations is proved per rollout in `crates/rl/tests/equivalence.rs`.
 
 use crate::baseline::{returns_to_go, time_aligned_baselines, MovingAvg, ReturnSeries};
 use crate::trainer::TrainConfig;

@@ -5,8 +5,8 @@
 //! per-decision observations, the sampled action indices, the episode
 //! outcome, and the summed policy entropy — so the learner can
 //! recompute forwards directly from stored data instead of
-//! re-simulating the episode. This is what halves the per-iteration
-//! simulation work relative to the old replay-by-resimulation design.
+//! re-simulating the episode, which halves the per-iteration
+//! simulation work a second simulation would cost.
 //!
 //! The rewards live here too: each stored observation keeps the time
 //! and the objective integral of its decision, so the reward stream is

@@ -1,17 +1,20 @@
-//! Equivalence of the trajectory-driven gradient pass with a
-//! replay-by-resimulation reference, over randomized tiny workloads:
-//! the gradient accumulated from a trajectory's stored observations
-//! equals the gradient from replaying the episode through a second
-//! simulation ([`DecimaAgent::replayer`]), bit for bit, for every
-//! parameter tensor.
+//! Equivalence of the gradient pass over a trajectory's stored
+//! observations with the pass over the live observations they were
+//! taken from, over randomized tiny workloads: the recorder's own
+//! episode is stepped by hand, each observation it decides on is cloned
+//! live, and the gradient from those clones must equal
+//! [`DecimaAgent::accumulate_from_observations`] on the stored
+//! [`decima_policy::ReplayObs`], bit for bit, for every parameter
+//! tensor. Any policy-visible field `ReplayObs::write_into` failed to
+//! restore would show here.
 //!
 //! Whole iterations are pinned by the frozen golden in
 //! `trainer::tests::two_iterations_match_the_frozen_golden`.
 
 use decima_nn::ParamStore;
-use decima_policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
+use decima_policy::{DecimaAgent, DecimaPolicy, GradientPass, PolicyConfig};
 use decima_rl::{EnvFactory, SpecEnv, Trajectory};
-use decima_sim::Simulator;
+use decima_sim::{Observation, Scheduler, Simulator};
 use decima_workload::WorkloadSpec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -24,24 +27,33 @@ fn tiny_policy(execs: usize, init_seed: u64) -> (DecimaPolicy, ParamStore) {
     (policy, store)
 }
 
-/// Rolls out one recording episode of `env` without the trainer.
+/// Rolls out one recording episode of `env` without the trainer,
+/// stepping it by hand to keep a live clone of every observation.
 fn rollout(
     env: &SpecEnv,
     policy: &DecimaPolicy,
     store: &ParamStore,
     seq_seed: u64,
     act_seed: u64,
-) -> Trajectory {
+) -> (Trajectory, Vec<Observation>) {
     let (cluster, jobs, cfg) = env.build(seq_seed);
     let mut agent = DecimaAgent::recorder(policy.clone(), store.clone(), act_seed);
-    let result = Simulator::new(cluster, jobs, cfg).run(&mut agent);
-    Trajectory {
+    let mut sim = Simulator::new(cluster, jobs, cfg);
+    let mut live = Vec::new();
+    agent.on_episode_start();
+    while let Some(pending) = sim.step() {
+        live.push(pending.observation().clone());
+        let action = agent.decide(pending.observation());
+        pending.resume(action);
+    }
+    let traj = Trajectory {
         seq_seed,
         observations: agent.observations,
         choices: agent.records,
         entropy_sum: agent.entropy_sum,
-        result,
-    }
+        result: sim.finish(),
+    };
+    (traj, live)
 }
 
 fn assert_grads_bit_equal(a: &ParamStore, b: &ParamStore, what: &str) {
@@ -62,10 +74,10 @@ fn assert_grads_bit_equal(a: &ParamStore, b: &ParamStore, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Stored-observation gradients equal replay-by-resimulation
-    /// gradients field-for-field on random tiny workloads.
+    /// Stored-observation gradients equal live-observation gradients
+    /// field-for-field on random tiny workloads.
     #[test]
-    fn trajectory_gradient_equals_replay_gradient(
+    fn stored_gradient_equals_live_gradient(
         seq_seed in 0u64..10_000,
         act_seed in 0u64..10_000,
         init_seed in 0u64..50,
@@ -75,13 +87,14 @@ proptest! {
     ) {
         let env = SpecEnv::new(WorkloadSpec::tpch_batch(n_jobs, execs));
         let (policy, store) = tiny_policy(execs, init_seed);
-        let traj = rollout(&env, &policy, &store, seq_seed, act_seed);
+        let (traj, live) = rollout(&env, &policy, &store, seq_seed, act_seed);
         prop_assert!(!traj.is_empty());
+        prop_assert_eq!(live.len(), traj.len());
         let advantages: Vec<f64> = (0..traj.len())
             .map(|k| ((k as f64) * 0.61 + seq_seed as f64 * 0.13).sin())
             .collect();
 
-        let from_obs = DecimaAgent::accumulate_from_observations(
+        let from_stored = DecimaAgent::accumulate_from_observations(
             policy.clone(),
             store.clone(),
             &traj.observations,
@@ -89,13 +102,13 @@ proptest! {
             advantages.clone(),
             beta,
         );
-        // The reference: re-simulate the episode with an agent that
-        // feeds back the recorded choices while the tape accumulates.
-        let (cluster, jobs, cfg) = env.build(seq_seed);
-        let mut replay =
-            DecimaAgent::replayer(policy.clone(), store.clone(), traj.choices, advantages, beta);
-        let _ = Simulator::new(cluster, jobs, cfg).run(&mut replay);
-        prop_assert!(from_obs.grad_norm() > 0.0, "gradient must be nonzero");
-        assert_grads_bit_equal(&replay.store, &from_obs, "rollout");
+        // The reference: the same pass fed the live observations.
+        let mut pass = GradientPass::new(policy, store, beta);
+        for ((obs, &choice), &adv) in live.iter().zip(&traj.choices).zip(&advantages) {
+            pass.add(obs, choice, adv);
+        }
+        let from_live = pass.finish();
+        prop_assert!(from_stored.grad_norm() > 0.0, "gradient must be nonzero");
+        assert_grads_bit_equal(&from_live, &from_stored, "rollout");
     }
 }

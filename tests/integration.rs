@@ -8,7 +8,7 @@ use decima::baselines::{
 };
 use decima::core::{ClusterSpec, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use decima::nn::ParamStore;
-use decima::policy::{DecimaAgent, DecimaPolicy, PolicyConfig};
+use decima::policy::{DecimaAgent, DecimaPolicy, GradientPass, PolicyConfig};
 use decima::rl::{EnvFactory, SpecEnv, TrainConfig, Trainer};
 use decima::sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima::workload::{renumber, tpch_batch, tpch_stream, with_random_memory, WorkloadSpec};
@@ -235,8 +235,9 @@ proptest! {
         }
     }
 
-    /// Decima sampling agents finish any small batch and their replay is
-    /// bit-faithful, for arbitrary seeds.
+    /// Decima recording agents finish any small batch, and re-scoring
+    /// their stored observations is bit-faithful to re-scoring the live
+    /// ones, for arbitrary seeds.
     #[test]
     fn decima_replay_faithful(seed in 0u64..300) {
         let execs = 4;
@@ -246,14 +247,30 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let policy = DecimaPolicy::new(PolicyConfig::small(execs), &mut store, &mut rng);
 
-        let mut sampler = DecimaAgent::sampler(policy.clone(), store.clone(), seed);
-        let r1 = Simulator::new(cluster.clone(), jobs.clone(), cfg.clone()).run(&mut sampler);
-        prop_assert_eq!(r1.completed(), 2);
+        let mut recorder = DecimaAgent::recorder(policy.clone(), store.clone(), seed);
+        let mut sim = Simulator::new(cluster, jobs, cfg);
+        let mut live = Vec::new();
+        recorder.on_episode_start();
+        while let Some(pending) = sim.step() {
+            live.push(pending.observation().clone());
+            let action = recorder.decide(pending.observation());
+            pending.resume(action);
+        }
+        prop_assert_eq!(sim.finish().completed(), 2);
 
-        let adv = vec![0.5; sampler.records.len()];
-        let mut replayer = DecimaAgent::replayer(policy, store, sampler.records.clone(), adv, 0.01);
-        let r2 = Simulator::new(cluster, jobs, cfg).run(&mut replayer);
-        prop_assert_eq!(r1.avg_jct(), r2.avg_jct());
-        prop_assert!(replayer.store.grad_norm() > 0.0);
+        let mut pass = GradientPass::new(policy.clone(), store.clone(), 0.01);
+        for (obs, &choice) in live.iter().zip(&recorder.records) {
+            pass.add(obs, choice, 0.5);
+        }
+        let from_live = pass.finish();
+        let adv = vec![0.5; recorder.records.len()];
+        let from_stored = DecimaAgent::accumulate_from_observations(
+            policy, store, &recorder.observations, recorder.records, adv, 0.01,
+        );
+        prop_assert!(from_stored.grad_norm() > 0.0);
+        for i in 0..from_stored.len() {
+            let (a, b) = (from_live.grad(i).data(), from_stored.grad(i).data());
+            prop_assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()), "param {}", i);
+        }
     }
 }

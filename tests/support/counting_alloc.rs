@@ -2,7 +2,8 @@
 //! (`crates/policy/tests/tape_allocs.rs`,
 //! `crates/baselines/tests/decide_allocs.rs`,
 //! `crates/sim/tests/obs_allocs.rs`,
-//! `crates/core/tests/spec_allocs.rs`) includes this one file by
+//! `crates/core/tests/spec_allocs.rs`,
+//! `crates/nn/tests/store_allocs.rs`) includes this one file by
 //! `#[path]`, so the workspace has one `unsafe impl GlobalAlloc`, not one
 //! per test. It forwards to the system allocator; each of those tests
 //! is the only test of its binary, so nothing else in the process
