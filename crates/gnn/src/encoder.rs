@@ -20,15 +20,15 @@
 //! counts them. The `two_level` switch disables the outer `g(·)` to
 //! reproduce the single-aggregation ablation of Appendix E / Figure 19.
 //!
-//! Segment sums (child → parent, node → job, job → global) are expressed
-//! as constant 0/1 matrices fed through `matmul`, which keeps the tape's
-//! op set minimal and the whole computation differentiable. The
-//! matrices and every index list come from the cached `GraphStructure`
-//! and are shared with the tape, not copied onto it; and because a
-//! `matmul` sums in aligned groups of four, *where* a child sits in its
-//! level's batch is part of what a parent's message sum evaluates to —
-//! the reason decisions are scored one full graph at a time rather than
-//! re-batched (docs/PERF.md "The training lane").
+//! Segment sums (child → parent over each level's `child_counts`, node
+//! → job over each job's node range) are one tape op,
+//! `Tape::segment_sum`, read by index from the cached `GraphStructure`
+//! plan the `f32` sweep reads too; the job → global sum is `sum_rows`.
+//! A segment sum adds in the aligned groups of four of the 0/1 matmul
+//! it stands for, so *where* a child sits in its level's batch is part
+//! of what a parent's message sum evaluates to — the reason decisions
+//! are scored one full graph at a time rather than re-batched
+//! (docs/PERF.md "The training lane").
 
 use crate::graph::GraphInput;
 use decima_nn::{Activation, Mlp, ParamStore, Tape, TensorId};
@@ -147,9 +147,9 @@ impl GnnEncoder {
         let p = self.prep.forward(tape, store, x);
 
         // Bottom-up sweep, one batch per level, following the
-        // precomputed evaluation plan: node lists, child-row gathers, and
-        // the 0/1 segment matrices all come from the cached
-        // `GraphStructure` instead of being rebuilt per pass.
+        // precomputed evaluation plan: node lists, children and child
+        // counts all come from the cached `GraphStructure` instead of
+        // being rebuilt per pass.
         let s = &g.structure;
         let mut blocks: Vec<TensorId> = Vec::with_capacity(s.levels.len());
         for plan in &s.levels {
@@ -157,7 +157,7 @@ impl GnnEncoder {
             let nv = plan.nodes.len();
             let p_rows = tape.gather_rows(p, plan.nodes.iter().copied());
 
-            let e_level = if plan.child_rows.is_empty() {
+            let e_level = if plan.children.is_empty() {
                 // All leaves: message is the zero vector, so
                 // e = g(0) + p (or just p in single-level mode). g(0) is
                 // one row — compute it once and broadcast, instead of
@@ -173,10 +173,11 @@ impl GnnEncoder {
             } else {
                 // Gather all child embeddings of this level's nodes
                 // straight from the already-computed blocks.
-                let gathered = tape.gather_blocks(&blocks, &plan.child_rows);
+                let rows = plan.children.iter().map(|&c| s.perm[c as usize]);
+                let gathered = tape.gather_blocks(&blocks, rows);
                 let fmsg = self.f_node.forward(tape, store, gathered);
-                let seg_in = tape.constant(plan.seg());
-                let summed = tape.matmul(seg_in, fmsg);
+                let counts = plan.child_counts.iter().map(|&n| n as usize);
+                let summed = tape.segment_sum(fmsg, counts);
                 let aggregated = if self.cfg.two_level {
                     self.g_node.forward(tape, store, summed)
                 } else {
@@ -188,12 +189,11 @@ impl GnnEncoder {
         }
 
         // Restore original node order: perm[v] = row of node v.
-        let nodes = tape.gather_blocks(&blocks, &s.perm);
+        let nodes = tape.gather_blocks(&blocks, s.perm.iter().copied());
 
         // Job summaries: y_i = g2(Σ_{v ∈ G_i} f2(e_v)).
         let fj = self.f_job.forward(tape, store, nodes);
-        let sj = tape.constant(s.job_seg());
-        let job_sum = tape.matmul(sj, fj);
+        let job_sum = tape.segment_sum(fj, s.jobs.iter().map(|j| j.num_nodes));
         let jobs = if self.cfg.two_level {
             self.g_job.forward(tape, store, job_sum)
         } else {

@@ -9,23 +9,20 @@
 //! `features.rs`); a [`GraphInput`] is that structure plus the
 //! per-decision feature matrix.
 //!
-//! One pass over the DAGs builds the plan of both forward lanes: per
-//! level the nodes and their child counts, the children as rows of the
-//! level-block concatenation (`child_rows`, the `f64` tape's gather)
-//! and as global node indices (`children`, the `f32` sweep's), and the
-//! node → job map `node_job`. The constant 0/1 segment matrices (child
-//! → parent, node → job) are read by the tape only, so they are built
-//! on first use ([`LevelPlan::seg`], [`GraphStructure::job_seg`]) and a
-//! structure that only ever serves the `f32` lane never pays for them;
-//! they are handed out behind an `Arc`, which is how every decision's
-//! tape shares the one copy (`Tape::constant`). And a structure built
-//! from job specs ([`GraphStructure::for_specs`]) holds each job's
-//! `Arc<JobSpec>`: that is the job identity `InferEncoder` keys its
-//! per-job memos on.
+//! One pass over the DAGs builds the one plan both forward lanes read:
+//! per level the nodes, their children as global node indices grouped
+//! per parent, and the child counts; the node → job map `node_job`; and
+//! `perm`, each node's row in the level-block concatenation the tape
+//! builds. Every segment sum is by index — child → parent over
+//! `child_counts`, node → job over each job's `num_nodes` — so a
+//! structure holds O(nodes) indices and nothing O(jobs × nodes). And a
+//! structure built from job specs ([`GraphStructure::for_specs`]) holds
+//! each job's `Arc<JobSpec>`: that is the job identity `InferEncoder`
+//! keys its per-job memos on.
 
 use decima_core::{DagTopology, JobSpec};
 use decima_nn::Tensor;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One job's topology inside a [`GraphStructure`] batch.
 #[derive(Clone, Debug)]
@@ -48,38 +45,14 @@ pub struct JobGraph {
 pub struct LevelPlan {
     /// Global node indices at this level, ascending.
     pub nodes: Vec<usize>,
-    /// For every child message consumed at this level: the child's row in
-    /// the concatenation of all previously-computed level blocks (the
-    /// tape's gather). Empty when the whole level is leaves.
-    pub child_rows: Vec<usize>,
-    /// The same children as global node indices, grouped per parent in
-    /// parent order (the `f32` sweep's gather, which never builds the
-    /// level blocks).
+    /// Every child message consumed at this level, as the child's
+    /// global node index, grouped per parent in parent order. Empty when
+    /// the whole level is leaves. The tape gathers child `c` from row
+    /// `perm[c]` of the earlier level blocks.
     pub children: Vec<u32>,
     /// `child_counts[i]` = number of children of `nodes[i]`: the
-    /// segment lengths of the per-parent message sums over
-    /// `child_rows` / `children`.
+    /// segment lengths of the per-parent message sums over `children`.
     pub child_counts: Vec<u32>,
-    seg: OnceLock<Arc<Tensor>>,
-}
-
-impl LevelPlan {
-    /// `[nodes.len(), child_rows.len()]` 0/1 segment-sum matrix
-    /// aggregating child messages per parent (tape lane; built on first
-    /// use from `child_counts`).
-    pub fn seg(&self) -> &Arc<Tensor> {
-        self.seg.get_or_init(|| {
-            let mut seg = Tensor::zeros(self.nodes.len(), self.child_rows.len());
-            let mut col = 0usize;
-            for (i, &cnt) in self.child_counts.iter().enumerate() {
-                for _ in 0..cnt {
-                    seg.set(i, col, 1.0);
-                    col += 1;
-                }
-            }
-            Arc::new(seg)
-        })
-    }
 }
 
 /// The static (per-episode) structure of a batch of job DAGs: everything
@@ -97,7 +70,6 @@ pub struct GraphStructure {
     /// `perm[v]` = row of global node `v` in the concatenation of the
     /// level blocks (restores original node order after the sweep).
     pub perm: Vec<usize>,
-    job_seg: OnceLock<Arc<Tensor>>,
 }
 
 impl GraphStructure {
@@ -149,7 +121,7 @@ impl GraphStructure {
         let mut levels = Vec::with_capacity(level_nodes.len());
         for nodes in level_nodes {
             debug_assert!(!nodes.is_empty(), "levels are dense");
-            let (mut child_rows, mut children) = (Vec::new(), Vec::new());
+            let mut children = Vec::new();
             let mut child_counts = Vec::with_capacity(nodes.len());
             for &v in &nodes {
                 let ji = node_job[v] as usize;
@@ -159,7 +131,6 @@ impl GraphStructure {
                 for &c in kids {
                     let c = base + c as usize;
                     debug_assert_ne!(perm[c], usize::MAX, "child computed before parent");
-                    child_rows.push(perm[c]);
                     children.push(c as u32);
                 }
             }
@@ -169,10 +140,8 @@ impl GraphStructure {
             }
             levels.push(LevelPlan {
                 nodes,
-                child_rows,
                 children,
                 child_counts,
-                seg: OnceLock::new(),
             });
         }
 
@@ -182,22 +151,7 @@ impl GraphStructure {
             num_nodes: offset,
             node_job,
             perm,
-            job_seg: OnceLock::new(),
         }
-    }
-
-    /// `[num_jobs, num_nodes]` 0/1 node → job segment-sum matrix (tape
-    /// lane; built on first use).
-    pub fn job_seg(&self) -> &Arc<Tensor> {
-        self.job_seg.get_or_init(|| {
-            let mut job_seg = Tensor::zeros(self.jobs.len(), self.num_nodes);
-            for (ji, job) in self.jobs.iter().enumerate() {
-                for v in job.node_offset..job.node_offset + job.num_nodes {
-                    job_seg.set(ji, v, 1.0);
-                }
-            }
-            Arc::new(job_seg)
-        })
     }
 
     /// Number of jobs in the batch.
@@ -292,28 +246,34 @@ mod tests {
         assert_eq!(s.levels[0].nodes, vec![2, 4]); // leaves
         assert_eq!(s.levels[1].nodes, vec![1, 3]);
         assert_eq!(s.levels[2].nodes, vec![0]);
-        // Leaves consume no child messages; upper levels aggregate their
-        // children's rows in the block concatenation.
-        assert!(s.levels[0].child_rows.is_empty());
-        assert_eq!(s.levels[1].child_rows, vec![0, 1]); // rows of nodes 2, 4
-        assert_eq!(s.levels[1].child_counts, vec![1, 1]);
-        assert_eq!(s.levels[1].seg().shape(), (2, 2));
-        assert_eq!(s.levels[1].seg().get(0, 0), 1.0);
-        assert_eq!(s.levels[1].seg().get(1, 1), 1.0);
-        assert_eq!(s.levels[1].seg().get(0, 1), 0.0);
-        // The same children as global node indices, and each node's job.
+        // Leaves consume no child messages; upper levels sum their
+        // children, grouped per parent, as global node indices.
         assert!(s.levels[0].children.is_empty());
+        assert!(s.levels[0].child_counts.iter().all(|&n| n == 0));
         assert_eq!(s.levels[1].children, vec![2, 4]);
+        assert_eq!(s.levels[1].child_counts, vec![1, 1]);
         assert_eq!(s.levels[2].children, vec![1]);
         assert_eq!(s.levels[2].child_counts, vec![1]);
+        // Each node's row in the level-block stack: leaves 2, 4 first,
+        // then 1, 3, then the root. The tape gathers child `c` from row
+        // `perm[c]`, so level 1 reads rows 0 and 1.
+        assert_eq!(s.perm, vec![4, 2, 0, 3, 1]);
+        let rows: Vec<usize> = s.levels[1]
+            .children
+            .iter()
+            .map(|&c| s.perm[c as usize])
+            .collect();
+        assert_eq!(rows, vec![0, 1]);
+        // Each node's job; the jobs' node ranges are the job segments.
         assert_eq!(s.node_job, vec![0, 0, 0, 1, 1]);
+        let ranges: Vec<_> = s
+            .jobs
+            .iter()
+            .map(|j| (j.node_offset, j.num_nodes))
+            .collect();
+        assert_eq!(ranges, vec![(0, 3), (3, 2)]);
         // Features copied.
         assert_eq!(g.features.get(3, 0), 2.0);
-        // Job segment matrix sums each job's nodes.
-        assert_eq!(s.job_seg().shape(), (2, 5));
-        assert_eq!(s.job_seg().get(0, 0), 1.0);
-        assert_eq!(s.job_seg().get(1, 3), 1.0);
-        assert_eq!(s.job_seg().get(1, 0), 0.0);
         // Bare DAGs carry no job identity.
         assert!(s.jobs.iter().all(|j| j.spec.is_none()));
     }

@@ -5,9 +5,10 @@
 //! contiguous `f32` matrices ([`decima_nn::F32Mlp`]), the bottom-up
 //! sweep runs over flat reusable buffers in the order the
 //! [`GraphStructure`] records for it (`LevelPlan::children`,
-//! `GraphStructure::node_job`) instead of tape nodes, and the 0/1
-//! segment matmuls of the tape path become direct per-parent segment
-//! sums driven by child counts.
+//! `GraphStructure::node_job`) instead of tape nodes, and its segment
+//! sums run by index over the plan's child counts and job node ranges,
+//! as the tape's do — in plain row order here, where the tape keeps the
+//! grouped order of the 0/1 matmul its sum stands for.
 //!
 //! Messages never cross jobs (§5.1): a node embedding depends only on
 //! its own job's DAG and feature rows, the job summary `y_i` only on
@@ -445,8 +446,8 @@ impl InferEncoder {
                 self.f_node
                     .forward(nc, &self.gathered, &mut self.scratch, &mut self.fmsg);
                 // Per-parent segment sums (children are grouped per
-                // parent, in parent order — the invariant the 0/1
-                // segment matrix of the tape path encodes).
+                // parent, in parent order — the invariant the tape's
+                // `segment_sum` over `child_counts` reads too).
                 self.summed.clear();
                 self.summed.resize(nv * d, 0.0);
                 let mut srow = 0usize;

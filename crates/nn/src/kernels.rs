@@ -18,9 +18,13 @@
 //! kernel may change how the elements are walked — these block the
 //! output's columns into const widths the vectoriser can unroll, and
 //! `xᵀ·g` walks the groups outermost — but never the order in which one
-//! element's terms are added. `tests/tape_diff.rs` compares each kernel
-//! with the `Tensor::matmul` / `Tensor::transpose` expression it
-//! replaces, bit for bit.
+//! element's terms are added. The contract binds `Tape::segment_sum`
+//! too: it is the product by a 0/1 segment matrix, computed by index,
+//! so it adds a segment's rows per aligned group of four and the group
+//! sums into `+0.0`, and its backward is this `xᵀ·g`'s `0.0 + g`.
+//! `tests/tape_diff.rs` compares each kernel with the `Tensor::matmul` /
+//! `Tensor::transpose` expression it replaces, and the segment sum with
+//! `Tape::matmul` of its 0/1 matrix, bit for bit.
 
 use crate::tensor::Tensor;
 

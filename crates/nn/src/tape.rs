@@ -21,12 +21,11 @@
 //!
 //! **Nothing constant is copied or differentiated.** A parameter is
 //! read through the store's `Arc` ([`ParamStore::shared_value`]), a
-//! constant the caller already shares comes in by [`Tape::constant`],
-//! and every node carries a `needs_grad` bit — false for inputs and
-//! constants, the OR of the operands otherwise — so the backward pass
-//! computes no gradient that has no parameter upstream of it (the
-//! segment matrices' side of a segment sum, the feature side of the
-//! first layer).
+//! segment sum reads its segment lengths from the index arena, and
+//! every node carries a `needs_grad` bit — false for inputs, the OR of
+//! the operands otherwise — so the backward pass computes no gradient
+//! that has no parameter upstream of it (the feature side of the first
+//! layer).
 //!
 //! **What it computes is fixed to the bit**, including the order of
 //! every sum (see [`crate::kernels`] and docs/DETERMINISM.md): a
@@ -38,8 +37,9 @@
 //! The op set is exactly what the Decima networks need (Eq. 1 message
 //! passing, hierarchical summaries, masked log-softmax action heads):
 //! matmul, the fused dense layer, broadcast add, elementwise
-//! nonlinearities, row reductions, gather/concat for graph plumbing,
-//! and a numerically-stable log-softmax over a column of scores.
+//! nonlinearities, row and segment sums, gather/concat for graph
+//! plumbing, and a numerically-stable log-softmax over a column of
+//! scores.
 
 use crate::kernels;
 use crate::store::ParamStore;
@@ -51,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 pub struct TensorId(usize);
 
 /// A run of the tape's index arena: the operands of a concat, the rows
-/// of a gather.
+/// of a gather, the lengths of a segment sum.
 #[derive(Clone, Copy, Debug)]
 struct Span {
     start: usize,
@@ -60,7 +60,7 @@ struct Span {
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// An input or a constant: nothing upstream.
+    /// An input: nothing upstream.
     Leaf,
     Param {
         store_idx: usize,
@@ -87,6 +87,8 @@ enum Op {
     Exp(TensorId),
     SumRows(TensorId),
     SumAll(TensorId),
+    /// Row `i` sums the next `counts[i]` rows of the operand.
+    SegmentSum(TensorId, Span),
     ConcatRows(Span),
     ConcatCols(Span),
     GatherRows(TensorId, Span),
@@ -103,8 +105,6 @@ enum Op {
 enum Value {
     /// Computed on this tape, in a buffer the slot keeps across resets.
     Owned(Tensor),
-    /// A constant someone else also holds.
-    Shared(Arc<Tensor>),
     /// A parameter: entry of [`Tape::params`].
     Param(usize),
 }
@@ -161,7 +161,6 @@ pub struct Tape {
 fn value_of<'a>(nodes: &'a [Node], params: &'a [ParamSlot], id: TensorId) -> &'a Tensor {
     match &nodes[id.0].value {
         Value::Owned(t) => t,
-        Value::Shared(t) => t,
         Value::Param(at) => &params[*at].value,
     }
 }
@@ -270,12 +269,6 @@ impl Tape {
     /// A constant input copied from `t` into a recycled buffer.
     pub fn input_copy(&mut self, t: &Tensor) -> TensorId {
         self.input_from(t.rows(), t.cols(), t.data().iter().copied())
-    }
-
-    /// Registers a constant the caller keeps sharing (a cached segment
-    /// matrix): nothing is copied.
-    pub fn constant(&mut self, t: &Arc<Tensor>) -> TensorId {
-        self.push(Value::Shared(Arc::clone(t)), Op::Leaf, false)
     }
 
     /// Pulls parameter `idx` from the store onto the tape, sharing its
@@ -460,6 +453,26 @@ impl Tape {
         })
     }
 
+    /// Segment sum: output row `i` sums the next `counts[i]` rows of
+    /// `a`, and the counts cover `a`'s rows. The bits are those of
+    /// `matmul` by the 0/1 matrix with row `i`'s ones on segment `i`,
+    /// because the order is [`kernels::matmul_into`]'s: a segment's rows
+    /// inside one aligned group of four are added left to right on
+    /// their own, the group sums are added into `+0.0` in ascending
+    /// order, and rows at or past `rows − rows % 4` are added one at a
+    /// time. The backward pass gives every row `0.0 + g` of its
+    /// segment's row, which is what `matmul_tn_into` gives.
+    pub fn segment_sum(
+        &mut self,
+        a: TensorId,
+        counts: impl IntoIterator<Item = usize>,
+    ) -> TensorId {
+        let span = self.span(counts);
+        self.record(Op::SegmentSum(a, span), self.needs(a), |tape, out| {
+            segment_sum_into(tape.value(a), tape.slice(span), out)
+        })
+    }
+
     /// Vertical stack of same-width tensors.
     pub fn concat_rows(&mut self, ids: &[TensorId]) -> TensorId {
         assert!(!ids.is_empty(), "concat_rows needs at least one input");
@@ -517,10 +530,14 @@ impl Tape {
     /// `blocks` — `rows` index the stack — without building the stack:
     /// identical, values and gradients, to `concat_rows(blocks)`
     /// followed by `gather_rows`.
-    pub fn gather_blocks(&mut self, blocks: &[TensorId], rows: &[usize]) -> TensorId {
+    pub fn gather_blocks(
+        &mut self,
+        blocks: &[TensorId],
+        rows: impl IntoIterator<Item = usize>,
+    ) -> TensorId {
         assert!(!blocks.is_empty(), "gather_blocks needs at least one block");
         let block_span = self.span(blocks.iter().map(|id| id.0));
-        let row_span = self.span(rows.iter().copied());
+        let row_span = self.span(rows);
         let needs = blocks.iter().any(|&id| self.needs(id));
         let op = Op::GatherBlocks {
             blocks: block_span,
@@ -531,8 +548,8 @@ impl Tape {
             for &b in blocks {
                 assert_eq!(tape.value(b).cols(), cols, "gather_blocks width mismatch");
             }
-            out.refill(rows.len(), cols, |data| {
-                for &row in rows {
+            out.refill(row_span.len, cols, |data| {
+                for &row in tape.slice(row_span) {
                     // Walk down the stack to the block holding `row`.
                     let mut local = row;
                     let mut holder = None;
@@ -687,6 +704,18 @@ impl Tape {
                     let all = std::iter::repeat(g.scalar()).take(rows * cols);
                     grads.add_with(a, |ga| ga.assign(rows, cols, all));
                 }
+                Op::SegmentSum(a, counts) => {
+                    let rows = value(a).rows();
+                    grads.add_with(a, |ga| {
+                        ga.refill(rows, g.cols(), |data| {
+                            for (i, &n) in slice(counts).iter().enumerate() {
+                                for _ in 0..n {
+                                    data.extend(g.row_slice(i).iter().map(|&gv| 0.0 + gv));
+                                }
+                            }
+                        });
+                    });
+                }
                 Op::ConcatRows(ids) => grads.add_stacked(slice(ids), &g, value),
                 Op::ConcatCols(ids) => {
                     let mut at = 0;
@@ -739,6 +768,38 @@ fn sum_rows_into(t: &Tensor, out: &mut Tensor) {
     for row in t.data().chunks_exact(t.cols().max(1)) {
         for (o, &v) in out.data_mut().iter_mut().zip(row) {
             *o += v;
+        }
+    }
+}
+
+/// [`Tape::segment_sum`]'s forward: each segment's rows summed per
+/// aligned group of four, the group sums added into `+0.0`.
+fn segment_sum_into(t: &Tensor, counts: &[usize], out: &mut Tensor) {
+    let (rows, cols) = t.shape();
+    assert_eq!(
+        counts.iter().sum::<usize>(),
+        rows,
+        "segment_sum counts must cover the rows"
+    );
+    let whole = rows - rows % 4;
+    out.resize_zeroed(counts.len(), cols);
+    let data = t.data();
+    let mut r = 0;
+    for (acc, &n) in out.data_mut().chunks_exact_mut(cols.max(1)).zip(counts) {
+        let end = r + n;
+        while r < end {
+            // This segment's rows of the group holding row `r`; past
+            // the last whole group, row `r` alone.
+            let stop = if r < whole {
+                (r / 4 * 4 + 4).min(end)
+            } else {
+                r + 1
+            };
+            let (first, rest) = data[r * cols..stop * cols].split_at(cols);
+            for (c, o) in acc.iter_mut().enumerate() {
+                *o += rest.chunks_exact(cols).fold(first[c], |s, row| s + row[c]);
+            }
+            r = stop;
         }
     }
 }
@@ -988,7 +1049,7 @@ mod tests {
 
         let mut tape = Tape::new();
         let x = tape.input(x_data);
-        let seg = tape.constant(&Arc::new(seg_data));
+        let seg = tape.input(seg_data);
         let (wn, bn) = (tape.param(&store, w), tape.param(&store, b));
         let h = tape.linear(x, wn, bn, Some(0.2));
         let s = tape.matmul(seg, h);

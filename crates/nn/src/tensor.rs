@@ -209,8 +209,8 @@ impl Tensor {
     /// The kernel walks four `rhs` rows per pass so every output element
     /// is loaded/stored once per four multiply-adds (the NN hot path is
     /// memory-bound at these tiny sizes), and skips all-zero coefficient
-    /// groups, which makes products with the GNN's 0/1 segment matrices
-    /// cost only their nonzeros.
+    /// groups; `Tape::segment_sum` is a product with a 0/1 matrix
+    /// computed by index in exactly this order.
     ///
     /// The tape computes through the allocation-free kernels of
     /// `kernels.rs`; this allocating form has no production caller and

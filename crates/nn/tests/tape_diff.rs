@@ -7,6 +7,8 @@
 //!   `Tensor::transpose`;
 //! * the fused dense layer, forward and backward, against `matmul` +
 //!   `add_row` + `leaky_relu`;
+//! * the segment sum, forward and backward, against `matmul` by the 0/1
+//!   matrix of the same segments;
 //! * one kept, reset `Tape` driven through a random sequence of graphs
 //!   (grow, shrink, repeat, parameters stepped in between) against a
 //!   fresh `Tape::new()` per pass: every forward value and every
@@ -17,7 +19,6 @@ use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::sync::Arc;
 
 /// The widths the kernels block differently: singles, one block of 8,
 /// one of 16, and every mix of them.
@@ -36,6 +37,11 @@ fn width(rng: &mut SmallRng) -> usize {
 /// them, so the zero-skip is exercised), or a 0/1 segment matrix.
 fn matrix(rng: &mut SmallRng, rows: usize, cols: usize) -> Tensor {
     let kind = rng.gen_range(0..3);
+    matrix_of(kind, rng, rows, cols)
+}
+
+/// [`matrix`] of kind 0 (dense), 1 (zero-salted) or 2 (0/1 segments).
+fn matrix_of(kind: u32, rng: &mut SmallRng, rows: usize, cols: usize) -> Tensor {
     let mut data: Vec<f64> = (0..rows * cols)
         .map(|_| match kind {
             0 => rng.gen_range(-2.0..2.0),
@@ -192,6 +198,81 @@ proptest! {
     }
 }
 
+/// The `[counts.len(), Σ counts]` 0/1 matrix whose row `i` has its ones
+/// on segment `i`: what a segment sum multiplies by.
+fn segment_matrix(counts: &[usize]) -> Tensor {
+    let mut seg = Tensor::zeros(counts.len(), counts.iter().sum());
+    let mut col = 0;
+    for (i, &n) in counts.iter().enumerate() {
+        for _ in 0..n {
+            seg.set(i, col, 1.0);
+            col += 1;
+        }
+    }
+    seg
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Tape::segment_sum` against `Tape::matmul` of the 0/1 matrix of
+    /// the same counts: segments of 1–9 rows, so starts fall anywhere
+    /// in a group of four and segments cross groups; row totals with and
+    /// without a tail past the last whole group; values of every
+    /// `matrix` kind, exact zeros included. The forward value and the
+    /// gradient reaching the summed parameter, through an upstream
+    /// gradient that is itself zero-salted.
+    #[test]
+    fn segment_sum_matches_the_zero_one_matmul_bitwise(
+        seed in 0u64..1_000_000,
+        segments in 1usize..12,
+        aligned in 0u32..2,
+        kind in 0u32..3,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut counts: Vec<usize> = (0..segments).map(|_| rng.gen_range(1..10)).collect();
+        let total: usize = counts.iter().sum();
+        if aligned == 1 && total % 4 != 0 {
+            counts.push(4 - total % 4);
+        }
+        let (rows, cols) = (counts.iter().sum::<usize>(), width(&mut rng));
+        let mut store = ParamStore::new();
+        let a = store.add("a", matrix_of(kind, &mut rng, rows, cols));
+        let mut matmul_store = store.clone();
+        let weights = matrix_of(1, &mut rng, counts.len(), cols);
+        let loss_of = |tape: &mut Tape, y: TensorId| {
+            let wt = tape.input(weights.clone());
+            let prod = tape.mul(y, wt);
+            tape.sum_all(prod)
+        };
+
+        let mut tape = Tape::new();
+        let an = tape.param(&store, a);
+        let y = tape.segment_sum(an, counts.iter().copied());
+        let loss = loss_of(&mut tape, y);
+        tape.backward(loss, 1.0, &mut store);
+
+        let mut reference = Tape::new();
+        let seg = reference.input(segment_matrix(&counts));
+        let an = reference.param(&matmul_store, a);
+        let y2 = reference.matmul(seg, an);
+        let loss = loss_of(&mut reference, y2);
+        reference.backward(loss, 1.0, &mut matmul_store);
+
+        prop_assert_eq!(tape.value(y).shape(), (counts.len(), cols));
+        prop_assert_eq!(
+            bits(tape.value(y)),
+            bits(reference.value(y2)),
+            "value, counts {:?}, width {}, seed {}", &counts, cols, seed
+        );
+        prop_assert_eq!(
+            bits(store.grad(a)),
+            bits(matmul_store.grad(a)),
+            "gradient, counts {:?}, width {}, seed {}", &counts, cols, seed
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // One kept tape against a fresh tape per pass.
 // ---------------------------------------------------------------------
@@ -202,8 +283,8 @@ struct Level {
     rows: Vec<usize>,
     /// Their children's rows in the stack of earlier levels.
     child_rows: Vec<usize>,
-    /// The child → parent segment matrix (`None` for a level of leaves).
-    seg: Option<Arc<Tensor>>,
+    /// Each node's child count (empty for a level of leaves).
+    counts: Vec<usize>,
 }
 
 /// A level-structured random graph in the shape the GNN encoder walks.
@@ -245,21 +326,10 @@ fn graph(rng: &mut SmallRng) -> Graph {
                 child_rows.extend((0..n).map(|_| rng.gen_range(0..stacked)));
             }
         }
-        let seg = (l > 0).then(|| {
-            let mut seg = Tensor::zeros(size, child_rows.len());
-            let mut col = 0;
-            for (i, &n) in counts.iter().enumerate() {
-                for _ in 0..n {
-                    seg.set(i, col, 1.0);
-                    col += 1;
-                }
-            }
-            Arc::new(seg)
-        });
         levels.push(Level {
             rows,
             child_rows,
-            seg,
+            counts,
         });
         stacked += size;
     }
@@ -311,27 +381,23 @@ fn pass(tape: &mut Tape, store: &mut ParamStore, nets: &Nets, graph: &Graph) -> 
     for Level {
         rows,
         child_rows,
-        seg,
+        counts,
     } in &graph.levels
     {
         let p_rows = keep(tape.gather_rows(p, rows.iter().copied()));
-        let inner = match seg {
-            None => {
-                let zero = tape.input_from(1, nets.embed, std::iter::repeat(0.0).take(nets.embed));
-                let gz = keep(nets.g.forward(tape, store, zero));
-                keep(tape.gather_rows(gz, std::iter::repeat(0).take(rows.len())))
-            }
-            Some(seg) => {
-                let gathered = keep(tape.gather_blocks(&blocks, child_rows));
-                let messages = keep(nets.f.forward(tape, store, gathered));
-                let seg = tape.constant(seg);
-                let summed = keep(tape.matmul(seg, messages));
-                keep(nets.g.forward(tape, store, summed))
-            }
+        let inner = if counts.is_empty() {
+            let zero = tape.input_from(1, nets.embed, std::iter::repeat(0.0).take(nets.embed));
+            let gz = keep(nets.g.forward(tape, store, zero));
+            keep(tape.gather_rows(gz, std::iter::repeat(0).take(rows.len())))
+        } else {
+            let gathered = keep(tape.gather_blocks(&blocks, child_rows.iter().copied()));
+            let messages = keep(nets.f.forward(tape, store, gathered));
+            let summed = keep(tape.segment_sum(messages, counts.iter().copied()));
+            keep(nets.g.forward(tape, store, summed))
         };
         blocks.push(keep(tape.add(inner, p_rows)));
     }
-    let nodes = keep(tape.gather_blocks(&blocks, &graph.perm));
+    let nodes = keep(tape.gather_blocks(&blocks, graph.perm.iter().copied()));
     let summary = keep(tape.sum_rows(nodes));
     let ev = keep(tape.gather_rows(nodes, graph.candidates.iter().copied()));
     let z = keep(tape.gather_rows(summary, std::iter::repeat(0).take(graph.candidates.len())));

@@ -220,9 +220,9 @@ impl DecimaPolicy {
     /// it is not when it invokes the scheduler).
     ///
     /// `cache` is caller-owned, so the batch's static structure (level
-    /// plan, child lists, segment matrices) is reused across the
-    /// decisions of an episode and only rebuilt when the active-job set
-    /// changes.
+    /// plan, child lists and counts, job node ranges) is reused across
+    /// the decisions of an episode and only rebuilt when the active-job
+    /// set changes.
     pub fn forward_nodes_cached(
         &self,
         tape: &mut Tape,
@@ -240,10 +240,9 @@ impl DecimaPolicy {
             None => {
                 // Ablation: raw features as "embeddings", with per-job and
                 // global raw aggregates standing in for y_i and z. The
-                // node → job segment sum reuses the cached matrix.
+                // node → job segment sum runs over the jobs' node ranges.
                 let nodes = tape.input_copy(&graph.features);
-                let seg = tape.constant(graph.structure.job_seg());
-                let jobs = tape.matmul(seg, nodes);
+                let jobs = tape.segment_sum(nodes, graph.jobs().iter().map(|j| j.num_nodes));
                 let global = tape.sum_rows(jobs);
                 Embeddings {
                     nodes,

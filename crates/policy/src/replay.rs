@@ -11,7 +11,9 @@
 //!
 //! [`ReplayObs`] stores exactly the read set, plus the decision's time
 //! and objective integral, from which the trainer derives the rewards
-//! (`decima_rl::Trajectory::raw_rewards`). [`ReplayObs::write_into`]
+//! (`decima_rl::Trajectory::raw_rewards`). Every job's per-stage state
+//! shares one flat buffer, so a stored decision is a fixed handful of
+//! allocations whatever its job count. [`ReplayObs::write_into`]
 //! rebuilds a full [`Observation`] whose *policy-visible* fields are
 //! bit-identical to the original, so the gradient computed from stored
 //! trajectories is unchanged (see the bitwise equivalence tests here and
@@ -35,7 +37,8 @@ pub struct ReplayNode {
     pub in_flight: u32,
 }
 
-/// One job's replay-relevant state.
+/// One job's replay-relevant state; its stages' state is its run of
+/// [`ReplayObs::nodes`].
 #[derive(Clone, Debug)]
 pub struct ReplayJob {
     /// Job identifier.
@@ -50,8 +53,6 @@ pub struct ReplayJob {
     pub alloc: usize,
     /// Executors bound to the job and currently idle.
     pub local_free: usize,
-    /// Per-stage state, indexed like `spec.stages`.
-    pub nodes: Vec<ReplayNode>,
 }
 
 /// The subset of an [`Observation`] that gradient replay reads, and the
@@ -74,6 +75,9 @@ pub struct ReplayObs {
     pub class_memory: Vec<f64>,
     /// Active jobs at this decision.
     pub jobs: Vec<ReplayJob>,
+    /// Every job's per-stage state in one buffer, in job order: job
+    /// `i`'s run is as long as its spec's stage list and indexed like it.
+    pub nodes: Vec<ReplayNode>,
     /// Actionable `(job index, stage)` pairs.
     pub schedulable: Vec<(usize, StageId)>,
 }
@@ -81,6 +85,15 @@ pub struct ReplayObs {
 impl ReplayObs {
     /// Captures the replay-relevant subset of `obs`.
     pub fn from_observation(obs: &Observation) -> Self {
+        let mut nodes = Vec::with_capacity(obs.jobs.iter().map(|j| j.nodes.len()).sum());
+        for j in &obs.jobs {
+            debug_assert_eq!(j.nodes.len(), j.spec.stages.len(), "one node per stage");
+            nodes.extend(j.nodes.iter().map(|n| ReplayNode {
+                remaining: n.remaining_tasks(),
+                executors_on: n.executors_on,
+                in_flight: n.in_flight,
+            }));
+        }
         ReplayObs {
             time: obs.time,
             cost: obs.cost,
@@ -98,17 +111,9 @@ impl ReplayObs {
                     profile: Arc::clone(&j.profile),
                     alloc: j.alloc,
                     local_free: j.local_free,
-                    nodes: j
-                        .nodes
-                        .iter()
-                        .map(|n| ReplayNode {
-                            remaining: n.remaining_tasks(),
-                            executors_on: n.executors_on,
-                            in_flight: n.in_flight,
-                        })
-                        .collect(),
                 })
                 .collect(),
+            nodes,
             schedulable: obs.schedulable.clone(),
         }
     }
@@ -146,10 +151,12 @@ impl ReplayObs {
                 j.nodes
             })
             .collect();
+        let mut runs = self.nodes.as_slice();
         for rj in &self.jobs {
             let mut nodes = pool.pop().unwrap_or_default();
-            for (v, rn) in rj.nodes.iter().enumerate() {
-                let stage = &rj.spec.stages[v];
+            let (run, rest) = runs.split_at(rj.spec.stages.len());
+            runs = rest;
+            for (rn, stage) in run.iter().zip(&rj.spec.stages) {
                 nodes.push(NodeObs {
                     waiting: rn.remaining,
                     running: 0,
@@ -171,6 +178,7 @@ impl ReplayObs {
                 nodes,
             });
         }
+        debug_assert!(runs.is_empty(), "one node per stage");
         obs.schedulable.clear();
         obs.schedulable.extend_from_slice(&self.schedulable);
     }
