@@ -139,9 +139,6 @@ impl SimSpec {
         cfg.time_limit = self.time_limit;
         cfg.record_gantt = self.record_gantt;
         cfg.dynamics = self.dynamics;
-        if self.drift.enabled() {
-            cfg.phase_boundaries = self.drift.phase_boundaries();
-        }
         cfg
     }
 }

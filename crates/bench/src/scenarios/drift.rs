@@ -91,10 +91,9 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
     let train = super::first_train(spec);
 
     // The stationary environment the base policy trains on: drift off,
-    // no phase boundaries.
+    // so no phase boundaries either.
     let mut stationary = env.clone();
     stationary.drift = DriftSpec::off();
-    stationary.sim.phase_boundaries.clear();
 
     // The base model's checkpoint is the lineage root every fine-tuned
     // arm resumes from. Only a file the caller named is ever reused: a
@@ -174,7 +173,6 @@ pub fn run_drift(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRepor
         // The drifted evaluation/adaptation environment for this profile.
         let mut penv: SpecEnv = env.clone();
         penv.drift = *drift;
-        penv.sim.phase_boundaries = drift.phase_boundaries();
         println!("\n== drift: profile '{profile_name}' ==");
 
         let mut aggs: Vec<(String, DriftCounters)> = Vec::new();

@@ -28,10 +28,13 @@ pub struct SpecEnv {
     /// Workload and cluster description.
     pub workload: WorkloadSpec,
     /// Template for the simulator configuration (the per-episode seed is
-    /// derived from the sequence seed).
+    /// derived from the sequence seed, the phase boundaries from
+    /// [`Self::drift`]).
     pub sim: SimConfig,
     /// Non-stationary drift regime; [`DriftSpec::off`] (the default)
-    /// reproduces the stationary build bit-for-bit.
+    /// reproduces the stationary build bit-for-bit. It also sets the
+    /// built configuration's `phase_boundaries`: the regime's own, none
+    /// when drift is off.
     pub drift: DriftSpec,
 }
 
@@ -51,6 +54,7 @@ impl EnvFactory for SpecEnv {
         let (cluster, jobs) = self.workload.build_drifting(&self.drift, seq_seed);
         let mut sim = self.sim.clone();
         sim.seed = seq_seed ^ SIM_SEED_SALT;
+        sim.phase_boundaries = self.drift.phase_boundaries();
         (cluster, jobs, sim)
     }
 }
@@ -78,5 +82,19 @@ mod tests {
         let (c, jobs, _) = SpecEnv::new(WorkloadSpec::alibaba_small(10, 12, 20.0)).build(1);
         assert_eq!(c.num_classes(), 4);
         assert_eq!(jobs.len(), 10);
+    }
+
+    #[test]
+    fn the_drift_sets_the_phase_boundaries() {
+        let mut env = SpecEnv::new(WorkloadSpec::tpch_stream(3, 5, 20.0));
+        env.sim.phase_boundaries = vec![1.0];
+        let (_, _, off) = env.build(1);
+        assert!(off.phase_boundaries.is_empty());
+        for name in decima_workload::DRIFT_PROFILE_NAMES {
+            let preset = DriftSpec::preset(name).unwrap();
+            env.drift = preset;
+            let (_, _, cfg) = env.build(1);
+            assert_eq!(cfg.phase_boundaries, preset.phase_boundaries(), "{name}");
+        }
     }
 }

@@ -54,6 +54,19 @@ impl Default for AlibabaConfig {
     }
 }
 
+impl AlibabaConfig {
+    /// The small configuration the experiments use (at most 30 stages
+    /// of at most 50 tasks each): `WorkloadSpec::alibaba_small` and the
+    /// mix-shift drift's post-shift jobs.
+    pub(crate) fn small() -> Self {
+        AlibabaConfig {
+            max_stages: 30,
+            max_tasks: 50,
+            ..AlibabaConfig::default()
+        }
+    }
+}
+
 /// Samples the number of stages: 41% small (1–3), the rest a truncated
 /// heavy tail starting at 4.
 fn sample_num_stages(cfg: &AlibabaConfig, rng: &mut impl Rng) -> usize {

@@ -1,13 +1,20 @@
-//! Arrival processes and ready-made workload constructors.
+//! Arrival processes and the one job generator.
 //!
 //! The paper evaluates two arrival regimes (§7.2): *batched* (all jobs
 //! present at time zero) and *continuous* (Poisson arrivals; 45 s mean
 //! interarrival time over the TPC-H mix ≈ 85% cluster load on 50
 //! executors). Training additionally uses freshly-sampled sequences per
 //! iteration, all reproducible from a single seed.
+//!
+//! Every workload is built the same way: draw the arrival times, then
+//! one job body per arrival, in arrival order, from the same RNG. The
+//! crate-private generator does that once; the named streams here,
+//! [`WorkloadSpec::build`](crate::WorkloadSpec::build) and the drifting
+//! builds are entries into it that pick the times and the body (a
+//! TPC-H query or an Alibaba-like job).
 
 use crate::alibaba::{alibaba_job, AlibabaConfig};
-use crate::tpch::{sample_query, tpch_job, with_random_memory};
+use crate::tpch::{sample_query, tpch_job_scaled, with_random_memory};
 use decima_core::{JobId, JobSpec, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,63 +53,75 @@ impl ArrivalProcess {
     }
 }
 
+/// The one generator: a job per arrival time, with dense ids in arrival
+/// order, each body drawn from `rng` after all the times were.
+pub(crate) fn generate(
+    times: Vec<SimTime>,
+    rng: &mut SmallRng,
+    mut body: impl FnMut(JobId, SimTime, &mut SmallRng) -> JobSpec,
+) -> Vec<JobSpec> {
+    times
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| body(JobId(i as u32), t, rng))
+        .collect()
+}
+
+/// The TPC-H body: a query and input size from the §7.2 mix.
+pub(crate) fn tpch_body(
+    task_scale: f64,
+    id: JobId,
+    arrival: SimTime,
+    rng: &mut SmallRng,
+) -> JobSpec {
+    let (q, s) = sample_query(rng);
+    tpch_job_scaled(q, s, id, arrival, task_scale)
+}
+
+/// Random TPC-H jobs under the given arrival process: one RNG seeded
+/// with `seed` draws the arrival times, then the query mix.
+pub(crate) fn tpch_jobs(
+    n: usize,
+    arrivals: ArrivalProcess,
+    task_scale: f64,
+    seed: u64,
+) -> Vec<JobSpec> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let times = arrivals.sample(n, &mut rng);
+    generate(times, &mut rng, |id, t, rng| {
+        tpch_body(task_scale, id, t, rng)
+    })
+}
+
 /// A batch of `n` random TPC-H jobs, all arriving at time zero (§7.2
 /// "batched arrivals").
 pub fn tpch_batch(n: usize, seed: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let (q, s) = sample_query(&mut rng);
-            tpch_job(q, s, JobId(i as u32), SimTime::ZERO)
-        })
-        .collect()
+    tpch_jobs(n, ArrivalProcess::Batch, 1.0, seed)
 }
 
 /// `n` random TPC-H jobs arriving as a Poisson process (§7.2 "continuous
 /// arrivals"; the paper uses `mean_iat = 45` for ≈85% load).
 pub fn tpch_stream(n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let arrivals = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
-    arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let (q, s) = sample_query(&mut rng);
-            tpch_job(q, s, JobId(i as u32), t)
-        })
-        .collect()
+    tpch_jobs(n, ArrivalProcess::Poisson { mean_iat }, 1.0, seed)
 }
 
 /// TPC-H stream with per-stage memory demands sampled from `(0,1]`
-/// (the multi-resource TPC-H experiment, Figure 11b).
+/// (the multi-resource TPC-H experiment, Figure 11b). Each job's
+/// demands come from the stream's own RNG, right after its body.
 pub fn tpch_stream_with_memory(n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let arrivals = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
-    arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let (q, s) = sample_query(&mut rng);
-            with_random_memory(tpch_job(q, s, JobId(i as u32), t), &mut rng)
-        })
-        .collect()
+    let times = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
+    generate(times, &mut rng, |id, t, rng| {
+        with_random_memory(tpch_body(1.0, id, t, rng), rng)
+    })
 }
 
-/// `n` synthetic Alibaba-like jobs arriving as a Poisson process
-/// (the §7.3 industrial-trace replay substitute).
-pub fn alibaba_stream(n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
-    alibaba_stream_cfg(&AlibabaConfig::default(), n, mean_iat, seed)
-}
-
-/// [`alibaba_stream`] with explicit generator configuration.
-pub fn alibaba_stream_cfg(cfg: &AlibabaConfig, n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
+/// `n` synthetic Alibaba-like jobs under `cfg`, arriving as a Poisson
+/// process (the §7.3 industrial-trace replay substitute).
+pub fn alibaba_stream(cfg: &AlibabaConfig, n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let arrivals = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
-    arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| alibaba_job(cfg, JobId(i as u32), t, &mut rng))
-        .collect()
+    let times = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
+    generate(times, &mut rng, |id, t, rng| alibaba_job(cfg, id, t, rng))
 }
 
 /// Renumbers job ids to be dense `0..n` (required by the simulator) after
@@ -183,7 +202,7 @@ mod tests {
 
     #[test]
     fn alibaba_stream_valid() {
-        let jobs = alibaba_stream(100, 20.0, 5);
+        let jobs = alibaba_stream(&AlibabaConfig::default(), 100, 20.0, 5);
         assert_eq!(jobs.len(), 100);
         assert!(jobs.iter().all(|j| j.validate().is_ok()));
     }

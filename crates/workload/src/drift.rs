@@ -21,9 +21,9 @@
 //!   function of `(spec, seed)`.
 
 use crate::alibaba::{alibaba_job, AlibabaConfig};
+use crate::arrivals::{generate, tpch_body, ArrivalProcess};
 use crate::spec::{WorkloadSource, WorkloadSpec};
-use crate::tpch::{sample_query, tpch_job_scaled};
-use decima_core::{ClusterSpec, JobId, JobSpec, SimTime};
+use decima_core::{ClusterSpec, JobSpec, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -260,72 +260,55 @@ impl WorkloadSpec {
     /// rate profile (`ramp`/`diurnal`/`flash`) the arrival times are
     /// resampled from the non-homogeneous process and the job bodies are
     /// redrawn from the drift RNG; with `mixshift` the job family flips
-    /// from TPC-H to Alibaba at the boundary. Sources without a Poisson
-    /// stream to modulate (batches, single queries, the appendix DAG)
-    /// fall back to the stationary build.
+    /// from TPC-H to Alibaba at the boundary. Only plain TPC-H Poisson
+    /// streams and Alibaba streams drift. Every other source falls back
+    /// to the stationary build: TPC-H batches, TPC-H streams with
+    /// `random_memory`, mixed-IAT streams, single queries, the 22-query
+    /// suite and the appendix DAG.
     pub fn build_drifting(&self, drift: &DriftSpec, seed: u64) -> (ClusterSpec, Vec<JobSpec>) {
         if !drift.enabled() {
             return self.build(seed);
         }
-        let (num_jobs, task_scale) = match &self.source {
+        let (num_jobs, mean_iat, task_scale) = match &self.source {
             WorkloadSource::Tpch {
                 num_jobs,
-                arrivals: crate::arrivals::ArrivalProcess::Poisson { .. },
+                arrivals: ArrivalProcess::Poisson { mean_iat },
                 task_scale,
                 random_memory: false,
-            } => (*num_jobs, *task_scale),
-            WorkloadSource::Alibaba { num_jobs, .. } => (*num_jobs, 8.0),
+            } => (*num_jobs, *mean_iat, *task_scale),
+            WorkloadSource::Alibaba {
+                num_jobs, mean_iat, ..
+            } => (*num_jobs, *mean_iat, 8.0),
             _ => return self.build(seed),
         };
         let mut rng = SmallRng::seed_from_u64(seed ^ DRIFT_SEED_SALT);
-        let cluster = self.cluster();
-
-        if let DriftProfile::MixShift { shift_at } = drift.profile {
-            // Keep the spec's own (stationary) arrival process; only the
-            // job family changes at the boundary. Arrivals first, then
-            // bodies, matching the stationary generators' draw order.
-            let mean_iat = self.mean_iat().unwrap_or(25.0);
-            let times =
-                crate::arrivals::ArrivalProcess::Poisson { mean_iat }.sample(num_jobs, &mut rng);
-            let gen = AlibabaConfig {
-                max_stages: 30,
-                max_tasks: 50,
-                ..AlibabaConfig::default()
-            };
-            let jobs = times
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
+        let tpch = |id, t, rng: &mut SmallRng| tpch_body(task_scale, id, t, rng);
+        let jobs = match (drift.profile, &self.source) {
+            // The spec's own (stationary) arrival process; only the job
+            // family changes at the boundary.
+            (DriftProfile::MixShift { shift_at }, _) => {
+                let times = ArrivalProcess::Poisson { mean_iat }.sample(num_jobs, &mut rng);
+                let small = AlibabaConfig::small();
+                generate(times, &mut rng, |id, t, rng| {
                     if t.as_secs() < shift_at {
-                        let (q, s) = sample_query(&mut rng);
-                        tpch_job_scaled(q, s, JobId(i as u32), t, task_scale)
+                        tpch(id, t, rng)
                     } else {
-                        alibaba_job(&gen, JobId(i as u32), t, &mut rng)
+                        alibaba_job(&small, id, t, rng)
                     }
                 })
-                .collect();
-            return (cluster, jobs);
-        }
-
-        // Rate-modulated profiles: thinned arrivals, then job bodies
-        // drawn from the same drift RNG in arrival order.
-        let times = drift.thinned_arrivals(num_jobs, &mut rng);
-        let jobs = match &self.source {
-            WorkloadSource::Alibaba { gen, .. } => times
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| alibaba_job(gen, JobId(i as u32), t, &mut rng))
-                .collect(),
-            _ => times
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let (q, s) = sample_query(&mut rng);
-                    tpch_job_scaled(q, s, JobId(i as u32), t, task_scale)
-                })
-                .collect(),
+            }
+            // Rate-modulated profiles: thinned arrivals, then the
+            // source's own bodies.
+            (_, WorkloadSource::Alibaba { gen, .. }) => {
+                let times = drift.thinned_arrivals(num_jobs, &mut rng);
+                generate(times, &mut rng, |id, t, rng| alibaba_job(gen, id, t, rng))
+            }
+            _ => {
+                let times = drift.thinned_arrivals(num_jobs, &mut rng);
+                generate(times, &mut rng, tpch)
+            }
         };
-        (cluster, jobs)
+        (self.cluster(), jobs)
     }
 }
 
@@ -459,14 +442,54 @@ mod tests {
 
     #[test]
     fn unsupported_sources_fall_back_to_stationary() {
-        let spec = WorkloadSpec::appendix_dag();
-        let (c0, j0) = spec.build(1);
-        let (c1, j1) = spec.build_drifting(&DriftSpec::preset("ramp").unwrap(), 1);
-        assert_eq!(c0, c1);
-        assert_eq!(j0, j1);
-        let batch = WorkloadSpec::tpch_batch(5, 8);
-        let (_, b0) = batch.build(2);
-        let (_, b1) = batch.build_drifting(&DriftSpec::preset("flash").unwrap(), 2);
-        assert_eq!(b0, b1);
+        // Every source but a plain TPC-H Poisson stream and an Alibaba
+        // stream, under every preset.
+        let mut memory = stream_spec();
+        if let WorkloadSource::Tpch { random_memory, .. } = &mut memory.source {
+            *random_memory = true;
+        }
+        let spec = |source| WorkloadSpec {
+            source,
+            executors: 8,
+            move_delay: 1.0,
+        };
+        let fallbacks = [
+            WorkloadSpec::tpch_batch(5, 8),
+            memory,
+            spec(WorkloadSource::TpchMixedIat {
+                num_jobs: 5,
+                lo_iat: 10.0,
+                hi_iat: 40.0,
+                task_scale: 8.0,
+            }),
+            spec(WorkloadSource::SingleTpch {
+                query: 3,
+                gb: 10.0,
+                task_scale: 8.0,
+            }),
+            spec(WorkloadSource::TpchSuite {
+                gb: 2.0,
+                task_scale: 8.0,
+            }),
+            WorkloadSpec::appendix_dag(),
+        ];
+        for spec in &fallbacks {
+            for name in DRIFT_PROFILE_NAMES {
+                let drift = DriftSpec::preset(name).unwrap();
+                assert_eq!(
+                    spec.build_drifting(&drift, 2),
+                    spec.build(2),
+                    "{name} on {:?}",
+                    spec.source
+                );
+            }
+        }
+        // The two sources that drift do move.
+        for spec in [stream_spec(), WorkloadSpec::alibaba_small(5, 8, 20.0)] {
+            for name in DRIFT_PROFILE_NAMES {
+                let drift = DriftSpec::preset(name).unwrap();
+                assert_ne!(spec.build_drifting(&drift, 2), spec.build(2), "{name}");
+            }
+        }
     }
 }

@@ -6,14 +6,14 @@
 //! example DAG — behind one deterministic `build(seed)` entry point that
 //! returns the cluster and the job list together.
 //!
-//! The construction is bit-for-bit identical to the per-workload
-//! environment factories it replaced (`decima_rl::SpecEnv` wraps any
-//! spec now), so seeds recorded in old experiment outputs keep producing
-//! the same workloads.
+//! Every source with arrivals is an entry into the crate's one job
+//! generator ([`arrivals`](crate::arrivals)): the arrival times first,
+//! then one body per arrival from the same RNG, so a seed names one job
+//! list. `decima_rl::SpecEnv` wraps any spec.
 
-use crate::alibaba::{alibaba_job, AlibabaConfig};
-use crate::arrivals::ArrivalProcess;
-use crate::tpch::{sample_query, tpch_job_scaled, with_random_memory};
+use crate::alibaba::AlibabaConfig;
+use crate::arrivals::{alibaba_stream, tpch_jobs, ArrivalProcess};
+use crate::tpch::{tpch_job_scaled, with_random_memory};
 use decima_core::{ClusterSpec, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,11 +128,7 @@ impl WorkloadSpec {
             source: WorkloadSource::Alibaba {
                 num_jobs,
                 mean_iat,
-                gen: AlibabaConfig {
-                    max_stages: 30,
-                    max_tasks: 50,
-                    ..AlibabaConfig::default()
-                },
+                gen: AlibabaConfig::small(),
             },
             executors,
             move_delay: 1.0,
@@ -226,8 +222,11 @@ impl WorkloadSpec {
         classes.with_move_delay(self.move_delay)
     }
 
-    /// Materializes the episode input for `seed`: deterministic, and
-    /// identical to the historical env-factory construction.
+    /// Materializes the episode input for `seed`, deterministically.
+    /// With `random_memory`, the per-stage demands come from a side RNG
+    /// after the whole stream is drawn (unlike
+    /// [`tpch_stream_with_memory`](crate::tpch_stream_with_memory), which
+    /// draws them from the stream's RNG).
     pub fn build(&self, seed: u64) -> (ClusterSpec, Vec<JobSpec>) {
         let jobs = match &self.source {
             WorkloadSource::Tpch {
@@ -252,8 +251,8 @@ impl WorkloadSpec {
                 hi_iat,
                 task_scale,
             } => {
-                // The historical `MixedEnv` draws the episode IAT first,
-                // from a side RNG, then builds the normal stream.
+                // The episode IAT comes first, from a side RNG, then
+                // the normal stream.
                 let mut rng = SmallRng::seed_from_u64(seed ^ 0xa11a);
                 let iat = rng.gen_range(*lo_iat..=*hi_iat);
                 tpch_jobs(
@@ -267,18 +266,7 @@ impl WorkloadSpec {
                 num_jobs,
                 mean_iat,
                 gen,
-            } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let arrivals = ArrivalProcess::Poisson {
-                    mean_iat: *mean_iat,
-                }
-                .sample(*num_jobs, &mut rng);
-                arrivals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, t)| alibaba_job(gen, JobId(i as u32), t, &mut rng))
-                    .collect()
-            }
+            } => alibaba_stream(gen, *num_jobs, *mean_iat, seed),
             WorkloadSource::SingleTpch {
                 query,
                 gb,
@@ -298,27 +286,6 @@ impl WorkloadSpec {
         };
         (self.cluster(), jobs)
     }
-}
-
-/// Random TPC-H jobs under the given arrival process — the construction
-/// every TPC-H environment shares (one RNG drives both the arrival
-/// sampling and the query mix, in that order).
-fn tpch_jobs(
-    num_jobs: usize,
-    arrivals: ArrivalProcess,
-    task_scale: f64,
-    seed: u64,
-) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let times = arrivals.sample(num_jobs, &mut rng);
-    times
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let (q, s) = sample_query(&mut rng);
-            tpch_job_scaled(q, s, JobId(i as u32), t, task_scale)
-        })
-        .collect()
 }
 
 /// The Appendix A two-branch DAG (5 task slots, ε = 0.1 s): a long

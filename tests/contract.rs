@@ -40,7 +40,7 @@ fn workspace_scan_is_clean() {
 fn every_rule_fires_on_the_canary() {
     // After `--` the cfg reaches the selected package alone, so the
     // dependencies' artefacts are the clean scan's.
-    let (passed, stderr) = clippy("-p decima-tests --lib -- --cfg contract_canary -D warnings");
+    let (passed, stderr) = clippy("-p decima --lib -- --cfg contract_canary -D warnings");
     assert!(!passed, "clippy accepted src/contract_canary.rs");
     for (lint, message) in [
         (

@@ -16,7 +16,19 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use decima_tests::shrink_jobs as shrink;
+/// Scales every stage's task count down by `factor` (minimum one task),
+/// so the pipeline tests run in milliseconds while keeping each job's
+/// DAG shape.
+fn shrink(jobs: Vec<JobSpec>, factor: u32) -> Vec<JobSpec> {
+    jobs.into_iter()
+        .map(|mut j| {
+            for s in &mut j.stages {
+                s.num_tasks = (s.num_tasks / factor).max(1);
+            }
+            j
+        })
+        .collect()
+}
 
 #[test]
 fn full_pipeline_baseline_ordering() {
