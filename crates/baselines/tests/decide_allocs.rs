@@ -4,8 +4,8 @@
 //! been sized by the first decision of a batch (SJF-CP used to make two
 //! per decision — the critical-path vectors — and the fair family two —
 //! weights and targets). Counted by the workspace's counting
-//! `#[global_allocator]` (`tests/support/counting_alloc.rs`), in one
-//! test so nothing else in this process allocates meanwhile.
+//! `#[global_allocator]` (`tests/support/counting_alloc.rs`), on the
+//! test's own thread only.
 
 use decima_baselines::{FifoScheduler, SjfCpScheduler, TetrisScheduler, WeightedFairScheduler};
 use decima_core::ClusterSpec;

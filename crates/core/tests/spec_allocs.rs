@@ -4,8 +4,8 @@
 //! every job of the arrival stream, is three allocations of exactly the
 //! bytes the job holds: no per-stage adjacency block and no spare
 //! capacity. Counted by the workspace's counting `#[global_allocator]`
-//! (`tests/support/counting_alloc.rs`), in one test so nothing else in
-//! this process allocates meanwhile.
+//! (`tests/support/counting_alloc.rs`), on the test's own thread
+//! only.
 
 use decima_core::{JobBuilder, JobId, StageSpec};
 

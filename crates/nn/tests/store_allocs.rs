@@ -2,8 +2,8 @@
 //! shares the store's names and values: it allocates the two vectors it
 //! owns and one buffer per gradient tensor, and copies no name. Counted
 //! by the workspace's counting `#[global_allocator]`
-//! (`tests/support/counting_alloc.rs`), in one test so nothing else in
-//! this process allocates meanwhile.
+//! (`tests/support/counting_alloc.rs`), on the test's own thread
+//! only.
 
 use decima_nn::{ParamStore, Tensor};
 

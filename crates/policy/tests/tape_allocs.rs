@@ -4,8 +4,8 @@
 //! under a small pinned number of heap allocations (the old
 //! tape-per-decision execution made 814 and 315). Counted by the
 //! workspace's counting `#[global_allocator]`
-//! (`tests/support/counting_alloc.rs`), in one test so nothing else in
-//! this process allocates meanwhile.
+//! (`tests/support/counting_alloc.rs`), on the test's own thread
+//! only.
 
 use decima_core::ClusterSpec;
 use decima_nn::ParamStore;

@@ -18,7 +18,7 @@
 //! one allocation per write, per dirty job or per rebuild would be tens
 //! to hundreds. Counted by the workspace's
 //! counting `#[global_allocator]` (`tests/support/counting_alloc.rs`),
-//! in one test so nothing else in this process allocates meanwhile.
+//! on the test's own thread only.
 
 use decima_core::ClusterSpec;
 use decima_sim::{Action, Observation, Scheduler, SimConfig, Simulator};

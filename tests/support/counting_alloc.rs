@@ -1,13 +1,18 @@
 //! A `#[global_allocator]` that counts: every allocation-pin test
 //! (`crates/policy/tests/tape_allocs.rs`,
+//! `crates/policy/tests/infer_allocs.rs`,
 //! `crates/baselines/tests/decide_allocs.rs`,
 //! `crates/sim/tests/obs_allocs.rs`,
 //! `crates/core/tests/spec_allocs.rs`,
 //! `crates/nn/tests/store_allocs.rs`) includes this one file by
 //! `#[path]`, so the workspace has one `unsafe impl GlobalAlloc`, not one
-//! per test. It forwards to the system allocator; each of those tests
-//! is the only test of its binary, so nothing else in the process
-//! allocates while it counts.
+//! per test. It forwards to the system allocator.
+//!
+//! The counters are per thread: [`allocations`] and [`bytes`] report
+//! what the *calling* thread has allocated. A process-wide count would
+//! also see the test harness's own thread, which allocates at moments
+//! of its own choosing inside a measured window; none of the pin tests
+//! spawns a thread, so the calling thread is all they measure.
 
 #![allow(
     unsafe_code,
@@ -15,10 +20,14 @@
 )]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching them from
+    // inside the allocator neither allocates nor registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 struct Counting;
 
@@ -27,8 +36,9 @@ struct Counting;
 // (`realloc` and `alloc_zeroed` default to `alloc`, so they count too.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // `try_with`: a thread being torn down may still allocate.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
@@ -40,13 +50,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Heap allocations made by this process so far.
+/// Heap allocations made by the calling thread so far.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Bytes those allocations asked for.
 #[allow(dead_code)] // not every including test prints sizes
 pub fn bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
+    BYTES.with(Cell::get)
 }
