@@ -22,18 +22,42 @@
 //! `f_glob` rows in job order. It never builds a feature matrix: per job
 //! it compares the *read set* of the features (`features.rs`: per node
 //! remaining tasks, `executors_on` and the duration estimate's bits; per
-//! job `local_free > 0`; per decision `free_total`, `total_executors`
-//! and the `FeatureConfig`) with the keys kept in the job's memo — the
-//! one comparison store — and builds `f32` feature rows, from those
-//! keys, only for the jobs where a key moved. The compare is the one
-//! pass that is still O(all nodes). A cold encoder, or a decision where
-//! a global feature moved, is the same code with every job dirty.
+//! job `local_free > 0`) with the keys kept in the job's memo — the one
+//! comparison store — and builds `f32` feature rows, from those keys,
+//! only for the jobs where a key moved. The compare is the one pass that
+//! is still O(all nodes).
+//!
+//! A memo is keyed on the *whole* read set, the decision-wide part
+//! included: `free_total`, `total_executors` and the `FeatureConfig`,
+//! which every row of every job reads (`free_total / m` is §6.1's
+//! feature (iv)). The memos computed under one decision-wide key form
+//! one set. Beside the current set the encoder **parks** up to
+//! `PARKED` (3) earlier ones, most recently current first. When the
+//! decision-wide key moves, the current set is parked under the key it
+//! was computed with, and the set parked under the new key, if any, is
+//! taken back: only the jobs whose own keys moved since it was parked
+//! are recomputed, and `z` is re-summed from its rows. With no set
+//! parked under the new key, the least recently current one is taken
+//! back emptied, and every job is computed. On a loaded cluster
+//! `free_total` sits at one value most of the time and moves straight
+//! back after an executor is handed out, so most moves return to a
+//! parked key. A cold encoder is the same code with no job held.
+//!
+//! What parking costs: taking a set back swaps buffers, so it never
+//! allocates. Every set is kept in the current structure's row layout,
+//! so a change of the live job set carries all `1 + PARKED` of them (a
+//! copy of each surviving job's rows), and memory holds at most
+//! `1 + PARKED` memos per live job: `(1 + PARKED) × live nodes × (d
+//! floats + a 16-byte key)`, plus three per-job rows each. A job that a
+//! set holds no rows for — one admitted since it was parked — is marked
+//! by a flag of its own, never by a key value.
 //!
 //! [`InferEncoder::forward`] is the **cold reference sweep**: it takes a
 //! [`GraphInput`] with any feature matrix, computes every job from it,
-//! compares nothing and leaves no key behind, so the next decision
-//! recomputes every job too. The differential suites hold the
-//! observation entry to it, and the benchmark's layer probe times it.
+//! compares nothing and leaves no key behind — it drops the parked sets
+//! too — so the next decision recomputes every job. The differential
+//! suites hold the observation entry to it, and the benchmark's layer
+//! probe times it.
 //!
 //! Memoising is exact: every [`F32Mlp`] kernel computes an output row
 //! from that input row and the weights alone, in a fixed `k` order, and
@@ -46,13 +70,14 @@
 //!
 //! Memos live in the row layout of one `GraphStructure`, held by `Arc`
 //! by the encoder. When the live job set changes, the memos of
-//! jobs present in both structures are carried over; a job is
-//! recognised by the `Arc<JobSpec>` its [`JobGraph`]
+//! jobs present in both structures are carried over, in every set; a
+//! job is recognised by the `Arc<JobSpec>` its [`JobGraph`]
 //! holds, compared by pointer while the old structure — and through it
 //! the old spec — is still alive, so a freed address cannot alias.
 //! Everything else is dropped, which bounds the memo count by the live
-//! job count. A structure built from bare DAGs has no job identity: its
-//! memos serve that structure `Arc` and die with it.
+//! job count times `1 + PARKED`. A structure built from bare DAGs has
+//! no job identity: its memos serve that structure `Arc` and die with
+//! it.
 //!
 //! Against the `f64` tape the output is numerically *exact-enough*, not
 //! bit-identical: the differential suite bounds the divergence at 1e-4
@@ -66,11 +91,24 @@ use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use decima_sim::Observation;
 use std::sync::Arc;
 
-/// The per-job results of the last forwards, flat in the row layout of
-/// the encoder's structure: job `i`'s memo is its node range in `keys`
-/// and `nodes` plus row `i` of `local`, `jobs` and `fglob`.
+/// How many memos the encoder parks beside the current one (module
+/// docs). Chosen from a sweep over 1, 3 and 7 on the benchmark's
+/// backlog workload (docs/PERF.md "Parked memos").
+const PARKED: usize = 3;
+
+/// The per-job results of forwards under one decision-wide key, flat in
+/// the row layout of the encoder's structure: job `i`'s memo is its node
+/// range in `keys` and `nodes` plus row `i` of `held`, `local`, `jobs`
+/// and `fglob`.
 #[derive(Default)]
 struct Memo {
+    /// The decision-wide key every row here was computed under; `None`
+    /// while the memo holds nothing.
+    glob: Option<GlobalKey>,
+    /// `held[i]`: the rows of job `i` are here. False for a job the
+    /// memo was never computed for — one admitted since the memo was
+    /// last current, or any job of a memo taken back emptied.
+    held: Vec<bool>,
     /// What each job was last computed from: the read set of every
     /// node's feature row, `[n]` …
     keys: Vec<NodeKey>,
@@ -82,6 +120,46 @@ struct Memo {
     jobs: Vec<f32>,
     /// `[jobs, d]` rows `f_glob(y_i)`, the terms of the global sum.
     fglob: Vec<f32>,
+}
+
+impl Memo {
+    /// Refills `self` with `from`'s memo in `to`'s row layout: job `i`
+    /// of `to` keeps the rows `from` holds for job `carried[i]` of
+    /// `old` (`from`'s layout), and every other job is marked not held.
+    /// Only resizes and copies, so it allocates only to grow.
+    fn carry(
+        &mut self,
+        from: &Memo,
+        old: &[JobGraph],
+        to: &GraphStructure,
+        carried: &[Option<u32>],
+        d: usize,
+    ) {
+        let (n, nj) = (to.num_nodes, to.num_jobs());
+        // Rows of a job not held are computed before they are read, so
+        // the buffers are resized, not cleared.
+        self.nodes.resize(n * d, 0.0);
+        self.jobs.resize(nj * d, 0.0);
+        self.fglob.resize(nj * d, 0.0);
+        self.keys.resize(n, NodeKey::default());
+        self.local.resize(nj, false);
+        self.glob = from.glob;
+        self.held.clear();
+        for (ji, (job, &oi)) in to.jobs.iter().zip(carried).enumerate() {
+            let oi = oi
+                .map(|oi| oi as usize)
+                .filter(|&oi| from.glob.is_some() && from.held[oi]);
+            self.held.push(oi.is_some());
+            let Some(oi) = oi else { continue };
+            let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
+            debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
+            self.keys[dst..dst + n].copy_from_slice(&from.keys[src..src + n]);
+            self.local[ji] = from.local[oi];
+            self.nodes[dst * d..(dst + n) * d].copy_from_slice(&from.nodes[src * d..(src + n) * d]);
+            self.jobs[ji * d..(ji + 1) * d].copy_from_slice(&from.jobs[oi * d..(oi + 1) * d]);
+            self.fglob[ji * d..(ji + 1) * d].copy_from_slice(&from.fglob[oi * d..(oi + 1) * d]);
+        }
+    }
 }
 
 /// Position in `old` of the job whose spec is `spec`, searching from
@@ -121,17 +199,17 @@ pub struct InferEncoder {
     /// and keeps every job's `Arc<JobSpec>` alive for
     /// [`rebase`](Self::rebase).
     structure: Arc<GraphStructure>,
+    /// The memo the sweep reads and writes: the one under the last
+    /// forward's decision-wide key.
     memo: Memo,
-    /// The decision-wide key `memo.keys` / `memo.local` were recorded
-    /// under; `None` while they describe nothing (a cold encoder, or
-    /// the cold reference sweep ran last).
-    keyed: Option<GlobalKey>,
-    /// `admitted[i]`: the last [`rebase`](Self::rebase) found no memo
-    /// for job `i`. Read only by the forward that rebased, which
-    /// computes those jobs whatever their features.
-    admitted: Vec<bool>,
-    /// Target of a rebase, swapped with `memo`.
+    /// Memos under earlier keys, most recently current first, in the
+    /// same row layout; a decision whose key matches one takes it back.
+    parked: [Memo; PARKED],
+    /// Target of a rebase, swapped with each memo in turn.
     spare: Memo,
+    /// Per job of the structure being rebased to: its index in the old
+    /// one, if it was there.
+    carried: Vec<Option<u32>>,
     /// Job indices recomputed by this forward, ascending.
     dirty: Vec<u32>,
     /// Per job: whether it is in `dirty`, and if so its node offset in
@@ -192,9 +270,9 @@ impl InferEncoder {
             g_zero,
             structure: no_structure(),
             memo: Memo::default(),
-            keyed: None,
-            admitted: Vec::new(),
+            parked: Default::default(),
             spare: Memo::default(),
+            carried: Vec::new(),
             dirty: Vec::new(),
             compact_off: Vec::new(),
             picked: Vec::new(),
@@ -219,16 +297,18 @@ impl InferEncoder {
         self.d
     }
 
-    /// Number of per-job memos held: the job count of the structure the
-    /// last forward ran on.
+    /// Number of per-job memos in the current set: the job count of the
+    /// structure the last forward ran on. Each parked set holds at most
+    /// as many, for the same jobs.
     pub fn memo_len(&self) -> usize {
         self.structure.num_jobs()
     }
 
-    /// Drops every memo (and the structure and job specs they hold).
-    /// Never needed for correctness; keeps an idle encoder from pinning
-    /// the last episode's jobs.
+    /// Drops every memo (and the structure and job specs they hold),
+    /// keeping their buffers. Never needed for correctness; keeps an
+    /// idle encoder from pinning the last episode's jobs.
     pub fn clear_memos(&mut self) {
+        self.forget_all();
         self.structure = no_structure();
     }
 
@@ -238,48 +318,54 @@ impl InferEncoder {
         self.dirty.len()
     }
 
-    /// Moves the memos into `structure`'s row layout: jobs present in
-    /// both structures (same `Arc<JobSpec>`) keep theirs, every other
-    /// job of `structure` is marked admitted, and the memos of departed
-    /// jobs are dropped with the old structure.
+    /// Marks every memo, current and parked, as holding nothing.
+    fn forget_all(&mut self) {
+        for memo in std::iter::once(&mut self.memo).chain(&mut self.parked) {
+            memo.glob = None;
+        }
+    }
+
+    /// Moves every memo into `structure`'s row layout: jobs present in
+    /// both structures (same `Arc<JobSpec>`) keep their rows, every
+    /// other job of `structure` is marked not held, and the rows of
+    /// departed jobs are dropped with the old structure.
     fn rebase(&mut self, structure: &Arc<GraphStructure>) {
-        let d = self.d;
-        let (n, nj) = (structure.num_nodes, structure.num_jobs());
-        let next = &mut self.spare;
-        for (buf, len) in [
-            (&mut next.nodes, n * d),
-            (&mut next.jobs, nj * d),
-            (&mut next.fglob, nj * d),
-        ] {
-            buf.clear();
-            buf.resize(len, 0.0);
-        }
-        next.keys.clear();
-        next.keys.resize(n, NodeKey::default());
-        next.local.clear();
-        next.local.resize(nj, false);
         let old = &self.structure.jobs;
-        self.admitted.clear();
         let mut cursor = 0usize;
-        for (ji, job) in structure.jobs.iter().enumerate() {
-            let from = job
-                .spec
-                .as_ref()
-                .and_then(|spec| position_of(old, spec, &mut cursor));
-            self.admitted.push(from.is_none());
-            let Some(oi) = from else { continue };
-            let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
-            debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
-            next.keys[dst..dst + n].copy_from_slice(&self.memo.keys[src..src + n]);
-            next.local[ji] = self.memo.local[oi];
-            next.nodes[dst * d..(dst + n) * d]
-                .copy_from_slice(&self.memo.nodes[src * d..(src + n) * d]);
-            next.jobs[ji * d..(ji + 1) * d].copy_from_slice(&self.memo.jobs[oi * d..(oi + 1) * d]);
-            next.fglob[ji * d..(ji + 1) * d]
-                .copy_from_slice(&self.memo.fglob[oi * d..(oi + 1) * d]);
+        self.carried.clear();
+        self.carried.extend(structure.jobs.iter().map(|job| {
+            let spec = job.spec.as_ref()?;
+            position_of(old, spec, &mut cursor).map(|oi| oi as u32)
+        }));
+        for memo in std::iter::once(&mut self.memo).chain(&mut self.parked) {
+            self.spare
+                .carry(memo, old, structure, &self.carried, self.d);
+            std::mem::swap(memo, &mut self.spare);
         }
-        std::mem::swap(&mut self.memo, &mut self.spare);
         self.structure = Arc::clone(structure);
+    }
+
+    /// Makes the current memo the one computed under `glob`. If it is
+    /// not already, the current memo is parked, most recent first, and
+    /// the parked memo under `glob` is taken back — or, if there is
+    /// none, the least recently current one, emptied. Swaps only, so it
+    /// never allocates. Returns whether the current memo changed.
+    fn take(&mut self, glob: GlobalKey) -> bool {
+        if self.memo.glob == Some(glob) {
+            return false;
+        }
+        let k = self
+            .parked
+            .iter()
+            .position(|memo| memo.glob == Some(glob))
+            .unwrap_or(PARKED - 1);
+        std::mem::swap(&mut self.memo, &mut self.parked[k]);
+        self.parked[..=k].rotate_right(1);
+        if self.memo.glob != Some(glob) {
+            self.memo.glob = Some(glob);
+            self.memo.held.fill(false);
+        }
+        true
     }
 
     /// Start of a forward over `structure`: rebases the memos if it is
@@ -301,7 +387,7 @@ impl InferEncoder {
     /// filling the node/job/global embedding buffers (read them with
     /// [`node_row`](Self::node_row) / [`job_row`](Self::job_row) /
     /// [`global_row`](Self::global_row)). It reads no memo and leaves
-    /// no key, so the next
+    /// no key, parked ones included, so the next
     /// [`forward_observation`](Self::forward_observation) recomputes
     /// every job as well (module docs).
     ///
@@ -311,8 +397,8 @@ impl InferEncoder {
     /// benchmark's layer probe, because it takes any feature matrix.
     pub fn forward(&mut self, g: &GraphInput) {
         assert_eq!(g.features.cols(), self.feat_dim, "feature dim");
+        self.forget_all();
         self.begin(&g.structure);
-        self.keyed = None;
         self.xin.extend(g.features.data().iter().map(|&v| v as f32));
         for (ji, job) in self.structure.jobs.iter().enumerate() {
             self.dirty.push(ji as u32);
@@ -344,41 +430,45 @@ impl InferEncoder {
         );
         let rebased = self.begin(structure);
         let glob = GlobalKey::of(feat, obs);
-        let comparable = self.keyed == Some(glob);
-        self.keyed = Some(glob);
+        let taken = self.take(glob);
         let s: &GraphStructure = &self.structure;
+        let memo = &mut self.memo;
 
         let mut m = 0usize;
         for (ji, (job, seen)) in s.jobs.iter().zip(&obs.jobs).enumerate() {
             assert_eq!(job.num_nodes, seen.nodes.len(), "one spec, one DAG");
-            let keys = &mut self.memo.keys[job.node_offset..job.node_offset + job.num_nodes];
+            let keys = &mut memo.keys[job.node_offset..job.node_offset + job.num_nodes];
             let local = seen.local_free > 0;
             // One pass both compares the keys and brings them up to date.
-            let mut moved = self.memo.local[ji] != local;
+            let mut moved = !memo.held[ji] || memo.local[ji] != local;
             for (key, node) in keys.iter_mut().zip(&seen.nodes) {
                 let now = NodeKey::of(node);
                 moved |= *key != now;
                 *key = now;
             }
-            self.memo.local[ji] = local;
-            let admitted = rebased && self.admitted[ji];
-            if comparable && !admitted && !moved {
+            memo.local[ji] = local;
+            if !moved {
                 self.compact_off.push(None);
                 continue;
             }
+            memo.held[ji] = true;
             self.dirty.push(ji as u32);
             self.compact_off.push(Some(m as u32));
             glob.job_rows_f32(local, keys, &mut self.xin);
             m += job.num_nodes;
         }
-        self.finish(m, rebased);
+        // A memo taken back holds other `f_glob` rows than the last
+        // forward summed, so `z` is re-summed even if no job is dirty.
+        self.finish(m, rebased || taken);
     }
 
     /// End of a forward: recomputes the `m` nodes of the dirty jobs
-    /// (rows in `self.xin`) and, if anything changed, re-sums `z`.
-    fn finish(&mut self, m: usize, rebased: bool) {
+    /// (rows in `self.xin`) and, if any job was recomputed or `moved`
+    /// says the memo's rows are not the ones `z` was last summed from,
+    /// re-sums `z`.
+    fn finish(&mut self, m: usize, moved: bool) {
         let d = self.d;
-        if self.dirty.is_empty() && !rebased {
+        if self.dirty.is_empty() && !moved {
             return;
         }
         if !self.dirty.is_empty() {

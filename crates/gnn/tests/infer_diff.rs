@@ -179,6 +179,9 @@ proptest! {
         };
         let mut structure = structure_of_obs(&obs);
         let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+        // Every (free_total, total_executors) the script has decided on,
+        // for the edit that returns to one of them.
+        let mut counts_seen: Vec<(usize, usize)> = Vec::new();
         for step in 0..24 {
             let edit = if step == 0 { ObsEdit::Repeat } else { ObsEdit::random(&mut rng) };
             match edit {
@@ -206,6 +209,12 @@ proptest! {
                 }
                 ObsEdit::FreeTotal => obs.free_total = rng.gen_range(0..10),
                 ObsEdit::TotalExecutors => obs.total_executors = rng.gen_range(1..40),
+                // Back to earlier cluster counts: a memo parked under
+                // them is taken back, with whatever moved since.
+                ObsEdit::ReturnCounts => {
+                    let at = rng.gen_range(0..counts_seen.len());
+                    (obs.free_total, obs.total_executors) = counts_seen[at];
+                }
                 ObsEdit::Retire if obs.jobs.len() > 1 => {
                     obs.jobs.remove(rng.gen_range(0..obs.jobs.len()));
                     structure = structure_of_obs(&obs);
@@ -238,6 +247,7 @@ proptest! {
                 }
                 ObsEdit::Retire | ObsEdit::Repeat => {}
             }
+            counts_seen.push((obs.free_total, obs.total_executors));
             warm.forward_observation(&feat, &obs, &structure);
             let mut cold = InferEncoder::pack(&enc, &store).unwrap();
             cold.forward_observation(&feat, &obs, &structure);
@@ -265,6 +275,7 @@ enum ObsEdit {
     LocalFree,
     FreeTotal,
     TotalExecutors,
+    ReturnCounts,
     Retire,
     Admit,
     Restructure,
@@ -274,12 +285,13 @@ enum ObsEdit {
 
 impl ObsEdit {
     fn random(rng: &mut SmallRng) -> ObsEdit {
-        const ALL: [ObsEdit; 10] = [
+        const ALL: [ObsEdit; 11] = [
             ObsEdit::Tasks,
             ObsEdit::ExecutorsOn,
             ObsEdit::LocalFree,
             ObsEdit::FreeTotal,
             ObsEdit::TotalExecutors,
+            ObsEdit::ReturnCounts,
             ObsEdit::Retire,
             ObsEdit::Admit,
             ObsEdit::Restructure,
@@ -460,6 +472,9 @@ fn the_tensor_entry_reads_no_memo() {
 /// jobs that read it (one job for a node or job field, all of them for
 /// a cluster count or the configuration) to the bits a cold encoder
 /// gives, and moving a field no feature reads recomputes nothing.
+/// Moving it back recomputes the one job again for a node or job
+/// field, and nothing for a decision-wide one: the memo computed under
+/// the old decision-wide key was parked, and is taken back.
 #[test]
 fn the_observation_entry_recomputes_exactly_what_the_features_read() {
     type Edit<'a> = &'a dyn Fn(&mut Observation);
@@ -484,36 +499,41 @@ fn the_observation_entry_recomputes_exactly_what_the_features_read() {
     assert_eq!(warm.dirty_jobs(), 3, "a cold encoder computes every job");
 
     // `want` jobs recomputed after `edit`, and the bits are a cold
-    // encoder's; then back to `base`, which moves the same keys back.
-    let mut check = |what: &str, want: usize, feat_now: &FeatureConfig, edit: Edit| {
-        let mut obs = base.clone();
-        edit(&mut obs);
-        warm.forward_observation(feat_now, &obs, &structure);
-        assert_eq!(warm.dirty_jobs(), want, "{what}");
-        let mut cold = InferEncoder::pack(&enc, &store).unwrap();
-        cold.forward_observation(feat_now, &obs, &structure);
-        assert!(same_bits(&warm, &cold, &structure), "{what}");
-        warm.forward_observation(&feat, &base, &structure);
-        assert_eq!(warm.dirty_jobs(), want, "{what}, undone");
-    };
+    // encoder's; then back to `base`, which moves the same keys back
+    // and recomputes `undone` jobs, again to a cold encoder's bits.
+    let mut base_cold = InferEncoder::pack(&enc, &store).unwrap();
+    base_cold.forward_observation(&feat, &base, &structure);
+    let mut check =
+        |what: &str, want: usize, undone: usize, feat_now: &FeatureConfig, edit: Edit| {
+            let mut obs = base.clone();
+            edit(&mut obs);
+            warm.forward_observation(feat_now, &obs, &structure);
+            assert_eq!(warm.dirty_jobs(), want, "{what}");
+            let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+            cold.forward_observation(feat_now, &obs, &structure);
+            assert!(same_bits(&warm, &cold, &structure), "{what}");
+            warm.forward_observation(&feat, &base, &structure);
+            assert_eq!(warm.dirty_jobs(), undone, "{what}, undone");
+            assert!(same_bits(&warm, &base_cold, &structure), "{what}, undone");
+        };
 
     // Read per node: remaining tasks (either addend), executors_on, and
     // the duration estimate.
-    check("waiting", 1, &feat, &|o| o.jobs[1].nodes[2].waiting += 1);
-    check("running", 1, &feat, &|o| o.jobs[1].nodes[0].running += 1);
-    check("executors_on", 1, &feat, &|o| {
+    check("waiting", 1, 1, &feat, &|o| o.jobs[1].nodes[2].waiting += 1);
+    check("running", 1, 1, &feat, &|o| o.jobs[1].nodes[0].running += 1);
+    check("executors_on", 1, 1, &feat, &|o| {
         o.jobs[2].nodes[1].executors_on += 1
     });
-    check("avg_task_duration", 1, &feat, &|o| {
+    check("avg_task_duration", 1, 1, &feat, &|o| {
         o.jobs[0].nodes[1].avg_task_duration += 0.5
     });
     // Read per job: whether any bound executor is idle.
-    check("local_free 0 <-> 1", 1, &feat, &|o| {
+    check("local_free 0 <-> 1", 1, 1, &feat, &|o| {
         o.jobs[1].local_free = 1 - o.jobs[1].local_free
     });
     // Read by every row: the two cluster counts and the configuration.
-    check("free_total", 3, &feat, &|o| o.free_total += 1);
-    check("total_executors", 3, &feat, &|o| o.total_executors += 1);
+    check("free_total", 3, 0, &feat, &|o| o.free_total += 1);
+    check("total_executors", 3, 0, &feat, &|o| o.total_executors += 1);
     let other_cfgs = [
         FeatureConfig {
             include_duration: false,
@@ -541,7 +561,7 @@ fn the_observation_entry_recomputes_exactly_what_the_features_read() {
         },
     ];
     for cfg in &other_cfgs {
-        check(&format!("{cfg:?}"), 3, cfg, &|_| {});
+        check(&format!("{cfg:?}"), 3, 0, cfg, &|_| {});
     }
 
     // Not read: everything else an observation carries.
@@ -578,8 +598,90 @@ fn the_observation_entry_recomputes_exactly_what_the_features_read() {
         }),
     ];
     for (what, edit) in unread {
-        check(what, 0, &feat, edit);
+        check(what, 0, 0, &feat, edit);
     }
+}
+
+/// When `free_total` returns to a value a memo was parked under, only
+/// the jobs whose own keys moved since are recomputed, and the rows
+/// (`z` included) are a cold encoder's: 1 → 2 → 1 with one job edited
+/// at 2 recomputes that job alone on the return; with no job edited it
+/// recomputes none, and `z` is re-summed from the memo taken back.
+#[test]
+fn a_memo_parked_under_free_total_serves_the_jobs_that_did_not_move() {
+    let mut rng = SmallRng::seed_from_u64(25);
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig::default();
+    let chain = DagTopology::new(3, &[(0, 1), (1, 2)]).unwrap();
+    let one = Observation {
+        total_executors: 20,
+        free_total: 1,
+        jobs: (0..3)
+            .map(|i| random_job_obs(&mut rng, spec_with_dag(i, &chain)))
+            .collect(),
+        ..Observation::default()
+    };
+    let structure = structure_of_obs(&one);
+    for edited in [true, false] {
+        let mut two = Observation {
+            free_total: 2,
+            ..one.clone()
+        };
+        if edited {
+            two.jobs[1].nodes[0].waiting += 1;
+        }
+        let back = Observation {
+            free_total: 1,
+            ..two.clone()
+        };
+        let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+        warm.forward_observation(&feat, &one, &structure);
+        warm.forward_observation(&feat, &two, &structure);
+        assert_eq!(
+            warm.dirty_jobs(),
+            3,
+            "a new free_total recomputes every job"
+        );
+        warm.forward_observation(&feat, &back, &structure);
+        let want = usize::from(edited);
+        assert_eq!(warm.dirty_jobs(), want, "edited: {edited}");
+        let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+        cold.forward_observation(&feat, &back, &structure);
+        assert!(same_bits(&warm, &cold, &structure), "edited: {edited}");
+    }
+}
+
+/// A memo marks the jobs it holds no rows for with a flag of its own,
+/// not with a key value: a job admitted whose every key is the default
+/// one (no task left, no executor, no duration estimate) is computed
+/// like any other new job.
+#[test]
+fn a_job_admitted_with_default_keys_is_computed() {
+    let mut rng = SmallRng::seed_from_u64(26);
+    let (enc, store) = random_encoder_of_width(&mut rng, FEAT_DIM);
+    let feat = FeatureConfig::default();
+    let chain = DagTopology::new(3, &[(0, 1), (1, 2)]).unwrap();
+    let mut obs = Observation {
+        total_executors: 20,
+        free_total: 1,
+        jobs: vec![random_job_obs(&mut rng, spec_with_dag(0, &chain))],
+        ..Observation::default()
+    };
+    let mut warm = InferEncoder::pack(&enc, &store).unwrap();
+    warm.forward_observation(&feat, &obs, &structure_of_obs(&obs));
+    let mut idle = random_job_obs(&mut rng, spec_with_dag(1, &chain));
+    idle.local_free = 0;
+    for node in &mut idle.nodes {
+        (node.waiting, node.running, node.executors_on) = (0, 0, 0);
+        node.avg_task_duration = 0.0;
+    }
+    obs.jobs.push(idle);
+    let structure = structure_of_obs(&obs);
+    warm.forward_observation(&feat, &obs, &structure);
+    assert_eq!(warm.dirty_jobs(), 1, "the admitted job is computed");
+    let mut cold = InferEncoder::pack(&enc, &store).unwrap();
+    cold.forward_observation(&feat, &obs, &structure);
+    assert!(same_bits(&warm, &cold, &structure));
 }
 
 /// Deterministic worst-case sweep over a fixed 150-graph corpus,

@@ -21,6 +21,19 @@
 //!   multi-class clusters) and the agent silently stays on the tape.
 //!   That return value is the only selection between the two lanes:
 //!   there is no flag, environment variable or global to set.
+//!
+//! The encoder recomputes only what moved since it last saw each job.
+//! Its per-job memos are keyed on the whole read set of the features:
+//! per node and per job, and per decision `free_total`,
+//! `total_executors` and the feature configuration. When the
+//! decision-wide key moves (an executor is handed out or freed), the
+//! current memos are parked under their key and any memos parked under
+//! the new key are taken back, so a `free_total` that returns to a
+//! recent value recomputes only the jobs that moved meanwhile. A few
+//! sets are parked (`decima_gnn::infer` module docs). So at most a small
+//! constant number of memos is held per live job, every set is carried
+//! across a change of the live job set, and taking a set back swaps
+//! buffers without allocating.
 
 use crate::policy::{Candidate, DecimaPolicy, ParallelismMode};
 use decima_gnn::{GraphCache, InferEncoder};
@@ -76,8 +89,9 @@ impl InferSession {
         })
     }
 
-    /// Number of per-job encoder memos held — at most the live job
-    /// count of the last observation decided on.
+    /// Number of per-job encoder memos in the current set — at most the
+    /// live job count of the last observation decided on (each parked
+    /// set holds at most as many, for the same jobs).
     pub fn memo_len(&self) -> usize {
         self.enc.memo_len()
     }
