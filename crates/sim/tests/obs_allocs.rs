@@ -19,8 +19,12 @@
 //! to hundreds. Counted by the workspace's
 //! counting `#[global_allocator]` (`tests/support/counting_alloc.rs`),
 //! on the test's own thread only.
+//!
+//! The second pin counts the same gaps in a stream, where a gap holds
+//! one admission into a slot an earlier job vacated: what the engine
+//! allocates to admit a job once the arena is warm.
 
-use decima_core::ClusterSpec;
+use decima_core::{ClusterSpec, JobId, SimTime};
 use decima_sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima_workload::tpch_batch;
 
@@ -101,5 +105,106 @@ fn a_steady_state_observation_write_does_not_allocate() {
         unexplained <= 2,
         "{unexplained} allocations over {gaps} gaps ({rebuilds} with a rebuild) are not a \
          retirement's: the observation write is no longer allocation-free"
+    );
+}
+
+/// Jobs that arrive at a warm arena. Spreads executors like
+/// [`GapCounter`] and, for every gap in which exactly one job was
+/// admitted, none retired and the live count stayed at or below the
+/// peak seen at an earlier decision (so the arena had a free slot to
+/// recycle), records what the gap allocated.
+struct AdmissionCounter {
+    /// Counter value when the last `decide` returned.
+    last: Option<u64>,
+    /// Ids of the jobs in the last observation.
+    seen: Vec<u32>,
+    peak: usize,
+    recycled: Vec<u64>,
+}
+
+impl Scheduler for AdmissionCounter {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        let now = allocations();
+        let has = |id: u32| obs.jobs.iter().any(|j| j.id.0 == id);
+        let retired = self.seen.iter().filter(|&&id| !has(id)).count();
+        let admitted = obs
+            .jobs
+            .iter()
+            .filter(|j| !self.seen.contains(&j.id.0))
+            .count();
+        if let Some(then) = self.last {
+            if admitted == 1 && retired == 0 && obs.jobs.len() <= self.peak {
+                self.recycled.push(now - then);
+            }
+        }
+        self.peak = self.peak.max(obs.jobs.len());
+        self.seen.clear();
+        self.seen.extend(obs.jobs.iter().map(|j| j.id.0));
+        let action = obs
+            .schedulable
+            .iter()
+            .min_by_key(|&&(j, _)| obs.jobs[j].alloc)
+            .map(|&(j, s)| Action::new(obs.jobs[j].id, s, obs.jobs[j].alloc + 1));
+        self.last = Some(allocations());
+        action
+    }
+}
+
+/// What the engine allocates to admit a job into a recycled slot: the
+/// profile's `Arc` and its critical-path vector (with the per-stage
+/// work it is computed from), and the per-class busy-time vector.
+/// Everything else an admission touches — the slot, its node vector,
+/// the active list, the observation's pooled job entry — is reused.
+const ADMISSION: u64 = 4;
+
+#[test]
+fn an_admission_into_a_recycled_slot_allocates_only_its_profile_and_busy_time() {
+    const WARM: usize = 6;
+    const STREAM: usize = 40;
+    // One job shape throughout, so every recycled node vector (the
+    // arena's and the observation's) is already large enough.
+    let template = tpch_batch(1, 3).remove(0);
+    let jobs = (0..WARM + STREAM)
+        .map(|i| {
+            let mut j = template.clone();
+            j.id = JobId(i as u32);
+            // Job 0 outlives the stream, so each retirement ends at a
+            // decision of its own instead of sharing a gap with the
+            // next admission.
+            for s in &mut j.stages {
+                s.num_tasks = if i == 0 {
+                    s.num_tasks * 16
+                } else {
+                    (s.num_tasks / 8).max(1)
+                };
+            }
+            let t = i.saturating_sub(WARM) as f64 * 10.0;
+            j.arrival = SimTime::from_secs(t);
+            j
+        })
+        .collect();
+    let sim = Simulator::new(
+        ClusterSpec::homogeneous(10).with_move_delay(1.0),
+        jobs,
+        SimConfig::default().with_seed(1),
+    );
+    let mut sched = AdmissionCounter {
+        last: None,
+        seen: Vec::with_capacity(WARM + STREAM),
+        peak: 0,
+        recycled: Vec::with_capacity(WARM + STREAM),
+    };
+    let r = sim.run(&mut sched);
+    assert_eq!(r.completed(), WARM + STREAM);
+    let recycled = sched.recycled;
+    println!("allocations per admission into a recycled slot: {recycled:?}");
+    assert!(
+        recycled.len() >= STREAM / 2,
+        "{} admissions into a recycled slot",
+        recycled.len()
+    );
+    assert!(
+        recycled.iter().all(|&n| n == ADMISSION),
+        "an admission into a recycled slot allocates {ADMISSION}: {recycled:?}"
     );
 }
