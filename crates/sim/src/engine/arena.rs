@@ -5,20 +5,9 @@
 //! [`JobArena::job`]/[`JobArena::job_mut`]), never by slot index.
 
 use crate::result::{JobOutcome, MemCounters};
-use crate::sched::JobProfile;
+use crate::sched::{JobProfile, NodeObs};
 use decima_core::{JobId, JobSpec, SimTime};
 use std::sync::Arc;
-
-#[derive(Clone, Debug, Default)]
-pub(super) struct NodeRt {
-    pub(super) waiting: u32,
-    pub(super) running: u32,
-    pub(super) finished: u32,
-    pub(super) executors_on: u32,
-    pub(super) in_flight: u32,
-    pub(super) runnable: bool,
-    pub(super) completed: bool,
-}
 
 /// Live per-job runtime state. Exists only between a job's arrival
 /// (lazy materialization from its spec) and its retirement into a
@@ -42,7 +31,10 @@ pub(super) struct JobRt {
     /// Dynamics task failures charged to the job so far; exceeding the
     /// spec's `max_retries` kills the job.
     pub(super) failures: u32,
-    pub(super) nodes: Vec<NodeRt>,
+    /// Per-stage state in the observation's own form: the dynamic
+    /// counts are maintained by the event paths, the two static
+    /// columns are copied from the spec at admission.
+    pub(super) nodes: Vec<NodeObs>,
     pub(super) unfinished_nodes: usize,
     pub(super) executed_work: f64,
     pub(super) class_busy: Vec<f64>,
@@ -78,11 +70,12 @@ enum JobPhase {
 }
 
 /// One arena slot: the current generation plus the runtime state it
-/// holds (`None` while on the free list).
+/// holds. On the free list the state is its last occupant's, unread:
+/// the next admission takes only its buffers.
 #[derive(Clone, Debug)]
 struct JobSlot {
     gen: u32,
-    rt: Option<JobRt>,
+    rt: JobRt,
 }
 
 #[derive(Default)]
@@ -100,9 +93,6 @@ pub(super) struct JobArena {
     free_slots: Vec<u32>,
     /// Compact per-job outcomes folded at retirement, by job id.
     outcomes: Vec<Option<JobOutcome>>,
-    /// Pool of node-state vectors released by retired jobs, reused by
-    /// later arrivals so steady-state serving allocates nothing.
-    node_pool: Vec<Vec<NodeRt>>,
     /// Keep retired jobs' runtime state resident (the pre-streaming
     /// behavior); see `Simulator::retain_all`.
     pub(super) retain_all: bool,
@@ -178,7 +168,7 @@ impl JobArena {
             JobPhase::Live(h) => {
                 let slot = &self.slots[h.slot as usize];
                 debug_assert_eq!(slot.gen, h.gen, "stale job handle");
-                slot.rt.as_ref()
+                Some(&slot.rt)
             }
             _ => None,
         }
@@ -191,7 +181,7 @@ impl JobArena {
             JobPhase::Live(h) => {
                 let slot = &mut self.slots[h.slot as usize];
                 debug_assert_eq!(slot.gen, h.gen, "stale job handle");
-                slot.rt.as_mut()
+                Some(&mut slot.rt)
             }
             _ => None,
         }
@@ -237,34 +227,52 @@ impl JobArena {
 
     /// Builds a job's runtime state from its spec at arrival time,
     /// claiming an arena slot (recycled if one is free) and entering
-    /// the job into the active set.
+    /// the job into the active set. A recycled slot lends the new
+    /// state its last occupant's two buffers, refilled; every other
+    /// field is built fresh, so nothing else can carry over.
     pub(super) fn admit(&mut self, id: JobId) {
         let ji = id.index();
         let spec = match &self.phase[ji] {
             JobPhase::Pending(spec) => Arc::clone(spec),
             other => unreachable!("double arrival for {id:?}: {other:?}"),
         };
-        let n = spec.dag.len();
-        let mut nodes = self.node_pool.pop().unwrap_or_default();
+        let (mut nodes, mut class_busy) = match self.free_slots.last() {
+            Some(&s) => {
+                let last = &mut self.slots[s as usize].rt;
+                (
+                    std::mem::take(&mut last.nodes),
+                    std::mem::take(&mut last.class_busy),
+                )
+            }
+            None => Default::default(),
+        };
         nodes.clear();
-        nodes.resize(n, NodeRt::default());
-        for (v, node) in nodes.iter_mut().enumerate() {
-            node.waiting = spec.stages[v].num_tasks;
-            node.runnable = spec.dag.parents(v).is_empty();
-        }
-        let rt = Some(JobRt {
+        nodes.extend(spec.stages.iter().enumerate().map(|(v, stage)| NodeObs {
+            waiting: stage.num_tasks,
+            running: 0,
+            finished: 0,
+            executors_on: 0,
+            in_flight: 0,
+            runnable: spec.dag.parents(v).is_empty(),
+            completed: false,
+            avg_task_duration: stage.task_duration,
+            mem_demand: stage.mem_demand,
+        }));
+        class_busy.clear();
+        class_busy.resize(self.num_classes, 0.0);
+        let rt = JobRt {
             profile: Arc::new(JobProfile::of(&spec)),
+            unfinished_nodes: nodes.len(),
             spec,
             alloc: 0,
             peak_alloc: 0,
             local_free: 0,
             dirty: true,
             failures: 0,
-            unfinished_nodes: n,
             nodes,
             executed_work: 0.0,
-            class_busy: vec![0.0; self.num_classes],
-        });
+            class_busy,
+        };
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.slots[s as usize].rt = rt;
@@ -310,13 +318,9 @@ impl JobArena {
         self.epoch += 1;
         if let (JobPhase::Live(h), false) = (was, self.retain_all) {
             let slot = &mut self.slots[h.slot as usize];
-            if let Some(mut rt) = slot.rt.take() {
-                rt.nodes.clear();
-                self.node_pool.push(rt.nodes);
-                self.mem.node_pool_hwm = self.mem.node_pool_hwm.max(self.node_pool.len() as u64);
-            }
             slot.gen = slot.gen.wrapping_add(1);
             self.free_slots.push(h.slot);
+            self.mem.node_pool_hwm = self.mem.node_pool_hwm.max(self.free_slots.len() as u64);
         }
     }
 

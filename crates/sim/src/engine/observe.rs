@@ -65,15 +65,13 @@ impl Simulator {
                 scratch.nodes_pool.push(jo.nodes);
             }
             for j in jobs.active() {
-                let mut nodes = scratch.nodes_pool.pop().unwrap_or_default();
-                nodes.reserve(j.nodes.len());
                 obs.jobs.push(JobObs {
                     id: j.spec.id,
                     spec: Arc::clone(&j.spec),
                     profile: Arc::clone(&j.profile),
                     alloc: j.alloc,
                     local_free: j.local_free,
-                    nodes,
+                    nodes: scratch.nodes_pool.pop().unwrap_or_default(),
                 });
             }
             if scratch.open.len() < obs.jobs.len() {
@@ -88,36 +86,11 @@ impl Simulator {
         for (job_index, j) in jobs.active().enumerate() {
             let jo = &mut obs.jobs[job_index];
             let open = &mut scratch.open[job_index];
-            if rebuild {
-                // alloc/local_free were just set when the JobObs was
-                // pushed; only the node vector remains to fill.
-                jo.nodes
-                    .extend(j.nodes.iter().enumerate().map(|(v, n)| NodeObs {
-                        waiting: n.waiting,
-                        running: n.running,
-                        finished: n.finished,
-                        executors_on: n.executors_on,
-                        in_flight: n.in_flight,
-                        runnable: n.runnable,
-                        completed: n.completed,
-                        avg_task_duration: j.spec.stages[v].task_duration,
-                        mem_demand: j.spec.stages[v].mem_demand,
-                    }));
-            } else if j.dirty {
+            if rebuild || j.dirty {
                 jo.alloc = j.alloc;
                 jo.local_free = j.local_free;
-                for (n, no) in j.nodes.iter().zip(jo.nodes.iter_mut()) {
-                    no.waiting = n.waiting;
-                    no.running = n.running;
-                    no.finished = n.finished;
-                    no.executors_on = n.executors_on;
-                    no.in_flight = n.in_flight;
-                    no.runnable = n.runnable;
-                    no.completed = n.completed;
-                    // avg_task_duration / mem_demand are static.
-                }
-            }
-            if rebuild || j.dirty {
+                jo.nodes.clear();
+                jo.nodes.extend_from_slice(&j.nodes);
                 open.clear();
                 open.extend(
                     jo.open_stages()
@@ -167,20 +140,16 @@ impl Simulator {
                 .iter()
                 .filter(|em| em.state().owner() == Some(j.spec.id))
                 .count();
+            // The static columns come from the spec, not from the copy
+            // the engine made of them at admission.
             let nodes: Vec<NodeObs> = j
                 .nodes
                 .iter()
                 .enumerate()
                 .map(|(v, n)| NodeObs {
-                    waiting: n.waiting,
-                    running: n.running,
-                    finished: n.finished,
-                    executors_on: n.executors_on,
-                    in_flight: n.in_flight,
-                    runnable: n.runnable,
-                    completed: n.completed,
                     avg_task_duration: j.spec.stages[v].task_duration,
                     mem_demand: j.spec.stages[v].mem_demand,
+                    ..*n
                 })
                 .collect();
             let job_index = jobs.len();

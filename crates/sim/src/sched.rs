@@ -68,7 +68,7 @@ impl Action {
 }
 
 /// Dynamic, per-stage view at a scheduling event.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeObs {
     /// Tasks not yet started.
     pub waiting: u32,

@@ -151,14 +151,14 @@ impl Scheduler for AdmissionCounter {
 }
 
 /// What the engine allocates to admit a job into a recycled slot: the
-/// profile's `Arc` and its critical-path vector (with the per-stage
-/// work it is computed from), and the per-class busy-time vector.
-/// Everything else an admission touches — the slot, its node vector,
-/// the active list, the observation's pooled job entry — is reused.
-const ADMISSION: u64 = 4;
+/// profile's `Arc` and its critical-path vector, with the per-stage
+/// work it is computed from. Everything else an admission touches —
+/// the slot, its node and busy-time vectors, the active list, the
+/// observation's pooled job entry — is reused.
+const ADMISSION: u64 = 3;
 
 #[test]
-fn an_admission_into_a_recycled_slot_allocates_only_its_profile_and_busy_time() {
+fn an_admission_into_a_recycled_slot_allocates_only_its_profile() {
     const WARM: usize = 6;
     const STREAM: usize = 40;
     // One job shape throughout, so every recycled node vector (the
