@@ -142,22 +142,32 @@ impl ReplayObs {
         obs.class_memory.clear();
         obs.class_memory.extend_from_slice(&self.class_memory);
 
-        // Recycle the previous decision's node buffers.
-        let mut pool: Vec<Vec<NodeObs>> = obs
-            .jobs
-            .drain(..)
-            .map(|mut j| {
-                j.nodes.clear();
-                j.nodes
-            })
-            .collect();
+        // Overwrite the previous decision's entries in place; a new one
+        // is pushed only when the job count grows.
+        obs.jobs.truncate(self.jobs.len());
         let mut runs = self.nodes.as_slice();
-        for rj in &self.jobs {
-            let mut nodes = pool.pop().unwrap_or_default();
+        for (i, rj) in self.jobs.iter().enumerate() {
+            if i == obs.jobs.len() {
+                obs.jobs.push(JobObs {
+                    id: rj.id,
+                    spec: Arc::clone(&rj.spec),
+                    profile: Arc::clone(&rj.profile),
+                    alloc: 0,
+                    local_free: 0,
+                    nodes: Vec::new(),
+                });
+            }
+            let jo = &mut obs.jobs[i];
+            jo.id = rj.id;
+            jo.spec = Arc::clone(&rj.spec);
+            jo.profile = Arc::clone(&rj.profile);
+            jo.alloc = rj.alloc;
+            jo.local_free = rj.local_free;
             let (run, rest) = runs.split_at(rj.spec.stages.len());
             runs = rest;
-            for (rn, stage) in run.iter().zip(&rj.spec.stages) {
-                nodes.push(NodeObs {
+            jo.nodes.clear();
+            jo.nodes
+                .extend(run.iter().zip(&rj.spec.stages).map(|(rn, stage)| NodeObs {
                     waiting: rn.remaining,
                     running: 0,
                     finished: 0,
@@ -167,16 +177,7 @@ impl ReplayObs {
                     completed: false,
                     avg_task_duration: stage.task_duration,
                     mem_demand: stage.mem_demand,
-                });
-            }
-            obs.jobs.push(JobObs {
-                id: rj.id,
-                spec: Arc::clone(&rj.spec),
-                profile: Arc::clone(&rj.profile),
-                alloc: rj.alloc,
-                local_free: rj.local_free,
-                nodes,
-            });
+                }));
         }
         debug_assert!(runs.is_empty(), "one node per stage");
         obs.schedulable.clear();

@@ -2,14 +2,15 @@
 //! by a `GradientPass` on its kept tape, and a recorded rollout decision,
 //! each stay
 //! under a small pinned number of heap allocations (the old
-//! tape-per-decision execution made 814 and 315). Counted by the
+//! tape-per-decision execution made 814 and 315), and a stored decision
+//! written back into a warm scratch observation makes none. Counted by the
 //! workspace's counting `#[global_allocator]`
 //! (`tests/support/counting_alloc.rs`), on the test's own thread
 //! only.
 
 use decima_core::ClusterSpec;
 use decima_nn::ParamStore;
-use decima_policy::{DecimaAgent, DecimaPolicy, GradientPass, PolicyConfig};
+use decima_policy::{DecimaAgent, DecimaPolicy, GradientPass, PolicyConfig, ReplayObs};
 use decima_sim::{Action, Observation, Scheduler, SimConfig, Simulator};
 use decima_workload::tpch_batch;
 use rand::rngs::SmallRng;
@@ -97,6 +98,15 @@ fn steady_state_decisions_stay_under_their_allocation_pins() {
     });
     assert!(pass.finish().grad_norm() > 0.0);
 
+    // A stored decision written back, as the gradient pass over a
+    // trajectory does: the scratch observation's entries are
+    // overwritten in place.
+    let stored = ReplayObs::from_observation(&obs);
+    let mut scratch = Observation::default();
+    let replay = per_decision("replay write", DECISIONS, || {
+        stored.write_into(&mut scratch);
+    });
+
     let steady = |counts: &[u64]| counts[WARM_UP..].iter().copied().max().unwrap_or(0);
     assert!(
         steady(&gradient) <= 8,
@@ -107,5 +117,10 @@ fn steady_state_decisions_stay_under_their_allocation_pins() {
         steady(&rollout) <= 11,
         "a steady-state recorder decision made {} allocations: {rollout:?}",
         steady(&rollout)
+    );
+    assert_eq!(
+        steady(&replay),
+        0,
+        "a warm replay write allocated: {replay:?}"
     );
 }
