@@ -142,8 +142,8 @@ impl ReplayObs {
         obs.class_memory.clear();
         obs.class_memory.extend_from_slice(&self.class_memory);
 
-        // Overwrite the previous decision's entries in place; a new one
-        // is pushed only when the job count grows.
+        // Entries are overwritten in place, so a warm scratch
+        // observation allocates nothing.
         obs.jobs.truncate(self.jobs.len());
         let mut runs = self.nodes.as_slice();
         for (i, rj) in self.jobs.iter().enumerate() {

@@ -140,8 +140,8 @@ impl Simulator {
                 .iter()
                 .filter(|em| em.state().owner() == Some(j.spec.id))
                 .count();
-            // The static columns come from the spec, not from the copy
-            // the engine made of them at admission.
+            // Take the static columns from the spec: the oracle must
+            // not trust the engine's admission copy.
             let nodes: Vec<NodeObs> = j
                 .nodes
                 .iter()
