@@ -139,8 +139,9 @@ pub struct MemCounters {
     /// plus the arrivals not yet popped. (Arrivals wait in a sorted
     /// vector, not the heap, but still count as pending.)
     pub event_queue_hwm: u64,
-    /// High-water mark of the pooled per-job node-state vectors waiting
-    /// for reuse (0 when retirement is off — nothing is ever returned).
+    /// High-water mark of the arena's free-slot list: retired slots
+    /// whose node-state buffers wait for the next arrival (0 when
+    /// retirement is off — nothing is ever returned).
     pub node_pool_hwm: u64,
 }
 
