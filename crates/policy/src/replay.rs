@@ -147,37 +147,37 @@ impl ReplayObs {
         obs.jobs.truncate(self.jobs.len());
         let mut runs = self.nodes.as_slice();
         for (i, rj) in self.jobs.iter().enumerate() {
-            if i == obs.jobs.len() {
-                obs.jobs.push(JobObs {
-                    id: rj.id,
-                    spec: Arc::clone(&rj.spec),
-                    profile: Arc::clone(&rj.profile),
-                    alloc: 0,
-                    local_free: 0,
-                    nodes: Vec::new(),
-                });
-            }
-            let jo = &mut obs.jobs[i];
-            jo.id = rj.id;
-            jo.spec = Arc::clone(&rj.spec);
-            jo.profile = Arc::clone(&rj.profile);
-            jo.alloc = rj.alloc;
-            jo.local_free = rj.local_free;
             let (run, rest) = runs.split_at(rj.spec.stages.len());
             runs = rest;
-            jo.nodes.clear();
-            jo.nodes
-                .extend(run.iter().zip(&rj.spec.stages).map(|(rn, stage)| NodeObs {
-                    waiting: rn.remaining,
-                    running: 0,
-                    finished: 0,
-                    executors_on: rn.executors_on,
-                    in_flight: rn.in_flight,
-                    runnable: false,
-                    completed: false,
-                    avg_task_duration: stage.task_duration,
-                    mem_demand: stage.mem_demand,
-                }));
+            let mut nodes = obs
+                .jobs
+                .get_mut(i)
+                .map(|jo| std::mem::take(&mut jo.nodes))
+                .unwrap_or_default();
+            nodes.clear();
+            nodes.extend(run.iter().zip(&rj.spec.stages).map(|(rn, stage)| NodeObs {
+                waiting: rn.remaining,
+                running: 0,
+                finished: 0,
+                executors_on: rn.executors_on,
+                in_flight: rn.in_flight,
+                runnable: false,
+                completed: false,
+                avg_task_duration: stage.task_duration,
+                mem_demand: stage.mem_demand,
+            }));
+            let entry = JobObs {
+                id: rj.id,
+                spec: Arc::clone(&rj.spec),
+                profile: Arc::clone(&rj.profile),
+                alloc: rj.alloc,
+                local_free: rj.local_free,
+                nodes,
+            };
+            match obs.jobs.get_mut(i) {
+                Some(jo) => *jo = entry,
+                None => obs.jobs.push(entry),
+            }
         }
         debug_assert!(runs.is_empty(), "one node per stage");
         obs.schedulable.clear();
