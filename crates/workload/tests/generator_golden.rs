@@ -1,6 +1,7 @@
 //! Byte-level oracle for every job list the workload generators build:
-//! the FNV-1a hash of `format!("{cluster:?}{jobs:?}")` for every
-//! [`WorkloadSource`] shape, under every drift preset and drift off, at
+//! the FNV-1a hash of the cluster's `Debug` rendering followed by each
+//! job's simulated fields (see [`render`]) for every [`WorkloadSource`]
+//! shape, under every drift preset and drift off, at
 //! four seeds, plus the jobs of the named stream constructors at three
 //! seeds each. Arrival times are drawn before the job bodies, and the
 //! bodies in arrival order, from one RNG; a change that moves one draw
@@ -9,6 +10,7 @@
 //! `GOLDEN_UPDATE=1 cargo test -p decima-workload --test generator_golden`
 //! rewrites `tests/golden/generator.txt`.
 
+use decima_core::JobSpec;
 use decima_workload::{
     tpch_batch, tpch_stream, tpch_stream_with_memory, AlibabaConfig, DriftSpec, WorkloadSource,
     WorkloadSpec, DRIFT_PROFILE_NAMES,
@@ -22,6 +24,19 @@ fn fnv(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// `Debug` of each job's id, arrival, DAG, stages and inflation curve:
+/// every field a simulation reads.
+fn render(jobs: &[JobSpec]) -> String {
+    jobs.iter()
+        .map(|j| {
+            format!(
+                "{:?}{:?}{:?}{:?}{:?}",
+                j.id, j.arrival, j.dag, j.stages, j.inflation
+            )
+        })
+        .collect()
 }
 
 /// One spec per `WorkloadSource` shape; the streams are long enough to
@@ -82,10 +97,10 @@ fn alibaba_default_stream(n: usize, mean_iat: f64, seed: u64) -> String {
         executors: 10,
         move_delay: 1.0,
     };
-    format!("{:?}", spec.build(seed).1)
+    render(&spec.build(seed).1)
 }
 
-/// A named constructor at one seed, rendered with `Debug`.
+/// A named constructor at one seed, rendered with [`render`].
 type Rendered = fn(u64) -> String;
 
 fn fingerprints() -> String {
@@ -95,16 +110,16 @@ fn fingerprints() -> String {
             let preset = DriftSpec::preset(drift).expect("a preset name");
             for seed in SEEDS {
                 let (cluster, jobs) = spec.build_drifting(&preset, seed);
-                let hash = fnv(&format!("{cluster:?}{jobs:?}"));
+                let hash = fnv(&format!("{cluster:?}{}", render(&jobs)));
                 out += &format!("{shape} {drift} {seed} {hash:016x}\n");
             }
         }
     }
     let constructors: [(&str, Rendered); 4] = [
-        ("tpch_batch", |s| format!("{:?}", tpch_batch(20, s))),
-        ("tpch_stream", |s| format!("{:?}", tpch_stream(20, 25.0, s))),
+        ("tpch_batch", |s| render(&tpch_batch(20, s))),
+        ("tpch_stream", |s| render(&tpch_stream(20, 25.0, s))),
         ("tpch_stream_with_memory", |s| {
-            format!("{:?}", tpch_stream_with_memory(20, 25.0, s))
+            render(&tpch_stream_with_memory(20, 25.0, s))
         }),
         ("alibaba_stream", |s| alibaba_default_stream(20, 25.0, s)),
     ];
