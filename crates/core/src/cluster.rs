@@ -77,29 +77,6 @@ impl ClusterSpec {
     pub fn class_memory(&self, class: ClassId) -> f64 {
         self.classes[class.index()].memory
     }
-
-    /// Smallest class index whose memory is `>= demand`, if any.
-    ///
-    /// Classes are not required to be sorted; this scans for the best
-    /// (tightest) fit, which is what Tetris-style packing wants.
-    pub fn best_fit_class(&self, demand: f64) -> Option<ClassId> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.memory >= demand)
-            .min_by(|a, b| a.1.memory.total_cmp(&b.1.memory))
-            .map(|(i, _)| ClassId(i as u16))
-    }
-
-    /// All classes whose memory fits `demand`.
-    pub fn fitting_classes(&self, demand: f64) -> Vec<ClassId> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.memory >= demand)
-            .map(|(i, _)| ClassId(i as u16))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +88,6 @@ mod tests {
         let c = ClusterSpec::homogeneous(50);
         assert_eq!(c.total_executors(), 50);
         assert_eq!(c.num_classes(), 1);
-        assert_eq!(c.best_fit_class(0.7), Some(ClassId(0)));
         assert_eq!(c.class_memory(ClassId(0)), 1.0);
     }
 
@@ -120,11 +96,7 @@ mod tests {
         let c = ClusterSpec::four_class(100);
         assert_eq!(c.total_executors(), 100);
         assert_eq!(c.num_classes(), 4);
-        // Demand 0.6 best fits the 0.75 class (index 2).
-        assert_eq!(c.best_fit_class(0.6), Some(ClassId(2)));
-        assert_eq!(c.fitting_classes(0.6), vec![ClassId(2), ClassId(3)]);
-        // Impossible demand.
-        assert_eq!(c.best_fit_class(1.5), None);
+        assert_eq!(c.class_memory(ClassId(2)), 0.75);
     }
 
     #[test]

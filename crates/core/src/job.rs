@@ -90,22 +90,11 @@ impl InflationCurve {
     }
 }
 
-/// Metadata describing where a job came from (for reporting only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct JobMeta {
-    /// TPC-H query number (1–22) or synthetic template id; 0 if n/a.
-    pub query: u16,
-    /// Input size in GB for TPC-H-like jobs; 0 if n/a.
-    pub input_gb: f32,
-}
-
 /// Static description of one job.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Dense job identifier within the episode.
     pub id: JobId,
-    /// Human-readable name (e.g. `"tpch-q9-100g"`).
-    pub name: String,
     /// Arrival time of the job.
     pub arrival: SimTime,
     /// Dependency structure over `stages`.
@@ -114,8 +103,6 @@ pub struct JobSpec {
     pub stages: Vec<StageSpec>,
     /// Work-inflation curve applied to all stages of this job.
     pub inflation: InflationCurve,
-    /// Reporting metadata.
-    pub meta: JobMeta,
 }
 
 /// Errors raised when validating a [`JobSpec`].
@@ -220,12 +207,10 @@ impl JobSpec {
 #[derive(Debug)]
 pub struct JobBuilder {
     id: JobId,
-    name: String,
     arrival: SimTime,
     stages: Vec<StageSpec>,
     edges: Vec<(u32, u32)>,
     inflation: InflationCurve,
-    meta: JobMeta,
 }
 
 impl JobBuilder {
@@ -233,19 +218,11 @@ impl JobBuilder {
     pub fn new(id: JobId) -> Self {
         JobBuilder {
             id,
-            name: format!("job-{}", id.0),
             arrival: SimTime::ZERO,
             stages: Vec::new(),
             edges: Vec::new(),
             inflation: InflationCurve::NONE,
-            meta: JobMeta::default(),
         }
-    }
-
-    /// Sets the display name.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Sets the arrival time.
@@ -257,12 +234,6 @@ impl JobBuilder {
     /// Sets the inflation curve.
     pub fn inflation(mut self, curve: InflationCurve) -> Self {
         self.inflation = curve;
-        self
-    }
-
-    /// Sets metadata.
-    pub fn meta(mut self, meta: JobMeta) -> Self {
-        self.meta = meta;
         self
     }
 
@@ -285,12 +256,10 @@ impl JobBuilder {
         self.stages.shrink_to_fit();
         let job = JobSpec {
             id: self.id,
-            name: self.name,
             arrival: self.arrival,
             dag,
             stages: self.stages,
             inflation: self.inflation,
-            meta: self.meta,
         };
         job.validate()?;
         Ok(job)
@@ -306,7 +275,7 @@ mod tests {
         let a = b.stage(StageSpec::simple(4, 2.0));
         let c = b.stage(StageSpec::simple(2, 3.0));
         b.edge(a, c);
-        b.name("test").build().unwrap()
+        b.build().unwrap()
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub use cluster::{ClusterSpec, ExecutorClass};
 pub use dag::{DagError, DagTopology};
 pub use gantt::{Gantt, Segment};
 pub use ids::{ClassId, ExecutorId, JobId, NodeRef, StageId};
-pub use job::{InflationCurve, JobBuilder, JobMeta, JobSpec, JobSpecError, StageSpec};
-pub use metrics::{percentile, percentile_sorted, Cdf, Summary};
+pub use job::{InflationCurve, JobBuilder, JobSpec, JobSpecError, StageSpec};
+pub use metrics::{percentile, percentile_sorted, Summary};
 pub use time::SimTime;

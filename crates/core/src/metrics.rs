@@ -1,4 +1,4 @@
-//! Summary statistics and CDF helpers used by the evaluation harness.
+//! Summary statistics and percentiles used by the evaluation harness.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,53 +78,6 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     percentile_sorted(&sorted, q)
 }
 
-/// An empirical CDF: ascending `(value, fraction ≤ value)` points.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Cdf {
-    /// `(x, F(x))` points with `F` ascending from `1/n` to `1.0`.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// Builds the empirical CDF of a sample.
-    pub fn of(values: &[f64]) -> Cdf {
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let n = sorted.len() as f64;
-        Cdf {
-            points: sorted
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, (i + 1) as f64 / n))
-                .collect(),
-        }
-    }
-
-    /// F(x): fraction of the sample ≤ `x`.
-    pub fn at(&self, x: f64) -> f64 {
-        match self.points.binary_search_by(|(v, _)| v.total_cmp(&x)) {
-            Ok(mut i) => {
-                // Step to the last equal value.
-                while i + 1 < self.points.len() && self.points[i + 1].0 == x {
-                    i += 1;
-                }
-                self.points[i].1
-            }
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
-
-    /// Renders as CSV lines `value,fraction`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("value,cdf\n");
-        for (v, f) in &self.points {
-            out.push_str(&format!("{v:.6},{f:.6}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,20 +108,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 30.0);
         assert_eq!(percentile(&v, 0.25), 20.0);
         assert_eq!(percentile(&v, 0.125), 15.0);
-    }
-
-    #[test]
-    fn cdf_monotone_and_query() {
-        let c = Cdf::of(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(c.points.len(), 4);
-        assert_eq!(c.at(0.5), 0.0);
-        assert_eq!(c.at(1.0), 0.25);
-        assert_eq!(c.at(2.0), 0.75);
-        assert_eq!(c.at(10.0), 1.0);
-        for w in c.points.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!(c.to_csv().starts_with("value,cdf\n"));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures.
 
-use decima_core::{Cdf, DagError, DagTopology, InflationCurve, Summary};
+use decima_core::{DagError, DagTopology, InflationCurve, Summary};
 use proptest::prelude::*;
 
 /// What [`DagTopology::new`] computes, written the obvious way: one `Vec`
@@ -271,20 +271,6 @@ proptest! {
         prop_assert!(s.p95 <= s.max + 1e-9);
         prop_assert!(s.min <= s.mean && s.mean <= s.max);
         prop_assert!(s.std >= 0.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_complete(values in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
-        let c = Cdf::of(&values);
-        prop_assert_eq!(c.points.len(), values.len());
-        prop_assert!((c.points.last().unwrap().1 - 1.0).abs() < 1e-12);
-        for w in c.points.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
-        }
-        // Queries agree with definition.
-        let max = values.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!((c.at(max) - 1.0).abs() < 1e-12);
-        prop_assert_eq!(c.at(max + 1.0), 1.0);
     }
 
     #[test]

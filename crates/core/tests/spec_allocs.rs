@@ -1,11 +1,11 @@
-//! What one job's static input costs on the heap. A `JobSpec` is three
-//! blocks — its name, its DAG's one flat buffer and its fitted stage
-//! vector — so cloning one, as the fleet front-end does per shard for
-//! every job of the arrival stream, is three allocations of exactly the
-//! bytes the job holds: no per-stage adjacency block and no spare
-//! capacity. Counted by the workspace's counting `#[global_allocator]`
-//! (`tests/support/counting_alloc.rs`), on the test's own thread
-//! only.
+//! What one job's static input costs on the heap. A `JobSpec` is two
+//! blocks — its DAG's one flat buffer and its fitted stage vector — so
+//! cloning one, as the fleet front-end's `route_jobs` does once for
+//! every job of the arrival stream, is two allocations of exactly the
+//! bytes the job holds: no name, no per-stage adjacency block and no
+//! spare capacity. Counted by the workspace's counting
+//! `#[global_allocator]` (`tests/support/counting_alloc.rs`), on the
+//! test's own thread only.
 
 use decima_core::{JobBuilder, JobId, StageSpec};
 
@@ -28,7 +28,7 @@ const EDGES: [(u32, u32); 10] = [
 ];
 
 #[test]
-fn a_job_spec_clone_is_three_fitted_allocations() {
+fn a_job_spec_clone_is_two_fitted_allocations() {
     let mut b = JobBuilder::new(JobId(0));
     for i in 0..10 {
         b.stage(StageSpec::simple(i + 1, 1.0));
@@ -36,7 +36,7 @@ fn a_job_spec_clone_is_three_fitted_allocations() {
     for (p, c) in EDGES {
         b.edge(p, c);
     }
-    let job = b.name("diamond-and-chain").build().unwrap();
+    let job = b.build().unwrap();
     assert_eq!(job.stages.capacity(), job.stages.len());
 
     let (n, e) = (job.dag.len(), job.dag.num_edges());
@@ -47,10 +47,10 @@ fn a_job_spec_clone_is_three_fitted_allocations() {
 
     println!("a {n}-stage, {e}-edge JobSpec clone: {allocs} allocations, {asked} bytes");
     assert_eq!(
-        allocs, 3,
-        "a JobSpec clone is its name, its DAG buffer and its stages"
+        allocs, 2,
+        "a JobSpec clone is its DAG buffer and its stages"
     );
     let dag = (4 * n + 2 + 2 * e) * size_of::<u32>();
     let stages = n * size_of::<StageSpec>();
-    assert_eq!(asked as usize, job.name.len() + dag + stages);
+    assert_eq!(asked as usize, dag + stages);
 }

@@ -32,6 +32,15 @@ use std::sync::Arc;
 /// Fixed feature width handed to the GNN.
 pub const FEAT_DIM: usize = 7;
 
+/// Normaliser of feature (i), remaining tasks. The feature scales are
+/// fixed: a checkpoint records them (`policy.feat.*_scale`) and a
+/// loader accepts no other value.
+pub const TASK_SCALE: f64 = 100.0;
+/// Normaliser of feature (ii), the average task duration in seconds.
+pub const DUR_SCALE: f64 = 10.0;
+/// Normaliser of the derived remaining-work term, in task-seconds.
+pub const WORK_SCALE: f64 = 1000.0;
+
 /// Feature-extraction configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct FeatureConfig {
@@ -39,12 +48,6 @@ pub struct FeatureConfig {
     pub include_duration: bool,
     /// Optional workload interarrival-time hint in seconds (Table 2).
     pub iat_hint: Option<f64>,
-    /// Normalization scale for task counts.
-    pub task_scale: f64,
-    /// Normalization scale for durations (seconds).
-    pub dur_scale: f64,
-    /// Normalization scale for work (task-seconds).
-    pub work_scale: f64,
 }
 
 impl Default for FeatureConfig {
@@ -52,9 +55,6 @@ impl Default for FeatureConfig {
         FeatureConfig {
             include_duration: true,
             iat_hint: None,
-            task_scale: 100.0,
-            dur_scale: 10.0,
-            work_scale: 1000.0,
         }
     }
 }
@@ -96,15 +96,7 @@ pub(crate) struct GlobalKey {
 impl PartialEq for GlobalKey {
     /// Bitwise on the configuration's floats, like every key compare.
     fn eq(&self, other: &Self) -> bool {
-        let bits = |c: &FeatureConfig| {
-            (
-                c.include_duration,
-                c.iat_hint.map(f64::to_bits),
-                c.task_scale.to_bits(),
-                c.dur_scale.to_bits(),
-                c.work_scale.to_bits(),
-            )
-        };
+        let bits = |c: &FeatureConfig| (c.include_duration, c.iat_hint.map(f64::to_bits));
         (self.free_total, self.total_executors) == (other.free_total, other.total_executors)
             && bits(&self.cfg) == bits(&other.cfg)
     }
@@ -136,9 +128,9 @@ impl GlobalKey {
             0.0
         };
         [
-            tasks / cfg.task_scale,
-            dur / cfg.dur_scale,
-            tasks * dur / cfg.work_scale,
+            tasks / TASK_SCALE,
+            dur / DUR_SCALE,
+            tasks * dur / WORK_SCALE,
             node.executors_on as f64 / m,
             self.free_total as f64 / m,
             if local_free { 1.0 } else { 0.0 },

@@ -240,8 +240,9 @@ fn no_structure() -> Arc<GraphStructure> {
 
 impl InferEncoder {
     /// Packs a [`GnnEncoder`]'s parameters from `store` into `f32`
-    /// inference form. Returns `None` if any MLP uses an activation the
-    /// fused kernel does not cover.
+    /// inference form. Always `Some`, like [`F32Mlp::pack`]: the
+    /// `Option` stays only because callers outside the workspace
+    /// destructure it.
     pub fn pack(enc: &GnnEncoder, store: &ParamStore) -> Option<Self> {
         let d = enc.cfg.embed_dim;
         let prep = F32Mlp::pack(&enc.prep, store)?;

@@ -17,6 +17,8 @@ pub mod infer;
 
 pub use critical_path::{random_cp_example, CpExample, CpHarness};
 pub use encoder::{Embeddings, GnnConfig, GnnEncoder};
-pub use features::{FeatureConfig, GraphCache, FEAT_DIM, GRAPH_CACHE_CAP};
+pub use features::{
+    FeatureConfig, GraphCache, DUR_SCALE, FEAT_DIM, GRAPH_CACHE_CAP, TASK_SCALE, WORK_SCALE,
+};
 pub use graph::{GraphInput, GraphStructure, JobGraph, LevelPlan};
 pub use infer::InferEncoder;

@@ -161,7 +161,6 @@ proptest! {
         let feat = FeatureConfig {
             include_duration: rng.gen_bool(0.8),
             iat_hint: rng.gen_bool(0.3).then(|| rng.gen_range(10.0..90.0)),
-            ..FeatureConfig::default()
         };
         let mut next_id = 0u32;
         let mut admit = |rng: &mut SmallRng| {
@@ -545,18 +544,6 @@ fn the_observation_entry_recomputes_exactly_what_the_features_read() {
         },
         FeatureConfig {
             iat_hint: Some(46.0),
-            ..feat
-        },
-        FeatureConfig {
-            task_scale: 50.0,
-            ..feat
-        },
-        FeatureConfig {
-            dur_scale: 5.0,
-            ..feat
-        },
-        FeatureConfig {
-            work_scale: 500.0,
             ..feat
         },
     ];

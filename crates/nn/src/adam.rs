@@ -180,7 +180,8 @@ mod tests {
         for _ in 0..500 {
             let mut tape = Tape::new();
             let p = tape.param(&store, w);
-            let t = tape.add_scalar(p, -3.0);
+            let three = tape.input(Tensor::filled(1, 1, 3.0));
+            let t = tape.sub(p, three);
             let sq = tape.mul(t, t);
             let loss = tape.sum_all(sq);
             tape.backward(loss, 1.0, &mut store);
@@ -232,7 +233,8 @@ mod tests {
                 }
                 let mut tape = Tape::new();
                 let p = tape.param(&store, w);
-                let t = tape.add_scalar(p, -3.0);
+                let three = tape.input(Tensor::filled(1, 1, 3.0));
+                let t = tape.sub(p, three);
                 let sq = tape.mul(t, t);
                 let loss = tape.sum_all(sq);
                 tape.backward(loss, 1.0, &mut store);

@@ -286,24 +286,20 @@ fn generic_kernel(
 #[derive(Clone, Debug)]
 pub struct F32Mlp {
     layers: Vec<F32Layer>,
-    /// Leaky-ReLU slope fused into every hidden layer (`None` when the
-    /// source activation is `Identity` — the output layer is always
-    /// linear, exactly like the tape path).
-    slope: Option<f32>,
+    /// Leaky-ReLU slope fused into every hidden layer (the output layer
+    /// is linear, exactly like the tape path).
+    slope: f32,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl F32Mlp {
     /// Packs an [`Mlp`]'s parameters from the store into contiguous
-    /// `f32` matrices. Returns `None` for activations the fused kernel
-    /// does not cover (`Tanh`) — callers fall back to the tape path.
+    /// `f32` matrices. Always `Some`: the fused kernel covers the one
+    /// [`Activation`]. The `Option` stays only because callers outside
+    /// the workspace destructure it.
     pub fn pack(mlp: &Mlp, store: &ParamStore) -> Option<Self> {
-        let slope = match mlp.activation() {
-            Activation::LeakyRelu(s) => Some(s as f32),
-            Activation::Identity => None,
-            Activation::Tanh => return None,
-        };
+        let Activation::LeakyRelu(slope) = mlp.activation();
         let layers = mlp
             .layers()
             .iter()
@@ -320,7 +316,7 @@ impl F32Mlp {
             .collect();
         Some(F32Mlp {
             layers,
-            slope,
+            slope: slope as f32,
             in_dim: mlp.in_dim(),
             out_dim: mlp.out_dim(),
         })
@@ -395,10 +391,10 @@ impl F32Mlp {
                     *o += v * wv;
                 }
             }
-            if let Some(s) = self.slope.filter(|_| hidden) {
+            if hidden {
                 for o in orow.iter_mut() {
                     if *o < 0.0 {
-                        *o *= s;
+                        *o *= self.slope;
                     }
                 }
             }
@@ -427,7 +423,7 @@ impl F32Mlp {
                 _ => &scratch.ping,
             };
             let (slope, dst) = if l < last {
-                (self.slope, &mut scratch.pong)
+                (Some(self.slope), &mut scratch.pong)
             } else {
                 (None, &mut *out)
             };
@@ -564,14 +560,6 @@ mod tests {
             fast.forward_shared_prefix(3, &shared, &tails, &mut scratch, &mut got);
             assert_eq!(want, got, "first-layer width {first_width}");
         }
-    }
-
-    #[test]
-    fn tanh_does_not_pack() {
-        let mut store = ParamStore::new();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mlp = Mlp::new(&mut store, "m", &[2, 4, 1], Activation::Tanh, &mut rng);
-        assert!(F32Mlp::pack(&mlp, &store).is_none());
     }
 
     #[test]

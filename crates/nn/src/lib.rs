@@ -27,7 +27,7 @@
 //!
 //! let mut store = ParamStore::new();
 //! let mut rng = SmallRng::seed_from_u64(0);
-//! let mlp = Mlp::new(&mut store, "net", &[2, 8, 1], Activation::Tanh, &mut rng);
+//! let mlp = Mlp::new(&mut store, "net", &[2, 8, 1], Activation::LeakyRelu(0.2), &mut rng);
 //! let mut opt = Adam::new(&store, 1e-2);
 //!
 //! // One gradient step on a toy loss.

@@ -12,25 +12,12 @@ use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Hidden-layer activation.
+/// Hidden-layer activation: the leaky ReLU every Decima network uses.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Activation {
-    /// Leaky ReLU (the released Decima implementation's choice).
+    /// Leaky ReLU with this negative-side slope (the released Decima
+    /// implementation's choice).
     LeakyRelu(f64),
-    /// Hyperbolic tangent.
-    Tanh,
-    /// No nonlinearity.
-    Identity,
-}
-
-impl Activation {
-    fn apply(self, tape: &mut Tape, x: TensorId) -> TensorId {
-        match self {
-            Activation::LeakyRelu(s) => tape.leaky_relu(x, s),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Identity => x,
-        }
-    }
 }
 
 /// A fully-connected network: `dims[0] -> dims[1] -> … -> dims.last()`,
@@ -60,8 +47,9 @@ impl Mlp {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(dims.len() >= 2, "MLP needs at least input and output dims");
+        let Activation::LeakyRelu(slope) = act;
         assert!(
-            !matches!(act, Activation::LeakyRelu(s) if s.is_nan() || s < 0.0),
+            slope >= 0.0,
             "MLP needs a non-negative leaky slope, got {act:?}"
         );
         let mut layers = Vec::with_capacity(dims.len() - 1);
@@ -121,27 +109,21 @@ impl Mlp {
 
     /// Applies the network to a `[batch, in_dim]` node.
     ///
-    /// Each layer records one fused [`Tape::linear`] node; the leaky-ReLU
-    /// activation fuses into it, other activations are applied on top.
+    /// Each layer records one fused [`Tape::linear`] node, the leaky
+    /// ReLU of a hidden layer included.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: TensorId) -> TensorId {
         assert_eq!(
             tape.value(x).cols(),
             self.in_dim,
             "MLP input width mismatch"
         );
+        let Activation::LeakyRelu(slope) = self.act;
         let mut h = x;
         let last = self.layers.len() - 1;
         for (l, &(w, b)) in self.layers.iter().enumerate() {
             let wp = tape.param(store, w);
             let bp = tape.param(store, b);
-            let slope = match (l < last, self.act) {
-                (true, Activation::LeakyRelu(s)) => Some(s),
-                _ => None,
-            };
-            h = tape.linear(h, wp, bp, slope);
-            if l < last && !matches!(self.act, Activation::LeakyRelu(_)) {
-                h = self.act.apply(tape, h);
-            }
+            h = tape.linear(h, wp, bp, (l < last).then_some(slope));
         }
         h
     }
@@ -195,7 +177,13 @@ mod tests {
     fn gradient_flows_through_mlp() {
         let mut store = ParamStore::new();
         let mut rng = SmallRng::seed_from_u64(1);
-        let mlp = Mlp::new(&mut store, "m", &[3, 8, 1], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(
+            &mut store,
+            "m",
+            &[3, 8, 1],
+            Activation::LeakyRelu(0.2),
+            &mut rng,
+        );
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(2, 3, vec![1.0, -1.0, 0.5, 0.2, 0.9, -0.3]));
         let y = mlp.forward(&mut tape, &store, x);

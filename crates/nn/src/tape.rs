@@ -36,10 +36,11 @@
 //!
 //! The op set is exactly what the Decima networks need (Eq. 1 message
 //! passing, hierarchical summaries, masked log-softmax action heads):
-//! matmul, the fused dense layer, broadcast add, elementwise
-//! nonlinearities, row and segment sums, gather/concat for graph
-//! plumbing, and a numerically-stable log-softmax over a column of
-//! scores.
+//! the fused dense layer, elementwise arithmetic and `exp`, row and
+//! segment sums, gather/concat for graph plumbing, and a
+//! numerically-stable log-softmax over a column of scores. Matmul,
+//! broadcast add and leaky ReLU also stand alone: the fused layer is
+//! held to them.
 
 use crate::kernels;
 use crate::store::ParamStore;
@@ -81,9 +82,7 @@ enum Op {
     Sub(TensorId, TensorId),
     Mul(TensorId, TensorId),
     Scale(TensorId, f64),
-    AddScalar(TensorId),
     LeakyRelu(TensorId, f64),
-    Tanh(TensorId),
     Exp(TensorId),
     SumRows(TensorId),
     SumAll(TensorId),
@@ -413,11 +412,6 @@ impl Tape {
         self.unary(a, Op::Scale(a, k), |x| x * k)
     }
 
-    /// Scalar add.
-    pub fn add_scalar(&mut self, a: TensorId, k: f64) -> TensorId {
-        self.unary(a, Op::AddScalar(a), |x| x + k)
-    }
-
     /// Leaky ReLU with the given negative-side slope.
     pub fn leaky_relu(&mut self, a: TensorId, slope: f64) -> TensorId {
         self.unary(a, Op::LeakyRelu(a, slope), |x| {
@@ -427,11 +421,6 @@ impl Tape {
                 slope * x
             }
         })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: TensorId) -> TensorId {
-        self.unary(a, Op::Tanh(a), f64::tanh)
     }
 
     /// Elementwise exponential.
@@ -682,12 +671,10 @@ impl Tape {
                     grads.add_zip(b, &g, value(a), |gv, av| gv * av);
                 }
                 Op::Scale(a, k) => grads.add_map(a, &g, |gv| gv * k),
-                Op::AddScalar(a) => grads.add(a, shape, g.data()),
                 Op::LeakyRelu(a, slope) => {
                     let masked = |gv, xv| if xv > 0.0 { gv } else { gv * slope };
                     grads.add_zip(a, &g, value(a), masked);
                 }
-                Op::Tanh(a) => grads.add_zip(a, &g, y, |gv, yv| gv * (1.0 - yv * yv)),
                 Op::Exp(a) => grads.add_zip(a, &g, y, |gv, yv| gv * yv),
                 Op::SumRows(a) => {
                     let rows = value(a).rows();
@@ -1121,17 +1108,15 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_tanh_exp() {
+    fn grad_check_exp() {
         let mut store = ParamStore::new();
         store.add("w", Tensor::from_vec(1, 3, vec![0.3, 0.7, 1.2]));
         grad_check(&mut store, |tape, store| {
             let w = tape.param(store, 0);
-            let t = tape.tanh(w);
             let e = tape.exp(w);
-            let a = tape.add(t, e);
+            let a = tape.add(w, e);
             let a = tape.mul(a, e);
             let a = tape.scale(a, 0.5);
-            let a = tape.add_scalar(a, 1.0);
             tape.sum_all(a)
         });
     }

@@ -161,7 +161,7 @@ impl InferSession {
         let limit = if policy.cfg.parallelism == ParallelismMode::Disabled {
             obs.total_executors
         } else {
-            let (lo, stride) = policy.limit_steps(obs, cand);
+            let lo = policy.min_limit(obs, cand);
             self.win.clear();
             self.win.extend_from_slice(self.enc.job_row(cand.job_idx));
             self.win.extend_from_slice(self.enc.global_row());
@@ -169,7 +169,6 @@ impl InferSession {
             self.wtail.clear();
             self.wtail.extend(
                 (lo..=obs.total_executors)
-                    .step_by(stride)
                     .map(|v| (v as f64 / policy.cfg.total_executors as f64) as f32),
             );
             self.w_net.forward_shared_prefix(
@@ -179,7 +178,7 @@ impl InferSession {
                 &mut self.scratch,
                 &mut self.wscore,
             );
-            lo + argmax_last(&self.wscore) * stride
+            lo + argmax_last(&self.wscore)
         };
 
         FastDecision { cand, limit }

@@ -70,8 +70,6 @@ pub struct PolicyConfig {
     pub feat: FeatureConfig,
     /// Parallelism-control mode.
     pub parallelism: ParallelismMode,
-    /// Stride over limit values (1 = every value 1..=executors).
-    pub limit_stride: usize,
     /// Total executors (sizes the one-hot head and limit normalization).
     pub total_executors: usize,
     /// Executor classes (>1 enables the class head).
@@ -93,7 +91,6 @@ impl PolicyConfig {
             gnn: Some(GnnConfig::small(FEAT_DIM)),
             feat: FeatureConfig::default(),
             parallelism: ParallelismMode::JobLevel,
-            limit_stride: 1,
             total_executors,
             num_classes: 1,
             hidden: vec![16, 8],
@@ -108,7 +105,6 @@ impl PolicyConfig {
             gnn: Some(GnnConfig::paper(FEAT_DIM)),
             feat: FeatureConfig::default(),
             parallelism: ParallelismMode::JobLevel,
-            limit_stride: 1,
             total_executors,
             num_classes: 1,
             hidden: vec![32, 16],
@@ -278,15 +274,14 @@ impl DecimaPolicy {
 
     /// Valid limit values for a candidate under the current mode.
     pub fn limit_values(&self, obs: &Observation, cand: Candidate) -> Vec<usize> {
-        let (lo, stride) = self.limit_steps(obs, cand);
-        (lo..=obs.total_executors).step_by(stride).collect()
+        (self.min_limit(obs, cand)..=obs.total_executors).collect()
     }
 
-    /// The smallest valid limit for a candidate and the stride to the
-    /// next: [`limit_values`](Self::limit_values) is
-    /// `(lo..=obs.total_executors).step_by(stride)`, which is never
-    /// empty. The fast lane walks that range without the `Vec`.
-    pub(crate) fn limit_steps(&self, obs: &Observation, cand: Candidate) -> (usize, usize) {
+    /// The smallest valid limit for a candidate:
+    /// [`limit_values`](Self::limit_values) runs from it to
+    /// `obs.total_executors` and is never empty. The fast lane walks
+    /// that range without the `Vec`.
+    pub(crate) fn min_limit(&self, obs: &Observation, cand: Candidate) -> usize {
         let cur = match self.cfg.parallelism {
             ParallelismMode::StageLevel => {
                 let n = &obs.jobs[cand.job_idx].nodes[cand.stage as usize];
@@ -297,8 +292,7 @@ impl DecimaPolicy {
         // The paper enforces limit > current allocation so every action
         // schedules at least one executor (§5.2); at a full allocation
         // the one value left is the cluster size.
-        let lo = (cur + 1).min(obs.total_executors);
-        (lo, self.cfg.limit_stride.max(1))
+        (cur + 1).min(obs.total_executors)
     }
 
     /// Runs the limit head for one candidate.

@@ -44,7 +44,7 @@
 
 use crate::baseline::MovingAvg;
 use crate::trainer::{Curriculum, IterStats, TrainConfig, Trainer};
-use decima_gnn::{GnnConfig, FEAT_DIM};
+use decima_gnn::{GnnConfig, DUR_SCALE, FEAT_DIM, TASK_SCALE, WORK_SCALE};
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, ParallelismMode, PolicyConfig};
 use decima_sim::DynamicsSpec;
@@ -143,8 +143,8 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 pub const MAX_WIDTH: usize = 1024;
 /// Ceiling on the layers of one MLP read from a checkpoint.
 pub const MAX_LAYERS: usize = 8;
-/// Ceiling on the executor count, limit stride and cache capacity read
-/// from a checkpoint.
+/// Ceiling on the executor count and cache capacity read from a
+/// checkpoint.
 pub const MAX_COUNT: usize = 1_000_000;
 
 /// How one header value is reached inside its struct `T`, and what a
@@ -169,12 +169,15 @@ enum Slot<T> {
     Horizon(fn(&mut T) -> &mut Option<Curriculum>),
     /// The knobs in [`DynamicsSpec::KNOBS`] order, each in its range.
     Dynamics(fn(&mut T) -> &mut DynamicsSpec),
+    /// A constant of this build, written for the readers of the file:
+    /// any other value is an error.
+    Fixed(f64),
 }
 
 /// A struct's header lines: key and slot, in the order they are written.
 type Fields<T> = &'static [(&'static str, Slot<T>)];
 
-use Slot::{Count, Dynamics, Flag, Horizon, Mode, OptReal, Real, Seed, Stat, Widths};
+use Slot::{Count, Dynamics, Fixed, Flag, Horizon, Mode, OptReal, Real, Seed, Stat, Widths};
 
 /// `policy.gnn 1` precedes these; `policy.gnn 0` replaces them.
 const GNN_SWITCH: &str = "policy.gnn";
@@ -196,14 +199,12 @@ const POLICY: Fields<PolicyConfig> = &[
         Flag(|p| &mut p.feat.include_duration),
     ),
     ("policy.feat.iat_hint", OptReal(|p| &mut p.feat.iat_hint)),
-    ("policy.feat.task_scale", Real(|p| &mut p.feat.task_scale)),
-    ("policy.feat.dur_scale", Real(|p| &mut p.feat.dur_scale)),
-    ("policy.feat.work_scale", Real(|p| &mut p.feat.work_scale)),
+    ("policy.feat.task_scale", Fixed(TASK_SCALE)),
+    ("policy.feat.dur_scale", Fixed(DUR_SCALE)),
+    ("policy.feat.work_scale", Fixed(WORK_SCALE)),
     ("policy.parallelism", Mode(|p| &mut p.parallelism)),
-    (
-        "policy.limit_stride",
-        Count(|p| &mut p.limit_stride, 1, MAX_COUNT),
-    ),
+    // Every limit from the smallest valid one to the cluster size.
+    ("policy.limit_stride", Fixed(1.0)),
     (
         "policy.total_executors",
         Count(|p| &mut p.total_executors, 1, MAX_COUNT),
@@ -289,6 +290,7 @@ fn show<T>(slot: &Slot<T>, t: &mut T) -> String {
             join(&[c.tau_init, c.tau_step, c.tau_max])
         }),
         Dynamics(at) => join(&DynamicsSpec::KNOBS.map(|k| k.get(at(t)))),
+        Fixed(v) => v.to_string(),
     }
 }
 
@@ -363,6 +365,11 @@ fn read<T>(slot: &Slot<T>, t: &mut T, text: &str) -> Result<(), String> {
             }
             let mut set = knobs.iter().zip(values);
             set.try_for_each(|(k, v)| k.set(at(t), v))?;
+        }
+        Fixed(v) => {
+            if number::<f64>(text)? != *v {
+                return Err(format!("must be {v}, got {text}"));
+            }
         }
     }
     Ok(())
@@ -556,8 +563,9 @@ impl Trainer {
         };
         head.read_fields(POLICY, &mut policy_cfg, true)?;
         head.read_fields(POLICY_ADDED, &mut policy_cfg, false)?;
-        let limit_values = policy_cfg.total_executors / policy_cfg.limit_stride;
-        if policy_cfg.parallelism == ParallelismMode::OneHot && limit_values > MAX_WIDTH {
+        if policy_cfg.parallelism == ParallelismMode::OneHot
+            && policy_cfg.total_executors > MAX_WIDTH
+        {
             // That head has one output unit per limit value.
             return Err(format!("one-hot limit head wider than {MAX_WIDTH}"));
         }

@@ -8,6 +8,12 @@
 //! them. A header that differs from these is a format change and needs a
 //! version bump, not a refresh (`GOLDEN_UPDATE=1 cargo test -p decima-rl
 //! --test checkpoint_golden` rewrites the files).
+//!
+//! Four of those lines (`policy.feat.{task,dur,work}_scale`,
+//! `policy.limit_stride`) no longer set anything: the writer emits the
+//! build's constants and the reader refuses any other value. The whole
+//! documents these trainers wrote while the lines were still settable
+//! are pinned by hash, and must load and write back byte for byte.
 
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
@@ -106,4 +112,50 @@ fn full_header_matches_the_golden_written_before_the_field_lists() {
 #[test]
 fn minimal_header_matches_the_golden_written_before_the_field_lists() {
     check("checkpoint_head_minimal.txt", &minimal());
+}
+
+/// FNV-1a over a document's bytes.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The golden header with this trainer's tensor sections is the whole
+/// document the trainer wrote while the scales and the limit stride
+/// were settable fields — same length and hash as recorded then — and
+/// it loads and writes back to the same bytes.
+fn old_document_round_trips(file: &str, t: &Trainer, len: usize, hash: u64) {
+    let text = t.to_checkpoint();
+    let (_, tail) = text
+        .split_once("[params]\n")
+        .expect("has a [params] section");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let golden = std::fs::read_to_string(&path).expect("golden file is readable");
+    let old = format!("{golden}[params]\n{tail}");
+    assert_eq!(
+        (old.len(), fnv(&old)),
+        (len, hash),
+        "{file}: not the old document"
+    );
+    let back = Trainer::from_checkpoint(&old).expect("the old document loads");
+    assert_eq!(back.to_checkpoint(), old, "{file}: re-serialised");
+}
+
+#[test]
+fn documents_written_with_settable_scales_and_stride_load_and_write_back() {
+    old_document_round_trips(
+        "checkpoint_head.txt",
+        &full(),
+        306_492,
+        0x64d5_ea2b_f5f7_f7b9,
+    );
+    old_document_round_trips(
+        "checkpoint_head_minimal.txt",
+        &minimal(),
+        66_338,
+        0xba3f_3f44_0456_4394,
+    );
 }

@@ -139,7 +139,17 @@ fn the_reproductions_of_the_issue_are_errors() {
         (
             "policy.limit_stride",
             "0",
-            "'policy.limit_stride' must be in [1, 1000000], got 0",
+            "'policy.limit_stride' must be 1, got 0",
+        ),
+        (
+            "policy.limit_stride",
+            "2",
+            "'policy.limit_stride' must be 1, got 2",
+        ),
+        (
+            "policy.feat.task_scale",
+            "50",
+            "'policy.feat.task_scale' must be 100, got 50",
         ),
         (
             "policy.total_executors",

@@ -17,7 +17,7 @@
 //!   Decima's edge over Graphene* is smaller here than on TPC-H; keeping
 //!   inflation off preserves that shape.
 
-use decima_core::{InflationCurve, JobBuilder, JobId, JobMeta, JobSpec, SimTime, StageSpec};
+use decima_core::{InflationCurve, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
 
@@ -153,13 +153,8 @@ pub fn alibaba_job(
         }
     }
 
-    b.name(format!("ali-{}", id.0))
-        .arrival(arrival)
+    b.arrival(arrival)
         .inflation(InflationCurve::NONE)
-        .meta(JobMeta {
-            query: 0,
-            input_gb: 0.0,
-        })
         .build()
         .expect("synthesized job is valid")
 }

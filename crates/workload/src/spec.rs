@@ -304,7 +304,7 @@ pub fn appendix_dag_job() -> JobSpec {
     b.edge(r1, r2);
     b.edge(l, j);
     b.edge(r2, j);
-    b.name("appendix-a").build().unwrap()
+    b.build().unwrap()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! The substitution is documented in `DESIGN.md`: every experiment that
 //! consumes this workload only relies on these distributional properties.
 
-use decima_core::{InflationCurve, JobBuilder, JobId, JobMeta, JobSpec, SimTime, StageSpec};
+use decima_core::{InflationCurve, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use rand::Rng;
 
 /// The six input scales used throughout the paper's TPC-H experiments.
@@ -297,16 +297,11 @@ pub fn tpch_job_scaled(
     // ~5 tasks, Figure 2) and with the task scale.
     let knee = (t.knee_at_100g * (input_gb / 100.0).sqrt() / task_scale).max(2.0);
     let p_ref = (P_REF / task_scale).max(2.0);
-    b.name(format!("tpch-q{query}-{input_gb}g"))
-        .arrival(arrival)
+    b.arrival(arrival)
         .inflation(InflationCurve {
             gamma: GAMMA,
             p_ref,
             knee,
-        })
-        .meta(JobMeta {
-            query,
-            input_gb: input_gb as f32,
         })
         .build()
         .expect("TPC-H template produces a valid job")

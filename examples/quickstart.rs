@@ -20,21 +20,20 @@ fn main() {
     b.edge(scan_a, join);
     b.edge(scan_b, join);
     b.edge(join, sink);
-    let diamond = b.name("diamond").build().expect("valid job");
+    let diamond = b.build().expect("valid job");
 
     // A second, smaller job arriving 5 seconds later.
     let mut b = JobBuilder::new(JobId(1));
     b.stage(StageSpec::simple(3, 1.0));
     let small = b
-        .name("small")
         .arrival(SimTime::from_secs(5.0))
         .build()
         .expect("valid job");
 
     let cluster = ClusterSpec::homogeneous(4); // 4 executors, 2.5 s move delay
     let cfg = SimConfig::default().with_gantt();
-    // Outcomes carry job ids; the names stay with the specs.
-    let job_names = [diamond.name.clone(), small.name.clone()];
+    // Specs and outcomes carry job ids; the names are the example's own.
+    let job_names = ["diamond", "small"];
 
     for (name, result) in [
         (

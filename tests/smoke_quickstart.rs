@@ -18,12 +18,11 @@ fn quickstart_jobs() -> Vec<decima::core::JobSpec> {
     b.edge(scan_a, join);
     b.edge(scan_b, join);
     b.edge(join, sink);
-    let diamond = b.name("diamond").build().expect("valid diamond job");
+    let diamond = b.build().expect("valid diamond job");
 
     let mut b = JobBuilder::new(JobId(1));
     b.stage(StageSpec::simple(3, 1.0));
     let small = b
-        .name("small")
         .arrival(SimTime::from_secs(5.0))
         .build()
         .expect("valid small job");
