@@ -3,6 +3,7 @@
 use super::execs::ExecSet;
 use super::*;
 use crate::dynamics::DynamicsSpec;
+use crate::result::{JobOutcome, MemCounters};
 use crate::sched::{Action, JobProfile};
 use decima_core::{ClassId, JobBuilder, StageId, StageSpec};
 use proptest::prelude::*;
@@ -928,6 +929,64 @@ fn retirement_matches_keep_everything_under_full_dynamics() {
         "the arena grows exactly to the live-job peak"
     );
     assert_eq!(retire.mem.retired_jobs, 3);
+}
+
+/// The four ways an episode's end builds a job's outcome, pinned field
+/// by field on one horizon-cut episode: job 0 completes (after one
+/// retried task), job 1 is killed by its retry budget, job 2 is still
+/// live when the horizon cuts the episode at t=6, and job 3 arrives
+/// after it, so it never does. The arena's telemetry is pinned too.
+#[test]
+fn a_horizon_cut_episode_keeps_every_outcome_field() {
+    let cfg = SimConfig {
+        seed: 31,
+        time_limit: Some(6.0),
+        dynamics: DynamicsSpec {
+            fail_prob: 0.3,
+            max_retries: 1,
+            ..DynamicsSpec::off()
+        },
+        ..bare_cfg()
+    };
+    let jobs = vec![
+        one_stage_job(0, 2, 1.0, 0.0),
+        one_stage_job(1, 8, 0.5, 0.0),
+        one_stage_job(2, 6, 2.0, 1.5),
+        one_stage_job(3, 1, 1.0, 50.0),
+    ];
+    let r = run_checked(Simulator::new(cluster(3), jobs, cfg), TestSched);
+    assert_eq!(r.outcome, EpisodeOutcome::Horizon);
+    assert_eq!(r.end_time, SimTime::from_secs(6.0));
+    let outcome =
+        |id: u32, arrival: f64, completion: Option<f64>, work: [f64; 2], peak, failed| JobOutcome {
+            id: JobId(id),
+            arrival: SimTime::from_secs(arrival),
+            completion: completion.map(SimTime::from_secs),
+            total_work: work[0],
+            executed_work: work[1],
+            peak_alloc: peak,
+            class_busy: vec![work[1]],
+            failed,
+        };
+    assert_eq!(
+        r.jobs,
+        [
+            outcome(0, 0.0, Some(2.0), [2.0, 3.0], 2, false),
+            outcome(1, 0.0, None, [4.0, 4.0], 3, true),
+            outcome(2, 1.5, None, [12.0, 6.0], 3, false),
+            outcome(3, 50.0, None, [1.0, 0.0], 0, false),
+        ]
+    );
+    assert_eq!(
+        r.mem,
+        MemCounters {
+            live_jobs_peak: 3,
+            retired_jobs: 2,
+            slots_hwm: 3,
+            event_queue_hwm: 5,
+            node_pool_hwm: 2,
+        }
+    );
 }
 
 // ---- event order ----
