@@ -80,7 +80,7 @@ impl Simulator {
         let Some(n) = job.nodes.get(v) else {
             return 0;
         };
-        if !n.runnable || n.waiting <= n.in_flight {
+        if !n.is_open() {
             return 0;
         }
         let demand = job.spec.stages[v].mem_demand;

@@ -1,18 +1,20 @@
-//! The generational job arena: per-job lifecycle phase, the slot arena
-//! of live runtime states, the active list, and the one fold of a job
-//! into its [`JobOutcome`]. Runtime state is reachable only through
+//! The job arena: one record per job in the phase table (its spec, the
+//! slot of its live runtime state, or its [`JobOutcome`]), the slot
+//! arena of live runtime states, the active list, and the one fold of a
+//! job into its outcome. Runtime state is reachable only through
 //! [`JobArena::live`]/[`JobArena::live_mut`] (or the must-be-live
-//! [`JobArena::job`]/[`JobArena::job_mut`]), never by slot index.
+//! [`JobArena::job`]/[`JobArena::job_mut`]) and the observation write's
+//! [`JobArena::for_each_active`], never by slot index.
 
 use crate::result::{JobOutcome, MemCounters};
 use crate::sched::{JobProfile, NodeObs};
-use decima_core::{JobId, JobSpec, SimTime};
+use decima_core::{JobId, JobSpec, SimTime, StageId};
 use std::sync::Arc;
 
 /// Live per-job runtime state. Exists only between a job's arrival
 /// (lazy materialization from its spec) and its retirement into a
-/// compact [`JobOutcome`]; before and after, the job is just an
-/// `Arc<JobSpec>` in the phase table. See [`JobPhase`].
+/// compact [`JobOutcome`]; before, the job is just an `Arc<JobSpec>` in
+/// the phase table, and after, just its outcome. See [`JobPhase`].
 #[derive(Clone, Debug)]
 pub(super) struct JobRt {
     pub(super) spec: Arc<JobSpec>,
@@ -26,7 +28,8 @@ pub(super) struct JobRt {
     /// Executors bound to the job and currently idle (incremental).
     pub(super) local_free: usize,
     /// Observation-relevant state changed since the pooled observation
-    /// was last filled (skips per-node copies for untouched jobs).
+    /// was last filled (skips per-node copies and the `open` refresh for
+    /// untouched jobs); the write clears it.
     pub(super) dirty: bool,
     /// Dynamics task failures charged to the job so far; exceeding the
     /// spec's `max_retries` kills the job.
@@ -38,44 +41,26 @@ pub(super) struct JobRt {
     pub(super) unfinished_nodes: usize,
     pub(super) executed_work: f64,
     pub(super) class_busy: Vec<f64>,
+    /// The open stages ([`NodeObs::is_open`]) and their memory demand,
+    /// ascending by stage, as of the last observation write, which
+    /// refreshes them while the job is dirty; `schedulable` is this list
+    /// filtered by the write's memory threshold.
+    pub(super) open: Vec<(StageId, f64)>,
 }
 
-/// Generational handle into the job-slot arena: the slot index plus the
-/// generation it was claimed at. A handle is valid only while
-/// `slots[slot].gen` still matches — a recycled slot bumps its
-/// generation, so handles (and anything derived from them) can never
-/// silently alias a later occupant. The executor-epoch machinery plays
-/// the same role for in-queue `TaskDone`/`ExecReady` events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct JobHandle {
-    slot: u32,
-    gen: u32,
-}
-
-/// Lifecycle phase of one job, indexed by [`JobId`]. Memory-wise this
-/// is the whole streaming story: `Pending` and `Retired` hold only the
-/// shared spec `Arc` (kept alive so spec-pointer-keyed caches — the GNN
-/// [`GraphCache`](../../gnn) — can never observe a recycled allocation
-/// aliasing a departed job), while `Live` points into the slot arena
-/// holding full runtime state.
+/// Lifecycle phase of one job, indexed by [`JobId`] — the job's one
+/// record. Memory-wise this is the whole streaming story: `Pending`
+/// holds the shared spec `Arc`, `Live` the index of the arena slot
+/// holding full runtime state, and `Retired` the compact outcome.
 #[derive(Clone, Debug)]
 enum JobPhase {
     /// Not yet arrived: runtime state does not exist.
     Pending(Arc<JobSpec>),
-    /// Arrived and unfinished: runtime state lives in the slot arena.
-    Live(JobHandle),
-    /// Finished or failed: folded into its [`JobOutcome`]; the slot was
+    /// Arrived and unfinished: runtime state lives in this arena slot.
+    Live(u32),
+    /// Finished or failed, folded into its outcome; the slot was
     /// recycled (unless `retain_all` keeps it).
-    Retired(Arc<JobSpec>),
-}
-
-/// One arena slot: the current generation plus the runtime state it
-/// holds. On the free list the state is its last occupant's, unread:
-/// the next admission takes only its buffers.
-#[derive(Clone, Debug)]
-struct JobSlot {
-    gen: u32,
-    rt: JobRt,
+    Retired(JobOutcome),
 }
 
 #[derive(Default)]
@@ -85,14 +70,14 @@ pub(super) struct JobArena {
     /// Arena of live job runtime states; retired slots are recycled
     /// through `free_slots`, so the arena's high-water mark tracks the
     /// peak number of *concurrently live* jobs, not total jobs served.
-    slots: Vec<JobSlot>,
+    /// On the free list a slot's state is its last occupant's, unread:
+    /// the next admission takes only its buffers.
+    slots: Vec<JobRt>,
     /// Recycled slot indices (LIFO). Pop order is a pure function of
     /// the event stream — itself a pure function of (spec, seed) — and
     /// slot indices never leak into observations or results, so reuse
     /// order cannot perturb determinism either way.
     free_slots: Vec<u32>,
-    /// Compact per-job outcomes folded at retirement, by job id.
-    outcomes: Vec<Option<JobOutcome>>,
     /// Keep retired jobs' runtime state resident (the pre-streaming
     /// behavior); see `Simulator::retain_all`.
     pub(super) retain_all: bool,
@@ -132,7 +117,6 @@ impl JobArena {
     pub(super) fn with_capacity(num_jobs: usize, num_classes: usize) -> Self {
         JobArena {
             phase: Vec::with_capacity(num_jobs),
-            outcomes: Vec::with_capacity(num_jobs),
             num_classes,
             ..JobArena::default()
         }
@@ -142,7 +126,6 @@ impl JobArena {
     /// runtime state is materialized lazily by [`JobArena::admit`].
     pub(super) fn push_pending(&mut self, spec: JobSpec) {
         self.phase.push(JobPhase::Pending(Arc::new(spec)));
-        self.outcomes.push(None);
     }
 
     /// Jobs not yet retired (pending or live).
@@ -165,11 +148,7 @@ impl JobArena {
     #[inline]
     pub(super) fn live(&self, id: JobId) -> Option<&JobRt> {
         match self.phase.get(id.index())? {
-            JobPhase::Live(h) => {
-                let slot = &self.slots[h.slot as usize];
-                debug_assert_eq!(slot.gen, h.gen, "stale job handle");
-                Some(&slot.rt)
-            }
+            &JobPhase::Live(slot) => Some(&self.slots[slot as usize]),
             _ => None,
         }
     }
@@ -178,11 +157,7 @@ impl JobArena {
     #[inline]
     pub(super) fn live_mut(&mut self, id: JobId) -> Option<&mut JobRt> {
         match self.phase.get(id.index())? {
-            JobPhase::Live(h) => {
-                let slot = &mut self.slots[h.slot as usize];
-                debug_assert_eq!(slot.gen, h.gen, "stale job handle");
-                Some(&mut slot.rt)
-            }
+            &JobPhase::Live(slot) => Some(&mut self.slots[slot as usize]),
             _ => None,
         }
     }
@@ -203,32 +178,29 @@ impl JobArena {
             .unwrap_or_else(|| unreachable!("job {id:?} is not live"))
     }
 
-    /// The active (arrived, unfinished) jobs in job-id order.
-    pub(super) fn active(&self) -> impl Iterator<Item = &JobRt> {
-        self.active
-            .iter()
-            .filter_map(|&ji| self.live(JobId(ji as u32)))
-    }
-
     /// Every live job found by walking the phase table — the rebuilt
     /// observation's view, which must not trust the active list.
     pub(super) fn scan_live(&self) -> impl Iterator<Item = &JobRt> {
         (0..self.phase.len()).filter_map(|ji| self.live(JobId(ji as u32)))
     }
 
-    /// Marks every active job clean (its state is in the observation).
-    pub(super) fn clear_dirty(&mut self) {
-        for i in 0..self.active.len() {
-            if let Some(rt) = self.live_mut(JobId(self.active[i] as u32)) {
-                rt.dirty = false;
-            }
+    /// Hands each active (arrived, unfinished) job, mutably, to `f` in
+    /// job-id order, with its position in that order: the observation
+    /// write's one pass.
+    pub(super) fn for_each_active(&mut self, mut f: impl FnMut(usize, &mut JobRt)) {
+        let live = self.active.iter().filter_map(|&ji| match self.phase[ji] {
+            JobPhase::Live(slot) => Some(slot as usize),
+            _ => None,
+        });
+        for (job_index, slot) in live.enumerate() {
+            f(job_index, &mut self.slots[slot]);
         }
     }
 
     /// Builds a job's runtime state from its spec at arrival time,
     /// claiming an arena slot (recycled if one is free) and entering
     /// the job into the active set. A recycled slot lends the new
-    /// state its last occupant's two buffers, refilled; every other
+    /// state its last occupant's three buffers, cleared; every other
     /// field is built fresh, so nothing else can carry over.
     pub(super) fn admit(&mut self, id: JobId) {
         let ji = id.index();
@@ -236,12 +208,13 @@ impl JobArena {
             JobPhase::Pending(spec) => Arc::clone(spec),
             other => unreachable!("double arrival for {id:?}: {other:?}"),
         };
-        let (mut nodes, mut class_busy) = match self.free_slots.last() {
+        let (mut nodes, mut class_busy, mut open) = match self.free_slots.last() {
             Some(&s) => {
-                let last = &mut self.slots[s as usize].rt;
+                let last = &mut self.slots[s as usize];
                 (
                     std::mem::take(&mut last.nodes),
                     std::mem::take(&mut last.class_busy),
+                    std::mem::take(&mut last.open),
                 )
             }
             None => Default::default(),
@@ -260,6 +233,7 @@ impl JobArena {
         }));
         class_busy.clear();
         class_busy.resize(self.num_classes, 0.0);
+        open.clear();
         let rt = JobRt {
             profile: Arc::new(JobProfile::of(&spec)),
             unfinished_nodes: nodes.len(),
@@ -272,20 +246,20 @@ impl JobArena {
             nodes,
             executed_work: 0.0,
             class_busy,
+            open,
         };
         let slot = match self.free_slots.pop() {
             Some(s) => {
-                self.slots[s as usize].rt = rt;
+                self.slots[s as usize] = rt;
                 s
             }
             None => {
-                self.slots.push(JobSlot { gen: 0, rt });
+                self.slots.push(rt);
                 (self.slots.len() - 1) as u32
             }
         };
         self.mem.slots_hwm = self.mem.slots_hwm.max(self.slots.len() as u64);
-        let gen = self.slots[slot as usize].gen;
-        self.phase[ji] = JobPhase::Live(JobHandle { slot, gen });
+        self.phase[ji] = JobPhase::Live(slot);
         // Keep the active list in job-id order (arrival order is
         // time order, which need not be id order).
         let pos = self.active.partition_point(|&a| a < ji);
@@ -295,31 +269,31 @@ impl JobArena {
     }
 
     /// Folds a finished or failed job into its compact [`JobOutcome`],
-    /// drops it from the active set and (unless `retain_all`) releases
-    /// its arena slot to the free list, bumping the slot generation so
-    /// any handle derived earlier can never alias a later occupant. The
-    /// caller has already done all executor bookkeeping — the runtime
-    /// state is dead weight at this point.
+    /// which replaces its phase entry, drops it from the active set and
+    /// (unless `retain_all`) releases its arena slot to the free list.
+    /// The phase entry was the one reference to the slot, so nothing can
+    /// reach a later occupant through it. The caller has already done
+    /// all executor bookkeeping — the runtime state is dead weight at
+    /// this point.
     pub(super) fn retire(&mut self, id: JobId, completion: Option<SimTime>, failed: bool) {
         let ji = id.index();
-        let (spec, outcome) = {
-            let rt = self.job(id);
-            let outcome = fold(id, &rt.spec, Some(rt), completion, failed, self.num_classes);
-            (Arc::clone(&rt.spec), outcome)
-        };
-        self.outcomes[ji] = Some(outcome);
-        // The spec Arc stays alive in the phase table: spec-pointer
-        // identity (GraphCache keys, obs_equal) must never be recycled.
-        let was = std::mem::replace(&mut self.phase[ji], JobPhase::Retired(spec));
+        let rt = self.job(id);
+        let outcome = fold(id, &rt.spec, Some(rt), completion, failed, self.num_classes);
+        // The spec `Arc` is not kept alive for its pointer: the slot's
+        // next occupant drops it, and its address may be reused. No key
+        // can alias it: a `GraphCache` entry holds its structure, the
+        // f32 encoder holds its own, and a structure holds the spec
+        // `Arc`s it was built from, so a spec pointer in either's keys
+        // stays allocated for as long as the key lives; `obs_equal`
+        // compares live jobs only.
+        let was = std::mem::replace(&mut self.phase[ji], JobPhase::Retired(outcome));
         self.mem.retired_jobs += 1;
         let pos = self.active.partition_point(|&a| a < ji);
         debug_assert_eq!(self.active.get(pos), Some(&ji));
         self.active.remove(pos);
         self.epoch += 1;
-        if let (JobPhase::Live(h), false) = (was, self.retain_all) {
-            let slot = &mut self.slots[h.slot as usize];
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free_slots.push(h.slot);
+        if let (JobPhase::Live(slot), false) = (was, self.retain_all) {
+            self.free_slots.push(slot);
             self.mem.node_pool_hwm = self.mem.node_pool_hwm.max(self.free_slots.len() as u64);
         }
     }
@@ -328,24 +302,29 @@ impl JobArena {
     /// were folded at retirement, pending jobs never arrived (zero
     /// outcome), live jobs were cut off by the horizon/event budget and
     /// fold here, unfinished — plus the job-side memory telemetry.
-    pub(super) fn into_outcomes(mut self) -> (Vec<JobOutcome>, MemCounters) {
-        let folded = std::mem::take(&mut self.outcomes);
-        let jobs = folded
+    pub(super) fn into_outcomes(self) -> (Vec<JobOutcome>, MemCounters) {
+        let JobArena {
+            phase,
+            slots,
+            num_classes,
+            mem,
+            ..
+        } = self;
+        let jobs = phase
             .into_iter()
             .enumerate()
-            .map(|(ji, folded)| {
+            .map(|(ji, phase)| {
                 let id = JobId(ji as u32);
-                folded.unwrap_or_else(|| match &self.phase[ji] {
-                    JobPhase::Pending(spec) | JobPhase::Retired(spec) => {
-                        fold(id, spec, None, None, false, self.num_classes)
+                match phase {
+                    JobPhase::Pending(spec) => fold(id, &spec, None, None, false, num_classes),
+                    JobPhase::Live(slot) => {
+                        let rt = &slots[slot as usize];
+                        fold(id, &rt.spec, Some(rt), None, false, num_classes)
                     }
-                    JobPhase::Live(_) => {
-                        let rt = self.job(id);
-                        fold(id, &rt.spec, Some(rt), None, false, self.num_classes)
-                    }
-                })
+                    JobPhase::Retired(outcome) => outcome,
+                }
             })
             .collect();
-        (jobs, self.mem)
+        (jobs, mem)
     }
 }

@@ -62,7 +62,7 @@ pub struct Simulator {
     /// Pooled scratch for `apply_action`'s dispatch candidate lists.
     scratch_execs: Vec<ExecutorId>,
     /// Pooled side state of the observation write: recycled node
-    /// vectors and the per-job open-stage lists.
+    /// vectors.
     obs_scratch: ObsScratch,
     /// `jobs.epoch()` the pooled observation's job structure was last
     /// built at.

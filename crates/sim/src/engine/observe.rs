@@ -17,21 +17,16 @@ pub(super) struct ObsScratch {
     /// Node vectors recycled across structure rebuilds (job departures
     /// would otherwise drop them).
     nodes_pool: Vec<Vec<NodeObs>>,
-    /// Per active job, indexed like [`Observation::jobs`]: its open
-    /// stages (runnable with unclaimed waiting tasks) and their memory
-    /// demand, ascending by stage. Re-derived only for a job dirtied
-    /// since the last write; `schedulable` is these lists filtered by
-    /// the write's memory threshold. Only ever grows, so the inner
-    /// vectors are reused across rebuilds.
-    open: Vec<Vec<(StageId, f64)>>,
 }
 
 impl Simulator {
     /// Updates the pooled observation in place from the
     /// incrementally-maintained counts (no executor rescans), rebuilding
     /// its job structure only when the active-job set changed since the
-    /// last write, and copying per-node state and re-deriving the open
-    /// stages only for jobs dirtied since then.
+    /// last write, copying per-node state only for rebuilt or dirty
+    /// jobs, and refreshing a dirty job's open stages (`JobRt::open`) —
+    /// all in one pass over the active jobs, which also clears their
+    /// `dirty` flags.
     pub(super) fn write_observation(&mut self) {
         let Simulator {
             cluster,
@@ -64,7 +59,13 @@ impl Simulator {
                 jo.nodes.clear();
                 scratch.nodes_pool.push(jo.nodes);
             }
-            for j in jobs.active() {
+        }
+        // The one memory-fit rule (`ExecTable::avail_fits`), evaluated
+        // once for this write.
+        let fits_up_to = execs.avail_max_memory(classes);
+        obs.schedulable.clear();
+        jobs.for_each_active(|job_index, j| {
+            if rebuild {
                 obs.jobs.push(JobObs {
                     id: j.spec.id,
                     spec: Arc::clone(&j.spec),
@@ -74,37 +75,33 @@ impl Simulator {
                     nodes: scratch.nodes_pool.pop().unwrap_or_default(),
                 });
             }
-            if scratch.open.len() < obs.jobs.len() {
-                scratch.open.resize_with(obs.jobs.len(), Vec::new);
-            }
-        }
-        debug_assert_eq!(obs.jobs.len(), jobs.num_active());
-        // The one memory-fit rule (`ExecTable::avail_fits`), evaluated
-        // once for this write.
-        let fits_up_to = execs.avail_max_memory(classes);
-        obs.schedulable.clear();
-        for (job_index, j) in jobs.active().enumerate() {
-            let jo = &mut obs.jobs[job_index];
-            let open = &mut scratch.open[job_index];
             if rebuild || j.dirty {
+                let jo = &mut obs.jobs[job_index];
                 jo.alloc = j.alloc;
                 jo.local_free = j.local_free;
                 jo.nodes.clear();
                 jo.nodes.extend_from_slice(&j.nodes);
-                open.clear();
-                open.extend(
-                    jo.open_stages()
+            }
+            if j.dirty {
+                j.dirty = false;
+                j.open.clear();
+                j.open.extend(
+                    j.nodes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, n)| n.is_open())
                         .map(|(v, n)| (StageId(v as u32), n.mem_demand)),
                 );
             }
             obs.schedulable.extend(
-                open.iter()
+                j.open
+                    .iter()
                     .filter(|&&(_, demand)| demand <= fits_up_to)
                     .map(|&(stage, _)| (job_index, stage)),
             );
-        }
+        });
+        debug_assert_eq!(obs.jobs.len(), jobs.num_active());
         *obs_buf_epoch = jobs.epoch();
-        jobs.clear_dirty();
     }
 
     /// The original rebuild-from-scratch observation: rescans the
@@ -154,6 +151,8 @@ impl Simulator {
                 .collect();
             let job_index = jobs.len();
             for (v, n) in nodes.iter().enumerate() {
+                // Spelled out rather than `NodeObs::is_open`: the oracle
+                // must not share the rule it checks.
                 if n.runnable && n.waiting > n.in_flight {
                     // At least one free executor must fit the stage.
                     let fits = self

@@ -865,6 +865,30 @@ fn retain_all_is_bit_identical_but_keeps_every_slot() {
     assert_eq!(retire.mem.slots_hwm, 2);
 }
 
+/// An admission into a recycled slot lends the new job its last
+/// occupant's `nodes`, `class_busy` and `open` buffers, cleared: the new
+/// state is, field for field, the one a fresh slot gets, so nothing of
+/// the old job reaches the new one's observation.
+#[test]
+fn a_recycled_slot_lends_its_buffers_cleared() {
+    let admitted = |recycle: bool| {
+        let mut arena = JobArena::with_capacity(2, 2);
+        arena.push_pending(chain_job(0, 0.0));
+        arena.push_pending(one_stage_job(1, 3, 1.0, 0.0));
+        if recycle {
+            arena.admit(JobId(0));
+            let rt = arena.job_mut(JobId(0));
+            rt.nodes[0].waiting = 0;
+            rt.class_busy[1] = 4.0;
+            rt.open.push((StageId(1), 0.5));
+            arena.retire(JobId(0), Some(SimTime::from_secs(1.0)), false);
+        }
+        arena.admit(JobId(1));
+        format!("{:?}", arena.job(JobId(1)))
+    };
+    assert_eq!(admitted(true), admitted(false));
+}
+
 /// A retry-budget kill cancels the victim's other running tasks by
 /// bumping their executors' epochs: the already-queued `TaskDone`
 /// must be dropped as stale, and the killed job's recycled slot

@@ -103,6 +103,13 @@ impl NodeObs {
     pub fn remaining_work(&self) -> f64 {
         self.remaining_tasks() as f64 * self.avg_task_duration
     }
+
+    /// Runnable with unclaimed waiting tasks: a stage an action can
+    /// dispatch to, given a free executor that fits its memory demand.
+    #[inline]
+    pub fn is_open(&self) -> bool {
+        self.runnable && self.waiting > self.in_flight
+    }
 }
 
 /// The static quantities the heuristics rank jobs and stages by,
@@ -158,14 +165,6 @@ impl JobObs {
     /// Remaining work estimate over all incomplete stages.
     pub fn remaining_work(&self) -> f64 {
         self.nodes.iter().map(NodeObs::remaining_work).sum()
-    }
-
-    /// Stages that are runnable with unclaimed waiting tasks.
-    pub fn open_stages(&self) -> impl Iterator<Item = (usize, &NodeObs)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.runnable && n.waiting > n.in_flight)
     }
 }
 

@@ -1,7 +1,8 @@
 //! A steady-state observation write allocates nothing: the pooled
-//! observation, the recycled node vectors and the per-job open-stage
-//! lists are all reused from one decision to the next, across structure
-//! rebuilds too.
+//! observation and the recycled node vectors are reused from one
+//! decision to the next, across structure rebuilds too, and each live
+//! job's open-stage list lives in its arena slot, which lends it to the
+//! slot's next occupant.
 //!
 //! `write_observation` is private, so the count is taken over the gap it
 //! sits in: from the return of one `decide` to the entry of the next —

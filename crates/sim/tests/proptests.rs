@@ -436,17 +436,28 @@ proptest! {
     /// with churn, bounded-retry failures, stragglers, and noise all
     /// active. The incremental-vs-rebuilt observation check runs at
     /// every decision of both episodes, so the recycled arena is also
-    /// checked against the rebuilt oracle throughout.
+    /// checked against the rebuilt oracle throughout. Drift phase
+    /// boundaries compose with the dynamics: none to four of them, at
+    /// random instants, so the per-phase counters join the comparison.
     #[test]
     fn retirement_is_bit_identical_to_keep_everything(
         seed in 0u64..3000, n_jobs in 1usize..5, execs in 2usize..8,
         churn_iat in 4.0f64..40.0, fail in 0.0f64..0.15, retries in 0u32..6,
         noise in 0.0f64..0.3,
+        incs in proptest::collection::vec(0.5f64..30.0, 0..5),
     ) {
+        let phase_boundaries: Vec<f64> = incs
+            .iter()
+            .scan(0.0, |t, d| {
+                *t += d;
+                Some(*t)
+            })
+            .collect();
         let mk = |keep: bool| {
             let cfg = SimConfig {
                 noise,
                 seed,
+                phase_boundaries: phase_boundaries.clone(),
                 dynamics: DynamicsSpec {
                     churn_iat,
                     outage_mean: 5.0,
@@ -626,6 +637,60 @@ proptest! {
         prop_assert!(a.wasted_actions <= a.actions.len() as u64);
         let diff = a.same_run(&b);
         prop_assert!(diff.is_ok(), "hostile rerun diverged: {:?}", diff);
+    }
+
+    /// Metamorphic relation of the paper's model (§6.2): a job appended
+    /// to arrive after the episode's end changes no earlier job's
+    /// outcome, under either scheduler of this suite, dynamics on and
+    /// off. Every earlier job has retired by then, so the appended one
+    /// is admitted into a recycled slot and the arena does not grow.
+    #[test]
+    fn a_job_arriving_after_the_end_changes_no_earlier_outcome(
+        seed in 0u64..3000, n_jobs in 1usize..5, execs in 1usize..8,
+        dynamics_on in 0u32..2, hostile in 0u32..2, gap in 0.1f64..20.0,
+    ) {
+        use rand::SeedableRng;
+        let jobs = random_memory_jobs(seed, n_jobs);
+        let run = |jobs: Vec<decima_core::JobSpec>| {
+            let cfg = SimConfig {
+                noise: 0.1,
+                seed,
+                max_events: 200_000,
+                dynamics: if dynamics_on == 1 {
+                    DynamicsSpec { churn_iat: 6.0, outage_mean: 4.0, fail_prob: 0.1,
+                                   max_retries: 4, straggler_prob: 0.1, straggler_factor: 2.0 }
+                } else {
+                    DynamicsSpec::off()
+                },
+                ..SimConfig::default()
+            };
+            let sim = Simulator::new(random_cluster(seed, execs), jobs, cfg);
+            if hostile == 1 {
+                run_checked(sim, Hostile {
+                    rng: rand::rngs::SmallRng::seed_from_u64(seed ^ 0x4057),
+                    n_jobs: n_jobs as u32,
+                    seen: Vec::new(),
+                })
+            } else {
+                run_checked(sim, Spread)
+            }
+        };
+        let base = run(jobs.clone());
+        // The relation needs every earlier job retired: a run left with
+        // live jobs (a passing scheduler, a livelock) would be woken by
+        // the arrival.
+        if base.completed() + base.failed() < n_jobs {
+            return;
+        }
+        let mut late = random_memory_jobs(seed ^ 0x1a7e, 1).remove(0);
+        late.id = JobId(n_jobs as u32);
+        late.arrival = SimTime::from_secs(base.end_time.as_secs() + gap);
+        let mut extended = jobs;
+        extended.push(late);
+        let ext = run(extended);
+        prop_assert_eq!(&ext.jobs[..n_jobs], &base.jobs[..]);
+        prop_assert_eq!(ext.mem.slots_hwm, base.mem.slots_hwm, "the late job took a recycled slot");
+        prop_assert_eq!(ext.mem.live_jobs_peak, base.mem.live_jobs_peak);
     }
 }
 
