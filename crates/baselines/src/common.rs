@@ -1,7 +1,7 @@
 //! Shared helpers for the baseline schedulers.
 
 use decima_core::{ClassId, StageId};
-use decima_sim::{JobObs, Observation};
+use decima_sim::Observation;
 
 /// Jobs (indices into `obs.jobs`) with at least one schedulable stage,
 /// ascending: one pass over the per-job groups of `obs.schedulable`.
@@ -35,11 +35,6 @@ pub fn critical_path_stage(obs: &Observation, job_idx: usize) -> Option<StageId>
 pub fn widest_stage(obs: &Observation, job_idx: usize) -> Option<StageId> {
     let job = &obs.jobs[job_idx];
     schedulable_stages(obs, job_idx).max_by_key(|s| job.nodes[s.index()].waiting)
-}
-
-/// Remaining work of a job (unfinished tasks × durations).
-pub fn remaining_work(job: &JobObs) -> f64 {
-    job.remaining_work()
 }
 
 /// The tightest-fitting executor class with a free slot for `demand`, if
@@ -122,7 +117,7 @@ mod tests {
     use super::*;
     use crate::SjfCpScheduler;
     use decima_core::{JobBuilder, JobId, StageSpec};
-    use decima_sim::{JobProfile, NodeObs, Scheduler};
+    use decima_sim::{JobObs, JobProfile, NodeObs, Scheduler};
     use proptest::prelude::*;
     use std::sync::Arc;
 

@@ -1,8 +1,8 @@
 //! A minimal JSON document model, writer, and parser.
 //!
-//! The workspace builds fully offline and the vendored `serde` is a
-//! marker-trait stub (see `vendor/README.md`), so the experiment layer
-//! carries its own JSON support: enough to serialize scenario specs and
+//! The workspace builds fully offline and uses no `serde` (the vendored
+//! stub is a lockfile entry only, see `vendor/README.md`), so the
+//! experiment layer carries its own JSON support: enough to serialize scenario specs and
 //! structured results (`out/<scenario>.json`) and to parse them back for
 //! round-trip tests and future trajectory scraping. Object key order is
 //! preserved (insertion order), numbers render with a shortest

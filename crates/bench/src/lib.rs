@@ -21,8 +21,6 @@
 //!   lineup resolver-and-tuner, and the only code that writes `out/`.
 //! * [`report`] / [`json`] — series, CSV tables and the structured
 //!   `out/<scenario>.json` result document, as data.
-//! * [`timed`] — [`Timed`](timed::Timed): the one stopwatch around a
-//!   scheduler's `decide` (Figure 15b).
 //!
 //! The `decima-exp` binary is the front door
 //! (`cargo run -p decima-bench --bin decima-exp -- --list`): every paper
@@ -39,7 +37,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod scenarios;
-pub mod timed;
 
 pub use cli::exp_main;
 pub use factory::{build_trainer, make_scheduler, scheduler_spec_by_name, TrainedPolicy};

@@ -4,13 +4,12 @@ use decima_policy::ParallelismMode;
 use decima_rl::{Curriculum, TrainConfig};
 use decima_sim::{DynamicsSpec, Objective, SimConfig};
 use decima_workload::{DriftSpec, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// A scalar experiment parameter (the open-ended part of a spec that
 /// custom scenarios read at run time). A scenario declares each with a
 /// default in the registry; the variant is the kind `--set` holds a new
 /// value to.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// A finite number.
     Num(f64),
@@ -41,7 +40,7 @@ impl ParamValue {
 }
 
 /// The evaluation seeds: `count` consecutive seeds from `start`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeedPlan {
     /// First seed.
     pub start: u64,
@@ -88,7 +87,7 @@ fn bad_range(text: &str) -> String {
 /// Simulator knobs a scenario overrides on top of the default (or
 /// simplified) configuration. The per-episode RNG seed is always derived
 /// from the sequence seed by the runner.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimSpec {
     /// Start from `SimConfig::simplified()` instead of the default.
     pub simplified: bool,
@@ -144,7 +143,7 @@ impl SimSpec {
 }
 
 /// Policy-architecture overrides on top of `PolicyConfig::small`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PolicySpec {
     /// Use the graph neural network (off reproduces the "w/o graph
     /// embedding" ablation).
@@ -184,7 +183,7 @@ impl PolicySpec {
 /// A complete training recipe: hyperparameters, policy overrides, and an
 /// optional train-time workload (when it differs from the evaluation
 /// workload — generalization experiments).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainSpec {
     /// Training iterations.
     pub iters: usize,
@@ -282,7 +281,7 @@ impl TrainSpec {
 
 /// One entry of the scheduler factory's vocabulary: which scheduler to
 /// construct, with its parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SchedulerSpec {
     /// Spark's default FIFO.
     Fifo,
@@ -367,7 +366,7 @@ impl SchedulerSpec {
 }
 
 /// A labelled lineup slot: the scheduler plus its table/CSV names.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LineupEntry {
     /// Display label (table rows, progress lines).
     pub label: String,
@@ -418,7 +417,7 @@ pub fn sanitize(label: &str) -> String {
 }
 
 /// How the generic comparison runner reports its results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportKind {
     /// Comparison table (mean/p50/p95) plus a per-scheduler summary CSV.
     Table,
@@ -431,7 +430,7 @@ pub enum ReportKind {
 }
 
 /// A complete declarative experiment description.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
     /// Registry key (`fig09a`, `table2`, …).
     pub name: String,

@@ -9,12 +9,12 @@ use crate::model::{begin, drive, train_entry};
 use crate::report::{Cell, Column, ScenarioReport, SeriesReport, Table, CSV, JSON, TERM};
 use crate::runner::{episodes, spec_env, RunOptions};
 use crate::scenario::{PolicySpec, ScenarioSpec, TrainSpec};
-use crate::timed::Timed;
 use decima_baselines::WeightedFairScheduler;
 use decima_policy::ParallelismMode;
 use decima_rl::{EnvFactory, SpecEnv, Trainer};
 use decima_sim::{Objective, Scheduler, Simulator};
 use decima_workload::WorkloadSpec;
+use std::time::Instant;
 
 /// Mean avg JCT of a scheduler over the seeds (finite episodes only).
 fn mean_jct<S: Scheduler>(
@@ -249,12 +249,28 @@ pub fn run_fig15b(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRep
         })
         .unwrap_or((PolicySpec::default(), Some(1)));
     let (cluster, jobs, cfg) = env.build(seed);
-    let mut agent = Timed::new(crate::factory::untrained_agent(&policy, execs, sample_seed));
-    Simulator::new(cluster, jobs, cfg).run(&mut agent);
+    let mut agent = crate::factory::untrained_agent(&policy, execs, sample_seed);
+    let mut sim = Simulator::new(cluster, jobs, cfg);
+    // The latency of every `decide` call and the simulated time of
+    // every decision (every call that returned an action), in call order.
+    let (mut delays_ms, mut decision_times) = (Vec::new(), Vec::new());
+    agent.on_episode_start();
+    while let Some(pending) = sim.step() {
+        let obs = pending.observation();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Figure 15b's decision latencies: recorded beside the run, never fed back"
+        )]
+        let t0 = Instant::now();
+        let action = agent.decide(obs);
+        delays_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        if action.is_some() {
+            decision_times.push(obs.time);
+        }
+        pending.resume(action);
+    }
 
-    let delays_ms: Vec<f64> = agent.decide_secs.iter().map(|s| s * 1e3).collect();
-    let mut intervals_ms: Vec<f64> = agent
-        .decision_times
+    let mut intervals_ms: Vec<f64> = decision_times
         .windows(2)
         .map(|w| (w[1] - w[0]) * 1e3)
         .filter(|&d| d > 0.0)

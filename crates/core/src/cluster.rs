@@ -8,10 +8,9 @@
 //! memory is at least the task's demand.
 
 use crate::ids::ClassId;
-use serde::{Deserialize, Serialize};
 
 /// One class of executors.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecutorClass {
     /// Normalized memory capacity in `(0, 1]`.
     pub memory: f64,
@@ -20,7 +19,7 @@ pub struct ExecutorClass {
 }
 
 /// The cluster: its executor classes and executor-motion cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// Executor classes. Single-resource clusters have exactly one class
     /// with `memory = 1.0`.

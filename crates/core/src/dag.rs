@@ -25,7 +25,6 @@
 //! inside the block, so a job's DAG costs one allocation however many
 //! stages it has, and cloning it costs one more.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when constructing an invalid DAG.
@@ -79,7 +78,7 @@ impl std::error::Error for DagError {}
 /// Everything lives in one buffer of `4n + 2 + 2e` words, laid out as
 /// the module docs show: `v`'s parents are `buf[buf[v]..buf[v + 1]]` and
 /// its children `buf[buf[n + 1 + v]..buf[n + 2 + v]]`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct DagTopology {
     num_nodes: usize,
     buf: Box<[u32]>,

@@ -7,10 +7,9 @@
 
 use crate::ids::{ExecutorId, JobId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One busy interval on one executor.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Segment {
     /// Start of the busy interval.
     pub start: SimTime,
@@ -22,7 +21,7 @@ pub struct Segment {
 }
 
 /// A per-executor timeline of busy segments plus job-completion markers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Gantt {
     rows: Vec<Vec<Segment>>,
     completions: Vec<(JobId, SimTime)>,

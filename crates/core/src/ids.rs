@@ -3,15 +3,12 @@
 //! All identifiers are small dense integers so they can index `Vec`s
 //! directly; the newtypes exist purely to prevent mixing them up.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -65,9 +62,7 @@ id_type!(
 );
 
 /// A fully-qualified reference to one DAG node: `(job, stage)`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeRef {
     /// The owning job.
     pub job: JobId,

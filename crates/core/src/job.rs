@@ -10,10 +10,9 @@
 use crate::dag::DagTopology;
 use crate::ids::JobId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one stage (DAG node).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StageSpec {
     /// Number of parallel tasks in the stage (≥ 1).
     pub num_tasks: u32,
@@ -60,7 +59,7 @@ impl StageSpec {
 /// inflation entirely (the Appendix H simplified setting). The paper's
 /// simulator samples empirical per-parallelism distributions; a kneed
 /// linear curve is the first-order shape of those measurements.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InflationCurve {
     /// Slope of the inflation (0 = no inflation).
     pub gamma: f64,
@@ -91,7 +90,7 @@ impl InflationCurve {
 }
 
 /// Static description of one job.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// Dense job identifier within the episode.
     pub id: JobId,

@@ -1,9 +1,7 @@
 //! Summary statistics and percentiles used by the evaluation harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number-style summary of a sample.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

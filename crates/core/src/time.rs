@@ -9,12 +9,11 @@
 //! error and panics in debug builds; comparisons use `f64::total_cmp` so the
 //! event queue ordering is always well-defined.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in seconds since the start of the episode.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -111,7 +111,7 @@ proptest! {
         let want = match reference(n, &edges) {
             Err(e) => {
                 prop_assert_eq!(built.unwrap_err(), e);
-                return;
+                return Ok(());
             }
             Ok(want) => want,
         };

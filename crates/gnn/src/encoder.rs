@@ -33,10 +33,9 @@
 use crate::graph::GraphInput;
 use decima_nn::{Activation, Mlp, ParamStore, Tape, TensorId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the encoder.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GnnConfig {
     /// Raw per-node feature width.
     pub feat_dim: usize,
@@ -94,7 +93,7 @@ pub struct Embeddings {
 }
 
 /// The graph neural network (six transformations + feature projection).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GnnEncoder {
     pub(crate) cfg: GnnConfig,
     pub(crate) prep: Mlp,

@@ -23,10 +23,9 @@
 //! recompute. A new feature that reads another field has to add it to a
 //! key to get at it.
 
-use crate::graph::{GraphInput, GraphStructure};
+use crate::graph::{GraphInput, GraphStructure, JobGraph};
 use decima_nn::Tensor;
 use decima_sim::{NodeObs, Observation};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Fixed feature width handed to the GNN.
@@ -42,7 +41,7 @@ pub const DUR_SCALE: f64 = 10.0;
 pub const WORK_SCALE: f64 = 1000.0;
 
 /// Feature-extraction configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FeatureConfig {
     /// Include task-duration-derived features (off for Appendix J).
     pub include_duration: bool,
@@ -200,17 +199,16 @@ pub const GRAPH_CACHE_CAP: usize = 16;
 ///
 /// DAG shapes never change mid-episode, so a structure only needs
 /// rebuilding when the *set* of active jobs changes (arrival/finish).
-/// Entries key on the identity of each job's shared spec (`Arc`
-/// pointer) plus its node count. Two mechanisms keep memory
+/// An entry is its structure: it matches an observation with the same
+/// jobs in the same order (`JobGraph::is`). Two mechanisms keep memory
 /// proportional to concurrently-live jobs rather than total jobs
 /// served over a long streaming episode:
 ///
 /// 1. **Departed-job eviction** — jobs arrive exactly once, so an
-///    entry whose key references a spec absent from the current
-///    observation can never match again; it is dropped on the next
-///    lookup that sees a different live set. (An entry's structure
-///    holds its jobs' spec `Arc`s, so while the entry lives a pointer
-///    in its key cannot alias a new job.)
+///    entry holding a job absent from the current observation can
+///    never match again; it is dropped on the next lookup that sees a
+///    different live set. (The entry holds its jobs' spec `Arc`s, so
+///    while it lives their addresses cannot alias a new job.)
 /// 2. **LRU cap** — at most `cap` entries survive (default
 ///    [`GRAPH_CACHE_CAP`]), most-recently-used first.
 ///
@@ -218,8 +216,7 @@ pub const GRAPH_CACHE_CAP: usize = 16;
 /// boundaries (fresh episodes may reuse addresses).
 pub struct GraphCache {
     /// Most-recently-used first.
-    entries: Vec<(CacheKey, Arc<GraphStructure>)>,
-    scratch_key: CacheKey,
+    entries: Vec<Arc<GraphStructure>>,
     /// Maximum retained entries. The cap bounds memory only — it can
     /// never change what `structure_for` returns, only how often it
     /// rebuilds.
@@ -232,9 +229,16 @@ impl Default for GraphCache {
     }
 }
 
-/// One (spec `Arc` pointer, node count) identity per active job, in
+/// Whether `structure` holds exactly `obs`'s active jobs, in
 /// observation order.
-type CacheKey = Vec<(usize, usize)>;
+fn is_for(structure: &GraphStructure, obs: &Observation) -> bool {
+    structure.jobs.len() == obs.jobs.len()
+        && structure
+            .jobs
+            .iter()
+            .zip(&obs.jobs)
+            .all(|(job, j)| job.is(&j.spec, j.nodes.len()))
+}
 
 impl GraphCache {
     /// A cache retaining at most `cap` job-set entries (`cap` is clamped
@@ -243,7 +247,6 @@ impl GraphCache {
     pub fn with_cap(cap: usize) -> Self {
         GraphCache {
             entries: Vec::new(),
-            scratch_key: CacheKey::default(),
             cap: cap.max(1),
         }
     }
@@ -273,43 +276,30 @@ impl GraphCache {
     /// jobs that have left the system are evicted whenever the live set
     /// differs from the last call's.
     pub fn structure_for(&mut self, obs: &Observation) -> Arc<GraphStructure> {
-        let mut key = std::mem::take(&mut self.scratch_key);
-        key.clear();
-        key.extend(
-            obs.jobs
-                .iter()
-                .map(|j| (Arc::as_ptr(&j.spec) as usize, j.nodes.len())),
-        );
-
         // Same live set as the last call: nothing can have departed
         // since, so there is nothing to evict or reorder.
-        if let Some((front, structure)) = self.entries.first() {
-            if *front == key {
-                let structure = Arc::clone(structure);
-                self.scratch_key = key;
-                return structure;
+        if let Some(front) = self.entries.first() {
+            if is_for(front, obs) {
+                return Arc::clone(front);
             }
         }
 
-        let structure = if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+        let structure = if let Some(pos) = self.entries.iter().position(|s| is_for(s, obs)) {
             // Hit: move to front so the cap evicts least-recently-used.
             let hit = self.entries.remove(pos);
-            let structure = Arc::clone(&hit.1);
-            self.entries.insert(0, hit);
-            structure
+            self.entries.insert(0, Arc::clone(&hit));
+            hit
         } else {
             let built = Arc::new(GraphStructure::for_specs(obs.jobs.iter().map(|j| &j.spec)));
-            self.entries.insert(0, (key.clone(), Arc::clone(&built)));
+            self.entries.insert(0, Arc::clone(&built));
             built
         };
 
-        // A key element absent from the live set belongs to a job that
-        // retired (jobs arrive once), so the entry can never match again.
-        self.entries
-            .retain(|(k, _)| k.iter().all(|e| key.contains(e)));
+        // A job absent from the live set has retired (jobs arrive
+        // once), so an entry holding it can never match again.
+        let is_live = |job: &JobGraph| obs.jobs.iter().any(|j| job.is(&j.spec, j.nodes.len()));
+        self.entries.retain(|s| s.jobs.iter().all(is_live));
         self.entries.truncate(self.cap);
-
-        self.scratch_key = key;
         structure
     }
 }
@@ -498,8 +488,57 @@ mod tests {
         Arc::new(b.build().unwrap())
     }
 
+    fn spec_of(i: u32, stages: usize) -> Arc<decima_core::JobSpec> {
+        let mut b = JobBuilder::new(JobId(i));
+        for _ in 0..stages {
+            b.stage(StageSpec::simple(2, 1.0));
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    /// A structure is its jobs in observation order: the same specs in
+    /// another order miss, the structure returned follows the new order,
+    /// and both orders stay cached while both jobs are live.
+    #[test]
+    fn the_same_jobs_in_another_order_miss() {
+        let (a, b) = (spec_of(0, 1), spec_of(1, 2));
+        let mut cache = GraphCache::default();
+        let ab = cache.structure_for(&live_obs(&[a.clone(), b.clone()]));
+        let ba = cache.structure_for(&live_obs(&[b.clone(), a.clone()]));
+        assert!(!Arc::ptr_eq(&ab, &ba), "another order must miss");
+        for (job, spec) in ba.jobs.iter().zip([&b, &a]) {
+            assert!(job.spec.as_ref().is_some_and(|s| Arc::ptr_eq(s, spec)));
+        }
+        assert_eq!([ba.jobs[0].num_nodes, ba.jobs[1].num_nodes], [2, 1]);
+        assert_eq!(ba.node_job, [0, 0, 1]);
+        assert_eq!(cache.len(), 2);
+        let again = cache.structure_for(&live_obs(&[a, b]));
+        assert!(Arc::ptr_eq(&ab, &again), "the first order is still cached");
+    }
+
+    /// A job is its spec and its node count: another spec with the same
+    /// node count misses (and the departed job's entry goes), and so
+    /// does the same spec under another node count.
+    #[test]
+    fn other_specs_or_node_counts_miss() {
+        let (a, b) = (single_stage_spec(0), single_stage_spec(1));
+        let mut cache = GraphCache::default();
+        let sa = cache.structure_for(&live_obs(&[a]));
+        let sb = cache.structure_for(&live_obs(std::slice::from_ref(&b)));
+        assert!(!Arc::ptr_eq(&sa, &sb), "another spec must miss");
+        assert!(sb.jobs[0].spec.as_ref().is_some_and(|s| Arc::ptr_eq(s, &b)));
+        assert_eq!(cache.len(), 1, "the departed job's entry is evicted");
+
+        let c = spec_of(2, 2);
+        let full = cache.structure_for(&live_obs(std::slice::from_ref(&c)));
+        let mut cut = live_obs(&[c]);
+        cut.jobs[0].nodes.truncate(1);
+        let s = cache.structure_for(&cut);
+        assert!(!Arc::ptr_eq(&full, &s), "another node count must miss");
+    }
+
     /// Observation whose live set is exactly `specs` (only `jobs`
-    /// matters to the cache key and structure build).
+    /// matters to the cache lookup and structure build).
     fn live_obs(specs: &[Arc<decima_core::JobSpec>]) -> Observation {
         use decima_sim::{JobObs, JobProfile, NodeObs};
         Observation {

@@ -39,6 +39,16 @@ pub struct JobGraph {
     pub spec: Option<Arc<JobSpec>>,
 }
 
+impl JobGraph {
+    /// Whether this is the job of `spec` with `num_nodes` nodes: the one
+    /// identity test of a job across structures, by which `GraphCache`
+    /// matches and evicts entries and `InferEncoder` carries its memos.
+    /// A job built from a bare DAG is no job outside its structure.
+    pub(crate) fn is(&self, spec: &Arc<JobSpec>, num_nodes: usize) -> bool {
+        self.num_nodes == num_nodes && self.spec.as_ref().is_some_and(|s| Arc::ptr_eq(s, spec))
+    }
+}
+
 /// The precomputed evaluation plan for one depth level of the bottom-up
 /// sweep.
 #[derive(Clone, Debug)]

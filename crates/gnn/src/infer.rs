@@ -71,9 +71,9 @@
 //! Memos live in the row layout of one `GraphStructure`, held by `Arc`
 //! by the encoder. When the live job set changes, the memos of
 //! jobs present in both structures are carried over, in every set; a
-//! job is recognised by the `Arc<JobSpec>` its [`JobGraph`]
-//! holds, compared by pointer while the old structure — and through it
-//! the old spec — is still alive, so a freed address cannot alias.
+//! job is recognised by `JobGraph::is`: its spec `Arc`, compared by
+//! pointer while the old structure still holds it (so a freed address
+//! cannot alias), and its node count.
 //! Everything else is dropped, which bounds the memo count by the live
 //! job count times `1 + PARKED`. A structure built from bare DAGs has
 //! no job identity: its memos serve that structure `Arc` and die with
@@ -86,7 +86,6 @@
 use crate::encoder::GnnEncoder;
 use crate::features::{FeatureConfig, GlobalKey, NodeKey, FEAT_DIM};
 use crate::graph::{GraphInput, GraphStructure, JobGraph};
-use decima_core::JobSpec;
 use decima_nn::{F32Mlp, F32Scratch, ParamStore};
 use decima_sim::Observation;
 use std::sync::Arc;
@@ -152,7 +151,6 @@ impl Memo {
             self.held.push(oi.is_some());
             let Some(oi) = oi else { continue };
             let (src, dst, n) = (old[oi].node_offset, job.node_offset, job.num_nodes);
-            debug_assert_eq!(old[oi].num_nodes, n, "one spec, one DAG");
             self.keys[dst..dst + n].copy_from_slice(&from.keys[src..src + n]);
             self.local[ji] = from.local[oi];
             self.nodes[dst * d..(dst + n) * d].copy_from_slice(&from.nodes[src * d..(src + n) * d]);
@@ -162,19 +160,17 @@ impl Memo {
     }
 }
 
-/// Position in `old` of the job whose spec is `spec`, searching from
+/// Position in `old` of `job` ([`JobGraph::is`]), searching from
 /// `*cursor` round (observation order is stable, so the next survivor
 /// is almost always the first one looked at).
-fn position_of(old: &[JobGraph], spec: &Arc<JobSpec>, cursor: &mut usize) -> Option<usize> {
+fn position_of(old: &[JobGraph], job: &JobGraph, cursor: &mut usize) -> Option<u32> {
+    let spec = job.spec.as_ref()?;
     let n = old.len();
-    let found = (0..n).map(|k| (*cursor + k) % n).find(|&i| {
-        old[i]
-            .spec
-            .as_ref()
-            .is_some_and(|held| Arc::ptr_eq(held, spec))
-    })?;
+    let found = (0..n)
+        .map(|k| (*cursor + k) % n)
+        .find(|&i| old[i].is(spec, job.num_nodes))?;
     *cursor = found + 1;
-    Some(found)
+    Some(found as u32)
 }
 
 /// The packed, tape-free encoder. Owns every buffer the forward pass
@@ -327,17 +323,18 @@ impl InferEncoder {
     }
 
     /// Moves every memo into `structure`'s row layout: jobs present in
-    /// both structures (same `Arc<JobSpec>`) keep their rows, every
+    /// both structures ([`JobGraph::is`]) keep their rows, every
     /// other job of `structure` is marked not held, and the rows of
     /// departed jobs are dropped with the old structure.
     fn rebase(&mut self, structure: &Arc<GraphStructure>) {
         let old = &self.structure.jobs;
         let mut cursor = 0usize;
         self.carried.clear();
-        self.carried.extend(structure.jobs.iter().map(|job| {
-            let spec = job.spec.as_ref()?;
-            position_of(old, spec, &mut cursor).map(|oi| oi as u32)
-        }));
+        let carried = structure
+            .jobs
+            .iter()
+            .map(|j| position_of(old, j, &mut cursor));
+        self.carried.extend(carried);
         for memo in std::iter::once(&mut self.memo).chain(&mut self.parked) {
             self.spare
                 .carry(memo, old, structure, &self.carried, self.d);

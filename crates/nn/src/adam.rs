@@ -2,10 +2,9 @@
 
 use crate::store::ParamStore;
 use crate::tensor::{parse_finite, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Adam state and hyperparameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate (paper: 1e-3).
     pub lr: f64,

@@ -10,10 +10,9 @@ use crate::store::ParamStore;
 use crate::tape::{Tape, TensorId};
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hidden-layer activation: the leaky ReLU every Decima network uses.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Activation {
     /// Leaky ReLU with this negative-side slope (the released Decima
     /// implementation's choice).
@@ -22,7 +21,7 @@ pub enum Activation {
 
 /// A fully-connected network: `dims[0] -> dims[1] -> … -> dims.last()`,
 /// with `act` after every layer except the last (linear output).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     /// `(weight, bias)` parameter indices per layer.
     layers: Vec<(usize, usize)>,

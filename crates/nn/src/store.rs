@@ -1,7 +1,6 @@
 //! Parameter storage: named tensors with accumulated gradients.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Magic prefix of the [`ParamStore::to_text`] header line.
@@ -21,7 +20,7 @@ pub const PARAM_FORMAT_VERSION: u32 = 1;
 /// no string. `Tape::backward` accumulates `d(loss)/d(param)` into
 /// `grads`; the optimizer consumes them and calls
 /// [`ParamStore::zero_grads`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParamStore {
     names: Arc<Vec<String>>,
     values: Vec<Arc<Tensor>>,

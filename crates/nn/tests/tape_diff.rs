@@ -18,7 +18,7 @@ use decima_nn::kernels::{linear_into, matmul_into, matmul_nt_into, matmul_tn_int
 use decima_nn::{Activation, Mlp, ParamStore, Tape, Tensor, TensorId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// The widths the kernels block differently: singles, one block of 8,
 /// one of 16, and every mix of them.

@@ -27,11 +27,10 @@ use decima_nn::{ParamStore, Tape, TensorId};
 use decima_sim::{Action, Observation, Scheduler};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The sampled indices of one decision (into the candidate/limit/class
 /// arrays the policy constructed for that step).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ActionChoice {
     /// Row in the node softmax.
     pub node: usize,

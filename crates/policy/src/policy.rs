@@ -18,11 +18,10 @@ use decima_gnn::{
 use decima_nn::{Activation, Mlp, ParamStore, Tape, TensorId};
 use decima_sim::Observation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::iter::repeat;
 
 /// How the policy controls parallelism (§5.2, Figure 15a).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ParallelismMode {
     /// Job-level limits with the limit value as a score-function input —
     /// the paper's design.
@@ -61,7 +60,7 @@ impl ParallelismMode {
 }
 
 /// Policy construction options.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PolicyConfig {
     /// GNN configuration; `None` feeds raw features directly to the score
     /// functions (Figure 14's "w/o graph embedding" ablation).
@@ -160,7 +159,7 @@ pub struct ClassForward {
 }
 
 /// The Decima policy network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecimaPolicy {
     /// Construction options.
     pub cfg: PolicyConfig,

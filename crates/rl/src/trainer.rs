@@ -38,11 +38,10 @@ use decima_sim::Simulator;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
-use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 
 /// Curriculum over episode horizons (§5.3 challenge #1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Curriculum {
     /// Initial mean horizon (seconds of simulated time).
     pub tau_init: f64,
@@ -53,7 +52,7 @@ pub struct Curriculum {
 }
 
 /// Trainer hyperparameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainConfig {
     /// Rollouts per iteration (the paper uses 16 workers).
     pub num_rollouts: usize,
@@ -102,7 +101,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-iteration statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IterStats {
     /// Iteration index.
     pub iter: usize,

@@ -1,10 +1,9 @@
 //! Simulation configuration.
 
 use crate::dynamics::DynamicsSpec;
-use serde::{Deserialize, Serialize};
 
 /// The high-level objective the reward signal encodes (§5.3, §7.4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Objective {
     /// Minimize average job completion time: the penalty accrued between
     /// consecutive actions is `∫ J(t) dt` where `J` is the number of jobs
@@ -22,7 +21,7 @@ pub enum Objective {
 /// correspond to the first-order effects the paper found necessary for a
 /// faithful simulator (§6.2, Appendix D); turning them all off yields the
 /// simplified environment of Appendix H.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Scheduling objective for reward accounting.
     pub objective: Objective,

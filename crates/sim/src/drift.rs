@@ -13,12 +13,10 @@
 //! includes these counters in its comparison precisely because they are
 //! a deterministic function of `(spec, seed)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-phase counters for one episode. All vectors have length
 /// `phases` (`boundaries + 1`); everything is empty when no phase
 /// boundaries were configured.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DriftCounters {
     /// Number of phases the episode was divided into (0 = drift off).
     pub phases: u64,

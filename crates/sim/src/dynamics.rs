@@ -34,7 +34,6 @@
 use decima_core::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt XORed into the simulator seed to derive the perturbation RNG, so
 /// the dynamics stream is decorrelated from the engine's noise stream.
@@ -43,7 +42,7 @@ pub const DYNAMICS_SEED_SALT: u64 = 0xd1ca_0bad_5eed_ca57;
 /// The serializable perturbation model of one episode. The default (and
 /// [`DynamicsSpec::off`]) disables everything — the engine then behaves
 /// bit-identically to a build without the dynamics subsystem.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynamicsSpec {
     /// Mean seconds between executor-offline events, cluster-wide
     /// (exponential inter-arrival); `0` disables churn.
@@ -249,7 +248,7 @@ impl Knob {
 
 /// Perturbation counters measured during one episode (all zero when
 /// dynamics is off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DynamicsCounters {
     /// Failure-driven task re-queues (retries consumed across all jobs).
     pub retries: u64,

@@ -4,7 +4,6 @@
 use crate::drift::DriftCounters;
 use crate::dynamics::DynamicsCounters;
 use decima_core::{Gantt, JobId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The decisions of an episode, folded into a fixed size as they are
 /// taken: how many, the penalty they accrued, and a digest of each one.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// previous decision (or the episode start). The per-decision stream
 /// itself is not kept: the trainer reads each decision's objective
 /// integral from the observation it recorded (`Observation::cost`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecisionTally {
     count: u64,
     /// The penalties summed in decision order.
@@ -65,7 +64,7 @@ impl DecisionTally {
 }
 
 /// Outcome of one job.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobOutcome {
     /// Job identifier.
     pub id: JobId,
@@ -96,7 +95,7 @@ impl JobOutcome {
 }
 
 /// Why an episode stopped processing events.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EpisodeOutcome {
     /// The event queue drained: every job reached a terminal state (or
     /// nothing left could generate further events).
@@ -126,7 +125,7 @@ pub enum EpisodeOutcome {
 /// the total number of jobs that ever arrived. That difference is the
 /// whole point — and it is why [`EpisodeResult::same_run`] excludes
 /// this struct from the bit-identity comparison.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemCounters {
     /// Peak number of concurrently live (arrived, unfinished) jobs.
     pub live_jobs_peak: u64,
@@ -160,7 +159,7 @@ impl MemCounters {
 }
 
 /// Everything measured during one simulated episode.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EpisodeResult {
     /// The agent's decisions, tallied in decision order.
     pub actions: DecisionTally,

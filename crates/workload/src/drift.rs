@@ -26,7 +26,6 @@ use crate::spec::{WorkloadSource, WorkloadSpec};
 use decima_core::{ClusterSpec, JobSpec, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt XORed into the workload seed before seeding the drift RNG, so a
 /// drifting build never consumes draws from (or reuses draws of) the
@@ -36,7 +35,7 @@ pub const DRIFT_SEED_SALT: u64 = 0xd21f_7a5e_0b5c_u64 ^ 0x9e37_79b9_7f4a_7c15;
 /// One non-stationary workload regime. All parameters are in seconds
 /// (times, periods, interarrival times) except the dimensionless
 /// `amplitude` and `burst_factor`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DriftProfile {
     /// Stationary — the spec's own arrival process, untouched.
     Off,
@@ -84,7 +83,7 @@ pub enum DriftProfile {
 /// Serializable drift description carried by experiment specs. The
 /// default is [`DriftSpec::off`], under which every build path is
 /// bit-identical to the stationary engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriftSpec {
     /// The drift regime episodes run under.
     pub profile: DriftProfile,

@@ -17,7 +17,6 @@ use crate::tpch::{tpch_job_scaled, with_random_memory};
 use decima_core::{ClusterSpec, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Task-slot count of the Appendix A example (its DAG is sized for it).
 pub const APPENDIX_DAG_SLOTS: usize = 5;
@@ -26,7 +25,7 @@ pub const APPENDIX_DAG_SLOTS: usize = 5;
 pub const APPENDIX_DAG_EPS: f64 = 0.1;
 
 /// What jobs a scenario runs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadSource {
     /// Random TPC-H jobs on a homogeneous cluster (four-class when
     /// `random_memory` adds per-stage demands — Figure 11b).
@@ -83,7 +82,7 @@ pub enum WorkloadSource {
 
 /// A workload plus the cluster it runs on — everything `build(seed)`
 /// needs to materialize one deterministic episode input.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Job source.
     pub source: WorkloadSource,
