@@ -2,9 +2,11 @@
 //!
 //! The workspace builds fully offline and uses no `serde` (the vendored
 //! stub is a lockfile entry only, see `vendor/README.md`), so the
-//! experiment layer carries its own JSON support: enough to serialize scenario specs and
-//! structured results (`out/<scenario>.json`) and to parse them back for
-//! round-trip tests and future trajectory scraping. Object key order is
+//! experiment layer carries its own JSON support: enough to serialize
+//! scenario specs, structured results (`out/<scenario>.json`) and the
+//! JSONL training log. The program itself never parses JSON: the parser
+//! is for reading those documents back in round-trip tests and in the
+//! repo benchmark. Object key order is
 //! preserved (insertion order), numbers render with a shortest
 //! round-trip representation, and parsing accepts any standard JSON
 //! document.

@@ -17,11 +17,10 @@
 //! line and exit 1, never a panic.
 
 use crate::factory::{build_trainer, TrainedPolicy};
-use crate::json::Json;
 use crate::report::{iter_stats_json, ScenarioReport};
 use crate::runner::{spec_env, RunOptions};
 use crate::scenario::{workload_json, ParamValue, ScenarioSpec, SchedulerSpec, TrainSpec};
-use decima_rl::{EnvFactory, SpecEnv, Trainer, WorkloadEcho};
+use decima_rl::{EnvFactory, IterStats, SpecEnv, Trainer, WorkloadEcho};
 use decima_workload::{ArrivalProcess, WorkloadSource};
 use std::io::Write as _;
 use std::path::Path;
@@ -89,11 +88,10 @@ pub fn drive(
     mut log: Option<&mut std::fs::File>,
 ) -> Result<(), String> {
     let mut saved_at = None;
-    while trainer.iter < target {
+    while trainer.iter() < target {
         let s = trainer.train_iteration(env);
         if let Some(log) = &mut log {
-            let line = iter_stats_json(&s).render_compact();
-            writeln!(log, "{line}").map_err(|e| format!("cannot write training log: {e}"))?;
+            write_records(log, &trainer.history[s.iter..])?;
         }
         if (s.iter + 1) % 10 == 0 || s.iter == 0 {
             println!(
@@ -105,16 +103,25 @@ pub fn drive(
             );
         }
         if let Some((path, every)) = save {
-            if every > 0 && trainer.iter % every == 0 {
+            if every > 0 && trainer.iter() % every == 0 {
                 trainer.save_checkpoint(path)?;
-                saved_at = Some(trainer.iter);
+                saved_at = Some(trainer.iter());
             }
         }
     }
     match save {
-        Some((path, _)) if saved_at != Some(trainer.iter) => trainer.save_checkpoint(path),
+        Some((path, _)) if saved_at != Some(trainer.iter()) => trainer.save_checkpoint(path),
         _ => Ok(()),
     }
+}
+
+/// Appends one JSONL line per record to the training log.
+fn write_records(log: &mut std::fs::File, records: &[IterStats]) -> Result<(), String> {
+    for s in records {
+        let line = iter_stats_json(s).render_compact();
+        writeln!(log, "{line}").map_err(|e| format!("cannot write training log: {e}"))?;
+    }
+    Ok(())
 }
 
 /// The trainer behind a `Decima` lineup entry. A recipe that names a
@@ -236,51 +243,27 @@ pub fn run_train(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let from = resume.then_some(ckpt);
     let mut trainer = begin(&train, env.workload.executors, from, Some(echo))?;
     if resume {
-        println!(
-            "Resumed from {ckpt} at iteration {} ({} logged)",
-            trainer.iter,
-            trainer.history.len()
-        );
-        // A resumed run appends, so the file ends up with one line per
-        // iteration of the *whole* run. An interruption between
-        // checkpoints can leave logged iterations the checkpoint never
-        // saw — those are not in the saved model (and re-run below if
-        // the target asks), so drop their stale records first. This
-        // must happen even when the target is already reached, or a
-        // rolled-back checkpoint would leave the log over-claiming.
-        if let Ok(text) = std::fs::read_to_string(log_path) {
-            let iter_of = |l: &str| Json::parse(l).ok()?.get("iter")?.as_u64();
-            let kept: Vec<&str> = text
-                .lines()
-                .filter(|l| iter_of(l).is_some_and(|i| (i as usize) < trainer.iter))
-                .collect();
-            if kept.len() != text.lines().count() {
-                let body: String = kept.iter().map(|l| format!("{l}\n")).collect();
-                std::fs::write(log_path, body)
-                    .map_err(|e| format!("cannot rewrite {}: {e}", log_path.display()))?;
-            }
-        }
+        println!("Resumed from {ckpt} at iteration {}", trainer.iter());
     }
-
-    if trainer.iter >= train.iters {
-        println!(
-            "Checkpoint already at iteration {} (target {}); nothing to do",
-            trainer.iter, train.iters
-        );
-        return Ok(ScenarioReport::new());
-    }
+    // The log is the trainer's history rendered, then one line per new
+    // iteration: a resumed run's log is the one an uninterrupted run
+    // writes, whatever the file held before.
     if let Some(dir) = log_path.parent() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    // Fresh runs truncate the log; resumed runs append.
-    let mut log = std::fs::OpenOptions::new()
-        .create(true)
-        .append(resume)
-        .truncate(!resume)
-        .write(true)
-        .open(log_path)
+    let mut log = std::fs::File::create(log_path)
         .map_err(|e| format!("cannot open {}: {e}", log_path.display()))?;
+    write_records(&mut log, &trainer.history)?;
+
+    if trainer.iter() >= train.iters {
+        println!(
+            "Checkpoint already at iteration {} (target {}); nothing to do",
+            trainer.iter(),
+            train.iters
+        );
+        return Ok(ScenarioReport::new());
+    }
     println!(
         "Training recipe '{recipe}' on {} (target {} iterations, checkpoint {ckpt})",
         workload_json(&env.workload).render_compact(),
@@ -289,7 +272,7 @@ pub fn run_train(spec: &ScenarioSpec, _opts: &RunOptions) -> Result<ScenarioRepo
     let every = spec.usize_param("checkpoint-every").max(1);
     let save = Some((Path::new(ckpt), every));
     drive(&mut trainer, &env, train.iters, save, Some(&mut log))?;
-    println!("[checkpoint] {ckpt}  (iteration {})", trainer.iter);
+    println!("[checkpoint] {ckpt}  (iteration {})", trainer.iter());
     println!("[jsonl] {}", log_path.display());
     Ok(ScenarioReport::new())
 }

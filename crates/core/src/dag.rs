@@ -271,20 +271,6 @@ impl DagTopology {
         self.levels().iter().copied().max().unwrap_or(0)
     }
 
-    /// Nodes without parents (initially runnable).
-    pub fn roots(&self) -> Vec<u32> {
-        (0..self.num_nodes as u32)
-            .filter(|&v| self.parents(v as usize).is_empty())
-            .collect()
-    }
-
-    /// Nodes without children (the GNN message-passing frontier).
-    pub fn leaves(&self) -> Vec<u32> {
-        (0..self.num_nodes as u32)
-            .filter(|&v| self.children(v as usize).is_empty())
-            .collect()
-    }
-
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
         (self.buf.len() - 4 * self.num_nodes - 2) / 2
@@ -311,22 +297,6 @@ impl DagTopology {
     /// Length of the overall critical path (max over nodes).
     pub fn critical_path_len(&self, work: &[f64]) -> f64 {
         self.critical_path(work).into_iter().fold(0.0_f64, f64::max)
-    }
-
-    /// All nodes reachable (strictly) downstream of `v`.
-    pub fn descendants(&self, v: usize) -> Vec<u32> {
-        let mut seen = vec![false; self.num_nodes];
-        let mut stack: Vec<u32> = self.children(v).to_vec();
-        let mut out = Vec::new();
-        while let Some(u) = stack.pop() {
-            if !seen[u as usize] {
-                seen[u as usize] = true;
-                out.push(u);
-                stack.extend_from_slice(self.children(u as usize));
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     /// Edge list (parent, child), in parent-major order.
@@ -365,8 +335,6 @@ mod tests {
         let d = diamond();
         assert_eq!(d.len(), 4);
         assert_eq!(d.num_edges(), 4);
-        assert_eq!(d.roots(), vec![0]);
-        assert_eq!(d.leaves(), vec![3]);
         assert_eq!(d.parents(3), &[1, 2]);
         assert_eq!(d.depth(), 2);
         assert_eq!(d.level(3), 0);
@@ -430,13 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn descendants_and_chain() {
+    fn chain_and_single_node() {
         let c = DagTopology::chain(4).unwrap();
-        assert_eq!(c.descendants(0), vec![1, 2, 3]);
-        assert_eq!(c.descendants(3), Vec::<u32>::new());
         assert_eq!(c.depth(), 3);
         let s = DagTopology::single();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.roots(), vec![0]);
     }
 }

@@ -222,8 +222,8 @@ proptest! {
             prop_assert!(dag.level(p as usize) > dag.level(c as usize));
         }
         // Leaves are exactly level 0.
-        for leaf in dag.leaves() {
-            prop_assert_eq!(dag.level(leaf as usize), 0);
+        for v in (0..n).filter(|&v| dag.children(v).is_empty()) {
+            prop_assert_eq!(dag.level(v), 0);
         }
     }
 
@@ -243,23 +243,6 @@ proptest! {
             for &c in dag.children(v) {
                 prop_assert!(cp[v] >= cp[c as usize]);
             }
-        }
-    }
-
-    #[test]
-    fn descendants_are_closed((n, edges) in dag_strategy()) {
-        let dag = DagTopology::new(n, &edges).unwrap();
-        for v in 0..n {
-            let desc = dag.descendants(v);
-            // Every child is a descendant, and descendants of descendants
-            // are included.
-            for &c in dag.children(v) {
-                prop_assert!(desc.contains(&c));
-                for &cc in dag.children(c as usize) {
-                    prop_assert!(desc.contains(&cc));
-                }
-            }
-            prop_assert!(!desc.contains(&(v as u32)));
         }
     }
 

@@ -8,9 +8,10 @@
 //! * the **trainer hyperparameters** ([`TrainConfig`]);
 //! * the **parameter values** (`ParamStore::to_text`, itself versioned);
 //! * the **Adam moments and step count** (`Adam::to_text`);
-//! * the **trainer state**: completed iterations, the curriculum's
-//!   current `τ_mean`, the raw RNG state, the differential-reward moving
-//!   average, and the full [`IterStats`] history;
+//! * the **trainer state**: the full [`IterStats`] history, one line
+//!   per completed iteration in order (`state.iter` repeats its count),
+//!   the curriculum's current `τ_mean`, the raw RNG state, and the
+//!   differential-reward moving average;
 //! * optionally a **workload echo** ([`WorkloadEcho`], `echo.*` lines):
 //!   the jobs/executors/IAT shape — and the cluster-dynamics model — a
 //!   standalone training run rolled out on, so resuming with different
@@ -182,10 +183,8 @@ use Slot::{Count, Dynamics, Fixed, Flag, Horizon, Mode, OptReal, Real, Seed, Sta
 /// `policy.gnn 1` precedes these; `policy.gnn 0` replaces them.
 const GNN_SWITCH: &str = "policy.gnn";
 const GNN: Fields<GnnConfig> = &[
-    (
-        "policy.gnn.feat_dim",
-        Count(|g| &mut g.feat_dim, 1, MAX_WIDTH),
-    ),
+    // The features are always this wide; no lane runs another width.
+    ("policy.gnn.feat_dim", Fixed(FEAT_DIM as f64)),
     (
         "policy.gnn.embed_dim",
         Count(|g| &mut g.embed_dim, 1, MAX_WIDTH),
@@ -518,7 +517,7 @@ impl Trainer {
             write_fields(&mut out, ECHO_ADDED, echo);
         }
 
-        let _ = writeln!(out, "state.iter {}", self.iter);
+        let _ = writeln!(out, "state.iter {}", self.iter());
         let _ = writeln!(out, "state.tau_mean {}", self.tau_mean);
         let _ = writeln!(out, "state.rng {}", join(&self.rng.state()));
         let (window, next, values) = self.rate_avg.state();
@@ -594,7 +593,6 @@ impl Trainer {
             head.read_fields(ECHO_ADDED, &mut echo, false)?;
             trainer.workload_echo = Some(echo);
         }
-        trainer.iter = head.get("state.iter").and_then(number)?;
         trainer.tau_mean = head.get("state.tau_mean").and_then(number)?;
         if trainer.tau_mean.is_nan() || trainer.tau_mean <= 0.0 {
             return Err("checkpoint field 'state.tau_mean' must be positive".to_string());
@@ -621,11 +619,28 @@ impl Trainer {
             return Err(bad_rate("holds more samples than its window".to_string()));
         }
         trainer.rate_avg = MovingAvg::from_state(window, next, values);
+        // The history is the record of the run, one line per iteration
+        // in order; `state.iter` repeats its length for the readers of
+        // the file.
         trainer.history = head
             .history
             .iter()
-            .map(|l| parse_history_line(l))
+            .enumerate()
+            .map(|(at, l)| match parse_history_line(l)? {
+                s if s.iter == at => Ok(s),
+                s => Err(format!(
+                    "checkpoint history line {at} is for iteration {}",
+                    s.iter
+                )),
+            })
             .collect::<Result<_, _>>()?;
+        let iter: usize = head.get("state.iter").and_then(number)?;
+        if iter != trainer.iter() {
+            return Err(format!(
+                "checkpoint field 'state.iter' is {iter} but the history holds {} iterations",
+                trainer.iter()
+            ));
+        }
         Ok(trainer)
     }
 
@@ -684,7 +699,7 @@ mod tests {
         let t = trained(2, tiny_cfg());
         let text = t.to_checkpoint();
         let r = Trainer::from_checkpoint(&text).unwrap();
-        assert_eq!(r.iter, t.iter);
+        assert_eq!(r.iter(), t.iter());
         assert_eq!(r.cfg, t.cfg);
         assert_eq!(r.history, t.history);
         assert_eq!(r.rng.state(), t.rng.state());
@@ -753,7 +768,7 @@ mod tests {
         let path = dir.join("checkpoint.txt");
         t.save_checkpoint(&path).unwrap();
         let r = Trainer::load_checkpoint(&path).unwrap();
-        assert_eq!(r.iter, 1);
+        assert_eq!(r.iter(), 1);
         assert!(!path.with_extension("tmp").exists(), "tmp file cleaned up");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -136,9 +136,8 @@ pub struct Trainer {
     pub(crate) rng: SmallRng,
     pub(crate) rate_avg: MovingAvg,
     pub(crate) tau_mean: f64,
-    /// Completed iterations.
-    pub iter: usize,
-    /// History of per-iteration statistics.
+    /// Statistics of every completed iteration, in order: the run's
+    /// record of its progress ([`Trainer::iter`] counts it).
     pub history: Vec<IterStats>,
     /// Workload shape echoed into checkpoints by the `train` scenario's
     /// runs (see [`crate::checkpoint::WorkloadEcho`]); `None` unless the
@@ -186,16 +185,20 @@ impl Trainer {
             rng: SmallRng::seed_from_u64(cfg.seed),
             rate_avg: MovingAvg::new(64),
             tau_mean,
-            iter: 0,
             history: Vec::new(),
             workload_echo: None,
             cfg,
         }
     }
 
+    /// Completed iterations: the length of [`Trainer::history`].
+    pub fn iter(&self) -> usize {
+        self.history.len()
+    }
+
     /// Current entropy weight.
     pub fn beta(&self) -> f64 {
-        let t = (self.iter as f64 / self.cfg.entropy_decay_iters.max(1) as f64).min(1.0);
+        let t = (self.iter() as f64 / self.cfg.entropy_decay_iters.max(1) as f64).min(1.0);
         self.cfg.entropy_start + t * (self.cfg.entropy_end - self.cfg.entropy_start)
     }
 
@@ -344,7 +347,7 @@ impl Trainer {
         self.opt.step(&mut self.store);
 
         let stats = IterStats {
-            iter: self.iter,
+            iter: self.iter(),
             mean_reward,
             mean_avg_jct,
             mean_completed,
@@ -355,7 +358,6 @@ impl Trainer {
             beta,
         };
         self.history.push(stats);
-        self.iter += 1;
         stats
     }
 
@@ -394,7 +396,7 @@ impl Trainer {
     ///   exact no-ops — the trainer stays bit-identical to the frozen
     ///   checkpoint it was loaded from.
     /// * Every state the method mutates (RNG, `rate_avg`, `tau_mean`,
-    ///   parameters, Adam moments, `iter`, `history`) is captured by the
+    ///   parameters, Adam moments, `history`) is captured by the
     ///   checkpoint format, and the window itself is local to one call,
     ///   so fine-tune → save → load → fine-tune is bit-exact with the
     ///   uninterrupted two-call sequence.
@@ -438,7 +440,7 @@ mod tests {
         assert!(s.mean_reward.is_finite());
         assert!(s.grad_norm.is_finite() && s.grad_norm > 0.0);
         assert!(s.mean_actions > 0.0);
-        assert_eq!(t.iter, 1);
+        assert_eq!(t.iter(), 1);
         assert_eq!(t.history.len(), 1);
     }
 
@@ -470,9 +472,9 @@ mod tests {
             ..TrainConfig::default()
         });
         assert_eq!(t.beta(), 1.0);
-        t.iter = 5;
+        t.history = vec![IterStats::default(); 5];
         assert!((t.beta() - 0.5).abs() < 1e-12);
-        t.iter = 20;
+        t.history = vec![IterStats::default(); 20];
         assert_eq!(t.beta(), 0.0);
     }
 

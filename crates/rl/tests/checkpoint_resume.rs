@@ -57,7 +57,7 @@ fn run_resume_case(cfg: TrainConfig, env: &SpecEnv, total: usize, split: usize) 
     let text = first.to_checkpoint();
     drop(first);
     let mut resumed = Trainer::from_checkpoint(&text).expect("checkpoint loads");
-    assert_eq!(resumed.iter, split);
+    assert_eq!(resumed.iter(), split);
     for _ in split..total {
         resumed.train_iteration(env);
     }
@@ -238,7 +238,7 @@ fn fine_tune_lineage_is_bit_exact_at_call_boundaries() {
         let mid_text = first.to_checkpoint();
         drop(first);
         let mut resumed = Trainer::from_checkpoint(&mid_text).expect("mid checkpoint loads");
-        assert_eq!(resumed.iter, 2 + split);
+        assert_eq!(resumed.iter(), 2 + split);
         resumed.fine_tune_window(&env, total - split, 4);
 
         assert_eq!(inproc.history.len(), resumed.history.len());

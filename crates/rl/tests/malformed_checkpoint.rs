@@ -2,6 +2,7 @@
 //! `Trainer::from_checkpoint` returns `Ok` or `Err` — it does not
 //! panic, abort on an allocation, or hang.
 
+use decima_gnn::GnnConfig;
 use decima_nn::ParamStore;
 use decima_policy::{DecimaPolicy, PolicyConfig};
 use decima_rl::{Curriculum, SpecEnv, TrainConfig, Trainer, WorkloadEcho};
@@ -120,6 +121,9 @@ fn the_reproductions_of_the_issue_are_errors() {
         let old = valid.lines().find(|l| l.starts_with(line)).unwrap();
         valid.replacen(old, &format!("{line} {value}"), 1)
     };
+    // The first history line, numbered for the second iteration.
+    let first = valid.lines().find(|l| l.starts_with("history ")).unwrap();
+    let renumbered = first.replacen("history 0 ", "1 ", 1);
     let cases = [
         (
             "policy.hidden",
@@ -135,6 +139,11 @@ fn the_reproductions_of_the_issue_are_errors() {
             "policy.gnn.embed_dim",
             "0",
             "'policy.gnn.embed_dim' must be in [1, 1024], got 0",
+        ),
+        (
+            "policy.gnn.feat_dim",
+            "5",
+            "'policy.gnn.feat_dim' must be 7, got 5",
         ),
         (
             "policy.limit_stride",
@@ -183,6 +192,12 @@ fn the_reproductions_of_the_issue_are_errors() {
             "'state.rate_avg' holds more samples than its window",
         ),
         ("state.tau_mean", "0", "'state.tau_mean' must be positive"),
+        (
+            "state.iter",
+            "3",
+            "'state.iter' is 3 but the history holds 2 iterations",
+        ),
+        ("history", &renumbered, "history line 0 is for iteration 1"),
     ];
     for (line, value, want) in cases {
         let err = Trainer::from_checkpoint(&with(line, value))
@@ -195,6 +210,19 @@ fn the_reproductions_of_the_issue_are_errors() {
     let one_hot = one_hot.replacen("policy.total_executors 5", "policy.total_executors 5000", 1);
     let err = Trainer::from_checkpoint(&one_hot).map(|_| ()).unwrap_err();
     assert!(err.contains("one-hot limit head wider than 1024"), "{err}");
+}
+
+/// The features are always `FEAT_DIM` wide: a policy built with another
+/// width used to save, load `Ok` and panic at its first decision on
+/// either lane.
+#[test]
+fn a_policy_of_another_feature_width_does_not_load() {
+    let mut cfg = PolicyConfig::small(5);
+    cfg.gnn = Some(GnnConfig::small(5));
+    let mut store = ParamStore::new();
+    let policy = DecimaPolicy::new(cfg, &mut store, &mut SmallRng::seed_from_u64(0));
+    let text = Trainer::new(policy, store, TrainConfig::default()).to_checkpoint();
+    assert!(Trainer::from_checkpoint(&text).is_err());
 }
 
 /// The two reproductions of the tape issue: a NaN parameter used to
