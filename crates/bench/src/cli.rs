@@ -133,6 +133,35 @@ fn prepare(args: &Args) -> Result<Option<(Scenario, RunOptions)>, String> {
     configure(sc, args).map(Some)
 }
 
+/// A reader that stops early (`decima-exp --list | head -1`) ends the
+/// run with exit 0 and nothing on stderr. Rust ignores `SIGPIPE`, so a
+/// write to the closed pipe fails with `BrokenPipe`, and `print!` turns
+/// that failure into a panic; restoring the signal would take `unsafe`.
+/// So the panic hook looks at the failed print: when a write to stdout
+/// fails with `BrokenPipe` again, the reader is gone and the process
+/// exits 0; every other panic is reported as before.
+fn stop_quietly_when_stdout_closes() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let failed_print = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("failed printing to stdout"));
+        if failed_print && stdout_is_closed() {
+            std::process::exit(0);
+        }
+        report(info)
+    }));
+}
+
+/// Whether a write to stdout fails because its reader has gone.
+fn stdout_is_closed() -> bool {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    let probe = out.write_all(b"\n").and_then(|()| out.flush());
+    probe.is_err_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
 fn fail(error: &str, code: i32) -> ! {
     eprintln!("error: {error}");
     std::process::exit(code)
@@ -140,6 +169,7 @@ fn fail(error: &str, code: i32) -> ! {
 
 /// Entry point of the `decima-exp` binary.
 pub fn exp_main() {
+    stop_quietly_when_stdout_closes();
     let args = Args::new();
     if args.has("help") {
         print!("{}", usage());

@@ -317,3 +317,40 @@ fn an_unwritable_out_is_one_error_line_naming_the_file() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `decima-exp` with `args` in `dir`, reads the first line of its
+/// stdout and closes the pipe; returns that line, the exit code and
+/// stderr.
+fn first_line_then_close(dir: &std::path::Path, args: &[&str]) -> (String, Option<i32>, String) {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_decima-exp"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("decima-exp runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (first, out.status.code(), stderr)
+}
+
+/// A reader that stops early (`decima-exp --list | head -1`) ends the
+/// run quietly, exit 0. Both used to exit 101 with `failed printing to
+/// stdout: Broken pipe` and a backtrace on stderr.
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    let dir = fresh_dir("closed_stdout");
+    for args in [&["--list"][..], &["--scenario", "fig03"]] {
+        let (first, code, stderr) = first_line_then_close(&dir, args);
+        assert!(!first.is_empty(), "{args:?} printed nothing");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -23,9 +23,12 @@
 //! with the roots in ascending order). [`DagTopology::new`] counts
 //! degrees, prefix-sums the offsets and fills both lists in edge order
 //! inside the block, so a job's DAG costs one allocation however many
-//! stages it has, and cloning it costs one more.
+//! stages it has. The block is shared and never written after `new`, so
+//! cloning a topology allocates nothing: every job the TPC-H generator
+//! draws for one query holds the same block.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when constructing an invalid DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,13 +78,14 @@ impl std::error::Error for DagError {}
 
 /// Immutable, validated DAG over nodes `0..num_nodes`.
 ///
-/// Everything lives in one buffer of `4n + 2 + 2e` words, laid out as
-/// the module docs show: `v`'s parents are `buf[buf[v]..buf[v + 1]]` and
-/// its children `buf[buf[n + 1 + v]..buf[n + 2 + v]]`.
+/// Everything lives in one shared buffer of `4n + 2 + 2e` words, laid
+/// out as the module docs show: `v`'s parents are `buf[buf[v]..buf[v +
+/// 1]]` and its children `buf[buf[n + 1 + v]..buf[n + 2 + v]]`. Two
+/// topologies are equal when their buffers hold the same words.
 #[derive(Clone, PartialEq)]
 pub struct DagTopology {
     num_nodes: usize,
-    buf: Box<[u32]>,
+    buf: Arc<[u32]>,
 }
 
 impl DagTopology {
@@ -112,7 +116,8 @@ impl DagTopology {
             level + n <= u32::MAX as usize,
             "a DAG's buffer positions are u32: {n} nodes and {e} edges do not fit"
         );
-        let mut buf = vec![0u32; level + n];
+        let mut block: Arc<[u32]> = std::iter::repeat(0).take(level + n).collect();
+        let buf = Arc::make_mut(&mut block);
 
         // Degrees, prefix-summed into absolute positions.
         for &(p, c) in laid {
@@ -196,7 +201,7 @@ impl DagTopology {
 
         Ok(DagTopology {
             num_nodes: n,
-            buf: buf.into_boxed_slice(),
+            buf: block,
         })
     }
 

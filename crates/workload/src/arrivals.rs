@@ -14,7 +14,7 @@
 //! TPC-H query or an Alibaba-like job).
 
 use crate::alibaba::{alibaba_job, AlibabaConfig};
-use crate::tpch::{sample_query, tpch_job_scaled, with_random_memory};
+use crate::tpch::{sample_query, with_random_memory, QueryPlans};
 use decima_core::{JobId, JobSpec, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,15 +67,15 @@ pub(crate) fn generate(
         .collect()
 }
 
-/// The TPC-H body: a query and input size from the §7.2 mix.
-pub(crate) fn tpch_body(
-    task_scale: f64,
-    id: JobId,
-    arrival: SimTime,
-    rng: &mut SmallRng,
-) -> JobSpec {
-    let (q, s) = sample_query(rng);
-    tpch_job_scaled(q, s, id, arrival, task_scale)
+/// The TPC-H body of one job list: a query and input size from the
+/// §7.2 mix, built from the list's own table of query plans, so the jobs
+/// of one query share its DAG.
+pub(crate) fn tpch_body(task_scale: f64) -> impl FnMut(JobId, SimTime, &mut SmallRng) -> JobSpec {
+    let mut plans = QueryPlans::default();
+    move |id, arrival, rng| {
+        let (q, s) = sample_query(rng);
+        plans.job(q, s, id, arrival, task_scale)
+    }
 }
 
 /// Random TPC-H jobs under the given arrival process: one RNG seeded
@@ -88,9 +88,7 @@ pub(crate) fn tpch_jobs(
 ) -> Vec<JobSpec> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let times = arrivals.sample(n, &mut rng);
-    generate(times, &mut rng, |id, t, rng| {
-        tpch_body(task_scale, id, t, rng)
-    })
+    generate(times, &mut rng, tpch_body(task_scale))
 }
 
 /// A batch of `n` random TPC-H jobs, all arriving at time zero (§7.2
@@ -111,8 +109,9 @@ pub fn tpch_stream(n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
 pub fn tpch_stream_with_memory(n: usize, mean_iat: f64, seed: u64) -> Vec<JobSpec> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let times = ArrivalProcess::Poisson { mean_iat }.sample(n, &mut rng);
+    let mut body = tpch_body(1.0);
     generate(times, &mut rng, |id, t, rng| {
-        with_random_memory(tpch_body(1.0, id, t, rng), rng)
+        with_random_memory(body(id, t, rng), rng)
     })
 }
 

@@ -281,7 +281,7 @@ impl WorkloadSpec {
             _ => return self.build(seed),
         };
         let mut rng = SmallRng::seed_from_u64(seed ^ DRIFT_SEED_SALT);
-        let tpch = |id, t, rng: &mut SmallRng| tpch_body(task_scale, id, t, rng);
+        let mut tpch = tpch_body(task_scale);
         let jobs = match (drift.profile, &self.source) {
             // The spec's own (stationary) arrival process; only the job
             // family changes at the boundary.

@@ -20,7 +20,7 @@
 //! The substitution is documented in `DESIGN.md`: every experiment that
 //! consumes this workload only relies on these distributional properties.
 
-use decima_core::{InflationCurve, JobBuilder, JobId, JobSpec, SimTime, StageSpec};
+use decima_core::{DagTopology, InflationCurve, JobId, JobSpec, SimTime, StageSpec};
 use rand::Rng;
 
 /// The six input scales used throughout the paper's TPC-H experiments.
@@ -185,6 +185,167 @@ fn tasks_for(weight: f64, input_gb: f64, task_scale: f64) -> u32 {
         .max(1.0) as u32
 }
 
+/// One stage of a query's plan: what does not depend on the input size
+/// or the task scale.
+struct PlanStage {
+    /// Table weight the stage's task count scales with.
+    weight: f64,
+    /// Mean seconds per task.
+    task_duration: f64,
+    /// The final collect stage: one task at every input size.
+    collect: bool,
+}
+
+/// A query's plan: its DAG and its stages, from which a job at any input
+/// size and task scale is one stage vector and one inflation curve.
+struct Plan {
+    dag: DagTopology,
+    stages: Box<[PlanStage]>,
+    /// Parallelism knee at 100 GB input.
+    knee_at_100g: f64,
+}
+
+impl Plan {
+    /// Walks `query`'s template: one scan stage per base table, its join
+    /// tree, then the aggregation tail, stages numbered in that order.
+    #[expect(
+        clippy::expect_used,
+        reason = "valid by construction: each of the 22 templates names a table, so the \
+                  join tree leaves one stage, and every edge runs from an earlier stage to a \
+                  later one"
+    )]
+    fn new(query: u16) -> Plan {
+        let t = template(query);
+        let mut stages: Vec<PlanStage> = t
+            .tables
+            .iter()
+            .map(|&table| PlanStage {
+                weight: table.weight(),
+                task_duration: SCAN_TASK_SECS,
+                collect: false,
+            })
+            .collect();
+        let mut edges = Vec::new();
+
+        // Join tree over the scans, as (stage, weight) pairs.
+        let mut frontier: Vec<(u32, f64)> = (0..).zip(stages.iter().map(|s| s.weight)).collect();
+        let mut join = |(a, wa): (u32, f64), (c, wc): (u32, f64)| {
+            let w = JOIN_SELECTIVITY * wa.max(wc);
+            let j = stages.len() as u32;
+            stages.push(PlanStage {
+                weight: w,
+                task_duration: JOIN_TASK_SECS,
+                collect: false,
+            });
+            edges.extend([(a, j), (c, j)]);
+            (j, w)
+        };
+        match t.shape {
+            Shape::LeftDeep => {
+                while frontier.len() > 1 {
+                    let a = frontier.remove(0);
+                    let c = frontier.remove(0);
+                    frontier.insert(0, join(a, c));
+                }
+            }
+            Shape::Bushy => {
+                while frontier.len() > 1 {
+                    frontier = frontier
+                        .chunks(2)
+                        .map(|pair| match *pair {
+                            [a, c] => join(a, c),
+                            _ => pair[0],
+                        })
+                        .collect();
+                }
+            }
+        }
+
+        // Aggregation / sort tail.
+        let (mut tail, mut weight) = frontier[0];
+        for step in 0..t.agg_len {
+            weight *= 0.35;
+            let s = stages.len() as u32;
+            stages.push(PlanStage {
+                weight,
+                task_duration: AGG_TASK_SECS,
+                collect: step + 1 == t.agg_len,
+            });
+            edges.push((tail, s));
+            tail = s;
+        }
+
+        Plan {
+            dag: DagTopology::new(stages.len(), &edges).expect("TPC-H template yields a DAG"),
+            stages: stages.into_boxed_slice(),
+            knee_at_100g: t.knee_at_100g,
+        }
+    }
+
+    /// The job at `input_gb` with task counts divided by `task_scale`: a
+    /// share of the plan's DAG, a stage vector and an inflation curve.
+    #[expect(
+        clippy::expect_used,
+        reason = "valid by construction: every stage has at least one task, a positive \
+                  duration and no memory demand, and the plan's DAG has one node per stage"
+    )]
+    fn job(&self, input_gb: f64, id: JobId, arrival: SimTime, task_scale: f64) -> JobSpec {
+        let stages = self
+            .stages
+            .iter()
+            .map(|s| StageSpec {
+                num_tasks: if s.collect {
+                    1
+                } else {
+                    tasks_for(s.weight, input_gb, task_scale)
+                },
+                task_duration: s.task_duration,
+                first_wave_factor: FIRST_WAVE_FACTOR,
+                mem_demand: 0.0,
+            })
+            .collect();
+        // The parallelism knee shrinks with input size (Q9 on 2 GB needs
+        // only ~5 tasks, Figure 2) and with the task scale.
+        let knee = (self.knee_at_100g * (input_gb / 100.0).sqrt() / task_scale).max(2.0);
+        let p_ref = (P_REF / task_scale).max(2.0);
+        let job = JobSpec {
+            id,
+            arrival,
+            dag: self.dag.clone(),
+            stages,
+            inflation: InflationCurve {
+                gamma: GAMMA,
+                p_ref,
+                knee,
+            },
+        };
+        job.validate().expect("TPC-H plan produces a valid job");
+        job
+    }
+}
+
+/// The query plans of one generated job list, each built the first
+/// time the list draws its query: every job of a query then shares the
+/// plan's DAG, and costs only its stage vector.
+#[derive(Default)]
+pub(crate) struct QueryPlans([Option<Plan>; NUM_QUERIES as usize]);
+
+impl QueryPlans {
+    /// [`tpch_job_scaled`], from this list's plan of `query`.
+    pub(crate) fn job(
+        &mut self,
+        query: u16,
+        input_gb: f64,
+        id: JobId,
+        arrival: SimTime,
+        task_scale: f64,
+    ) -> JobSpec {
+        self.0[usize::from(query) - 1]
+            .get_or_insert_with(|| Plan::new(query))
+            .job(input_gb, id, arrival, task_scale)
+    }
+}
+
 /// Builds the job for `query` (1–22) at `input_gb`, with the given id and
 /// arrival time.
 ///
@@ -200,11 +361,6 @@ pub fn tpch_job(query: u16, input_gb: f64, id: JobId, arrival: SimTime) -> JobSp
 /// structural and distributional properties while making RL training
 /// tractable on small clusters; every bench binary documents the scale it
 /// uses (see EXPERIMENTS.md).
-#[expect(
-    clippy::expect_used,
-    reason = "valid by construction: each of the 22 templates names a table, so the join \
-              tree leaves one stage, and every edge runs from an earlier stage to a later one"
-)]
 pub fn tpch_job_scaled(
     query: u16,
     input_gb: f64,
@@ -212,99 +368,7 @@ pub fn tpch_job_scaled(
     arrival: SimTime,
     task_scale: f64,
 ) -> JobSpec {
-    let t = template(query);
-    let mut b = JobBuilder::new(id);
-
-    // Scan stages: one per base table.
-    let mut frontier: Vec<(u32, f64)> = t
-        .tables
-        .iter()
-        .map(|&table| {
-            let w = table.weight();
-            let stage = b.stage(StageSpec {
-                num_tasks: tasks_for(w, input_gb, task_scale),
-                task_duration: SCAN_TASK_SECS,
-                first_wave_factor: FIRST_WAVE_FACTOR,
-                mem_demand: 0.0,
-            });
-            (stage, w)
-        })
-        .collect();
-
-    // Join tree.
-    match t.shape {
-        Shape::LeftDeep => {
-            while frontier.len() > 1 {
-                let (a, wa) = frontier.remove(0);
-                let (c, wc) = frontier.remove(0);
-                let w = JOIN_SELECTIVITY * wa.max(wc);
-                let j = b.stage(StageSpec {
-                    num_tasks: tasks_for(w, input_gb, task_scale),
-                    task_duration: JOIN_TASK_SECS,
-                    first_wave_factor: FIRST_WAVE_FACTOR,
-                    mem_demand: 0.0,
-                });
-                b.edge(a, j);
-                b.edge(c, j);
-                frontier.insert(0, (j, w));
-            }
-        }
-        Shape::Bushy => {
-            while frontier.len() > 1 {
-                let mut next = Vec::with_capacity(frontier.len() / 2 + 1);
-                let mut iter = frontier.into_iter();
-                while let Some((a, wa)) = iter.next() {
-                    match iter.next() {
-                        Some((c, wc)) => {
-                            let w = JOIN_SELECTIVITY * wa.max(wc);
-                            let j = b.stage(StageSpec {
-                                num_tasks: tasks_for(w, input_gb, task_scale),
-                                task_duration: JOIN_TASK_SECS,
-                                first_wave_factor: FIRST_WAVE_FACTOR,
-                                mem_demand: 0.0,
-                            });
-                            b.edge(a, j);
-                            b.edge(c, j);
-                            next.push((j, w));
-                        }
-                        None => next.push((a, wa)),
-                    }
-                }
-                frontier = next;
-            }
-        }
-    }
-
-    // Aggregation / sort tail.
-    let (mut tail, mut w) = frontier.pop().expect("at least one stage");
-    for step in 0..t.agg_len {
-        w *= 0.35;
-        let s = b.stage(StageSpec {
-            num_tasks: if step + 1 == t.agg_len {
-                1 // final collect stage
-            } else {
-                tasks_for(w, input_gb, task_scale)
-            },
-            task_duration: AGG_TASK_SECS,
-            first_wave_factor: FIRST_WAVE_FACTOR,
-            mem_demand: 0.0,
-        });
-        b.edge(tail, s);
-        tail = s;
-    }
-
-    // The parallelism knee shrinks with input size (Q9 on 2 GB needs only
-    // ~5 tasks, Figure 2) and with the task scale.
-    let knee = (t.knee_at_100g * (input_gb / 100.0).sqrt() / task_scale).max(2.0);
-    let p_ref = (P_REF / task_scale).max(2.0);
-    b.arrival(arrival)
-        .inflation(InflationCurve {
-            gamma: GAMMA,
-            p_ref,
-            knee,
-        })
-        .build()
-        .expect("TPC-H template produces a valid job")
+    Plan::new(query).job(input_gb, id, arrival, task_scale)
 }
 
 /// Samples a uniform `(query, input size)` pair, the paper's §7.2 mix.
@@ -326,8 +390,146 @@ pub fn with_random_memory(mut job: JobSpec, rng: &mut impl Rng) -> JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decima_core::JobBuilder;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The construction the plans replaced: a `JobBuilder` walk of the
+    /// template for every job, kept as the reference they must match.
+    fn builder_job(
+        query: u16,
+        input_gb: f64,
+        id: JobId,
+        arrival: SimTime,
+        task_scale: f64,
+    ) -> JobSpec {
+        let t = template(query);
+        let mut b = JobBuilder::new(id);
+        let stage = |b: &mut JobBuilder, w: f64, task_duration: f64| {
+            b.stage(StageSpec {
+                num_tasks: tasks_for(w, input_gb, task_scale),
+                task_duration,
+                first_wave_factor: FIRST_WAVE_FACTOR,
+                mem_demand: 0.0,
+            })
+        };
+        let mut frontier: Vec<(u32, f64)> = t
+            .tables
+            .iter()
+            .map(|&table| {
+                (
+                    stage(&mut b, table.weight(), SCAN_TASK_SECS),
+                    table.weight(),
+                )
+            })
+            .collect();
+        match t.shape {
+            Shape::LeftDeep => {
+                while frontier.len() > 1 {
+                    let (a, wa) = frontier.remove(0);
+                    let (c, wc) = frontier.remove(0);
+                    let w = JOIN_SELECTIVITY * wa.max(wc);
+                    let j = stage(&mut b, w, JOIN_TASK_SECS);
+                    b.edge(a, j);
+                    b.edge(c, j);
+                    frontier.insert(0, (j, w));
+                }
+            }
+            Shape::Bushy => {
+                while frontier.len() > 1 {
+                    let mut next = Vec::with_capacity(frontier.len() / 2 + 1);
+                    let mut iter = frontier.into_iter();
+                    while let Some((a, wa)) = iter.next() {
+                        match iter.next() {
+                            Some((c, wc)) => {
+                                let w = JOIN_SELECTIVITY * wa.max(wc);
+                                let j = stage(&mut b, w, JOIN_TASK_SECS);
+                                b.edge(a, j);
+                                b.edge(c, j);
+                                next.push((j, w));
+                            }
+                            None => next.push((a, wa)),
+                        }
+                    }
+                    frontier = next;
+                }
+            }
+        }
+        let (mut tail, mut w) = frontier.pop().unwrap();
+        for step in 0..t.agg_len {
+            w *= 0.35;
+            let s = b.stage(StageSpec {
+                num_tasks: if step + 1 == t.agg_len {
+                    1
+                } else {
+                    tasks_for(w, input_gb, task_scale)
+                },
+                task_duration: AGG_TASK_SECS,
+                first_wave_factor: FIRST_WAVE_FACTOR,
+                mem_demand: 0.0,
+            });
+            b.edge(tail, s);
+            tail = s;
+        }
+        let knee = (t.knee_at_100g * (input_gb / 100.0).sqrt() / task_scale).max(2.0);
+        let p_ref = (P_REF / task_scale).max(2.0);
+        b.arrival(arrival)
+            .inflation(InflationCurve {
+                gamma: GAMMA,
+                p_ref,
+                knee,
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// Every field of `got` against `want`, floats by their bits.
+    fn assert_same_job(got: &JobSpec, want: &JobSpec, case: &str) {
+        assert_eq!(got.id, want.id, "{case}: id");
+        assert_eq!(got.arrival, want.arrival, "{case}: arrival");
+        assert!(got.dag == want.dag, "{case}: DAG buffer");
+        assert_eq!(got.dag.len(), want.dag.len(), "{case}: stages");
+        assert_eq!(got.dag.edges(), want.dag.edges(), "{case}: edges");
+        assert_eq!(got.dag.topo_order(), want.dag.topo_order(), "{case}: topo");
+        assert_eq!(got.stages.len(), want.stages.len(), "{case}: stage count");
+        assert_eq!(
+            got.stages.capacity(),
+            got.stages.len(),
+            "{case}: spare capacity"
+        );
+        for (g, w) in got.stages.iter().zip(&want.stages) {
+            assert_eq!(g.num_tasks, w.num_tasks, "{case}: num_tasks");
+            for (a, b) in [
+                (g.task_duration, w.task_duration),
+                (g.first_wave_factor, w.first_wave_factor),
+                (g.mem_demand, w.mem_demand),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{case}: stage field");
+            }
+        }
+        let (g, w) = (got.inflation, want.inflation);
+        for (a, b) in [(g.gamma, w.gamma), (g.p_ref, w.p_ref), (g.knee, w.knee)] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{case}: inflation");
+        }
+    }
+
+    #[test]
+    fn plans_build_what_the_builder_built() {
+        // One table for every size and scale: a plan serves them all.
+        let mut plans = QueryPlans::default();
+        let arrival = SimTime::from_secs(12.5);
+        for q in 1..=NUM_QUERIES {
+            for &gb in &INPUT_SIZES_GB {
+                for scale in [1.0, 8.0] {
+                    let case = format!("q{q} at {gb} GB, scale {scale}");
+                    let id = JobId(u32::from(q));
+                    let want = builder_job(q, gb, id, arrival, scale);
+                    assert_same_job(&tpch_job_scaled(q, gb, id, arrival, scale), &want, &case);
+                    assert_same_job(&plans.job(q, gb, id, arrival, scale), &want, &case);
+                }
+            }
+        }
+    }
 
     #[test]
     fn all_22_queries_build_at_all_sizes() {
