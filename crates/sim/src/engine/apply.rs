@@ -169,7 +169,6 @@ impl Simulator {
             self.set_exec_state(e, ExecState::Moving { job: job_id, node });
             let rt = self.jobs.job_mut(job_id);
             rt.nodes[v].in_flight += 1;
-            rt.dirty = true;
             if let Some(g) = &mut self.gantt {
                 if delay > 0.0 {
                     g.record(e, self.now, self.now + delay, None);
@@ -182,8 +181,12 @@ impl Simulator {
         cand.clear();
         self.scratch_execs = cand;
 
-        let job = self.jobs.job_mut(job_id);
-        job.peak_alloc = job.peak_alloc.max(job.alloc);
+        // Only a dispatch raises `alloc`, and it has marked the job
+        // already; a wasted action must not mark it.
+        if dispatched > 0 {
+            let job = self.jobs.job_mut(job_id);
+            job.peak_alloc = job.peak_alloc.max(job.alloc);
+        }
         dispatched
     }
 }

@@ -1,10 +1,14 @@
 //! The job arena: one record per job in the phase table (its spec, the
 //! slot of its live runtime state, or its [`JobOutcome`]), the slot
-//! arena of live runtime states, the active list, and the one fold of a
-//! job into its outcome. Runtime state is reachable only through
-//! [`JobArena::live`]/[`JobArena::live_mut`] (or the must-be-live
-//! [`JobArena::job`]/[`JobArena::job_mut`]) and the observation write's
-//! [`JobArena::for_each_active`], never by slot index.
+//! arena of live runtime states, the active list, the dirty list, and
+//! the one fold of a job into its outcome. Runtime state is reachable
+//! only through [`JobArena::live`]/[`JobArena::live_mut`] (or the
+//! must-be-live [`JobArena::job`]/[`JobArena::job_mut`]) and the
+//! observation write's two visits — [`JobArena::for_each_active`] after
+//! the active set changed, [`JobArena::for_each_dirty`] otherwise —
+//! never by slot index. The mutable lookups are the one place a job is
+//! marked dirty: an event path that changes a job's state reaches it
+//! through them.
 
 use crate::result::{JobOutcome, MemCounters};
 use crate::sched::{JobProfile, NodeObs};
@@ -27,10 +31,12 @@ pub(super) struct JobRt {
     pub(super) peak_alloc: usize,
     /// Executors bound to the job and currently idle (incremental).
     pub(super) local_free: usize,
-    /// Observation-relevant state changed since the pooled observation
+    /// Reached through a mutable lookup since the pooled observation
     /// was last filled (skips per-node copies and the `open` refresh for
-    /// untouched jobs); the write clears it.
-    pub(super) dirty: bool,
+    /// untouched jobs); set only by [`JobArena::live_mut`], which also
+    /// lists the job in `JobArena::dirty`, and cleared by the write's
+    /// visits.
+    dirty: bool,
     /// Dynamics task failures charged to the job so far; exceeding the
     /// spec's `max_retries` kills the job.
     pub(super) failures: u32,
@@ -83,6 +89,11 @@ pub(super) struct JobArena {
     pub(super) retain_all: bool,
     /// Arrived, unfinished job indices in job-id order.
     active: Vec<usize>,
+    /// The live jobs marked dirty since the last observation write, each
+    /// once, in marking order. Emptied whenever `epoch` moves: the write
+    /// after that visits every active job, so the list is only read
+    /// while the active set stands, and never holds more than it.
+    dirty: Vec<usize>,
     /// Bumped whenever the active set changes (admit/retire);
     /// invalidates the pooled observation's job structure.
     epoch: u64,
@@ -153,13 +164,20 @@ impl JobArena {
         }
     }
 
-    /// Mutable [`JobArena::live`].
+    /// Mutable [`JobArena::live`], and the one choke point that marks a
+    /// job dirty: the next observation write re-copies what it reaches
+    /// through here.
     #[inline]
     pub(super) fn live_mut(&mut self, id: JobId) -> Option<&mut JobRt> {
-        match self.phase.get(id.index())? {
-            &JobPhase::Live(slot) => Some(&mut self.slots[slot as usize]),
-            _ => None,
+        let &JobPhase::Live(slot) = self.phase.get(id.index())? else {
+            return None;
+        };
+        let rt = &mut self.slots[slot as usize];
+        if !rt.dirty {
+            rt.dirty = true;
+            self.dirty.push(id.index());
         }
+        Some(rt)
     }
 
     /// Runtime state of a job that must be live (panics otherwise — the
@@ -184,17 +202,55 @@ impl JobArena {
         (0..self.phase.len()).filter_map(|ji| self.live(JobId(ji as u32)))
     }
 
-    /// Hands each active (arrived, unfinished) job, mutably, to `f` in
-    /// job-id order, with its position in that order: the observation
-    /// write's one pass.
-    pub(super) fn for_each_active(&mut self, mut f: impl FnMut(usize, &mut JobRt)) {
-        let live = self.active.iter().filter_map(|&ji| match self.phase[ji] {
-            JobPhase::Live(slot) => Some(slot as usize),
-            _ => None,
-        });
-        for (job_index, slot) in live.enumerate() {
-            f(job_index, &mut self.slots[slot]);
+    /// Slot of an active job (every active job is live).
+    fn slot_of(&self, ji: usize) -> usize {
+        match self.phase[ji] {
+            JobPhase::Live(slot) => slot as usize,
+            ref other => unreachable!("active job {ji} is not live: {other:?}"),
         }
+    }
+
+    /// Hands each active (arrived, unfinished) job, mutably, to `f` in
+    /// job-id order, with its position in that order and whether it was
+    /// dirty, and clears every mark: the observation write's full visit.
+    /// Returns the number of jobs visited.
+    pub(super) fn for_each_active(&mut self, mut f: impl FnMut(usize, &mut JobRt, bool)) -> usize {
+        for job_index in 0..self.active.len() {
+            let slot = self.slot_of(self.active[job_index]);
+            let rt = &mut self.slots[slot];
+            let dirty = std::mem::take(&mut rt.dirty);
+            f(job_index, rt, dirty);
+        }
+        self.dirty.clear();
+        self.active.len()
+    }
+
+    /// Active jobs marked dirty, counted from their flags rather than
+    /// the dirty list.
+    #[cfg(test)]
+    pub(super) fn count_marked(&self) -> usize {
+        self.active
+            .iter()
+            .filter(|&&ji| self.slots[self.slot_of(ji)].dirty)
+            .count()
+    }
+
+    /// Hands each dirty job, mutably, to `f` in marking order, with its
+    /// position among the active jobs, and clears their marks: the
+    /// observation write's visit while the active set stands, which
+    /// costs the dirty jobs, not the active ones. Returns the number of
+    /// jobs visited.
+    pub(super) fn for_each_dirty(&mut self, mut f: impl FnMut(usize, &mut JobRt)) -> usize {
+        for &ji in &self.dirty {
+            let job_index = self.active.partition_point(|&a| a < ji);
+            let slot = self.slot_of(ji);
+            let rt = &mut self.slots[slot];
+            rt.dirty = false;
+            f(job_index, rt);
+        }
+        let visited = self.dirty.len();
+        self.dirty.clear();
+        visited
     }
 
     /// Builds a job's runtime state from its spec at arrival time,
@@ -266,6 +322,7 @@ impl JobArena {
         self.active.insert(pos, ji);
         self.mem.live_jobs_peak = self.mem.live_jobs_peak.max(self.active.len() as u64);
         self.epoch += 1;
+        self.dirty.clear();
     }
 
     /// Folds a finished or failed job into its compact [`JobOutcome`],
@@ -292,6 +349,7 @@ impl JobArena {
         debug_assert_eq!(self.active.get(pos), Some(&ji));
         self.active.remove(pos);
         self.epoch += 1;
+        self.dirty.clear();
         if let (JobPhase::Live(slot), false) = (was, self.retain_all) {
             self.free_slots.push(slot);
             self.mem.node_pool_hwm = self.mem.node_pool_hwm.max(self.free_slots.len() as u64);

@@ -73,7 +73,6 @@ impl Simulator {
                 // moves): its node counters died with it.
                 if let Some(rt) = self.jobs.live_mut(job) {
                     rt.nodes[node as usize].in_flight -= 1;
-                    rt.dirty = true;
                 }
                 false
             }
@@ -86,7 +85,6 @@ impl Simulator {
                 nrt.running -= 1;
                 nrt.executors_on -= 1;
                 nrt.waiting += 1; // the interrupted task reruns from scratch
-                rt.dirty = true;
                 if let Some(g) = &mut self.gantt {
                     g.record(e, started, self.now, Some(job));
                 }

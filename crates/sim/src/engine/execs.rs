@@ -225,14 +225,12 @@ impl ExecTable {
                 self.idle_set.remove(i);
                 if let Some(rt) = jobs.live_mut(j) {
                     rt.local_free -= 1;
-                    rt.dirty = true;
                 }
             }
             if let Some(j) = new_idle {
                 self.idle_set.insert(i);
                 if let Some(rt) = jobs.live_mut(j) {
                     rt.local_free += 1;
-                    rt.dirty = true;
                 }
             }
         }
@@ -254,13 +252,11 @@ impl ExecTable {
             if let Some(j) = old_owner {
                 if let Some(rt) = jobs.live_mut(j) {
                     rt.alloc -= 1;
-                    rt.dirty = true;
                 }
             }
             if let Some(j) = new_owner {
                 if let Some(rt) = jobs.live_mut(j) {
                     rt.alloc += 1;
-                    rt.dirty = true;
                 }
             }
         }

@@ -374,7 +374,6 @@ impl Simulator {
         let rt = self.jobs.job_mut(job_id); // a running task implies a live job
         rt.executed_work += duration;
         rt.class_busy[class.index()] += duration;
-        rt.dirty = true;
         let n = &mut rt.nodes[v];
         n.running -= 1;
         n.executors_on -= 1;
@@ -417,7 +416,6 @@ impl Simulator {
         let rt = self.jobs.job_mut(job_id);
         rt.nodes[v].completed = true;
         rt.unfinished_nodes -= 1;
-        rt.dirty = true;
         let spec = Arc::clone(&rt.spec);
         for &c in spec.dag.children(v) {
             let all_done = spec
@@ -472,7 +470,6 @@ impl Simulator {
             return true;
         };
         job.nodes[node as usize].in_flight -= 1;
-        job.dirty = true;
         // Try the original target, else any runnable stage of the job the
         // executor fits; otherwise go idle-local and let the agent decide.
         let fits = |w: usize| {
@@ -544,7 +541,6 @@ impl Simulator {
         n.waiting -= 1;
         n.running += 1;
         n.executors_on += 1;
-        rt.dirty = true;
         self.execs.set_last_node(e, Some((job_id, node)));
         self.set_exec_state(
             e,

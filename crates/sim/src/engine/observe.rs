@@ -1,7 +1,13 @@
 //! Observation build: the incremental writer that fills the pooled
 //! buffer each [`Pending`](crate::Pending) hands out, the
 //! rebuild-from-scratch reference it is checked against, and their comparison.
+//!
+//! A write costs the jobs that changed: while the active-job set and
+//! the memory threshold stand, it visits only the arena's dirty list and
+//! splices each dirty job's run of `schedulable` in place; a change to
+//! either re-emits every run.
 
+use super::arena::JobRt;
 use super::execs::ExecState;
 use super::Simulator;
 use crate::sched::{JobObs, NodeObs, Observation};
@@ -17,16 +23,45 @@ pub(super) struct ObsScratch {
     /// Node vectors recycled across structure rebuilds (job departures
     /// would otherwise drop them).
     nodes_pool: Vec<Vec<NodeObs>>,
+    /// Run boundaries in `schedulable`: active job `i`'s entries are
+    /// `runs[i]..runs[i + 1]`, as of the last write.
+    runs: Vec<usize>,
+    /// Bits of the memory threshold (`ExecTable::avail_max_memory`) the
+    /// last write filtered `schedulable` with.
+    fits_bits: u64,
+    /// What each write did, for the work pin in the engine's tests.
+    #[cfg(test)]
+    pub(super) log: Vec<WriteWork>,
+}
+
+/// One observation write as the engine's tests see it: the state it
+/// started from and the runs of `schedulable` it re-emitted.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(super) struct WriteWork {
+    /// `jobs.epoch()` at the write.
+    pub(super) epoch: u64,
+    /// Bits of the memory threshold at the write.
+    pub(super) fits_bits: u64,
+    /// Active jobs, and those of them marked dirty, counted by walking
+    /// the arena's flags.
+    pub(super) active: usize,
+    pub(super) marked: usize,
+    /// Every run was re-emitted, rather than the dirty jobs' spliced.
+    pub(super) full: bool,
+    /// Runs re-emitted: the jobs the write visited.
+    pub(super) runs: usize,
 }
 
 impl Simulator {
     /// Updates the pooled observation in place from the
-    /// incrementally-maintained counts (no executor rescans), rebuilding
-    /// its job structure only when the active-job set changed since the
-    /// last write, copying per-node state only for rebuilt or dirty
-    /// jobs, and refreshing a dirty job's open stages (`JobRt::open`) —
-    /// all in one pass over the active jobs, which also clears their
-    /// `dirty` flags.
+    /// incrementally-maintained counts (no executor rescans). Copies
+    /// per-node state and refreshes the open stages (`JobRt::open`)
+    /// only for dirty jobs, and then either re-emits `schedulable`
+    /// whole — after the active-job set (which also rebuilds the job
+    /// structure) or the memory threshold moved — or splices the dirty
+    /// jobs' runs into it in place, visiting only the dirty jobs.
+    /// Either visit clears the jobs' `dirty` marks.
     pub(super) fn write_observation(&mut self) {
         let Simulator {
             cluster,
@@ -63,44 +98,55 @@ impl Simulator {
         // The one memory-fit rule (`ExecTable::avail_fits`), evaluated
         // once for this write.
         let fits_up_to = execs.avail_max_memory(classes);
-        obs.schedulable.clear();
-        jobs.for_each_active(|job_index, j| {
-            if rebuild {
-                obs.jobs.push(JobObs {
-                    id: j.spec.id,
-                    spec: Arc::clone(&j.spec),
-                    profile: Arc::clone(&j.profile),
-                    alloc: j.alloc,
-                    local_free: j.local_free,
-                    nodes: scratch.nodes_pool.pop().unwrap_or_default(),
-                });
-            }
-            if rebuild || j.dirty {
-                let jo = &mut obs.jobs[job_index];
-                jo.alloc = j.alloc;
-                jo.local_free = j.local_free;
-                jo.nodes.clear();
-                jo.nodes.extend_from_slice(&j.nodes);
-            }
-            if j.dirty {
-                j.dirty = false;
-                j.open.clear();
-                j.open.extend(
-                    j.nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| n.is_open())
-                        .map(|(v, n)| (StageId(v as u32), n.mem_demand)),
-                );
-            }
-            obs.schedulable.extend(
-                j.open
-                    .iter()
-                    .filter(|&&(_, demand)| demand <= fits_up_to)
-                    .map(|&(stage, _)| (job_index, stage)),
-            );
+        let full = rebuild || fits_up_to.to_bits() != scratch.fits_bits;
+        #[cfg(test)]
+        let (marked, active) = (jobs.count_marked(), jobs.num_active());
+        let runs = &mut scratch.runs;
+        let sched = &mut obs.schedulable;
+        let visited = if full {
+            sched.clear();
+            runs.clear();
+            runs.push(0);
+            jobs.for_each_active(|job_index, j, dirty| {
+                if rebuild {
+                    obs.jobs.push(JobObs {
+                        id: j.spec.id,
+                        spec: Arc::clone(&j.spec),
+                        profile: Arc::clone(&j.profile),
+                        alloc: j.alloc,
+                        local_free: j.local_free,
+                        nodes: scratch.nodes_pool.pop().unwrap_or_default(),
+                    });
+                }
+                if dirty {
+                    refresh_open(j);
+                }
+                if rebuild || dirty {
+                    copy_job(&mut obs.jobs[job_index], j);
+                }
+                sched.extend(fitting(j, fits_up_to).map(|stage| (job_index, stage)));
+                runs.push(sched.len());
+            })
+        } else {
+            jobs.for_each_dirty(|job_index, j| {
+                refresh_open(j);
+                copy_job(&mut obs.jobs[job_index], j);
+                splice_run(sched, runs, job_index, j, fits_up_to);
+            })
+        };
+        #[cfg(test)]
+        scratch.log.push(WriteWork {
+            epoch: jobs.epoch(),
+            fits_bits: fits_up_to.to_bits(),
+            active,
+            marked,
+            full,
+            runs: visited,
         });
+        debug_assert!(visited <= jobs.num_active());
         debug_assert_eq!(obs.jobs.len(), jobs.num_active());
+        debug_assert_eq!(runs.len(), jobs.num_active() + 1);
+        scratch.fits_bits = fits_up_to.to_bits();
         *obs_buf_epoch = jobs.epoch();
     }
 
@@ -186,6 +232,66 @@ impl Simulator {
             jobs,
             schedulable,
         }
+    }
+}
+
+/// Refreshes a dirty job's open stages from its nodes.
+fn refresh_open(j: &mut JobRt) {
+    j.open.clear();
+    j.open.extend(
+        j.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.is_open())
+            .map(|(v, n)| (StageId(v as u32), n.mem_demand)),
+    );
+}
+
+/// Copies a job's dynamic state into its observation entry.
+fn copy_job(jo: &mut JobObs, j: &JobRt) {
+    jo.alloc = j.alloc;
+    jo.local_free = j.local_free;
+    jo.nodes.clear();
+    jo.nodes.extend_from_slice(&j.nodes);
+}
+
+/// The job's open stages that some available executor fits: its run of
+/// `schedulable`.
+fn fitting(j: &JobRt, fits_up_to: f64) -> impl Iterator<Item = StageId> + '_ {
+    j.open
+        .iter()
+        .filter(move |&&(_, demand)| demand <= fits_up_to)
+        .map(|&(stage, _)| stage)
+}
+
+/// Overwrites active job `job_index`'s run of `schedulable` in place
+/// with its current one, shifting the tail when the run's length
+/// changed, and moves the later run boundaries with it. Touching only
+/// later runs, splices compose in any order.
+fn splice_run(
+    sched: &mut Vec<(usize, StageId)>,
+    runs: &mut [usize],
+    job_index: usize,
+    j: &JobRt,
+    fits_up_to: f64,
+) {
+    let (start, end) = (runs[job_index], runs[job_index + 1]);
+    let new_end = start + fitting(j, fits_up_to).count();
+    if new_end != end {
+        let len = sched.len();
+        if new_end > end {
+            sched.resize(len + (new_end - end), (job_index, StageId(0)));
+            sched.copy_within(end..len, new_end);
+        } else {
+            sched.copy_within(end..len, new_end);
+            sched.truncate(len - (end - new_end));
+        }
+        for b in &mut runs[job_index + 1..] {
+            *b = *b + new_end - end;
+        }
+    }
+    for (slot, stage) in sched[start..new_end].iter_mut().zip(fitting(j, fits_up_to)) {
+        *slot = (job_index, stage);
     }
 }
 

@@ -420,6 +420,65 @@ fn observation_matches_rebuilt_mid_episode() {
         .expect("incremental and rebuilt observations must agree");
 }
 
+/// The observation write's work on a 40-job TPC-H batch over a
+/// two-class cluster, whose memory threshold moves as the five big
+/// executors fill and drain: a write that follows no move of the active set or the
+/// threshold re-emits exactly the runs of the jobs marked dirty (counted
+/// from their flags, not from the dirty list), and every full re-emit
+/// follows such a move. The totals pin the work against the one-pass
+/// write, which re-emitted every active job's run each time.
+#[test]
+fn a_write_re_emits_only_the_dirty_jobs_runs() {
+    /// One more executor to the job with the fewest: many dirty jobs.
+    struct Spread;
+    impl Scheduler for Spread {
+        fn decide(&mut self, obs: &Observation) -> Option<Action> {
+            let &(j, s) = obs
+                .schedulable
+                .iter()
+                .min_by_key(|&&(j, _)| obs.jobs[j].alloc)?;
+            Some(Action::new(obs.jobs[j].id, s, obs.jobs[j].alloc + 1))
+        }
+    }
+    let cfg = SimConfig {
+        seed: 7,
+        ..SimConfig::default()
+    };
+    let jobs = decima_workload::tpch_batch(40, 3);
+    let class = |memory, count| decima_core::ExecutorClass { memory, count };
+    let cl = ClusterSpec {
+        classes: vec![class(0.5, 15), class(1.0, 5)],
+        move_delay: 2.5,
+    };
+    let mut sim = Simulator::new(cl, jobs, cfg);
+    while let Some(p) = sim.step() {
+        p.check()
+            .expect("incremental observation matches the rebuilt one");
+        let action = Spread.decide(p.observation());
+        p.resume(action);
+    }
+    let log = &sim.obs_scratch.log;
+    let (mut full, mut moves, mut runs, mut active) = (0, 0, 0, 0);
+    for (i, w) in log.iter().enumerate() {
+        let moved = i == 0 || {
+            let last = &log[i - 1];
+            last.epoch != w.epoch || last.fits_bits != w.fits_bits
+        };
+        assert_eq!(w.full, moved, "write {i}: {w:?}");
+        let expect = if w.full { w.active } else { w.marked };
+        assert_eq!(w.runs, expect, "write {i}: {w:?}");
+        full += usize::from(w.full);
+        moves += usize::from(i > 0 && log[i - 1].epoch == w.epoch && moved);
+        runs += w.runs;
+        active += w.active;
+    }
+    assert_eq!(
+        (log.len(), full, moves, runs, active),
+        (515, 175, 134, 6256, 9409),
+        "(writes, full re-emits, threshold-only moves, runs re-emitted, active jobs at writes)"
+    );
+}
+
 /// Both builders emit `schedulable` strictly ascending by (job index,
 /// stage) and hand out the admission-time profile, at every decision of
 /// a two-class episode under dynamics; `obs_equal` refuses a list that

@@ -829,3 +829,113 @@ proptest! {
         prop_assert!((executed - static_work).abs() < 1e-6 * static_work.max(1.0));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The spliced observation write
+// ---------------------------------------------------------------------------
+
+/// Sends every free executor it may to the last schedulable stage's
+/// job: the move takes idle executors from many other jobs, so the next
+/// write finds many jobs dirty.
+struct Grab;
+impl Scheduler for Grab {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        let &(j, s) = obs.schedulable.last()?;
+        Some(Action::new(obs.jobs[j].id, s, obs.total_executors))
+    }
+}
+
+/// `Hostile` on every third decision and `Spread` on the others, so the
+/// malformed actions land all through the episode instead of ending
+/// its passes from the start.
+struct Mixed(Hostile, u32);
+impl Scheduler for Mixed {
+    fn decide(&mut self, obs: &Observation) -> Option<Action> {
+        self.1 += 1;
+        if self.1 % 3 == 0 {
+            self.0.decide(obs)
+        } else {
+            Spread.decide(obs)
+        }
+    }
+}
+
+/// `n_jobs` random memory-demanding jobs, all arriving at time zero: the
+/// active set then stands between retirements, and most writes splice.
+fn memory_batch(seed: u64, n_jobs: usize) -> Vec<decima_core::JobSpec> {
+    random_memory_jobs(seed, n_jobs)
+        .into_iter()
+        .map(|mut j| {
+            j.arrival = SimTime::ZERO;
+            j
+        })
+        .collect()
+}
+
+/// `small` executors of memory 0.5 and `big` of memory 1.0: the memory
+/// threshold flips between the two whenever every big one is busy.
+fn two_class(small: usize, big: usize) -> ClusterSpec {
+    ClusterSpec {
+        classes: vec![
+            ExecutorClass {
+                memory: 0.5,
+                count: small,
+            },
+            ExecutorClass {
+                memory: 1.0,
+                count: big,
+            },
+        ],
+        move_delay: 1.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The write that splices the dirty jobs' runs of `schedulable` in
+    /// place equals the rebuilt observation at every decision of 40- to
+    /// 100-job episodes, where runs grow, shrink and vanish mid-list, on
+    /// two-class clusters whose threshold flips; with dynamics (offline
+    /// executors, job kills) on and off and retirement on and off; under
+    /// a scheduler that dirties many jobs per write (`Grab`), one that
+    /// dirties one or two (`Spread`) and one that is hostile on every
+    /// third decision (`Mixed`). Half the cases spread the arrivals over
+    /// 20 s instead, so that admissions interleave with the splices.
+    #[test]
+    fn the_spliced_write_matches_the_rebuilt_observation(
+        seed in 0u64..3000, n_jobs in 40usize..=100, small in 1usize..6, big in 1usize..4,
+        dynamics_on in 0u32..2, keep in 0u32..2, sched in 0u32..3, staggered in 0u32..2,
+    ) {
+        use rand::SeedableRng;
+        let cfg = SimConfig {
+            noise: 0.1,
+            seed,
+            max_events: 200_000,
+            dynamics: if dynamics_on == 1 {
+                DynamicsSpec { churn_iat: 6.0, outage_mean: 4.0, fail_prob: 0.05,
+                               max_retries: 3, straggler_prob: 0.1, straggler_factor: 2.0 }
+            } else {
+                DynamicsSpec::off()
+            },
+            ..SimConfig::default()
+        };
+        let jobs = if staggered == 1 {
+            random_memory_jobs(seed, n_jobs)
+        } else {
+            memory_batch(seed, n_jobs)
+        };
+        let sim = Simulator::new(two_class(small, big), jobs, cfg).retain_all(keep == 1);
+        let r = match sched {
+            0 => run_checked(sim, Invariants::new(Grab)),
+            1 => run_checked(sim, Invariants::new(Spread)),
+            _ => run_checked(sim, Invariants::new(Mixed(Hostile {
+                rng: rand::rngs::SmallRng::seed_from_u64(seed ^ 0x4057),
+                n_jobs: n_jobs as u32,
+                seen: Vec::new(),
+            }, 0))),
+        };
+        prop_assert_eq!(r.jobs.len(), n_jobs);
+        prop_assert!(r.completed() + r.failed() <= n_jobs);
+    }
+}
